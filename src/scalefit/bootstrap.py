@@ -8,11 +8,16 @@ noticeably more conservative intervals when between-scale variance
 dominates.  The naive scheme ignores the group structure and draws all
 M*T pooled points with replacement.
 
-Every replicate consumes its own counter-based random substream derived
-from (rng_seed, replicate index), so results are bit-identical however the
-replicates are scheduled.  Replicates whose resample collapses to fewer
-than two distinct scales are redrawn from the same substream; a replicate
-that stays degenerate for ``max_redraws`` consecutive draws aborts the run.
+Replicates are computed in fixed blocks of ``BLOCK``.  Block k consumes its
+own counter-based random substream derived from (rng_seed, k): its
+resamples are drawn as one index array and fitted by one vectorized least
+squares over per-group counts and sums.  Results are therefore
+bit-identical however the blocks are scheduled, and because ``BLOCK`` does
+not depend on the replicate count, a run with B replicates is a prefix of
+any run with more.  Resamples that collapse to fewer than two distinct
+scales are redrawn, in row order, from the block's substream; a kept
+replicate that stays degenerate for ``max_redraws`` consecutive draws
+aborts the run.
 """
 
 from __future__ import annotations
@@ -24,9 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
-from .powerlaw import _ols_log
 from .records import RunSet
 from .rng import substream
+
+# Replicates per random substream and per vectorized fit.  Fixed, so that
+# the replicate stream does not depend on the replicate count.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,18 @@ class BootstrapBand:
             raise DataError("x must be positive and finite")
         slopes = np.asarray(self.replicate_slopes)
         intercepts = np.asarray(self.replicate_intercepts)
-        preds = np.exp(intercepts + slopes * math.log(x))
-        return (
-            float(np.percentile(preds, self.lo_pct)),
-            float(np.percentile(preds, self.hi_pct)),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds = np.exp(intercepts + slopes * math.log(x))
+            lo, hi = np.percentile(preds, (self.lo_pct, self.hi_pct)).tolist()
+        _check_finite((x,), [lo], [hi])
+        return lo, hi
+
+
+def _check_finite(xs: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> None:
+    """Refuse band edges that overflowed, naming the first abscissa affected."""
+    for x, a, b in zip(xs, lo, hi):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DataError(f"bootstrap band at x={x:g} is not finite: the law overflows float64")
 
 
 def percentile(samples: Sequence[float], p: float) -> float:
@@ -90,58 +105,108 @@ def percentile(samples: Sequence[float], p: float) -> float:
 
 
 class _Pool:
-    """Log-space arrays and group index structure for one run set."""
+    """Log-values of one run set laid out group by group, with group tables.
+
+    Scale group k owns positions ``start[k] : start[k] + sizes[k]`` of ``v``;
+    every record in a group shares the group's ``u = ln N``, so a resample
+    needs only its per-group counts and sums of ``v``.
+    """
 
     def __init__(self, runset: RunSet):
-        params = np.array([r.scale.params for r in runset.records], dtype=float)
+        groups = runset.scale_groups()
         values = np.array([r.value for r in runset.records], dtype=float)
-        self.u = np.log(params)
-        self.v = np.log(values)
-        self.params = params
-        self.groups = [np.asarray(g, dtype=np.intp) for g in runset.scale_groups()]
+        self.n_groups = len(groups)
+        self.sizes = np.array([len(g) for g in groups], dtype=np.intp)
+        self.start = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        self.v = np.log(values[np.concatenate(groups)])
+        self.code = np.repeat(np.arange(self.n_groups), self.sizes)
         self.group_params = np.array([s.params for s in runset.scales], dtype=float)
-        self.n_groups = len(self.groups)
-        sizes = {g.size for g in self.groups}
-        # Uniform group sizes admit a single vectorized within-group draw.
-        self.matrix = np.vstack(self.groups) if len(sizes) == 1 else None
+        self.group_u = np.log(self.group_params)
+        self.params = self.group_params[self.code]
 
 
-def _draw_hierarchical(pool: _Pool, rng: np.random.Generator):
-    m = pool.n_groups
-    g = rng.integers(0, m, size=m)
-    if np.unique(pool.group_params[g]).size < 2:
-        return None
-    if pool.matrix is not None:
-        t = pool.matrix.shape[1]
-        within = rng.integers(0, t, size=(m, t))
-        return np.take_along_axis(pool.matrix[g], within, axis=1).ravel()
-    parts = []
-    for k in g:
-        members = pool.groups[k]
-        parts.append(members[rng.integers(0, members.size, size=members.size)])
-    return np.concatenate(parts)
+def _degenerate(params: np.ndarray) -> np.ndarray:
+    """Rows of drawn parameter counts with fewer than 2 distinct values."""
+    return (params == params[:, :1]).all(axis=1)
 
 
-def _draw_naive(pool: _Pool, rng: np.random.Generator):
-    n = pool.u.size
-    idx = rng.integers(0, n, size=n)
-    if np.unique(pool.params[idx]).size < 2:
-        return None
-    return idx
+def _within_draws(pool: _Pool, rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
+    """Positions in ``pool.v`` of one within-group resample per drawn group.
+
+    Drawn group ``groups[r, j]`` contributes its own size of positions, drawn
+    with replacement from its members; segments follow row-major order.
+    """
+    counts = pool.sizes[groups].ravel()
+    return rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
 
 
-def _replicate_coeffs(pool: _Pool, cfg: BootstrapConfig, index: int) -> tuple[float, float]:
-    """(slope, intercept) of replicate ``index``, redrawing degenerate samples."""
-    rng = substream(cfg.rng_seed, index)
-    draw = _draw_hierarchical if cfg.mode == "hierarchical" else _draw_naive
-    for _ in range(cfg.max_redraws):
-        idx = draw(pool, rng)
-        if idx is not None:
-            return _ols_log(pool.u[idx], pool.v[idx])
-    raise DegenerateDataError(
-        f"replicate {index}: no resample with 2 distinct scales after "
-        f"{cfg.max_redraws} consecutive redraws"
-    )
+def _hierarchical_stats(pool: _Pool, groups: np.ndarray, positions: np.ndarray):
+    """(u, counts, sums of v) per drawn group of a ``(rows, M)`` scale draw."""
+    counts = pool.sizes[groups]
+    offsets = np.concatenate(([0], np.cumsum(counts.ravel())[:-1]))
+    sums = np.add.reduceat(pool.v.take(positions), offsets).reshape(counts.shape)
+    return pool.group_u[groups], counts, sums
+
+
+def _naive_stats(pool: _Pool, idx: np.ndarray):
+    """(u, counts, sums of v) per scale group of a ``(rows, n)`` pooled draw."""
+    rows = idx.shape[0]
+    bins = pool.code[idx]
+    bins += pool.n_groups * np.arange(rows)[:, None]
+    shape = (rows, pool.n_groups)
+    counts = np.bincount(bins.ravel(), minlength=rows * pool.n_groups).reshape(shape)
+    sums = np.bincount(bins.ravel(), weights=pool.v[idx].ravel(), minlength=rows * pool.n_groups)
+    return pool.group_u, counts, sums.reshape(shape)
+
+
+def _ols_rows(u: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row closed-form OLS of v on u from grouped counts and sums of v.
+
+    Row r fits ``counts[r, j]`` points at abscissa ``u[r, j]`` whose ordinates
+    sum to ``sums[r, j]``; the centered form matches ``_ols_log`` on the
+    expanded points up to rounding.
+    """
+    n = counts.sum(axis=1)
+    um = (counts * u).sum(axis=1) / n
+    vm = sums.sum(axis=1) / n
+    du = u - um[:, None]
+    sxy = (du * (sums - counts * vm[:, None])).sum(axis=1)
+    slopes = sxy / (counts * du * du).sum(axis=1)
+    return slopes, vm - slopes * um
+
+
+def _block_coeffs(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of replicates ``block*BLOCK`` to ``block*BLOCK + BLOCK - 1``.
+
+    The whole block is drawn, and redrawn, from substream ``(rng_seed,
+    block)`` whatever ``n_replicates`` is, so a shorter run is a prefix of a
+    longer one.  Only replicates below ``n_replicates`` must end up
+    non-degenerate.
+    """
+    rng = substream(cfg.rng_seed, block)
+    hierarchical = cfg.mode == "hierarchical"
+    width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
+    draws = rng.integers(0, width, size=(BLOCK, width))
+    bad = _degenerate(key[draws])
+    for _ in range(cfg.max_redraws - 1):
+        rows = np.flatnonzero(bad)
+        if rows.size == 0:
+            break
+        draws[rows] = rng.integers(0, width, size=(rows.size, width))
+        bad[rows] = _degenerate(key[draws[rows]])
+    kept = bad[: cfg.n_replicates - block * BLOCK]
+    if kept.any():
+        raise DegenerateDataError(
+            f"replicate {block * BLOCK + int(np.argmax(kept))}: no resample with 2 distinct "
+            f"scales after {cfg.max_redraws} consecutive redraws"
+        )
+    if hierarchical:
+        stats = _hierarchical_stats(pool, draws, _within_draws(pool, rng, draws))
+    else:
+        stats = _naive_stats(pool, draws)
+    # Rows past n_replicates may stay degenerate; they are cut off unread.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _ols_rows(*stats)
 
 
 def default_grid(runset: RunSet, extra: Sequence[float] = (), n_points: int = 25) -> tuple[float, ...]:
@@ -165,25 +230,26 @@ def _run(runset: RunSet, cfg: BootstrapConfig, grid: Sequence[float] | None) -> 
             raise DataError("grid values must be positive and finite")
 
     b = cfg.n_replicates
-    slopes = np.empty(b)
-    intercepts = np.empty(b)
-    for r in range(b):
-        slopes[r], intercepts[r] = _replicate_coeffs(pool, cfg, r)
+    blocks = [_block_coeffs(pool, cfg, k) for k in range(-(-b // BLOCK))]
+    slopes = np.concatenate([c[0] for c in blocks])[:b]
+    intercepts = np.concatenate([c[1] for c in blocks])[:b]
 
     log_grid = np.log(np.asarray(grid_t))
-    preds = np.exp(intercepts[:, None] + slopes[:, None] * log_grid[None, :])
-    lo_band = np.percentile(preds, cfg.lo_pct, axis=0)
-    hi_band = np.percentile(preds, cfg.hi_pct, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = np.exp(intercepts[:, None] + slopes[:, None] * log_grid[None, :])
+        lo_band = np.percentile(preds, cfg.lo_pct, axis=0)
+        hi_band = np.percentile(preds, cfg.hi_pct, axis=0)
+    _check_finite(grid_t, lo_band, hi_band)
 
     return BootstrapBand(
-        slope_ci=(percentile(slopes, cfg.lo_pct), percentile(slopes, cfg.hi_pct)),
-        intercept_ci=(percentile(intercepts, cfg.lo_pct), percentile(intercepts, cfg.hi_pct)),
+        slope_ci=tuple(np.percentile(slopes, (cfg.lo_pct, cfg.hi_pct)).tolist()),
+        intercept_ci=tuple(np.percentile(intercepts, (cfg.lo_pct, cfg.hi_pct)).tolist()),
         point_band=tuple(
             (x, float(lo), float(hi)) for x, lo, hi in zip(grid_t, lo_band, hi_band)
         ),
         replicates_used=b,
-        replicate_slopes=tuple(float(a) for a in slopes),
-        replicate_intercepts=tuple(float(c) for c in intercepts),
+        replicate_slopes=tuple(slopes.tolist()),
+        replicate_intercepts=tuple(intercepts.tolist()),
         lo_pct=cfg.lo_pct,
         hi_pct=cfg.hi_pct,
     )

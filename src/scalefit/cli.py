@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -80,8 +81,9 @@ def to_jsonable(obj):
 
 
 def render_report(report: Report, fmt: str = "json") -> str:
+    """Strict JSON (a non-finite float raises ValueError) or a flat table."""
     if fmt == "json":
-        return json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
+        return json.dumps(to_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     lines: list[str] = []
 
     def walk(prefix: str, obj) -> None:
@@ -574,21 +576,31 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Built on the first run, not at import, and reused: parse_args leaves
+    # the tree unchanged and returns a fresh namespace each time.
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse argv, execute, and print a report; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        report = args.handler(args)
+        args = _parser().parse_args(argv)
+        out = render_report(args.handler(args), args.format)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render_report(report, args.format))
+    sys.stdout.write(out)
     return 0
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

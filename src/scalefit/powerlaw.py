@@ -138,7 +138,10 @@ def predict_at(fit: FitResult, x):
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)) or np.any(xa <= 0):
         raise DataError("x must be positive and finite")
-    out = np.exp(fit.beta + fit.alpha * np.log(xa))
+    with np.errstate(over="ignore"):
+        out = np.exp(fit.beta + fit.alpha * np.log(xa))
+    if not np.all(np.isfinite(out)):
+        raise DataError("the fitted law overflows float64 at the requested x")
     return float(out) if out.ndim == 0 else out
 
 

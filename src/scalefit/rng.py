@@ -2,9 +2,10 @@
 
 Each (seed, stream) pair keys an independent Philox generator, so stream i
 can be opened directly without generating streams 0..i-1 first.  Consumers
-that assign one stream per unit of work (bootstrap replicate, synthetic
-scale, Monte Carlo trial) therefore produce identical draws whether the
-units run serially, in parallel, or out of order.
+that assign one stream per unit of work (a fixed block of bootstrap
+replicates, a synthetic scale, a Monte Carlo trial) therefore produce
+identical draws whether the units run serially, in parallel, or out of
+order.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 import scalefit as sf
-from scalefit.bootstrap import _Pool, _replicate_coeffs
+from scalefit.bootstrap import BLOCK, _block_coeffs, _Pool
 from scalefit.cli import run
 
 from conftest import TRUE_ALPHA, TRUE_LOG_C, ar32_synth
@@ -181,16 +182,19 @@ def test_criterion_10_determinism(tmp_path, capsys):
         capsys.readouterr()
         synths.append(gen.read_bytes() + (tmp_path / f"gen{i}.jsonl.truth.json").read_bytes())
 
-    # replicate substreams are schedule-independent: a reversed thread-pool
-    # evaluation must reproduce the serial coefficients exactly
+    # block substreams are schedule-independent: a reversed thread-pool
+    # evaluation of the blocks must reproduce the serial coefficients exactly
     cfg = sf.BootstrapConfig(n_replicates=48, rng_seed=4)
     serial = sf.bootstrap_band(runset, cfg)
     pool = _Pool(runset)
+    n_blocks = -(-48 // BLOCK)
     with ThreadPoolExecutor(max_workers=6) as ex:
         parallel = dict(
-            ex.map(lambda i: (i, _replicate_coeffs(pool, cfg, i)), reversed(range(48)))
+            ex.map(lambda k: (k, _block_coeffs(pool, cfg, k)), reversed(range(n_blocks)))
         )
-    parallel_slopes = tuple(parallel[i][0] for i in range(48))
+    parallel_slopes = tuple(
+        np.concatenate([parallel[k][0] for k in range(n_blocks)])[:48].tolist()
+    )
 
     ok = (
         outputs[0] == outputs[1]
@@ -203,5 +207,5 @@ def test_criterion_10_determinism(tmp_path, capsys):
         "determinism",
         ok,
         f"json {len(outputs[0])}B, svg {len(svgs[0])}B, synth {len(synths[0])}B identical "
-        "across reruns; threaded replicates match serial",
+        "across reruns; threaded blocks match serial",
     )

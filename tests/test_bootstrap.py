@@ -3,10 +3,21 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import scalefit as sf
-from scalefit.bootstrap import _Pool, _replicate_coeffs
+from scalefit.bootstrap import (
+    BLOCK,
+    _block_coeffs,
+    _hierarchical_stats,
+    _naive_stats,
+    _ols_rows,
+    _Pool,
+    _within_draws,
+)
 from scalefit.errors import DataError, DegenerateDataError
+from scalefit.powerlaw import _ols_log
 
 from conftest import ar32_synth
 
@@ -93,15 +104,16 @@ class TestHierarchical:
 
     def test_parallel_schedule_matches_serial(self):
         runset, _ = ar32_synth(12)
-        cfg = sf.BootstrapConfig(n_replicates=64, rng_seed=9)
+        cfg = sf.BootstrapConfig(n_replicates=200, rng_seed=9)
         serial = sf.hierarchical_bootstrap(runset, cfg)
         pool = _Pool(runset)
-        indices = list(range(cfg.n_replicates))[::-1]
+        blocks = list(range(-(-cfg.n_replicates // BLOCK)))[::-1]
         with ThreadPoolExecutor(max_workers=8) as ex:
-            coeffs = list(ex.map(lambda i: (i, _replicate_coeffs(pool, cfg, i)), indices))
-        coeffs.sort()
-        assert tuple(c[1][0] for c in coeffs) == serial.replicate_slopes
-        assert tuple(c[1][1] for c in coeffs) == serial.replicate_intercepts
+            coeffs = dict(ex.map(lambda k: (k, _block_coeffs(pool, cfg, k)), blocks))
+        slopes = np.concatenate([coeffs[k][0] for k in sorted(coeffs)])[: cfg.n_replicates]
+        intercepts = np.concatenate([coeffs[k][1] for k in sorted(coeffs)])[: cfg.n_replicates]
+        assert tuple(slopes.tolist()) == serial.replicate_slopes
+        assert tuple(intercepts.tolist()) == serial.replicate_intercepts
 
     def test_mode_mismatch_rejected(self):
         runset, _ = ar32_synth(13)
@@ -230,6 +242,76 @@ class TestBandStructure:
         grid = sf.default_grid(runset, extra=(1e9,))
         assert grid[0] == float(runset.scales[0].params)
         assert grid[-1] == 1e9
+
+
+def ragged_runset(seed, sizes):
+    # AR-32 ladder keeping sizes[k] of the six runs at scale k
+    runset, _ = ar32_synth(seed, seeds_per_scale=6)
+    keep = dict(zip((s.params for s in runset.scales), sizes))
+    return runset.filter(lambda r: r.finetune_seed < keep[r.scale.params])
+
+
+def expanded_ols(pool, groups_of_rows):
+    # loop reference: _ols_log on each row's explicit list of pool positions
+    return [_ols_log(pool.group_u[pool.code[p]], pool.v[p]) for p in groups_of_rows]
+
+
+def assert_rows_match(slopes, intercepts, reference):
+    for r, (a, b) in enumerate(reference):
+        assert slopes[r] == pytest.approx(a, rel=1e-12, abs=0)
+        assert intercepts[r] == pytest.approx(b, rel=1e-12, abs=0)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("sizes", [None, (1, 6, 2, 5, 3, 6, 4, 2)], ids=["uniform", "ragged"])
+    def test_hierarchical_batched_fit_matches_loop(self, sizes):
+        runset = ar32_synth(31)[0] if sizes is None else ragged_runset(31, sizes)
+        pool = _Pool(runset)
+        rng = sf.substream(7, 0)
+        groups = rng.integers(0, pool.n_groups, size=(BLOCK, pool.n_groups))
+        positions = _within_draws(pool, rng, groups)
+        slopes, intercepts = _ols_rows(*_hierarchical_stats(pool, groups, positions))
+        row_lengths = pool.sizes[groups].sum(axis=1)
+        rows = np.split(positions, np.cumsum(row_lengths)[:-1])
+        if sizes is not None:
+            assert len(set(row_lengths.tolist())) > 1  # rows differ in length
+        assert_rows_match(slopes, intercepts, expanded_ols(pool, rows))
+
+    def test_naive_batched_fit_matches_loop(self):
+        pool = _Pool(ragged_runset(32, (2, 6, 1, 5, 3, 6, 4, 2)))
+        idx = sf.substream(8, 0).integers(0, pool.v.size, size=(BLOCK, pool.v.size))
+        slopes, intercepts = _ols_rows(*_naive_stats(pool, idx))
+        assert_rows_match(slopes, intercepts, expanded_ols(pool, idx))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        b1=st.integers(1, 3 * BLOCK),
+        extra=st.integers(1, 3 * BLOCK),
+        mode=st.sampled_from(["hierarchical", "naive"]),
+        sizes=st.none() | st.lists(st.integers(1, 6), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shorter_run_is_prefix_of_longer(self, b1, extra, mode, sizes, seed):
+        runset = ar32_synth(33)[0] if sizes is None else ragged_runset(33, sizes)
+        short = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=b1, rng_seed=seed, mode=mode))
+        long = sf.bootstrap_band(
+            runset, sf.BootstrapConfig(n_replicates=b1 + extra, rng_seed=seed, mode=mode)
+        )
+        assert long.replicate_slopes[:b1] == short.replicate_slopes
+        assert long.replicate_intercepts[:b1] == short.replicate_intercepts
+
+    def test_one_substream_per_block(self, monkeypatch):
+        opened = []
+        real = sf.bootstrap.substream
+
+        def spy(seed, stream):
+            opened.append((seed, stream))
+            return real(seed, stream)
+
+        monkeypatch.setattr(sf.bootstrap, "substream", spy)
+        runset, _ = ar32_synth(34)
+        sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=2 * BLOCK + 1, rng_seed=3))
+        assert opened == [(3, 0), (3, 1), (3, 2)]
 
 
 class TestConfigValidation:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
 import scalefit as sf
-from scalefit.cli import Report, render_report, run, to_jsonable
+from scalefit.cli import Report, _parser, render_report, run, to_jsonable
 
 from conftest import TRUE_ALPHA, TRUE_LOG_C, ar32_synth
 
@@ -98,6 +103,38 @@ class TestExitCodes:
              "--out", str(tmp_path / "x.jsonl")],
         )
         assert code == 1
+
+    def test_overflowing_prediction_is_data_error(self, tmp_path, capsys):
+        path = str(tmp_path / "steep.jsonl")
+        argv = ["synth", "--alpha", "30", "--log-c", "3", "--sigma-fin", "0.01", "--seed", "1"]
+        assert run([*argv, "--out", path]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, captured = run_json(
+                capsys,
+                ["predict", "--input", path, "--target-params", "1000000000000000",
+                 "--B", "50", "--seed", "1"],
+            )
+        assert code == 2
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+    def test_non_finite_report_refused(self):
+        with pytest.raises(ValueError):
+            render_report(Report(command="x", inputs={}, results={"y": math.inf}))
+
+    @pytest.mark.parametrize("module", ["scalefit", "scalefit.cli"])
+    def test_module_entry_point_without_argv(self, module):
+        src = str(Path(sf.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run(
+            [sys.executable, "-m", module], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: ")
 
     def test_band_requires_seed_for_plot(self, runs_file, tmp_path, capsys):
         code, captured = run_json(
@@ -300,6 +337,23 @@ class TestSubcommands:
         code, captured = run_json(capsys, ["fit", "--input", runs_file, "--format", "table"])
         assert code == 0
         assert "results.fit.alpha = " in captured.out
+
+
+class TestParserReuse:
+    def test_second_parse_inherits_nothing(self):
+        assert _parser() is _parser()
+        first = _parser().parse_args(
+            ["diagnose", "earlystop", "--curve", "a.csv", "--patience", "3", "7", "15",
+             "--min-decrease", "0.5", "--format", "table"]
+        )
+        second = _parser().parse_args(["diagnose", "earlystop", "--curve", "b.csv", "--patience", "4"])
+        assert first.patience == [3, 7, 15]
+        assert (second.curve, second.patience, second.min_decrease, second.format) == (
+            "b.csv", [4], 0.0, "json"
+        )
+        third = _parser().parse_args(["fit", "--input", "c.jsonl"])
+        assert not hasattr(third, "patience")
+        assert third.min_depth is None
 
 
 class TestReportSerialization:

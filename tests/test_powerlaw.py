@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,13 @@ class TestPredictAt:
         fit = sf.fit_line([(1, 3), (2, 6)])
         with pytest.raises(DataError):
             sf.predict_at(fit, 0.0)
+
+    def test_overflow_is_data_error_without_warning(self):
+        fit = sf.FitResult(alpha=30.0, beta=3.0, r_squared=1, ss_res=0, ss_tot=0, n_points=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflows"):
+                sf.predict_at(fit, 1e15)
 
 
 class TestInvariances:
