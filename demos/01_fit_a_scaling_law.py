@@ -41,10 +41,11 @@ fit = sf.fit_line(runset.points())
 print(f"\ntrue law:   alpha={truth.alpha}, log_c={truth.log_c:.4f}")
 print(f"fitted law: alpha={fit.alpha:.4f}, beta={fit.beta:.4f}")
 print(f"log-space R^2 = {fit.r_squared:.4f} over {fit.n_points} points")
-print(f"linear-space R^2 = {sf.r_squared(runset.points(), fit, 'linear'):.4f}")
+r2_linear, _, _ = sf.goodness_of_fit(runset.points(), fit, "linear")
+print(f"linear-space R^2 = {r2_linear:.4f}")
 
 # --- depth-filtered fit: drop the single-layer scale and refit
-deep = sf.fit_filtered(runset, min_layers=2)
+deep = sf.fit_runset(runset, min_layers=2)
 print(f"\nR^2 with layers >= 2 only: {deep.r_squared:.4f} "
       f"(vs {fit.r_squared:.4f} unfiltered)")
 

@@ -5,15 +5,7 @@ uncertainty with a hierarchical bootstrap, extrapolate to larger scales for
 model selection, and diagnose under-trained runs against the fitted band.
 """
 
-from .bootstrap import (
-    BootstrapBand,
-    BootstrapConfig,
-    bootstrap_band,
-    default_grid,
-    hierarchical_bootstrap,
-    naive_bootstrap,
-    percentile,
-)
+from .bootstrap import BootstrapBand, BootstrapConfig, bootstrap_band, default_grid
 from .compute import ComputeEstimate, flops, param_count, savings_ratio
 from .diagnose import (
     ConvergenceVerdict,
@@ -27,15 +19,7 @@ from .diagnose import (
     load_loss_curve,
 )
 from .errors import DataError, DegenerateDataError
-from .powerlaw import (
-    FitResult,
-    fit_filtered,
-    fit_line,
-    fit_runset,
-    goodness_of_fit,
-    predict_at,
-    r_squared,
-)
+from .powerlaw import FitResult, fit_line, fit_runset, goodness_of_fit, predict_at
 from .predict import (
     PredictionReport,
     SelectionReport,
@@ -90,7 +74,6 @@ __all__ = [
     "early_stop",
     "emit",
     "extrapolate",
-    "fit_filtered",
     "fit_line",
     "fit_runset",
     "flag_undertrained",
@@ -98,18 +81,14 @@ __all__ = [
     "generate",
     "goodness_of_fit",
     "group",
-    "hierarchical_bootstrap",
     "holdout_eval",
     "ingest",
     "load_loss_curve",
     "mean_relative_error",
-    "naive_bootstrap",
     "normalize_direction",
     "param_count",
-    "percentile",
     "plot_runset",
     "predict_at",
-    "r_squared",
     "relative_error",
     "render_plot",
     "savings_ratio",

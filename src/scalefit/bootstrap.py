@@ -16,7 +16,7 @@ bit-identical however the blocks are scheduled, and because ``BLOCK`` does
 not depend on the replicate count, a run with B replicates is a prefix of
 any run with more.  Resamples that collapse to fewer than two distinct
 scales are redrawn, in row order, from the block's substream; a kept
-replicate that stays degenerate for ``max_redraws`` consecutive draws
+replicate that stays degenerate for ``MAX_REDRAWS`` consecutive draws
 aborts the run.
 """
 
@@ -35,6 +35,9 @@ from .rng import substream
 # Replicates per random substream and per vectorized fit.  Fixed, so that
 # the replicate stream does not depend on the replicate count.
 BLOCK = 32
+# Consecutive draws a kept replicate may take before a degenerate resample
+# aborts the run.
+MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class BootstrapConfig:
     hi_pct: float = 97.5
     mode: str = "hierarchical"
     rng_seed: int = 0
-    max_redraws: int = 100
 
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
@@ -57,8 +59,6 @@ class BootstrapConfig:
             )
         if self.mode not in ("hierarchical", "naive"):
             raise DataError(f"unknown bootstrap mode {self.mode!r}")
-        if self.max_redraws < 1:
-            raise DataError(f"max_redraws must be >= 1, got {self.max_redraws}")
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,6 @@ def _check_finite(xs: Sequence[float], lo: Sequence[float], hi: Sequence[float])
     for x, a, b in zip(xs, lo, hi):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DataError(f"bootstrap band at x={x:g} is not finite: the law overflows float64")
-
-
-def percentile(samples: Sequence[float], p: float) -> float:
-    """Percentile with linear interpolation at rank p/100*(n-1)."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise DataError("percentile of an empty sample is undefined")
-    if not 0.0 <= p <= 100.0:
-        raise DataError(f"percentile must be in [0, 100], got {p}")
-    return float(np.percentile(arr, p))
 
 
 class _Pool:
@@ -188,7 +178,7 @@ def _block_coeffs(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.nda
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
     draws = rng.integers(0, width, size=(BLOCK, width))
     bad = _degenerate(key[draws])
-    for _ in range(cfg.max_redraws - 1):
+    for _ in range(MAX_REDRAWS - 1):
         rows = np.flatnonzero(bad)
         if rows.size == 0:
             break
@@ -198,7 +188,7 @@ def _block_coeffs(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.nda
     if kept.any():
         raise DegenerateDataError(
             f"replicate {block * BLOCK + int(np.argmax(kept))}: no resample with 2 distinct "
-            f"scales after {cfg.max_redraws} consecutive redraws"
+            f"scales after {MAX_REDRAWS} consecutive redraws"
         )
     if hierarchical:
         stats = _hierarchical_stats(pool, draws, _within_draws(pool, rng, draws))
@@ -209,18 +199,23 @@ def _block_coeffs(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.nda
         return _ols_rows(*stats)
 
 
-def default_grid(runset: RunSet, extra: Sequence[float] = (), n_points: int = 25) -> tuple[float, ...]:
-    """Geometric x-grid covering the data range and any extrapolation targets."""
+def default_grid(runset: RunSet) -> tuple[float, ...]:
+    """Geometric 25-point x-grid spanning the data's parameter counts."""
     xs = [float(s.params) for s in runset.scales]
-    lo = min(xs)
-    hi = max(xs + [float(e) for e in extra])
-    pts = set(float(p) for p in np.geomspace(lo, hi, n_points))
-    pts.update(float(e) for e in extra)
+    lo, hi = min(xs), max(xs)
+    pts = set(float(p) for p in np.geomspace(lo, hi, 25))
     pts.update((lo, hi))
     return tuple(sorted(pts))
 
 
-def _run(runset: RunSet, cfg: BootstrapConfig, grid: Sequence[float] | None) -> BootstrapBand:
+def bootstrap_band(
+    runset: RunSet, cfg: BootstrapConfig, grid: Sequence[float] | None = None
+) -> BootstrapBand:
+    """Resample ``runset`` by ``cfg.mode`` and band the fit over ``grid``.
+
+    ``grid`` defaults to :func:`default_grid`; the slope and intercept
+    intervals and :meth:`BootstrapBand.interval_at` do not depend on it.
+    """
     pool = _Pool(runset)
     if grid is None:
         grid_t = default_grid(runset)
@@ -253,28 +248,3 @@ def _run(runset: RunSet, cfg: BootstrapConfig, grid: Sequence[float] | None) -> 
         lo_pct=cfg.lo_pct,
         hi_pct=cfg.hi_pct,
     )
-
-
-def hierarchical_bootstrap(
-    runset: RunSet, cfg: BootstrapConfig, grid: Sequence[float] | None = None
-) -> BootstrapBand:
-    """Scale-then-run resampling (see module docstring for the scheme)."""
-    if cfg.mode != "hierarchical":
-        raise DataError(f"config mode is {cfg.mode!r}, expected 'hierarchical'")
-    return _run(runset, cfg, grid)
-
-
-def naive_bootstrap(
-    runset: RunSet, cfg: BootstrapConfig, grid: Sequence[float] | None = None
-) -> BootstrapBand:
-    """Pooled resampling of all points, ignoring the scale structure."""
-    if cfg.mode != "naive":
-        raise DataError(f"config mode is {cfg.mode!r}, expected 'naive'")
-    return _run(runset, cfg, grid)
-
-
-def bootstrap_band(
-    runset: RunSet, cfg: BootstrapConfig, grid: Sequence[float] | None = None
-) -> BootstrapBand:
-    """Dispatch to the resampling scheme named by ``cfg.mode``."""
-    return _run(runset, cfg, grid)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_band
-from .compute import ComputeEstimate, savings_ratio
+from .compute import ComputeEstimate, flops, savings_ratio
 from .diagnose import (
     EarlyStopPolicy,
     compare_policies,
@@ -154,13 +154,20 @@ def _target_scale(args) -> ScaleSpec:
     return ScaleSpec.from_dims(args.target_layers, args.target_hidden)
 
 
-def _bootstrap_config(args, mode=None) -> BootstrapConfig:
+def _bootstrap_config(args) -> BootstrapConfig:
     return BootstrapConfig(
         n_replicates=args.B,
         lo_pct=args.lo,
         hi_pct=args.hi,
-        mode=mode if mode is not None else args.mode,
+        mode=args.mode,
         rng_seed=args.seed,
+    )
+
+
+def _runset_inputs(args, runset: RunSet, **extra) -> dict:
+    """The report inputs naming the input file and the run group picked from it."""
+    return dict(
+        input=args.input, task=runset.task, family=runset.family, metric=runset.metric, **extra
     )
 
 
@@ -173,13 +180,13 @@ def _add_input_options(p, selectors: bool = True) -> None:
         p.add_argument("--metric", default=None)
 
 
-def _add_bootstrap_options(p, with_mode: bool = True) -> None:
+def _add_bootstrap_options(p, seed_required: bool = True) -> None:
     p.add_argument("--B", type=int, default=1000, help="bootstrap replicates")
     p.add_argument("--lo", type=float, default=2.5)
     p.add_argument("--hi", type=float, default=97.5)
-    if with_mode:
-        p.add_argument("--mode", choices=("hierarchical", "naive"), default="hierarchical")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
+    p.add_argument("--mode", choices=("hierarchical", "naive"), default="hierarchical")
+    seed_help = "RNG seed (required)" if seed_required else "RNG seed (required with --band)"
+    p.add_argument("--seed", type=int, required=seed_required, help=seed_help)
 
 
 def _add_format_option(p) -> None:
@@ -192,14 +199,7 @@ def _add_format_option(p) -> None:
 def _cmd_fit(args) -> Report:
     runset = _load_runset(args)
     fit = fit_runset(runset, min_layers=args.min_depth, space=args.r2_space)
-    inputs = {
-        "input": args.input,
-        "task": runset.task,
-        "family": runset.family,
-        "metric": runset.metric,
-        "min_depth": args.min_depth,
-        "r2_space": args.r2_space,
-    }
+    inputs = _runset_inputs(args, runset, min_depth=args.min_depth, r2_space=args.r2_space)
     return Report(command="fit", inputs=inputs, results={"fit": fit})
 
 
@@ -208,17 +208,15 @@ def _cmd_bootstrap(args) -> Report:
     cfg = _bootstrap_config(args)
     band = bootstrap_band(runset, cfg)
     fit = fit_runset(runset)
-    inputs = {
-        "input": args.input,
-        "task": runset.task,
-        "family": runset.family,
-        "metric": runset.metric,
-        "B": cfg.n_replicates,
-        "lo": cfg.lo_pct,
-        "hi": cfg.hi_pct,
-        "mode": cfg.mode,
-        "seed": cfg.rng_seed,
-    }
+    inputs = _runset_inputs(
+        args,
+        runset,
+        B=cfg.n_replicates,
+        lo=cfg.lo_pct,
+        hi=cfg.hi_pct,
+        mode=cfg.mode,
+        seed=cfg.rng_seed,
+    )
     results = {"fit": fit, "band": band}
     return Report(command="bootstrap", inputs=inputs, results=results)
 
@@ -228,17 +226,15 @@ def _cmd_predict(args) -> Report:
     target = _target_scale(args)
     cfg = _bootstrap_config(args)
     report = extrapolate(runset, target, cfg, actual=args.actual)
-    inputs = {
-        "input": args.input,
-        "task": runset.task,
-        "family": runset.family,
-        "metric": runset.metric,
-        "target_params": target.params,
-        "actual": args.actual,
-        "B": cfg.n_replicates,
-        "mode": cfg.mode,
-        "seed": cfg.rng_seed,
-    }
+    inputs = _runset_inputs(
+        args,
+        runset,
+        target_params=target.params,
+        actual=args.actual,
+        B=cfg.n_replicates,
+        mode=cfg.mode,
+        seed=cfg.rng_seed,
+    )
     return Report(command="predict", inputs=inputs, results=report)
 
 
@@ -247,14 +243,7 @@ def _cmd_holdout(args) -> Report:
     train = _parse_layer_range(args.train_layers, "--train-layers")
     test = _parse_layer_range(args.test_layers, "--test-layers")
     report = holdout_eval(runset, train, test)
-    inputs = {
-        "input": args.input,
-        "task": runset.task,
-        "family": runset.family,
-        "metric": runset.metric,
-        "train_layers": list(train),
-        "test_layers": list(test),
-    }
+    inputs = _runset_inputs(args, runset, train_layers=list(train), test_layers=list(test))
     return Report(command="holdout", inputs=inputs, results=report)
 
 
@@ -308,9 +297,7 @@ def _cmd_flops(args) -> Report:
         scales.setdefault(r.scale)
     scale_list = sorted(scales, key=lambda s: s.params)
     tokens_known = all(r.tokens is not None for r in records)
-    total_flops = (
-        sum(6 * r.scale.params * r.tokens for r in records) if tokens_known else None
-    )
+    total_flops = sum(flops(r.scale.params, r.tokens) for r in records) if tokens_known else None
     results = {
         "scales": [
             {"layers": s.layers, "hidden": s.hidden, "params": s.params} for s in scale_list
@@ -361,17 +348,15 @@ def _cmd_diagnose_fit_outlier(args) -> Report:
     rest = runset.filter(lambda r: r.scale.layers != args.holdout_layers)
     cfg = _bootstrap_config(args)
     verdict = flag_undertrained(rest, held_scale, args.observed, cfg)
-    inputs = {
-        "input": args.input,
-        "task": runset.task,
-        "family": runset.family,
-        "metric": runset.metric,
-        "holdout_layers": args.holdout_layers,
-        "observed": args.observed,
-        "B": cfg.n_replicates,
-        "mode": cfg.mode,
-        "seed": cfg.rng_seed,
-    }
+    inputs = _runset_inputs(
+        args,
+        runset,
+        holdout_layers=args.holdout_layers,
+        observed=args.observed,
+        B=cfg.n_replicates,
+        mode=cfg.mode,
+        seed=cfg.rng_seed,
+    )
     return Report(command="diagnose fit-outlier", inputs=inputs, results=verdict)
 
 
@@ -441,16 +426,14 @@ def _cmd_plot(args) -> Report:
     spec = plot_runset(runset, fit=fit, band=band, heldout_layers=heldout)
     write_plot(spec, args.out)
     digest = hashlib.sha256(Path(args.out).read_bytes()).hexdigest()
-    inputs = {
-        "input": args.input,
-        "task": runset.task,
-        "family": runset.family,
-        "metric": runset.metric,
-        "out": args.out,
-        "band": bool(args.band),
-        "heldout_layers": list(heldout) if heldout else None,
-        "seed": args.seed,
-    }
+    inputs = _runset_inputs(
+        args,
+        runset,
+        out=args.out,
+        band=bool(args.band),
+        heldout_layers=list(heldout) if heldout else None,
+        seed=args.seed,
+    )
     return Report(
         command="plot",
         inputs=inputs,
@@ -565,11 +548,7 @@ def build_parser() -> _Parser:
     p.add_argument("--min-depth", type=int, default=None)
     p.add_argument("--heldout-layers", default=None, help="inclusive range, e.g. 7-8")
     p.add_argument("--band", action="store_true", help="draw a bootstrap sleeve")
-    p.add_argument("--B", type=int, default=1000)
-    p.add_argument("--lo", type=float, default=2.5)
-    p.add_argument("--hi", type=float, default=97.5)
-    p.add_argument("--mode", choices=("hierarchical", "naive"), default="hierarchical")
-    p.add_argument("--seed", type=int, default=None)
+    _add_bootstrap_options(p, seed_required=False)
     _add_format_option(p)
     p.set_defaults(handler=_cmd_plot)
 

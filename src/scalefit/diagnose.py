@@ -15,10 +15,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bootstrap import BootstrapConfig, bootstrap_band, default_grid
+from .bootstrap import BootstrapConfig
 from .errors import DataError
-from .powerlaw import fit_line, predict_at
+from .predict import extrapolate
 from .records import RunSet, ScaleSpec
+
+# Relative slack on the band edges, so that data lying exactly on the law is
+# never flagged for float roundoff.
+REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,19 +159,12 @@ class ConvergenceVerdict:
 
 
 def flag_undertrained(
-    runset: RunSet,
-    held_out_scale: ScaleSpec,
-    observed: float,
-    cfg: BootstrapConfig,
-    grid: Sequence[float] | None = None,
-    rel_tol: float = 1e-9,
+    runset: RunSet, held_out_scale: ScaleSpec, observed: float, cfg: BootstrapConfig
 ) -> ConvergenceVerdict:
     """Check a held-out loss against the band fitted on the other scales.
 
     A minimized loss above the band's upper edge suggests the run is
     under-trained; one below the lower edge suggests the fit itself is off.
-    ``rel_tol`` absorbs float roundoff so that data lying exactly on the
-    law is never flagged.
     """
     if runset.direction != "minimize":
         raise DataError("under-training flags are defined only for minimized metrics")
@@ -177,21 +174,18 @@ def flag_undertrained(
         raise DataError(
             f"run set must exclude the held-out scale (params={held_out_scale.params})"
         )
-    fit = fit_line(runset.points())
-    if grid is None:
-        grid = default_grid(runset, extra=(float(held_out_scale.params),))
-    band = bootstrap_band(runset, cfg, grid)
-    lo, hi = band.interval_at(float(held_out_scale.params))
-    if observed > hi * (1.0 + rel_tol):
+    target = extrapolate(runset, held_out_scale, cfg).targets[0]
+    lo, hi = target.band
+    if observed > hi * (1.0 + REL_TOL):
         flag = "suspect_undertrained"
-    elif observed < lo * (1.0 - rel_tol):
+    elif observed < lo * (1.0 - REL_TOL):
         flag = "suspect_overfit_fit"
     else:
         flag = "consistent"
     return ConvergenceVerdict(
         scale=held_out_scale,
         observed=observed,
-        predicted=predict_at(fit, float(held_out_scale.params)),
+        predicted=target.predicted,
         band=(lo, hi),
         flag=flag,
     )

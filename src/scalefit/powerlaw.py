@@ -99,24 +99,21 @@ def goodness_of_fit(points: Points, fit: FitResult, space: str = "log") -> tuple
     In log space residuals are ln(y) - (alpha*ln(x) + beta); in linear space
     they are y - exp(beta)*x**alpha, with the mean taken over raw y.  Zero
     total variance with nonzero residuals is undefined and raises
-    :class:`DegenerateDataError` rather than silently returning 0.
+    :class:`DegenerateDataError` rather than silently returning 0; sums of
+    squares that overflow float64 raise :class:`DataError`.
     """
     x, y = _validate_points(points)
-    if space == "log":
-        obs = np.log(y)
-        pred = fit.alpha * np.log(x) + fit.beta
-    elif space == "linear":
-        obs = y
-        pred = np.exp(fit.alpha * np.log(x) + fit.beta)
-    else:
+    if space not in ("log", "linear"):
         raise DataError(f"unknown residual space {space!r}; expected 'log' or 'linear'")
-    res = obs - pred
-    ss_res = float(res @ res)
-    if np.all(obs == obs[0]):
-        ss_tot = 0.0
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_pred = fit.alpha * np.log(x) + fit.beta
+        obs, pred = (np.log(y), log_pred) if space == "log" else (y, np.exp(log_pred))
+        res = obs - pred
+        ss_res = float(res @ res)
         dv = obs - obs.mean()
-        ss_tot = float(dv @ dv)
+        ss_tot = 0.0 if np.all(obs == obs[0]) else float(dv @ dv)
+    if not (np.isfinite(ss_res) and np.isfinite(ss_tot)):
+        raise DataError(f"the {space}-space goodness of fit overflows float64")
     if ss_tot == 0.0:
         # Tolerate pure exp/log roundoff when the fit does pass through the
         # constant data.
@@ -126,11 +123,6 @@ def goodness_of_fit(points: Points, fit: FitResult, space: str = "log") -> tuple
             "goodness-of-fit undefined: zero total variance with nonzero residuals"
         )
     return 1.0 - ss_res / ss_tot, ss_res, ss_tot
-
-
-def r_squared(points: Points, fit: FitResult, space: str = "log") -> float:
-    """Goodness of fit of ``fit`` against ``points`` in the given space."""
-    return goodness_of_fit(points, fit, space)[0]
 
 
 def predict_at(fit: FitResult, x):
@@ -156,16 +148,6 @@ def _depth_filtered(runset: RunSet, min_layers: int) -> list[tuple[float, float]
             f"min_layers={min_layers} leaves fewer than 2 distinct scales"
         )
     return [(float(r.scale.params), float(r.value)) for r in kept]
-
-
-def fit_filtered(runset: RunSet, min_layers: int) -> FitResult:
-    """Fit only the records with at least ``min_layers`` layers.
-
-    Identical to :func:`fit_line` on the surviving points; the result is
-    labeled with the filter.
-    """
-    fit = fit_line(_depth_filtered(runset, min_layers))
-    return dataclasses.replace(fit, min_layers=min_layers)
 
 
 def fit_runset(runset: RunSet, min_layers: int | None = None, space: str = "log") -> FitResult:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapBand, BootstrapConfig, bootstrap_band, default_grid
+from .bootstrap import BootstrapConfig, bootstrap_band
 from .errors import DataError
 from .powerlaw import FitResult, fit_line, predict_at
 from .records import RunSet, ScaleSpec
@@ -92,6 +92,8 @@ def holdout_eval(runset: RunSet, train_filter: LayerRange, test_filter: LayerRan
 
     train = [r for r in runset.records if tr_lo <= r.scale.layers <= tr_hi]
     test = [r for r in runset.records if te_lo <= r.scale.layers <= te_hi]
+    if not train:
+        raise DataError(f"train layer range {train_filter} matches no records")
     if not test:
         raise DataError(f"test layer range {test_filter} matches no records")
     fit = fit_line([(float(r.scale.params), float(r.value)) for r in train])
@@ -116,30 +118,21 @@ def holdout_eval(runset: RunSet, train_filter: LayerRange, test_filter: LayerRan
 
 
 def extrapolate(
-    runset: RunSet,
-    target: ScaleSpec,
-    cfg: BootstrapConfig,
-    actual: float | None = None,
-    grid: Sequence[float] | None = None,
+    runset: RunSet, target: ScaleSpec, cfg: BootstrapConfig, actual: float | None = None
 ) -> PredictionReport:
     """Predict at a target scale with a bootstrap interval around the point.
 
     When an actual value is supplied the report carries its signed relative
     error (and MRE, which for one target is just its absolute value).
     """
+    x = float(target.params)
     fit = fit_line(runset.points())
-    if grid is None:
-        grid = default_grid(runset, extra=(float(target.params),))
-    band = bootstrap_band(runset, cfg, grid)
-    pred = predict_at(fit, float(target.params))
+    band = bootstrap_band(runset, cfg, (x,)).interval_at(x)
+    pred = predict_at(fit, x)
     re = None if actual is None else relative_error(actual, pred)
     mre = None if actual is None else mean_relative_error([actual], [pred])
     target_row = TargetPrediction(
-        x=float(target.params),
-        predicted=pred,
-        actual=actual,
-        relative_error=re,
-        band=band.interval_at(float(target.params)),
+        x=x, predicted=pred, actual=actual, relative_error=re, band=band
     )
     return PredictionReport(fit=fit, targets=(target_row,), mre=mre)
 

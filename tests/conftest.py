@@ -63,7 +63,7 @@ def sim_slope_coverage():
     for t in range(trials):
         runset, _ = ar32_synth(40_000 + t)
         cfg = sf.BootstrapConfig(n_replicates=500, rng_seed=50_000 + t)
-        lo, hi = sf.hierarchical_bootstrap(runset, cfg).slope_ci
+        lo, hi = sf.bootstrap_band(runset, cfg).slope_ci
         hits += lo <= TRUE_ALPHA <= hi
     return {"trials": trials, "coverage": hits / trials}
 
@@ -73,10 +73,10 @@ def _paired_widths(sigma_pre, n_trials=100, n_replicates=400):
     widths_n = []
     for t in range(n_trials):
         runset, _ = ar32_synth(10_000 + t, sigma_pre=sigma_pre)
-        h = sf.hierarchical_bootstrap(
+        h = sf.bootstrap_band(
             runset, sf.BootstrapConfig(n_replicates=n_replicates, rng_seed=20_000 + t)
         )
-        n = sf.naive_bootstrap(
+        n = sf.bootstrap_band(
             runset,
             sf.BootstrapConfig(n_replicates=n_replicates, rng_seed=30_000 + t, mode="naive"),
         )

@@ -59,29 +59,9 @@ def single_scale_runset():
     return sf.RunSet.from_records(records)
 
 
-class TestPercentile:
-    def test_median_of_even_count(self):
-        assert sf.percentile([1, 2, 3, 4], 50) == 2.5
-
-    def test_singleton(self):
-        for p in (0, 13.7, 50, 100):
-            assert sf.percentile([5.0], p) == 5.0
-
-    def test_interpolation_rule(self):
-        assert sf.percentile(list(range(100)), 2.5) == 2.475
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            sf.percentile([], 50)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            sf.percentile([1.0], 101)
-
-
 class TestHierarchical:
     def test_exact_law_gives_zero_width(self):
-        band = sf.hierarchical_bootstrap(
+        band = sf.bootstrap_band(
             exact_law_runset(), sf.BootstrapConfig(n_replicates=200, rng_seed=3)
         )
         lo, hi = band.slope_ci
@@ -94,18 +74,18 @@ class TestHierarchical:
     def test_determinism_same_seed(self):
         runset, _ = ar32_synth(11)
         cfg = sf.BootstrapConfig(n_replicates=120, rng_seed=5)
-        assert sf.hierarchical_bootstrap(runset, cfg) == sf.hierarchical_bootstrap(runset, cfg)
+        assert sf.bootstrap_band(runset, cfg) == sf.bootstrap_band(runset, cfg)
 
     def test_seed_changes_output(self):
         runset, _ = ar32_synth(11)
-        a = sf.hierarchical_bootstrap(runset, sf.BootstrapConfig(n_replicates=50, rng_seed=5))
-        b = sf.hierarchical_bootstrap(runset, sf.BootstrapConfig(n_replicates=50, rng_seed=6))
+        a = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=50, rng_seed=5))
+        b = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=50, rng_seed=6))
         assert a.replicate_slopes != b.replicate_slopes
 
     def test_parallel_schedule_matches_serial(self):
         runset, _ = ar32_synth(12)
         cfg = sf.BootstrapConfig(n_replicates=200, rng_seed=9)
-        serial = sf.hierarchical_bootstrap(runset, cfg)
+        serial = sf.bootstrap_band(runset, cfg)
         pool = _Pool(runset)
         blocks = list(range(-(-cfg.n_replicates // BLOCK)))[::-1]
         with ThreadPoolExecutor(max_workers=8) as ex:
@@ -114,11 +94,6 @@ class TestHierarchical:
         intercepts = np.concatenate([coeffs[k][1] for k in sorted(coeffs)])[: cfg.n_replicates]
         assert tuple(slopes.tolist()) == serial.replicate_slopes
         assert tuple(intercepts.tolist()) == serial.replicate_intercepts
-
-    def test_mode_mismatch_rejected(self):
-        runset, _ = ar32_synth(13)
-        with pytest.raises(DataError, match="hierarchical"):
-            sf.hierarchical_bootstrap(runset, sf.BootstrapConfig(mode="naive", rng_seed=1))
 
     def test_exactly_b_replicates_with_redraws(self):
         # two scales: half of all scale draws are degenerate and get redrawn
@@ -137,26 +112,21 @@ class TestHierarchical:
             for s in range(4)
         ]
         runset = sf.RunSet.from_records(records)
-        band = sf.hierarchical_bootstrap(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=2))
+        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=2))
         assert band.replicates_used == 150
         assert len(band.replicate_slopes) == 150
 
     def test_single_scale_aborts(self):
-        cfg = sf.BootstrapConfig(n_replicates=10, rng_seed=0, max_redraws=20)
+        cfg = sf.BootstrapConfig(n_replicates=10, rng_seed=0)
         with pytest.raises(DegenerateDataError, match="redraws"):
-            sf.hierarchical_bootstrap(single_scale_runset(), cfg)
+            sf.bootstrap_band(single_scale_runset(), cfg)
 
 
 class TestNaive:
     def test_single_scale_always_degenerate(self):
-        cfg = sf.BootstrapConfig(n_replicates=10, rng_seed=0, mode="naive", max_redraws=30)
+        cfg = sf.BootstrapConfig(n_replicates=10, rng_seed=0, mode="naive")
         with pytest.raises(DegenerateDataError, match="redraws"):
-            sf.naive_bootstrap(single_scale_runset(), cfg)
-
-    def test_mode_mismatch_rejected(self):
-        runset, _ = ar32_synth(14)
-        with pytest.raises(DataError, match="naive"):
-            sf.naive_bootstrap(runset, sf.BootstrapConfig(rng_seed=1))
+            sf.bootstrap_band(single_scale_runset(), cfg)
 
     @pytest.mark.xfail(
         reason=(
@@ -182,7 +152,7 @@ class TestBandStructure:
     def test_point_band_matches_direct_recomputation(self):
         runset, _ = ar32_synth(15)
         cfg = sf.BootstrapConfig(n_replicates=300, rng_seed=21)
-        band = sf.hierarchical_bootstrap(runset, cfg)
+        band = sf.bootstrap_band(runset, cfg)
         slopes = np.asarray(band.replicate_slopes)
         intercepts = np.asarray(band.replicate_intercepts)
         xs = np.array([x for x, _, _ in band.point_band])
@@ -201,15 +171,15 @@ class TestBandStructure:
 
     def test_percentile_bounds_contain_median_slope(self):
         runset, _ = ar32_synth(17)
-        band = sf.hierarchical_bootstrap(runset, sf.BootstrapConfig(n_replicates=250, rng_seed=23))
-        med = sf.percentile(band.replicate_slopes, 50)
+        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=250, rng_seed=23))
+        med = np.percentile(band.replicate_slopes, 50)
         assert band.slope_ci[0] <= med <= band.slope_ci[1]
 
     def test_quantile_transform_equivariance_on_degenerate_replicates(self):
         # with all replicates identical the percentile interpolation is exact
         # in both spaces, so log-space and value-space bands must coincide
         runset, _ = ar32_synth(18, sigma_fin=0.0)
-        band = sf.hierarchical_bootstrap(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=24))
+        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=24))
         slopes = np.asarray(band.replicate_slopes)
         intercepts = np.asarray(band.replicate_intercepts)
         for x, lo, hi in band.point_band:
@@ -219,7 +189,7 @@ class TestBandStructure:
 
     def test_log_space_band_close_on_noisy_replicates(self):
         runset, _ = ar32_synth(19)
-        band = sf.hierarchical_bootstrap(runset, sf.BootstrapConfig(n_replicates=400, rng_seed=25))
+        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=400, rng_seed=25))
         slopes = np.asarray(band.replicate_slopes)
         intercepts = np.asarray(band.replicate_intercepts)
         for x, lo, hi in band.point_band[::6]:
@@ -230,7 +200,7 @@ class TestBandStructure:
     def test_interval_at_matches_point_band(self):
         runset, _ = ar32_synth(20)
         target = sf.ScaleSpec.from_dims(12, 768)
-        grid = sf.default_grid(runset, extra=(float(target.params),))
+        grid = (*sf.default_grid(runset), float(target.params))
         band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=26), grid)
         row = next(r for r in band.point_band if r[0] == float(target.params))
         lo, hi = band.interval_at(float(target.params))
@@ -238,10 +208,15 @@ class TestBandStructure:
         assert hi == pytest.approx(row[2], rel=1e-12)
 
     def test_default_grid_covers_data_and_targets(self):
+        # the default grid spans the data; a target beyond it is banded by
+        # interval_at from the replicates, whatever the grid
         runset, _ = ar32_synth(27)
-        grid = sf.default_grid(runset, extra=(1e9,))
+        grid = sf.default_grid(runset)
         assert grid[0] == float(runset.scales[0].params)
-        assert grid[-1] == 1e9
+        assert grid[-1] == float(runset.scales[-1].params)
+        cfg = sf.BootstrapConfig(n_replicates=100, rng_seed=27)
+        wide = sf.bootstrap_band(runset, cfg, (*grid, 1e9))
+        assert sf.bootstrap_band(runset, cfg).interval_at(1e9) == wide.point_band[-1][1:]
 
 
 def ragged_runset(seed, sizes):

@@ -38,6 +38,16 @@ def two_family_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def steep_file(tmp_path, capsys):
+    # alpha = 30: the law overflows float64 in linear space and far out of range
+    path = str(tmp_path / "steep.jsonl")
+    argv = ["synth", "--alpha", "30", "--log-c", "3", "--sigma-fin", "0.01", "--seed", "1"]
+    assert run([*argv, "--out", path]) == 0
+    capsys.readouterr()
+    return path
+
+
 def run_json(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -104,21 +114,25 @@ class TestExitCodes:
         )
         assert code == 1
 
-    def test_overflowing_prediction_is_data_error(self, tmp_path, capsys):
-        path = str(tmp_path / "steep.jsonl")
-        argv = ["synth", "--alpha", "30", "--log-c", "3", "--sigma-fin", "0.01", "--seed", "1"]
-        assert run([*argv, "--out", path]) == 0
-        capsys.readouterr()
+    def test_overflowing_prediction_is_data_error(self, steep_file, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, captured = run_json(
                 capsys,
-                ["predict", "--input", path, "--target-params", "1000000000000000",
+                ["predict", "--input", steep_file, "--target-params", "1000000000000000",
                  "--B", "50", "--seed", "1"],
             )
         assert code == 2
         assert captured.out == ""
         assert "not finite" in captured.err
+
+    def test_overflowing_linear_r2_is_data_error(self, steep_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, captured = run_json(capsys, ["fit", "--input", steep_file, "--r2-space", "linear"])
+        assert code == 2
+        assert captured.out == ""
+        assert "linear-space goodness of fit overflows float64" in captured.err
 
     def test_non_finite_report_refused(self):
         with pytest.raises(ValueError):

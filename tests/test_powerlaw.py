@@ -65,8 +65,8 @@ class TestRSquared:
     def test_perfect_fit(self):
         points = [(1, 3), (2, 6), (4, 12)]
         fit = sf.fit_line(points)
-        assert sf.r_squared(points, fit, "log") == pytest.approx(1.0, abs=1e-12)
-        assert sf.r_squared(points, fit, "linear") == pytest.approx(1.0, abs=1e-12)
+        assert sf.goodness_of_fit(points, fit, "log")[0] == pytest.approx(1.0, abs=1e-12)
+        assert sf.goodness_of_fit(points, fit, "linear")[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_three_point_frozen_values(self):
         e = math.e
@@ -75,8 +75,10 @@ class TestRSquared:
         # hand OLS on (ln x, ln y) = (0,1,2) x (0, ln 2, 2)
         assert fit.alpha == pytest.approx(1.0, abs=1e-12)
         assert fit.beta == pytest.approx(-0.10228427314668487, abs=1e-12)
-        assert sf.r_squared(points, fit, "log") == pytest.approx(0.9695688995413486, abs=1e-12)
-        assert sf.r_squared(points, fit, "linear") == pytest.approx(0.9690235716881348, abs=1e-12)
+        r2_log = sf.goodness_of_fit(points, fit, "log")[0]
+        r2_lin = sf.goodness_of_fit(points, fit, "linear")[0]
+        assert r2_log == pytest.approx(0.9695688995413486, abs=1e-12)
+        assert r2_lin == pytest.approx(0.9690235716881348, abs=1e-12)
 
     def test_mean_only_fit_scores_zero_in_log_space(self):
         points = [(1, 2), (10, 4), (100, 16)]
@@ -84,7 +86,7 @@ class TestRSquared:
         forced = sf.FitResult(
             alpha=0.0, beta=float(v.mean()), r_squared=0.0, ss_res=0.0, ss_tot=0.0, n_points=3
         )
-        assert sf.r_squared(points, forced, "log") == pytest.approx(0.0, abs=1e-12)
+        assert sf.goodness_of_fit(points, forced, "log")[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_undefined_when_constant_data_missed(self):
         points = [(1, 5.0), (2, 5.0), (4, 5.0)]
@@ -92,18 +94,18 @@ class TestRSquared:
             alpha=0.0, beta=math.log(5.0) + 0.5, r_squared=0.0, ss_res=0.0, ss_tot=0.0, n_points=3
         )
         with pytest.raises(DegenerateDataError, match="undefined"):
-            sf.r_squared(points, off, "log")
+            sf.goodness_of_fit(points, off, "log")
 
     def test_constant_data_hit_is_perfect_in_both_spaces(self):
         points = [(1, 5.0), (2, 5.0), (4, 5.0)]
         fit = sf.fit_line(points)
-        assert sf.r_squared(points, fit, "log") == 1.0
-        assert sf.r_squared(points, fit, "linear") == 1.0
+        assert sf.goodness_of_fit(points, fit, "log")[0] == 1.0
+        assert sf.goodness_of_fit(points, fit, "linear")[0] == 1.0
 
     def test_unknown_space_rejected(self):
         points = [(1, 3), (2, 6)]
         with pytest.raises(DataError, match="residual space"):
-            sf.r_squared(points, sf.fit_line(points), "cubic")
+            sf.goodness_of_fit(points, sf.fit_line(points), "cubic")
 
     def test_never_exceeds_one(self):
         rng = sf.substream(77, 0)
@@ -113,7 +115,7 @@ class TestRSquared:
             points = list(zip(x, y))
             fit = sf.fit_line(points)
             assert fit.r_squared <= 1.0
-            assert sf.r_squared(points, fit, "linear") <= 1.0
+            assert sf.goodness_of_fit(points, fit, "linear")[0] <= 1.0
 
 
 class TestPredictAt:
@@ -190,7 +192,7 @@ class TestInvariances:
 class TestFitFiltered:
     def test_identity_filter_matches_fit_line(self):
         runset, _ = ar32_synth(5)
-        filtered = sf.fit_filtered(runset, 1)
+        filtered = sf.fit_runset(runset, min_layers=1)
         plain = sf.fit_line(runset.points())
         assert filtered.min_layers == 1
         assert dataclasses.replace(filtered, min_layers=None) == plain
@@ -215,13 +217,13 @@ class TestFitFiltered:
             )
         runset = sf.RunSet.from_records(records)
         full = sf.fit_line(runset.points())
-        deep = sf.fit_filtered(runset, 2)
+        deep = sf.fit_runset(runset, min_layers=2)
         assert deep.r_squared > full.r_squared
 
     def test_filter_beyond_max_depth_errors(self):
         runset, _ = ar32_synth(6)
         with pytest.raises(DegenerateDataError, match="min_layers=99"):
-            sf.fit_filtered(runset, 99)
+            sf.fit_runset(runset, min_layers=99)
 
     def test_requires_layer_info(self):
         records = [
@@ -239,7 +241,7 @@ class TestFitFiltered:
         ]
         runset = sf.RunSet.from_records(records)
         with pytest.raises(DataError, match="layer"):
-            sf.fit_filtered(runset, 1)
+            sf.fit_runset(runset, min_layers=1)
 
 
 class TestFitRunset:
@@ -251,5 +253,5 @@ class TestFitRunset:
         assert fit_lin.residual_space == "linear"
         assert (fit_lin.alpha, fit_lin.beta) == (fit_log.alpha, fit_log.beta)
         assert fit_lin.r_squared == pytest.approx(
-            sf.r_squared(runset.points(), fit_log, "linear"), abs=1e-15
+            sf.goodness_of_fit(runset.points(), fit_log, "linear")[0], abs=1e-15
         )

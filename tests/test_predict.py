@@ -81,10 +81,15 @@ class TestHoldout:
         with pytest.raises(DegenerateDataError):
             sf.holdout_eval(runset, (1, 1), (7, 8))
 
-    def test_empty_test_rejected(self):
+    @pytest.mark.parametrize(
+        "train, test, empty",
+        [((1, 6), (9, 12), "test"), ((20, 30), (1, 6), "train")],
+        ids=["test", "train"],
+    )
+    def test_empty_test_rejected(self, train, test, empty):
         runset, _ = ar32_synth(104)
-        with pytest.raises(DataError, match="matches no records"):
-            sf.holdout_eval(runset, (1, 6), (9, 12))
+        with pytest.raises(DataError, match=f"{empty} layer range .* matches no records"):
+            sf.holdout_eval(runset, train, test)
 
     def test_actual_is_per_scale_mean(self):
         runset, _ = ar32_synth(105)
@@ -121,6 +126,15 @@ class TestExtrapolate:
         report = sf.extrapolate(runset, TARGET, cfg)
         lo, hi = report.targets[0].band
         assert 0 < lo <= hi
+
+    def test_band_is_interval_at_of_default_band(self):
+        # extrapolate bands the target alone; flag_undertrained reads the same band
+        runset, truth = ar32_synth(113)
+        cfg = sf.BootstrapConfig(n_replicates=200, rng_seed=10)
+        x = float(TARGET.params)
+        expected = sf.bootstrap_band(runset, cfg).interval_at(x)
+        assert sf.extrapolate(runset, TARGET, cfg).targets[0].band == expected
+        assert sf.flag_undertrained(runset, TARGET, truth.value_at(x), cfg).band == expected
 
     def test_band_coverage_at_14x(self, sim_extrapolation_coverage):
         assert sim_extrapolation_coverage["coverage"] >= 0.85
