@@ -103,16 +103,14 @@ class _Pool:
     """
 
     def __init__(self, runset: RunSet):
-        groups = runset.scale_groups()
-        values = np.array([r.value for r in runset.records], dtype=float)
-        self.n_groups = len(groups)
-        self.sizes = np.array([len(g) for g in groups], dtype=np.intp)
+        self.n_groups = runset.n_scales
+        self.sizes = runset.sizes
         self.start = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
-        self.v = np.log(values[np.concatenate(groups)])
-        self.code = np.repeat(np.arange(self.n_groups), self.sizes)
-        self.group_params = np.array([s.params for s in runset.scales], dtype=float)
+        self.v = np.log(runset.values)
+        self.code = runset.code
+        self.params = runset.params
+        self.group_params = self.params[self.start]
         self.group_u = np.log(self.group_params)
-        self.params = self.group_params[self.code]
 
 
 def _degenerate(params: np.ndarray) -> np.ndarray:
@@ -201,8 +199,7 @@ def _block_coeffs(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.nda
 
 def default_grid(runset: RunSet) -> tuple[float, ...]:
     """Geometric 25-point x-grid spanning the data's parameter counts."""
-    xs = [float(s.params) for s in runset.scales]
-    lo, hi = min(xs), max(xs)
+    lo, hi = float(runset.params.min()), float(runset.params.max())
     pts = set(float(p) for p in np.geomspace(lo, hi, 25))
     pts.update((lo, hi))
     return tuple(sorted(pts))

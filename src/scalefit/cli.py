@@ -61,29 +61,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def to_jsonable(obj):
-    """Recursively convert dataclasses/arrays/numpy scalars to JSON types."""
+def _json_default(obj):
+    """``json.dumps`` hook for dataclasses and numpy scalars and arrays."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def render_report(report: Report, fmt: str = "json") -> str:
     """Strict JSON (a non-finite float raises ValueError) or a flat table."""
+    text = json.dumps(report, default=_json_default, sort_keys=True, indent=2, allow_nan=False)
     if fmt == "json":
-        return json.dumps(to_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return text + "\n"
     lines: list[str] = []
 
     def walk(prefix: str, obj) -> None:
@@ -96,7 +87,7 @@ def render_report(report: Report, fmt: str = "json") -> str:
         else:
             lines.append(f"{prefix} = {obj}")
 
-    walk("", to_jsonable(report))
+    walk("", json.loads(text))
     return "\n".join(lines) + "\n"
 
 
@@ -292,10 +283,7 @@ def _cmd_flops(args) -> Report:
         raise UsageError("flops needs --params/--tokens or --input")
 
     records = ingest(args.input, args.input_format)
-    scales: dict = {}
-    for r in records:
-        scales.setdefault(r.scale)
-    scale_list = sorted(scales, key=lambda s: s.params)
+    scale_list = sorted(dict.fromkeys(r.scale for r in records), key=lambda s: s.params)
     tokens_known = all(r.tokens is not None for r in records)
     total_flops = sum(flops(r.scale.params, r.tokens) for r in records) if tokens_known else None
     results = {
@@ -337,15 +325,14 @@ def _cmd_diagnose_earlystop(args) -> Report:
 
 def _cmd_diagnose_fit_outlier(args) -> Report:
     runset = _load_runset(args)
-    if any(r.scale.layers is None for r in runset.records):
-        raise DataError("records lack layer counts; cannot hold out a depth")
-    held = {r.scale for r in runset.records if r.scale.layers == args.holdout_layers}
-    if not held:
+    held = runset.within_layers(args.holdout_layers, args.holdout_layers)
+    codes = np.unique(runset.code[held])
+    if codes.size == 0:
         raise DataError(f"no records with layers={args.holdout_layers} to hold out")
-    if len(held) > 1:
-        raise DataError(f"layers={args.holdout_layers} matches {len(held)} distinct scales")
-    held_scale = held.pop()
-    rest = runset.filter(lambda r: r.scale.layers != args.holdout_layers)
+    if codes.size > 1:
+        raise DataError(f"layers={args.holdout_layers} matches {codes.size} distinct scales")
+    held_scale = runset.scales[codes[0]]
+    rest = runset.filter(~held)
     cfg = _bootstrap_config(args)
     verdict = flag_undertrained(rest, held_scale, args.observed, cfg)
     inputs = _runset_inputs(
@@ -361,6 +348,8 @@ def _cmd_diagnose_fit_outlier(args) -> Report:
 
 
 def _cmd_synth(args) -> Report:
+    if Path(args.out).suffix.lower() not in (".jsonl", ".ndjson"):
+        raise UsageError(f"--out must end in .jsonl or .ndjson, got {args.out!r}")
     layers = _parse_layer_range(args.layers, "--layers")
     spec = SynthSpec(
         true_alpha=args.alpha,
@@ -380,7 +369,8 @@ def _cmd_synth(args) -> Report:
     emit(runset.records, args.out, "jsonl")
     truth_out = args.truth_out if args.truth_out else args.out + ".truth.json"
     Path(truth_out).write_text(
-        json.dumps(to_jsonable(truth), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(truth, default=_json_default, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
     )
     inputs = {
         "alpha": args.alpha,
@@ -410,12 +400,7 @@ def _cmd_plot(args) -> Report:
         if args.heldout_layers
         else None
     )
-    fit_set = runset
-    if heldout is not None:
-        lo, hi = heldout
-        fit_set = runset.filter(
-            lambda r: r.scale.layers is None or not (lo <= r.scale.layers <= hi)
-        )
+    fit_set = runset if heldout is None else runset.filter(~runset.within_layers(*heldout))
     fit = fit_runset(fit_set, min_layers=args.min_depth)
     band = None
     if args.band:
@@ -537,7 +522,7 @@ def build_parser() -> _Parser:
     p.add_argument("--task", default="synthetic")
     p.add_argument("--family", default="synthetic")
     p.add_argument("--metric", default="score")
-    p.add_argument("--out", required=True, help="JSONL output path")
+    p.add_argument("--out", required=True, help="JSONL output path (.jsonl or .ndjson)")
     p.add_argument("--truth-out", default=None, help="defaults to <out>.truth.json")
     _add_format_option(p)
     p.set_defaults(handler=_cmd_synth)

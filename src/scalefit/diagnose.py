@@ -170,7 +170,7 @@ def flag_undertrained(
         raise DataError("under-training flags are defined only for minimized metrics")
     if not (observed > 0 and math.isfinite(observed)):
         raise DataError("observed value must be positive and finite")
-    if any(r.scale.params == held_out_scale.params for r in runset.records):
+    if (runset.params == held_out_scale.params).any():
         raise DataError(
             f"run set must exclude the held-out scale (params={held_out_scale.params})"
         )

@@ -137,27 +137,14 @@ def predict_at(fit: FitResult, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _depth_filtered(runset: RunSet, min_layers: int) -> list[tuple[float, float]]:
-    if min_layers < 1:
-        raise DataError(f"min_layers must be >= 1, got {min_layers}")
-    if any(r.scale.layers is None for r in runset.records):
-        raise DataError("records lack layer counts; cannot depth-filter")
-    kept = [r for r in runset.records if r.scale.layers >= min_layers]
-    if len({r.scale.params for r in kept}) < 2:
-        raise DegenerateDataError(
-            f"min_layers={min_layers} leaves fewer than 2 distinct scales"
-        )
-    return [(float(r.scale.params), float(r.value)) for r in kept]
-
-
 def fit_runset(runset: RunSet, min_layers: int | None = None, space: str = "log") -> FitResult:
     """Fit a run set, optionally depth-filtered, reporting R^2 in ``space``."""
-    if min_layers is None:
-        pts = runset.points()
-        fit = fit_line(pts)
-    else:
-        pts = _depth_filtered(runset, min_layers)
-        fit = dataclasses.replace(fit_line(pts), min_layers=min_layers)
+    pts = runset.points()
+    if min_layers is not None:
+        pts = pts[runset.within_layers(min_layers)]
+        if np.unique(pts[:, 0]).size < 2:
+            raise DegenerateDataError(f"min_layers={min_layers} leaves fewer than 2 distinct scales")
+    fit = dataclasses.replace(fit_line(pts), min_layers=min_layers)
     if space != "log":
         r2, ss_res, ss_tot = goodness_of_fit(pts, fit, space)
         fit = dataclasses.replace(

@@ -67,13 +67,6 @@ class PredictionReport:
         return len(self.targets)
 
 
-def _check_range(rng: LayerRange, name: str) -> LayerRange:
-    lo, hi = rng
-    if lo < 1 or hi < lo:
-        raise DataError(f"{name} must be an inclusive range 1 <= lo <= hi, got {rng}")
-    return lo, hi
-
-
 def holdout_eval(runset: RunSet, train_filter: LayerRange, test_filter: LayerRange) -> PredictionReport:
     """Fit on one depth range and score predictions on a disjoint one.
 
@@ -81,33 +74,26 @@ def holdout_eval(runset: RunSet, train_filter: LayerRange, test_filter: LayerRan
     the test range is the mean over that scale's runs, and the report's MRE
     averages over test scales.
     """
-    tr_lo, tr_hi = _check_range(train_filter, "train_filter")
-    te_lo, te_hi = _check_range(test_filter, "test_filter")
-    if tr_lo <= te_hi and te_lo <= tr_hi:
+    train = runset.within_layers(*train_filter)
+    test = runset.within_layers(*test_filter)
+    if train_filter[0] <= test_filter[1] and test_filter[0] <= train_filter[1]:
         raise DataError(
             f"train and test layer ranges overlap: {train_filter} vs {test_filter}"
         )
-    if any(r.scale.layers is None for r in runset.records):
-        raise DataError("records lack layer counts; cannot split by depth")
-
-    train = [r for r in runset.records if tr_lo <= r.scale.layers <= tr_hi]
-    test = [r for r in runset.records if te_lo <= r.scale.layers <= te_hi]
-    if not train:
+    if not train.any():
         raise DataError(f"train layer range {train_filter} matches no records")
-    if not test:
+    if not test.any():
         raise DataError(f"test layer range {test_filter} matches no records")
-    fit = fit_line([(float(r.scale.params), float(r.value)) for r in train])
+    fit = fit_line(runset.points()[train])
 
-    by_scale: dict[ScaleSpec, list[float]] = {}
-    for r in test:
-        by_scale.setdefault(r.scale, []).append(r.value)
     targets = []
-    for scale in sorted(by_scale, key=lambda s: s.params):
-        actual = float(np.mean(by_scale[scale]))
-        pred = predict_at(fit, float(scale.params))
+    for k in np.unique(runset.code[test]):
+        x = float(runset.scales[k].params)
+        actual = float(np.mean(runset.values[runset.code == k]))
+        pred = predict_at(fit, x)
         targets.append(
             TargetPrediction(
-                x=float(scale.params),
+                x=x,
                 predicted=pred,
                 actual=actual,
                 relative_error=relative_error(actual, pred),

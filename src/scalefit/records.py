@@ -12,12 +12,15 @@ separated, ``.`` decimal point.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .compute import param_count
 from .errors import DataError
@@ -132,27 +135,56 @@ class RunRecord:
 
 def _record_sort_key(r: RunRecord):
     # Canonical ordering must be a pure function of field values so that a
-    # RunSet never depends on insertion order.
+    # RunSet never depends on insertion order.  It leads with the whole
+    # scale, so each scale's records form one contiguous slice.
     return (
         r.scale.params,
+        -1 if r.scale.layers is None else r.scale.layers,
+        -1 if r.scale.hidden is None else r.scale.hidden,
         r.pretrain_seed,
         r.finetune_seed,
         r.value,
         -1 if r.tokens is None else r.tokens,
-        -1 if r.scale.layers is None else r.scale.layers,
-        -1 if r.scale.hidden is None else r.scale.hidden,
     )
 
 
 @dataclass(frozen=True)
 class RunSet:
-    """All records for one (task, family, metric), canonically ordered."""
+    """All records for one (task, family, metric), canonically ordered.
+
+    Build it with :meth:`from_records`.  Construction derives, once, the
+    distinct ``scales`` (ascending by parameter count) with their record
+    counts ``sizes``, and columns aligned with ``records``: each record's
+    ``code`` (its index into ``scales``) and the floats ``params``,
+    ``values`` and ``layers`` (NaN where the depth is unknown).  The
+    column arrays are read-only.
+    """
 
     task: str
     family: str
     metric: str
     direction: str
     records: tuple[RunRecord, ...]
+
+    def __post_init__(self) -> None:
+        scale_of = [r.scale for r in self.records]
+        starts = [i for i in range(len(scale_of)) if i == 0 or scale_of[i] != scale_of[i - 1]]
+        scales = tuple(scale_of[i] for i in starts)
+        sizes = np.diff(starts + [len(scale_of)])
+        code = np.repeat(np.arange(len(scales)), sizes)
+        depth = [math.nan if s.layers is None else s.layers for s in scales]
+        columns = dict(
+            scales=scales,
+            sizes=sizes,
+            code=code,
+            params=np.array([s.params for s in scales], dtype=float)[code],
+            values=np.array([r.value for r in self.records], dtype=float),
+            layers=np.array(depth, dtype=float)[code],
+        )
+        for name, value in columns.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # frozen like the records they mirror
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_records(cls, records: Iterable[RunRecord]) -> "RunSet":
@@ -184,42 +216,43 @@ class RunSet:
         return len(self.records)
 
     @property
-    def scales(self) -> tuple[ScaleSpec, ...]:
-        """Distinct scales, ascending by parameter count."""
-        seen: dict[ScaleSpec, None] = {}
-        for r in self.records:
-            seen.setdefault(r.scale)
-        return tuple(seen)
-
-    @property
     def n_scales(self) -> int:
         return len(self.scales)
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
         """Record count per distinct scale, aligned with ``scales``."""
-        counts: dict[ScaleSpec, int] = {}
-        for r in self.records:
-            counts[r.scale] = counts.get(r.scale, 0) + 1
-        return tuple(counts[s] for s in self.scales)
+        return tuple(self.sizes.tolist())
 
     def scale_groups(self) -> tuple[tuple[int, ...], ...]:
         """Record indices per distinct scale, aligned with ``scales``."""
-        by_scale: dict[ScaleSpec, list[int]] = {s: [] for s in self.scales}
-        for i, r in enumerate(self.records):
-            by_scale[r.scale].append(i)
-        return tuple(tuple(v) for v in by_scale.values())
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(tuple(range(end - n, end)) for end, n in zip(ends, self.sizes.tolist()))
 
-    def points(self) -> list[tuple[float, float]]:
-        """(params, value) pairs for fitting, one per record."""
-        return [(float(r.scale.params), float(r.value)) for r in self.records]
+    def points(self) -> np.ndarray:
+        """(params, value) rows for fitting, one per record: an ``(n, 2)`` array."""
+        return np.column_stack((self.params, self.values))
 
-    def filter(self, predicate) -> "RunSet":
-        """New RunSet with the records satisfying ``predicate``."""
-        kept = [r for r in self.records if predicate(r)]
-        if not kept:
+    def within_layers(self, lo: int, hi: float = math.inf) -> np.ndarray:
+        """Mask of the records whose depth lies in ``lo..hi``, inclusive.
+
+        The range must satisfy 1 <= lo <= hi, and every record must carry a
+        layer count.
+        """
+        if not 1 <= lo <= hi:
+            raise DataError(f"layer range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
+        if np.isnan(self.layers).any():
+            raise DataError("records lack layer counts; cannot select by depth")
+        return (self.layers >= lo) & (self.layers <= hi)
+
+    def filter(self, mask) -> "RunSet":
+        """New RunSet with the records where the boolean ``mask`` is true."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(self),):
+            raise DataError(f"mask must have one entry per record, got shape {mask.shape}")
+        if not mask.any():
             raise DataError("filter matches no records")
-        return RunSet.from_records(kept)
+        return RunSet.from_records(itertools.compress(self.records, mask))
 
 
 def _as_int(value, field: str, where: str) -> int:

@@ -227,19 +227,17 @@ def plot_runset(
 ) -> PlotSpec:
     """Build a PlotSpec from a run set, one marker group per pretrain seed.
 
-    Records inside ``heldout_layers`` (inclusive) are pulled out into a
-    separate open-marker group.
+    Records inside ``heldout_layers`` (inclusive, see
+    :meth:`RunSet.within_layers`) are pulled out into a separate
+    open-marker group.
     """
-    def held(r) -> bool:
-        if heldout_layers is None or r.scale.layers is None:
-            return False
-        return heldout_layers[0] <= r.scale.layers <= heldout_layers[1]
-
+    held = runset.within_layers(*heldout_layers) if heldout_layers else [False] * len(runset)
     by_seed: dict[int, list[tuple[float, float]]] = {}
     held_pts: list[tuple[float, float]] = []
-    for r in runset.records:
-        pt = (float(r.scale.params), float(r.value))
-        if held(r):
+    xs = [float(s.params) for s in runset.scales]
+    for r, k, h in zip(runset.records, runset.code.tolist(), held):
+        pt = (xs[k], float(r.value))
+        if h:
             held_pts.append(pt)
         else:
             by_seed.setdefault(r.pretrain_seed, []).append(pt)

@@ -222,8 +222,8 @@ class TestBandStructure:
 def ragged_runset(seed, sizes):
     # AR-32 ladder keeping sizes[k] of the six runs at scale k
     runset, _ = ar32_synth(seed, seeds_per_scale=6)
-    keep = dict(zip((s.params for s in runset.scales), sizes))
-    return runset.filter(lambda r: r.finetune_seed < keep[r.scale.params])
+    seeds = np.array([r.finetune_seed for r in runset.records])
+    return runset.filter(seeds < np.asarray(sizes)[runset.code])
 
 
 def expanded_ols(pool, groups_of_rows):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import scalefit as sf
-from scalefit.cli import Report, _parser, render_report, run, to_jsonable
+from scalefit.cli import Report, _parser, render_report, run
 
 from conftest import TRUE_ALPHA, TRUE_LOG_C, ar32_synth
 
@@ -46,6 +47,11 @@ def steep_file(tmp_path, capsys):
     assert run([*argv, "--out", path]) == 0
     capsys.readouterr()
     return path
+
+
+def as_json(result):
+    """A library result as a report prints it: a dataclass through JSON and back."""
+    return json.loads(json.dumps(dataclasses.asdict(result)))
 
 
 def run_json(capsys, argv):
@@ -159,13 +165,49 @@ class TestExitCodes:
         assert "--seed" in captured.err
 
 
+    @pytest.mark.parametrize("layers", ["8-7", "0-2"])
+    def test_plot_rejects_bad_heldout_range(self, runs_file, tmp_path, capsys, layers):
+        out = tmp_path / "p.svg"
+        code, captured = run_json(
+            capsys, ["plot", "--input", runs_file, "--out", str(out), "--heldout-layers", layers]
+        )
+        assert code == 2
+        assert "1 <= lo <= hi" in captured.err
+        assert not out.exists()
+
+    def test_plot_heldout_needs_layer_counts(self, tmp_path, capsys):
+        runset, _ = ar32_synth(906)
+        path = tmp_path / "params_only.jsonl"
+        params_only = [
+            dataclasses.replace(r, scale=sf.ScaleSpec.from_params(r.scale.params))
+            for r in runset.records
+        ]
+        sf.emit(params_only, path)
+        out = tmp_path / "p.svg"
+        argv = ["plot", "--input", str(path), "--out", str(out)]
+        assert run_json(capsys, argv)[0] == 0
+        code, captured = run_json(capsys, [*argv, "--heldout-layers", "7-8"])
+        assert code == 2
+        assert "lack layer counts" in captured.err
+
+    def test_synth_refuses_unreadable_out(self, tmp_path, capsys):
+        out = tmp_path / "S"
+        code, captured = run_json(
+            capsys,
+            ["synth", "--alpha", "-0.1", "--log-c", "2", "--seed", "1", "--out", str(out)],
+        )
+        assert code == 1
+        assert "--out must end in .jsonl or .ndjson" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAgainstLibrary:
     def test_fit_matches_library(self, runs_file, capsys):
         code, captured = run_json(capsys, ["fit", "--input", runs_file])
         assert code == 0
         report = json.loads(captured.out)
         runset = sf.group(sf.ingest(runs_file))[("synthetic", "synthetic", "score")]
-        assert report["results"]["fit"] == to_jsonable(sf.fit_runset(runset))
+        assert report["results"]["fit"] == as_json(sf.fit_runset(runset))
 
     def test_fit_min_depth_and_space_match_library(self, runs_file, capsys):
         code, captured = run_json(
@@ -175,7 +217,7 @@ class TestAgainstLibrary:
         report = json.loads(captured.out)
         runset = sf.group(sf.ingest(runs_file))[("synthetic", "synthetic", "score")]
         expected = sf.fit_runset(runset, min_layers=2, space="linear")
-        assert report["results"]["fit"] == to_jsonable(expected)
+        assert report["results"]["fit"] == as_json(expected)
 
     def test_bootstrap_matches_library(self, runs_file, capsys):
         code, captured = run_json(
@@ -185,7 +227,7 @@ class TestAgainstLibrary:
         report = json.loads(captured.out)
         runset = sf.group(sf.ingest(runs_file))[("synthetic", "synthetic", "score")]
         cfg = sf.BootstrapConfig(n_replicates=80, rng_seed=17)
-        assert report["results"]["band"] == to_jsonable(sf.bootstrap_band(runset, cfg))
+        assert report["results"]["band"] == as_json(sf.bootstrap_band(runset, cfg))
 
     def test_holdout_matches_library(self, runs_file, capsys):
         code, captured = run_json(
@@ -195,7 +237,7 @@ class TestAgainstLibrary:
         assert code == 0
         report = json.loads(captured.out)
         runset = sf.group(sf.ingest(runs_file))[("synthetic", "synthetic", "score")]
-        assert report["results"] == to_jsonable(sf.holdout_eval(runset, (1, 6), (7, 8)))
+        assert report["results"] == as_json(sf.holdout_eval(runset, (1, 6), (7, 8)))
 
     def test_predict_matches_library(self, runs_file, capsys):
         code, captured = run_json(
@@ -208,7 +250,7 @@ class TestAgainstLibrary:
         runset = sf.group(sf.ingest(runs_file))[("synthetic", "synthetic", "score")]
         cfg = sf.BootstrapConfig(n_replicates=60, rng_seed=3)
         expected = sf.extrapolate(runset, sf.ScaleSpec.from_dims(12, 768), cfg, actual=90.0)
-        assert report["results"] == to_jsonable(expected)
+        assert report["results"] == as_json(expected)
 
 
 class TestDeterminism:
@@ -376,7 +418,7 @@ class TestReportSerialization:
         report = Report(command="fit", inputs={"input": "x.jsonl"}, results={"fit": fit})
         text = render_report(report)
         parsed = json.loads(text)
-        assert parsed == to_jsonable(report)
+        assert parsed == as_json(report)
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
 
     def test_key_sorted_output(self):

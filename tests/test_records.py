@@ -1,7 +1,13 @@
 import json
+import math
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import scalefit as sf
 from scalefit.errors import DataError
@@ -254,3 +260,114 @@ class TestGrouping:
         )
         xs = [x for x, _ in runset.points()]
         assert xs == sorted(xs)
+
+
+def same_params_pair():
+    # from_params(12288) and from_dims(1, 32) are distinct scales with one
+    # parameter count; their seeds interleave if the sort ignores depth
+    return sf.RunSet.from_records(
+        [make_record(layers=None, params=12288, value=2.0 + s, finetune_seed=s) for s in (1, 0)]
+        + [make_record(layers=1, hidden=32, value=1.0 + s, finetune_seed=s) for s in (1, 0)]
+    )
+
+
+class TestColumns:
+    def test_columns_match_records(self):
+        runset = same_params_pair()
+        recs = runset.records
+        assert runset.scales == (sf.ScaleSpec.from_params(12288), sf.ScaleSpec.from_dims(1, 32))
+        assert runset.params.tolist() == [float(r.scale.params) for r in recs]
+        assert runset.values.tolist() == [r.value for r in recs]
+        assert np.array_equal(runset.layers, [math.nan, math.nan, 1.0, 1.0], equal_nan=True)
+        assert [runset.scales[k] for k in runset.code] == [r.scale for r in recs]
+        assert runset.points().tolist() == [[12288.0, r.value] for r in recs]
+        with pytest.raises(ValueError, match="read-only"):
+            runset.params[0] = 1.0
+
+    def test_scale_groups_are_contiguous_for_shared_params(self):
+        runset = same_params_pair()
+        assert runset.scale_groups() == ((0, 1), (2, 3))
+        assert runset.group_sizes == (2, 2)
+        assert [r.finetune_seed for r in runset.records] == [0, 1, 0, 1]
+
+    def test_filter_takes_a_mask(self):
+        runset = same_params_pair()
+        kept = runset.filter(runset.code == 1)
+        assert kept.scales == (sf.ScaleSpec.from_dims(1, 32),)
+        assert kept.records == runset.records[2:]
+        with pytest.raises(DataError, match="matches no records"):
+            runset.filter(np.zeros(len(runset), dtype=bool))
+        with pytest.raises(DataError, match="one entry per record"):
+            runset.filter([True])
+
+
+class TestWithinLayers:
+    def test_inclusive_range(self):
+        runset = sf.RunSet.from_records(
+            [make_record(layers=L, hidden=32 * L, value=1.0 + L) for L in (1, 2, 3, 4)]
+        )
+        assert runset.within_layers(2, 3).tolist() == [False, True, True, False]
+        assert runset.within_layers(3).tolist() == [False, False, True, True]
+
+    @pytest.mark.parametrize("lo, hi", [(8, 7), (0, 2)], ids=["reversed", "zero"])
+    def test_bad_range_rejected(self, lo, hi):
+        runset = sf.RunSet.from_records([make_record(layers=8, hidden=256)])
+        with pytest.raises(DataError, match="1 <= lo <= hi"):
+            runset.within_layers(lo, hi)
+
+    def test_records_without_layer_counts_rejected(self):
+        with pytest.raises(DataError, match="lack layer counts"):
+            same_params_pair().within_layers(1)
+
+
+SCALES = (
+    sf.ScaleSpec.from_dims(1, 32),
+    sf.ScaleSpec.from_dims(2, 64),
+    sf.ScaleSpec.from_params(12288),
+    sf.ScaleSpec.from_params(999),
+)
+
+record_rows = st.lists(
+    st.tuples(
+        st.sampled_from(SCALES),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["loss", "f1"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.floats(1e-300, 1e300),
+        st.none() | st.integers(0, 10**12),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=record_rows, fmt=st.sampled_from(["jsonl", "csv"]))
+def test_emit_ingest_group_round_trip(rows, fmt):
+    records = [
+        sf.RunRecord(
+            scale=scale,
+            task="t",
+            family=family,
+            pretrain_seed=pre,
+            finetune_seed=fin,
+            metric=metric,
+            value=value,
+            direction="minimize" if metric == "loss" else "maximize",
+            tokens=tokens,
+        )
+        for scale, family, metric, pre, fin, value, tokens in rows
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"runs.{fmt}"
+        sf.emit(records, path)
+        back = sf.ingest(path)
+    assert back == records
+    before, after = sf.group(records), sf.group(back)
+    assert after == before
+    for key, runset in after.items():
+        other = before[key]
+        assert runset.scales == other.scales
+        for name in ("sizes", "code", "params", "values", "layers"):
+            assert np.array_equal(getattr(runset, name), getattr(other, name), equal_nan=True)
