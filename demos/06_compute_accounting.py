@@ -26,7 +26,7 @@ ratio_flops = sf.savings_ratio(
 )
 print(f"supplied-token savings ratio: {ratio_flops:.2f}x")
 
-est = sf.ComputeEstimate.of(large.params, tokens_large)
+est = sf.ComputeEstimate(large.params, tokens_large)
 print(f"\ntarget training cost: {est.flops:,} FLOPs "
       f"(params={est.params:,}, tokens={est.tokens:,})")
 print("note: evaluation passes triggered by early stopping are not counted")

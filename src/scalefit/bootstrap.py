@@ -22,8 +22,7 @@ aborts the run.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,35 +62,56 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class BootstrapBand:
-    """Percentile intervals for the slope, intercept, and fitted line."""
+    """Per-replicate fits and the percentile intervals they imply.
 
-    slope_ci: tuple[float, float]
-    intercept_ci: tuple[float, float]
-    point_band: tuple[tuple[float, float, float], ...]
-    replicates_used: int
+    Built from the replicate slopes and intercepts, the percentile pair and
+    a grid of abscissas; construction derives the slope and intercept
+    intervals, the band over the grid (``point_band``, ``(x, lo, hi)``
+    rows) and the replicate count.  The grid itself is not kept.
+    """
+
     replicate_slopes: tuple[float, ...]
     replicate_intercepts: tuple[float, ...]
     lo_pct: float
     hi_pct: float
+    grid: InitVar[Sequence[float]]
+    slope_ci: tuple[float, float] = field(init=False)
+    intercept_ci: tuple[float, float] = field(init=False)
+    point_band: tuple[tuple[float, float, float], ...] = field(init=False)
+    replicates_used: int = field(init=False)
+
+    def __post_init__(self, grid: Sequence[float]) -> None:
+        if not 0 < len(self.replicate_slopes) == len(self.replicate_intercepts):
+            raise DataError("need one intercept per replicate slope, and at least one replicate")
+        pcts = (self.lo_pct, self.hi_pct)
+        xs = np.asarray(grid, dtype=float)
+        derived = dict(
+            slope_ci=tuple(np.percentile(self.replicate_slopes, pcts).tolist()),
+            intercept_ci=tuple(np.percentile(self.replicate_intercepts, pcts).tolist()),
+            point_band=tuple(zip(xs.tolist(), *self._edges(xs).tolist())),
+            replicates_used=len(self.replicate_slopes),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def _edges(self, xs: np.ndarray) -> np.ndarray:
+        """``(2, len(xs))`` percentile edges of the per-replicate predictions at ``xs``."""
+        if xs.size == 0 or not np.all((xs > 0) & np.isfinite(xs)):
+            raise DataError("band abscissas must be positive and finite")
+        slopes = np.asarray(self.replicate_slopes)[:, None]
+        intercepts = np.asarray(self.replicate_intercepts)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds = np.exp(intercepts + slopes * np.log(xs))
+            edges = np.percentile(preds, (self.lo_pct, self.hi_pct), axis=0)
+        bad = ~np.isfinite(edges).all(axis=0)
+        if bad.any():
+            x = xs[np.argmax(bad)]
+            raise DataError(f"bootstrap band at x={x:g} is not finite: the law overflows float64")
+        return edges
 
     def interval_at(self, x: float) -> tuple[float, float]:
         """Percentile interval of the per-replicate predictions at x."""
-        if not (x > 0 and math.isfinite(x)):
-            raise DataError("x must be positive and finite")
-        slopes = np.asarray(self.replicate_slopes)
-        intercepts = np.asarray(self.replicate_intercepts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            preds = np.exp(intercepts + slopes * math.log(x))
-            lo, hi = np.percentile(preds, (self.lo_pct, self.hi_pct)).tolist()
-        _check_finite((x,), [lo], [hi])
-        return lo, hi
-
-
-def _check_finite(xs: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> None:
-    """Refuse band edges that overflowed, naming the first abscissa affected."""
-    for x, a, b in zip(xs, lo, hi):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DataError(f"bootstrap band at x={x:g} is not finite: the law overflows float64")
+        return tuple(self._edges(np.array([x], dtype=float))[:, 0].tolist())
 
 
 class _Pool:
@@ -214,34 +234,12 @@ def bootstrap_band(
     intervals and :meth:`BootstrapBand.interval_at` do not depend on it.
     """
     pool = _Pool(runset)
-    if grid is None:
-        grid_t = default_grid(runset)
-    else:
-        grid_t = tuple(float(g) for g in grid)
-        if not grid_t or any(not (g > 0 and math.isfinite(g)) for g in grid_t):
-            raise DataError("grid values must be positive and finite")
-
     b = cfg.n_replicates
     blocks = [_block_coeffs(pool, cfg, k) for k in range(-(-b // BLOCK))]
-    slopes = np.concatenate([c[0] for c in blocks])[:b]
-    intercepts = np.concatenate([c[1] for c in blocks])[:b]
-
-    log_grid = np.log(np.asarray(grid_t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        preds = np.exp(intercepts[:, None] + slopes[:, None] * log_grid[None, :])
-        lo_band = np.percentile(preds, cfg.lo_pct, axis=0)
-        hi_band = np.percentile(preds, cfg.hi_pct, axis=0)
-    _check_finite(grid_t, lo_band, hi_band)
-
     return BootstrapBand(
-        slope_ci=tuple(np.percentile(slopes, (cfg.lo_pct, cfg.hi_pct)).tolist()),
-        intercept_ci=tuple(np.percentile(intercepts, (cfg.lo_pct, cfg.hi_pct)).tolist()),
-        point_band=tuple(
-            (x, float(lo), float(hi)) for x, lo, hi in zip(grid_t, lo_band, hi_band)
-        ),
-        replicates_used=b,
-        replicate_slopes=tuple(slopes.tolist()),
-        replicate_intercepts=tuple(intercepts.tolist()),
+        replicate_slopes=tuple(np.concatenate([c[0] for c in blocks])[:b].tolist()),
+        replicate_intercepts=tuple(np.concatenate([c[1] for c in blocks])[:b].tolist()),
         lo_pct=cfg.lo_pct,
         hi_pct=cfg.hi_pct,
+        grid=default_grid(runset) if grid is None else grid,
     )

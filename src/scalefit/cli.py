@@ -134,15 +134,18 @@ def _load_runset(args) -> RunSet:
     return _pick(_load_groups(args), args.task, args.family, args.metric)
 
 
-def _target_scale(args) -> ScaleSpec:
-    has_dims = args.target_layers is not None or args.target_hidden is not None
-    if args.target_params is not None:
-        if has_dims:
-            raise UsageError("give either --target-params or --target-layers/--target-hidden")
-        return ScaleSpec.from_params(args.target_params)
-    if args.target_layers is None or args.target_hidden is None:
-        raise UsageError("target needs --target-layers and --target-hidden, or --target-params")
-    return ScaleSpec.from_dims(args.target_layers, args.target_hidden)
+def _scale(args, prefix: str, required: bool = True) -> ScaleSpec | None:
+    """The scale of ``--{prefix}-params`` or ``--{prefix}-layers/-hidden``, or None if optional."""
+    params, layers, hidden = (getattr(args, f"{prefix}_{d}") for d in ("params", "layers", "hidden"))
+    if params is not None:
+        if layers is not None or hidden is not None:
+            raise UsageError(f"give either --{prefix}-params or --{prefix}-layers/--{prefix}-hidden")
+        return ScaleSpec.from_params(params)
+    if layers is None and hidden is None and not required:
+        return None
+    if layers is None or hidden is None:
+        raise UsageError(f"{prefix} needs --{prefix}-layers and --{prefix}-hidden, or --{prefix}-params")
+    return ScaleSpec.from_dims(layers, hidden)
 
 
 def _bootstrap_config(args) -> BootstrapConfig:
@@ -153,6 +156,11 @@ def _bootstrap_config(args) -> BootstrapConfig:
         mode=args.mode,
         rng_seed=args.seed,
     )
+
+
+def _bootstrap_inputs(cfg: BootstrapConfig) -> dict:
+    """The report inputs naming every bootstrap setting that shapes a band."""
+    return dict(B=cfg.n_replicates, lo=cfg.lo_pct, hi=cfg.hi_pct, mode=cfg.mode, seed=cfg.rng_seed)
 
 
 def _runset_inputs(args, runset: RunSet, **extra) -> dict:
@@ -169,6 +177,11 @@ def _add_input_options(p, selectors: bool = True) -> None:
         p.add_argument("--task", default=None)
         p.add_argument("--family", default=None)
         p.add_argument("--metric", default=None)
+
+
+def _add_scale_options(p, prefix: str) -> None:
+    for dim in ("layers", "hidden", "params"):
+        p.add_argument(f"--{prefix}-{dim}", type=int, default=None)
 
 
 def _add_bootstrap_options(p, seed_required: bool = True) -> None:
@@ -199,32 +212,18 @@ def _cmd_bootstrap(args) -> Report:
     cfg = _bootstrap_config(args)
     band = bootstrap_band(runset, cfg)
     fit = fit_runset(runset)
-    inputs = _runset_inputs(
-        args,
-        runset,
-        B=cfg.n_replicates,
-        lo=cfg.lo_pct,
-        hi=cfg.hi_pct,
-        mode=cfg.mode,
-        seed=cfg.rng_seed,
-    )
+    inputs = _runset_inputs(args, runset, **_bootstrap_inputs(cfg))
     results = {"fit": fit, "band": band}
     return Report(command="bootstrap", inputs=inputs, results=results)
 
 
 def _cmd_predict(args) -> Report:
     runset = _load_runset(args)
-    target = _target_scale(args)
+    target = _scale(args, "target")
     cfg = _bootstrap_config(args)
     report = extrapolate(runset, target, cfg, actual=args.actual)
     inputs = _runset_inputs(
-        args,
-        runset,
-        target_params=target.params,
-        actual=args.actual,
-        B=cfg.n_replicates,
-        mode=cfg.mode,
-        seed=cfg.rng_seed,
+        args, runset, target_params=target.params, actual=args.actual, **_bootstrap_inputs(cfg)
     )
     return Report(command="predict", inputs=inputs, results=report)
 
@@ -242,7 +241,7 @@ def _cmd_select(args) -> Report:
     groups = _load_groups(args)
     runset_a = _pick(groups, args.task, args.family_a, args.metric)
     runset_b = _pick(groups, args.task, args.family_b, args.metric)
-    target = _target_scale(args)
+    target = _scale(args, "target")
     cfg = _bootstrap_config(args)
     report = select_model(
         runset_a,
@@ -255,15 +254,15 @@ def _cmd_select(args) -> Report:
     )
     inputs = {
         "input": args.input,
+        "task": runset_a.task,
+        "metric": runset_a.metric,
         "family_a": args.family_a,
         "family_b": args.family_b,
         "r2_threshold": args.r2_threshold,
         "target_params": target.params,
         "actual_a": args.actual_a,
         "actual_b": args.actual_b,
-        "B": cfg.n_replicates,
-        "mode": cfg.mode,
-        "seed": cfg.rng_seed,
+        **_bootstrap_inputs(cfg),
     }
     return Report(command="select", inputs=inputs, results=report)
 
@@ -271,10 +270,13 @@ def _cmd_select(args) -> Report:
 def _cmd_flops(args) -> Report:
     if args.params is not None and args.input is not None:
         raise UsageError("give either --params/--tokens or --input, not both")
+    baseline = _scale(args, "baseline", required=False)
     if args.params is not None:
         if args.tokens is None:
             raise UsageError("--tokens is required with --params")
-        est = ComputeEstimate.of(args.params, args.tokens)
+        if baseline is not None:
+            raise UsageError("a baseline needs --input")
+        est = ComputeEstimate(args.params, args.tokens)
         inputs = {"params": args.params, "tokens": args.tokens}
         return Report(
             command="flops", inputs=inputs, results={"estimate": est, "note": FLOPS_NOTE}
@@ -295,13 +297,7 @@ def _cmd_flops(args) -> Report:
         "note": FLOPS_NOTE,
     }
     inputs = {"input": args.input}
-    if args.baseline_params is not None or args.baseline_layers is not None:
-        if args.baseline_params is not None:
-            baseline = ScaleSpec.from_params(args.baseline_params)
-        else:
-            if args.baseline_hidden is None:
-                raise UsageError("--baseline-hidden is required with --baseline-layers")
-            baseline = ScaleSpec.from_dims(args.baseline_layers, args.baseline_hidden)
+    if baseline is not None:
         results["baseline_params"] = baseline.params
         results["savings_ratio"] = savings_ratio(scale_list, baseline, "equal_tokens")
         inputs["baseline_params"] = baseline.params
@@ -340,9 +336,7 @@ def _cmd_diagnose_fit_outlier(args) -> Report:
         runset,
         holdout_layers=args.holdout_layers,
         observed=args.observed,
-        B=cfg.n_replicates,
-        mode=cfg.mode,
-        seed=cfg.rng_seed,
+        **_bootstrap_inputs(cfg),
     )
     return Report(command="diagnose fit-outlier", inputs=inputs, results=verdict)
 
@@ -402,12 +396,13 @@ def _cmd_plot(args) -> Report:
     )
     fit_set = runset if heldout is None else runset.filter(~runset.within_layers(*heldout))
     fit = fit_runset(fit_set, min_layers=args.min_depth)
-    band = None
+    band, boot_inputs = None, {"seed": args.seed}
     if args.band:
         if args.seed is None:
             raise UsageError("--seed is required with --band")
         cfg = _bootstrap_config(args)
         band = bootstrap_band(fit_set, cfg)
+        boot_inputs = _bootstrap_inputs(cfg)
     spec = plot_runset(runset, fit=fit, band=band, heldout_layers=heldout)
     write_plot(spec, args.out)
     digest = hashlib.sha256(Path(args.out).read_bytes()).hexdigest()
@@ -417,7 +412,7 @@ def _cmd_plot(args) -> Report:
         out=args.out,
         band=bool(args.band),
         heldout_layers=list(heldout) if heldout else None,
-        seed=args.seed,
+        **boot_inputs,
     )
     return Report(
         command="plot",
@@ -448,9 +443,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="extrapolate to a target scale")
     _add_input_options(p)
-    p.add_argument("--target-layers", type=int, default=None)
-    p.add_argument("--target-hidden", type=int, default=None)
-    p.add_argument("--target-params", type=int, default=None)
+    _add_scale_options(p, "target")
     p.add_argument("--actual", type=float, default=None)
     _add_bootstrap_options(p)
     _add_format_option(p)
@@ -470,9 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family-a", required=True)
     p.add_argument("--family-b", required=True)
     p.add_argument("--r2-threshold", type=float, default=0.95)
-    p.add_argument("--target-layers", type=int, default=None)
-    p.add_argument("--target-hidden", type=int, default=None)
-    p.add_argument("--target-params", type=int, default=None)
+    _add_scale_options(p, "target")
     p.add_argument("--actual-a", type=float, default=None)
     p.add_argument("--actual-b", type=float, default=None)
     _add_bootstrap_options(p)
@@ -484,9 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tokens", type=int, default=None)
     p.add_argument("--input", default=None)
     p.add_argument("--input-format", choices=("jsonl", "csv"), default=None)
-    p.add_argument("--baseline-params", type=int, default=None)
-    p.add_argument("--baseline-layers", type=int, default=None)
-    p.add_argument("--baseline-hidden", type=int, default=None)
+    _add_scale_options(p, "baseline")
     _add_format_option(p)
     p.set_defaults(handler=_cmd_flops)
 

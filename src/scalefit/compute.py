@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataError
@@ -38,18 +38,10 @@ class ComputeEstimate:
 
     params: int
     tokens: int
-    flops: int
+    flops: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.flops != 6 * self.params * self.tokens:
-            raise DataError(
-                f"flops must equal 6*params*tokens; got {self.flops} "
-                f"for params={self.params}, tokens={self.tokens}"
-            )
-
-    @classmethod
-    def of(cls, params: int, tokens: int) -> "ComputeEstimate":
-        return cls(params=params, tokens=tokens, flops=flops(params, tokens))
+        object.__setattr__(self, "flops", flops(self.params, self.tokens))
 
 
 def savings_ratio(

@@ -8,7 +8,7 @@ as an over-optimistic extrapolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,22 +45,40 @@ def relative_error(actual: float, predicted: float) -> float:
 
 @dataclass(frozen=True)
 class TargetPrediction:
-    """Prediction at one extrapolation abscissa, with optional truth and band."""
+    """Prediction at one extrapolation abscissa, with optional truth and band.
+
+    ``relative_error`` is derived from ``actual`` and ``predicted``, and is
+    None when no actual value is given.
+    """
 
     x: float
     predicted: float
     actual: float | None = None
-    relative_error: float | None = None
     band: tuple[float, float] | None = None
+    relative_error: float | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        re = None if self.actual is None else relative_error(self.actual, self.predicted)
+        object.__setattr__(self, "relative_error", re)
 
 
 @dataclass(frozen=True)
 class PredictionReport:
-    """Fit, per-target predictions, and the mean relative error over targets."""
+    """Fit, per-target predictions, and the mean relative error over targets.
+
+    ``mre`` is derived from the targets, and is None unless every target
+    carries an actual value.
+    """
 
     fit: FitResult
     targets: tuple[TargetPrediction, ...]
-    mre: float | None
+    mre: float | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        actual = [t.actual for t in self.targets]
+        predicted = [t.predicted for t in self.targets]
+        mre = None if None in actual else mean_relative_error(actual, predicted)
+        object.__setattr__(self, "mre", mre)
 
     @property
     def n_targets(self) -> int:
@@ -90,17 +108,8 @@ def holdout_eval(runset: RunSet, train_filter: LayerRange, test_filter: LayerRan
     for k in np.unique(runset.code[test]):
         x = float(runset.scales[k].params)
         actual = float(np.mean(runset.values[runset.code == k]))
-        pred = predict_at(fit, x)
-        targets.append(
-            TargetPrediction(
-                x=x,
-                predicted=pred,
-                actual=actual,
-                relative_error=relative_error(actual, pred),
-            )
-        )
-    mre = mean_relative_error([t.actual for t in targets], [t.predicted for t in targets])
-    return PredictionReport(fit=fit, targets=tuple(targets), mre=mre)
+        targets.append(TargetPrediction(x=x, predicted=predict_at(fit, x), actual=actual))
+    return PredictionReport(fit=fit, targets=tuple(targets))
 
 
 def extrapolate(
@@ -113,14 +122,9 @@ def extrapolate(
     """
     x = float(target.params)
     fit = fit_line(runset.points())
-    band = bootstrap_band(runset, cfg, (x,)).interval_at(x)
-    pred = predict_at(fit, x)
-    re = None if actual is None else relative_error(actual, pred)
-    mre = None if actual is None else mean_relative_error([actual], [pred])
-    target_row = TargetPrediction(
-        x=x, predicted=pred, actual=actual, relative_error=re, band=band
-    )
-    return PredictionReport(fit=fit, targets=(target_row,), mre=mre)
+    band = bootstrap_band(runset, cfg, (x,)).point_band[0][1:]
+    target_row = TargetPrediction(x=x, predicted=predict_at(fit, x), actual=actual, band=band)
+    return PredictionReport(fit=fit, targets=(target_row,))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,6 +80,8 @@ class ScaleSpec:
                 raise DataError(f"hidden must be positive, got {self.hidden}")
         if self.params < 1:
             raise DataError(f"params must be positive, got {self.params}")
+        if self.params > sys.float_info.max:
+            raise DataError("params does not fit in float64")
 
     @classmethod
     def from_dims(cls, layers: int, hidden: int, params: int | None = None) -> "ScaleSpec":
@@ -255,9 +258,9 @@ class RunSet:
         return RunSet.from_records(itertools.compress(self.records, mask))
 
 
-def _as_int(value, field: str, where: str) -> int:
+def _as_int(value, field: str) -> int:
     if isinstance(value, bool):
-        raise DataError(f"{where}: field {field!r} must be an integer")
+        raise DataError(f"field {field!r} must be an integer")
     if isinstance(value, int):
         return value
     if isinstance(value, float) and value.is_integer():
@@ -267,65 +270,64 @@ def _as_int(value, field: str, where: str) -> int:
             return int(value.strip())
         except ValueError:
             pass
-    raise DataError(f"{where}: field {field!r} must be an integer, got {value!r}")
+    raise DataError(f"field {field!r} must be an integer, got {value!r}")
 
 
-def _as_float(value, field: str, where: str) -> float:
-    if isinstance(value, bool):
-        raise DataError(f"{where}: field {field!r} must be a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+def _as_float(value, field: str) -> float:
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value.strip())
+            return float(value)  # strips surrounding whitespace from a string
+        except OverflowError:
+            raise DataError(f"field {field!r} does not fit in float64") from None
         except ValueError:
             pass
-    raise DataError(f"{where}: field {field!r} must be a number, got {value!r}")
+    raise DataError(f"field {field!r} must be a number, got {value!r}")
 
 
 def _record_from_mapping(obj: Mapping, where: str, seed_defaults: list[str]) -> RunRecord:
-    unknown = set(obj) - set(RECORD_FIELDS)
-    if unknown:
-        raise DataError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-
-    def get(field):
-        v = obj.get(field)
-        if v is None or (isinstance(v, str) and v.strip() == ""):
-            return None
-        return v
-
-    layers = get("layers")
-    hidden = get("hidden")
-    params = get("params")
-    if layers is not None or hidden is not None:
-        if layers is None or hidden is None:
-            missing = "layers" if layers is None else "hidden"
-            raise DataError(f"{where}: field {missing!r} required when the other dimension is given")
-        scale = ScaleSpec.from_dims(
-            _as_int(layers, "layers", where),
-            _as_int(hidden, "hidden", where),
-            None if params is None else _as_int(params, "params", where),
-        )
-    elif params is not None:
-        scale = ScaleSpec.from_params(_as_int(params, "params", where))
-    else:
-        raise DataError(f"{where}: need fields 'layers'+'hidden' or 'params'")
-
-    for field in ("task", "family", "metric", "direction"):
-        if get(field) is None:
-            raise DataError(f"{where}: missing field {field!r}")
-
-    seeds = {}
-    for field in ("pretrain_seed", "finetune_seed"):
-        raw = get(field)
-        if raw is None:
-            seeds[field] = 0
-            seed_defaults.append(f"{where}:{field}")
-        else:
-            seeds[field] = _as_int(raw, field, where)
-
-    tokens = get("tokens")
+    """Validate one row; every error is prefixed, once, with ``where`` (the row)."""
     try:
+        unknown = set(obj) - set(RECORD_FIELDS)
+        if unknown:
+            raise DataError(f"unknown field {sorted(unknown)[0]!r}")
+
+        def get(field):
+            v = obj.get(field)
+            if v is None or (isinstance(v, str) and v.strip() == ""):
+                return None
+            return v
+
+        layers = get("layers")
+        hidden = get("hidden")
+        params = get("params")
+        if layers is not None or hidden is not None:
+            if layers is None or hidden is None:
+                missing = "layers" if layers is None else "hidden"
+                raise DataError(f"field {missing!r} required when the other dimension is given")
+            scale = ScaleSpec.from_dims(
+                _as_int(layers, "layers"),
+                _as_int(hidden, "hidden"),
+                None if params is None else _as_int(params, "params"),
+            )
+        elif params is not None:
+            scale = ScaleSpec.from_params(_as_int(params, "params"))
+        else:
+            raise DataError("need fields 'layers'+'hidden' or 'params'")
+
+        for field in ("task", "family", "metric", "direction"):
+            if get(field) is None:
+                raise DataError(f"missing field {field!r}")
+
+        seeds = {}
+        for field in ("pretrain_seed", "finetune_seed"):
+            raw = get(field)
+            if raw is None:
+                seeds[field] = 0
+                seed_defaults.append(f"{where}:{field}")
+            else:
+                seeds[field] = _as_int(raw, field)
+
+        tokens = get("tokens")
         return RunRecord(
             scale=scale,
             task=str(get("task")),
@@ -333,15 +335,12 @@ def _record_from_mapping(obj: Mapping, where: str, seed_defaults: list[str]) -> 
             pretrain_seed=seeds["pretrain_seed"],
             finetune_seed=seeds["finetune_seed"],
             metric=str(get("metric")),
-            value=_as_float(get("value"), "value", where),
+            value=_as_float(get("value"), "value"),
             direction=normalize_direction(get("direction")),
-            tokens=None if tokens is None else _as_int(tokens, "tokens", where),
+            tokens=None if tokens is None else _as_int(tokens, "tokens"),
         )
     except DataError as exc:
-        msg = str(exc)
-        if msg.startswith(where):
-            raise
-        raise DataError(f"{where}: {msg}") from None
+        raise DataError(f"{where}: {exc}") from None
 
 
 def _infer_format(path: Path, format: str | None) -> str:

@@ -41,6 +41,9 @@ class SynthSpec:
             raise DataError("scales must be nonempty")
         if self.seeds_per_scale < 1:
             raise DataError(f"seeds_per_scale must be >= 1, got {self.seeds_per_scale}")
+        law = (self.true_alpha, self.true_log_c, self.sigma_pre, self.sigma_fin)
+        if not all(math.isfinite(v) for v in law):
+            raise DataError("true_alpha, true_log_c and the noise levels must be finite")
         if self.sigma_pre < 0 or self.sigma_fin < 0:
             raise DataError("noise levels must be nonnegative")
         if self.direction not in ("maximize", "minimize"):
@@ -84,6 +87,10 @@ def generate(spec: SynthSpec) -> tuple[RunSet, GroundTruth]:
         offsets.append(u)
         base = spec.true_log_c + spec.true_alpha * math.log(scale.params) + u
         for j in range(spec.seeds_per_scale):
+            try:
+                value = math.exp(base + float(eps[j]))
+            except OverflowError:
+                raise DataError(f"synthetic value at params={scale.params} overflows float64") from None
             records.append(
                 RunRecord(
                     scale=scale,
@@ -92,7 +99,7 @@ def generate(spec: SynthSpec) -> tuple[RunSet, GroundTruth]:
                     pretrain_seed=0,
                     finetune_seed=j,
                     metric=spec.metric,
-                    value=math.exp(base + float(eps[j])),
+                    value=value,
                     direction=spec.direction,
                 )
             )

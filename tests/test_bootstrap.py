@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -217,6 +218,64 @@ class TestBandStructure:
         cfg = sf.BootstrapConfig(n_replicates=100, rng_seed=27)
         wide = sf.bootstrap_band(runset, cfg, (*grid, 1e9))
         assert sf.bootstrap_band(runset, cfg).interval_at(1e9) == wide.point_band[-1][1:]
+
+
+class TestDerivedBand:
+    """A band derives its intervals from the replicates it was built from."""
+
+    def test_direct_construction_derives_intervals(self):
+        rng = np.random.default_rng(31)
+        slopes = tuple(rng.normal(0.08, 0.01, 101).tolist())
+        intercepts = tuple(rng.normal(3.0, 0.1, 101).tolist())
+        band = sf.BootstrapBand(slopes, intercepts, 5.0, 95.0, grid=(10.0, 1e4))
+        assert band.slope_ci == tuple(np.percentile(slopes, (5.0, 95.0)).tolist())
+        assert band.intercept_ci == tuple(np.percentile(intercepts, (5.0, 95.0)).tolist())
+        assert band.replicates_used == len(slopes) == 101
+        assert [x for x, _, _ in band.point_band] == [10.0, 1e4]
+        for x, lo, hi in band.point_band:
+            assert (lo, hi) == band.interval_at(x)
+
+    def test_rebuilt_band_equals_bootstrap_band(self):
+        runset, _ = ar32_synth(32)
+        cfg = sf.BootstrapConfig(n_replicates=90, lo_pct=10.0, hi_pct=90.0, rng_seed=32)
+        band = sf.bootstrap_band(runset, cfg)
+        rebuilt = sf.BootstrapBand(
+            band.replicate_slopes, band.replicate_intercepts, 10.0, 90.0, sf.default_grid(runset)
+        )
+        assert rebuilt == band
+
+    def test_grid_is_not_a_field(self):
+        runset, _ = ar32_synth(33)
+        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=33))
+        names = {f.name for f in dataclasses.fields(band)}
+        assert "grid" not in names
+        assert {"slope_ci", "intercept_ci", "point_band", "replicates_used"} <= names
+
+    def test_mismatched_replicates_rejected(self):
+        with pytest.raises(DataError, match="one intercept per replicate slope"):
+            sf.BootstrapBand((0.1, 0.2), (1.0,), 2.5, 97.5, grid=(10.0,))
+        with pytest.raises(DataError, match="at least one replicate"):
+            sf.BootstrapBand((), (), 2.5, 97.5, grid=(10.0,))
+
+    @pytest.mark.parametrize("grid", [(), (0.0,), (math.nan,), (math.inf,), (10.0, -1.0)])
+    def test_bootstrap_band_rejects_bad_grid(self, grid):
+        runset, _ = ar32_synth(34)
+        with pytest.raises(DataError, match="positive and finite"):
+            sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=34), grid)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_interval_at_rejects_bad_abscissa(self, x):
+        runset, _ = ar32_synth(35)
+        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=35))
+        with pytest.raises(DataError, match="positive and finite"):
+            band.interval_at(x)
+
+    def test_overflowing_band_names_the_abscissa(self):
+        band_args = ((30.0, 31.0), (1.0, 1.0), 2.5, 97.5)
+        with pytest.raises(DataError, match="x=1e\\+30 is not finite"):
+            sf.BootstrapBand(*band_args, grid=(10.0, 1e30))
+        with pytest.raises(DataError, match="x=1e\\+30 is not finite"):
+            sf.BootstrapBand(*band_args, grid=(10.0,)).interval_at(1e30)
 
 
 def ragged_runset(seed, sizes):

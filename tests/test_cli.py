@@ -201,6 +201,164 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
+def _row(**fields):
+    base = dict(task="t", family="f", metric="m", value=1.0, direction="min", layers=1, hidden=32)
+    base.update(fields)
+    return json.dumps({k: v for k, v in base.items() if v is not None})
+
+
+class TestBadNumericInput:
+    """Bad numbers exit 2 with a one-line error naming the row, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (_row(layers=0), "row 2: layers must be positive, got 0"),
+            (_row(layers=None, hidden=None, params=0), "row 2: params must be positive, got 0"),
+            ('{"task": "t", "family": "f", "metric": "m", "direction": "min", "params": 12288, '
+             '"value": 1' + "0" * 400 + "}", "row 2: field 'value' does not fit in float64"),
+            ('{"task": "t", "family": "f", "metric": "m", "direction": "min", "value": 1.0, '
+             '"params": 1' + "0" * 400 + "}", "row 2: params does not fit in float64"),
+        ],
+        ids=["layers-0", "params-0", "value-1e400", "params-1e400"],
+    )
+    def test_bad_row_names_the_row(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(_row() + "\n" + row + "\n", encoding="utf-8")
+        code, captured = run_json(capsys, ["fit", "--input", str(path)])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_huge_target_params(self, runs_file, capsys):
+        code, captured = run_json(
+            capsys, ["predict", "--input", runs_file, "--target-params", "1" + "0" * 400, "--seed", "1"]
+        )
+        assert code == 2
+        assert captured.err == "error: params does not fit in float64\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "100", "--log-c", "2"], "overflows float64"),
+            (["--alpha", "-0.1", "--log-c", "2", "--sigma-pre", "nan"], "must be finite"),
+            (["--alpha", "-0.1", "--log-c", "2", "--sigma-fin", "inf"], "must be finite"),
+            (["--alpha", "nan", "--log-c", "2"], "must be finite"),
+            (["--alpha", "-0.1", "--log-c=-inf"], "must be finite"),
+        ],
+        ids=["overflow", "sigma-pre-nan", "sigma-fin-inf", "alpha-nan", "log-c-inf"],
+    )
+    def test_synth_writes_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.jsonl"
+        code, captured = run_json(capsys, ["synth", *flags, "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestScaleFlags:
+    """``--target-*`` and ``--baseline-*`` groups: params, or layers with hidden, never both."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--baseline-hidden", "256"],
+            ["--baseline-layers", "4"],
+            ["--baseline-params", "1000", "--baseline-layers", "4", "--baseline-hidden", "128"],
+        ],
+        ids=["hidden-only", "layers-only", "params-and-dims"],
+    )
+    def test_flops_baseline_misuse_is_usage_error(self, runs_file, capsys, flags):
+        code, captured = run_json(capsys, ["flops", "--input", runs_file, *flags])
+        assert code == 1
+        assert captured.out == ""
+        assert "--baseline-" in captured.err
+
+    def test_flops_baseline_needs_input(self, capsys):
+        argv = ["flops", "--params", "100", "--tokens", "5", "--baseline-layers", "12",
+                "--baseline-hidden", "768"]
+        code, captured = run_json(capsys, argv)
+        assert code == 1
+        assert "baseline needs --input" in captured.err
+
+    def test_flops_baseline_params(self, runs_file, capsys):
+        code, captured = run_json(
+            capsys, ["flops", "--input", runs_file, "--baseline-params", "84934656"]
+        )
+        assert code == 0
+        report = json.loads(captured.out)
+        assert report["inputs"]["baseline_params"] == 84934656
+        assert report["results"]["savings_ratio"] == 84934656 / 15_925_248
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--target-params", "1000", "--target-layers", "3"], ["--target-hidden", "96"], []],
+        ids=["params-and-layers", "hidden-only", "none"],
+    )
+    def test_predict_target_misuse_is_usage_error(self, runs_file, capsys, flags):
+        code, captured = run_json(capsys, ["predict", "--input", runs_file, "--seed", "1", *flags])
+        assert code == 1
+        assert "--target-" in captured.err
+
+
+BOOTSTRAP_KEYS = {"B": 40, "lo": 10.0, "hi": 90.0, "mode": "naive", "seed": 3}
+BOOTSTRAP_FLAGS = ["--B", "40", "--lo", "10", "--hi", "90", "--mode", "naive", "--seed", "3"]
+
+
+class TestEchoedInputs:
+    """Every setting that shapes a bootstrap band is echoed in the report's inputs."""
+
+    def inputs(self, capsys, argv):
+        code, captured = run_json(capsys, argv)
+        assert code == 0, captured.err
+        return json.loads(captured.out)["inputs"]
+
+    def assert_bootstrap_keys(self, inputs):
+        assert {k: inputs[k] for k in BOOTSTRAP_KEYS} == BOOTSTRAP_KEYS
+
+    def test_bootstrap(self, runs_file, capsys):
+        self.assert_bootstrap_keys(
+            self.inputs(capsys, ["bootstrap", "--input", runs_file, *BOOTSTRAP_FLAGS])
+        )
+
+    def test_predict(self, runs_file, capsys):
+        argv = ["predict", "--input", runs_file, "--target-params", "84934656", *BOOTSTRAP_FLAGS]
+        self.assert_bootstrap_keys(self.inputs(capsys, argv))
+
+    def test_predict_inputs_tell_percentiles_apart(self, runs_file, capsys):
+        argv = ["predict", "--input", runs_file, "--target-params", "84934656", "--B", "200",
+                "--seed", "3"]
+        default = self.inputs(capsys, argv)
+        narrow = self.inputs(capsys, [*argv, "--lo", "10", "--hi", "90"])
+        assert (default["lo"], default["hi"]) == (2.5, 97.5)
+        assert (narrow["lo"], narrow["hi"]) == (10.0, 90.0)
+
+    def test_select(self, two_family_file, capsys):
+        argv = ["select", "--input", two_family_file, "--family-a", "mlm", "--family-b", "pmi",
+                "--target-params", "84934656", *BOOTSTRAP_FLAGS]
+        inputs = self.inputs(capsys, argv)
+        self.assert_bootstrap_keys(inputs)
+        assert (inputs["task"], inputs["metric"]) == ("t", "f1")
+
+    def test_fit_outlier(self, runs_file, capsys):
+        argv = ["diagnose", "fit-outlier", "--input", runs_file, "--holdout-layers", "8",
+                "--observed", "1.0", *BOOTSTRAP_FLAGS]
+        self.assert_bootstrap_keys(self.inputs(capsys, argv))
+
+    def test_plot_band(self, runs_file, tmp_path, capsys):
+        argv = ["plot", "--input", runs_file, "--out", str(tmp_path / "p.svg"), "--band",
+                *BOOTSTRAP_FLAGS]
+        self.assert_bootstrap_keys(self.inputs(capsys, argv))
+
+    def test_plot_without_band_echoes_only_seed(self, runs_file, tmp_path, capsys):
+        argv = ["plot", "--input", runs_file, "--out", str(tmp_path / "p.svg"), "--seed", "3"]
+        inputs = self.inputs(capsys, argv)
+        assert inputs["seed"] == 3
+        assert not {"B", "lo", "hi", "mode"} & set(inputs)
+
+
 class TestAgainstLibrary:
     def test_fit_matches_library(self, runs_file, capsys):
         code, captured = run_json(capsys, ["fit", "--input", runs_file])

@@ -44,10 +44,23 @@ class TestFlops:
             assert sf.flops(12_288, a + b) == sf.flops(12_288, a) + sf.flops(12_288, b)
 
     def test_estimate_invariant(self):
-        est = sf.ComputeEstimate.of(12_288, 10)
+        est = sf.ComputeEstimate(12_288, 10)
         assert est.flops == 6 * 12_288 * 10
+
+    @pytest.mark.parametrize("params, tokens", [(12_288, 0), (1, 1), (85_000_000, 1_000_000)])
+    def test_estimate_derives_flops(self, params, tokens):
+        est = sf.ComputeEstimate(params, tokens)
+        assert est.flops == sf.flops(params, tokens)
+        assert est == sf.ComputeEstimate(params=params, tokens=tokens)
+
+    @pytest.mark.parametrize("params, tokens", [(0, 10), (-5, 10), (10, -1)])
+    def test_estimate_rejects_bad_counts(self, params, tokens):
         with pytest.raises(DataError):
-            sf.ComputeEstimate(params=10, tokens=10, flops=599)
+            sf.ComputeEstimate(params, tokens)
+
+    def test_estimate_takes_no_flops(self):
+        with pytest.raises(TypeError):
+            sf.ComputeEstimate(params=10, tokens=10, flops=600)
 
 
 class TestSavingsRatio:

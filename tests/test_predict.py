@@ -59,6 +59,43 @@ class TestRelativeError:
             sf.relative_error(0.0, 1.0)
 
 
+class TestDerivedErrors:
+    """Predictions derive their relative errors and the report its MRE."""
+
+    def test_target_derives_relative_error(self):
+        t = sf.TargetPrediction(x=1e6, predicted=91.8, actual=90.0)
+        assert t.relative_error == sf.relative_error(90.0, 91.8)
+        assert sf.TargetPrediction(x=1e6, predicted=91.8).relative_error is None
+
+    def test_target_rejects_bad_actual(self):
+        with pytest.raises(DataError, match="actual value must be positive"):
+            sf.TargetPrediction(x=1e6, predicted=1.0, actual=0.0)
+
+    def test_report_derives_mre(self):
+        fit = sf.fit_line([(1.0, 2.0), (2.0, 4.0)])
+        targets = (
+            sf.TargetPrediction(x=3.0, predicted=82.0, actual=80.0),
+            sf.TargetPrediction(x=4.0, predicted=88.2, actual=90.0),
+        )
+        report = sf.PredictionReport(fit=fit, targets=targets)
+        assert report.mre == sf.mean_relative_error([80.0, 90.0], [82.0, 88.2])
+
+    def test_report_mre_none_when_an_actual_is_missing(self):
+        fit = sf.fit_line([(1.0, 2.0), (2.0, 4.0)])
+        targets = (
+            sf.TargetPrediction(x=3.0, predicted=82.0, actual=80.0),
+            sf.TargetPrediction(x=4.0, predicted=88.2),
+        )
+        assert sf.PredictionReport(fit=fit, targets=targets).mre is None
+        assert sf.PredictionReport(fit=fit, targets=targets[1:]).mre is None
+
+    def test_derived_fields_take_no_arguments(self):
+        with pytest.raises(TypeError):
+            sf.TargetPrediction(x=1.0, predicted=1.0, actual=1.0, relative_error=0.5)
+        with pytest.raises(TypeError):
+            sf.PredictionReport(fit=sf.fit_line([(1.0, 2.0), (2.0, 4.0)]), targets=(), mre=0.0)
+
+
 class TestHoldout:
     def test_noiseless_extrapolation_is_exact(self):
         runset, _ = ar32_synth(100, sigma_fin=0.0)
