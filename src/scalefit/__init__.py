@@ -31,6 +31,7 @@ from .predict import (
     select_model,
 )
 from .records import (
+    RecordTable,
     RunRecord,
     RunSet,
     ScaleSpec,
@@ -61,6 +62,7 @@ __all__ = [
     "PlotSpec",
     "PolicyOutcome",
     "PredictionReport",
+    "RecordTable",
     "RunRecord",
     "RunSet",
     "ScaleSpec",

@@ -284,10 +284,12 @@ def _cmd_flops(args) -> Report:
     if args.input is None:
         raise UsageError("flops needs --params/--tokens or --input")
 
-    records = ingest(args.input, args.input_format)
-    scale_list = sorted(dict.fromkeys(r.scale for r in records), key=lambda s: s.params)
-    tokens_known = all(r.tokens is not None for r in records)
-    total_flops = sum(flops(r.scale.params, r.tokens) for r in records) if tokens_known else None
+    table = ingest(args.input, args.input_format)
+    scale_list = sorted(table.scales, key=lambda s: s.params)
+    total_flops = None
+    if (table.tokens >= 0).all():  # exact: 6ND overflows int64
+        params = [table.scales[k].params for k in table.code.tolist()]
+        total_flops = sum(map(flops, params, table.tokens.tolist()))
     results = {
         "scales": [
             {"layers": s.layers, "hidden": s.hidden, "params": s.params} for s in scale_list

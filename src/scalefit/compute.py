@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -27,6 +28,8 @@ def flops(params: int, tokens: int) -> int:
     """Training FLOPs for forward plus backward passes: 6 * params * tokens."""
     if params < 1:
         raise DataError(f"params must be positive, got {params}")
+    if params > sys.float_info.max:
+        raise DataError("params does not fit in float64")
     if tokens < 0:
         raise DataError(f"tokens must be nonnegative, got {tokens}")
     return 6 * params * tokens

@@ -80,10 +80,6 @@ class PredictionReport:
         mre = None if None in actual else mean_relative_error(actual, predicted)
         object.__setattr__(self, "mre", mre)
 
-    @property
-    def n_targets(self) -> int:
-        return len(self.targets)
-
 
 def holdout_eval(runset: RunSet, train_filter: LayerRange, test_filter: LayerRange) -> PredictionReport:
     """Fit on one depth range and score predictions on a disjoint one.

@@ -7,19 +7,27 @@ direction, tokens``.  ``params`` may be given instead of ``layers`` and
 ``tokens`` is optional, used only for FLOP accounting.  JSONL carries one
 object per line; CSV uses the same keys as a header row, UTF-8, comma
 separated, ``.`` decimal point.
+
+Records are held as numpy columns: :func:`ingest` checks a file a chunk of
+rows and a column at a time into a :class:`RecordTable`, :func:`group`
+splits it into run sets with one lexsort, and :class:`RunRecord` objects
+are built only when ``records`` is read.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +47,10 @@ RECORD_FIELDS = (
     "direction",
     "tokens",
 )
+_FIELD_SET = frozenset(RECORD_FIELDS)
+# Rows are parsed and checked this many at a time, which bounds the memory
+# held by parsed but unchecked cells.
+_CHUNK = 4096
 
 _DIRECTION_TOKENS = {
     "max": "maximize",
@@ -108,6 +120,20 @@ def scale_ladder(aspect_ratio: int, layers: Iterable[int]) -> list[ScaleSpec]:
     return [ScaleSpec.from_dims(L, aspect_ratio * L) for L in layers]
 
 
+def _check_value(value: float) -> float:
+    if not math.isfinite(value):
+        raise DataError("value must be a finite number")
+    if value <= 0:
+        raise DataError("value must be positive")
+    return value
+
+
+def _check_tokens(tokens: int) -> int:
+    if tokens < 0:
+        raise DataError(f"tokens must be nonnegative, got {tokens}")
+    return tokens
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One finetuning or pretraining outcome at a given scale."""
@@ -126,111 +152,124 @@ class RunRecord:
         for name in ("task", "family", "metric"):
             if not getattr(self, name):
                 raise DataError(f"{name} must be a nonempty string")
-        if not math.isfinite(self.value):
-            raise DataError("value must be a finite number")
-        if self.value <= 0:
-            raise DataError("value must be positive")
+        _check_value(self.value)
         if self.direction not in ("maximize", "minimize"):
             raise DataError(f"unknown direction token {self.direction!r}")
-        if self.tokens is not None and self.tokens < 0:
-            raise DataError(f"tokens must be nonnegative, got {self.tokens}")
+        if self.tokens is not None:
+            _check_tokens(self.tokens)
 
 
-def _record_sort_key(r: RunRecord):
-    # Canonical ordering must be a pure function of field values so that a
-    # RunSet never depends on insertion order.  It leads with the whole
-    # scale, so each scale's records form one contiguous slice.
-    return (
-        r.scale.params,
-        -1 if r.scale.layers is None else r.scale.layers,
-        -1 if r.scale.hidden is None else r.scale.hidden,
-        r.pretrain_seed,
-        r.finetune_seed,
-        r.value,
-        -1 if r.tokens is None else r.tokens,
-    )
+def _ints(values: Sequence[int]) -> np.ndarray:
+    """Integers as int64, or as Python ints (dtype object) if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-@dataclass(frozen=True)
-class RunSet:
-    """All records for one (task, family, metric), canonically ordered.
+def _order_key(column: np.ndarray) -> np.ndarray:
+    """A sort key ordering an integer column exactly: itself, or its ranks."""
+    if column.dtype != object:
+        return column
+    rank = {v: i for i, v in enumerate(sorted(set(column.tolist())))}
+    return np.array([rank[v] for v in column.tolist()])
 
-    Build it with :meth:`from_records`.  Construction derives, once, the
-    distinct ``scales`` (ascending by parameter count) with their record
-    counts ``sizes``, and columns aligned with ``records``: each record's
-    ``code`` (its index into ``scales``) and the floats ``params``,
-    ``values`` and ``layers`` (NaN where the depth is unknown).  The
-    column arrays are read-only.
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Validated records as aligned, read-only numpy columns: what
+    :func:`ingest` returns, in file order.
+
+    ``code`` indexes each row's scale in ``scales`` (distinct, in order of
+    first appearance) and ``label`` its (task, family, metric, direction) in
+    ``labels``.  ``values`` are floats; ``seeds`` holds (pretrain_seed,
+    finetune_seed) rows and ``tokens`` is -1 where unknown, both int64
+    unless a value needs a Python int (dtype object).  ``len`` is the row
+    count; ``records``, also what iteration yields, builds the rows as
+    :class:`RunRecord` objects on first access.
     """
 
-    task: str
-    family: str
-    metric: str
-    direction: str
-    records: tuple[RunRecord, ...]
+    scales: tuple[ScaleSpec, ...]
+    code: np.ndarray
+    values: np.ndarray
+    seeds: np.ndarray
+    tokens: np.ndarray
+    labels: tuple[tuple[str, str, str, str], ...]
+    label: np.ndarray
 
     def __post_init__(self) -> None:
-        scale_of = [r.scale for r in self.records]
-        starts = [i for i in range(len(scale_of)) if i == 0 or scale_of[i] != scale_of[i - 1]]
-        scales = tuple(scale_of[i] for i in starts)
-        sizes = np.diff(starts + [len(scale_of)])
-        code = np.repeat(np.arange(len(scales)), sizes)
-        depth = [math.nan if s.layers is None else s.layers for s in scales]
-        columns = dict(
-            scales=scales,
-            sizes=sizes,
-            code=code,
-            params=np.array([s.params for s in scales], dtype=float)[code],
-            values=np.array([r.value for r in self.records], dtype=float),
-            layers=np.array(depth, dtype=float)[code],
-        )
-        for name, value in columns.items():
+        for value in vars(self).values():
             if isinstance(value, np.ndarray):
-                value.flags.writeable = False  # frozen like the records they mirror
+                value.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    @functools.cached_property
+    def records(self) -> tuple[RunRecord, ...]:
+        labels = map(self.labels.__getitem__, self.label.tolist())
+        rows = zip(self.code.tolist(), self.values.tolist(), self.seeds.tolist(), self.tokens.tolist(), labels)
+        return tuple(
+            RunRecord(self.scales[k], task, family, pre, fin, metric, value, direction, None if tok < 0 else tok)
+            for k, value, (pre, fin), tok, (task, family, metric, direction) in rows
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class RunSet(RecordTable):
+    """All records for one (task, family, metric), canonically ordered.
+
+    Rows are sorted by scale (parameter count, then depth and width),
+    pretrain seed, finetune seed, value and tokens, so each scale's rows
+    form one contiguous slice and the order never depends on input order;
+    ``scales`` ascend.  Build one with :func:`group` or :meth:`from_records`.
+    Construction derives, once, the record counts ``sizes`` per scale and
+    the float columns ``params`` and ``layers`` (NaN where the depth is
+    unknown).
+    """
+
+    def __post_init__(self) -> None:
+        if len(self.labels) != 1:
+            raise DataError("a run set holds one (task, family, metric, direction)")
+        depth = [math.nan if s.layers is None else s.layers for s in self.scales]
+        derived = dict(
+            sizes=np.bincount(self.code, minlength=len(self.scales)),
+            params=np.array([s.params for s in self.scales], dtype=float)[self.code],
+            layers=np.array(depth, dtype=float)[self.code],
+        )
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
+        super().__post_init__()
+
+    task = property(lambda self: self.labels[0][0])
+    family = property(lambda self: self.labels[0][1])
+    metric = property(lambda self: self.labels[0][2])
+    direction = property(lambda self: self.labels[0][3])
 
     @classmethod
     def from_records(cls, records: Iterable[RunRecord]) -> "RunSet":
-        recs = sorted(records, key=_record_sort_key)
-        if not recs:
+        groups = group(records)
+        if not groups:
             raise DataError("cannot build a run set from zero records")
-        first = recs[0]
-        for r in recs[1:]:
-            if r.task != first.task or r.family != first.family or r.metric != first.metric:
-                raise DataError(
-                    "records disagree on (task, family, metric): "
-                    f"({first.task}, {first.family}, {first.metric}) vs "
-                    f"({r.task}, {r.family}, {r.metric})"
-                )
-            if r.direction != first.direction:
-                raise DataError(
-                    f"mixed direction within group ({first.task}, {first.family}, "
-                    f"{first.metric}): {first.direction!r} vs {r.direction!r}"
-                )
-        return cls(
-            task=first.task,
-            family=first.family,
-            metric=first.metric,
-            direction=first.direction,
-            records=tuple(recs),
-        )
-
-    def __len__(self) -> int:
-        return len(self.records)
+        if len(groups) > 1:
+            first, other = list(groups)[:2]
+            raise DataError(
+                f"records disagree on (task, family, metric): ({', '.join(first)}) vs ({', '.join(other)})"
+            )
+        return next(iter(groups.values()))
 
     @property
     def n_scales(self) -> int:
         return len(self.scales)
-
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        """Record count per distinct scale, aligned with ``scales``."""
-        return tuple(self.sizes.tolist())
-
-    def scale_groups(self) -> tuple[tuple[int, ...], ...]:
-        """Record indices per distinct scale, aligned with ``scales``."""
-        ends = np.cumsum(self.sizes).tolist()
-        return tuple(tuple(range(end - n, end)) for end, n in zip(ends, self.sizes.tolist()))
 
     def points(self) -> np.ndarray:
         """(params, value) rows for fitting, one per record: an ``(n, 2)`` array."""
@@ -255,7 +294,72 @@ class RunSet:
             raise DataError(f"mask must have one entry per record, got shape {mask.shape}")
         if not mask.any():
             raise DataError("filter matches no records")
-        return RunSet.from_records(itertools.compress(self.records, mask))
+        return _take(self, np.flatnonzero(mask), self.scales, self.code, self.labels[0])
+
+
+def _take(table: RecordTable, rows: np.ndarray, scales, code: np.ndarray, label: tuple) -> RunSet:
+    """The run set ``label`` of the table ``rows``, given in canonical order;
+    ``code`` indexes each table row's scale in the ascending ``scales``.  It
+    keeps the scales its rows use, and the table's records if built."""
+    used, code = np.unique(code[rows], return_inverse=True)
+    kept = tuple(scales[k] for k in used.tolist())
+    cols = (table.values[rows], table.seeds[rows], table.tokens[rows])
+    runset = RunSet(kept, code, *cols, (label,), np.zeros(len(rows), dtype=np.intp))
+    if "records" in vars(table):
+        vars(runset)["records"] = tuple(map(table.records.__getitem__, rows.tolist()))
+    return runset
+
+
+def _scale_key(s: ScaleSpec) -> tuple:
+    return (s.params, -1 if s.layers is None else s.layers, -1 if s.hidden is None else s.hidden)
+
+
+def _table(records: Iterable[RunRecord]) -> RecordTable:
+    """Columns of in-memory records; the table keeps the records themselves."""
+    recs = tuple(records)
+    scales: dict[ScaleSpec, int] = {}
+    labels: dict[tuple, int] = {}
+    code = [scales.setdefault(r.scale, len(scales)) for r in recs]
+    label = [labels.setdefault((r.task, r.family, r.metric, r.direction), len(labels)) for r in recs]
+    seeds = [_ints([getattr(r, f) for r in recs]) for f in ("pretrain_seed", "finetune_seed")]
+    table = RecordTable(
+        tuple(scales),
+        np.array(code, dtype=np.intp),
+        np.array([r.value for r in recs], dtype=float),
+        np.column_stack(seeds),
+        _ints([-1 if r.tokens is None else r.tokens for r in recs]),
+        tuple(labels),
+        np.array(label, dtype=np.intp),
+    )
+    vars(table)["records"] = recs
+    return table
+
+
+def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, str], RunSet]:
+    """Partition records into RunSets keyed by (task, family, metric).
+
+    Takes what :func:`ingest` returns, or any iterable of :class:`RunRecord`.
+    One lexsort puts the rows in canonical order.  Every record lands in
+    exactly one RunSet; a direction disagreement within a key raises
+    :class:`DataError`.
+    """
+    table = records if isinstance(records, RecordTable) else _table(records)
+    keys = sorted({label[:3] for label in table.labels})
+    key_of = np.array([keys.index(label[:3]) for label in table.labels], dtype=np.intp)[table.label]
+    order = sorted(range(len(table.scales)), key=lambda k: _scale_key(table.scales[k]))
+    scales = [table.scales[k] for k in order]
+    code = np.argsort(order)[table.code]  # each row's scale rank
+    seeds = [_order_key(table.seeds[:, j]) for j in (1, 0)]
+    rows = np.lexsort((_order_key(table.tokens), table.values, *seeds, code, key_of))
+    groups = {}
+    for key, part in zip(keys, np.split(rows, np.cumsum(np.bincount(key_of))[:-1])):
+        first = table.labels[table.label[part[0]]][3]
+        directions = {table.labels[k][3] for k in np.unique(table.label[part]).tolist()}
+        if len(directions) > 1:
+            other = (directions - {first}).pop()
+            raise DataError(f"mixed direction within group ({', '.join(key)}): {first!r} vs {other!r}")
+        groups[key] = _take(table, part, scales, code, (*key, first))
+    return groups
 
 
 def _as_int(value, field: str) -> int:
@@ -284,63 +388,179 @@ def _as_float(value, field: str) -> float:
     raise DataError(f"field {field!r} must be a number, got {value!r}")
 
 
-def _record_from_mapping(obj: Mapping, where: str, seed_defaults: list[str]) -> RunRecord:
-    """Validate one row; every error is prefixed, once, with ``where`` (the row)."""
+class _Fault(NamedTuple):
+    """A failed check of one row: its rank in the row's check order, and why."""
+
+    rank: int
+    message: str
+
+
+def _checked(rank: int, check, *args):
+    """``check(*args)``, or a fault of ``rank`` carrying the DataError it raised."""
     try:
-        unknown = set(obj) - set(RECORD_FIELDS)
-        if unknown:
-            raise DataError(f"unknown field {sorted(unknown)[0]!r}")
-
-        def get(field):
-            v = obj.get(field)
-            if v is None or (isinstance(v, str) and v.strip() == ""):
-                return None
-            return v
-
-        layers = get("layers")
-        hidden = get("hidden")
-        params = get("params")
-        if layers is not None or hidden is not None:
-            if layers is None or hidden is None:
-                missing = "layers" if layers is None else "hidden"
-                raise DataError(f"field {missing!r} required when the other dimension is given")
-            scale = ScaleSpec.from_dims(
-                _as_int(layers, "layers"),
-                _as_int(hidden, "hidden"),
-                None if params is None else _as_int(params, "params"),
-            )
-        elif params is not None:
-            scale = ScaleSpec.from_params(_as_int(params, "params"))
-        else:
-            raise DataError("need fields 'layers'+'hidden' or 'params'")
-
-        for field in ("task", "family", "metric", "direction"):
-            if get(field) is None:
-                raise DataError(f"missing field {field!r}")
-
-        seeds = {}
-        for field in ("pretrain_seed", "finetune_seed"):
-            raw = get(field)
-            if raw is None:
-                seeds[field] = 0
-                seed_defaults.append(f"{where}:{field}")
-            else:
-                seeds[field] = _as_int(raw, field)
-
-        tokens = get("tokens")
-        return RunRecord(
-            scale=scale,
-            task=str(get("task")),
-            family=str(get("family")),
-            pretrain_seed=seeds["pretrain_seed"],
-            finetune_seed=seeds["finetune_seed"],
-            metric=str(get("metric")),
-            value=_as_float(get("value"), "value"),
-            direction=normalize_direction(get("direction")),
-            tokens=None if tokens is None else _as_int(tokens, "tokens"),
-        )
+        return check(*args)
     except DataError as exc:
-        raise DataError(f"{where}: {exc}") from None
+        return _Fault(rank, str(exc))
+
+
+def _missing(cell) -> bool:
+    return cell is None or (isinstance(cell, str) and not cell.strip())
+
+
+def _int_check(field: str, rank: int):
+    return lambda cell: None if _missing(cell) else _checked(rank, _as_int, cell, field)
+
+
+def _text_check(field: str, rank: int):
+    return lambda cell: _Fault(rank, f"missing field {field!r}") if _missing(cell) else str(cell)
+
+
+def _direction_check(cell):
+    return _Fault(6, "missing field 'direction'") if _missing(cell) else _checked(10, normalize_direction, cell)
+
+
+def _tokens_check(cell):
+    tokens = None if _missing(cell) else _checked(11, _as_int, cell, "tokens")
+    return _checked(13, _check_tokens, tokens) if isinstance(tokens, int) else tokens
+
+
+def _value_check(cell):
+    value = _checked(9, _as_float, None if _missing(cell) else cell, "value")
+    return value if type(value) is _Fault else _checked(12, _check_value, value)
+
+
+# Each cell check returns the checked value (None for a missing cell) or a
+# fault.  A row reports its lowest-ranked fault, so the ranks replay the
+# order in which one row's checks run: 0 the row itself (invalid JSON, not
+# an object, more CSV cells than columns), 1 unknown field, 2 the scale
+# (layers, hidden, params), 3-6 missing task, family, metric, direction,
+# 7-8 seeds, 9 value, 10 direction token, 11 tokens, 12 value range,
+# 13 tokens sign.
+_CHECKS = {
+    "layers": _int_check("layers", 2),
+    "hidden": _int_check("hidden", 2),
+    "params": _int_check("params", 2),
+    "task": _text_check("task", 3),
+    "family": _text_check("family", 4),
+    "metric": _text_check("metric", 5),
+    "direction": _direction_check,
+    "pretrain_seed": _int_check("pretrain_seed", 7),
+    "finetune_seed": _int_check("finetune_seed", 8),
+    "tokens": _tokens_check,
+}
+_PLAIN_CELLS = {int, str, type(None)}  # equal cells of these types check alike
+
+
+def _has_fault(checked: Iterable) -> bool:
+    return _Fault in set(map(type, checked))
+
+
+def _apply(check, cells: Sequence, seen: dict) -> tuple[Sequence, bool]:
+    """``check`` applied to each cell, and whether one failed.  It runs once
+    per distinct cell where that is safe; ``seen`` keeps its results."""
+    if not set(map(type, cells)) <= _PLAIN_CELLS:
+        checked = list(map(check, cells))
+        return checked, _has_fault(checked)
+    distinct = dict.fromkeys(cells)
+    for cell in distinct.keys() - seen.keys():
+        seen[cell] = check(cell)
+    if all(seen[cell] is cell for cell in distinct):
+        return cells, False
+    return list(map(seen.__getitem__, cells)), _has_fault(map(seen.__getitem__, distinct))
+
+
+def _values(cells: Sequence) -> tuple[Sequence, bool]:
+    """The value column checked, in bulk when every cell parses as a float."""
+    if set(map(type, cells)) <= {float, int, str}:
+        try:
+            values = list(map(float, cells))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            v = np.array(values, dtype=float)
+            if np.isfinite(v).all() and (v > 0).all():
+                return values, False
+    checked = list(map(_value_check, cells))
+    return checked, _has_fault(checked)
+
+
+class _Columns:
+    """Checked columns of one file, added a chunk of rows at a time."""
+
+    def __init__(self) -> None:
+        self.seen: dict[str, dict] = {field: {} for field in _CHECKS}  # cell -> checked cell
+        self.scale_of: dict[tuple, object] = {}  # checked cell triple -> scale index or fault
+        self.scales: dict[ScaleSpec, int] = {}
+        self.labels: dict[tuple, int] = {}
+        self.columns: dict[str, list] = {name: [] for name in ("code", "label", "value", "pre", "fin", "tokens")}
+        self.defaulted = 0
+        self.first_default: str | None = None
+
+    def _scale(self, layers, hidden, params):
+        if layers is None and hidden is None and params is None:
+            return _Fault(2, "need fields 'layers'+'hidden' or 'params'")
+        if (layers is None) != (hidden is None):
+            missing = "layers" if layers is None else "hidden"
+            return _Fault(2, f"field {missing!r} required when the other dimension is given")
+        fault = next((c for c in (layers, hidden, params) if type(c) is _Fault), None)
+        if fault is not None:
+            return fault
+        try:
+            spec = ScaleSpec.from_params(params) if layers is None else ScaleSpec.from_dims(layers, hidden, params)
+        except DataError as exc:
+            return _Fault(2, str(exc))
+        return self.scales.setdefault(spec, len(self.scales))
+
+    def add(self, cells: dict, faults: dict[int, _Fault], where: Sequence[int]) -> None:
+        """Check one chunk's cells, with its row-level ``faults`` and its row
+        numbers ``where``; raise the lowest-ranked fault of the first bad row."""
+        col, bad = {}, {}
+        for field, check in _CHECKS.items():
+            col[field], bad[field] = _apply(check, cells[field], self.seen[field])
+        col["value"], bad["value"] = _values(cells["value"])
+        triples = list(zip(col["layers"], col["hidden"], col["params"]))
+        distinct = dict.fromkeys(triples)
+        for triple in distinct:  # in order of first appearance, which numbers the scales
+            if triple not in self.scale_of:
+                self.scale_of[triple] = self._scale(*triple)
+        code = list(map(self.scale_of.__getitem__, triples))
+        fields = ("task", "family", "metric", "direction", "pretrain_seed", "finetune_seed", "value", "tokens")
+        if faults or _has_fault(map(self.scale_of.__getitem__, distinct)) or any(bad[f] for f in fields):
+            columns = [code] + [col[f] for f in fields]
+            firsts = [next((i for i, c in enumerate(column) if type(c) is _Fault), len(column)) for column in columns]
+            row = min([*faults, *firsts])
+            found = [column[row] for column in columns if row < len(column) and type(column[row]) is _Fault]
+            fault = min(found + [faults[row]] if row in faults else found)
+            raise DataError(f"row {where[row]}: {fault.message}")
+
+        pre, fin = col["pretrain_seed"], col["finetune_seed"]
+        missing = [(seeds.index(None), k) for k, seeds in enumerate((pre, fin)) if None in seeds]
+        if missing:
+            row, k = min(missing)
+            self.defaulted += pre.count(None) + fin.count(None)
+            self.first_default = self.first_default or f"row {where[row]}:{fields[4 + k]}"
+        labels = list(zip(col["task"], col["family"], col["metric"], col["direction"]))
+        for key in dict.fromkeys(labels):
+            self.labels.setdefault(key, len(self.labels))
+        out = self.columns
+        out["code"] += code
+        out["label"] += map(self.labels.__getitem__, labels)
+        out["value"] += col["value"]
+        out["pre"] += [0 if s is None else s for s in pre]
+        out["fin"] += [0 if s is None else s for s in fin]
+        out["tokens"] += [-1 if t is None else t for t in col["tokens"]]
+
+    def table(self) -> RecordTable:
+        c = self.columns
+        return RecordTable(
+            tuple(self.scales),
+            np.array(c["code"], dtype=np.intp),
+            np.array(c["value"], dtype=float),
+            np.column_stack((_ints(c["pre"]), _ints(c["fin"]))),
+            _ints(c["tokens"]),
+            tuple(self.labels),
+            np.array(c["label"], dtype=np.intp),
+        )
 
 
 def _infer_format(path: Path, format: str | None) -> str:
@@ -356,12 +576,89 @@ def _infer_format(path: Path, format: str | None) -> str:
     raise DataError(f"cannot infer format from {path.name!r}; pass format='jsonl' or 'csv'")
 
 
-def ingest(path: str | Path, format: str | None = None) -> list[RunRecord]:
+def _numbered(items: list, numbers: np.ndarray, blank: Iterable[bool]) -> tuple:
+    """The numbers and items of the items that are not ``blank``."""
+    keep = np.flatnonzero(~np.fromiter(blank, bool, len(items)))
+    return numbers[keep], items if keep.size == len(items) else [items[i] for i in keep.tolist()]
+
+
+def _json_chunks(fh):
+    """(line numbers, lines) of up to ``_CHUNK`` JSONL lines at a time, blank ones dropped."""
+    for first in itertools.count(1, _CHUNK):
+        lines = list(itertools.islice(fh, _CHUNK))
+        if not lines:
+            return
+        yield _numbered(lines, first + np.arange(len(lines)), map(str.isspace, lines))
+
+
+def _json_cells(lines: Sequence[str]) -> tuple[dict, dict]:
+    """Per-field cells and row-level faults of a chunk of JSONL lines."""
+    objs, faults = None, {}
+    braces = [set(map(str.count, lines, itertools.repeat(c))) for c in "{}"]
+    if braces[0] == {1} == braces[1]:
+        # With one brace pair per line, one object per line from the joined
+        # lines means each line holds exactly one object.
+        try:
+            parsed = json.loads("[" + ",".join(lines) + "]")
+        except (ValueError, RecursionError):
+            parsed = []
+        if len(parsed) == len(lines) and set(map(type, parsed)) == {dict}:
+            objs = parsed
+    if objs is None:
+        objs = []
+        for line in lines:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                faults[len(objs)] = _Fault(0, f"invalid JSON ({exc.msg})")
+                break
+            if not isinstance(obj, dict):
+                faults[len(objs)] = _Fault(0, "expected a JSON object")
+                break
+            objs.append(obj)
+    if not set().union(*objs) <= _FIELD_SET:
+        row = next(i for i, obj in enumerate(objs) if not obj.keys() <= _FIELD_SET)
+        faults[row] = _Fault(1, f"unknown field {sorted(objs[row].keys() - _FIELD_SET)[0]!r}")
+    return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}, faults
+
+
+def _csv_chunks(reader):
+    """(line numbers, rows) of up to ``_CHUNK`` CSV rows at a time, blank
+    ones dropped; a row's number is the line it ends on."""
+    while True:
+        before = reader.line_num
+        rows = list(itertools.islice(reader, _CHUNK))
+        if not rows:
+            return
+        spans = np.ones(len(rows), dtype=np.intp)
+        if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
+            spans[:] = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows]
+        yield _numbered(rows, before + np.cumsum(spans), map(operator.not_, rows))
+
+
+def _csv_cells(rows: Sequence[list], header: list[str]) -> tuple[dict, dict]:
+    """Per-field cells and row-level faults of a chunk of CSV rows."""
+    faults = {}
+    width = len(header)
+    lengths = set(map(len, rows))
+    if max(lengths, default=0) > width:
+        long = next(i for i, row in enumerate(rows) if len(row) > width)
+        faults[long] = _Fault(0, "more cells than header columns")
+        rows = rows[:long]
+    if lengths - {width}:  # absent trailing cells are missing
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    columns = dict(zip(header, zip(*rows))) if rows else {}
+    return {field: columns.get(field, (None,) * len(rows)) for field in RECORD_FIELDS}, faults
+
+
+def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
-    Rows failing validation raise :class:`DataError` naming the row number
-    and offending field.  Rows missing seed fields get seed 0 and a single
-    summary warning for the file.
+    Rows are parsed a chunk at a time and checked a column at a time.  The
+    first bad row in file order raises :class:`DataError` naming the row
+    number and its first failed check.  Rows missing seed fields get seed 0
+    and a single summary warning for the file.  Returns the columns as a
+    :class:`RecordTable`, whose ``len`` is the row count.
 
     Parameters
     ----------
@@ -370,43 +667,30 @@ def ingest(path: str | Path, format: str | None = None) -> list[RunRecord]:
     """
     path = Path(path)
     fmt = _infer_format(path, format)
-    seed_defaults: list[str] = []
-    records: list[RunRecord] = []
-
+    columns = _Columns()
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"row {lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: invalid JSON ({exc.msg})") from None
-                if not isinstance(obj, dict):
-                    raise DataError(f"{where}: expected a JSON object")
-                records.append(_record_from_mapping(obj, where, seed_defaults))
+            for where, lines in _json_chunks(fh):
+                columns.add(*_json_cells(lines), where)
     else:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError("row 1: missing CSV header")
-            unknown = set(reader.fieldnames) - set(RECORD_FIELDS)
+            unknown = set(header) - _FIELD_SET
             if unknown:
                 raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
-            for row in reader:
-                where = f"row {reader.line_num}"
-                if None in row:
-                    raise DataError(f"{where}: more cells than header columns")
-                records.append(_record_from_mapping(row, where, seed_defaults))
+            for where, rows in _csv_chunks(reader):
+                columns.add(*_csv_cells(rows, header), where)
 
-    if seed_defaults:
+    if columns.defaulted:
         warnings.warn(
-            f"{path.name}: {len(seed_defaults)} missing seed field(s) defaulted to 0 "
-            f"(first: {seed_defaults[0]})",
+            f"{path.name}: {columns.defaulted} missing seed field(s) defaulted to 0 "
+            f"(first: {columns.first_default})",
             stacklevel=2,
         )
-    return records
+    return columns.table()
 
 
 def _record_to_mapping(r: RunRecord) -> dict:
@@ -425,8 +709,8 @@ def _record_to_mapping(r: RunRecord) -> dict:
     }
 
 
-def emit(records: Sequence[RunRecord], path: str | Path, format: str | None = None) -> None:
-    """Write records in the canonical schema; ingest(emit(x)) == x."""
+def emit(records: Iterable[RunRecord], path: str | Path, format: str | None = None) -> None:
+    """Write records in the canonical schema; list(ingest(emit(x))) == x."""
     path = Path(path)
     fmt = _infer_format(path, format)
     if fmt == "jsonl":
@@ -441,15 +725,3 @@ def emit(records: Sequence[RunRecord], path: str | Path, format: str | None = No
             for r in records:
                 row = {k: ("" if v is None else v) for k, v in _record_to_mapping(r).items()}
                 writer.writerow(row)
-
-
-def group(records: Iterable[RunRecord]) -> dict[tuple[str, str, str], RunSet]:
-    """Partition records into RunSets keyed by (task, family, metric).
-
-    Every record lands in exactly one RunSet; a direction disagreement
-    within a key raises :class:`DataError`.
-    """
-    buckets: dict[tuple[str, str, str], list[RunRecord]] = {}
-    for r in records:
-        buckets.setdefault((r.task, r.family, r.metric), []).append(r)
-    return {key: RunSet.from_records(rs) for key, rs in sorted(buckets.items())}

@@ -234,13 +234,12 @@ def plot_runset(
     held = runset.within_layers(*heldout_layers) if heldout_layers else [False] * len(runset)
     by_seed: dict[int, list[tuple[float, float]]] = {}
     held_pts: list[tuple[float, float]] = []
-    xs = [float(s.params) for s in runset.scales]
-    for r, k, h in zip(runset.records, runset.code.tolist(), held):
-        pt = (xs[k], float(r.value))
+    points = zip(runset.params.tolist(), runset.values.tolist())
+    for pt, seed, h in zip(points, runset.seeds[:, 0].tolist(), held):
         if h:
             held_pts.append(pt)
         else:
-            by_seed.setdefault(r.pretrain_seed, []).append(pt)
+            by_seed.setdefault(seed, []).append(pt)
     groups = [
         ScatterGroup(label=f"pretrain seed {s}", points=tuple(pts))
         for s, pts in sorted(by_seed.items())

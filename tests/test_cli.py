@@ -237,6 +237,12 @@ class TestBadNumericInput:
         assert code == 2
         assert captured.err == "error: params does not fit in float64\n"
 
+    def test_huge_flops_params(self, capsys):
+        code, captured = run_json(capsys, ["flops", "--params", "1" + "0" * 400, "--tokens", "1"])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: params does not fit in float64\n"
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -471,6 +477,16 @@ class TestSubcommands:
         assert report["results"]["total_params"] == 15_925_248
         assert report["results"]["savings_ratio"] == pytest.approx(5.333333333, rel=1e-9)
         assert report["results"]["total_flops"] is None  # no token counts in fixture
+
+    def test_flops_total_is_exact_with_token_counts(self, tmp_path, capsys):
+        runset, _ = ar32_synth(903, seeds_per_scale=2)
+        tokens = [2**70 + i for i in range(len(runset))]  # 6ND far beyond int64
+        path = tmp_path / "tokens.csv"
+        sf.emit([dataclasses.replace(r, tokens=t) for r, t in zip(runset.records, tokens)], path)
+        code, captured = run_json(capsys, ["flops", "--input", str(path)])
+        assert code == 0
+        expected = sum(6 * r.scale.params * t for r, t in zip(runset.records, tokens))
+        assert json.loads(captured.out)["results"]["total_flops"] == expected
 
     def test_select_happy_path(self, two_family_file, capsys):
         code, captured = run_json(

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalefit as sf
 from scalefit.errors import DataError
@@ -83,6 +85,22 @@ class TestEarlyStop:
             sf.EarlyStopPolicy(patience=0)
         with pytest.raises(DataError):
             sf.EarlyStopPolicy(patience=1, min_decrease=-0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    losses=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=40),
+    patience=st.integers(1, 10),
+    extra=st.integers(1, 10),
+    min_decrease=st.sampled_from([0.0, 0.01, 0.5]),
+)
+def test_early_stop_invariants(losses, patience, extra, min_decrease):
+    c = curve(losses)
+    short = sf.early_stop(c, sf.EarlyStopPolicy(patience, min_decrease))
+    longer = sf.early_stop(c, sf.EarlyStopPolicy(patience + extra, min_decrease))
+    for res in (short, longer):
+        assert res.best_index <= res.stop_index
+    assert longer.stop_index >= short.stop_index
 
 
 PLATEAU_THEN_DROP = (3.0, 2.5, 2.5, 2.5, 2.5, 2.5, 2.0, 1.5, 1.4)

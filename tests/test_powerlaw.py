@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import scalefit as sf
 from scalefit.errors import DataError, DegenerateDataError
@@ -187,6 +189,26 @@ class TestInvariances:
         offsets = [(d, 0), (-d, 0), (0, d), (0, -d), (d, d), (d, -d), (-d, d), (-d, -d)]
         for da, db in offsets:
             assert loss(fit.alpha + da, fit.beta + db) >= best - 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 40), st.floats(-5.0, 5.0)), min_size=2, max_size=30),
+    log_c=st.floats(-5.0, 5.0),
+    log_k=st.floats(-5.0, 5.0),
+)
+def test_fit_equivariance(rows, log_c, log_k):
+    # x = 2**i keeps distinct abscissas at least ln 2 apart in log space
+    assume(len({i for i, _ in rows}) >= 2)
+    points = [(2.0**i, math.exp(v)) for i, v in rows]
+    base = sf.fit_line(points)
+    c, k = math.exp(log_c), math.exp(log_k)
+    scaled_y = sf.fit_line([(x, c * y) for x, y in points])
+    assert scaled_y.alpha == pytest.approx(base.alpha, abs=1e-9)
+    assert scaled_y.beta == pytest.approx(base.beta + math.log(c), abs=1e-9)
+    scaled_x = sf.fit_line([(k * x, y) for x, y in points])
+    assert scaled_x.alpha == pytest.approx(base.alpha, abs=1e-9)
+    assert scaled_x.beta == pytest.approx(base.beta - base.alpha * math.log(k), abs=1e-9)
 
 
 class TestFitFiltered:

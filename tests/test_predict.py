@@ -101,7 +101,7 @@ class TestHoldout:
         runset, _ = ar32_synth(100, sigma_fin=0.0)
         report = sf.holdout_eval(runset, (1, 6), (7, 8))
         assert report.mre <= 1e-9
-        assert report.n_targets == 2
+        assert len(report.targets) == 2
 
     def test_any_disjoint_split_is_exact_on_law(self):
         runset, _ = ar32_synth(101, sigma_fin=0.0)

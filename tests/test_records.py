@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import scalefit as sf
 from scalefit.errors import DataError
 
+from conftest import ar32_synth
+
 
 def make_record(
     layers=1,
@@ -163,7 +165,7 @@ class TestIngest:
             for s in (0, 1)
         ]
         sf.emit(records, path)
-        assert sf.ingest(path) == records
+        assert list(sf.ingest(path)) == records
         # corrupt one data cell; header is line 1 so the bad row is line 3
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = lines[2].replace("11.0", "-11.0")
@@ -179,7 +181,7 @@ class TestIngest:
             make_record(layers=2, hidden=64, value=7.125, direction="minimize", metric="loss"),
         ]
         sf.emit(records, path)
-        assert sf.ingest(path) == records
+        assert list(sf.ingest(path)) == records
 
     def test_bad_format(self, tmp_path):
         path = tmp_path / "runs.txt"
@@ -190,6 +192,91 @@ class TestIngest:
     def test_nan_value_rejected(self):
         with pytest.raises(DataError, match="finite"):
             make_record(value=float("nan"))
+
+
+CSV_HEADER = ",".join(sf.records.RECORD_FIELDS)
+GOOD_CELLS = "1,32,,t,mlm,0,0,f1,50.0,max,"
+
+
+def csv_outcome(path, lines):
+    path.write_text("\n".join([CSV_HEADER, *lines]) + "\n", encoding="utf-8")
+    try:
+        return [(r.scale, r.pretrain_seed, r.finetune_seed, r.value, r.tokens) for r in sf.ingest(path)]
+    except DataError as exc:
+        return str(exc)
+
+
+class TestIngestEdgeCases:
+    def test_earlier_row_wins_across_fields(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        no_hidden = {k: v for k, v in BASE_ROW.items() if k != "hidden"}
+        write_jsonl(path, [BASE_ROW, dict(BASE_ROW, value="oops"), no_hidden])
+        with pytest.raises(DataError, match=r"^row 2: field 'value' must be a number, got 'oops'$"):
+            sf.ingest(path)
+        write_jsonl(path, [BASE_ROW, no_hidden, dict(BASE_ROW, value="oops")])
+        with pytest.raises(DataError, match=r"^row 2: field 'hidden' required when the other dimension is given$"):
+            sf.ingest(path)
+        # within one row the scale is checked before the value
+        write_jsonl(path, [BASE_ROW, dict(no_hidden, value="oops")])
+        with pytest.raises(DataError, match=r"^row 2: field 'hidden' required"):
+            sf.ingest(path)
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_big_integers_round_trip_and_sort(self, tmp_path, suffix):
+        records = [
+            make_record(layers=None, params=10**30, finetune_seed=2**70, value=1.5),
+            make_record(layers=None, params=10**30, finetune_seed=3, value=2.5),
+            make_record(layers=1, hidden=32, finetune_seed=2**70 + 1, tokens=2**65),
+        ]
+        path = tmp_path / f"runs.{suffix}"
+        sf.emit(records, path)
+        back = sf.ingest(path)
+        assert list(back) == records
+        runset = sf.group(back)[("t", "mlm", "f1")]
+        assert runset.records == (records[2], records[1], records[0])
+        assert runset.seeds[:, 1].tolist() == [2**70 + 1, 3, 2**70]
+
+    def test_nearby_large_params_stay_two_scales(self):
+        a, b = 2**60, 2**60 + 1
+        runset = sf.RunSet.from_records(
+            [make_record(layers=None, params=p, finetune_seed=s) for p in (b, a) for s in (1, 0)]
+        )
+        assert runset.scales == (sf.ScaleSpec.from_params(a), sf.ScaleSpec.from_params(b))
+        assert runset.code.tolist() == [0, 0, 1, 1]
+        assert [r.finetune_seed for r in runset.records] == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "lines, outcome",
+        [
+            (["1,32,,t,mlm,0,0,f1,50.0,max"], [(sf.ScaleSpec.from_dims(1, 32), 0, 0, 50.0, None)]),
+            (["1,32,,t,mlm,0,0,f1,50.0"], "row 2: missing field 'direction'"),
+            ([GOOD_CELLS + ",extra"], "row 2: more cells than header columns"),
+            (["", GOOD_CELLS, "", "", "1,32,,t,mlm,0,1,f1,oops,max,"], "row 6: field 'value' must be a number, got 'oops'"),
+            (["1,32,  ,t,mlm,0,0,f1,50.0,max,  "], [(sf.ScaleSpec.from_dims(1, 32), 0, 0, 50.0, None)]),
+            (["1,32,,  ,mlm,0,0,f1,50.0,max,"], "row 2: missing field 'task'"),
+            (["1,32,,t,mlm,0,0,f1,   ,max,"], "row 2: field 'value' must be a number, got None"),
+            (["+12,1_000,,t,mlm,+3,1_000,f1,50.0,max,+7"], [(sf.ScaleSpec.from_dims(12, 1000), 3, 1000, 50.0, 7)]),
+        ],
+        ids=["short", "short-direction", "long", "blank-lines", "blank-cells", "blank-task", "blank-value", "signs"],
+    )
+    def test_csv_outcomes(self, tmp_path, lines, outcome):
+        assert csv_outcome(tmp_path / "runs.csv", lines) == outcome
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_file_crossing_chunk_boundaries(self, tmp_path, suffix):
+        runset, _ = ar32_synth(5, seeds_per_scale=2500)  # 20,000 rows
+        path = tmp_path / f"big.{suffix}"
+        sf.emit(runset.records, path)
+        back = sf.ingest(path)
+        assert len(back) == 20_000
+        assert back.records == runset.records
+        assert sf.group(back) == {("synthetic", "synthetic", "score"): runset}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + ("not json\n" if suffix == "jsonl" else "1,32,,t,mlm,0,0,f1,50.0,max,,\n"))
+        bad = "invalid JSON" if suffix == "jsonl" else "more cells than header columns"
+        first_line = 20_002 if suffix == "jsonl" else 20_003
+        with pytest.raises(DataError, match=rf"^row {first_line}: {bad}"):
+            sf.ingest(path)
 
 
 class TestGrouping:
@@ -209,7 +296,7 @@ class TestGrouping:
         assert len(groups) == 1
         runset = groups[("t", "mlm", "f1")]
         assert runset.n_scales == 8
-        assert runset.group_sizes == (5,) * 8
+        assert runset.sizes.tolist() == [5] * 8
 
     def test_two_tasks_two_runsets(self):
         records = [make_record(task="a"), make_record(task="b")]
@@ -286,8 +373,8 @@ class TestColumns:
 
     def test_scale_groups_are_contiguous_for_shared_params(self):
         runset = same_params_pair()
-        assert runset.scale_groups() == ((0, 1), (2, 3))
-        assert runset.group_sizes == (2, 2)
+        assert runset.code.tolist() == [0, 0, 1, 1]
+        assert runset.sizes.tolist() == [2, 2]
         assert [r.finetune_seed for r in runset.records] == [0, 1, 0, 1]
 
     def test_filter_takes_a_mask(self):
@@ -363,7 +450,7 @@ def test_emit_ingest_group_round_trip(rows, fmt):
         path = Path(tmp) / f"runs.{fmt}"
         sf.emit(records, path)
         back = sf.ingest(path)
-    assert back == records
+    assert list(back) == records
     before, after = sf.group(records), sf.group(back)
     assert after == before
     for key, runset in after.items():

@@ -50,8 +50,8 @@ class TestDeterminism:
 class TestVarianceDecomposition:
     def test_zero_finetune_noise_collapses_within_scale(self):
         runset, _ = ar32_synth(3, sigma_pre=0.05, sigma_fin=0.0)
-        for indices in runset.scale_groups():
-            values = {runset.records[i].value for i in indices}
+        for k in range(runset.n_scales):
+            values = set(runset.values[runset.code == k].tolist())
             assert len(values) == 1
 
     def test_scale_means_converge_to_line(self):
@@ -61,9 +61,9 @@ class TestVarianceDecomposition:
             4, sigma_fin=sigma, seeds_per_scale=t_runs, scales=AR32[:3]
         )
         tol = 3 * sigma / math.sqrt(t_runs)
-        for scale, indices in zip(runset.scales, runset.scale_groups()):
+        for k, scale in enumerate(runset.scales):
             mean_log = statistics.fmean(
-                math.log(runset.records[i].value) for i in indices
+                math.log(v) for v in runset.values[runset.code == k].tolist()
             )
             expected = TRUE_LOG_C + TRUE_ALPHA * math.log(scale.params)
             assert abs(mean_log - expected) <= tol
