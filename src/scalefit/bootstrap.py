@@ -123,7 +123,7 @@ class _Pool:
     """
 
     def __init__(self, runset: RunSet):
-        self.n_groups = runset.n_scales
+        self.n_groups = len(runset.scales)
         self.sizes = runset.sizes
         self.start = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
         self.v = np.log(runset.values)

@@ -106,7 +106,7 @@ def _parse_layer_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _load_groups(args) -> dict:
-    records = ingest(args.input, getattr(args, "input_format", None))
+    records = ingest(args.input, args.input_format)
     return group(records)
 
 

@@ -55,18 +55,21 @@ def load_loss_curve(path: str | Path) -> LossCurve:
     losses = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
-            raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
-        for row in reader:
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            where = f"row {reader.line_num}"
-            try:
-                steps.append(int(row[0]))
-                losses.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise DataError(f"{where}: expected 'step,eval_loss' integers/floats") from None
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
+                raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
+            for row in reader:
+                if not row or not any(cell.strip() for cell in row):
+                    continue
+                where = f"row {reader.line_num}"
+                try:
+                    steps.append(int(row[0]))
+                    losses.append(float(row[1]))
+                except (ValueError, IndexError):
+                    raise DataError(f"{where}: expected 'step,eval_loss' integers/floats") from None
+        except csv.Error as exc:
+            raise DataError(f"row {reader.line_num}: {exc}") from None
     return LossCurve(steps=tuple(steps), losses=tuple(losses))
 
 

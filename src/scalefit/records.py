@@ -11,7 +11,10 @@ separated, ``.`` decimal point.
 Records are held as numpy columns: :func:`ingest` checks a file a chunk of
 rows and a column at a time into a :class:`RecordTable`, :func:`group`
 splits it into run sets with one lexsort, and :class:`RunRecord` objects
-are built only when ``records`` is read.
+are built only when ``records`` is read.  The column checks only pass or
+fail a chunk; a chunk that fails them is checked again a row at a time by
+:func:`_record`, whose statement order is the order of one row's checks,
+and the first bad row raises ``row N: <its first failed check>``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,8 +131,8 @@ def _check_value(value: float) -> float:
     return value
 
 
-def _check_tokens(tokens: int) -> int:
-    if tokens < 0:
+def _check_tokens(tokens: int | None) -> int | None:
+    if tokens is not None and tokens < 0:
         raise DataError(f"tokens must be nonnegative, got {tokens}")
     return tokens
 
@@ -155,8 +158,7 @@ class RunRecord:
         _check_value(self.value)
         if self.direction not in ("maximize", "minimize"):
             raise DataError(f"unknown direction token {self.direction!r}")
-        if self.tokens is not None:
-            _check_tokens(self.tokens)
+        _check_tokens(self.tokens)
 
 
 def _ints(values: Sequence[int]) -> np.ndarray:
@@ -266,10 +268,6 @@ class RunSet(RecordTable):
                 f"records disagree on (task, family, metric): ({', '.join(first)}) vs ({', '.join(other)})"
             )
         return next(iter(groups.values()))
-
-    @property
-    def n_scales(self) -> int:
-        return len(self.scales)
 
     def points(self) -> np.ndarray:
         """(params, value) rows for fitting, one per record: an ``(n, 2)`` array."""
@@ -388,100 +386,88 @@ def _as_float(value, field: str) -> float:
     raise DataError(f"field {field!r} must be a number, got {value!r}")
 
 
-class _Fault(NamedTuple):
-    """A failed check of one row: its rank in the row's check order, and why."""
-
-    rank: int
-    message: str
-
-
-def _checked(rank: int, check, *args):
-    """``check(*args)``, or a fault of ``rank`` carrying the DataError it raised."""
-    try:
-        return check(*args)
-    except DataError as exc:
-        return _Fault(rank, str(exc))
-
-
 def _missing(cell) -> bool:
     return cell is None or (isinstance(cell, str) and not cell.strip())
 
 
-def _int_check(field: str, rank: int):
-    return lambda cell: None if _missing(cell) else _checked(rank, _as_int, cell, field)
+def _present(cell, field: str):
+    if _missing(cell):
+        raise DataError(f"missing field {field!r}")
+    return cell
 
 
-def _text_check(field: str, rank: int):
-    return lambda cell: _Fault(rank, f"missing field {field!r}") if _missing(cell) else str(cell)
+def _int_cell(cell, field: str) -> int | None:
+    """An integer cell, or None where it is missing."""
+    return None if _missing(cell) else _as_int(cell, field)
 
 
-def _direction_check(cell):
-    return _Fault(6, "missing field 'direction'") if _missing(cell) else _checked(10, normalize_direction, cell)
+def _scale(layers, hidden, params) -> ScaleSpec:
+    """The scale of one row's layers, hidden and params cells (None where missing)."""
+    if layers is None and hidden is None:
+        if params is None:
+            raise DataError("need fields 'layers'+'hidden' or 'params'")
+        return ScaleSpec.from_params(_as_int(params, "params"))
+    if layers is None or hidden is None:
+        missing = "layers" if layers is None else "hidden"
+        raise DataError(f"field {missing!r} required when the other dimension is given")
+    return ScaleSpec.from_dims(_as_int(layers, "layers"), _as_int(hidden, "hidden"), _int_cell(params, "params"))
 
 
-def _tokens_check(cell):
-    tokens = None if _missing(cell) else _checked(11, _as_int, cell, "tokens")
-    return _checked(13, _check_tokens, tokens) if isinstance(tokens, int) else tokens
+def _record(row: dict) -> RunRecord:
+    """One row checked in full.  The order of the statements, ending in the
+    value-range and tokens-sign checks of :class:`RunRecord`, is the order of
+    the checks, so a bad row raises its first failed check."""
+    unknown = row.keys() - _FIELD_SET
+    if unknown:
+        raise DataError(f"unknown field {sorted(unknown)[0]!r}")
+    cell = {field: None if _missing(row.get(field)) else row[field] for field in RECORD_FIELDS}
+    scale = _scale(cell["layers"], cell["hidden"], cell["params"])
+    task, family, metric, direction = [_present(cell[f], f) for f in ("task", "family", "metric", "direction")]
+    pre, fin = [_int_cell(cell[f], f) or 0 for f in ("pretrain_seed", "finetune_seed")]  # missing: seed 0
+    value = _as_float(cell["value"], "value")
+    direction = normalize_direction(direction)
+    tokens = _int_cell(cell["tokens"], "tokens")
+    return RunRecord(scale, str(task), str(family), pre, fin, str(metric), value, direction, tokens)
 
 
-def _value_check(cell):
-    value = _checked(9, _as_float, None if _missing(cell) else cell, "value")
-    return value if type(value) is _Fault else _checked(12, _check_value, value)
-
-
-# Each cell check returns the checked value (None for a missing cell) or a
-# fault.  A row reports its lowest-ranked fault, so the ranks replay the
-# order in which one row's checks run: 0 the row itself (invalid JSON, not
-# an object, more CSV cells than columns), 1 unknown field, 2 the scale
-# (layers, hidden, params), 3-6 missing task, family, metric, direction,
-# 7-8 seeds, 9 value, 10 direction token, 11 tokens, 12 value range,
-# 13 tokens sign.
+# The column checks of the non-value fields: each returns the checked cell
+# (None where a missing cell is allowed) or raises DataError.
 _CHECKS = {
-    "layers": _int_check("layers", 2),
-    "hidden": _int_check("hidden", 2),
-    "params": _int_check("params", 2),
-    "task": _text_check("task", 3),
-    "family": _text_check("family", 4),
-    "metric": _text_check("metric", 5),
-    "direction": _direction_check,
-    "pretrain_seed": _int_check("pretrain_seed", 7),
-    "finetune_seed": _int_check("finetune_seed", 8),
-    "tokens": _tokens_check,
+    **{f: functools.partial(_int_cell, field=f) for f in ("layers", "hidden", "params")},
+    **{f: lambda cell, f=f: str(_present(cell, f)) for f in ("task", "family", "metric")},
+    "direction": lambda cell: normalize_direction(_present(cell, "direction")),
+    **{f: functools.partial(_int_cell, field=f) for f in ("pretrain_seed", "finetune_seed")},
+    "tokens": lambda cell: _check_tokens(_int_cell(cell, "tokens")),
 }
 _PLAIN_CELLS = {int, str, type(None)}  # equal cells of these types check alike
 
 
-def _has_fault(checked: Iterable) -> bool:
-    return _Fault in set(map(type, checked))
-
-
-def _apply(check, cells: Sequence, seen: dict) -> tuple[Sequence, bool]:
-    """``check`` applied to each cell, and whether one failed.  It runs once
-    per distinct cell where that is safe; ``seen`` keeps its results."""
+def _apply(check, cells: Sequence, seen: dict) -> Sequence:
+    """``check`` applied to each cell, once per distinct cell where that is
+    safe; ``seen`` keeps its results."""
     if not set(map(type, cells)) <= _PLAIN_CELLS:
-        checked = list(map(check, cells))
-        return checked, _has_fault(checked)
+        return list(map(check, cells))
     distinct = dict.fromkeys(cells)
     for cell in distinct.keys() - seen.keys():
         seen[cell] = check(cell)
     if all(seen[cell] is cell for cell in distinct):
-        return cells, False
-    return list(map(seen.__getitem__, cells)), _has_fault(map(seen.__getitem__, distinct))
+        return cells
+    return list(map(seen.__getitem__, cells))
 
 
-def _values(cells: Sequence) -> tuple[Sequence, bool]:
-    """The value column checked, in bulk when every cell parses as a float."""
-    if set(map(type, cells)) <= {float, int, str}:
-        try:
-            values = list(map(float, cells))
-        except (ValueError, OverflowError):
-            pass
-        else:
-            v = np.array(values, dtype=float)
-            if np.isfinite(v).all() and (v > 0).all():
-                return values, False
-    checked = list(map(_value_check, cells))
-    return checked, _has_fault(checked)
+def _values(cells: Sequence) -> list[float]:
+    """The value column parsed in bulk; raises DataError unless every cell
+    is a finite positive number."""
+    if not set(map(type, cells)) <= {float, int, str}:
+        raise DataError("value must be a number")
+    try:
+        values = list(map(float, cells))  # what _as_float does to each cell
+    except (ValueError, OverflowError):
+        raise DataError("value must be a number") from None
+    v = np.array(values, dtype=float)
+    if not (np.isfinite(v).all() and (v > 0).all()):
+        raise DataError("value must be finite and positive")
+    return values
 
 
 class _Columns:
@@ -489,63 +475,36 @@ class _Columns:
 
     def __init__(self) -> None:
         self.seen: dict[str, dict] = {field: {} for field in _CHECKS}  # cell -> checked cell
-        self.scale_of: dict[tuple, object] = {}  # checked cell triple -> scale index or fault
+        self.scale_of: dict[tuple, int] = {}  # checked cell triple -> scale index
         self.scales: dict[ScaleSpec, int] = {}
         self.labels: dict[tuple, int] = {}
         self.columns: dict[str, list] = {name: [] for name in ("code", "label", "value", "pre", "fin", "tokens")}
         self.defaulted = 0
         self.first_default: str | None = None
 
-    def _scale(self, layers, hidden, params):
-        if layers is None and hidden is None and params is None:
-            return _Fault(2, "need fields 'layers'+'hidden' or 'params'")
-        if (layers is None) != (hidden is None):
-            missing = "layers" if layers is None else "hidden"
-            return _Fault(2, f"field {missing!r} required when the other dimension is given")
-        fault = next((c for c in (layers, hidden, params) if type(c) is _Fault), None)
-        if fault is not None:
-            return fault
-        try:
-            spec = ScaleSpec.from_params(params) if layers is None else ScaleSpec.from_dims(layers, hidden, params)
-        except DataError as exc:
-            return _Fault(2, str(exc))
-        return self.scales.setdefault(spec, len(self.scales))
-
-    def add(self, cells: dict, faults: dict[int, _Fault], where: Sequence[int]) -> None:
-        """Check one chunk's cells, with its row-level ``faults`` and its row
-        numbers ``where``; raise the lowest-ranked fault of the first bad row."""
-        col, bad = {}, {}
-        for field, check in _CHECKS.items():
-            col[field], bad[field] = _apply(check, cells[field], self.seen[field])
-        col["value"], bad["value"] = _values(cells["value"])
+    def add(self, cells: dict, where: Sequence[int]) -> None:
+        """Check one chunk's cells a column at a time and append them; ``where``
+        numbers its rows.  A failed check raises DataError without naming a row."""
+        col = {field: _apply(check, cells[field], self.seen[field]) for field, check in _CHECKS.items()}
         triples = list(zip(col["layers"], col["hidden"], col["params"]))
-        distinct = dict.fromkeys(triples)
-        for triple in distinct:  # in order of first appearance, which numbers the scales
+        for triple in dict.fromkeys(triples):  # in order of first appearance, which numbers the scales
             if triple not in self.scale_of:
-                self.scale_of[triple] = self._scale(*triple)
-        code = list(map(self.scale_of.__getitem__, triples))
-        fields = ("task", "family", "metric", "direction", "pretrain_seed", "finetune_seed", "value", "tokens")
-        if faults or _has_fault(map(self.scale_of.__getitem__, distinct)) or any(bad[f] for f in fields):
-            columns = [code] + [col[f] for f in fields]
-            firsts = [next((i for i, c in enumerate(column) if type(c) is _Fault), len(column)) for column in columns]
-            row = min([*faults, *firsts])
-            found = [column[row] for column in columns if row < len(column) and type(column[row]) is _Fault]
-            fault = min(found + [faults[row]] if row in faults else found)
-            raise DataError(f"row {where[row]}: {fault.message}")
+                self.scale_of[triple] = self.scales.setdefault(_scale(*triple), len(self.scales))
+        values = _values(cells["value"])
 
         pre, fin = col["pretrain_seed"], col["finetune_seed"]
         missing = [(seeds.index(None), k) for k, seeds in enumerate((pre, fin)) if None in seeds]
         if missing:
             row, k = min(missing)
             self.defaulted += pre.count(None) + fin.count(None)
-            self.first_default = self.first_default or f"row {where[row]}:{fields[4 + k]}"
+            self.first_default = self.first_default or f"row {where[row]}:{('pretrain_seed', 'finetune_seed')[k]}"
         labels = list(zip(col["task"], col["family"], col["metric"], col["direction"]))
         for key in dict.fromkeys(labels):
             self.labels.setdefault(key, len(self.labels))
         out = self.columns
-        out["code"] += code
+        out["code"] += map(self.scale_of.__getitem__, triples)
         out["label"] += map(self.labels.__getitem__, labels)
-        out["value"] += col["value"]
+        out["value"] += values
         out["pre"] += [0 if s is None else s for s in pre]
         out["fin"] += [0 if s is None else s for s in fin]
         out["tokens"] += [-1 if t is None else t for t in col["tokens"]]
@@ -591,70 +550,99 @@ def _json_chunks(fh):
         yield _numbered(lines, first + np.arange(len(lines)), map(str.isspace, lines))
 
 
-def _json_cells(lines: Sequence[str]) -> tuple[dict, dict]:
-    """Per-field cells and row-level faults of a chunk of JSONL lines."""
-    objs, faults = None, {}
+def _json_cells(lines: Sequence[str]) -> dict:
+    """Per-field cells of a chunk of JSONL lines; raises DataError unless
+    each line holds one JSON object of known fields."""
+    objs = []
     braces = [set(map(str.count, lines, itertools.repeat(c))) for c in "{}"]
     if braces[0] == {1} == braces[1]:
-        # With one brace pair per line, one object per line from the joined
-        # lines means each line holds exactly one object.
+        # With one brace pair per line, one value per line from the joined
+        # lines means each line holds exactly one value.
         try:
-            parsed = json.loads("[" + ",".join(lines) + "]")
+            objs = json.loads("[" + ",".join(lines) + "]")
         except (ValueError, RecursionError):
-            parsed = []
-        if len(parsed) == len(lines) and set(map(type, parsed)) == {dict}:
-            objs = parsed
-    if objs is None:
-        objs = []
-        for line in lines:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                faults[len(objs)] = _Fault(0, f"invalid JSON ({exc.msg})")
-                break
-            if not isinstance(obj, dict):
-                faults[len(objs)] = _Fault(0, "expected a JSON object")
-                break
-            objs.append(obj)
-    if not set().union(*objs) <= _FIELD_SET:
-        row = next(i for i, obj in enumerate(objs) if not obj.keys() <= _FIELD_SET)
-        faults[row] = _Fault(1, f"unknown field {sorted(objs[row].keys() - _FIELD_SET)[0]!r}")
-    return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}, faults
+            pass
+    if len(objs) != len(lines):
+        try:
+            objs = list(map(json.loads, lines))
+        except json.JSONDecodeError:
+            raise DataError("invalid JSON") from None
+    if not set(map(type, objs)) <= {dict} or not set().union(*objs) <= _FIELD_SET:
+        raise DataError("expected JSON objects of known fields")
+    return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}
+
+
+def _json_record(line: str) -> RunRecord:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    return _record(obj)
 
 
 def _csv_chunks(reader):
     """(line numbers, rows) of up to ``_CHUNK`` CSV rows at a time, blank
-    ones dropped; a row's number is the line it ends on."""
+    ones dropped; a row's number is the line it ends on.  A ``csv.Error``
+    is raised once the rows read before it have been yielded."""
     while True:
-        before = reader.line_num
-        rows = list(itertools.islice(reader, _CHUNK))
+        before, rows, error = reader.line_num, [], None
+        try:
+            rows.extend(itertools.islice(reader, _CHUNK))
+        except csv.Error as exc:
+            error = exc
+        if rows:
+            spans = np.ones(len(rows), dtype=np.intp)
+            if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
+                spans[:] = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows]
+            yield _numbered(rows, before + np.cumsum(spans), map(operator.not_, rows))
+        if error is not None:
+            raise error
         if not rows:
             return
-        spans = np.ones(len(rows), dtype=np.intp)
-        if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
-            spans[:] = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows]
-        yield _numbered(rows, before + np.cumsum(spans), map(operator.not_, rows))
 
 
-def _csv_cells(rows: Sequence[list], header: list[str]) -> tuple[dict, dict]:
-    """Per-field cells and row-level faults of a chunk of CSV rows."""
-    faults = {}
+def _csv_cells(rows: Sequence[list], header: list[str]) -> dict:
+    """Per-field cells of a chunk of CSV rows; raises DataError if a row
+    has more cells than the header."""
     width = len(header)
     lengths = set(map(len, rows))
     if max(lengths, default=0) > width:
-        long = next(i for i, row in enumerate(rows) if len(row) > width)
-        faults[long] = _Fault(0, "more cells than header columns")
-        rows = rows[:long]
+        raise DataError("more cells than header columns")
     if lengths - {width}:  # absent trailing cells are missing
         rows = [row + [""] * (width - len(row)) for row in rows]
     columns = dict(zip(header, zip(*rows))) if rows else {}
-    return {field: columns.get(field, (None,) * len(rows)) for field in RECORD_FIELDS}, faults
+    return {field: columns.get(field, (None,) * len(rows)) for field in RECORD_FIELDS}
+
+
+def _csv_record(row: list[str], header: list[str]) -> RunRecord:
+    if len(row) > len(header):
+        raise DataError("more cells than header columns")
+    return _record(dict(itertools.zip_longest(header, row)))
+
+
+def _add_chunks(columns: _Columns, chunks, cells, record) -> None:
+    """Add each chunk of ``(row numbers, rows)`` to ``columns`` by its
+    ``cells``.  When a chunk fails its column checks, ``record`` checks its
+    rows one by one, and the first that fails raises DataError."""
+    for where, rows in chunks:
+        try:
+            columns.add(cells(rows), where)
+        except DataError:
+            for number, row in zip(where, rows):
+                try:
+                    record(row)
+                except DataError as exc:
+                    raise DataError(f"row {number}: {exc}") from None
+            raise RuntimeError("a chunk failed its column checks but each of its rows passes")
 
 
 def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
-    Rows are parsed a chunk at a time and checked a column at a time.  The
+    Rows are parsed a chunk at a time and checked a column at a time.  A
+    chunk that fails these checks is checked again a row at a time, and the
     first bad row in file order raises :class:`DataError` naming the row
     number and its first failed check.  Rows missing seed fields get seed 0
     and a single summary warning for the file.  Returns the columns as a
@@ -670,19 +658,21 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     columns = _Columns()
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
-            for where, lines in _json_chunks(fh):
-                columns.add(*_json_cells(lines), where)
+            _add_chunks(columns, _json_chunks(fh), _json_cells, _json_record)
     else:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError("row 1: missing CSV header")
-            unknown = set(header) - _FIELD_SET
-            if unknown:
-                raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
-            for where, rows in _csv_chunks(reader):
-                columns.add(*_csv_cells(rows, header), where)
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise DataError("row 1: missing CSV header")
+                unknown = set(header) - _FIELD_SET
+                if unknown:
+                    raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
+                cells = functools.partial(_csv_cells, header=header)
+                _add_chunks(columns, _csv_chunks(reader), cells, functools.partial(_csv_record, header=header))
+            except csv.Error as exc:
+                raise DataError(f"row {reader.line_num}: {exc}") from None
 
     if columns.defaulted:
         warnings.warn(

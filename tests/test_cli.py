@@ -264,6 +264,35 @@ class TestBadNumericInput:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOversizedCsvCell:
+    """A CSV cell over the csv module's field limit exits 2 naming its line."""
+
+    HEADER = "layers,hidden,task,family,metric,value,direction\n"
+    BIG = "9" * 200_000
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [("1,32,t,f,m,1.0,min", "row 3: field larger than field limit (131072)"),
+         ("0,32,t,f,m,1.0,min", "row 2: layers must be positive, got 0")],
+        ids=["good-row-first", "earlier-bad-row-wins"],
+    )
+    def test_fit(self, tmp_path, capsys, second, message):
+        path = tmp_path / "big.csv"
+        path.write_text(self.HEADER + second + "\n1,32,t,f,m," + self.BIG + ",min\n", encoding="utf-8")
+        code, captured = run_json(capsys, ["fit", "--input", str(path)])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_diagnose_earlystop(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("step,eval_loss\n0,1.0\n1," + self.BIG + "\n", encoding="utf-8")
+        code, captured = run_json(capsys, ["diagnose", "earlystop", "--curve", str(path), "--patience", "3"])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: row 3: field larger than field limit (131072)\n"
+
+
 class TestScaleFlags:
     """``--target-*`` and ``--baseline-*`` groups: params, or layers with hidden, never both."""
 

@@ -242,6 +242,7 @@ FAULTS = [
     ("task", ""), ("family", None), ("metric", "  "), ("direction", None), ("direction", "up"),
     ("pretrain_seed", "x"), ("finetune_seed", True), ("value", "abc"), ("value", -1.0),
     ("value", float("nan")), ("tokens", "x"), ("tokens", -5), ("shoe_size", 43),
+    ("params", 10**400), ("layers", True), ("value", "1e999"), ("tokens", 2.5),
 ]
 
 

@@ -278,6 +278,17 @@ class TestIngestEdgeCases:
         with pytest.raises(DataError, match=rf"^row {first_line}: {bad}"):
             sf.ingest(path)
 
+    def test_chunk_failing_only_its_column_checks_is_an_internal_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "runs.jsonl"
+        write_jsonl(path, [BASE_ROW, BASE_ROW])
+
+        def stricter_than_the_row_check(cells):
+            raise DataError("value must be a number")
+
+        monkeypatch.setattr(sf.records, "_values", stricter_than_the_row_check)
+        with pytest.raises(RuntimeError, match="failed its column checks but each of its rows passes"):
+            sf.ingest(path)
+
 
 class TestGrouping:
     def test_forty_row_file_m8_t5(self, tmp_path):
@@ -295,7 +306,7 @@ class TestGrouping:
         groups = sf.group(records)
         assert len(groups) == 1
         runset = groups[("t", "mlm", "f1")]
-        assert runset.n_scales == 8
+        assert len(runset.scales) == 8
         assert runset.sizes.tolist() == [5] * 8
 
     def test_two_tasks_two_runsets(self):

@@ -50,7 +50,7 @@ class TestDeterminism:
 class TestVarianceDecomposition:
     def test_zero_finetune_noise_collapses_within_scale(self):
         runset, _ = ar32_synth(3, sigma_pre=0.05, sigma_fin=0.0)
-        for k in range(runset.n_scales):
+        for k in range(len(runset.scales)):
             values = set(runset.values[runset.code == k].tolist())
             assert len(values) == 1
 
