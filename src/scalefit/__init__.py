@@ -26,7 +26,6 @@ from .predict import (
     TargetPrediction,
     extrapolate,
     holdout_eval,
-    mean_relative_error,
     relative_error,
     select_model,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "holdout_eval",
     "ingest",
     "load_loss_curve",
-    "mean_relative_error",
     "normalize_direction",
     "param_count",
     "plot_runset",

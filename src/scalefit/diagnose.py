@@ -9,7 +9,6 @@ held-out run whose converged loss sits outside the bootstrap band.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Sequence
 from .bootstrap import BootstrapConfig
 from .errors import DataError
 from .predict import extrapolate
-from .records import RunSet, ScaleSpec
+from .records import RunSet, ScaleSpec, open_csv
 
 # Relative slack on the band edges, so that data lying exactly on the law is
 # never flagged for float roundoff.
@@ -44,32 +43,25 @@ class LossCurve:
             if not (loss > 0 and math.isfinite(loss)):
                 raise DataError(f"losses must be positive and finite, got {loss}")
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def load_loss_curve(path: str | Path) -> LossCurve:
-    """Read a two-column CSV (header ``step,eval_loss`` required)."""
+    """Read a two-column CSV (header ``step,eval_loss`` required) with
+    :func:`~scalefit.records.open_csv`, skipping whitespace-only rows."""
     path = Path(path)
     steps = []
     losses = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
-                raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
-            for row in reader:
-                if not row or not any(cell.strip() for cell in row):
+    with open_csv(path) as (header, chunks):
+        if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
+            raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
+        for where, rows in chunks:
+            for number, row in zip(where.tolist(), rows):
+                if not any(cell.strip() for cell in row):
                     continue
-                where = f"row {reader.line_num}"
                 try:
                     steps.append(int(row[0]))
                     losses.append(float(row[1]))
                 except (ValueError, IndexError):
-                    raise DataError(f"{where}: expected 'step,eval_loss' integers/floats") from None
-        except csv.Error as exc:
-            raise DataError(f"row {reader.line_num}: {exc}") from None
+                    raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
     return LossCurve(steps=tuple(steps), losses=tuple(losses))
 
 
@@ -143,7 +135,7 @@ def compare_policies(curve: LossCurve, policies: Sequence[EarlyStopPolicy]) -> l
                 policy=policy,
                 stop_index=res.stop_index,
                 best_index=res.best_index,
-                loss_at_best=curve.losses[res.best_index],
+                loss_at_best=res.best_loss,
                 stopped=res.stopped,
             )
         )

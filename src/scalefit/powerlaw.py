@@ -61,36 +61,40 @@ def _ols_log(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return alpha, float(vm - alpha * um)
 
 
+def _r_squared(obs: np.ndarray, pred: np.ndarray, space: str) -> tuple[float, float, float]:
+    """(r_squared, ss_res, ss_tot) of the predictions ``pred`` of ``obs``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = obs - pred
+        ss_res = float(res @ res)
+        dv = obs - obs.mean()
+        ss_tot = 0.0 if np.all(obs == obs[0]) else float(dv @ dv)
+    if not (np.isfinite(ss_res) and np.isfinite(ss_tot)):
+        raise DataError(f"the {space}-space goodness of fit overflows float64")
+    if ss_tot == 0.0:
+        # Tolerate pure exp/log roundoff when the fit does pass through the
+        # constant data.
+        if np.sqrt(ss_res / obs.size) <= 1e-12 * max(1.0, abs(float(obs[0]))):
+            return 1.0, 0.0, 0.0
+        raise DegenerateDataError(
+            "goodness-of-fit undefined: zero total variance with nonzero residuals"
+        )
+    return 1.0 - ss_res / ss_tot, ss_res, ss_tot
+
+
 def fit_line(points: Points) -> FitResult:
     """Fit ln(y) = alpha*ln(x) + beta by least squares over all points.
 
-    Requires at least two distinct x values.  Constant y yields the exact
+    Requires two x values with distinct logarithms.  Constant y yields the exact
     degenerate fit alpha=0, beta=ln(y), with R^2 = 1 by convention (zero
     residuals dominate the otherwise undefined ratio).
     """
     x, y = _validate_points(points)
-    if np.unique(x).size < 2:
+    u, v = np.log(x), np.log(y)
+    if np.unique(u).size < 2:  # distinct x can share a logarithm
         raise DegenerateDataError("need at least 2 distinct x values to fit")
-    u = np.log(x)
-    v = np.log(y)
-    n = int(x.size)
-    if np.all(v == v[0]):
-        return FitResult(
-            alpha=0.0, beta=float(v[0]), r_squared=1.0, ss_res=0.0, ss_tot=0.0, n_points=n
-        )
-    alpha, beta = _ols_log(u, v)
-    res = v - (alpha * u + beta)
-    ss_res = float(res @ res)
-    dv = v - v.mean()
-    ss_tot = float(dv @ dv)
-    return FitResult(
-        alpha=alpha,
-        beta=beta,
-        r_squared=1.0 - ss_res / ss_tot,
-        ss_res=ss_res,
-        ss_tot=ss_tot,
-        n_points=n,
-    )
+    alpha, beta = (0.0, float(v[0])) if np.all(v == v[0]) else _ols_log(u, v)
+    r2, ss_res, ss_tot = _r_squared(v, alpha * u + beta, "log")
+    return FitResult(alpha, beta, r2, ss_res, ss_tot, n_points=int(x.size))
 
 
 def goodness_of_fit(points: Points, fit: FitResult, space: str = "log") -> tuple[float, float, float]:
@@ -108,21 +112,7 @@ def goodness_of_fit(points: Points, fit: FitResult, space: str = "log") -> tuple
     with np.errstate(over="ignore", invalid="ignore"):
         log_pred = fit.alpha * np.log(x) + fit.beta
         obs, pred = (np.log(y), log_pred) if space == "log" else (y, np.exp(log_pred))
-        res = obs - pred
-        ss_res = float(res @ res)
-        dv = obs - obs.mean()
-        ss_tot = 0.0 if np.all(obs == obs[0]) else float(dv @ dv)
-    if not (np.isfinite(ss_res) and np.isfinite(ss_tot)):
-        raise DataError(f"the {space}-space goodness of fit overflows float64")
-    if ss_tot == 0.0:
-        # Tolerate pure exp/log roundoff when the fit does pass through the
-        # constant data.
-        if np.sqrt(ss_res / obs.size) <= 1e-12 * max(1.0, abs(float(obs[0]))):
-            return 1.0, 0.0, 0.0
-        raise DegenerateDataError(
-            "goodness-of-fit undefined: zero total variance with nonzero residuals"
-        )
-    return 1.0 - ss_res / ss_tot, ss_res, ss_tot
+    return _r_squared(obs, pred, space)
 
 
 def predict_at(fit: FitResult, x):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -21,25 +20,12 @@ from .records import RunSet, ScaleSpec
 LayerRange = tuple[int, int]
 
 
-def mean_relative_error(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean of |actual - predicted| / actual over paired values."""
-    a = np.asarray(list(actual), dtype=float)
-    p = np.asarray(list(predicted), dtype=float)
-    if a.size != p.size:
-        raise DataError(f"length mismatch: {a.size} actual values vs {p.size} predictions")
-    if a.size == 0:
-        raise DataError("need at least one (actual, predicted) pair")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
-        raise DataError("values must be finite")
-    if np.any(a <= 0):
-        raise DataError("actual values must be positive")
-    return float(np.mean(np.abs(a - p) / a))
-
-
 def relative_error(actual: float, predicted: float) -> float:
     """Signed (actual - predicted) / actual; negative when the prediction is high."""
     if not (actual > 0 and math.isfinite(actual)):
         raise DataError("actual value must be positive and finite")
+    if not math.isfinite(predicted):
+        raise DataError("predicted value must be finite")
     return (actual - predicted) / actual
 
 
@@ -66,8 +52,8 @@ class TargetPrediction:
 class PredictionReport:
     """Fit, per-target predictions, and the mean relative error over targets.
 
-    ``mre`` is derived from the targets, and is None unless every target
-    carries an actual value.
+    ``mre`` is the mean of the targets' absolute relative errors, and is
+    None unless there are targets and every one carries an actual value.
     """
 
     fit: FitResult
@@ -75,9 +61,8 @@ class PredictionReport:
     mre: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        actual = [t.actual for t in self.targets]
-        predicted = [t.predicted for t in self.targets]
-        mre = None if None in actual else mean_relative_error(actual, predicted)
+        errors = [t.relative_error for t in self.targets]
+        mre = None if not errors or None in errors else float(np.mean(np.abs(errors)))
         object.__setattr__(self, "mre", mre)
 
 
@@ -165,19 +150,10 @@ def select_model(
     """
     if not 0.0 < r2_threshold <= 1.0:
         raise DataError(f"r2_threshold must be in (0, 1], got {r2_threshold}")
-    if runset_a.metric != runset_b.metric:
-        raise DataError(
-            f"metric mismatch between families: {runset_a.metric!r} vs {runset_b.metric!r}"
-        )
-    if runset_a.task != runset_b.task:
-        raise DataError(
-            f"task mismatch between families: {runset_a.task!r} vs {runset_b.task!r}"
-        )
-    if runset_a.direction != runset_b.direction:
-        raise DataError(
-            f"direction mismatch between families: {runset_a.direction!r} vs "
-            f"{runset_b.direction!r}"
-        )
+    for key in ("metric", "task", "direction"):
+        a, b = getattr(runset_a, key), getattr(runset_b, key)
+        if a != b:
+            raise DataError(f"{key} mismatch between families: {a!r} vs {b!r}")
 
     rep_a = extrapolate(runset_a, target, cfg, actual=actual_a)
     rep_b = extrapolate(runset_b, target, cfg, actual=actual_b)

@@ -19,6 +19,7 @@ and the first bad row raises ``row N: <its first failed check>``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -565,7 +566,7 @@ def _json_cells(lines: Sequence[str]) -> dict:
     if len(objs) != len(lines):
         try:
             objs = list(map(json.loads, lines))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise DataError("invalid JSON") from None
     if not set(map(type, objs)) <= {dict} or not set().union(*objs) <= _FIELD_SET:
         raise DataError("expected JSON objects of known fields")
@@ -577,6 +578,8 @@ def _json_record(line: str) -> RunRecord:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise DataError("invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise DataError("expected a JSON object")
     return _record(obj)
@@ -596,11 +599,27 @@ def _csv_chunks(reader):
             spans = np.ones(len(rows), dtype=np.intp)
             if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
                 spans[:] = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows]
-            yield _numbered(rows, before + np.cumsum(spans), map(operator.not_, rows))
+            ends = before + np.cumsum(spans)
+            if error is None:  # exact, also for a quote left open to the end of the file
+                ends[-1] = reader.line_num
+            yield _numbered(rows, ends, map(operator.not_, rows))
         if error is not None:
             raise error
         if not rows:
             return
+
+
+@contextlib.contextmanager
+def open_csv(path: Path):
+    """The header row (None for an empty file) and the :func:`_csv_chunks`
+    of a CSV file, read while the ``with`` block runs.  A ``csv.Error``
+    raises DataError naming the line the reader stopped on."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield next(reader, None), _csv_chunks(reader)
+        except csv.Error as exc:
+            raise DataError(f"row {reader.line_num}: {exc}") from None
 
 
 def _csv_cells(rows: Sequence[list], header: list[str]) -> dict:
@@ -660,19 +679,14 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
         with open(path, encoding="utf-8") as fh:
             _add_chunks(columns, _json_chunks(fh), _json_cells, _json_record)
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header is None:
-                    raise DataError("row 1: missing CSV header")
-                unknown = set(header) - _FIELD_SET
-                if unknown:
-                    raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
-                cells = functools.partial(_csv_cells, header=header)
-                _add_chunks(columns, _csv_chunks(reader), cells, functools.partial(_csv_record, header=header))
-            except csv.Error as exc:
-                raise DataError(f"row {reader.line_num}: {exc}") from None
+        with open_csv(path) as (header, chunks):
+            if header is None:
+                raise DataError("row 1: missing CSV header")
+            unknown = set(header) - _FIELD_SET
+            if unknown:
+                raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
+            cells = functools.partial(_csv_cells, header=header)
+            _add_chunks(columns, chunks, cells, functools.partial(_csv_record, header=header))
 
     if columns.defaulted:
         warnings.warn(

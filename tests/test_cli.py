@@ -293,6 +293,19 @@ class TestOversizedCsvCell:
         assert captured.err == "error: row 3: field larger than field limit (131072)\n"
 
 
+class TestDeeplyNestedJson:
+    """A JSONL line nested past the recursion limit exits 2 naming its row."""
+
+    def test_fit(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        good = '{"layers": 1, "hidden": 32, "task": "t", "family": "f", "metric": "m", "value": 1.0, "direction": "min"}'
+        path.write_text(good + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        code, captured = run_json(capsys, ["fit", "--input", str(path)])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: row 2: invalid JSON (nested too deeply)\n"
+
+
 class TestScaleFlags:
     """``--target-*`` and ``--baseline-*`` groups: params, or layers with hidden, never both."""
 

@@ -158,6 +158,27 @@ class TestLossCurve:
         with pytest.raises(DataError, match="row 3"):
             sf.load_loss_curve(path)
 
+    # A quoted cell spanning lines 3-4, a whitespace-only row on line 5.
+    SPANNING = 'step,eval_loss\n0,1.0\n"100\n",0.8\n  ,  \n200,0.79\n'
+
+    def test_multiline_cell_and_whitespace_row(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(self.SPANNING, encoding="utf-8")
+        loaded = sf.load_loss_curve(path)
+        assert loaded.steps == (0, 100, 200)
+        assert loaded.losses == (1.0, 0.8, 0.79)
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [(SPANNING + "xyz,0.7\n", 7), ('step,eval_loss\n0,1.0\n1,"x\ny\n', 4)],
+        ids=["after-spanning-cell", "quote-open-to-end-of-file"],
+    )
+    def test_bad_row_named_by_its_last_line(self, tmp_path, text, row):
+        path = tmp_path / "curve.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^row {row}: expected 'step,eval_loss' integers/floats$"):
+            sf.load_loss_curve(path)
+
     def test_steps_strictly_increasing(self):
         with pytest.raises(DataError, match="strictly increasing"):
             curve([1.0, 0.9], steps=[5, 5])

@@ -82,6 +82,8 @@ def reference_ingest(path):
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"row {lineno}: invalid JSON ({exc.msg})") from None
+                except RecursionError:
+                    raise DataError(f"row {lineno}: invalid JSON (nested too deeply)") from None
                 if not isinstance(obj, dict):
                     raise DataError(f"row {lineno}: expected a JSON object")
                 records.append(reference_record(obj, f"row {lineno}", seed_defaults))

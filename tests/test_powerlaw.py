@@ -51,6 +51,9 @@ class TestFitLine:
     def test_needs_two_distinct_x(self):
         with pytest.raises(DegenerateDataError):
             sf.fit_line([(2, 1), (2, 3), (2, 9)])
+        # distinct in float64, one logarithm
+        with pytest.raises(DegenerateDataError, match="distinct x"):
+            sf.fit_line([(0.001, 1.0), (0.0010000000000000002, 2.0)])
 
     def test_needs_positive_coordinates(self):
         with pytest.raises(DataError):
@@ -209,6 +212,18 @@ def test_fit_equivariance(rows, log_c, log_k):
     scaled_x = sf.fit_line([(k * x, y) for x, y in points])
     assert scaled_x.alpha == pytest.approx(base.alpha, abs=1e-9)
     assert scaled_x.beta == pytest.approx(base.beta - base.alpha * math.log(k), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)), min_size=2, max_size=30),
+    constant=st.booleans(),
+)
+def test_fit_line_goodness_matches_goodness_of_fit(rows, constant):
+    assume(np.unique(np.log([x for x, _ in rows])).size >= 2)  # fit_line's precondition
+    points = [(x, rows[0][1] if constant else y) for x, y in rows]
+    fit = sf.fit_line(points)
+    assert (fit.r_squared, fit.ss_res, fit.ss_tot) == sf.goodness_of_fit(points, fit, "log")
 
 
 class TestFitFiltered:

@@ -8,31 +8,39 @@ from scalefit.errors import DataError, DegenerateDataError
 from conftest import TARGET, ar32_synth
 
 
+def report_mre(actual, predicted):
+    """The MRE of a report whose targets pair ``actual`` with ``predicted``."""
+    fit = sf.fit_line([(1.0, 2.0), (2.0, 4.0)])
+    targets = tuple(
+        sf.TargetPrediction(x=float(i + 1), predicted=p, actual=a)
+        for i, (a, p) in enumerate(zip(actual, predicted))
+    )
+    return sf.PredictionReport(fit=fit, targets=targets).mre
+
+
 class TestMeanRelativeError:
+    """``PredictionReport.mre``: the mean of |actual - predicted| / actual over targets."""
+
     def test_identity_is_zero(self):
-        assert sf.mean_relative_error([3.0, 4.0], [3.0, 4.0]) == 0.0
+        assert report_mre([3.0, 4.0], [3.0, 4.0]) == 0.0
 
     def test_hand_arithmetic(self):
         # (1/2) * (2/80 + 1.8/90)
-        assert sf.mean_relative_error([80, 90], [82, 88.2]) == pytest.approx(0.0225, abs=1e-12)
+        assert report_mre([80, 90], [82, 88.2]) == pytest.approx(0.0225, abs=1e-12)
 
     def test_quarter_point_boundary(self):
-        assert sf.mean_relative_error([100], [97.5]) == pytest.approx(0.025, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="length mismatch"):
-            sf.mean_relative_error([1, 2], [1])
+        assert report_mre([100], [97.5]) == pytest.approx(0.025, abs=1e-12)
 
     def test_zero_actual_rejected(self):
         with pytest.raises(DataError, match="positive"):
-            sf.mean_relative_error([0.0], [1.0])
+            report_mre([0.0], [1.0])
 
     def test_rescaling_invariance(self):
         actual = [80.0, 90.0, 95.0]
         predicted = [82.0, 88.2, 94.1]
-        base = sf.mean_relative_error(actual, predicted)
+        base = report_mre(actual, predicted)
         for c in (0.5, 4.0, 100.0):
-            scaled = sf.mean_relative_error([a * c for a in actual], [p * c for p in predicted])
+            scaled = report_mre([a * c for a in actual], [p * c for p in predicted])
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -58,6 +66,11 @@ class TestRelativeError:
         with pytest.raises(DataError):
             sf.relative_error(0.0, 1.0)
 
+    @pytest.mark.parametrize("predicted", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_predicted_rejected(self, predicted):
+        with pytest.raises(DataError, match="predicted value must be finite"):
+            sf.relative_error(1.0, predicted)
+
 
 class TestDerivedErrors:
     """Predictions derive their relative errors and the report its MRE."""
@@ -78,7 +91,7 @@ class TestDerivedErrors:
             sf.TargetPrediction(x=4.0, predicted=88.2, actual=90.0),
         )
         report = sf.PredictionReport(fit=fit, targets=targets)
-        assert report.mre == sf.mean_relative_error([80.0, 90.0], [82.0, 88.2])
+        assert report.mre == (abs(80.0 - 82.0) / 80.0 + abs(90.0 - 88.2) / 90.0) / 2
 
     def test_report_mre_none_when_an_actual_is_missing(self):
         fit = sf.fit_line([(1.0, 2.0), (2.0, 4.0)])
@@ -88,6 +101,7 @@ class TestDerivedErrors:
         )
         assert sf.PredictionReport(fit=fit, targets=targets).mre is None
         assert sf.PredictionReport(fit=fit, targets=targets[1:]).mre is None
+        assert sf.PredictionReport(fit=fit, targets=()).mre is None
 
     def test_derived_fields_take_no_arguments(self):
         with pytest.raises(TypeError):

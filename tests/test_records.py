@@ -221,6 +221,14 @@ class TestIngestEdgeCases:
         with pytest.raises(DataError, match=r"^row 2: field 'hidden' required"):
             sf.ingest(path)
 
+    def test_quote_open_to_end_of_file_is_numbered_by_its_last_line(self, tmp_path):
+        # The open quote keeps the file's final line break in the cell.
+        path = tmp_path / "runs.csv"
+        path.write_text('layers,hidden,task,family,metric,direction,value\n1,32,t,f,m,min,1.0\n1,32,t,f,m,min,"x\ny\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"^row 4: field 'value' must be a number, got 'x\\ny\\n'$"):
+            sf.ingest(path)
+
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_big_integers_round_trip_and_sort(self, tmp_path, suffix):
         records = [
