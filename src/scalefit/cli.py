@@ -406,8 +406,7 @@ def _cmd_plot(args) -> Report:
         band = bootstrap_band(fit_set, cfg)
         boot_inputs = _bootstrap_inputs(cfg)
     spec = plot_runset(runset, fit=fit, band=band, heldout_layers=heldout)
-    write_plot(spec, args.out)
-    digest = hashlib.sha256(Path(args.out).read_bytes()).hexdigest()
+    digest = hashlib.sha256(write_plot(spec, args.out)).hexdigest()
     inputs = _runset_inputs(
         args,
         runset,

@@ -10,7 +10,7 @@ held-out run whose converged loss sits outside the bootstrap band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -55,7 +55,7 @@ def load_loss_curve(path: str | Path) -> LossCurve:
             raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
         for where, rows in chunks:
             for number, row in zip(where.tolist(), rows):
-                if not any(cell.strip() for cell in row):
+                if not any(map(str.strip, row)):
                     continue
                 try:
                     steps.append(int(row[0]))
@@ -118,39 +118,47 @@ def early_stop(curve: LossCurve, policy: EarlyStopPolicy) -> EarlyStopResult:
 
 @dataclass(frozen=True)
 class PolicyOutcome:
+    """A policy and the :class:`EarlyStopResult` of its replay, flattened."""
+
     policy: EarlyStopPolicy
-    stop_index: int
-    best_index: int
-    loss_at_best: float
-    stopped: bool
+    result: InitVar[EarlyStopResult]
+    stop_index: int = field(init=False)
+    best_index: int = field(init=False)
+    loss_at_best: float = field(init=False)
+    stopped: bool = field(init=False)
+
+    def __post_init__(self, result: EarlyStopResult) -> None:
+        object.__setattr__(self, "stop_index", result.stop_index)
+        object.__setattr__(self, "best_index", result.best_index)
+        object.__setattr__(self, "loss_at_best", result.best_loss)
+        object.__setattr__(self, "stopped", result.stopped)
 
 
 def compare_policies(curve: LossCurve, policies: Sequence[EarlyStopPolicy]) -> list[PolicyOutcome]:
     """Evaluate several stopping policies on one curve, sorted by patience."""
-    rows = []
-    for policy in sorted(policies, key=lambda p: (p.patience, p.min_decrease)):
-        res = early_stop(curve, policy)
-        rows.append(
-            PolicyOutcome(
-                policy=policy,
-                stop_index=res.stop_index,
-                best_index=res.best_index,
-                loss_at_best=res.best_loss,
-                stopped=res.stopped,
-            )
-        )
-    return rows
+    ordered = sorted(policies, key=lambda p: (p.patience, p.min_decrease))
+    return [PolicyOutcome(policy, early_stop(curve, policy)) for policy in ordered]
 
 
 @dataclass(frozen=True)
 class ConvergenceVerdict:
-    """Where an observed loss landed relative to the fitted band."""
+    """Where an observed loss landed relative to the band, widened by ``REL_TOL``."""
 
     scale: ScaleSpec
     observed: float
     predicted: float
     band: tuple[float, float]
-    flag: str  # consistent | suspect_undertrained | suspect_overfit_fit
+    flag: str = field(init=False)  # consistent | suspect_undertrained | suspect_overfit_fit
+
+    def __post_init__(self) -> None:
+        lo, hi = self.band
+        if self.observed > hi * (1.0 + REL_TOL):
+            flag = "suspect_undertrained"
+        elif self.observed < lo * (1.0 - REL_TOL):
+            flag = "suspect_overfit_fit"
+        else:
+            flag = "consistent"
+        object.__setattr__(self, "flag", flag)
 
 
 def flag_undertrained(
@@ -169,18 +177,5 @@ def flag_undertrained(
         raise DataError(
             f"run set must exclude the held-out scale (params={held_out_scale.params})"
         )
-    target = extrapolate(runset, held_out_scale, cfg).targets[0]
-    lo, hi = target.band
-    if observed > hi * (1.0 + REL_TOL):
-        flag = "suspect_undertrained"
-    elif observed < lo * (1.0 - REL_TOL):
-        flag = "suspect_overfit_fit"
-    else:
-        flag = "consistent"
-    return ConvergenceVerdict(
-        scale=held_out_scale,
-        observed=observed,
-        predicted=target.predicted,
-        band=(lo, hi),
-        flag=flag,
-    )
+    (target,) = extrapolate(runset, held_out_scale, cfg).targets
+    return ConvergenceVerdict(held_out_scale, observed, target.predicted, target.band)

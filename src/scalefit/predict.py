@@ -110,25 +110,41 @@ def extrapolate(
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Two-family comparison at a target scale, gated on goodness of fit."""
+    """Two-family comparison at a target scale, gated on goodness of fit.
+
+    A family passes its gate iff its R^2 reaches ``r2_threshold``.  Gaps are
+    b - a; the actual gap and its sign agreement need both actual values.
+    """
 
     family_a: str
     family_b: str
     fit_a: FitResult
     fit_b: FitResult
     r2_threshold: float
-    gate_a: bool
-    gate_b: bool
-    reliable: bool
+    gate_a: bool = field(init=False)
+    gate_b: bool = field(init=False)
+    reliable: bool = field(init=False)
     predicted_a: float
     predicted_b: float
     band_a: tuple[float, float]
     band_b: tuple[float, float]
-    predicted_gap: float
-    actual_a: float | None
-    actual_b: float | None
-    actual_gap: float | None
-    sign_agreement: bool | None
+    predicted_gap: float = field(init=False)
+    actual_a: float | None = None
+    actual_b: float | None = None
+    actual_gap: float | None = field(init=False)
+    sign_agreement: bool | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        gate_a, gate_b = (fit.r_squared >= self.r2_threshold for fit in (self.fit_a, self.fit_b))
+        gap = self.predicted_b - self.predicted_a
+        actual_gap = sign_agreement = None
+        if self.actual_a is not None and self.actual_b is not None:
+            actual_gap = self.actual_b - self.actual_a
+            sign_agreement = (gap >= 0) == (actual_gap >= 0)
+        derived = dict(gate_a=gate_a, gate_b=gate_b, reliable=gate_a and gate_b, predicted_gap=gap,
+                       actual_gap=actual_gap, sign_agreement=sign_agreement)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def select_model(
@@ -140,14 +156,8 @@ def select_model(
     actual_a: float | None = None,
     actual_b: float | None = None,
 ) -> SelectionReport:
-    """Compare two method families by extrapolating both to ``target``.
-
-    The gap is predicted_b - predicted_a in raw metric units.  Each family
-    passes the gate iff its fit's R^2 reaches ``r2_threshold``; the
-    comparison is flagged unreliable if either gate fails.  When actual
-    values for both families are supplied, the report also states whether
-    the predicted gap has the same sign as the realized one.
-    """
+    """Compare two method families by extrapolating both to ``target``; the
+    :class:`SelectionReport` derives the gates and gaps."""
     if not 0.0 < r2_threshold <= 1.0:
         raise DataError(f"r2_threshold must be in (0, 1], got {r2_threshold}")
     for key in ("metric", "task", "direction"):
@@ -157,33 +167,9 @@ def select_model(
 
     rep_a = extrapolate(runset_a, target, cfg, actual=actual_a)
     rep_b = extrapolate(runset_b, target, cfg, actual=actual_b)
-    fit_a, fit_b = rep_a.fit, rep_b.fit
-    gate_a = fit_a.r_squared >= r2_threshold
-    gate_b = fit_b.r_squared >= r2_threshold
-    pred_a = rep_a.targets[0].predicted
-    pred_b = rep_b.targets[0].predicted
-    predicted_gap = pred_b - pred_a
-    actual_gap = None
-    sign_agreement = None
-    if actual_a is not None and actual_b is not None:
-        actual_gap = actual_b - actual_a
-        sign_agreement = (predicted_gap >= 0) == (actual_gap >= 0)
+    (t_a,), (t_b,) = rep_a.targets, rep_b.targets
     return SelectionReport(
-        family_a=runset_a.family,
-        family_b=runset_b.family,
-        fit_a=fit_a,
-        fit_b=fit_b,
-        r2_threshold=r2_threshold,
-        gate_a=gate_a,
-        gate_b=gate_b,
-        reliable=gate_a and gate_b,
-        predicted_a=pred_a,
-        predicted_b=pred_b,
-        band_a=rep_a.targets[0].band,
-        band_b=rep_b.targets[0].band,
-        predicted_gap=predicted_gap,
-        actual_a=actual_a,
-        actual_b=actual_b,
-        actual_gap=actual_gap,
-        sign_agreement=sign_agreement,
+        family_a=runset_a.family, family_b=runset_b.family, fit_a=rep_a.fit, fit_b=rep_b.fit,
+        r2_threshold=r2_threshold, predicted_a=t_a.predicted, predicted_b=t_b.predicted,
+        band_a=t_a.band, band_b=t_b.band, actual_a=actual_a, actual_b=actual_b,
     )

@@ -697,35 +697,22 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     return columns.table()
 
 
-def _record_to_mapping(r: RunRecord) -> dict:
-    return {
-        "layers": r.scale.layers,
-        "hidden": r.scale.hidden,
-        "params": r.scale.params,
-        "task": r.task,
-        "family": r.family,
-        "pretrain_seed": r.pretrain_seed,
-        "finetune_seed": r.finetune_seed,
-        "metric": r.metric,
-        "value": r.value,
-        "direction": r.direction,
-        "tokens": r.tokens,
-    }
-
-
 def emit(records: Iterable[RunRecord], path: str | Path, format: str | None = None) -> None:
-    """Write records in the canonical schema; list(ingest(emit(x))) == x."""
+    """Write records in the canonical schema; list(ingest(emit(x))) == x.
+
+    Each record is one row of cells in ``RECORD_FIELDS`` order; a None cell
+    is left out of a JSONL object and written as an empty CSV cell.
+    """
     path = Path(path)
     fmt = _infer_format(path, format)
+    rows = ((r.scale.layers, r.scale.hidden, r.scale.params, r.task, r.family, r.pretrain_seed,
+             r.finetune_seed, r.metric, r.value, r.direction, r.tokens) for r in records)
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                row = {k: v for k, v in _record_to_mapping(r).items() if v is not None}
-                fh.write(json.dumps(row) + "\n")
+            for row in rows:
+                fh.write(json.dumps({k: v for k, v in zip(RECORD_FIELDS, row) if v is not None}) + "\n")
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
-            writer.writeheader()
-            for r in records:
-                row = {k: ("" if v is None else v) for k, v in _record_to_mapping(r).items()}
-                writer.writerow(row)
+            writer = csv.writer(fh)
+            writer.writerow(RECORD_FIELDS)
+            writer.writerows(rows)

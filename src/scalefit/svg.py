@@ -214,8 +214,11 @@ def render_plot(spec: PlotSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_plot(spec: PlotSpec, path: str | Path) -> None:
-    Path(path).write_text(render_plot(spec), encoding="utf-8")
+def write_plot(spec: PlotSpec, path: str | Path) -> bytes:
+    """Write the rendered SVG as UTF-8 and return the bytes written."""
+    data = render_plot(spec).encode("utf-8")
+    Path(path).write_bytes(data)
+    return data
 
 
 def plot_runset(

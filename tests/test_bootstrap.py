@@ -348,6 +348,18 @@ class TestBlocks:
         assert opened == [(3, 0), (3, 1), (3, 2)]
 
 
+class TestSubstreamSeeds:
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masked to 64 bits, these would alias seeds 2**64 - 1 and 0
+        with pytest.raises(DataError, match=r"seed must be in \[0, 2\*\*64\), got "):
+            sf.substream(seed, 0)
+
+    def test_largest_seed_accepted(self):
+        top = sf.substream(2**64 - 1, 0).integers(0, 2**32, size=4)
+        assert not np.array_equal(top, sf.substream(0, 0).integers(0, 2**32, size=4))
+
+
 class TestConfigValidation:
     def test_bad_percentiles(self):
         with pytest.raises(DataError):

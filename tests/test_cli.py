@@ -120,6 +120,19 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_negative_seed_is_data_error_for_bootstrap(self, runs_file, capsys):
+        code, captured = run_json(capsys, ["bootstrap", "--input", runs_file, "--seed", "-1"])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must be in [0, 2**64), got -1\n"
+
+    def test_negative_seed_synth_writes_nothing(self, tmp_path, capsys):
+        argv = ["synth", "--alpha", "0.08", "--log-c", "3.0", "--seed", "-5"]
+        code, captured = run_json(capsys, [*argv, "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert captured.err == "error: seed must be in [0, 2**64), got -5\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_prediction_is_data_error(self, steep_file, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

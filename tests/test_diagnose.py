@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalefit as sf
+from scalefit.diagnose import REL_TOL
 from scalefit.errors import DataError
 
 from conftest import TARGET, ar32_synth
@@ -136,6 +140,37 @@ class TestComparePolicies:
             [sf.EarlyStopPolicy(patience=p) for p in (7, 1, 4)],
         )
         assert [r.policy.patience for r in rows] == [1, 4, 7]
+
+    def test_outcome_fields_are_the_report_keys(self):
+        names = [f.name for f in dataclasses.fields(sf.PolicyOutcome)]
+        assert names == ["policy", "stop_index", "best_index", "loss_at_best", "stopped"]
+
+    def test_outcome_derives_from_its_result(self):
+        policy = sf.EarlyStopPolicy(patience=3)
+        res = sf.EarlyStopResult(stop_index=5, best_index=2, stopped=True, best_loss=0.79)
+        row = sf.PolicyOutcome(policy, res)
+        assert (row.policy, row.stop_index, row.best_index, row.loss_at_best, row.stopped) == (
+            policy, 5, 2, 0.79, True
+        )
+
+
+def verdict(observed, band=(2.0, 3.0)):
+    scale = sf.ScaleSpec.from_params(1000)
+    return sf.ConvergenceVerdict(scale=scale, observed=observed, predicted=2.5, band=band)
+
+
+class TestConvergenceVerdict:
+    LO, HI = 2.0, 3.0
+
+    def test_band_edges_widened_by_rel_tol_are_consistent(self):
+        assert verdict(self.HI * (1.0 + REL_TOL)).flag == "consistent"
+        assert verdict(self.LO * (1.0 - REL_TOL)).flag == "consistent"
+
+    def test_just_outside_either_edge_is_flagged(self):
+        above = math.nextafter(self.HI * (1.0 + REL_TOL), math.inf)
+        below = math.nextafter(self.LO * (1.0 - REL_TOL), 0.0)
+        assert verdict(above).flag == "suspect_undertrained"
+        assert verdict(below).flag == "suspect_overfit_fit"
 
 
 class TestLossCurve:

@@ -266,3 +266,44 @@ class TestSelect:
 
     def test_sign_agreement_rate(self, sim_selection):
         assert sim_selection["gates_and_sign"] >= 0.90 * sim_selection["trials"]
+
+
+def selection(r2_a, r2_b, threshold, **actual):
+    """A SelectionReport built directly, with a = 2.0 and b = 1.5 predicted."""
+    fit_a, fit_b = (
+        sf.FitResult(alpha=0.1, beta=1.0, r_squared=r2, ss_res=0.0, ss_tot=1.0, n_points=8)
+        for r2 in (r2_a, r2_b)
+    )
+    return sf.SelectionReport(
+        family_a="a",
+        family_b="b",
+        fit_a=fit_a,
+        fit_b=fit_b,
+        r2_threshold=threshold,
+        predicted_a=2.0,
+        predicted_b=1.5,
+        band_a=(1.9, 2.1),
+        band_b=(1.4, 1.6),
+        **actual,
+    )
+
+
+class TestSelectionReport:
+    def test_r_squared_at_threshold_passes_its_gate(self):
+        sel = selection(0.9, 0.9 - 1e-12, 0.9)
+        assert sel.gate_a and not sel.gate_b
+        assert not sel.reliable
+        assert selection(0.9, 0.95, 0.9).reliable
+
+    def test_no_actual_values_leave_actual_fields_none(self):
+        sel = selection(0.99, 0.99, 0.95)
+        assert sel.predicted_gap == -0.5
+        assert sel.actual_gap is None and sel.sign_agreement is None
+        half = selection(0.99, 0.99, 0.95, actual_a=2.0)
+        assert half.actual_gap is None and half.sign_agreement is None
+
+    @pytest.mark.parametrize("actual_b, agrees", [(1.0, True), (3.0, False)])
+    def test_sign_agreement_from_actual_values(self, actual_b, agrees):
+        sel = selection(0.99, 0.99, 0.95, actual_a=2.0, actual_b=actual_b)
+        assert sel.actual_gap == actual_b - 2.0
+        assert sel.sign_agreement is agrees

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -47,6 +49,61 @@ def make_record(
 
 def write_jsonl(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
+def odd_records():
+    """Records that exercise every cell kind emit writes: params-only scales,
+    absent and huge token counts, 2**70 seeds, 10**30 params, and labels
+    holding quotes, commas, line breaks and non-ASCII text."""
+    labels = ["plain", 'has "quotes"', "comma, inside", "line\nbreak", "cr\r\nlf", "ünï cödé", " pad "]
+    scales = (sf.ScaleSpec.from_params(10**30), sf.ScaleSpec.from_dims(2, 64), sf.ScaleSpec.from_params(999))
+    return [
+        make_record(
+            layers=scale.layers,
+            hidden=scale.hidden,
+            params=scale.params,
+            task=label,
+            family="f" + label,
+            metric="m," + label,
+            value=0.1 * (i + 1) + 1e-17,
+            direction="minimize" if i % 3 else "maximize",
+            pretrain_seed=2**70 if i % 2 else i,
+            finetune_seed=i,
+            tokens=None if i % 2 else 10**20 + i,
+        )
+        for i, label in enumerate(labels)
+        for scale in scales
+    ]
+
+
+def reference_emit(records, fmt):
+    """The bytes of one mapping per record, written by json.dumps or DictWriter."""
+    buf = io.StringIO(newline="")
+    rows = [
+        {
+            "layers": r.scale.layers,
+            "hidden": r.scale.hidden,
+            "params": r.scale.params,
+            "task": r.task,
+            "family": r.family,
+            "pretrain_seed": r.pretrain_seed,
+            "finetune_seed": r.finetune_seed,
+            "metric": r.metric,
+            "value": r.value,
+            "direction": r.direction,
+            "tokens": r.tokens,
+        }
+        for r in records
+    ]
+    if fmt == "jsonl":
+        for row in rows:
+            buf.write(json.dumps({k: v for k, v in row.items() if v is not None}) + "\n")
+    else:
+        writer = csv.DictWriter(buf, fieldnames=sf.records.RECORD_FIELDS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    return buf.getvalue().encode("utf-8")
 
 
 BASE_ROW = {
@@ -181,6 +238,14 @@ class TestIngest:
             make_record(layers=2, hidden=64, value=7.125, direction="minimize", metric="loss"),
         ]
         sf.emit(records, path)
+        assert list(sf.ingest(path)) == records
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_emit_bytes_match_reference_writer(self, tmp_path, fmt):
+        records = odd_records()
+        path = tmp_path / f"runs.{fmt}"
+        sf.emit(records, path)
+        assert path.read_bytes() == reference_emit(records, fmt)
         assert list(sf.ingest(path)) == records
 
     def test_bad_format(self, tmp_path):

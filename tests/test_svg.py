@@ -72,5 +72,5 @@ class TestRenderPlot:
 class TestWritePlot:
     def test_file_roundtrip(self, tmp_path):
         out = tmp_path / "plot.svg"
-        sf.write_plot(three_point_spec(), out)
-        assert out.read_text(encoding="utf-8") == sf.render_plot(three_point_spec())
+        data = sf.write_plot(three_point_spec(), out)
+        assert data == out.read_bytes() == sf.render_plot(three_point_spec()).encode("utf-8")
