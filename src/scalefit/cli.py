@@ -307,8 +307,8 @@ def _cmd_flops(args) -> Report:
 
 
 def _cmd_diagnose_earlystop(args) -> Report:
-    curve = load_loss_curve(args.curve)
     policies = [EarlyStopPolicy(patience=p, min_decrease=args.min_decrease) for p in args.patience]
+    curve = load_loss_curve(args.curve)
     inputs = {
         "curve": args.curve,
         "patience": list(args.patience),

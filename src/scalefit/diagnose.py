@@ -10,9 +10,12 @@ held-out run whose converged loss sits outside the bootstrap band.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .bootstrap import BootstrapConfig
 from .errors import DataError
@@ -36,12 +39,15 @@ class LossCurve:
             raise DataError("loss curve must have at least one point")
         if len(self.steps) != len(self.losses):
             raise DataError("steps and losses must have equal length")
-        for a, b in zip(self.steps, self.steps[1:]):
-            if b <= a:
-                raise DataError(f"steps must be strictly increasing, got {a} then {b}")
-        for loss in self.losses:
-            if not (loss > 0 and math.isfinite(loss)):
-                raise DataError(f"losses must be positive and finite, got {loss}")
+        steps = np.array(self.steps, dtype=object)  # compared as the Python values they are
+        stalls = np.flatnonzero(steps[1:] <= steps[:-1])
+        if stalls.size:
+            i = stalls[0]
+            raise DataError(f"steps must be strictly increasing, got {self.steps[i]} then {self.steps[i + 1]}")
+        losses = np.array(self.losses, dtype=float)
+        bad = np.flatnonzero(~((losses > 0) & np.isfinite(losses)))
+        if bad.size:
+            raise DataError(f"losses must be positive and finite, got {self.losses[bad[0]]}")
 
 
 def load_loss_curve(path: str | Path) -> LossCurve:
@@ -54,14 +60,21 @@ def load_loss_curve(path: str | Path) -> LossCurve:
         if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
             raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
         for where, rows in chunks:
-            for number, row in zip(where.tolist(), rows):
-                if not any(map(str.strip, row)):
-                    continue
-                try:
-                    steps.append(int(row[0]))
-                    losses.append(float(row[1]))
-                except (ValueError, IndexError):
-                    raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
+            try:  # both columns at once; a chunk with a blank, short or bad row goes row by row
+                chunk_steps = list(map(int, map(operator.itemgetter(0), rows)))
+                chunk_losses = list(map(float, map(operator.itemgetter(1), rows)))
+            except (ValueError, IndexError):
+                for number, row in zip(where.tolist(), rows):
+                    if not any(map(str.strip, row)):
+                        continue
+                    try:
+                        steps.append(int(row[0]))
+                        losses.append(float(row[1]))
+                    except (ValueError, IndexError):
+                        raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
+            else:
+                steps += chunk_steps
+                losses += chunk_losses
     return LossCurve(steps=tuple(steps), losses=tuple(losses))
 
 
@@ -77,6 +90,8 @@ class EarlyStopPolicy:
             raise DataError(f"patience must be >= 1, got {self.patience}")
         if self.min_decrease < 0:
             raise DataError(f"min_decrease must be >= 0, got {self.min_decrease}")
+        if not math.isfinite(self.min_decrease):
+            raise DataError(f"min_decrease must be finite, got {self.min_decrease}")
 
 
 @dataclass(frozen=True)

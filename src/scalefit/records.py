@@ -9,7 +9,8 @@ object per line; CSV uses the same keys as a header row, UTF-8, comma
 separated, ``.`` decimal point.
 
 Records are held as numpy columns: :func:`ingest` checks a file a chunk of
-rows and a column at a time into a :class:`RecordTable`, :func:`group`
+rows and a column at a time, as integer codes, into a
+:class:`RecordTable`, :func:`group`
 splits it into run sets with one lexsort, and :class:`RunRecord` objects
 are built only when ``records`` is read.  The column checks only pass or
 fail a chunk; a chunk that fails them is checked again a row at a time by
@@ -441,85 +442,139 @@ _CHECKS = {
     "tokens": lambda cell: _check_tokens(_int_cell(cell, "tokens")),
 }
 _PLAIN_CELLS = {int, str, type(None)}  # equal cells of these types check alike
+_SCALE_FIELDS = ("layers", "hidden", "params")
+_LABEL_FIELDS = ("task", "family", "metric", "direction")
+_SEED_FIELDS = ("pretrain_seed", "finetune_seed")
 
 
-def _apply(check, cells: Sequence, seen: dict) -> Sequence:
-    """``check`` applied to each cell, once per distinct cell where that is
-    safe; ``seen`` keeps its results."""
-    if not set(map(type, cells)) <= _PLAIN_CELLS:
-        return list(map(check, cells))
-    distinct = dict.fromkeys(cells)
-    for cell in distinct.keys() - seen.keys():
-        seen[cell] = check(cell)
-    if all(seen[cell] is cell for cell in distinct):
-        return cells
-    return list(map(seen.__getitem__, cells))
+class _Codes:
+    """The distinct cells of one field, each checked once and numbered:
+    :meth:`codes` maps a chunk's cells to their numbers, ``checked`` holds
+    each number's checked cell and ``missing`` the numbers whose checked
+    cell is None."""
+
+    def __init__(self, check) -> None:
+        self.check = check
+        self.number: dict = {}  # cell -> its number
+        self.checked: list = []
+        self.missing: list[int] = []
+
+    def codes(self, cells: Sequence) -> np.ndarray:
+        """The number of each cell; a cell not seen before is checked, which
+        may raise DataError, and numbered first."""
+        if not set(map(type, cells)) <= _PLAIN_CELLS:
+            # 1, 1.0 and True are one dict key, yet check differently.  A
+            # checked cell checks to itself, so it can stand for its cell.
+            cells = list(map(self.check, cells))
+        try:
+            return np.fromiter(map(self.number.__getitem__, cells), np.intp, len(cells))
+        except KeyError:  # a cell not seen before
+            pass
+        for cell in dict.fromkeys(cells):
+            if cell not in self.number:
+                checked = self.check(cell)
+                if checked is None:
+                    self.missing.append(len(self.checked))
+                self.number[cell] = len(self.checked)
+                self.checked.append(checked)
+        return np.fromiter(map(self.number.__getitem__, cells), np.intp, len(cells))
+
+    def resolved(self, codes: np.ndarray, default: int) -> np.ndarray:
+        """The checked integers of ``codes``, ``default`` where missing (see :func:`_ints`)."""
+        return _ints([default if v is None else v for v in self.checked])[codes]
 
 
-def _values(cells: Sequence) -> list[float]:
+def _distinct(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows where each distinct row of the integer ``columns`` first
+    appears, in row order, and each row's index into those rows.  Column
+    ``j`` holds values in ``range(sizes[j])``."""
+    key, bound = columns[0], sizes[0]
+    for column, size in zip(columns[1:], sizes[1:]):
+        if bound * size > 2**63:  # key * size + column could overflow: renumber both below len(key)
+            key, column = (np.unique(c, return_inverse=True)[1] for c in (key, column))
+            bound = size = len(key)
+        key = key * size + column
+        bound *= size
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _values(cells: Sequence) -> np.ndarray:
     """The value column parsed in bulk; raises DataError unless every cell
     is a finite positive number."""
     if not set(map(type, cells)) <= {float, int, str}:
         raise DataError("value must be a number")
     try:
-        values = list(map(float, cells))  # what _as_float does to each cell
+        v = np.fromiter(map(float, cells), float, len(cells))  # what _as_float does to each cell
     except (ValueError, OverflowError):
         raise DataError("value must be a number") from None
-    v = np.array(values, dtype=float)
     if not (np.isfinite(v).all() and (v > 0).all()):
         raise DataError("value must be finite and positive")
-    return values
+    return v
 
 
 class _Columns:
-    """Checked columns of one file, added a chunk of rows at a time."""
+    """Checked columns of one file, added a chunk of rows at a time as
+    integer codes: each field's cells are numbered by its :class:`_Codes`,
+    and the scale and label of a row are numbered, in order of first
+    appearance, by the distinct combinations of those numbers."""
 
     def __init__(self) -> None:
-        self.seen: dict[str, dict] = {field: {} for field in _CHECKS}  # cell -> checked cell
-        self.scale_of: dict[tuple, int] = {}  # checked cell triple -> scale index
+        self.fields = {field: _Codes(check) for field, check in _CHECKS.items()}
         self.scales: dict[ScaleSpec, int] = {}
         self.labels: dict[tuple, int] = {}
-        self.columns: dict[str, list] = {name: [] for name in ("code", "label", "value", "pre", "fin", "tokens")}
+        # Each column's chunks, after an empty one that gives the column its dtype.
+        self.columns: dict[str, list[np.ndarray]] = {
+            name: [np.empty(0, dtype=np.intp)] for name in ("code", "label", *_SEED_FIELDS, "tokens")
+        }
+        self.columns["value"] = [np.empty(0)]
         self.defaulted = 0
         self.first_default: str | None = None
 
-    def add(self, cells: dict, where: Sequence[int]) -> None:
+    def _number(self, codes: dict, fields: Sequence[str], numbers: dict, make) -> np.ndarray:
+        """Each row's number in ``numbers`` of ``make`` applied to its checked
+        ``fields``; a new value is numbered in order of first appearance."""
+        first, inverse = _distinct([codes[f] for f in fields], [len(self.fields[f].checked) for f in fields])
+        checked = [self.fields[f].checked for f in fields]
+        index = [
+            numbers.setdefault(make(*map(list.__getitem__, checked, key)), len(numbers))
+            for key in zip(*(codes[f][first].tolist() for f in fields))
+        ]
+        return np.array(index, dtype=np.intp)[inverse]
+
+    def add(self, cells: dict, where: np.ndarray) -> None:
         """Check one chunk's cells a column at a time and append them; ``where``
         numbers its rows.  A failed check raises DataError without naming a row."""
-        col = {field: _apply(check, cells[field], self.seen[field]) for field, check in _CHECKS.items()}
-        triples = list(zip(col["layers"], col["hidden"], col["params"]))
-        for triple in dict.fromkeys(triples):  # in order of first appearance, which numbers the scales
-            if triple not in self.scale_of:
-                self.scale_of[triple] = self.scales.setdefault(_scale(*triple), len(self.scales))
+        codes = {field: self.fields[field].codes(cells[field]) for field in _CHECKS}
+        code = self._number(codes, _SCALE_FIELDS, self.scales, _scale)
         values = _values(cells["value"])
+        label = self._number(codes, _LABEL_FIELDS, self.labels, lambda *key: key)
 
-        pre, fin = col["pretrain_seed"], col["finetune_seed"]
-        missing = [(seeds.index(None), k) for k, seeds in enumerate((pre, fin)) if None in seeds]
-        if missing:
-            row, k = min(missing)
-            self.defaulted += pre.count(None) + fin.count(None)
-            self.first_default = self.first_default or f"row {where[row]}:{('pretrain_seed', 'finetune_seed')[k]}"
-        labels = list(zip(col["task"], col["family"], col["metric"], col["direction"]))
-        for key in dict.fromkeys(labels):
-            self.labels.setdefault(key, len(self.labels))
-        out = self.columns
-        out["code"] += map(self.scale_of.__getitem__, triples)
-        out["label"] += map(self.labels.__getitem__, labels)
-        out["value"] += values
-        out["pre"] += [0 if s is None else s for s in pre]
-        out["fin"] += [0 if s is None else s for s in fin]
-        out["tokens"] += [-1 if t is None else t for t in col["tokens"]]
+        if any(self.fields[f].missing for f in _SEED_FIELDS):
+            pre, fin = (np.isin(codes[f], self.fields[f].missing) for f in _SEED_FIELDS)
+            defaulted = pre | fin
+            if defaulted.any():
+                row = int(np.argmax(defaulted))
+                self.defaulted += int(pre.sum() + fin.sum())
+                self.first_default = self.first_default or f"row {where[row]}:{_SEED_FIELDS[0 if pre[row] else 1]}"
+        chunk = dict(code=code, label=label, value=values, **{f: codes[f] for f in (*_SEED_FIELDS, "tokens")})
+        for name, column in chunk.items():
+            self.columns[name].append(column)
 
     def table(self) -> RecordTable:
-        c = self.columns
+        c = {name: np.concatenate(parts) for name, parts in self.columns.items()}
+        pre, fin = (self.fields[f].resolved(c[f], 0) for f in _SEED_FIELDS)  # missing: seed 0
         return RecordTable(
             tuple(self.scales),
-            np.array(c["code"], dtype=np.intp),
-            np.array(c["value"], dtype=float),
-            np.column_stack((_ints(c["pre"]), _ints(c["fin"]))),
-            _ints(c["tokens"]),
+            c["code"],
+            c["value"],
+            np.column_stack((pre, fin)),
+            self.fields["tokens"].resolved(c["tokens"], -1),
             tuple(self.labels),
-            np.array(c["label"], dtype=np.intp),
+            c["label"],
         )
 
 
@@ -697,11 +752,31 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     return columns.table()
 
 
+def _json_members(field: str, cells: Sequence) -> Iterable[str]:
+    """Each cell of one field as ``, "field": `` and the JSON text
+    ``json.dumps`` writes for it, or ``""`` for a None cell."""
+    prefix = f', "{field}": '
+    kinds = set(map(type, cells))
+    if kinds == {type(None)}:
+        return itertools.repeat("", len(cells))
+    if kinds == {str}:
+        texts = map(json.encoder.encode_basestring_ascii, cells)
+    elif kinds == {int}:
+        texts = map(int.__repr__, cells)
+    elif kinds == {float} and all(map(math.isfinite, cells)):
+        texts = map(float.__repr__, cells)
+    else:  # None among other cells, or a cell of another type
+        return ["" if cell is None else prefix + json.dumps(cell) for cell in cells]
+    return map(prefix.__add__, texts)
+
+
 def emit(records: Iterable[RunRecord], path: str | Path, format: str | None = None) -> None:
     """Write records in the canonical schema; list(ingest(emit(x))) == x.
 
     Each record is one row of cells in ``RECORD_FIELDS`` order; a None cell
-    is left out of a JSONL object and written as an empty CSV cell.
+    is left out of a JSONL object and written as an empty CSV cell.  A JSONL
+    line holds the bytes ``json.dumps`` writes for the object of the row's
+    other cells, encoded ``_CHUNK`` rows and a field at a time.
     """
     path = Path(path)
     fmt = _infer_format(path, format)
@@ -709,8 +784,9 @@ def emit(records: Iterable[RunRecord], path: str | Path, format: str | None = No
              r.finetune_seed, r.metric, r.value, r.direction, r.tokens) for r in records)
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps({k: v for k, v in zip(RECORD_FIELDS, row) if v is not None}) + "\n")
+            for chunk in iter(lambda: list(itertools.islice(rows, _CHUNK)), []):
+                members = [_json_members(field, cells) for field, cells in zip(RECORD_FIELDS, zip(*chunk))]
+                fh.writelines(f"{{{text[2:]}}}\n" for text in map("".join, zip(*members)))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

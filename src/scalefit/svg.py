@@ -7,6 +7,7 @@ fixtures and reproducibility artifacts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,19 +101,14 @@ def render_plot(spec: PlotSpec) -> str:
     the confidence sleeve (when a band is supplied) is a single polygon
     whose vertex count is twice the band's grid size.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    for g in spec.groups:
-        for x, y in g.points:
-            xs.append(float(x))
-            ys.append(float(y))
+    xs = [float(x) for g in spec.groups for x, _ in g.points]
+    ys = [float(y) for g in spec.groups for _, y in g.points]
     if spec.band is not None:
-        for x, lo, hi in spec.band.point_band:
-            xs.append(float(x))
-            ys.extend((float(lo), float(hi)))
+        xs += [float(x) for x, _, _ in spec.band.point_band]
+        ys += [float(v) for _, lo, hi in spec.band.point_band for v in (lo, hi)]
     if not xs:
         raise DataError("plot needs at least one series with data")
-    if any(v <= 0 for v in xs + ys):
+    if any(map((0.0).__ge__, xs)) or any(map((0.0).__ge__, ys)):
         raise DataError("log-log plot requires positive coordinates")
     if spec.fit is not None:
         ys.extend(predict_at(spec.fit, v) for v in (min(xs), max(xs)))
@@ -170,17 +166,22 @@ def render_plot(spec: PlotSpec) -> str:
             'stroke="#d62728" stroke-width="1.5"/>'
         )
 
+    # Markers: cx is formatted once per distinct x; cy is _Axes.py written
+    # out, in the same order of operations, so it gives the same floats.
+    # The groups' points lead xs and ys, in group order.
+    cx = {x: _fmt(ax.px(x)) for x in set(xs)}
+    ly1, ly_span, plot_h = ax.ly1, ax.ly1 - ax.ly0, ax.plot_h
+    marks = zip(xs, ys)
     for gi, g in enumerate(spec.groups):
         color = _PALETTE[gi % len(_PALETTE)]
-        for x, y in g.points:
-            cx, cy = _fmt(ax.px(float(x))), _fmt(ax.py(float(y)))
-            if g.held_out:
-                out.append(
-                    f'<circle cx="{cx}" cy="{cy}" r="4.00" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
-            else:
-                out.append(f'<circle cx="{cx}" cy="{cy}" r="3.00" fill="{color}"/>')
+        if g.held_out:
+            tail = f'r="4.00" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        else:
+            tail = f'r="3.00" fill="{color}"/>'
+        out += [
+            f'<circle cx="{cx[x]}" cy="{_MARGIN_T + (ly1 - math.log10(y)) / ly_span * plot_h:.2f}" {tail}'
+            for x, y in itertools.islice(marks, len(g.points))
+        ]
 
     # Legend, one swatch per group.
     lx, ly = x1 + 12, y0 + 8

@@ -306,6 +306,17 @@ class TestOversizedCsvCell:
         assert captured.err == "error: row 3: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_earlystop_nonfinite_min_decrease_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "curve.csv"
+    path.write_text("step,eval_loss\n0,1.0\n1,0.9\n", encoding="utf-8")
+    argv = ["diagnose", "earlystop", "--curve", str(path), "--patience", "3", "--min-decrease", value]
+    code, captured = run_json(capsys, argv)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: min_decrease must be finite, got {value}\n"
+
+
 class TestDeeplyNestedJson:
     """A JSONL line nested past the recursion limit exits 2 naming its row."""
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import scalefit as sf
 from scalefit.diagnose import REL_TOL
 from scalefit.errors import DataError
+from scalefit.records import open_csv
 
 from conftest import TARGET, ar32_synth
 
@@ -89,6 +91,11 @@ class TestEarlyStop:
             sf.EarlyStopPolicy(patience=0)
         with pytest.raises(DataError):
             sf.EarlyStopPolicy(patience=1, min_decrease=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_min_decrease_rejected(self, value):
+        with pytest.raises(DataError, match="^min_decrease must be"):
+            sf.EarlyStopPolicy(patience=1, min_decrease=value)
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,6 +225,21 @@ class TestLossCurve:
         with pytest.raises(DataError, match="strictly increasing"):
             curve([1.0, 0.9], steps=[5, 5])
 
+    @pytest.mark.parametrize(
+        "steps, losses, message",
+        [
+            ((1, 3, 3, 2), (1.0,) * 4, "steps must be strictly increasing, got 3 then 3"),
+            ((0, 2**70, 2**70 + 1, 2**70), (1.0,) * 4, f"steps must be strictly increasing, got {2**70 + 1} then {2**70}"),
+            ((1, 2, 3), (1.0, -0.5, math.nan), "losses must be positive and finite, got -0.5"),
+            ((1, 2, 3), (1.0, math.inf, 0.0), "losses must be positive and finite, got inf"),
+            ((1, 1), (math.nan, 1.0), "steps must be strictly increasing, got 1 then 1"),
+        ],
+        ids=["tie", "big-ints", "negative-then-nan", "inf-then-zero", "steps-first"],
+    )
+    def test_first_offender_named(self, steps, losses, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            sf.LossCurve(steps=steps, losses=losses)
+
     def test_nonempty(self):
         with pytest.raises(DataError):
             curve([])
@@ -225,6 +247,51 @@ class TestLossCurve:
     def test_positive_losses(self):
         with pytest.raises(DataError):
             curve([1.0, -0.5])
+
+
+def row_by_row_curve(path):
+    """The loss curve loader as one loop over the rows: the reference."""
+    steps, losses = [], []
+    with open_csv(path) as (header, chunks):
+        if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
+            raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
+        for where, rows in chunks:
+            for number, row in zip(where.tolist(), rows):
+                if not any(map(str.strip, row)):
+                    continue
+                try:
+                    steps.append(int(row[0]))
+                    losses.append(float(row[1]))
+                except (ValueError, IndexError):
+                    raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
+    return sf.LossCurve(steps=tuple(steps), losses=tuple(losses))
+
+
+def curve_outcome(load, path):
+    try:
+        return load(path)
+    except DataError as exc:
+        return str(exc)
+
+
+CURVE_ROWS = ["0,1.0", " 10 , 0.9 ", "", "  ,  ", "20,0.8,extra", '"30\n",0.7', "1_000,5e-1", "2000,"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+def test_loss_curve_columns_match_the_row_loop(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(sf.records, "_CHUNK", chunk)
+    path = tmp_path / "curve.csv"
+    rng = random.Random(chunk)
+    kinds = set()
+    for _ in range(40):
+        rows = [f"{10 * i},{rng.uniform(0.5, 2)!r}" for i in range(rng.randint(0, 9))]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), rng.choice(CURVE_ROWS))
+        path.write_text("step,eval_loss\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+        got = curve_outcome(sf.load_loss_curve, path)
+        assert got == curve_outcome(row_by_row_curve, path), rows
+        kinds.add(type(got))
+    assert kinds == {sf.LossCurve, str}
 
 
 class TestFlagUndertrained:

@@ -264,3 +264,36 @@ def test_two_faults_in_one_row_report_the_first_check(tmp_path, fmt):
         expected = outcome(reference_ingest, reference_group, reference_scales, path)
         assert expected[0].startswith("row 2: " if fmt == "jsonl" else "row 3: ")  # the second row
         assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+
+
+def wide_row(rng, fmt):
+    """A valid row drawn from many distinct cells, so each chunk of a long
+    file brings new seeds, scales and labels."""
+    row = good_row(rng)
+    layers = rng.randint(1, 60)
+    if "layers" in row:
+        row.update(layers=layers, hidden=rng.choice([32, 64]) * layers)
+    row.update(task=rng.choice("tuvw"), pretrain_seed=rng.choice([rng.randint(0, 50), 2**70 + rng.randint(0, 3)]),
+               finetune_seed=rng.randint(0, 5000), value=rng.uniform(0.5, 5.0))
+    if rng.random() < 0.05:
+        row["finetune_seed"] = rng.choice([" 7 ", "+3", "", 3.0 if fmt == "jsonl" else "3"])
+    return row
+
+
+@pytest.mark.parametrize("fmt, bad_row", [("jsonl", None), ("csv", 9_000)])
+def test_ten_thousand_rows_in_real_sized_chunks(tmp_path, fmt, bad_row):
+    rng = random.Random(fmt)
+    rows = [wide_row(rng, fmt) for _ in range(10_000)]
+    if bad_row is not None:
+        rows[bad_row]["tokens"] = -5
+    path = tmp_path / f"runs.{fmt}"
+    if fmt == "jsonl":
+        lines = [json.dumps(row) for row in rows]
+    else:
+        lines = [",".join(RECORD_FIELDS)]
+        lines += [",".join("" if row.get(h) is None else str(row[h]) for h in RECORD_FIELDS) for row in rows]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    assert isinstance(expected[0], list if bad_row is None else str)
+    assert sf.records._CHUNK == 4096
+    assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -210,7 +211,7 @@ class TestIngest:
         path = tmp_path / "runs.jsonl"
         row = {k: v for k, v in BASE_ROW.items() if "seed" not in k}
         write_jsonl(path, [row])
-        with pytest.warns(UserWarning, match="defaulted to 0"):
+        with pytest.warns(UserWarning, match=r"^runs.jsonl: 2 missing seed field\(s\) defaulted to 0 \(first: row 1:pretrain_seed\)$"):
             (record,) = sf.ingest(path)
         assert record.pretrain_seed == 0 and record.finetune_seed == 0
 
@@ -247,6 +248,20 @@ class TestIngest:
         sf.emit(records, path)
         assert path.read_bytes() == reference_emit(records, fmt)
         assert list(sf.ingest(path)) == records
+        # Cells of types ingest never yields: a bool seed (JSON `true`) and a numpy float.
+        records[1:1] = [make_record(pretrain_seed=True), make_record(value=np.float64(0.1) + 1e-17)]
+        sf.emit(records, path)
+        assert path.read_bytes() == reference_emit(records, fmt)
+        records = [make_record(pretrain_seed=v) for v in (0.5, math.inf, -math.inf, math.nan)]  # NaN, Infinity
+        sf.emit(records, path)
+        assert path.read_bytes() == reference_emit(records, fmt)
+
+    def test_emit_rejects_a_non_json_cell_like_json_dumps(self, tmp_path):
+        records = [make_record(), make_record(finetune_seed=np.int64(3))]
+        with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+            reference_emit(records, "jsonl")
+        with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+            sf.emit(records, tmp_path / "runs.jsonl")
 
     def test_bad_format(self, tmp_path):
         path = tmp_path / "runs.txt"
@@ -350,6 +365,43 @@ class TestIngestEdgeCases:
         first_line = 20_002 if suffix == "jsonl" else 20_003
         with pytest.raises(DataError, match=rf"^row {first_line}: {bad}"):
             sf.ingest(path)
+
+    @pytest.mark.parametrize(
+        "rows, chunk, expected",
+        [
+            ([dict(BASE_ROW, layers=v, pretrain_seed=v) for v in (1, 1.0)], 4096,
+             dict(scales=(sf.ScaleSpec.from_dims(1, 32),), code=([0, 0], "i"), seeds=([[1, 0], [1, 0]], "i"))),
+            ([dict(BASE_ROW, pretrain_seed=v) for v in (1, 1.0, True)], 4096,
+             "row 3: field 'pretrain_seed' must be an integer"),
+            ([dict(BASE_ROW, finetune_seed=v) for v in (2**70, 3, 2**70 + 1, -(2**70))], 4096,
+             dict(seeds=([[0, 2**70], [0, 3], [0, 2**70 + 1], [0, -(2**70)]], "O"))),
+            ([dict(BASE_ROW, layers=layers, hidden=32 * layers, task=task)
+              for layers, task in ((2, "a"), (2, "a"), (1, "a"), (3, "b"), (2, "c"), (1, "b"))], 2,
+             dict(scales=tuple(sf.scale_ladder(32, (2, 1, 3))), code=([0, 0, 1, 2, 0, 1], "i"),
+                  labels=tuple((t, "mlm", "f1", "maximize") for t in "abc"), label=([0, 0, 0, 1, 2, 1], "i"))),
+            (["", "  ", BASE_ROW, "", "\t", dict(BASE_ROW, layers=2, hidden=64)], 1,
+             dict(scales=tuple(sf.scale_ladder(32, (1, 2))), code=([0, 1], "i"))),
+        ],
+        ids=["one-and-one-point-zero", "true-among-ones", "huge-seeds", "first-seen-in-later-chunks", "blank-chunks"],
+    )
+    def test_column_codes(self, tmp_path, monkeypatch, rows, chunk, expected):
+        monkeypatch.setattr(sf.records, "_CHUNK", chunk)
+        path = tmp_path / "runs.jsonl"
+        path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in rows), encoding="utf-8")
+        if isinstance(expected, str):
+            with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+                sf.ingest(path)
+            return
+        table = sf.ingest(path)
+        got = {name: getattr(table, name) for name in expected}
+        assert {k: (v.tolist(), v.dtype.kind) if isinstance(v, np.ndarray) else v for k, v in got.items()} == expected
+
+    def test_distinct_rows_of_columns_too_wide_for_one_int64_key(self):
+        big = 2**62
+        columns = [np.array([big, 0, big, big]), np.array([0, 1, 1, 0]), np.array([5, 5, 5, 5])]
+        first, index = sf.records._distinct(columns, [big + 1, 2, 2**40])
+        assert first.tolist() == [0, 1, 2]
+        assert index.tolist() == [0, 1, 2, 0]
 
     def test_chunk_failing_only_its_column_checks_is_an_internal_error(self, tmp_path, monkeypatch):
         path = tmp_path / "runs.jsonl"

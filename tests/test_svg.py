@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import scalefit as sf
+from scalefit import svg
 from scalefit.errors import DataError
 
 from conftest import ar32_synth
@@ -61,6 +62,24 @@ class TestRenderPlot:
         held = [g for g in spec.groups if g.held_out]
         assert len(held) == 1
         assert len(held[0].points) == 10  # 2 scales x 5 runs
+
+    def test_markers_match_a_per_point_rendering(self):
+        runset, _ = ar32_synth(703, sigma_pre=0.02, seeds_per_scale=3)
+        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=3))
+        spec = sf.plot_runset(runset, band=band, heldout_layers=(7, 8))
+        assert len(spec.groups) == 2 and spec.groups[1].held_out
+        xs = [x for g in spec.groups for x, _ in g.points] + [x for x, _, _ in band.point_band]
+        ys = [y for g in spec.groups for _, y in g.points] + [v for _, lo, hi in band.point_band for v in (lo, hi)]
+        ax = svg._Axes(svg._log_range(xs), svg._log_range(ys))
+        expected = []
+        for color, g in zip(svg._PALETTE, spec.groups):
+            for x, y in g.points:
+                cx, cy = svg._fmt(ax.px(x)), svg._fmt(ax.py(y))
+                if g.held_out:
+                    expected.append(f'<circle cx="{cx}" cy="{cy}" r="4.00" fill="none" stroke="{color}" stroke-width="1.5"/>')
+                else:
+                    expected.append(f'<circle cx="{cx}" cy="{cy}" r="3.00" fill="{color}"/>')
+        assert [line for line in sf.render_plot(spec).splitlines() if line.startswith("<circle")] == expected
 
     def test_escaping(self):
         group = sf.ScatterGroup(label="a<b&c", points=((10.0, 2.0),))
