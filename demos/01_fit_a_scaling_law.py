@@ -31,7 +31,7 @@ spec = sf.SynthSpec(
 )
 runset, truth = sf.generate(spec)
 data_path = out_dir / "sweep.jsonl"
-sf.emit(runset.records, data_path)
+sf.emit(runset, data_path)
 print(f"\nwrote {len(runset)} records to {data_path}")
 
 # --- round trip through the canonical file format, then fit

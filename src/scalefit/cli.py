@@ -105,11 +105,6 @@ def _parse_layer_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_groups(args) -> dict:
-    records = ingest(args.input, args.input_format)
-    return group(records)
-
-
 def _pick(groups: dict, task, family, metric) -> RunSet:
     matches = [
         rs
@@ -131,7 +126,7 @@ def _pick(groups: dict, task, family, metric) -> RunSet:
 
 
 def _load_runset(args) -> RunSet:
-    return _pick(_load_groups(args), args.task, args.family, args.metric)
+    return _pick(group(ingest(args.input, args.input_format)), args.task, args.family, args.metric)
 
 
 def _scale(args, prefix: str, required: bool = True) -> ScaleSpec | None:
@@ -238,7 +233,7 @@ def _cmd_holdout(args) -> Report:
 
 
 def _cmd_select(args) -> Report:
-    groups = _load_groups(args)
+    groups = group(ingest(args.input, args.input_format))
     runset_a = _pick(groups, args.task, args.family_a, args.metric)
     runset_b = _pick(groups, args.task, args.family_b, args.metric)
     target = _scale(args, "target")
@@ -362,24 +357,14 @@ def _cmd_synth(args) -> Report:
         metric=args.metric,
     )
     runset, truth = generate(spec)
-    emit(runset.records, args.out, "jsonl")
+    emit(runset, args.out, "jsonl")
     truth_out = args.truth_out if args.truth_out else args.out + ".truth.json"
     Path(truth_out).write_text(
         json.dumps(truth, default=_json_default, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    inputs = {
-        "alpha": args.alpha,
-        "log_c": args.log_c,
-        "aspect_ratio": args.aspect_ratio,
-        "layers": list(layers),
-        "seeds_per_scale": args.seeds_per_scale,
-        "sigma_pre": args.sigma_pre,
-        "sigma_fin": args.sigma_fin,
-        "seed": args.seed,
-        "direction": args.direction,
-        "noise": args.noise,
-    }
+    names = "alpha log_c aspect_ratio seeds_per_scale sigma_pre sigma_fin seed direction noise".split()
+    inputs = {"layers": list(layers), **{name: getattr(args, name) for name in names}}
     results = {
         "out": args.out,
         "truth_out": truth_out,

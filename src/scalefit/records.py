@@ -221,10 +221,10 @@ class RecordTable:
     @functools.cached_property
     def records(self) -> tuple[RunRecord, ...]:
         labels = map(self.labels.__getitem__, self.label.tolist())
-        rows = zip(self.code.tolist(), self.values.tolist(), self.seeds.tolist(), self.tokens.tolist(), labels)
+        rows = zip(self.code.tolist(), self.values.tolist(), *self.seeds.T.tolist(), self.tokens.tolist(), labels)
         return tuple(
             RunRecord(self.scales[k], task, family, pre, fin, metric, value, direction, None if tok < 0 else tok)
-            for k, value, (pre, fin), tok, (task, family, metric, direction) in rows
+            for k, value, pre, fin, tok, (task, family, metric, direction) in rows
         )
 
 
@@ -245,13 +245,11 @@ class RunSet(RecordTable):
         if len(self.labels) != 1:
             raise DataError("a run set holds one (task, family, metric, direction)")
         depth = [math.nan if s.layers is None else s.layers for s in self.scales]
-        derived = dict(
+        vars(self).update(
             sizes=np.bincount(self.code, minlength=len(self.scales)),
             params=np.array([s.params for s in self.scales], dtype=float)[self.code],
             layers=np.array(depth, dtype=float)[self.code],
         )
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
         super().__post_init__()
 
     task = property(lambda self: self.labels[0][0])
@@ -300,39 +298,45 @@ class RunSet(RecordTable):
 def _take(table: RecordTable, rows: np.ndarray, scales, code: np.ndarray, label: tuple) -> RunSet:
     """The run set ``label`` of the table ``rows``, given in canonical order;
     ``code`` indexes each table row's scale in the ascending ``scales``.  It
-    keeps the scales its rows use, and the table's records if built."""
+    keeps the scales its rows use."""
     used, code = np.unique(code[rows], return_inverse=True)
     kept = tuple(scales[k] for k in used.tolist())
     cols = (table.values[rows], table.seeds[rows], table.tokens[rows])
-    runset = RunSet(kept, code, *cols, (label,), np.zeros(len(rows), dtype=np.intp))
-    if "records" in vars(table):
-        vars(runset)["records"] = tuple(map(table.records.__getitem__, rows.tolist()))
-    return runset
+    return RunSet(kept, code, *cols, (label,), np.zeros(len(rows), dtype=np.intp))
 
 
 def _scale_key(s: ScaleSpec) -> tuple:
     return (s.params, -1 if s.layers is None else s.layers, -1 if s.hidden is None else s.hidden)
 
 
+def _integers(values: list, field: str) -> np.ndarray:
+    """In-memory seeds or token counts as :func:`_ints`; DataError for one that is not an integer."""
+    if set(map(type, values)) - {int}:  # a bool, a numpy integer, or a float that int() would truncate
+        for value in values:
+            with contextlib.suppress(TypeError, ValueError, OverflowError):
+                if int(value) == value:
+                    continue
+            raise DataError(f"field {field!r} must be an integer, got {value!r}")
+    return _ints(list(map(int, values)))
+
+
 def _table(records: Iterable[RunRecord]) -> RecordTable:
-    """Columns of in-memory records; the table keeps the records themselves."""
+    """Columns of in-memory records."""
     recs = tuple(records)
     scales: dict[ScaleSpec, int] = {}
     labels: dict[tuple, int] = {}
     code = [scales.setdefault(r.scale, len(scales)) for r in recs]
     label = [labels.setdefault((r.task, r.family, r.metric, r.direction), len(labels)) for r in recs]
-    seeds = [_ints([getattr(r, f) for r in recs]) for f in ("pretrain_seed", "finetune_seed")]
-    table = RecordTable(
+    seeds = [_integers([getattr(r, f) for r in recs], f) for f in _SEED_FIELDS]
+    return RecordTable(
         tuple(scales),
         np.array(code, dtype=np.intp),
         np.array([r.value for r in recs], dtype=float),
         np.column_stack(seeds),
-        _ints([-1 if r.tokens is None else r.tokens for r in recs]),
+        _integers([-1 if r.tokens is None else r.tokens for r in recs], "tokens"),
         tuple(labels),
         np.array(label, dtype=np.intp),
     )
-    vars(table)["records"] = recs
-    return table
 
 
 def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, str], RunSet]:
@@ -770,25 +774,39 @@ def _json_members(field: str, cells: Sequence) -> Iterable[str]:
     return map(prefix.__add__, texts)
 
 
-def emit(records: Iterable[RunRecord], path: str | Path, format: str | None = None) -> None:
-    """Write records in the canonical schema; list(ingest(emit(x))) == x.
+def _row_chunks(records: RecordTable | Iterable[RunRecord]) -> Iterable[Iterable[tuple]]:
+    """``_CHUNK`` rows at a time of cells in ``RECORD_FIELDS`` order; a table's come from its columns."""
+    if not isinstance(records, RecordTable):
+        rows = ((r.scale.layers, r.scale.hidden, r.scale.params, r.task, r.family, r.pretrain_seed,
+                 r.finetune_seed, r.metric, r.value, r.direction, r.tokens) for r in records)
+        yield from iter(lambda: list(itertools.islice(rows, _CHUNK)), [])
+        return
+    dims = list(zip(*((s.layers, s.hidden, s.params) for s in records.scales)))
+    labels = list(zip(*records.labels))
+    for start in range(0, len(records), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        code, label = records.code[rows].tolist(), records.label[rows].tolist()
+        layers, hidden, params = (map(column.__getitem__, code) for column in dims)
+        task, family, metric, direction = (map(column.__getitem__, label) for column in labels)
+        (pre, fin), values = records.seeds[rows].T.tolist(), records.values[rows].tolist()
+        tokens = (None if tok < 0 else tok for tok in records.tokens[rows].tolist())
+        yield zip(layers, hidden, params, task, family, pre, fin, metric, values, direction, tokens)
+
+
+def emit(records: RecordTable | Iterable[RunRecord], path: str | Path, format: str | None = None) -> None:
+    """Write a table or RunRecords in the canonical schema; list(ingest(emit(x))) == x.
 
     Each record is one row of cells in ``RECORD_FIELDS`` order; a None cell
     is left out of a JSONL object and written as an empty CSV cell.  A JSONL
     line holds the bytes ``json.dumps`` writes for the object of the row's
     other cells, encoded ``_CHUNK`` rows and a field at a time.
     """
-    path = Path(path)
-    fmt = _infer_format(path, format)
-    rows = ((r.scale.layers, r.scale.hidden, r.scale.params, r.task, r.family, r.pretrain_seed,
-             r.finetune_seed, r.metric, r.value, r.direction, r.tokens) for r in records)
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for chunk in iter(lambda: list(itertools.islice(rows, _CHUNK)), []):
-                members = [_json_members(field, cells) for field, cells in zip(RECORD_FIELDS, zip(*chunk))]
-                fh.writelines(f"{{{text[2:]}}}\n" for text in map("".join, zip(*members)))
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_FIELDS)
-            writer.writerows(rows)
+    fmt = _infer_format(Path(path), format)
+    chunks = _row_chunks(records)
+    with open(path, "w", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "csv":
+            csv.writer(fh).writerows(itertools.chain([RECORD_FIELDS], itertools.chain.from_iterable(chunks)))
+            return
+        for rows in chunks:
+            members = [_json_members(field, cells) for field, cells in zip(RECORD_FIELDS, zip(*rows))]
+            fh.writelines(f"{{{text[2:]}}}\n" for text in map("".join, zip(*members)))

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
-from .records import RunRecord, RunSet, ScaleSpec
+from .records import RecordTable, RunSet, ScaleSpec, _check_value, group
 from .rng import substream
 
 _SQRT3 = math.sqrt(3.0)
@@ -65,43 +67,49 @@ class GroundTruth:
         return math.exp(self.log_c + self.alpha * math.log(params))
 
 
-def _draws(rng, sigma: float, n: int, noise: str):
+def _draws(rng, sigma: float, n: int, noise: str) -> np.ndarray:
     # Uniform draws are scaled to the same variance as the normal ones.
     if noise == "uniform":
         return rng.uniform(-_SQRT3 * sigma, _SQRT3 * sigma, size=n)
-    return rng.normal(0.0, sigma, size=n) if sigma > 0 else [0.0] * n
+    return rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
 
 
 def generate(spec: SynthSpec) -> tuple[RunSet, GroundTruth]:
     """Draw one synthetic run set plus the ground truth it came from.
 
     Each scale consumes its own random substream, so output is deterministic
-    for a fixed ``rng_seed`` regardless of generation order.
+    for a fixed ``rng_seed`` regardless of generation order.  The draws fill
+    the run set's columns; equal scales in ``spec.scales`` make one scale.
     """
-    records = []
-    offsets = []
+    scales: dict[ScaleSpec, int] = {}
+    code, values, offsets, overflow = [], [], [], None
     for i, scale in enumerate(spec.scales):
         rng = substream(spec.rng_seed, i)
         u = float(_draws(rng, spec.sigma_pre, 1, spec.noise)[0])
         eps = _draws(rng, spec.sigma_fin, spec.seeds_per_scale, spec.noise)
         offsets.append(u)
         base = spec.true_log_c + spec.true_alpha * math.log(scale.params) + u
-        for j in range(spec.seeds_per_scale):
-            try:
-                value = math.exp(base + float(eps[j]))
-            except OverflowError:
-                raise DataError(f"synthetic value at params={scale.params} overflows float64") from None
-            records.append(
-                RunRecord(
-                    scale=scale,
-                    task=spec.task,
-                    family=spec.family,
-                    pretrain_seed=0,
-                    finetune_seed=j,
-                    metric=spec.metric,
-                    value=value,
-                    direction=spec.direction,
-                )
-            )
-    truth = GroundTruth(alpha=spec.true_alpha, log_c=spec.true_log_c, scale_offsets=tuple(offsets))
-    return RunSet.from_records(records), truth
+        try:  # math.exp, as np.exp can differ in the last bit; an overflow keeps the values before it
+            values.extend(map(math.exp, (base + eps).tolist()))
+        except OverflowError:
+            overflow = DataError(f"synthetic value at params={scale.params} overflows float64")
+            break
+        code.append(scales.setdefault(scale, len(scales)))
+    column = np.array(values)
+    bad = ~(np.isfinite(column) & (column > 0))
+    if bad.any():  # the record value check's error for the first bad value, which precedes any overflow
+        _check_value(values[int(np.argmax(bad))])
+    if overflow:
+        raise overflow
+    fin = np.tile(np.arange(spec.seeds_per_scale, dtype=np.int64), len(code))
+    table = RecordTable(
+        tuple(scales),
+        np.repeat(np.array(code, dtype=np.intp), spec.seeds_per_scale),
+        column,
+        np.column_stack((np.zeros_like(fin), fin)),
+        np.full_like(fin, -1),
+        ((spec.task, spec.family, spec.metric, spec.direction),),
+        np.zeros(len(fin), dtype=np.intp),
+    )
+    (runset,) = group(table).values()
+    return runset, GroundTruth(alpha=spec.true_alpha, log_c=spec.true_log_c, scale_offsets=tuple(offsets))

@@ -241,10 +241,28 @@ class TestIngest:
         sf.emit(records, path)
         assert list(sf.ingest(path)) == records
 
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_emit_bytes_match_reference_writer(self, tmp_path, fmt):
+    @pytest.mark.parametrize(
+        "fmt, source",
+        [("jsonl", "records"), ("csv", "records"), ("jsonl", "table"), ("csv", "table")],
+        ids=["jsonl", "csv", "jsonl-table", "csv-table"],
+    )
+    def test_emit_bytes_match_reference_writer(self, tmp_path, fmt, source):
         records = odd_records()
         path = tmp_path / f"runs.{fmt}"
+        if source == "table":
+            # What ingest returns, and the run sets group makes of it, are
+            # written from their columns: object-dtype seeds and tokens,
+            # params-only scales, and no RunRecord built.
+            path.write_bytes(reference_emit(records, fmt))
+            table = sf.ingest(path)
+            assert table.seeds.dtype == table.tokens.dtype == object
+            assert table.scales[0].layers is None
+            expected = {key: runset.records for key, runset in sf.group(records).items()}
+            for written, rows in [(table, records), *((rs, expected[key]) for key, rs in sf.group(table).items())]:
+                sf.emit(written, path)
+                assert path.read_bytes() == reference_emit(rows, fmt)
+                assert "records" not in vars(written)
+            return
         sf.emit(records, path)
         assert path.read_bytes() == reference_emit(records, fmt)
         assert list(sf.ingest(path)) == records
@@ -476,6 +494,28 @@ class TestGrouping:
         shuffled = records[:]
         random.Random(0).shuffle(shuffled)
         assert sf.RunSet.from_records(records) == sf.RunSet.from_records(shuffled)
+
+    @pytest.mark.parametrize(
+        "field, value, stored",
+        [
+            ("finetune_seed", 0.5, None),
+            ("tokens", 2.7, None),
+            ("pretrain_seed", math.nan, None),
+            ("tokens", math.inf, None),
+            ("pretrain_seed", True, 1),
+            ("finetune_seed", np.int64(7), 7),
+            ("finetune_seed", 2**70, 2**70),
+            ("tokens", np.uint8(9), 9),
+        ],
+    )
+    def test_in_memory_seeds_and_tokens_must_be_integers(self, field, value, stored):
+        record = make_record(**{field: value})  # a RunRecord takes any such cell
+        if stored is None:
+            with pytest.raises(DataError, match=f"^field '{field}' must be an integer, got {re.escape(repr(value))}$"):
+                sf.RunSet.from_records([record])
+            return
+        (back,) = sf.RunSet.from_records([record]).records
+        assert getattr(back, field) == stored and type(getattr(back, field)) is int
 
     def test_runset_points_sorted_by_params(self):
         runset = sf.RunSet.from_records(

@@ -3,9 +3,12 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import scalefit as sf
 from scalefit.errors import DataError
+from scalefit.rng import substream
 
 from conftest import AR32, TRUE_ALPHA, TRUE_LOG_C, ar32_synth
 
@@ -109,3 +112,85 @@ class TestValidation:
 
 def test_noisy_recovery_rate(sim_noisy_recovery):
     assert sim_noisy_recovery["pass_rate"] >= 0.95
+
+
+def draws_per_record(rng, sigma, n, noise):
+    if noise == "uniform":
+        return rng.uniform(-math.sqrt(3.0) * sigma, math.sqrt(3.0) * sigma, size=n)
+    return rng.normal(0.0, sigma, size=n) if sigma > 0 else [0.0] * n
+
+
+def generate_per_record(spec):
+    """``generate`` as one RunRecord per draw, read back into a run set:
+    the construction the columnar one replaced, kept as its reference."""
+    records, offsets = [], []
+    for i, scale in enumerate(spec.scales):
+        rng = substream(spec.rng_seed, i)
+        u = float(draws_per_record(rng, spec.sigma_pre, 1, spec.noise)[0])
+        eps = draws_per_record(rng, spec.sigma_fin, spec.seeds_per_scale, spec.noise)
+        offsets.append(u)
+        base = spec.true_log_c + spec.true_alpha * math.log(scale.params) + u
+        for j in range(spec.seeds_per_scale):
+            try:
+                value = math.exp(base + float(eps[j]))
+            except OverflowError:
+                raise DataError(f"synthetic value at params={scale.params} overflows float64") from None
+            records.append(
+                sf.RunRecord(scale, spec.task, spec.family, 0, j, spec.metric, value, spec.direction)
+            )
+    truth = sf.GroundTruth(alpha=spec.true_alpha, log_c=spec.true_log_c, scale_offsets=tuple(offsets))
+    return sf.RunSet.from_records(records), truth
+
+
+def outcome(make, spec):
+    try:
+        return make(spec)
+    except DataError as exc:
+        return str(exc)
+
+
+SYNTH_SCALES = (*AR32[:4], sf.ScaleSpec.from_params(999), sf.ScaleSpec.from_params(10**30))
+synth_specs = st.builds(
+    sf.SynthSpec,
+    true_alpha=st.floats(-2.0, 2.0) | st.sampled_from([0.0, 80.0, -80.0, 1e308]),
+    true_log_c=st.floats(-10.0, 10.0) | st.sampled_from([-800.0, 700.0]),
+    scales=st.lists(st.sampled_from(SYNTH_SCALES), min_size=1, max_size=6).map(tuple),
+    seeds_per_scale=st.integers(1, 12),
+    sigma_pre=st.just(0.0) | st.floats(0.0, 1.0),
+    sigma_fin=st.just(0.0) | st.floats(0.0, 1.0),
+    rng_seed=st.integers(0, 2**64 - 1),
+    direction=st.sampled_from(["minimize", "maximize"]),
+    noise=st.sampled_from(["normal", "uniform"]),
+)
+
+
+def ladder_spec(**kwargs):
+    base = dict(true_alpha=0.08, true_log_c=3.0, scales=AR32[:3], seeds_per_scale=4)
+    return sf.SynthSpec(**{**base, **kwargs})
+
+
+# One scale whose exponents are 0 +- 400: some of its rows overflow, some underflow.
+WILD = dict(true_alpha=0.0, true_log_c=0.0, scales=AR32[:1], seeds_per_scale=6, sigma_fin=400.0)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=synth_specs)
+@example(spec=ladder_spec(scales=(AR32[1], AR32[0], AR32[1], AR32[0]), sigma_pre=0.1, sigma_fin=0.2))  # scales merge
+@example(spec=ladder_spec(noise="uniform"))  # zero sigmas still draw uniform variates
+@example(spec=ladder_spec(true_alpha=80.0))  # the first scale's values overflow
+@example(spec=ladder_spec(**WILD, rng_seed=68))  # row 3 overflows before row 5 underflows
+@example(spec=ladder_spec(**WILD, rng_seed=70))  # row 3 underflows before rows 5 and 6 overflow
+@example(spec=ladder_spec(true_log_c=-800.0))  # values underflow to 0
+@example(spec=ladder_spec(true_alpha=1e308))  # exponents overflow to inf
+def test_generate_matches_a_per_record_construction(spec):
+    got, want = outcome(sf.generate, spec), outcome(generate_per_record, spec)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (runset, truth), (reference, reference_truth) = got, want
+    assert "records" not in vars(runset)
+    assert runset == reference and truth == reference_truth
+    for name in ("code", "values", "seeds", "tokens", "label", "sizes", "params", "layers"):
+        a, b = getattr(runset, name), getattr(reference, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+    assert runset.records == reference.records

@@ -1,0 +1,190 @@
+"""Byte identity of the scalefit CLI across source trees.
+
+    python3 tools/identity.py TREE [OTHER_TREE]
+
+Each tree runs in a fresh interpreter of its own, in a temporary directory.
+It writes the workload inputs of ``SEED`` with the tree's own
+``perfbench/workloads.py`` (imported, never modified) and runs every command
+of the three workload mixes, plus ``extras``, in-process through the tree's
+``scalefit.cli.run``.  For each command it takes the sha256 of stdout, of
+stderr, of the exit code and of every file the command wrote; each input
+file gets one too.
+
+With one tree it prints those digests, one per line.  With two it prints
+every value that differs or that one side lacks, and exits 1 if there is
+any: ``TREE TREE`` checks that a tree reproduces its own bytes.  Digests
+depend on the numpy build, so none is kept in the repository.  Needs only
+the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 1  # the workload seed, as in the benchmark's CI smoke runs
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stats() -> dict:
+    """Size and modification time of each file in the working directory."""
+    stats = {e.name: e.stat() for e in os.scandir() if e.is_file()}
+    return {name: (st.st_size, st.st_mtime_ns) for name, st in stats.items()}
+
+
+def _written(before: dict) -> dict:
+    """The sha256 of each file in the working directory that is new or changed since ``before``."""
+    changed = sorted(name for name, stat in _stats().items() if before.get(name) != stat)
+    return {name: _sha(Path(name).read_bytes()) for name in changed}
+
+
+def _replace(argv: tuple, option: str, value: str) -> tuple:
+    at = argv.index(option) + 1
+    return (*argv[:at], value, *argv[at + 1:])
+
+
+def extras(name: str, mix: dict) -> dict:
+    """Commands beside the mix of workload ``name`` (``mix`` maps each kind
+    of the mix to its argv), keyed by a label."""
+    if name == "ladder":
+        ladder = ("--input", "ladder.jsonl")
+        observed = float(mix["fit-outlier"][mix["fit-outlier"].index("--observed") + 1])  # 3x the true loss
+        return {
+            "fit --min-depth 3": ("fit", *ladder, "--family", "mlm", "--min-depth", "3"),
+            "fit --r2-space linear": ("fit", *ladder, "--family", "clm", "--r2-space", "linear"),
+            "holdout --format table": (
+                "holdout", *ladder, "--family", "clm", "--train-layers", "1-6", "--test-layers", "7-8",
+                "--format", "table",
+            ),
+            "plot --heldout-layers": (
+                "plot", *ladder, "--family", "clm", "--out", "heldout-clm.svg", "--heldout-layers", "7-8",
+            ),
+            "select --actual-a --actual-b": (*mix["select"], "--actual-a", "4.5", "--actual-b", "4.0"),
+            "select --r2-threshold 0.999": (*mix["select"], "--r2-threshold", "0.999"),
+            "fit-outlier consistent": _replace(mix["fit-outlier"], "--observed", repr(observed / 3)),
+            "fit-outlier overfit": _replace(mix["fit-outlier"], "--observed", repr(observed / 9)),
+        }
+    if name == "bulk":
+        curve = ("diagnose", "earlystop", "--curve", "curve.csv")
+        return {
+            "fit --r2-space linear (JSONL)": ("fit", "--input", "bulk.jsonl", "--r2-space", "linear"),
+            "fit --r2-space linear (CSV)": ("fit", "--input", "bulk.csv", "--r2-space", "linear"),
+            "plot --heldout-layers (CSV)": (
+                "plot", "--input", "bulk.csv", "--out", "heldout-bulk.svg", "--heldout-layers", "31-40",
+            ),
+            "earlystop --patience 5": (*curve, "--patience", "5"),
+            "earlystop --patience 1 --min-decrease 0.001": (
+                *curve, "--patience", "1", "--min-decrease", "0.001",
+            ),
+        }
+    if name == "synth":
+        law = ("synth", "--alpha", "0.08", "--log-c", "3.0", "--seed", str(SEED))
+        return {
+            "synth": (
+                *law, "--seeds-per-scale", "5", "--sigma-pre", "0.01", "--sigma-fin", "0.02",
+                "--out", "synth.jsonl",
+            ),
+            "synth --noise uniform": (
+                *law, "--layers", "2-12", "--seeds-per-scale", "7", "--sigma-fin", "0.05", "--noise", "uniform",
+                "--direction", "maximize", "--out", "uniform.jsonl", "--truth-out", "uniform.truth.json",
+            ),
+            "synth overflow": (
+                "synth", "--alpha", "100", "--log-c", "700", "--seed", "1", "--out", "overflow.jsonl",
+            ),
+        }
+    return {}
+
+
+def _run(cli, argv: tuple) -> tuple:
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is an outcome to compare, not a failed check
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def collect(tree: Path) -> dict:
+    """Label -> sha256 of every output of every command, run on ``tree``."""
+    sys.dont_write_bytecode = True  # leave the tree as it was
+    tree = tree.resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads
+    from scalefit import cli
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name in (*workloads.WORKLOADS, "synth"):
+            mix = {}
+            if name in workloads.WORKLOADS:
+                workload = workloads.WORKLOADS[name](SEED)
+                before = _stats()
+                workload.write_inputs()
+                digests.update({f"{name} input {file}": sha for file, sha in _written(before).items()})
+                mix = {cmd.kind: cmd.argv for cmd in workload.commands}
+            for label, argv in {**mix, **extras(name, mix)}.items():
+                before = _stats()
+                code, out, err = _run(cli, argv)
+                key = f"{name} {label}:"
+                digests[f"{key} argv"] = _sha(json.dumps(argv).encode())
+                digests[f"{key} exit"] = _sha(str(code).encode())
+                digests[f"{key} stdout"] = _sha(out.encode())
+                digests[f"{key} stderr"] = _sha(err.encode())
+                digests.update({f"{key} file {file}": sha for file, sha in _written(before).items()})
+        os.chdir(tree)
+    return digests
+
+
+def _digests(tree: Path) -> dict:
+    """``collect`` run on ``tree`` in a fresh interpreter."""
+    argv = [sys.executable, __file__, "--collect", str(tree.resolve())]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        sys.exit(f"{tree}: the run failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="+", type=Path, help="one or two source trees")
+    parser.add_argument("--collect", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if len(args.trees) > 2:
+        parser.error("give one or two trees")
+    if args.collect:
+        print(json.dumps(collect(*args.trees)))
+        return 0
+    runs = [_digests(tree) for tree in args.trees]
+    if len(runs) == 1:
+        for key, sha in runs[0].items():
+            print(f"{sha[:16]}  {key}")
+        return 0
+    a, b = runs
+    keys = list(dict.fromkeys([*a, *b]))
+    differ = [key for key in keys if a.get(key) != b.get(key)]
+    for key in differ:
+        print(f"DIFFERS {key}: {a.get(key, 'missing')[:16]} vs {b.get(key, 'missing')[:16]}")
+    trees = " vs ".join(map(str, args.trees))
+    print(f"{len(keys) - len(differ)} of {len(keys)} values identical ({trees}, seed {SEED})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
