@@ -9,15 +9,18 @@ dominates.  The naive scheme ignores the group structure and draws all
 M*T pooled points with replacement.
 
 Replicates are computed in fixed blocks of ``BLOCK``.  Block k consumes its
-own counter-based random substream derived from (rng_seed, k): its
-resamples are drawn as one index array and fitted by one vectorized least
-squares over per-group counts and sums.  Results are therefore
-bit-identical however the blocks are scheduled, and because ``BLOCK`` does
-not depend on the replicate count, a run with B replicates is a prefix of
-any run with more.  Resamples that collapse to fewer than two distinct
-scales are redrawn, in row order, from the block's substream; a kept
-replicate that stays degenerate for ``MAX_REDRAWS`` consecutive draws
-aborts the run.
+own counter-based random substream derived from (rng_seed, k), which draws
+the block's resamples as one index array.  The fit is separate from the
+draws: consecutive blocks are reduced together, up to ``REDUCE_ELEMENTS``
+index elements at a time, to per-group counts and sums and one vectorized
+least squares.  Every step of that reduction works per row, so a block's
+replicates are the same bits whether it is reduced alone or with its
+neighbours.  Results are therefore bit-identical however the blocks are
+scheduled, and because ``BLOCK`` does not depend on the replicate count, a
+run with B replicates is a prefix of any run with more.  Resamples that
+collapse to fewer than two distinct scales are redrawn, in row order, from
+the block's substream; a kept replicate that stays degenerate for
+``MAX_REDRAWS`` consecutive draws aborts the run.
 """
 
 from __future__ import annotations
@@ -31,9 +34,14 @@ from .errors import DataError, DegenerateDataError
 from .records import RunSet
 from .rng import substream
 
-# Replicates per random substream and per vectorized fit.  Fixed, so that
-# the replicate stream does not depend on the replicate count.
+# Replicates per random substream.  Fixed, so that the replicate stream does
+# not depend on the replicate count.
 BLOCK = 32
+# Index elements (within-group positions or pooled draws) reduced in one
+# pass.  Consecutive blocks are gathered while their index arrays fit, so
+# small blocks share the fixed cost of a reduction and the working set stays
+# bounded; a block that reaches the budget on its own is reduced alone.
+REDUCE_ELEMENTS = 2**14
 # Consecutive draws a kept replicate may take before a degenerate resample
 # aborts the run.
 MAX_REDRAWS = 100
@@ -119,13 +127,15 @@ class _Pool:
 
     Scale group k owns positions ``start[k] : start[k] + sizes[k]`` of ``v``;
     every record in a group shares the group's ``u = ln N``, so a resample
-    needs only its per-group counts and sums of ``v``.
+    needs only its per-group counts and sums of ``v``.  ``common_size`` is
+    the size every group has, or 0 when the sizes differ.
     """
 
     def __init__(self, runset: RunSet):
         self.n_groups = len(runset.scales)
         self.sizes = runset.sizes
         self.start = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        self.common_size = int(self.sizes[0]) if (self.sizes == self.sizes[0]).all() else 0
         self.v = np.log(runset.values)
         self.code = runset.code
         self.params = runset.params
@@ -142,8 +152,14 @@ def _within_draws(pool: _Pool, rng: np.random.Generator, groups: np.ndarray) -> 
     """Positions in ``pool.v`` of one within-group resample per drawn group.
 
     Drawn group ``groups[r, j]`` contributes its own size of positions, drawn
-    with replacement from its members; segments follow row-major order.
+    with replacement from its members; segments follow row-major order.  When
+    all groups have one size the bound is a scalar, which gives the same
+    values and leaves the generator in the same state as the array bound.
     """
+    if pool.common_size:
+        positions = rng.integers(0, pool.common_size, size=(groups.size, pool.common_size))
+        positions += pool.start[groups].reshape(-1, 1)
+        return positions.ravel()
     counts = pool.sizes[groups].ravel()
     return rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
 
@@ -183,13 +199,15 @@ def _ols_rows(u: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> tuple[np.n
     return slopes, vm - slopes * um
 
 
-def _block_coeffs(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes and intercepts of replicates ``block*BLOCK`` to ``block*BLOCK + BLOCK - 1``.
+def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.ndarray, ...]:
+    """The resamples of replicates ``block*BLOCK`` to ``block*BLOCK + BLOCK - 1``.
 
-    The whole block is drawn, and redrawn, from substream ``(rng_seed,
-    block)`` whatever ``n_replicates`` is, so a shorter run is a prefix of a
-    longer one.  Only replicates below ``n_replicates`` must end up
-    non-degenerate.
+    Returns what :func:`_reduce` fits: ``(groups, positions)`` in the
+    hierarchical mode, ``(idx,)`` in the naive one; the last array is the
+    block's index array.  The whole block is drawn, and redrawn, from
+    substream ``(rng_seed, block)`` whatever ``n_replicates`` is, so a
+    shorter run is a prefix of a longer one.  Only replicates below
+    ``n_replicates`` must end up non-degenerate.
     """
     rng = substream(cfg.rng_seed, block)
     hierarchical = cfg.mode == "hierarchical"
@@ -208,13 +226,43 @@ def _block_coeffs(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.nda
             f"replicate {block * BLOCK + int(np.argmax(kept))}: no resample with 2 distinct "
             f"scales after {MAX_REDRAWS} consecutive redraws"
         )
-    if hierarchical:
-        stats = _hierarchical_stats(pool, draws, _within_draws(pool, rng, draws))
-    else:
-        stats = _naive_stats(pool, draws)
+    return (draws, _within_draws(pool, rng, draws)) if hierarchical else (draws,)
+
+
+def _reduce(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of consecutive blocks' draws, fitted in one pass.
+
+    Each row's counts, sums and fit depend on that row alone, so the result
+    is, bit for bit, the blocks' results reduced one at a time.
+    """
+    draws = blocks[0] if len(blocks) == 1 else [np.concatenate(parts) for parts in zip(*blocks)]
+    stats = _hierarchical_stats(pool, *draws) if mode == "hierarchical" else _naive_stats(pool, *draws)
     # Rows past n_replicates may stay degenerate; they are cut off unread.
     with np.errstate(divide="ignore", invalid="ignore"):
         return _ols_rows(*stats)
+
+
+def _fits(pool: _Pool, cfg: BootstrapConfig):
+    """Slopes and intercepts of every block, in order, one run of consecutive blocks at a time.
+
+    A run holds at most ``REDUCE_ELEMENTS`` index elements, unless it is one
+    block that reaches the budget on its own.  A run is fitted once the next
+    block would not fit in it, or as soon as it is full, so a large block is
+    fitted alone, without a copy, and let go before the next one is drawn.
+    """
+    batch, held = [], 0
+    for k in range(-(-cfg.n_replicates // BLOCK)):
+        batch.append(_block_draws(pool, cfg, k))
+        size = batch[-1][-1].size
+        if len(batch) > 1 and held + size > REDUCE_ELEMENTS:
+            yield _reduce(pool, cfg.mode, batch[:-1])
+            batch, held = batch[-1:], 0
+        held += size
+        if held >= REDUCE_ELEMENTS:
+            yield _reduce(pool, cfg.mode, batch)
+            batch, held = [], 0
+    if batch:
+        yield _reduce(pool, cfg.mode, batch)
 
 
 def default_grid(runset: RunSet) -> tuple[float, ...]:
@@ -235,10 +283,10 @@ def bootstrap_band(
     """
     pool = _Pool(runset)
     b = cfg.n_replicates
-    blocks = [_block_coeffs(pool, cfg, k) for k in range(-(-b // BLOCK))]
+    fits = list(_fits(pool, cfg))
     return BootstrapBand(
-        replicate_slopes=tuple(np.concatenate([c[0] for c in blocks])[:b].tolist()),
-        replicate_intercepts=tuple(np.concatenate([c[1] for c in blocks])[:b].tolist()),
+        replicate_slopes=tuple(np.concatenate([c[0] for c in fits])[:b].tolist()),
+        replicate_intercepts=tuple(np.concatenate([c[1] for c in fits])[:b].tolist()),
         lo_pct=cfg.lo_pct,
         hi_pct=cfg.hi_pct,
         grid=default_grid(runset) if grid is None else grid,

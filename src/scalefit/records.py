@@ -470,10 +470,11 @@ class _Codes:
             # 1, 1.0 and True are one dict key, yet check differently.  A
             # checked cell checks to itself, so it can stand for its cell.
             cells = list(map(self.check, cells))
-        try:
-            return np.fromiter(map(self.number.__getitem__, cells), np.intp, len(cells))
-        except KeyError:  # a cell not seen before
-            pass
+        if self.number:  # before any cell is numbered, every cell is new
+            try:
+                return np.fromiter(map(self.number.__getitem__, cells), np.intp, len(cells))
+            except KeyError:  # a cell not seen before
+                pass
         for cell in dict.fromkeys(cells):
             if cell not in self.number:
                 checked = self.check(cell)

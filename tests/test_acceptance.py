@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scalefit as sf
-from scalefit.bootstrap import BLOCK, _block_coeffs, _Pool
+from scalefit.bootstrap import BLOCK, _block_draws, _Pool, _reduce
 from scalefit.cli import run
 
 from conftest import TRUE_ALPHA, TRUE_LOG_C, ar32_synth
@@ -183,14 +183,18 @@ def test_criterion_10_determinism(tmp_path, capsys):
         synths.append(gen.read_bytes() + (tmp_path / f"gen{i}.jsonl.truth.json").read_bytes())
 
     # block substreams are schedule-independent: a reversed thread-pool
-    # evaluation of the blocks must reproduce the serial coefficients exactly
+    # evaluation of the blocks, each drawn and fitted alone, must reproduce
+    # the serial coefficients exactly
     cfg = sf.BootstrapConfig(n_replicates=48, rng_seed=4)
     serial = sf.bootstrap_band(runset, cfg)
     pool = _Pool(runset)
     n_blocks = -(-48 // BLOCK)
     with ThreadPoolExecutor(max_workers=6) as ex:
         parallel = dict(
-            ex.map(lambda k: (k, _block_coeffs(pool, cfg, k)), reversed(range(n_blocks)))
+            ex.map(
+                lambda k: (k, _reduce(pool, cfg.mode, [_block_draws(pool, cfg, k)])),
+                reversed(range(n_blocks)),
+            )
         )
     parallel_slopes = tuple(
         np.concatenate([parallel[k][0] for k in range(n_blocks)])[:48].tolist()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 import scalefit as sf
 from scalefit.bootstrap import (
     BLOCK,
-    _block_coeffs,
+    _block_draws,
+    _degenerate,
     _hierarchical_stats,
     _naive_stats,
     _ols_rows,
     _Pool,
+    _reduce,
     _within_draws,
 )
 from scalefit.errors import DataError, DegenerateDataError
@@ -40,6 +43,25 @@ def exact_law_runset(n_dup=3):
                     direction="minimize",
                 )
             )
+    return sf.RunSet.from_records(records)
+
+
+def two_scale_runset(seeds_per_scale):
+    # two scales: many scale draws are degenerate and get redrawn
+    records = [
+        sf.RunRecord(
+            scale=sf.ScaleSpec.from_params(params),
+            task="t",
+            family="f",
+            pretrain_seed=0,
+            finetune_seed=s,
+            metric="m",
+            value=params * math.exp(0.01 * s),
+            direction="minimize",
+        )
+        for params in (10, 1000)
+        for s in range(seeds_per_scale)
+    ]
     return sf.RunSet.from_records(records)
 
 
@@ -89,30 +111,19 @@ class TestHierarchical:
         serial = sf.bootstrap_band(runset, cfg)
         pool = _Pool(runset)
         blocks = list(range(-(-cfg.n_replicates // BLOCK)))[::-1]
+
+        def fit_alone(k):
+            return k, _reduce(pool, cfg.mode, [_block_draws(pool, cfg, k)])
+
         with ThreadPoolExecutor(max_workers=8) as ex:
-            coeffs = dict(ex.map(lambda k: (k, _block_coeffs(pool, cfg, k)), blocks))
+            coeffs = dict(ex.map(fit_alone, blocks))
         slopes = np.concatenate([coeffs[k][0] for k in sorted(coeffs)])[: cfg.n_replicates]
         intercepts = np.concatenate([coeffs[k][1] for k in sorted(coeffs)])[: cfg.n_replicates]
         assert tuple(slopes.tolist()) == serial.replicate_slopes
         assert tuple(intercepts.tolist()) == serial.replicate_intercepts
 
     def test_exactly_b_replicates_with_redraws(self):
-        # two scales: half of all scale draws are degenerate and get redrawn
-        records = [
-            sf.RunRecord(
-                scale=sf.ScaleSpec.from_params(params),
-                task="t",
-                family="f",
-                pretrain_seed=0,
-                finetune_seed=s,
-                metric="m",
-                value=params * math.exp(0.01 * s),
-                direction="minimize",
-            )
-            for params in (10, 1000)
-            for s in range(4)
-        ]
-        runset = sf.RunSet.from_records(records)
+        runset = two_scale_runset(4)
         band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=2))
         assert band.replicates_used == 150
         assert len(band.replicate_slopes) == 150
@@ -311,6 +322,16 @@ class TestBlocks:
             assert len(set(row_lengths.tolist())) > 1  # rows differ in length
         assert_rows_match(slopes, intercepts, expanded_ols(pool, rows))
 
+    def test_uniform_within_draws_match_the_array_bound_draw(self):
+        pool = _Pool(ar32_synth(38)[0])
+        assert pool.common_size == 5
+        groups = sf.substream(9, 0).integers(0, pool.n_groups, size=(BLOCK, pool.n_groups))
+        a, b = sf.substream(9, 1), sf.substream(9, 1)
+        counts = pool.sizes[groups].ravel()
+        reference = b.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
+        assert _within_draws(pool, a, groups).tolist() == reference.tolist()
+        assert generator_state(a) == generator_state(b)
+
     def test_naive_batched_fit_matches_loop(self):
         pool = _Pool(ragged_runset(32, (2, 6, 1, 5, 3, 6, 4, 2)))
         idx = sf.substream(8, 0).integers(0, pool.v.size, size=(BLOCK, pool.v.size))
@@ -333,6 +354,53 @@ class TestBlocks:
         )
         assert long.replicate_slopes[:b1] == short.replicate_slopes
         assert long.replicate_intercepts[:b1] == short.replicate_intercepts
+
+    @pytest.mark.parametrize("mode", ["hierarchical", "naive"])
+    @pytest.mark.parametrize(
+        "make, redraws",
+        [
+            (lambda: ar32_synth(36)[0], False),
+            (lambda: ragged_runset(36, (1, 6, 2, 5, 3, 6, 4, 2)), False),
+            (lambda: two_scale_runset(2), True),
+        ],
+        ids=["uniform", "ragged-with-a-size-1-group", "forced-redraws"],
+    )
+    def test_reducing_blocks_together_equals_reducing_each_alone(self, mode, make, redraws):
+        pool = _Pool(make())
+        cfg = sf.BootstrapConfig(n_replicates=5 * BLOCK, rng_seed=41, mode=mode)
+        blocks = [_block_draws(pool, cfg, k) for k in range(5)]
+        alone = [_reduce(pool, mode, [draws]) for draws in blocks]
+        together = _reduce(pool, mode, blocks)
+        for i in (0, 1):
+            assert np.concatenate([fit[i] for fit in alone]).tobytes() == together[i].tobytes()
+        if redraws:  # some first scale draw of a block is degenerate
+            width, key = (pool.n_groups, pool.group_params) if mode == "hierarchical" else (pool.v.size, pool.params)
+            first = [sf.substream(41, k).integers(0, width, size=(BLOCK, width)) for k in range(5)]
+            assert any(_degenerate(key[draws]).any() for draws in first)
+
+    @pytest.mark.parametrize("mode", ["hierarchical", "naive"])
+    @pytest.mark.parametrize("sizes", [None, (1, 6, 2, 5, 3, 6, 4, 2)], ids=["uniform", "ragged"])
+    @pytest.mark.parametrize("budget", [1, 930, 2000, 2**14, 2**40])
+    def test_band_does_not_depend_on_the_reduce_budget(self, monkeypatch, mode, sizes, budget):
+        # budget 1 reduces every block alone, 2**40 all blocks at once; a
+        # ragged hierarchical block holds 900-960 positions, on both sides of 930
+        runset = ar32_synth(37)[0] if sizes is None else ragged_runset(37, sizes)
+        cfg = sf.BootstrapConfig(n_replicates=10 * BLOCK + 3, rng_seed=37, mode=mode)
+        pool = _Pool(runset)
+        alone = [_reduce(pool, mode, [_block_draws(pool, cfg, k)]) for k in range(11)]
+        batches = []
+
+        def spy(pool, mode, blocks):
+            batches.append([draws[-1].size for draws in blocks])
+            return _reduce(pool, mode, blocks)
+
+        monkeypatch.setattr(sf.bootstrap, "REDUCE_ELEMENTS", budget)
+        monkeypatch.setattr(sf.bootstrap, "_reduce", spy)
+        band = sf.bootstrap_band(runset, cfg)
+        assert band.replicate_slopes == tuple(np.concatenate([f[0] for f in alone])[: cfg.n_replicates].tolist())
+        assert band.replicate_intercepts == tuple(np.concatenate([f[1] for f in alone])[: cfg.n_replicates].tolist())
+        assert sum(map(len, batches)) == 11
+        assert all(len(sizes) == 1 or sum(sizes) <= budget for sizes in batches)
 
     def test_one_substream_per_block(self, monkeypatch):
         opened = []
@@ -358,6 +426,45 @@ class TestSubstreamSeeds:
     def test_largest_seed_accepted(self):
         top = sf.substream(2**64 - 1, 0).integers(0, 2**32, size=4)
         assert not np.array_equal(top, sf.substream(0, 0).integers(0, 2**32, size=4))
+
+
+def generator_state(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+# Around 2**32 numpy switches from 32-bit to 64-bit draws per bound.
+STREAM_BOUNDS = [1, 2, 5, 60, 2500, 2**32 - 3, 2**32, 2**32 + 3, 2**40 - 3, 2**40 + 3]
+
+
+class TestStreamProperty:
+    """The within-group draw takes for granted two properties of bounded
+    integers on a substream: a scalar bound draws what an array of that bound
+    draws, and an array-bound draw may be split into runs of equal bounds.
+    A numpy that lays out the stream otherwise fails here, not silently in
+    the replicates."""
+
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare-32-bit-half"])
+    @pytest.mark.parametrize("bound", STREAM_BOUNDS)
+    def test_scalar_bound_draws_what_the_array_bound_draws(self, bound, spare):
+        a, b = sf.substream(12, 3), sf.substream(12, 3)
+        if spare:
+            a.integers(0, 3), b.integers(0, 3)
+            assert a.bit_generator.state["has_uint32"] == 1
+        scalar = a.integers(0, bound, size=257)
+        array = b.integers(0, np.full(257, bound))
+        assert scalar.dtype == array.dtype
+        assert scalar.tolist() == array.tolist()
+        assert generator_state(a) == generator_state(b)
+
+    @pytest.mark.parametrize("per_run", ["array", "scalar"])
+    def test_array_bound_draw_splits_into_equal_bound_runs(self, per_run):
+        runs = [(5, 3), (2**32 + 3, 4), (1, 2), (60, 7), (2**40 + 3, 3), (2, 9), (2500, 11), (2**32 - 3, 5), (2**32, 1)]
+        a, b = sf.substream(13, 4), sf.substream(13, 4)
+        whole = a.integers(0, np.repeat(*zip(*runs)))
+        draw = (lambda h, n: b.integers(0, np.full(n, h))) if per_run == "array" else (lambda h, n: b.integers(0, h, size=n))
+        split = np.concatenate([draw(h, n) for h, n in runs])
+        assert whole.tolist() == split.tolist()
+        assert generator_state(a) == generator_state(b)
 
 
 class TestConfigValidation:
