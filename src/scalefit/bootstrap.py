@@ -74,8 +74,9 @@ class BootstrapBand:
 
     Built from the replicate slopes and intercepts, the percentile pair and
     a grid of abscissas; construction derives the slope and intercept
-    intervals, the band over the grid (``point_band``, ``(x, lo, hi)``
-    rows) and the replicate count.  The grid itself is not kept.
+    intervals and the band over the grid (``point_band``, ``(x, lo, hi)``
+    rows).  The grid itself is not kept, and the replicate count is
+    ``len(replicate_slopes)``.
     """
 
     replicate_slopes: tuple[float, ...]
@@ -86,30 +87,27 @@ class BootstrapBand:
     slope_ci: tuple[float, float] = field(init=False)
     intercept_ci: tuple[float, float] = field(init=False)
     point_band: tuple[tuple[float, float, float], ...] = field(init=False)
-    replicates_used: int = field(init=False)
 
     def __post_init__(self, grid: Sequence[float]) -> None:
         if not 0 < len(self.replicate_slopes) == len(self.replicate_intercepts):
             raise DataError("need one intercept per replicate slope, and at least one replicate")
         pcts = (self.lo_pct, self.hi_pct)
+        slopes, intercepts = np.asarray(self.replicate_slopes), np.asarray(self.replicate_intercepts)
         xs = np.asarray(grid, dtype=float)
         derived = dict(
-            slope_ci=tuple(np.percentile(self.replicate_slopes, pcts).tolist()),
-            intercept_ci=tuple(np.percentile(self.replicate_intercepts, pcts).tolist()),
-            point_band=tuple(zip(xs.tolist(), *self._edges(xs).tolist())),
-            replicates_used=len(self.replicate_slopes),
+            slope_ci=tuple(np.percentile(slopes, pcts).tolist()),
+            intercept_ci=tuple(np.percentile(intercepts, pcts).tolist()),
+            point_band=tuple(zip(xs.tolist(), *self._edges(xs, slopes, intercepts).tolist())),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def _edges(self, xs: np.ndarray) -> np.ndarray:
-        """``(2, len(xs))`` percentile edges of the per-replicate predictions at ``xs``."""
+    def _edges(self, xs: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+        """``(2, len(xs))`` percentile edges at ``xs`` of the predictions of the replicate arrays."""
         if xs.size == 0 or not np.all((xs > 0) & np.isfinite(xs)):
             raise DataError("band abscissas must be positive and finite")
-        slopes = np.asarray(self.replicate_slopes)[:, None]
-        intercepts = np.asarray(self.replicate_intercepts)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            preds = np.exp(intercepts + slopes * np.log(xs))
+            preds = np.exp(intercepts[:, None] + slopes[:, None] * np.log(xs))
             edges = np.percentile(preds, (self.lo_pct, self.hi_pct), axis=0)
         bad = ~np.isfinite(edges).all(axis=0)
         if bad.any():
@@ -119,7 +117,8 @@ class BootstrapBand:
 
     def interval_at(self, x: float) -> tuple[float, float]:
         """Percentile interval of the per-replicate predictions at x."""
-        return tuple(self._edges(np.array([x], dtype=float))[:, 0].tolist())
+        slopes, intercepts = np.asarray(self.replicate_slopes), np.asarray(self.replicate_intercepts)
+        return tuple(self._edges(np.array([x], dtype=float), slopes, intercepts)[:, 0].tolist())
 
 
 class _Pool:

@@ -37,7 +37,7 @@ from .records import RunSet, ScaleSpec, emit, group, ingest, scale_ladder
 from .svg import plot_runset, write_plot
 from .synth import SynthSpec, generate
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 FLOPS_NOTE = "evaluation passes triggered by early stopping are not counted"
 
@@ -208,8 +208,19 @@ def _cmd_bootstrap(args) -> Report:
     band = bootstrap_band(runset, cfg)
     fit = fit_runset(runset)
     inputs = _runset_inputs(args, runset, **_bootstrap_inputs(cfg))
-    results = {"fit": fit, "band": band}
-    return Report(command="bootstrap", inputs=inputs, results=results)
+    # The report's view of the band: its intervals, and the 2*B replicates
+    # only when asked for.  The replicate count is inputs.B.
+    view = {
+        "lo_pct": band.lo_pct,
+        "hi_pct": band.hi_pct,
+        "slope_ci": band.slope_ci,
+        "intercept_ci": band.intercept_ci,
+        "point_band": band.point_band,
+    }
+    if args.replicates:
+        view["replicate_slopes"] = band.replicate_slopes
+        view["replicate_intercepts"] = band.replicate_intercepts
+    return Report(command="bootstrap", inputs=inputs, results={"fit": fit, "band": view})
 
 
 def _cmd_predict(args) -> Report:
@@ -424,6 +435,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bootstrap", help="bootstrap confidence band for a fit")
     _add_input_options(p)
     _add_bootstrap_options(p)
+    p.add_argument(
+        "--replicates", action="store_true", help="also print the replicate slopes and intercepts"
+    )
     _add_format_option(p)
     p.set_defaults(handler=_cmd_bootstrap)
 

@@ -125,8 +125,7 @@ class TestHierarchical:
     def test_exactly_b_replicates_with_redraws(self):
         runset = two_scale_runset(4)
         band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=2))
-        assert band.replicates_used == 150
-        assert len(band.replicate_slopes) == 150
+        assert len(band.replicate_slopes) == len(band.replicate_intercepts) == 150
 
     def test_single_scale_aborts(self):
         cfg = sf.BootstrapConfig(n_replicates=10, rng_seed=0)
@@ -241,7 +240,7 @@ class TestDerivedBand:
         band = sf.BootstrapBand(slopes, intercepts, 5.0, 95.0, grid=(10.0, 1e4))
         assert band.slope_ci == tuple(np.percentile(slopes, (5.0, 95.0)).tolist())
         assert band.intercept_ci == tuple(np.percentile(intercepts, (5.0, 95.0)).tolist())
-        assert band.replicates_used == len(slopes) == 101
+        assert len(band.replicate_slopes) == len(slopes) == 101
         assert [x for x, _, _ in band.point_band] == [10.0, 1e4]
         for x, lo, hi in band.point_band:
             assert (lo, hi) == band.interval_at(x)
@@ -260,7 +259,8 @@ class TestDerivedBand:
         band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=33))
         names = {f.name for f in dataclasses.fields(band)}
         assert "grid" not in names
-        assert {"slope_ci", "intercept_ci", "point_band", "replicates_used"} <= names
+        assert {"slope_ci", "intercept_ci", "point_band"} <= names
+        assert "replicates_used" not in names
 
     def test_mismatched_replicates_rejected(self):
         with pytest.raises(DataError, match="one intercept per replicate slope"):

@@ -70,7 +70,7 @@ class TestExitCodes:
         assert code == 0
         report = json.loads(captured.out)
         assert report["command"] == "fit"
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert 0.07 <= report["results"]["fit"]["alpha"] <= 0.09
 
     def test_missing_input_is_usage_error(self, capsys):
@@ -450,14 +450,22 @@ class TestAgainstLibrary:
         assert report["results"]["fit"] == as_json(expected)
 
     def test_bootstrap_matches_library(self, runs_file, capsys):
-        code, captured = run_json(
-            capsys, ["bootstrap", "--input", runs_file, "--B", "80", "--seed", "17"]
-        )
-        assert code == 0
-        report = json.loads(captured.out)
         runset = sf.group(sf.ingest(runs_file))[("synthetic", "synthetic", "score")]
-        cfg = sf.BootstrapConfig(n_replicates=80, rng_seed=17)
-        assert report["results"]["band"] == as_json(sf.bootstrap_band(runset, cfg))
+        for mode in ("hierarchical", "naive"):
+            argv = ["bootstrap", "--input", runs_file, "--B", "80", "--seed", "17", "--mode", mode]
+            cfg = sf.BootstrapConfig(n_replicates=80, mode=mode, rng_seed=17)
+            band = sf.bootstrap_band(runset, cfg)
+            expected = as_json(band)
+            code, captured = run_json(capsys, [*argv, "--replicates"])
+            assert code == 0
+            printed = json.loads(captured.out)["results"]["band"]
+            assert printed == expected
+            assert printed["replicate_slopes"] == list(band.replicate_slopes)
+            assert printed["replicate_intercepts"] == list(band.replicate_intercepts)
+            code, captured = run_json(capsys, argv)
+            assert code == 0
+            del expected["replicate_slopes"], expected["replicate_intercepts"]
+            assert json.loads(captured.out)["results"]["band"] == expected
 
     def test_holdout_matches_library(self, runs_file, capsys):
         code, captured = run_json(
@@ -481,6 +489,57 @@ class TestAgainstLibrary:
         cfg = sf.BootstrapConfig(n_replicates=60, rng_seed=3)
         expected = sf.extrapolate(runset, sf.ScaleSpec.from_dims(12, 768), cfg, actual=90.0)
         assert report["results"] == as_json(expected)
+
+
+class TestReportSchema2:
+    """A bootstrap report prints the band's intervals; its replicates only on request."""
+
+    ARGV = ["--B", "40", "--seed", "4"]
+
+    def test_default_json_has_no_replicates(self, runs_file, capsys):
+        code, captured = run_json(capsys, ["bootstrap", "--input", runs_file, *self.ARGV])
+        assert code == 0
+        report = json.loads(captured.out)
+        assert report["schema_version"] == "2"
+        assert sorted(report["results"]["band"]) == [
+            "hi_pct", "intercept_ci", "lo_pct", "point_band", "slope_ci"
+        ]
+        assert report["inputs"]["B"] == 40
+        assert "replicate" not in captured.out
+
+    def test_default_table_has_no_replicates(self, runs_file, capsys):
+        argv = ["bootstrap", "--input", runs_file, *self.ARGV, "--format", "table"]
+        code, captured = run_json(capsys, argv)
+        assert code == 0
+        assert "results.band.slope_ci[0] = " in captured.out
+        assert "schema_version = 2" in captured.out
+        assert "replicate" not in captured.out
+
+    def test_replicates_table_lists_every_replicate(self, runs_file, capsys):
+        argv = ["bootstrap", "--input", runs_file, *self.ARGV, "--format", "table", "--replicates"]
+        code, captured = run_json(capsys, argv)
+        assert code == 0
+        lines = captured.out.splitlines()
+        for name in ("replicate_slopes", "replicate_intercepts"):
+            listed = [line for line in lines if line.startswith(f"results.band.{name}[")]
+            assert len(listed) == 40
+        assert "replicates_used" not in captured.out
+
+    def test_replicates_only_adds_the_arrays(self, runs_file, capsys):
+        argv = ["bootstrap", "--input", runs_file, *self.ARGV]
+        _, default = run_json(capsys, argv)
+        _, full = run_json(capsys, [*argv, "--replicates"])
+        short, long = json.loads(default.out), json.loads(full.out)
+        band = long["results"].pop("band")
+        assert short["results"].pop("band") == {
+            k: v for k, v in band.items() if not k.startswith("replicate_")
+        }
+        assert short == long
+
+    def test_flag_is_bootstrap_only(self, runs_file, capsys):
+        argv = ["predict", "--input", runs_file, "--target-params", "84934656", *self.ARGV]
+        assert run([*argv, "--replicates"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -61,6 +61,7 @@ def extras(name: str, mix: dict) -> dict:
         ladder = ("--input", "ladder.jsonl")
         observed = float(mix["fit-outlier"][mix["fit-outlier"].index("--observed") + 1])  # 3x the true loss
         return {
+            "bootstrap --replicates": (*mix["bootstrap"], "--replicates"),
             "fit --min-depth 3": ("fit", *ladder, "--family", "mlm", "--min-depth", "3"),
             "fit --r2-space linear": ("fit", *ladder, "--family", "clm", "--r2-space", "linear"),
             "holdout --format table": (
@@ -88,6 +89,8 @@ def extras(name: str, mix: dict) -> dict:
                 *curve, "--patience", "1", "--min-decrease", "0.001",
             ),
         }
+    if name == "ragged":
+        return {"bootstrap-naive --replicates": (*mix["bootstrap-naive"], "--replicates")}
     if name == "synth":
         law = ("synth", "--alpha", "0.08", "--log-c", "3.0", "--seed", str(SEED))
         return {
