@@ -72,11 +72,11 @@ class BootstrapConfig:
 class BootstrapBand:
     """Per-replicate fits and the percentile intervals they imply.
 
-    Built from the replicate slopes and intercepts, the percentile pair and
-    a grid of abscissas; construction derives the slope and intercept
-    intervals and the band over the grid (``point_band``, ``(x, lo, hi)``
-    rows).  The grid itself is not kept, and the replicate count is
-    ``len(replicate_slopes)``.
+    Built from the replicate slopes and intercepts (any float sequences,
+    kept as tuples), the percentile pair and a grid of abscissas;
+    construction derives the slope and intercept intervals and the band over
+    the grid (``point_band``, ``(x, lo, hi)`` rows).  The grid itself is not
+    kept, and the replicate count is ``len(replicate_slopes)``.
     """
 
     replicate_slopes: tuple[float, ...]
@@ -89,12 +89,15 @@ class BootstrapBand:
     point_band: tuple[tuple[float, float, float], ...] = field(init=False)
 
     def __post_init__(self, grid: Sequence[float]) -> None:
-        if not 0 < len(self.replicate_slopes) == len(self.replicate_intercepts):
+        slopes = np.asarray(self.replicate_slopes, dtype=float)
+        intercepts = np.asarray(self.replicate_intercepts, dtype=float)
+        if not 0 < len(slopes) == len(intercepts):
             raise DataError("need one intercept per replicate slope, and at least one replicate")
         pcts = (self.lo_pct, self.hi_pct)
-        slopes, intercepts = np.asarray(self.replicate_slopes), np.asarray(self.replicate_intercepts)
         xs = np.asarray(grid, dtype=float)
         derived = dict(
+            replicate_slopes=tuple(slopes.tolist()),
+            replicate_intercepts=tuple(intercepts.tolist()),
             slope_ci=tuple(np.percentile(slopes, pcts).tolist()),
             intercept_ci=tuple(np.percentile(intercepts, pcts).tolist()),
             point_band=tuple(zip(xs.tolist(), *self._edges(xs, slopes, intercepts).tolist())),
@@ -284,8 +287,8 @@ def bootstrap_band(
     b = cfg.n_replicates
     fits = list(_fits(pool, cfg))
     return BootstrapBand(
-        replicate_slopes=tuple(np.concatenate([c[0] for c in fits])[:b].tolist()),
-        replicate_intercepts=tuple(np.concatenate([c[1] for c in fits])[:b].tolist()),
+        replicate_slopes=np.concatenate([c[0] for c in fits])[:b],
+        replicate_intercepts=np.concatenate([c[1] for c in fits])[:b],
         lo_pct=cfg.lo_pct,
         hi_pct=cfg.hi_pct,
         grid=default_grid(runset) if grid is None else grid,

@@ -92,16 +92,16 @@ def render_report(report: Report, fmt: str = "json") -> str:
 
 
 def _parse_layer_range(text: str, flag: str) -> tuple[int, int]:
+    """The inclusive range ``(lo, hi)`` of ``A-B`` or ``A``; it must satisfy 1 <= lo <= hi."""
     parts = text.split("-")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError
+        lo, hi = int(parts[0]), int(parts[-1])
     except ValueError:
         raise UsageError(f"{flag} expects 'A-B' or a single integer, got {text!r}") from None
+    if not 1 <= lo <= hi:
+        raise DataError(f"{flag} must satisfy 1 <= lo <= hi, got {text!r}")
     return lo, hi
 
 
@@ -188,21 +188,18 @@ def _add_bootstrap_options(p, seed_required: bool = True) -> None:
     p.add_argument("--seed", type=int, required=seed_required, help=seed_help)
 
 
-def _add_format_option(p) -> None:
-    p.add_argument("--format", choices=("json", "table"), default="json")
-
-
 # ---------------------------------------------------------------- handlers
+# Each returns its report's (inputs, results); build_parser names the report.
 
 
-def _cmd_fit(args) -> Report:
+def _cmd_fit(args) -> tuple[dict, object]:
     runset = _load_runset(args)
     fit = fit_runset(runset, min_layers=args.min_depth, space=args.r2_space)
     inputs = _runset_inputs(args, runset, min_depth=args.min_depth, r2_space=args.r2_space)
-    return Report(command="fit", inputs=inputs, results={"fit": fit})
+    return inputs, {"fit": fit}
 
 
-def _cmd_bootstrap(args) -> Report:
+def _cmd_bootstrap(args) -> tuple[dict, object]:
     runset = _load_runset(args)
     cfg = _bootstrap_config(args)
     band = bootstrap_band(runset, cfg)
@@ -220,10 +217,10 @@ def _cmd_bootstrap(args) -> Report:
     if args.replicates:
         view["replicate_slopes"] = band.replicate_slopes
         view["replicate_intercepts"] = band.replicate_intercepts
-    return Report(command="bootstrap", inputs=inputs, results={"fit": fit, "band": view})
+    return inputs, {"fit": fit, "band": view}
 
 
-def _cmd_predict(args) -> Report:
+def _cmd_predict(args) -> tuple[dict, object]:
     runset = _load_runset(args)
     target = _scale(args, "target")
     cfg = _bootstrap_config(args)
@@ -231,19 +228,19 @@ def _cmd_predict(args) -> Report:
     inputs = _runset_inputs(
         args, runset, target_params=target.params, actual=args.actual, **_bootstrap_inputs(cfg)
     )
-    return Report(command="predict", inputs=inputs, results=report)
+    return inputs, report
 
 
-def _cmd_holdout(args) -> Report:
+def _cmd_holdout(args) -> tuple[dict, object]:
     runset = _load_runset(args)
     train = _parse_layer_range(args.train_layers, "--train-layers")
     test = _parse_layer_range(args.test_layers, "--test-layers")
     report = holdout_eval(runset, train, test)
     inputs = _runset_inputs(args, runset, train_layers=list(train), test_layers=list(test))
-    return Report(command="holdout", inputs=inputs, results=report)
+    return inputs, report
 
 
-def _cmd_select(args) -> Report:
+def _cmd_select(args) -> tuple[dict, object]:
     groups = group(ingest(args.input, args.input_format))
     runset_a = _pick(groups, args.task, args.family_a, args.metric)
     runset_b = _pick(groups, args.task, args.family_b, args.metric)
@@ -270,10 +267,10 @@ def _cmd_select(args) -> Report:
         "actual_b": args.actual_b,
         **_bootstrap_inputs(cfg),
     }
-    return Report(command="select", inputs=inputs, results=report)
+    return inputs, report
 
 
-def _cmd_flops(args) -> Report:
+def _cmd_flops(args) -> tuple[dict, object]:
     if args.params is not None and args.input is not None:
         raise UsageError("give either --params/--tokens or --input, not both")
     baseline = _scale(args, "baseline", required=False)
@@ -284,9 +281,7 @@ def _cmd_flops(args) -> Report:
             raise UsageError("a baseline needs --input")
         est = ComputeEstimate(args.params, args.tokens)
         inputs = {"params": args.params, "tokens": args.tokens}
-        return Report(
-            command="flops", inputs=inputs, results={"estimate": est, "note": FLOPS_NOTE}
-        )
+        return inputs, {"estimate": est, "note": FLOPS_NOTE}
     if args.input is None:
         raise UsageError("flops needs --params/--tokens or --input")
 
@@ -309,10 +304,10 @@ def _cmd_flops(args) -> Report:
         results["baseline_params"] = baseline.params
         results["savings_ratio"] = savings_ratio(scale_list, baseline, "equal_tokens")
         inputs["baseline_params"] = baseline.params
-    return Report(command="flops", inputs=inputs, results=results)
+    return inputs, results
 
 
-def _cmd_diagnose_earlystop(args) -> Report:
+def _cmd_diagnose_earlystop(args) -> tuple[dict, object]:
     policies = [EarlyStopPolicy(patience=p, min_decrease=args.min_decrease) for p in args.patience]
     curve = load_loss_curve(args.curve)
     inputs = {
@@ -324,10 +319,10 @@ def _cmd_diagnose_earlystop(args) -> Report:
         results: object = {"early_stop": early_stop(curve, policies[0])}
     else:
         results = {"policies": compare_policies(curve, policies)}
-    return Report(command="diagnose earlystop", inputs=inputs, results=results)
+    return inputs, results
 
 
-def _cmd_diagnose_fit_outlier(args) -> Report:
+def _cmd_diagnose_fit_outlier(args) -> tuple[dict, object]:
     runset = _load_runset(args)
     held = runset.within_layers(args.holdout_layers, args.holdout_layers)
     codes = np.unique(runset.code[held])
@@ -346,10 +341,10 @@ def _cmd_diagnose_fit_outlier(args) -> Report:
         observed=args.observed,
         **_bootstrap_inputs(cfg),
     )
-    return Report(command="diagnose fit-outlier", inputs=inputs, results=verdict)
+    return inputs, verdict
 
 
-def _cmd_synth(args) -> Report:
+def _cmd_synth(args) -> tuple[dict, object]:
     if Path(args.out).suffix.lower() not in (".jsonl", ".ndjson"):
         raise UsageError(f"--out must end in .jsonl or .ndjson, got {args.out!r}")
     layers = _parse_layer_range(args.layers, "--layers")
@@ -382,10 +377,10 @@ def _cmd_synth(args) -> Report:
         "records_written": len(runset),
         "truth": truth,
     }
-    return Report(command="synth", inputs=inputs, results=results)
+    return inputs, results
 
 
-def _cmd_plot(args) -> Report:
+def _cmd_plot(args) -> tuple[dict, object]:
     runset = _load_runset(args)
     heldout = (
         _parse_layer_range(args.heldout_layers, "--heldout-layers")
@@ -411,11 +406,7 @@ def _cmd_plot(args) -> Report:
         heldout_layers=list(heldout) if heldout else None,
         **boot_inputs,
     )
-    return Report(
-        command="plot",
-        inputs=inputs,
-        results={"out": args.out, "sha256": digest, "groups": len(spec.groups)},
-    )
+    return inputs, {"out": args.out, "sha256": digest, "groups": len(spec.groups)}
 
 
 # ----------------------------------------------------------------- parser
@@ -424,39 +415,39 @@ def _cmd_plot(args) -> Report:
 def build_parser() -> _Parser:
     parser = _Parser(prog="scalefit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    leaves = []
 
-    p = sub.add_parser("fit", help="fit a power law to one run group")
+    def leaf(subparsers, command: str, help: str, handler) -> _Parser:
+        """Declare the subcommand at argv path ``command``; its report is named ``command``."""
+        p = subparsers.add_parser(command.split()[-1], help=help)
+        p.set_defaults(handler=handler, report_command=command)
+        leaves.append(p)
+        return p
+
+    p = leaf(sub, "fit", "fit a power law to one run group", _cmd_fit)
     _add_input_options(p)
     p.add_argument("--min-depth", type=int, default=None, help="keep only layers >= d")
     p.add_argument("--r2-space", choices=("log", "linear"), default="log")
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("bootstrap", help="bootstrap confidence band for a fit")
+    p = leaf(sub, "bootstrap", "bootstrap confidence band for a fit", _cmd_bootstrap)
     _add_input_options(p)
     _add_bootstrap_options(p)
     p.add_argument(
         "--replicates", action="store_true", help="also print the replicate slopes and intercepts"
     )
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_bootstrap)
 
-    p = sub.add_parser("predict", help="extrapolate to a target scale")
+    p = leaf(sub, "predict", "extrapolate to a target scale", _cmd_predict)
     _add_input_options(p)
     _add_scale_options(p, "target")
     p.add_argument("--actual", type=float, default=None)
     _add_bootstrap_options(p)
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_predict)
 
-    p = sub.add_parser("holdout", help="train/test split over depth ranges")
+    p = leaf(sub, "holdout", "train/test split over depth ranges", _cmd_holdout)
     _add_input_options(p)
     p.add_argument("--train-layers", required=True, help="inclusive range, e.g. 1-6")
     p.add_argument("--test-layers", required=True, help="inclusive range, e.g. 7-8")
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_holdout)
 
-    p = sub.add_parser("select", help="compare two families at a target scale")
+    p = leaf(sub, "select", "compare two families at a target scale", _cmd_select)
     _add_input_options(p, selectors=False)
     p.add_argument("--task", default=None)
     p.add_argument("--metric", default=None)
@@ -467,37 +458,33 @@ def build_parser() -> _Parser:
     p.add_argument("--actual-a", type=float, default=None)
     p.add_argument("--actual-b", type=float, default=None)
     _add_bootstrap_options(p)
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_select)
 
-    p = sub.add_parser("flops", help="parameter and FLOP accounting")
+    p = leaf(sub, "flops", "parameter and FLOP accounting", _cmd_flops)
     p.add_argument("--params", type=int, default=None)
     p.add_argument("--tokens", type=int, default=None)
     p.add_argument("--input", default=None)
     p.add_argument("--input-format", choices=("jsonl", "csv"), default=None)
     _add_scale_options(p, "baseline")
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_flops)
 
     p = sub.add_parser("diagnose", help="convergence diagnostics")
     dsub = p.add_subparsers(dest="diagnose_command", required=True, parser_class=_Parser)
 
-    d = dsub.add_parser("earlystop", help="replay early stopping over a loss curve")
-    d.add_argument("--curve", required=True, help="CSV with header step,eval_loss")
-    d.add_argument("--patience", type=int, nargs="+", required=True)
-    d.add_argument("--min-decrease", type=float, default=0.0)
-    _add_format_option(d)
-    d.set_defaults(handler=_cmd_diagnose_earlystop)
+    p = leaf(
+        dsub, "diagnose earlystop", "replay early stopping over a loss curve", _cmd_diagnose_earlystop
+    )
+    p.add_argument("--curve", required=True, help="CSV with header step,eval_loss")
+    p.add_argument("--patience", type=int, nargs="+", required=True)
+    p.add_argument("--min-decrease", type=float, default=0.0)
 
-    d = dsub.add_parser("fit-outlier", help="flag a held-out scale against the band")
-    _add_input_options(d)
-    d.add_argument("--holdout-layers", type=int, required=True)
-    d.add_argument("--observed", type=float, required=True)
-    _add_bootstrap_options(d)
-    _add_format_option(d)
-    d.set_defaults(handler=_cmd_diagnose_fit_outlier)
+    p = leaf(
+        dsub, "diagnose fit-outlier", "flag a held-out scale against the band", _cmd_diagnose_fit_outlier
+    )
+    _add_input_options(p)
+    p.add_argument("--holdout-layers", type=int, required=True)
+    p.add_argument("--observed", type=float, required=True)
+    _add_bootstrap_options(p)
 
-    p = sub.add_parser("synth", help="generate synthetic records with known truth")
+    p = leaf(sub, "synth", "generate synthetic records with known truth", _cmd_synth)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--log-c", type=float, required=True)
     p.add_argument("--aspect-ratio", type=int, default=32)
@@ -513,19 +500,17 @@ def build_parser() -> _Parser:
     p.add_argument("--metric", default="score")
     p.add_argument("--out", required=True, help="JSONL output path (.jsonl or .ndjson)")
     p.add_argument("--truth-out", default=None, help="defaults to <out>.truth.json")
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("plot", help="render a log-log SVG plot")
+    p = leaf(sub, "plot", "render a log-log SVG plot", _cmd_plot)
     _add_input_options(p)
     p.add_argument("--out", required=True, help="SVG output path")
     p.add_argument("--min-depth", type=int, default=None)
     p.add_argument("--heldout-layers", default=None, help="inclusive range, e.g. 7-8")
     p.add_argument("--band", action="store_true", help="draw a bootstrap sleeve")
     _add_bootstrap_options(p, seed_required=False)
-    _add_format_option(p)
-    p.set_defaults(handler=_cmd_plot)
 
+    for p in leaves:  # last, so that each leaf's --help lists it after its own options
+        p.add_argument("--format", choices=("json", "table"), default="json")
     return parser
 
 
@@ -540,7 +525,8 @@ def run(argv=None) -> int:
     """Parse argv, execute, and print a report; returns the exit code."""
     try:
         args = _parser().parse_args(argv)
-        out = render_report(args.handler(args), args.format)
+        inputs, results = args.handler(args)
+        out = render_report(Report(args.report_command, inputs, results), args.format)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -67,6 +67,18 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str) -> str:
+    ends = f'x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"'
+    return f'<line {ends} stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x: float, y: float, size: int, text: str, anchor: str | None = "middle") -> str:
+    """Sans-serif ``text``, escaped, at (x, y); ``anchor=None`` leaves the SVG default (start)."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    attrs = f'x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}"{anchor_attr}'
+    return f'<text {attrs} font-family="sans-serif">{_esc(text)}</text>'
+
+
 class _Axes:
     def __init__(self, lx: tuple[float, float], ly: tuple[float, float]):
         self.lx0, self.lx1 = lx
@@ -126,24 +138,10 @@ def render_plot(spec: PlotSpec) -> str:
     y0, y1 = _MARGIN_T, _HEIGHT - _MARGIN_B
     for k in _decade_ticks(ax.lx0, ax.lx1):
         px = ax.px(10.0**k)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" y2="{_fmt(y1)}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(y1 + 18)}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">1e{k}</text>'
-        )
+        out += [_line(px, y0, px, y1, "#dddddd", "1"), _text(px, y1 + 18, 11, f"1e{k}")]
     for k in _decade_ticks(ax.ly0, ax.ly1):
         py = ax.py(10.0**k)
-        out.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" y2="{_fmt(py)}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x0 - 6)}" y="{_fmt(py + 4)}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">1e{k}</text>'
-        )
+        out += [_line(x0, py, x1, py, "#dddddd", "1"), _text(x0 - 6, py + 4, 11, f"1e{k}", "end")]
     out.append(
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" height="{_fmt(y1 - y0)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
@@ -159,12 +157,8 @@ def render_plot(spec: PlotSpec) -> str:
 
     # Fitted line, straight in log space, drawn across the data x-range.
     if spec.fit is not None:
-        xa, xb = min(xs), max(xs)
-        out.append(
-            f'<line x1="{_fmt(ax.px(xa))}" y1="{_fmt(ax.py(predict_at(spec.fit, xa)))}" '
-            f'x2="{_fmt(ax.px(xb))}" y2="{_fmt(ax.py(predict_at(spec.fit, xb)))}" '
-            'stroke="#d62728" stroke-width="1.5"/>'
-        )
+        ends = [(ax.px(x), ax.py(predict_at(spec.fit, x))) for x in (min(xs), max(xs))]
+        out.append(_line(*ends[0], *ends[1], "#d62728", "1.5"))
 
     # Markers: cx is formatted once per distinct x; cy is _Axes.py written
     # out, in the same order of operations, so it gives the same floats.
@@ -192,20 +186,11 @@ def render_plot(spec: PlotSpec) -> str:
             f'<rect x="{_fmt(lx)}" y="{_fmt(ly + 16 * gi)}" width="10" height="10" '
             f'fill="{fill}" stroke="{color}"/>'
         )
-        out.append(
-            f'<text x="{_fmt(lx + 16)}" y="{_fmt(ly + 16 * gi + 9)}" font-size="11" '
-            f'font-family="sans-serif">{_esc(g.label)}</text>'
-        )
+        out.append(_text(lx + 16, ly + 16 * gi + 9, 11, g.label, anchor=None))
 
     if spec.title:
-        out.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_MARGIN_T - 16)}" font-size="15" '
-            f'text-anchor="middle" font-family="sans-serif">{_esc(spec.title)}</text>'
-        )
-    out.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(_HEIGHT - 16)}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{_esc(spec.x_label)}</text>'
-    )
+        out.append(_text(_WIDTH / 2, _MARGIN_T - 16, 15, spec.title))
+    out.append(_text((x0 + x1) / 2, _HEIGHT - 16, 13, spec.x_label))
     out.append(
         f'<text x="18" y="{_fmt((y0 + y1) / 2)}" font-size="13" text-anchor="middle" '
         f'font-family="sans-serif" transform="rotate(-90 18 {_fmt((y0 + y1) / 2)})">'

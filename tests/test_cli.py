@@ -264,8 +264,11 @@ class TestBadNumericInput:
             (["--alpha", "-0.1", "--log-c", "2", "--sigma-fin", "inf"], "must be finite"),
             (["--alpha", "nan", "--log-c", "2"], "must be finite"),
             (["--alpha", "-0.1", "--log-c=-inf"], "must be finite"),
+            (["--alpha", "-0.1", "--log-c", "2", "--layers", "3-1"], "--layers must satisfy 1 <= lo <= hi"),
+            (["--alpha", "-0.1", "--log-c", "2", "--layers", "0-2"], "--layers must satisfy 1 <= lo <= hi"),
         ],
-        ids=["overflow", "sigma-pre-nan", "sigma-fin-inf", "alpha-nan", "log-c-inf"],
+        ids=["overflow", "sigma-pre-nan", "sigma-fin-inf", "alpha-nan", "log-c-inf", "layers-reversed",
+             "layers-0"],
     )
     def test_synth_writes_nothing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x.jsonl"
@@ -692,6 +695,38 @@ class TestSubcommands:
         code, captured = run_json(capsys, ["fit", "--input", runs_file, "--format", "table"])
         assert code == 0
         assert "results.fit.alpha = " in captured.out
+
+
+class TestCommandWiring:
+    """Each leaf subcommand reaches its own handler and names its argv path in the report."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["fit", "bootstrap", "predict", "holdout", "select", "flops", "diagnose earlystop",
+         "diagnose fit-outlier", "synth", "plot"],
+    )
+    def test_leaf_reports_its_path(self, command, runs_file, two_family_file, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("step,eval_loss\n0,1.0\n1,0.9\n2,0.95\n", encoding="utf-8")
+        runs = ["--input", runs_file]
+        boot = ["--B", "20", "--seed", "1"]
+        flags = {
+            "fit": runs,
+            "bootstrap": [*runs, *boot],
+            "predict": [*runs, "--target-params", "84934656", *boot],
+            "holdout": [*runs, "--train-layers", "1-6", "--test-layers", "7-8"],
+            "select": ["--input", two_family_file, "--family-a", "mlm", "--family-b", "pmi",
+                       "--target-params", "84934656", *boot],
+            "flops": ["--params", "1000", "--tokens", "2000"],
+            "diagnose earlystop": ["--curve", str(curve), "--patience", "1"],
+            "diagnose fit-outlier": [*runs, "--holdout-layers", "8", "--observed", "1.0", *boot],
+            "synth": ["--alpha", "0.08", "--log-c", "3.0", "--seed", "1", "--out", str(tmp_path / "s.jsonl")],
+            "plot": [*runs, "--out", str(tmp_path / "p.svg")],
+        }
+        code, captured = run_json(capsys, [*command.split(), *flags[command], "--format", "table"])
+        assert code == 0, captured.err
+        lines = captured.out.splitlines()
+        assert [line for line in lines if line.startswith("command = ")] == [f"command = {command}"]
 
 
 class TestParserReuse:

@@ -14,6 +14,56 @@ def three_point_spec():
     return sf.PlotSpec(title="demo", x_label="params", y_label="loss", groups=(group,))
 
 
+# The whole document render_plot gives for pinned_spec(), so any change to
+# the bytes of a plot shows here.  Coordinates are printed to two decimals
+# and the flat fit is exact, so the text does not depend on the numpy build.
+PINNED_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" width="720" height="540" viewBox="0 0 720 540">
+<rect x="0" y="0" width="720" height="540" fill="#ffffff"/>
+<line x1="98.15" y1="48.00" x2="98.15" y2="476.00" stroke="#dddddd" stroke-width="1"/>
+<text x="98.15" y="494.00" font-size="11" text-anchor="middle" font-family="sans-serif">1e1</text>
+<line x1="249.38" y1="48.00" x2="249.38" y2="476.00" stroke="#dddddd" stroke-width="1"/>
+<text x="249.38" y="494.00" font-size="11" text-anchor="middle" font-family="sans-serif">1e2</text>
+<line x1="400.62" y1="48.00" x2="400.62" y2="476.00" stroke="#dddddd" stroke-width="1"/>
+<text x="400.62" y="494.00" font-size="11" text-anchor="middle" font-family="sans-serif">1e3</text>
+<line x1="551.85" y1="48.00" x2="551.85" y2="476.00" stroke="#dddddd" stroke-width="1"/>
+<text x="551.85" y="494.00" font-size="11" text-anchor="middle" font-family="sans-serif">1e4</text>
+<line x1="80.00" y1="385.68" x2="570.00" y2="385.68" stroke="#dddddd" stroke-width="1"/>
+<text x="74.00" y="389.68" font-size="11" text-anchor="end" font-family="sans-serif">1e-1</text>
+<line x1="80.00" y1="138.32" x2="570.00" y2="138.32" stroke="#dddddd" stroke-width="1"/>
+<text x="74.00" y="142.32" font-size="11" text-anchor="end" font-family="sans-serif">1e0</text>
+<rect x="80.00" y="48.00" width="490.00" height="428.00" fill="none" stroke="#333333" stroke-width="1"/>
+<line x1="98.15" y1="138.32" x2="551.85" y2="138.32" stroke="#d62728" stroke-width="1.5"/>
+<circle cx="98.15" cy="63.85" r="3.00" fill="#1f77b4"/>
+<circle cx="249.38" cy="138.32" r="3.00" fill="#1f77b4"/>
+<circle cx="400.62" cy="212.78" r="3.00" fill="#1f77b4"/>
+<circle cx="551.85" cy="460.15" r="4.00" fill="none" stroke="#ff7f0e" stroke-width="1.5"/>
+<rect x="582.00" y="56.00" width="10" height="10" fill="#1f77b4" stroke="#1f77b4"/>
+<text x="598.00" y="65.00" font-size="11" font-family="sans-serif">seed &lt;0&gt;</text>
+<rect x="582.00" y="72.00" width="10" height="10" fill="none" stroke="#ff7f0e"/>
+<text x="598.00" y="81.00" font-size="11" font-family="sans-serif">held out &amp; late</text>
+<text x="360.00" y="32.00" font-size="15" text-anchor="middle" font-family="sans-serif">loss &lt;vs&gt; params &amp; depth</text>
+<text x="325.00" y="524.00" font-size="13" text-anchor="middle" font-family="sans-serif">params (N &gt; 0)</text>
+<text x="18" y="262.00" font-size="13" text-anchor="middle" font-family="sans-serif" transform="rotate(-90 18 262.00)">loss &amp; &lt;eval&gt;</text>
+</svg>
+"""
+
+
+def pinned_spec():
+    return sf.PlotSpec(
+        title="loss <vs> params & depth",
+        x_label="params (N > 0)",
+        y_label="loss & <eval>",
+        groups=(
+            sf.ScatterGroup(label="seed <0>", points=((10.0, 2.0), (100.0, 1.0), (1000.0, 0.5))),
+            sf.ScatterGroup(label="held out & late", points=((10000.0, 0.05),), held_out=True),
+        ),
+        # a flat law, exp(0) * x**0 == 1.0 exactly
+        fit=sf.FitResult(alpha=0.0, beta=0.0, r_squared=1.0, ss_res=0.0, ss_tot=0.0, n_points=3),
+    )
+
+
 class TestRenderPlot:
     def test_three_markers(self):
         svg = sf.render_plot(three_point_spec())
@@ -80,6 +130,9 @@ class TestRenderPlot:
                 else:
                     expected.append(f'<circle cx="{cx}" cy="{cy}" r="3.00" fill="{color}"/>')
         assert [line for line in sf.render_plot(spec).splitlines() if line.startswith("<circle")] == expected
+
+    def test_whole_document_is_pinned(self):
+        assert sf.render_plot(pinned_spec()) == PINNED_SVG
 
     def test_escaping(self):
         group = sf.ScatterGroup(label="a<b&c", points=((10.0, 2.0),))

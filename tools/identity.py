@@ -88,9 +88,13 @@ def extras(name: str, mix: dict) -> dict:
             "earlystop --patience 1 --min-decrease 0.001": (
                 *curve, "--patience", "1", "--min-decrease", "0.001",
             ),
+            "earlystop --patience 5 50 --format table": (*curve, "--patience", "5", "50", "--format", "table"),
         }
     if name == "ragged":
-        return {"bootstrap-naive --replicates": (*mix["bootstrap-naive"], "--replicates")}
+        return {
+            "bootstrap-naive --replicates": (*mix["bootstrap-naive"], "--replicates"),
+            "bootstrap-naive --format table": (*mix["bootstrap-naive"], "--format", "table"),
+        }
     if name == "synth":
         law = ("synth", "--alpha", "0.08", "--log-c", "3.0", "--seed", str(SEED))
         return {
