@@ -105,6 +105,13 @@ def _parse_layer_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _depth(value: int | None, flag: str) -> int | None:
+    """A depth flag's value, which must be at least 1 where given."""
+    if value is not None and value < 1:
+        raise DataError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _pick(groups: dict, task, family, metric) -> RunSet:
     matches = [
         rs
@@ -194,7 +201,7 @@ def _add_bootstrap_options(p, seed_required: bool = True) -> None:
 
 def _cmd_fit(args) -> tuple[dict, object]:
     runset = _load_runset(args)
-    fit = fit_runset(runset, min_layers=args.min_depth, space=args.r2_space)
+    fit = fit_runset(runset, min_layers=_depth(args.min_depth, "--min-depth"), space=args.r2_space)
     inputs = _runset_inputs(args, runset, min_depth=args.min_depth, r2_space=args.r2_space)
     return inputs, {"fit": fit}
 
@@ -271,7 +278,7 @@ def _cmd_select(args) -> tuple[dict, object]:
 
 
 def _cmd_flops(args) -> tuple[dict, object]:
-    if args.params is not None and args.input is not None:
+    if args.input is not None and (args.params is not None or args.tokens is not None):
         raise UsageError("give either --params/--tokens or --input, not both")
     baseline = _scale(args, "baseline", required=False)
     if args.params is not None:
@@ -324,7 +331,8 @@ def _cmd_diagnose_earlystop(args) -> tuple[dict, object]:
 
 def _cmd_diagnose_fit_outlier(args) -> tuple[dict, object]:
     runset = _load_runset(args)
-    held = runset.within_layers(args.holdout_layers, args.holdout_layers)
+    layers = _depth(args.holdout_layers, "--holdout-layers")
+    held = runset.within_layers(layers, layers)
     codes = np.unique(runset.code[held])
     if codes.size == 0:
         raise DataError(f"no records with layers={args.holdout_layers} to hold out")
@@ -388,7 +396,7 @@ def _cmd_plot(args) -> tuple[dict, object]:
         else None
     )
     fit_set = runset if heldout is None else runset.filter(~runset.within_layers(*heldout))
-    fit = fit_runset(fit_set, min_layers=args.min_depth)
+    fit = fit_runset(fit_set, min_layers=_depth(args.min_depth, "--min-depth"))
     band, boot_inputs = None, {"seed": args.seed}
     if args.band:
         if args.seed is None:

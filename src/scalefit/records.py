@@ -13,9 +13,10 @@ rows and a column at a time, as integer codes, into a
 :class:`RecordTable`, :func:`group`
 splits it into run sets with one lexsort, and :class:`RunRecord` objects
 are built only when ``records`` is read.  The column checks only pass or
-fail a chunk; a chunk that fails them is checked again a row at a time by
-:func:`_record`, whose statement order is the order of one row's checks,
-and the first bad row raises ``row N: <its first failed check>``.
+fail a chunk; the rows of a chunk that fails them are read again one at a
+time, by the reader that read the chunk, and checked by :func:`_record`,
+whose statement order is the order of one row's checks.  The first bad
+row raises ``row N: <its first failed check>``.
 """
 
 from __future__ import annotations
@@ -419,14 +420,12 @@ def _scale(layers, hidden, params) -> ScaleSpec:
     return ScaleSpec.from_dims(_as_int(layers, "layers"), _as_int(hidden, "hidden"), _int_cell(params, "params"))
 
 
-def _record(row: dict) -> RunRecord:
-    """One row checked in full.  The order of the statements, ending in the
-    value-range and tokens-sign checks of :class:`RunRecord`, is the order of
-    the checks, so a bad row raises its first failed check."""
-    unknown = row.keys() - _FIELD_SET
-    if unknown:
-        raise DataError(f"unknown field {sorted(unknown)[0]!r}")
-    cell = {field: None if _missing(row.get(field)) else row[field] for field in RECORD_FIELDS}
+def _record(cells: dict) -> RunRecord:
+    """One row checked in full, from the per-field cells that the reader of
+    its chunk reads from that row alone.  The order of the statements, ending
+    in the value-range and tokens-sign checks of :class:`RunRecord`, is the
+    order of the checks, so a bad row raises its first failed check."""
+    cell = {field: None if _missing(c) else c for field, (c,) in cells.items()}
     scale = _scale(cell["layers"], cell["hidden"], cell["params"])
     task, family, metric, direction = [_present(cell[f], f) for f in ("task", "family", "metric", "direction")]
     pre, fin = [_int_cell(cell[f], f) or 0 for f in ("pretrain_seed", "finetune_seed")]  # missing: seed 0
@@ -612,37 +611,31 @@ def _json_chunks(fh):
 
 
 def _json_cells(lines: Sequence[str]) -> dict:
-    """Per-field cells of a chunk of JSONL lines; raises DataError unless
-    each line holds one JSON object of known fields."""
+    """Per-field cells of a chunk of JSONL lines; raises DataError naming
+    the fault of a line that is not one JSON object of known fields."""
+    text = "[" + ",".join(lines) + "]"
     objs = []
-    braces = [set(map(str.count, lines, itertools.repeat(c))) for c in "{}"]
-    if braces[0] == {1} == braces[1]:
-        # With one brace pair per line, one value per line from the joined
-        # lines means each line holds exactly one value.
+    if text.count("{") == len(lines) and all(map(str.startswith, lines, itertools.repeat("{"))):
+        # Each line holds one "{", at its start, and no JSON string spans a
+        # line break, so one object per line parsed from the joined lines
+        # means each line holds exactly one object.
         try:
-            objs = json.loads("[" + ",".join(lines) + "]")
+            objs = json.loads(text)
         except (ValueError, RecursionError):
             pass
     if len(objs) != len(lines):
         try:
             objs = list(map(json.loads, lines))
-        except (json.JSONDecodeError, RecursionError):
-            raise DataError("invalid JSON") from None
-    if not set(map(type, objs)) <= {dict} or not set().union(*objs) <= _FIELD_SET:
-        raise DataError("expected JSON objects of known fields")
-    return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}
-
-
-def _json_record(line: str) -> RunRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise DataError("invalid JSON (nested too deeply)") from None
-    if not isinstance(obj, dict):
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise DataError("invalid JSON (nested too deeply)") from None
+    if not set(map(type, objs)) <= {dict}:
         raise DataError("expected a JSON object")
-    return _record(obj)
+    unknown = set().union(*objs) - _FIELD_SET
+    if unknown:
+        raise DataError(f"unknown field {sorted(unknown)[0]!r}")
+    return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}
 
 
 def _csv_chunks(reader):
@@ -695,23 +688,18 @@ def _csv_cells(rows: Sequence[list], header: list[str]) -> dict:
     return {field: columns.get(field, (None,) * len(rows)) for field in RECORD_FIELDS}
 
 
-def _csv_record(row: list[str], header: list[str]) -> RunRecord:
-    if len(row) > len(header):
-        raise DataError("more cells than header columns")
-    return _record(dict(itertools.zip_longest(header, row)))
-
-
-def _add_chunks(columns: _Columns, chunks, cells, record) -> None:
+def _add_chunks(columns: _Columns, chunks, cells) -> None:
     """Add each chunk of ``(row numbers, rows)`` to ``columns`` by its
-    ``cells``.  When a chunk fails its column checks, ``record`` checks its
-    rows one by one, and the first that fails raises DataError."""
+    ``cells``.  When a chunk fails its column checks, ``cells`` reads its
+    rows again one at a time and :func:`_record` checks each, in file order;
+    the first that fails raises DataError."""
     for where, rows in chunks:
         try:
             columns.add(cells(rows), where)
         except DataError:
             for number, row in zip(where, rows):
                 try:
-                    record(row)
+                    _record(cells([row]))
                 except DataError as exc:
                     raise DataError(f"row {number}: {exc}") from None
             raise RuntimeError("a chunk failed its column checks but each of its rows passes")
@@ -721,7 +709,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
     Rows are parsed a chunk at a time and checked a column at a time.  A
-    chunk that fails these checks is checked again a row at a time, and the
+    chunk that fails these checks is read again a row at a time, and the
     first bad row in file order raises :class:`DataError` naming the row
     number and its first failed check.  Rows missing seed fields get seed 0
     and a single summary warning for the file.  Returns the columns as a
@@ -737,7 +725,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     columns = _Columns()
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
-            _add_chunks(columns, _json_chunks(fh), _json_cells, _json_record)
+            _add_chunks(columns, _json_chunks(fh), _json_cells)
     else:
         with open_csv(path) as (header, chunks):
             if header is None:
@@ -745,8 +733,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
             unknown = set(header) - _FIELD_SET
             if unknown:
                 raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
-            cells = functools.partial(_csv_cells, header=header)
-            _add_chunks(columns, chunks, cells, functools.partial(_csv_record, header=header))
+            _add_chunks(columns, chunks, functools.partial(_csv_cells, header=header))
 
     if columns.defaulted:
         warnings.warn(

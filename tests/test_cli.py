@@ -188,6 +188,57 @@ class TestExitCodes:
         assert "1 <= lo <= hi" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--min-depth", "0"], "--min-depth must be at least 1, got 0"),
+            (["plot", "--out", "p.svg", "--min-depth", "-1"], "--min-depth must be at least 1, got -1"),
+            (["diagnose", "fit-outlier", "--holdout-layers", "0", "--observed", "1.0", "--seed", "1"],
+             "--holdout-layers must be at least 1, got 0"),
+        ],
+        ids=["fit-min-depth", "plot-min-depth", "fit-outlier-holdout-layers"],
+    )
+    def test_depth_flag_below_one_names_the_flag(self, runs_file, tmp_path, capsys, argv, message):
+        argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+        code, captured = run_json(capsys, [*argv, "--input", runs_file])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("layers", ["1-2-3", "a-b"])
+    def test_holdout_rejects_malformed_range(self, runs_file, capsys, layers):
+        argv = ["holdout", "--input", runs_file, "--train-layers", layers, "--test-layers", "7-8"]
+        code, captured = run_json(capsys, argv)
+        assert code == 1
+        assert captured.err == f"usage error: --train-layers expects 'A-B' or a single integer, got {layers!r}\n"
+
+    def test_no_matching_group_lists_the_available(self, runs_file, capsys):
+        code, captured = run_json(capsys, ["fit", "--input", runs_file, "--family", "nope"])
+        assert code == 2
+        assert captured.err == (
+            "error: no run group matches task=None family='nope' metric=None; available: synthetic/synthetic/score\n"
+        )
+
+    @pytest.mark.parametrize(
+        "layers, widths, message",
+        [(9, (), "no records with layers=9 to hold out"), (8, (512,), "layers=8 matches 2 distinct scales")],
+        ids=["no-records", "two-widths"],
+    )
+    def test_fit_outlier_holdout_must_match_one_scale(self, tmp_path, capsys, layers, widths, message):
+        runset, _ = ar32_synth(900)
+        extra = [
+            dataclasses.replace(r, scale=sf.ScaleSpec.from_dims(8, width))
+            for width in widths for r in runset.records if r.scale.layers == 8
+        ]
+        path = tmp_path / "runs.jsonl"
+        sf.emit([*runset.records, *extra], path)
+        argv = ["diagnose", "fit-outlier", "--input", str(path), "--holdout-layers", str(layers),
+                "--observed", "1.0", "--seed", "1"]
+        code, captured = run_json(capsys, argv)
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
+
     def test_plot_heldout_needs_layer_counts(self, tmp_path, capsys):
         runset, _ = ar32_synth(906)
         path = tmp_path / "params_only.jsonl"
@@ -588,11 +639,26 @@ class TestSubcommands:
         assert report["results"]["estimate"]["flops"] == 73_728_000_000
         assert "note" in report["results"]
 
-    def test_flops_both_sources_rejected(self, runs_file, capsys):
-        code, _ = run_json(
-            capsys, ["flops", "--params", "1", "--tokens", "1", "--input", runs_file]
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [["--params", "1", "--tokens", "1"], ["--tokens", "1"], ["--params", "1"]],
+        ids=["params-and-tokens", "tokens", "params"],
+    )
+    def test_flops_both_sources_rejected(self, runs_file, capsys, flags):
+        code, captured = run_json(capsys, ["flops", *flags, "--input", runs_file])
         assert code == 1
+        assert captured.out == ""
+        assert captured.err == "usage error: give either --params/--tokens or --input, not both\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--params", "1"], "--tokens is required with --params"), ([], "flops needs --params/--tokens or --input")],
+        ids=["params-without-tokens", "no-source"],
+    )
+    def test_flops_needs_a_whole_source(self, capsys, flags, message):
+        code, captured = run_json(capsys, ["flops", *flags])
+        assert code == 1
+        assert captured.err == f"usage error: {message}\n"
 
     def test_flops_from_records_with_baseline(self, runs_file, capsys):
         code, captured = run_json(

@@ -287,6 +287,18 @@ class TestIngest:
         with pytest.raises(DataError, match="cannot infer format"):
             sf.ingest(path)
 
+    @pytest.mark.parametrize(
+        "name, text, format, message",
+        [("runs.jsonl", "{}\n", "xml", "unknown format 'xml'; expected 'jsonl' or 'csv'"),
+         ("runs.csv", "", None, "row 1: missing CSV header")],
+        ids=["unknown-format", "empty-csv"],
+    )
+    def test_unreadable_file(self, tmp_path, name, text, format, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            sf.ingest(path, format=format)
+
     def test_nan_value_rejected(self):
         with pytest.raises(DataError, match="finite"):
             make_record(value=float("nan"))
@@ -399,8 +411,14 @@ class TestIngestEdgeCases:
                   labels=tuple((t, "mlm", "f1", "maximize") for t in "abc"), label=([0, 0, 0, 1, 2, 1], "i"))),
             (["", "  ", BASE_ROW, "", "\t", dict(BASE_ROW, layers=2, hidden=64)], 1,
              dict(scales=tuple(sf.scale_ladder(32, (1, 2))), code=([0, 1], "i"))),
+            (['{"a": [1', '2], "b": 3} , {"c": 4}'], 4096, "row 1: invalid JSON (Expecting ',' delimiter)"),
+            ([json.dumps(dict(BASE_ROW, direction=None))[:-len(', "direction": null}')],
+              '"direction": "max"} , ' + json.dumps(BASE_ROW)], 4096, "row 1: invalid JSON (Expecting ',' delimiter)"),
+            ([dict(BASE_ROW, task="x{y"), "  " + json.dumps(BASE_ROW)], 4096,
+             dict(labels=(("x{y", "mlm", "f1", "maximize"), ("t", "mlm", "f1", "maximize")), label=([0, 1], "i"))),
         ],
-        ids=["one-and-one-point-zero", "true-among-ones", "huge-seeds", "first-seen-in-later-chunks", "blank-chunks"],
+        ids=["one-and-one-point-zero", "true-among-ones", "huge-seeds", "first-seen-in-later-chunks", "blank-chunks",
+             "object-across-lines", "record-across-lines", "brace-in-string-and-indent"],
     )
     def test_column_codes(self, tmp_path, monkeypatch, rows, chunk, expected):
         monkeypatch.setattr(sf.records, "_CHUNK", chunk)

@@ -4,11 +4,11 @@
 
 Each tree runs in a fresh interpreter of its own, in a temporary directory.
 It writes the workload inputs of ``SEED`` with the tree's own
-``perfbench/workloads.py`` (imported, never modified) and runs every command
-of the three workload mixes, plus ``extras``, in-process through the tree's
-``scalefit.cli.run``.  For each command it takes the sha256 of stdout, of
-stderr, of the exit code and of every file the command wrote; each input
-file gets one too.
+``perfbench/workloads.py`` (imported, never modified) and the literal
+``BAD_INPUTS``, and runs every command of the three workload mixes, plus
+``extras``, in-process through the tree's ``scalefit.cli.run``.  For each
+command it takes the sha256 of stdout, of stderr, of the exit code and of
+every file the command wrote; each workload input file gets one too.
 
 With one tree it prints those digests, one per line.  With two it prints
 every value that differs or that one side lacks, and exits 1 if there is
@@ -31,6 +31,23 @@ import tempfile
 from pathlib import Path
 
 SEED = 1  # the workload seed, as in the benchmark's CI smoke runs
+
+# Record files that fail ingest at a row after a good row, so that the
+# failing chunk is read again row by row and the error names the bad row.
+_GOOD = '{"layers": 1, "hidden": 32, "task": "t", "family": "f", "pretrain_seed": 0, "finetune_seed": 0, '
+_GOOD_ROW = _GOOD + '"metric": "m", "value": 1.0, "direction": "min"}\n'
+_CSV = "layers,hidden,task,family,pretrain_seed,finetune_seed,metric,value,direction\n1,32,t,f,0,0,m,1.0,min\n"
+BAD_INPUTS = {
+    "value.jsonl": _GOOD_ROW + _GOOD_ROW.replace("1.0", '"oops"'),
+    "unknown-field.jsonl": _GOOD_ROW + _GOOD_ROW.replace("{", '{"shoe_size": 43, '),
+    "not-object.jsonl": _GOOD_ROW + "[1, 2]\n",
+    "broken.jsonl": _GOOD_ROW + _GOOD_ROW[:40] + "\n",
+    "deep.jsonl": _GOOD_ROW + "[" * 100_000 + "\n",
+    "misaligned.jsonl": _GOOD_ROW + '{"a": [1\n2], "b": 3} , {"c": 4}\n',
+    "record-across-lines.jsonl": _GOOD_ROW + _GOOD + '"metric": "m", "value": 1.0\n"direction": "min"} , ' + _GOOD_ROW,
+    "long-row.csv": _CSV + "1,32,t,f,0,0,m,1.0,min,extra\n",
+    "multiline-cell.csv": _CSV + '1,32,"t\nu",f,0,0,m,1.0,min\n1,32,t,f,0,0,m,oops,min\n',
+}
 
 
 def _sha(data: bytes) -> str:
@@ -110,6 +127,8 @@ def extras(name: str, mix: dict) -> dict:
                 "synth", "--alpha", "100", "--log-c", "700", "--seed", "1", "--out", "overflow.jsonl",
             ),
         }
+    if name == "bad input":
+        return {file: ("fit", "--input", file) for file in BAD_INPUTS}
     return {}
 
 
@@ -137,7 +156,9 @@ def collect(tree: Path) -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name in (*workloads.WORKLOADS, "synth"):
+        for file, text in BAD_INPUTS.items():
+            Path(file).write_text(text, encoding="utf-8")
+        for name in (*workloads.WORKLOADS, "synth", "bad input"):
             mix = {}
             if name in workloads.WORKLOADS:
                 workload = workloads.WORKLOADS[name](SEED)
