@@ -10,17 +10,24 @@ M*T pooled points with replacement.
 
 Replicates are computed in fixed blocks of ``BLOCK``.  Block k consumes its
 own counter-based random substream derived from (rng_seed, k), which draws
-the block's resamples as one index array.  The fit is separate from the
-draws: consecutive blocks are reduced together, up to ``REDUCE_ELEMENTS``
-index elements at a time, to per-group counts and sums and one vectorized
-least squares.  Every step of that reduction works per row, so a block's
-replicates are the same bits whether it is reduced alone or with its
-neighbours.  Results are therefore bit-identical however the blocks are
-scheduled, and because ``BLOCK`` does not depend on the replicate count, a
-run with B replicates is a prefix of any run with more.  Resamples that
-collapse to fewer than two distinct scales are redrawn, in row order, from
-the block's substream; a kept replicate that stays degenerate for
-``MAX_REDRAWS`` consecutive draws aborts the run.
+the block's resamples as one index array; a band opens its blocks'
+substreams on one Philox generator, re-keyed for each block.  The fit is
+separate from the draws: consecutive blocks are reduced together, up to
+``REDUCE_ELEMENTS`` index elements at a time, to per-group counts and sums
+and one vectorized least squares.  Every step of that reduction works per
+row, so a block's replicates are the same bits whether it is reduced alone
+or with its neighbours.  Results are therefore bit-identical however the
+blocks are scheduled, and because ``BLOCK`` does not depend on the
+replicate count, a run with B replicates is a prefix of any run with more.
+Resamples that collapse to fewer than two distinct scales are redrawn, in
+row order, from the block's substream; a kept replicate that stays
+degenerate for ``MAX_REDRAWS`` consecutive draws aborts the run.
+
+When every scale group holds the same number of records, the hierarchical
+draws of a batch of blocks are computed at once from the raw 64-bit words
+of their substreams, with numpy's own bounded-integer method, and only a
+block that needs a redraw (or a rejected word) is drawn again one call at a
+time; the draws are the same integers either way.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateDataError
 from .records import RunSet
-from .rng import substream
+from .rng import Substreams
 
 # Replicates per random substream.  Fixed, so that the replicate stream does
 # not depend on the replicate count.
@@ -118,11 +125,6 @@ class BootstrapBand:
             raise DataError(f"bootstrap band at x={x:g} is not finite: the law overflows float64")
         return edges
 
-    def interval_at(self, x: float) -> tuple[float, float]:
-        """Percentile interval of the per-replicate predictions at x."""
-        slopes, intercepts = np.asarray(self.replicate_slopes), np.asarray(self.replicate_intercepts)
-        return tuple(self._edges(np.array([x], dtype=float), slopes, intercepts)[:, 0].tolist())
-
 
 class _Pool:
     """Log-values of one run set laid out group by group, with group tables.
@@ -154,14 +156,8 @@ def _within_draws(pool: _Pool, rng: np.random.Generator, groups: np.ndarray) -> 
     """Positions in ``pool.v`` of one within-group resample per drawn group.
 
     Drawn group ``groups[r, j]`` contributes its own size of positions, drawn
-    with replacement from its members; segments follow row-major order.  When
-    all groups have one size the bound is a scalar, which gives the same
-    values and leaves the generator in the same state as the array bound.
+    with replacement from its members; segments follow row-major order.
     """
-    if pool.common_size:
-        positions = rng.integers(0, pool.common_size, size=(groups.size, pool.common_size))
-        positions += pool.start[groups].reshape(-1, 1)
-        return positions.ravel()
     counts = pool.sizes[groups].ravel()
     return rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
 
@@ -201,7 +197,9 @@ def _ols_rows(u: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> tuple[np.n
     return slopes, vm - slopes * um
 
 
-def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.ndarray, ...]:
+def _block_draws(
+    pool: _Pool, cfg: BootstrapConfig, block: int, streams: Substreams | None = None
+) -> tuple[np.ndarray, ...]:
     """The resamples of replicates ``block*BLOCK`` to ``block*BLOCK + BLOCK - 1``.
 
     Returns what :func:`_reduce` fits: ``(groups, positions)`` in the
@@ -209,9 +207,10 @@ def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.ndar
     block's index array.  The whole block is drawn, and redrawn, from
     substream ``(rng_seed, block)`` whatever ``n_replicates`` is, so a
     shorter run is a prefix of a longer one.  Only replicates below
-    ``n_replicates`` must end up non-degenerate.
+    ``n_replicates`` must end up non-degenerate.  The substream is opened on
+    ``streams``, or on a generator of its own when ``streams`` is None.
     """
-    rng = substream(cfg.rng_seed, block)
+    rng = (Substreams(cfg.rng_seed) if streams is None else streams).open(block)
     hierarchical = cfg.mode == "hierarchical"
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
     draws = rng.integers(0, width, size=(BLOCK, width))
@@ -231,11 +230,56 @@ def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int) -> tuple[np.ndar
     return (draws, _within_draws(pool, rng, draws)) if hierarchical else (draws,)
 
 
+def _lemire(words: np.ndarray, excl: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw in ``[0, excl)`` from each 32-bit word, and whether it rejects the word.
+
+    This is the multiply-and-reject of Lemire (ACM TOMACS 2019) that
+    ``Generator.integers`` applies to one 32-bit word per value for a bound
+    below 2**32.  On a rejected word numpy draws again from the next word,
+    so the value given here is not numpy's.  A bound of 1 takes no word.
+    """
+    m = np.multiply(words, np.uint64(excl), dtype=np.uint64)
+    return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - excl) % excl
+
+
+def _uniform_draws(
+    pool: _Pool, cfg: BootstrapConfig, blocks: range, streams: Substreams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hierarchical draws of consecutive ``blocks`` when all groups share one size.
+
+    Each block's substream is read once as raw 64-bit words, split into
+    32-bit halves, low half first, as ``integers`` takes them; the first
+    ``BLOCK * M`` halves make the scale draw and the rest the within-group
+    draw, which takes none for groups of one record.  A block holding a
+    degenerate row or a rejected word reads its stream in another order, and
+    is drawn again by :func:`_block_draws`.  Returns the blocks'
+    :func:`_block_draws` results, concatenated.
+    """
+    m, h = pool.n_groups, pool.common_size
+    n = BLOCK * m
+    raw = np.empty((len(blocks), (n + n * h * (h > 1)) // 2), dtype=np.uint64)
+    for i, k in enumerate(blocks):
+        raw[i] = streams.open(k).bit_generator.random_raw(raw.shape[1])
+    words = raw.astype("<u8", copy=False).view("<u4")
+    groups, rejected = _lemire(words[:, :n], m)
+    within, rejected_within = _lemire(words[:, n:], h)
+    degenerate = _degenerate(pool.group_params[groups.reshape(-1, m)]).reshape(-1, BLOCK)
+    redo = rejected.any(axis=1) | rejected_within.any(axis=1) | degenerate.any(axis=1)
+    positions = pool.start[groups].reshape(-1, 1) + (within.reshape(-1, h) if h > 1 else 0)
+    positions = positions.reshape(len(blocks), -1)
+    for i in np.flatnonzero(redo):
+        block_groups, positions[i] = _block_draws(pool, cfg, blocks[i], streams)
+        groups[i] = block_groups.ravel()
+    return groups.reshape(-1, m), positions.ravel()
+
+
 def _reduce(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Slopes and intercepts of consecutive blocks' draws, fitted in one pass.
 
-    Each row's counts, sums and fit depend on that row alone, so the result
-    is, bit for bit, the blocks' results reduced one at a time.
+    Each entry of ``blocks`` holds the draws of one block, or of a run of
+    blocks drawn together by :func:`_uniform_draws`.  Each row's counts, sums
+    and fit depend on that row alone, so the result is, bit for bit, the
+    blocks' results reduced one at a time.
     """
     draws = blocks[0] if len(blocks) == 1 else [np.concatenate(parts) for parts in zip(*blocks)]
     stats = _hierarchical_stats(pool, *draws) if mode == "hierarchical" else _naive_stats(pool, *draws)
@@ -251,10 +295,20 @@ def _fits(pool: _Pool, cfg: BootstrapConfig):
     block that reaches the budget on its own.  A run is fitted once the next
     block would not fit in it, or as soon as it is full, so a large block is
     fitted alone, without a copy, and let go before the next one is drawn.
+    Blocks of one size make runs of one length, drawn together by
+    :func:`_uniform_draws` in the hierarchical mode.
     """
+    n_blocks = -(-cfg.n_replicates // BLOCK)
+    streams = Substreams(cfg.rng_seed)
+    if cfg.mode == "hierarchical" and pool.common_size:
+        step = max(1, REDUCE_ELEMENTS // (BLOCK * pool.n_groups * pool.common_size))
+        for first in range(0, n_blocks, step):
+            blocks = range(first, min(first + step, n_blocks))
+            yield _reduce(pool, cfg.mode, [_uniform_draws(pool, cfg, blocks, streams)])
+        return
     batch, held = [], 0
-    for k in range(-(-cfg.n_replicates // BLOCK)):
-        batch.append(_block_draws(pool, cfg, k))
+    for k in range(n_blocks):
+        batch.append(_block_draws(pool, cfg, k, streams))
         size = batch[-1][-1].size
         if len(batch) > 1 and held + size > REDUCE_ELEMENTS:
             yield _reduce(pool, cfg.mode, batch[:-1])
@@ -281,7 +335,7 @@ def bootstrap_band(
     """Resample ``runset`` by ``cfg.mode`` and band the fit over ``grid``.
 
     ``grid`` defaults to :func:`default_grid`; the slope and intercept
-    intervals and :meth:`BootstrapBand.interval_at` do not depend on it.
+    intervals do not depend on it.
     """
     pool = _Pool(runset)
     b = cfg.n_replicates

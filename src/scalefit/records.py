@@ -96,6 +96,8 @@ class ScaleSpec:
                 raise DataError(f"layers must be positive, got {self.layers}")
             if self.hidden < 1:
                 raise DataError(f"hidden must be positive, got {self.hidden}")
+            if self.layers > sys.float_info.max:
+                raise DataError("layers does not fit in float64")
         if self.params < 1:
             raise DataError(f"params must be positive, got {self.params}")
         if self.params > sys.float_info.max:

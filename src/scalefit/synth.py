@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .records import RecordTable, RunSet, ScaleSpec, _check_value, group
-from .rng import substream
+from .rng import Substreams
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -83,8 +83,9 @@ def generate(spec: SynthSpec) -> tuple[RunSet, GroundTruth]:
     """
     scales: dict[ScaleSpec, int] = {}
     code, values, offsets, overflow = [], [], [], None
+    streams = Substreams(spec.rng_seed)
     for i, scale in enumerate(spec.scales):
-        rng = substream(spec.rng_seed, i)
+        rng = streams.open(i)
         u = float(_draws(rng, spec.sigma_pre, 1, spec.noise)[0])
         eps = _draws(rng, spec.sigma_fin, spec.seeds_per_scale, spec.noise)
         offsets.append(u)

@@ -14,14 +14,17 @@ from scalefit.bootstrap import (
     _block_draws,
     _degenerate,
     _hierarchical_stats,
+    _lemire,
     _naive_stats,
     _ols_rows,
     _Pool,
     _reduce,
+    _uniform_draws,
     _within_draws,
 )
 from scalefit.errors import DataError, DegenerateDataError
 from scalefit.powerlaw import _ols_log
+from scalefit.rng import Substreams
 
 from conftest import ar32_synth
 
@@ -208,26 +211,27 @@ class TestBandStructure:
             assert math.exp(np.percentile(log_preds, band.lo_pct)) == pytest.approx(lo, rel=1e-6)
             assert math.exp(np.percentile(log_preds, band.hi_pct)) == pytest.approx(hi, rel=1e-6)
 
-    def test_interval_at_matches_point_band(self):
+    def test_one_point_grid_matches_point_band(self):
         runset, _ = ar32_synth(20)
         target = sf.ScaleSpec.from_dims(12, 768)
         grid = (*sf.default_grid(runset), float(target.params))
-        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=150, rng_seed=26), grid)
+        cfg = sf.BootstrapConfig(n_replicates=150, rng_seed=26)
+        band = sf.bootstrap_band(runset, cfg, grid)
         row = next(r for r in band.point_band if r[0] == float(target.params))
-        lo, hi = band.interval_at(float(target.params))
+        lo, hi = sf.bootstrap_band(runset, cfg, (float(target.params),)).point_band[0][1:]
         assert lo == pytest.approx(row[1], rel=1e-12)
         assert hi == pytest.approx(row[2], rel=1e-12)
 
     def test_default_grid_covers_data_and_targets(self):
-        # the default grid spans the data; a target beyond it is banded by
-        # interval_at from the replicates, whatever the grid
+        # the default grid spans the data; a target beyond it is banded by a
+        # one-point grid from the same replicates, whatever the grid
         runset, _ = ar32_synth(27)
         grid = sf.default_grid(runset)
         assert grid[0] == float(runset.scales[0].params)
         assert grid[-1] == float(runset.scales[-1].params)
         cfg = sf.BootstrapConfig(n_replicates=100, rng_seed=27)
         wide = sf.bootstrap_band(runset, cfg, (*grid, 1e9))
-        assert sf.bootstrap_band(runset, cfg).interval_at(1e9) == wide.point_band[-1][1:]
+        assert sf.bootstrap_band(runset, cfg, (1e9,)).point_band[0][1:] == wide.point_band[-1][1:]
 
 
 class TestDerivedBand:
@@ -243,7 +247,7 @@ class TestDerivedBand:
         assert len(band.replicate_slopes) == len(slopes) == 101
         assert [x for x, _, _ in band.point_band] == [10.0, 1e4]
         for x, lo, hi in band.point_band:
-            assert (lo, hi) == band.interval_at(x)
+            assert (lo, hi) == sf.BootstrapBand(slopes, intercepts, 5.0, 95.0, grid=(x,)).point_band[0][1:]
 
     def test_rebuilt_band_equals_bootstrap_band(self):
         runset, _ = ar32_synth(32)
@@ -275,18 +279,17 @@ class TestDerivedBand:
             sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=34), grid)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
-    def test_interval_at_rejects_bad_abscissa(self, x):
+    def test_one_point_grid_rejects_bad_abscissa(self, x):
         runset, _ = ar32_synth(35)
-        band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=35))
         with pytest.raises(DataError, match="positive and finite"):
-            band.interval_at(x)
+            sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=35), (x,))
 
     def test_overflowing_band_names_the_abscissa(self):
         band_args = ((30.0, 31.0), (1.0, 1.0), 2.5, 97.5)
         with pytest.raises(DataError, match="x=1e\\+30 is not finite"):
             sf.BootstrapBand(*band_args, grid=(10.0, 1e30))
         with pytest.raises(DataError, match="x=1e\\+30 is not finite"):
-            sf.BootstrapBand(*band_args, grid=(10.0,)).interval_at(1e30)
+            sf.BootstrapBand(*band_args, grid=(1e30,))
 
 
 def ragged_runset(seed, sizes):
@@ -325,12 +328,14 @@ class TestBlocks:
     def test_uniform_within_draws_match_the_array_bound_draw(self):
         pool = _Pool(ar32_synth(38)[0])
         assert pool.common_size == 5
-        groups = sf.substream(9, 0).integers(0, pool.n_groups, size=(BLOCK, pool.n_groups))
-        a, b = sf.substream(9, 1), sf.substream(9, 1)
+        rng = sf.substream(9, 0)
+        groups = rng.integers(0, pool.n_groups, size=(BLOCK, pool.n_groups))
         counts = pool.sizes[groups].ravel()
-        reference = b.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
-        assert _within_draws(pool, a, groups).tolist() == reference.tolist()
-        assert generator_state(a) == generator_state(b)
+        reference = rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
+        cfg = sf.BootstrapConfig(n_replicates=BLOCK, rng_seed=9)
+        drawn = _uniform_draws(pool, cfg, range(1), Substreams(9))
+        assert drawn[0].tolist() == groups.tolist()
+        assert drawn[1].tolist() == reference.tolist()
 
     def test_naive_batched_fit_matches_loop(self):
         pool = _Pool(ragged_runset(32, (2, 6, 1, 5, 3, 6, 4, 2)))
@@ -388,10 +393,10 @@ class TestBlocks:
         cfg = sf.BootstrapConfig(n_replicates=10 * BLOCK + 3, rng_seed=37, mode=mode)
         pool = _Pool(runset)
         alone = [_reduce(pool, mode, [_block_draws(pool, cfg, k)]) for k in range(11)]
-        batches = []
+        batches = []  # (rows, index elements) of each reduce
 
         def spy(pool, mode, blocks):
-            batches.append([draws[-1].size for draws in blocks])
+            batches.append((sum(len(draws[0]) for draws in blocks), sum(draws[-1].size for draws in blocks)))
             return _reduce(pool, mode, blocks)
 
         monkeypatch.setattr(sf.bootstrap, "REDUCE_ELEMENTS", budget)
@@ -399,21 +404,140 @@ class TestBlocks:
         band = sf.bootstrap_band(runset, cfg)
         assert band.replicate_slopes == tuple(np.concatenate([f[0] for f in alone])[: cfg.n_replicates].tolist())
         assert band.replicate_intercepts == tuple(np.concatenate([f[1] for f in alone])[: cfg.n_replicates].tolist())
-        assert sum(map(len, batches)) == 11
-        assert all(len(sizes) == 1 or sum(sizes) <= budget for sizes in batches)
+        assert sum(rows for rows, _ in batches) == 11 * BLOCK
+        assert all(rows == BLOCK or elements <= budget for rows, elements in batches)
 
-    def test_one_substream_per_block(self, monkeypatch):
-        opened = []
-        real = sf.bootstrap.substream
+    @pytest.mark.parametrize(
+        "mode, sizes",
+        [("hierarchical", None), ("hierarchical", (1, 6, 2, 5, 3, 6, 4, 2)), ("naive", None)],
+        ids=["uniform", "ragged", "naive"],
+    )
+    def test_one_substream_per_block(self, monkeypatch, mode, sizes):
+        # one generator per band, re-keyed once for each block, in order
+        made, opened = [], []
+        real_init, real_open = Substreams.__init__, Substreams.open
 
-        def spy(seed, stream):
-            opened.append((seed, stream))
-            return real(seed, stream)
+        def init(self, seed):
+            made.append(seed)
+            real_init(self, seed)
 
-        monkeypatch.setattr(sf.bootstrap, "substream", spy)
-        runset, _ = ar32_synth(34)
-        sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=2 * BLOCK + 1, rng_seed=3))
+        def open_(self, stream):
+            opened.append((self.seed, stream))
+            return real_open(self, stream)
+
+        runset = ar32_synth(34)[0] if sizes is None else ragged_runset(34, sizes)
+        monkeypatch.setattr(Substreams, "__init__", init)
+        monkeypatch.setattr(Substreams, "open", open_)
+        sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=2 * BLOCK + 1, rng_seed=3, mode=mode))
+        assert made == [3]
         assert opened == [(3, 0), (3, 1), (3, 2)]
+
+
+def per_block_band(runset, cfg):
+    # reference: every block drawn by _block_draws and fitted alone
+    pool = _Pool(runset)
+    fits = [_reduce(pool, cfg.mode, [_block_draws(pool, cfg, k)]) for k in range(-(-cfg.n_replicates // BLOCK))]
+    return tuple(tuple(np.concatenate([f[i] for f in fits])[: cfg.n_replicates].tolist()) for i in (0, 1))
+
+
+def raw_halves(rng, n):
+    # the 32-bit halves of n raw 64-bit words, low half first
+    return rng.bit_generator.random_raw(n).astype("<u8").view("<u4")
+
+
+KEYS = [(0, 0), (0, 2**64 - 1), (1, 0), (1, 1), (2**63, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
+
+
+class TestWordLevelDraws:
+    """The draws of a uniform hierarchical pool are made from raw Philox words
+    with numpy's Lemire bound.  These pin the stream layout that this takes
+    for granted, so a numpy that lays it out otherwise fails here."""
+
+    @pytest.mark.parametrize("seed, stream", KEYS, ids=[f"key-{(s << 64) | k:#x}" for s, k in KEYS])
+    def test_rekeyed_generator_equals_substream(self, seed, stream):
+        streams = Substreams(seed)
+        streams.open(stream ^ 1).integers(0, 7, size=3)  # leaves a spare 32-bit half and a part-used buffer
+        assert streams.rng.bit_generator.state["has_uint32"] == 1
+        rekeyed, fresh = streams.open(stream), sf.substream(seed, stream)
+        assert generator_state(rekeyed) == generator_state(fresh)
+        assert rekeyed.integers(0, 7, size=5).tolist() == fresh.integers(0, 7, size=5).tolist()
+        assert rekeyed.bit_generator.random_raw(9).tolist() == fresh.bit_generator.random_raw(9).tolist()
+        assert generator_state(rekeyed) == generator_state(fresh)
+
+    @pytest.mark.parametrize("bound", [1, 2, 5, 7, 8, 13, 60])
+    def test_lemire_equals_integers(self, bound):
+        keys = np.random.default_rng(bound).integers(0, 2**64, size=(4, 2), dtype=np.uint64).tolist()
+        for seed, stream in keys:
+            a, b = sf.substream(seed, stream), sf.substream(seed, stream)
+            values, rejected = _lemire(raw_halves(a, 320), bound)
+            expected = b.integers(0, bound, size=640)
+            assert not rejected.any()
+            assert values.dtype == expected.dtype
+            assert values.tolist() == expected.tolist()
+            if bound == 1:  # takes no word
+                assert generator_state(b) == generator_state(sf.substream(seed, stream))
+            else:
+                assert generator_state(a) == generator_state(b)
+
+    @pytest.mark.parametrize("bound", [3 * 2**30, 2**31 + 1])
+    def test_rejected_word_is_skipped_by_integers(self, bound):
+        # about a quarter and a half of the words are rejected at these bounds
+        values, rejected = _lemire(raw_halves(sf.substream(5, 6), 320), bound)
+        assert 0 < rejected.sum() < rejected.size
+        assert values[~rejected].tolist() == sf.substream(5, 6).integers(0, bound, size=int((~rejected).sum())).tolist()
+
+    def test_hand_made_word_is_rejected(self):
+        values, rejected = _lemire(np.array([0, 1], dtype=np.uint32), 5)
+        assert values.tolist() == [0, 0]
+        assert rejected.tolist() == [True, False]
+
+    def test_forced_redraws_reproduce_the_per_block_band(self):
+        runset = two_scale_runset(4)
+        pool = _Pool(runset)
+        cfg = sf.BootstrapConfig(n_replicates=5 * BLOCK, rng_seed=41)
+        assert pool.common_size == 4
+        first = [sf.substream(41, k).integers(0, 2, size=(BLOCK, 2)) for k in range(5)]
+        assert any(_degenerate(pool.group_params[draws]).any() for draws in first)
+        blocks = [_block_draws(pool, cfg, k) for k in range(5)]
+        groups, positions = _uniform_draws(pool, cfg, range(5), Substreams(41))
+        assert groups.tolist() == np.concatenate([g for g, _ in blocks]).tolist()
+        assert positions.tolist() == np.concatenate([p for _, p in blocks]).tolist()
+        band = sf.bootstrap_band(runset, cfg)
+        assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
+
+    def test_rejected_word_redraws_its_block(self, monkeypatch):
+        runset, _ = ar32_synth(42)
+        cfg = sf.BootstrapConfig(n_replicates=3 * BLOCK, rng_seed=42)
+        expected = per_block_band(runset, cfg)
+        redrawn = []
+
+        def reject_in_the_second_block(words, excl):
+            values, rejected = _lemire(words, excl)
+            rejected[1, -1] = True
+            return values, rejected
+
+        def spy(pool, cfg, block, streams=None):
+            redrawn.append(block)
+            return _block_draws(pool, cfg, block, streams)
+
+        monkeypatch.setattr(sf.bootstrap, "_lemire", reject_in_the_second_block)
+        monkeypatch.setattr(sf.bootstrap, "_block_draws", spy)
+        band = sf.bootstrap_band(runset, cfg)
+        assert redrawn == [1]
+        assert (band.replicate_slopes, band.replicate_intercepts) == expected
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        m=st.integers(2, 13),
+        h=st.integers(1, 7),
+        b=st.integers(1, 7 * BLOCK),
+        seed=st.sampled_from([0, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    )
+    def test_word_level_band_equals_per_block_band(self, m, h, b, seed):
+        runset, _ = ar32_synth(43, seeds_per_scale=h, scales=sf.scale_ladder(32, range(1, m + 1)))
+        cfg = sf.BootstrapConfig(n_replicates=b, rng_seed=seed)
+        band = sf.bootstrap_band(runset, cfg)
+        assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
 
 class TestSubstreamSeeds:
@@ -429,7 +553,11 @@ class TestSubstreamSeeds:
 
 
 def generator_state(rng):
-    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+    # the spare 32-bit half counts only while one is pending: integers leaves
+    # the last one behind, random_raw does not
+    state = rng.bit_generator.state
+    state["uinteger"] *= state["has_uint32"]
+    return json.dumps(state, default=np.ndarray.tolist, sort_keys=True)
 
 
 # Around 2**32 numpy switches from 32-bit to 64-bit draws per bound.

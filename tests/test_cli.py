@@ -283,8 +283,9 @@ class TestBadNumericInput:
              '"value": 1' + "0" * 400 + "}", "row 2: field 'value' does not fit in float64"),
             ('{"task": "t", "family": "f", "metric": "m", "direction": "min", "value": 1.0, '
              '"params": 1' + "0" * 400 + "}", "row 2: params does not fit in float64"),
+            (_row(layers=10**400, params=12288), "row 2: layers does not fit in float64"),
         ],
-        ids=["layers-0", "params-0", "value-1e400", "params-1e400"],
+        ids=["layers-0", "params-0", "value-1e400", "params-1e400", "layers-1e400"],
     )
     def test_bad_row_names_the_row(self, tmp_path, capsys, row, message):
         path = tmp_path / "bad.jsonl"

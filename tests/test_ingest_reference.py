@@ -15,7 +15,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import scalefit as sf
@@ -226,6 +226,7 @@ def columnar_groups(table):
     chunk=st.sampled_from([1, 2, 3, 5, 4096]),
     bad_rate=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
 )
+@example(seed=452378672, fmt="jsonl", chunk=1, bad_rate=1.0)  # a layer count of 10**400 with params
 def test_ingest_and_group_match_the_row_by_row_reference(tmp_path, seed, fmt, chunk, bad_rate):
     rng = random.Random(seed)
     path = tmp_path / f"runs.{fmt}"

@@ -178,12 +178,12 @@ class TestExtrapolate:
         lo, hi = report.targets[0].band
         assert 0 < lo <= hi
 
-    def test_band_is_interval_at_of_default_band(self):
+    def test_band_is_the_one_point_band(self):
         # extrapolate bands the target alone; flag_undertrained reads the same band
         runset, truth = ar32_synth(113)
         cfg = sf.BootstrapConfig(n_replicates=200, rng_seed=10)
         x = float(TARGET.params)
-        expected = sf.bootstrap_band(runset, cfg).interval_at(x)
+        expected = sf.bootstrap_band(runset, cfg, (x,)).point_band[0][1:]
         assert sf.extrapolate(runset, TARGET, cfg).targets[0].band == expected
         assert sf.flag_undertrained(runset, TARGET, truth.value_at(x), cfg).band == expected
 

@@ -144,6 +144,11 @@ class TestScaleSpec:
         with pytest.raises(DataError):
             sf.ScaleSpec.from_params(0)
 
+    def test_rejects_layers_beyond_float64(self):
+        # run sets hold depth as float64, so a larger count is a data error here
+        with pytest.raises(DataError, match="layers does not fit in float64"):
+            sf.ScaleSpec.from_dims(10**400, 32, params=12_288)
+
     def test_ladder(self):
         ladder = sf.scale_ladder(32, range(1, 9))
         assert [s.layers for s in ladder] == list(range(1, 9))

@@ -43,6 +43,7 @@ BAD_INPUTS = {
     "not-object.jsonl": _GOOD_ROW + "[1, 2]\n",
     "broken.jsonl": _GOOD_ROW + _GOOD_ROW[:40] + "\n",
     "deep.jsonl": _GOOD_ROW + "[" * 100_000 + "\n",
+    "huge-layers.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"layers": 1', '"layers": 1' + "0" * 400 + ', "params": 12288'),
     "misaligned.jsonl": _GOOD_ROW + '{"a": [1\n2], "b": 3} , {"c": 4}\n',
     "record-across-lines.jsonl": _GOOD_ROW + _GOOD + '"metric": "m", "value": 1.0\n"direction": "min"} , ' + _GOOD_ROW,
     "long-row.csv": _CSV + "1,32,t,f,0,0,m,1.0,min,extra\n",
