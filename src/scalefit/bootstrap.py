@@ -12,22 +12,25 @@ Replicates are computed in fixed blocks of ``BLOCK``.  Block k consumes its
 own counter-based random substream derived from (rng_seed, k), which draws
 the block's resamples as one index array; a band opens its blocks'
 substreams on one Philox generator, re-keyed for each block.  The fit is
-separate from the draws: consecutive blocks are reduced together, up to
-``REDUCE_ELEMENTS`` index elements at a time, to per-group counts and sums
-and one vectorized least squares.  Every step of that reduction works per
-row, so a block's replicates are the same bits whether it is reduced alone
-or with its neighbours.  Results are therefore bit-identical however the
-blocks are scheduled, and because ``BLOCK`` does not depend on the
-replicate count, a run with B replicates is a prefix of any run with more.
-Resamples that collapse to fewer than two distinct scales are redrawn, in
-row order, from the block's substream; a kept replicate that stays
-degenerate for ``MAX_REDRAWS`` consecutive draws aborts the run.
+separate from the draws: each run of ``REDUCE_ELEMENTS // (BLOCK * widest)``
+consecutive blocks (at least one), where ``widest`` is the largest resample
+the pool allows, is reduced to per-group counts and sums and one vectorized
+least squares.  Every step of that reduction works per row, so a block's
+replicates are the same bits whether it is reduced alone or with its
+neighbours.  Results are therefore bit-identical however the blocks are
+scheduled, and because ``BLOCK`` does not depend on the replicate count, a
+run with B replicates is a prefix of any run with more.  Resamples that
+collapse to fewer than two distinct scales are redrawn, in row order, from
+the block's substream; a kept replicate that stays degenerate for
+``MAX_REDRAWS`` consecutive draws aborts the run.
 
 When every scale group holds the same number of records, the hierarchical
-draws of a batch of blocks are computed at once from the raw 64-bit words
-of their substreams, with numpy's own bounded-integer method, and only a
+draws of a run are computed at once from the raw 64-bit words of its
+blocks' substreams, with numpy's own bounded-integer method, and only a
 block that needs a redraw (or a rejected word) is drawn again one call at a
-time; the draws are the same integers either way.
+time; the draws are the same integers either way.  A band's slopes,
+intercepts and grid predictions are the sorted rows of one table, whose
+percentiles one ``np.percentile`` call takes.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ from .rng import Substreams
 # not depend on the replicate count.
 BLOCK = 32
 # Index elements (within-group positions or pooled draws) reduced in one
-# pass.  Consecutive blocks are gathered while their index arrays fit, so
-# small blocks share the fixed cost of a reduction and the working set stays
-# bounded; a block that reaches the budget on its own is reduced alone.
+# pass, so small blocks share a reduction's fixed cost in a bounded working set.
 REDUCE_ELEMENTS = 2**14
 # Consecutive draws a kept replicate may take before a degenerate resample
 # aborts the run.
@@ -100,30 +101,26 @@ class BootstrapBand:
         intercepts = np.asarray(self.replicate_intercepts, dtype=float)
         if not 0 < len(slopes) == len(intercepts):
             raise DataError("need one intercept per replicate slope, and at least one replicate")
-        pcts = (self.lo_pct, self.hi_pct)
         xs = np.asarray(grid, dtype=float)
-        derived = dict(
-            replicate_slopes=tuple(slopes.tolist()),
-            replicate_intercepts=tuple(intercepts.tolist()),
-            slope_ci=tuple(np.percentile(slopes, pcts).tolist()),
-            intercept_ci=tuple(np.percentile(intercepts, pcts).tolist()),
-            point_band=tuple(zip(xs.tolist(), *self._edges(xs, slopes, intercepts).tolist())),
-        )
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-
-    def _edges(self, xs: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
-        """``(2, len(xs))`` percentile edges at ``xs`` of the predictions of the replicate arrays."""
         if xs.size == 0 or not np.all((xs > 0) & np.isfinite(xs)):
             raise DataError("band abscissas must be positive and finite")
         with np.errstate(over="ignore", invalid="ignore"):
-            preds = np.exp(intercepts[:, None] + slopes[:, None] * np.log(xs))
-            edges = np.percentile(preds, (self.lo_pct, self.hi_pct), axis=0)
-        bad = ~np.isfinite(edges).all(axis=0)
+            table = np.vstack((slopes, intercepts, np.exp(intercepts + slopes * np.log(xs)[:, None])))
+            table.sort(axis=1)  # the percentiles of sorted rows are those of the rows
+            edges = np.percentile(table, (self.lo_pct, self.hi_pct), axis=1)
+        bad = ~np.isfinite(edges[:, 2:]).all(axis=0)
         if bad.any():
-            x = xs[np.argmax(bad)]
-            raise DataError(f"bootstrap band at x={x:g} is not finite: the law overflows float64")
-        return edges
+            raise DataError(f"bootstrap band at x={xs[np.argmax(bad)]:g} is not finite: the law overflows float64")
+        lo, hi = edges.tolist()
+        derived = dict(
+            replicate_slopes=tuple(slopes.tolist()),
+            replicate_intercepts=tuple(intercepts.tolist()),
+            slope_ci=(lo[0], hi[0]),
+            intercept_ci=(lo[1], hi[1]),
+            point_band=tuple(zip(xs.tolist(), lo[2:], hi[2:])),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 class _Pool:
@@ -291,34 +288,23 @@ def _reduce(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]) -> tup
 def _fits(pool: _Pool, cfg: BootstrapConfig):
     """Slopes and intercepts of every block, in order, one run of consecutive blocks at a time.
 
-    A run holds at most ``REDUCE_ELEMENTS`` index elements, unless it is one
-    block that reaches the budget on its own.  A run is fitted once the next
-    block would not fit in it, or as soon as it is full, so a large block is
-    fitted alone, without a copy, and let go before the next one is drawn.
-    Blocks of one size make runs of one length, drawn together by
-    :func:`_uniform_draws` in the hierarchical mode.
+    A run holds as many blocks, at least one, as fit in ``REDUCE_ELEMENTS``
+    at the widest resample: ``n_groups`` times the largest group in the
+    hierarchical mode, every record in the naive one.  A uniform hierarchical
+    run is drawn by :func:`_uniform_draws`, any other by :func:`_block_draws`.
     """
+    hierarchical = cfg.mode == "hierarchical"
+    widest = pool.n_groups * int(pool.sizes.max()) if hierarchical else pool.v.size
+    step = max(1, REDUCE_ELEMENTS // (BLOCK * widest))
     n_blocks = -(-cfg.n_replicates // BLOCK)
     streams = Substreams(cfg.rng_seed)
-    if cfg.mode == "hierarchical" and pool.common_size:
-        step = max(1, REDUCE_ELEMENTS // (BLOCK * pool.n_groups * pool.common_size))
-        for first in range(0, n_blocks, step):
-            blocks = range(first, min(first + step, n_blocks))
-            yield _reduce(pool, cfg.mode, [_uniform_draws(pool, cfg, blocks, streams)])
-        return
-    batch, held = [], 0
-    for k in range(n_blocks):
-        batch.append(_block_draws(pool, cfg, k, streams))
-        size = batch[-1][-1].size
-        if len(batch) > 1 and held + size > REDUCE_ELEMENTS:
-            yield _reduce(pool, cfg.mode, batch[:-1])
-            batch, held = batch[-1:], 0
-        held += size
-        if held >= REDUCE_ELEMENTS:
-            yield _reduce(pool, cfg.mode, batch)
-            batch, held = [], 0
-    if batch:
-        yield _reduce(pool, cfg.mode, batch)
+    for first in range(0, n_blocks, step):
+        blocks = range(first, min(first + step, n_blocks))
+        if hierarchical and pool.common_size:
+            run = [_uniform_draws(pool, cfg, blocks, streams)]
+        else:
+            run = [_block_draws(pool, cfg, k, streams) for k in blocks]
+        yield _reduce(pool, cfg.mode, run)
 
 
 def default_grid(runset: RunSet) -> tuple[float, ...]:

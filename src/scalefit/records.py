@@ -66,12 +66,18 @@ _DIRECTION_TOKENS = {
 }
 
 
+def _shown(cell) -> str:
+    """``repr(cell)`` for a message, cut to 40 characters plus ``...``."""
+    text = repr(cell)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def normalize_direction(token: str) -> str:
     """Map a direction token ("max", "maximize", ...) to its canonical form."""
     try:
         return _DIRECTION_TOKENS[str(token).strip().lower()]
     except KeyError:
-        raise DataError(f"unknown direction token {token!r}") from None
+        raise DataError(f"unknown direction token {_shown(token)}") from None
 
 
 @dataclass(frozen=True)
@@ -114,13 +120,6 @@ class ScaleSpec:
     def from_params(cls, params: int) -> "ScaleSpec":
         """Build from a bare parameter count (no depth/width information)."""
         return cls(layers=None, hidden=None, params=params)
-
-    @property
-    def aspect_ratio(self) -> float | None:
-        """Width over depth (hidden / layers); None when dimensions are unknown."""
-        if self.layers is None:
-            return None
-        return self.hidden / self.layers
 
 
 def scale_ladder(aspect_ratio: int, layers: Iterable[int]) -> list[ScaleSpec]:
@@ -381,7 +380,7 @@ def _as_int(value, field: str) -> int:
             return int(value.strip())
         except ValueError:
             pass
-    raise DataError(f"field {field!r} must be an integer, got {value!r}")
+    raise DataError(f"field {field!r} must be an integer, got {_shown(value)}")
 
 
 def _as_float(value, field: str) -> float:
@@ -392,7 +391,7 @@ def _as_float(value, field: str) -> float:
             raise DataError(f"field {field!r} does not fit in float64") from None
         except ValueError:
             pass
-    raise DataError(f"field {field!r} must be a number, got {value!r}")
+    raise DataError(f"field {field!r} must be a number, got {_shown(value)}")
 
 
 def _missing(cell) -> bool:
@@ -630,13 +629,15 @@ def _json_cells(lines: Sequence[str]) -> dict:
             objs = list(map(json.loads, lines))
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # an integer past the int-string conversion limit
+            raise DataError(f"invalid JSON ({exc})") from None
         except RecursionError:
             raise DataError("invalid JSON (nested too deeply)") from None
     if not set(map(type, objs)) <= {dict}:
         raise DataError("expected a JSON object")
     unknown = set().union(*objs) - _FIELD_SET
     if unknown:
-        raise DataError(f"unknown field {sorted(unknown)[0]!r}")
+        raise DataError(f"unknown field {_shown(sorted(unknown)[0])}")
     return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}
 
 
@@ -734,7 +735,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
                 raise DataError("row 1: missing CSV header")
             unknown = set(header) - _FIELD_SET
             if unknown:
-                raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
+                raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
             _add_chunks(columns, chunks, functools.partial(_csv_cells, header=header))
 
     if columns.defaulted:

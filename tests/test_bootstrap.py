@@ -249,6 +249,29 @@ class TestDerivedBand:
         for x, lo, hi in band.point_band:
             assert (lo, hi) == sf.BootstrapBand(slopes, intercepts, 5.0, 95.0, grid=(x,)).point_band[0][1:]
 
+    @pytest.mark.parametrize("pcts", [(2.5, 97.5), (0.0, 100.0)])
+    @pytest.mark.parametrize("b", [1, 2, 33, 1000])
+    def test_one_table_equals_three_percentile_calls(self, b, pcts):
+        rng = np.random.default_rng(b)
+        slopes, intercepts = rng.normal(0.08, 0.01, b), rng.normal(3.0, 0.1, b)
+        xs = np.geomspace(1e4, 1e12, 25)
+        band = sf.BootstrapBand(slopes, intercepts, *pcts, grid=xs)
+        preds = np.exp(intercepts[:, None] + slopes[:, None] * np.log(xs))
+        lo, hi = np.percentile(preds, pcts, axis=0)
+        assert np.array(band.slope_ci).tobytes() == np.percentile(slopes, pcts).tobytes()
+        assert np.array(band.intercept_ci).tobytes() == np.percentile(intercepts, pcts).tobytes()
+        assert np.array(band.point_band).tobytes() == np.column_stack((xs, lo, hi)).tobytes()
+
+    @pytest.mark.parametrize("pcts", [(2.5, 97.5), (0.0, 100.0)])
+    @pytest.mark.parametrize("b", [1, 2, 33, 1000])
+    def test_overflow_at_the_last_grid_point_names_it(self, b, pcts):
+        rng = np.random.default_rng(b)
+        slopes, intercepts = rng.normal(30.0, 0.01, b), rng.normal(1.0, 0.1, b)
+        finite = sf.BootstrapBand(slopes, intercepts, *pcts, grid=(10.0, 1e4))
+        assert all(np.isfinite(row).all() for row in finite.point_band)
+        with pytest.raises(DataError, match="x=1e\\+30 is not finite"):
+            sf.BootstrapBand(slopes, intercepts, *pcts, grid=(10.0, 1e4, 1e30))
+
     def test_rebuilt_band_equals_bootstrap_band(self):
         runset, _ = ar32_synth(32)
         cfg = sf.BootstrapConfig(n_replicates=90, lo_pct=10.0, hi_pct=90.0, rng_seed=32)
@@ -293,8 +316,8 @@ class TestDerivedBand:
 
 
 def ragged_runset(seed, sizes):
-    # AR-32 ladder keeping sizes[k] of the six runs at scale k
-    runset, _ = ar32_synth(seed, seeds_per_scale=6)
+    # AR-32 ladder keeping sizes[k] of the six (or max(sizes), if more) runs at scale k
+    runset, _ = ar32_synth(seed, seeds_per_scale=max(6, *sizes))
     seeds = np.array([r.finetune_seed for r in runset.records])
     return runset.filter(seeds < np.asarray(sizes)[runset.code])
 
@@ -384,11 +407,15 @@ class TestBlocks:
             assert any(_degenerate(key[draws]).any() for draws in first)
 
     @pytest.mark.parametrize("mode", ["hierarchical", "naive"])
-    @pytest.mark.parametrize("sizes", [None, (1, 6, 2, 5, 3, 6, 4, 2)], ids=["uniform", "ragged"])
+    @pytest.mark.parametrize(
+        "sizes", [None, (1, 6, 2, 5, 3, 6, 4, 2), (60, 1, 1, 1, 1, 1, 1, 1)], ids=["uniform", "ragged", "skewed"]
+    )
     @pytest.mark.parametrize("budget", [1, 930, 2000, 2**14, 2**40])
     def test_band_does_not_depend_on_the_reduce_budget(self, monkeypatch, mode, sizes, budget):
         # budget 1 reduces every block alone, 2**40 all blocks at once; a
-        # ragged hierarchical block holds 900-960 positions, on both sides of 930
+        # ragged hierarchical block holds 900-960 positions, on both sides of
+        # 930.  A skewed block holds far fewer positions than its widest
+        # possible resample (8 draws of the group of 60), which sets the run.
         runset = ar32_synth(37)[0] if sizes is None else ragged_runset(37, sizes)
         cfg = sf.BootstrapConfig(n_replicates=10 * BLOCK + 3, rng_seed=37, mode=mode)
         pool = _Pool(runset)

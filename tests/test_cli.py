@@ -361,6 +361,38 @@ class TestOversizedCsvCell:
         assert captured.err == "error: row 3: field larger than field limit (131072)\n"
 
 
+class TestLongCells:
+    """A long bad cell or key is echoed cut to 40 characters, so the error line stays short."""
+
+    CSV_HEADER = "layers,hidden,task,family,pretrain_seed,finetune_seed,metric,value,direction\n"
+    CSV_GOOD = "1,32,t,f,0,0,m,1.0,min\n"
+
+    def fit_error(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, captured = run_json(capsys, ["fit", "--input", str(path)])
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err) < 200
+        return captured.err
+
+    def test_long_csv_seed(self, tmp_path, capsys):
+        text = self.CSV_HEADER + self.CSV_GOOD + "1,32,t,f,0," + "1" * 5000 + ",m,1.0,min\n"
+        err = self.fit_error(tmp_path, capsys, "long-seed.csv", text)
+        assert err == "error: row 3: field 'finetune_seed' must be an integer, got '" + "1" * 39 + "...\n"
+
+    def test_long_csv_header_key(self, tmp_path, capsys):
+        text = self.CSV_HEADER.replace("direction", "d" * 5000) + self.CSV_GOOD
+        err = self.fit_error(tmp_path, capsys, "long-key.csv", text)
+        assert err == "error: row 1: unknown field '" + "d" * 39 + "... in CSV header\n"
+
+    def test_huge_jsonl_integer_is_invalid_json(self, tmp_path, capsys):
+        # past Python's int-string conversion limit, json.loads raises a plain ValueError
+        huge = _row()[:-1] + ', "tokens": 1' + "0" * 5000 + "}"
+        err = self.fit_error(tmp_path, capsys, "huge-int.jsonl", _row() + "\n" + huge + "\n")
+        assert err.startswith("error: row 2: invalid JSON (")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_earlystop_nonfinite_min_decrease_exits_2(tmp_path, capsys, value):
     path = tmp_path / "curve.csv"

@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 
 import scalefit as sf
 from scalefit.errors import DataError
-from scalefit.records import RECORD_FIELDS, _as_float, _as_int
+from scalefit.records import RECORD_FIELDS, _as_float, _as_int, _shown
 
 
 def reference_record(obj, where, seed_defaults):
     try:
         unknown = set(obj) - set(RECORD_FIELDS)
         if unknown:
-            raise DataError(f"unknown field {sorted(unknown)[0]!r}")
+            raise DataError(f"unknown field {_shown(sorted(unknown)[0])}")
 
         def get(field):
             v = obj.get(field)
@@ -82,6 +82,8 @@ def reference_ingest(path):
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"row {lineno}: invalid JSON ({exc.msg})") from None
+                except ValueError as exc:  # an integer past the int-string conversion limit
+                    raise DataError(f"row {lineno}: invalid JSON ({exc})") from None
                 except RecursionError:
                     raise DataError(f"row {lineno}: invalid JSON (nested too deeply)") from None
                 if not isinstance(obj, dict):
@@ -94,7 +96,7 @@ def reference_ingest(path):
                 raise DataError("row 1: missing CSV header")
             unknown = set(reader.fieldnames) - set(RECORD_FIELDS)
             if unknown:
-                raise DataError(f"row 1: unknown field {sorted(unknown)[0]!r} in CSV header")
+                raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
             for row in reader:
                 if None in row:
                     raise DataError(f"row {reader.line_num}: more cells than header columns")
@@ -298,3 +300,33 @@ def test_ten_thousand_rows_in_real_sized_chunks(tmp_path, fmt, bad_row):
     assert isinstance(expected[0], list if bad_row is None else str)
     assert sf.records._CHUNK == 4096
     assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+
+
+# Rows whose error echoes a 5,000-character cell or key, and a JSON integer
+# past the int-string conversion limit: each error names its row and stays short.
+LONG = "1" * 5000
+LONG_ROWS = {
+    "jsonl": [{"finetune_seed": LONG}, {"value": "x" * 5000}, {"direction": "up" * 2500}, {"k" * 5000: 1},
+              '"tokens": 1' + "0" * 5000],
+    "csv": [{"finetune_seed": LONG}, {"value": "x" * 5000}, {"direction": "up" * 2500}, {"layers": LONG}],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+@pytest.mark.parametrize("fmt, bad", [(fmt, bad) for fmt, rows in LONG_ROWS.items() for bad in range(len(rows))])
+def test_long_cells_match_the_reference(tmp_path, fmt, bad, chunk):
+    base = dict(good_row(random.Random(1)), tokens=10)
+    change = LONG_ROWS[fmt][bad]
+    path = tmp_path / f"runs.{fmt}"
+    if isinstance(change, str):  # JSON text that json.dumps would refuse to write
+        path.write_text(json.dumps(base) + "\n" + json.dumps(base)[:-1] + ", " + change + "}\n", encoding="utf-8")
+    elif fmt == "jsonl":
+        path.write_text(json.dumps(base) + "\n" + json.dumps({**base, **change}) + "\n", encoding="utf-8")
+    else:
+        lines = [RECORD_FIELDS, *([str(r.get(h, "")) for h in RECORD_FIELDS] for r in (base, {**base, **change}))]
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    assert expected[0].startswith("row 2: " if fmt == "jsonl" else "row 3: ") and len(expected[0]) < 200
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf.records, "_CHUNK", chunk)
+        assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected

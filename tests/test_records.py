@@ -124,19 +124,14 @@ class TestScaleSpec:
     def test_params_computed(self):
         spec = sf.ScaleSpec.from_dims(1, 32)
         assert spec.params == 12_288
-        assert spec.aspect_ratio == 32.0
 
     def test_params_override(self):
         spec = sf.ScaleSpec.from_dims(12, 768, params=85_000_000)
         assert spec.params == 85_000_000
 
-    def test_bert_base_aspect_ratio(self):
-        assert sf.ScaleSpec.from_dims(12, 768).aspect_ratio == 64.0
-
     def test_params_only(self):
         spec = sf.ScaleSpec.from_params(12_288)
         assert spec.layers is None and spec.hidden is None
-        assert spec.aspect_ratio is None
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DataError):

@@ -12,7 +12,9 @@ every file the command wrote; each workload input file gets one too.
 
 With one tree it prints those digests, one per line.  With two it prints
 every value that differs or that one side lacks, and exits 1 if there is
-any: ``TREE TREE`` checks that a tree reproduces its own bytes.  Digests
+any: ``TREE TREE`` checks that a tree reproduces its own bytes.  Under a
+differing stderr it prints each side's text too, cut to 200 characters, so
+that a changed message can be read, not only seen to differ.  Digests
 depend on the numpy build, so none is kept in the repository.  Needs only
 the standard library and numpy.
 """
@@ -43,10 +45,12 @@ BAD_INPUTS = {
     "not-object.jsonl": _GOOD_ROW + "[1, 2]\n",
     "broken.jsonl": _GOOD_ROW + _GOOD_ROW[:40] + "\n",
     "deep.jsonl": _GOOD_ROW + "[" * 100_000 + "\n",
+    "huge-int.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"value": 1.0', '"value": 1' + "0" * 5000),
     "huge-layers.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"layers": 1', '"layers": 1' + "0" * 400 + ', "params": 12288'),
     "misaligned.jsonl": _GOOD_ROW + '{"a": [1\n2], "b": 3} , {"c": 4}\n',
     "record-across-lines.jsonl": _GOOD_ROW + _GOOD + '"metric": "m", "value": 1.0\n"direction": "min"} , ' + _GOOD_ROW,
     "long-row.csv": _CSV + "1,32,t,f,0,0,m,1.0,min,extra\n",
+    "long-seed.csv": _CSV + "1,32,t,f,0," + "1" * 5000 + ",m,1.0,min\n",
     "multiline-cell.csv": _CSV + '1,32,"t\nu",f,0,0,m,1.0,min\n1,32,t,f,0,0,m,oops,min\n',
 }
 
@@ -146,15 +150,16 @@ def _run(cli, argv: tuple) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def collect(tree: Path) -> dict:
-    """Label -> sha256 of every output of every command, run on ``tree``."""
+def collect(tree: Path) -> tuple[dict, dict]:
+    """Label -> sha256 of every output of every command, run on ``tree``,
+    and each command's stderr label -> its text."""
     sys.dont_write_bytecode = True  # leave the tree as it was
     tree = tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     from scalefit import cli
 
-    digests = {}
+    digests, stderr = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for file, text in BAD_INPUTS.items():
@@ -175,12 +180,13 @@ def collect(tree: Path) -> dict:
                 digests[f"{key} exit"] = _sha(str(code).encode())
                 digests[f"{key} stdout"] = _sha(out.encode())
                 digests[f"{key} stderr"] = _sha(err.encode())
+                stderr[f"{key} stderr"] = err
                 digests.update({f"{key} file {file}": sha for file, sha in _written(before).items()})
         os.chdir(tree)
-    return digests
+    return digests, stderr
 
 
-def _digests(tree: Path) -> dict:
+def _digests(tree: Path) -> tuple[dict, dict]:
     """``collect`` run on ``tree`` in a fresh interpreter."""
     argv = [sys.executable, __file__, "--collect", str(tree.resolve())]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -202,14 +208,17 @@ def main(argv=None) -> int:
         return 0
     runs = [_digests(tree) for tree in args.trees]
     if len(runs) == 1:
-        for key, sha in runs[0].items():
+        for key, sha in runs[0][0].items():
             print(f"{sha[:16]}  {key}")
         return 0
-    a, b = runs
+    (a, a_err), (b, b_err) = runs
     keys = list(dict.fromkeys([*a, *b]))
     differ = [key for key in keys if a.get(key) != b.get(key)]
     for key in differ:
         print(f"DIFFERS {key}: {a.get(key, 'missing')[:16]} vs {b.get(key, 'missing')[:16]}")
+        for tree, texts in zip(args.trees, (a_err, b_err)):
+            if key in texts:
+                print(f"    {tree}: {texts[key][:200]!r}")
     trees = " vs ".join(map(str, args.trees))
     print(f"{len(keys) - len(differ)} of {len(keys)} values identical ({trees}, seed {SEED})")
     return 1 if differ else 0
