@@ -24,11 +24,11 @@ collapse to fewer than two distinct scales are redrawn, in row order, from
 the block's substream; a kept replicate that stays degenerate for
 ``MAX_REDRAWS`` consecutive draws aborts the run.
 
-When every scale group holds the same number of records, the hierarchical
-draws of a run are computed at once from the raw 64-bit words of its
-blocks' substreams, with numpy's own bounded-integer method, and only a
-block that needs a redraw (or a rejected word) is drawn again one call at a
-time; the draws are the same integers either way.  A band's slopes,
+In both modes and whatever the group sizes, the draws of a run are
+computed at once from the raw 64-bit words of its blocks' substreams, with
+numpy's own bounded-integer method, and only a block that needs a redraw
+(or holds a word that may be rejected) is drawn again one call at a time;
+the draws are the same integers either way.  A band's slopes,
 intercepts and grid predictions are the sorted rows of one table, whose
 percentiles one ``np.percentile`` call takes.
 """
@@ -129,7 +129,9 @@ class _Pool:
     Scale group k owns positions ``start[k] : start[k] + sizes[k]`` of ``v``;
     every record in a group shares the group's ``u = ln N``, so a resample
     needs only its per-group counts and sums of ``v``.  ``common_size`` is
-    the size every group has, or 0 when the sizes differ.
+    the size every group has, or 0 when the sizes differ.  A drawn group's
+    within-group draw takes ``within`` 32-bit words (none for one record),
+    and ``screen`` is the largest rejection threshold of those draws.
     """
 
     def __init__(self, runset: RunSet):
@@ -137,6 +139,8 @@ class _Pool:
         self.sizes = runset.sizes
         self.start = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
         self.common_size = int(self.sizes[0]) if (self.sizes == self.sizes[0]).all() else 0
+        self.within = np.where(self.sizes > 1, self.sizes, 0)
+        self.screen = max((2**32 - s) % s for s in set(self.sizes.tolist()))
         self.v = np.log(runset.values)
         self.code = runset.code
         self.params = runset.params
@@ -227,54 +231,94 @@ def _block_draws(
     return (draws, _within_draws(pool, rng, draws)) if hierarchical else (draws,)
 
 
-def _lemire(words: np.ndarray, excl: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw in ``[0, excl)`` from each 32-bit word, and whether it rejects the word.
+def _lemire(halves: np.ndarray, excl) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draws in ``[0, excl)`` from 32-bit words, and each word's leftover.
 
-    This is the multiply-and-reject of Lemire (ACM TOMACS 2019) that
-    ``Generator.integers`` applies to one 32-bit word per value for a bound
-    below 2**32.  On a rejected word numpy draws again from the next word,
-    so the value given here is not numpy's.  A bound of 1 takes no word.
+    This is the multiply of Lemire (ACM TOMACS 2019) that ``Generator.integers``
+    applies to one 32-bit word per value for a bound below 2**32.  numpy
+    rejects a word whose leftover is below ``(2**32 - excl) % excl`` and draws
+    again from the next word, so a value is numpy's only if its word is kept.
+    ``excl`` is one bound, or a uint64 array of one per word; a bound of 1
+    takes no word.
     """
-    m = np.multiply(words, np.uint64(excl), dtype=np.uint64)
-    return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - excl) % excl
+    m = halves.astype(np.uint64)
+    m *= excl
+    leftover = m.astype(np.uint32)
+    m >>= 32
+    return m.view(np.int64), leftover
 
 
-def _uniform_draws(
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw 64-bit words, low half first, as ``integers`` takes them."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _word_draws(
     pool: _Pool, cfg: BootstrapConfig, blocks: range, streams: Substreams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The hierarchical draws of consecutive ``blocks`` when all groups share one size.
+) -> list[tuple[np.ndarray, ...]]:
+    """The :func:`_block_draws` results of consecutive ``blocks``, made from raw words.
 
-    Each block's substream is read once as raw 64-bit words, split into
-    32-bit halves, low half first, as ``integers`` takes them; the first
-    ``BLOCK * M`` halves make the scale draw and the rest the within-group
-    draw, which takes none for groups of one record.  A block holding a
-    degenerate row or a rejected word reads its stream in another order, and
-    is drawn again by :func:`_block_draws`.  Returns the blocks'
-    :func:`_block_draws` results, concatenated.
+    ``integers`` takes one 32-bit half per value, low half first, and none
+    for a bound of 1.  So the scale draw (or the pooled naive draw) is the
+    first ``BLOCK * width`` halves of a block's substream, and the
+    within-group draw is the next ones, one per drawn record of a group
+    larger than one.  ``BLOCK * width`` halves end on a 64-bit word, so when
+    groups differ in size a second ``random_raw`` on the same stream reads the
+    within-group draw, whose length the scale draw sets.  A block with a
+    degenerate row, or with a word whose leftover is below the largest
+    rejection threshold of its bounds, reads its stream in another order and
+    is drawn again by :func:`_block_draws`.  Returns one entry for the run,
+    or one per block if a block was drawn again.
     """
-    m, h = pool.n_groups, pool.common_size
-    n = BLOCK * m
+    hierarchical = cfg.mode == "hierarchical"
+    width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
+    n = BLOCK * width
+    h = pool.common_size if hierarchical else 1  # 0: the scale draw sets the within draw's length
     raw = np.empty((len(blocks), (n + n * h * (h > 1)) // 2), dtype=np.uint64)
+    tails = []
     for i, k in enumerate(blocks):
-        raw[i] = streams.open(k).bit_generator.random_raw(raw.shape[1])
-    words = raw.astype("<u8", copy=False).view("<u4")
-    groups, rejected = _lemire(words[:, :n], m)
-    within, rejected_within = _lemire(words[:, n:], h)
-    degenerate = _degenerate(pool.group_params[groups.reshape(-1, m)]).reshape(-1, BLOCK)
-    redo = rejected.any(axis=1) | rejected_within.any(axis=1) | degenerate.any(axis=1)
-    positions = pool.start[groups].reshape(-1, 1) + (within.reshape(-1, h) if h > 1 else 0)
-    positions = positions.reshape(len(blocks), -1)
-    for i in np.flatnonzero(redo):
-        block_groups, positions[i] = _block_draws(pool, cfg, blocks[i], streams)
-        groups[i] = block_groups.ravel()
-    return groups.reshape(-1, m), positions.ravel()
+        bits = streams.open(k).bit_generator
+        raw[i] = bits.random_raw(raw.shape[1])
+        if not h:
+            count = int(pool.within[_lemire(_halves(raw[i]), width)[0]].sum())
+            tails.append(_halves(bits.random_raw(-(-count // 2)))[:count])
+    halves = _halves(raw)
+    draws, leftover = _lemire(halves[:, :n], width)
+    redo = leftover.min(axis=1) < (2**32 - width) % width
+    rows = draws.reshape(-1, width)
+    suspect = np.flatnonzero(key[rows[:, 0]] == key[rows[:, -1]])  # rows whose ends differ are not degenerate
+    redo[suspect[_degenerate(key[rows[suspect]])] // BLOCK] = True
+    run = (rows,)
+    if hierarchical and h:
+        within, leftover = _lemire(halves[:, n:], h)
+        redo |= leftover.min(axis=1, initial=2**32 - 1) < pool.screen
+        starts = pool.start[rows].reshape(-1, 1)
+        run = (rows, (starts + within.reshape(-1, h) if h > 1 else starts).ravel())
+    elif hierarchical:
+        counts, wanted = pool.sizes[rows].ravel(), pool.within[rows].ravel()
+        within, leftover = _lemire(np.concatenate(tails), np.repeat(wanted.view(np.uint64), wanted))
+        if leftover.min(initial=2**32 - 1) < pool.screen:
+            hits = np.flatnonzero(leftover < pool.screen)
+            redo[np.searchsorted(np.cumsum([t.size for t in tails]), hits, side="right")] = True
+        positions = np.repeat(pool.start[rows].ravel(), counts)
+        if within.size == positions.size:
+            positions += within
+        else:  # a group of one record takes no word
+            positions[np.repeat(wanted > 0, counts)] += within
+        run = (rows, positions)
+    if not redo.any():
+        return [run]
+    parts = [np.split(rows, len(blocks))]
+    if hierarchical:
+        parts.append(np.split(run[1], np.cumsum(pool.sizes[rows].reshape(len(blocks), -1).sum(axis=1))[:-1]))
+    return [_block_draws(pool, cfg, k, streams) if bad else p for k, bad, p in zip(blocks, redo, zip(*parts))]
 
 
 def _reduce(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Slopes and intercepts of consecutive blocks' draws, fitted in one pass.
 
     Each entry of ``blocks`` holds the draws of one block, or of a run of
-    blocks drawn together by :func:`_uniform_draws`.  Each row's counts, sums
+    blocks drawn together by :func:`_word_draws`.  Each row's counts, sums
     and fit depend on that row alone, so the result is, bit for bit, the
     blocks' results reduced one at a time.
     """
@@ -290,21 +334,15 @@ def _fits(pool: _Pool, cfg: BootstrapConfig):
 
     A run holds as many blocks, at least one, as fit in ``REDUCE_ELEMENTS``
     at the widest resample: ``n_groups`` times the largest group in the
-    hierarchical mode, every record in the naive one.  A uniform hierarchical
-    run is drawn by :func:`_uniform_draws`, any other by :func:`_block_draws`.
+    hierarchical mode, every record in the naive one.  Each run is drawn by
+    :func:`_word_draws`.
     """
-    hierarchical = cfg.mode == "hierarchical"
-    widest = pool.n_groups * int(pool.sizes.max()) if hierarchical else pool.v.size
+    widest = pool.n_groups * int(pool.sizes.max()) if cfg.mode == "hierarchical" else pool.v.size
     step = max(1, REDUCE_ELEMENTS // (BLOCK * widest))
     n_blocks = -(-cfg.n_replicates // BLOCK)
     streams = Substreams(cfg.rng_seed)
     for first in range(0, n_blocks, step):
-        blocks = range(first, min(first + step, n_blocks))
-        if hierarchical and pool.common_size:
-            run = [_uniform_draws(pool, cfg, blocks, streams)]
-        else:
-            run = [_block_draws(pool, cfg, k, streams) for k in blocks]
-        yield _reduce(pool, cfg.mode, run)
+        yield _reduce(pool, cfg.mode, _word_draws(pool, cfg, range(first, min(first + step, n_blocks)), streams))
 
 
 def default_grid(runset: RunSet) -> tuple[float, ...]:

@@ -665,15 +665,43 @@ def _csv_chunks(reader):
             return
 
 
+def _undecodable_line(path: Path, newline: str | None) -> int:
+    """The number of the first line of ``path`` holding a byte that is not
+    UTF-8, with lines split as a reader opened with ``newline`` splits them."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")  # an escaped byte does not encode
+            except UnicodeEncodeError:
+                return number
+    raise RuntimeError(f"{path.name} failed to decode, but each of its lines decodes")
+
+
+@contextlib.contextmanager
+def _utf8(path: Path, newline: str | None = None):
+    """``path`` opened as UTF-8 text.  A byte that is not UTF-8 raises
+    DataError naming its line.  The decoder reads ahead of the rows, so that
+    line is found by reading the file again, on the error path only."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise DataError(f"row {_undecodable_line(path, newline)}: not valid UTF-8") from None
+
+
 @contextlib.contextmanager
 def open_csv(path: Path):
     """The header row (None for an empty file) and the :func:`_csv_chunks`
     of a CSV file, read while the ``with`` block runs.  A ``csv.Error``
-    raises DataError naming the line the reader stopped on."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    raises DataError naming the line the reader stopped on, and a header
+    that starts with a byte order mark raises DataError too."""
+    with _utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            yield next(reader, None), _csv_chunks(reader)
+            header = next(reader, None)
+            if header and header[0].startswith("\ufeff"):
+                raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
+            yield header, _csv_chunks(reader)
         except csv.Error as exc:
             raise DataError(f"row {reader.line_num}: {exc}") from None
 
@@ -727,7 +755,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     fmt = _infer_format(path, format)
     columns = _Columns()
     if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with _utf8(path) as fh:
             _add_chunks(columns, _json_chunks(fh), _json_cells)
     else:
         with open_csv(path) as (header, chunks):

@@ -19,7 +19,7 @@ from scalefit.bootstrap import (
     _ols_rows,
     _Pool,
     _reduce,
-    _uniform_draws,
+    _word_draws,
     _within_draws,
 )
 from scalefit.errors import DataError, DegenerateDataError
@@ -356,7 +356,7 @@ class TestBlocks:
         counts = pool.sizes[groups].ravel()
         reference = rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
         cfg = sf.BootstrapConfig(n_replicates=BLOCK, rng_seed=9)
-        drawn = _uniform_draws(pool, cfg, range(1), Substreams(9))
+        [drawn] = _word_draws(pool, cfg, range(1), Substreams(9))
         assert drawn[0].tolist() == groups.tolist()
         assert drawn[1].tolist() == reference.tolist()
 
@@ -436,8 +436,13 @@ class TestBlocks:
 
     @pytest.mark.parametrize(
         "mode, sizes",
-        [("hierarchical", None), ("hierarchical", (1, 6, 2, 5, 3, 6, 4, 2)), ("naive", None)],
-        ids=["uniform", "ragged", "naive"],
+        [
+            ("hierarchical", None),
+            ("hierarchical", (1, 6, 2, 5, 3, 6, 4, 2)),
+            ("naive", None),
+            ("naive", (1, 6, 2, 5, 3, 6, 4, 2)),
+        ],
+        ids=["uniform", "ragged", "naive", "naive-ragged"],
     )
     def test_one_substream_per_block(self, monkeypatch, mode, sizes):
         # one generator per band, re-keyed once for each block, in order
@@ -475,10 +480,25 @@ def raw_halves(rng, n):
 KEYS = [(0, 0), (0, 2**64 - 1), (1, 0), (1, 1), (2**63, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
 
 
+def threshold(bound):
+    # numpy rejects a word whose Lemire leftover is below this
+    return (2**32 - bound) % bound
+
+
+# Mixed group sizes, a group of one record among them, over the eight AR-32
+# scales; ragged_runset drops a scale of size 0.
+MIXED_SIZES = (
+    st.lists(st.integers(0, 7), min_size=7, max_size=7)
+    .filter(lambda sizes: max(sizes) > 1)
+    .flatmap(lambda sizes: st.permutations([1, *sizes]))
+)
+SEEDS = st.sampled_from([0, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
 class TestWordLevelDraws:
-    """The draws of a uniform hierarchical pool are made from raw Philox words
-    with numpy's Lemire bound.  These pin the stream layout that this takes
-    for granted, so a numpy that lays it out otherwise fails here."""
+    """Every pool draws from raw Philox words with numpy's Lemire bound.
+    These pin the stream layout that this takes for granted, so a numpy that
+    lays it out otherwise fails here."""
 
     @pytest.mark.parametrize("seed, stream", KEYS, ids=[f"key-{(s << 64) | k:#x}" for s, k in KEYS])
     def test_rekeyed_generator_equals_substream(self, seed, stream):
@@ -496,9 +516,9 @@ class TestWordLevelDraws:
         keys = np.random.default_rng(bound).integers(0, 2**64, size=(4, 2), dtype=np.uint64).tolist()
         for seed, stream in keys:
             a, b = sf.substream(seed, stream), sf.substream(seed, stream)
-            values, rejected = _lemire(raw_halves(a, 320), bound)
+            values, leftover = _lemire(raw_halves(a, 320), bound)
             expected = b.integers(0, bound, size=640)
-            assert not rejected.any()
+            assert not (leftover < threshold(bound)).any()
             assert values.dtype == expected.dtype
             assert values.tolist() == expected.tolist()
             if bound == 1:  # takes no word
@@ -509,14 +529,41 @@ class TestWordLevelDraws:
     @pytest.mark.parametrize("bound", [3 * 2**30, 2**31 + 1])
     def test_rejected_word_is_skipped_by_integers(self, bound):
         # about a quarter and a half of the words are rejected at these bounds
-        values, rejected = _lemire(raw_halves(sf.substream(5, 6), 320), bound)
+        values, leftover = _lemire(raw_halves(sf.substream(5, 6), 320), bound)
+        rejected = leftover < threshold(bound)
         assert 0 < rejected.sum() < rejected.size
         assert values[~rejected].tolist() == sf.substream(5, 6).integers(0, bound, size=int((~rejected).sum())).tolist()
 
     def test_hand_made_word_is_rejected(self):
-        values, rejected = _lemire(np.array([0, 1], dtype=np.uint32), 5)
+        values, leftover = _lemire(np.array([0, 1], dtype=np.uint32), 5)
         assert values.tolist() == [0, 0]
-        assert rejected.tolist() == [True, False]
+        assert (leftover < threshold(5)).tolist() == [True, False]
+
+    @pytest.mark.parametrize("key", range(4))
+    def test_array_bound_takes_one_half_per_value_and_none_for_a_bound_of_one(self, key):
+        # the within-group draw: one 32-bit half per value, low half first, in
+        # order, and none for a bound of 1; random_raw then continues the
+        # stream after the even number of halves taken
+        bounds = np.random.default_rng(key).choice([1, 1, 2, 3, 5, 60, 2500], size=301)
+        bounds = np.concatenate([bounds, np.full((bounds > 1).sum() % 2, 7)])  # an even number of halves
+        taken = int((bounds > 1).sum())
+        a, b = sf.substream(key, 7), sf.substream(key, 7)
+        drawn = a.integers(0, bounds)
+        words = b.bit_generator.random_raw(taken // 2 + 3)
+        halves = [half for word in words.tolist() for half in (word & 0xFFFFFFFF, word >> 32)]
+        expected, at = [], 0
+        for bound in bounds.tolist():
+            if bound == 1:
+                expected.append(0)
+                continue
+            product = halves[at] * bound
+            assert product & 0xFFFFFFFF >= threshold(bound)  # kept, so the value is the word's
+            expected.append(product >> 32)
+            at += 1
+        assert at == taken
+        assert drawn.tolist() == expected
+        assert a.bit_generator.state["has_uint32"] == 0
+        assert a.bit_generator.random_raw(3).tolist() == words[taken // 2:].tolist()
 
     def test_forced_redraws_reproduce_the_per_block_band(self):
         runset = two_scale_runset(4)
@@ -526,22 +573,36 @@ class TestWordLevelDraws:
         first = [sf.substream(41, k).integers(0, 2, size=(BLOCK, 2)) for k in range(5)]
         assert any(_degenerate(pool.group_params[draws]).any() for draws in first)
         blocks = [_block_draws(pool, cfg, k) for k in range(5)]
-        groups, positions = _uniform_draws(pool, cfg, range(5), Substreams(41))
-        assert groups.tolist() == np.concatenate([g for g, _ in blocks]).tolist()
-        assert positions.tolist() == np.concatenate([p for _, p in blocks]).tolist()
+        drawn = _word_draws(pool, cfg, range(5), Substreams(41))
+        assert np.concatenate([g for g, _ in drawn]).tolist() == np.concatenate([g for g, _ in blocks]).tolist()
+        assert np.concatenate([p for _, p in drawn]).tolist() == np.concatenate([p for _, p in blocks]).tolist()
         band = sf.bootstrap_band(runset, cfg)
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
-    def test_rejected_word_redraws_its_block(self, monkeypatch):
-        runset, _ = ar32_synth(42)
-        cfg = sf.BootstrapConfig(n_replicates=3 * BLOCK, rng_seed=42)
+    @pytest.mark.parametrize(
+        "mode, sizes, blocks",
+        [
+            ("hierarchical", None, [1]),
+            ("hierarchical", (3, 1, 0, 5, 2, 6, 4, 2), [1, 2]),
+            ("naive", (3, 1, 0, 5, 2, 6, 4, 2), [1]),
+        ],
+        ids=["uniform", "ragged", "naive"],
+    )
+    def test_rejected_word_redraws_its_block(self, monkeypatch, mode, sizes, blocks):
+        # the ragged pool holds 7 scales of 1-6 records, 23 in all: each of
+        # its bounds but 1 and 2 has a rejection threshold above 0
+        runset = ar32_synth(42)[0] if sizes is None else ragged_runset(44, sizes)
+        cfg = sf.BootstrapConfig(n_replicates=3 * BLOCK, rng_seed=42, mode=mode)
         expected = per_block_band(runset, cfg)
         redrawn = []
 
-        def reject_in_the_second_block(words, excl):
-            values, rejected = _lemire(words, excl)
-            rejected[1, -1] = True
-            return values, rejected
+        def reject_in_the_second_block(halves, excl):
+            values, leftover = _lemire(halves, excl)
+            if leftover.ndim == 2:  # a run's scale or pooled draw, one row per block
+                leftover[1, -1] = 0
+            elif np.ndim(excl) == 1:  # a ragged run's within-group draw, whose last word is the last block's
+                leftover[-1] = 0
+            return values, leftover
 
         def spy(pool, cfg, block, streams=None):
             redrawn.append(block)
@@ -550,19 +611,56 @@ class TestWordLevelDraws:
         monkeypatch.setattr(sf.bootstrap, "_lemire", reject_in_the_second_block)
         monkeypatch.setattr(sf.bootstrap, "_block_draws", spy)
         band = sf.bootstrap_band(runset, cfg)
-        assert redrawn == [1]
+        assert redrawn == blocks
         assert (band.replicate_slopes, band.replicate_intercepts) == expected
+
+    @pytest.mark.parametrize(
+        "mode, sizes", [("hierarchical", (5, 1, 3, 2)), ("naive", (1, 1, 1, 2))], ids=["ragged", "naive"]
+    )
+    def test_degenerate_rows_redraw_exactly_their_blocks(self, monkeypatch, mode, sizes):
+        # four scales: some blocks' first draws hold a row of one scale, others none
+        runset = ragged_runset(44, (*sizes, 0, 0, 0, 0))
+        pool = _Pool(runset)
+        cfg = sf.BootstrapConfig(n_replicates=12 * BLOCK, rng_seed=45, mode=mode)
+        width, key = (pool.n_groups, pool.group_params) if mode == "hierarchical" else (pool.v.size, pool.params)
+        first = [sf.substream(45, k).integers(0, width, size=(BLOCK, width)) for k in range(12)]
+        degenerate = [k for k, draws in enumerate(first) if _degenerate(key[draws]).any()]
+        assert 0 < len(degenerate) < 12
+        redrawn = []
+
+        def spy(pool, cfg, block, streams=None):
+            redrawn.append(block)
+            return _block_draws(pool, cfg, block, streams)
+
+        monkeypatch.setattr(sf.bootstrap, "_block_draws", spy)
+        band = sf.bootstrap_band(runset, cfg)
+        assert redrawn == degenerate
+        monkeypatch.undo()
+        assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         m=st.integers(2, 13),
         h=st.integers(1, 7),
         b=st.integers(1, 7 * BLOCK),
-        seed=st.sampled_from([0, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        seed=SEEDS,
     )
     def test_word_level_band_equals_per_block_band(self, m, h, b, seed):
         runset, _ = ar32_synth(43, seeds_per_scale=h, scales=sf.scale_ladder(32, range(1, m + 1)))
         cfg = sf.BootstrapConfig(n_replicates=b, rng_seed=seed)
+        band = sf.bootstrap_band(runset, cfg)
+        assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        sizes=MIXED_SIZES,
+        mode=st.sampled_from(["hierarchical", "naive"]),
+        b=st.integers(1, 7 * BLOCK),
+        seed=SEEDS,
+    )
+    def test_mixed_sizes_band_equals_per_block_band(self, sizes, mode, b, seed):
+        runset = ragged_runset(44, sizes)
+        cfg = sf.BootstrapConfig(n_replicates=b, rng_seed=seed, mode=mode)
         band = sf.bootstrap_band(runset, cfg)
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 

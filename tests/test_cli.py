@@ -417,6 +417,47 @@ class TestDeeplyNestedJson:
         assert captured.err == "error: row 2: invalid JSON (nested too deeply)\n"
 
 
+class TestUndecodableInput:
+    """A byte that is not UTF-8 exits 2 naming its line, also when the
+    decoder meets it ahead of the rows read so far; a CSV header behind a
+    byte order mark exits 2 saying so."""
+
+    GOOD = '{"layers": 1, "hidden": 32, "task": "t", "family": "f", "metric": "m", "value": 1.0, "direction": "min"}'
+    HEADER = "layers,hidden,task,family,metric,value,direction"
+
+    @pytest.mark.parametrize("good_rows", [1, 500], ids=["first-buffer", "past-the-first-buffer"])
+    @pytest.mark.parametrize("fmt, eol", [("jsonl", "\n"), ("csv", "\n"), ("csv", "\r\n"), ("csv", "\r")])
+    def test_bad_byte_names_its_line(self, tmp_path, capsys, fmt, eol, good_rows):
+        if fmt == "jsonl":
+            head, good, bad = "", self.GOOD + eol, self.GOOD.replace('"t"', '"caf\xe9"') + eol
+        else:  # a good row spans two lines, its quoted cell holding a line break
+            head, good, bad = self.HEADER + eol, f'1,32,"t{eol}u",f,m,1.0,min{eol}', f"1,32,caf\xe9,f,m,1.0,min{eol}"
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes((head + good * good_rows + bad + good).encode("latin-1"))
+        code, captured = run_json(capsys, ["fit", "--input", str(path)])
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: row {(head + good * good_rows).count(eol) + 1}: not valid UTF-8\n"
+
+    def test_bad_byte_in_a_loss_curve(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"step,eval_loss\n0,1.0\n1,0.\xe99\n")
+        code, captured = run_json(capsys, ["diagnose", "earlystop", "--curve", str(path), "--patience", "2"])
+        assert (code, captured.out, captured.err) == (2, "", "error: row 3: not valid UTF-8\n")
+
+    @pytest.mark.parametrize("curve", [False, True], ids=["records", "loss-curve"])
+    def test_byte_order_mark_in_a_csv_header(self, tmp_path, capsys, curve):
+        path = tmp_path / "bom.csv"
+        if curve:
+            path.write_text("\ufeffstep,eval_loss\n0,1.0\n", encoding="utf-8")
+            argv = ["diagnose", "earlystop", "--curve", str(path), "--patience", "2"]
+        else:
+            path.write_text("\ufeff" + self.HEADER + "\n1,32,t,f,m,1.0,min\n", encoding="utf-8")
+            argv = ["fit", "--input", str(path)]
+        code, captured = run_json(capsys, argv)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)\n"
+
+
 class TestScaleFlags:
     """``--target-*`` and ``--baseline-*`` groups: params, or layers with hidden, never both."""
 

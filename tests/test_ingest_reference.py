@@ -4,8 +4,9 @@ The reference validates one row at a time, in the order the checks of a
 single row run, builds a ``RunRecord`` per row and sorts records with a
 Python key: the behaviour ``ingest``/``group`` must keep.  Generated files
 mix valid rows with every kind of bad cell, blank lines, broken JSON,
-short, long and multi-line CSV rows, and run with tiny chunks so that
-faults and blank runs straddle chunk boundaries.
+short, long and multi-line CSV rows, bytes that are not UTF-8 and CSV
+headers behind a byte order mark, and run with tiny chunks so that faults
+and blank runs straddle chunk boundaries.
 """
 
 import csv
@@ -72,6 +73,16 @@ def reference_record(obj, where, seed_defaults):
 
 
 def reference_ingest(path):
+    # The generated files are smaller than the text reader's buffer, which
+    # decodes ahead of the rows, so a byte that is not UTF-8 fails the file
+    # before any row is checked.
+    data = path.read_bytes()
+    newline = None if path.suffix == ".jsonl" else ""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=newline).readlines()
+        raise DataError(f"row {len(lines)}: not valid UTF-8") from None
     seed_defaults, records = [], []
     if path.suffix == ".jsonl":
         with open(path, encoding="utf-8") as fh:
@@ -94,6 +105,8 @@ def reference_ingest(path):
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError("row 1: missing CSV header")
+            if reader.fieldnames[:1] and reader.fieldnames[0].startswith("\ufeff"):
+                raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
             unknown = set(reader.fieldnames) - set(RECORD_FIELDS)
             if unknown:
                 raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
@@ -160,12 +173,18 @@ def messy_row(rng, bad_rate):
     return row
 
 
+# Byte 0xe9 alone, which is not UTF-8, as the surrogate escape that writing
+# with errors="surrogateescape" turns back into the byte.
+NOT_UTF8 = "caf\udce9"
+
+
 def jsonl_text(rng, n, bad_rate):
     lines = []
     for _ in range(n):
         x = rng.random()
         if x < 0.05:
-            lines.append(rng.choice(["\n", "  \t\n", "{bad json\n", "[1, 2]\n", '{"a": 1}, {"b": 2}\n']))
+            bad = ["\n", "  \t\n", "{bad json\n", "[1, 2]\n", '{"a": 1}, {"b": 2}\n', NOT_UTF8 + "\n"]
+            lines.append(rng.choice(bad))
             continue
         row = {k: v for k, v in messy_row(rng, bad_rate).items() if v is not None or rng.random() < 0.5}
         text = json.dumps(row)
@@ -177,6 +196,8 @@ def csv_text(rng, n, bad_rate):
     header = list(RECORD_FIELDS)
     if rng.random() < 0.2:
         header = rng.choice([[h for h in header if rng.random() < 0.8], header + ["value"], header + ["shoe_size"]])
+    if rng.random() < 0.05:
+        header = ["\ufeff" + header[0], *header[1:]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator=rng.choice(["\n", "\r\n"]))
     writer.writerow(header)
@@ -193,6 +214,8 @@ def csv_text(rng, n, bad_rate):
             cells.append("extra")
         elif x < 0.12 and cells:
             cells[0] += rng.choice(["\nmore", "\r\nmore", "\rmore", "\n\n"])
+        elif x < 0.14 and cells:
+            cells[-1] += NOT_UTF8
         writer.writerow(cells)
     return buf.getvalue()
 
@@ -233,7 +256,7 @@ def test_ingest_and_group_match_the_row_by_row_reference(tmp_path, seed, fmt, ch
     rng = random.Random(seed)
     path = tmp_path / f"runs.{fmt}"
     text = (jsonl_text if fmt == "jsonl" else csv_text)(rng, rng.randint(0, 12), bad_rate)
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
     expected = outcome(reference_ingest, reference_group, reference_scales, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sf.records, "_CHUNK", chunk)

@@ -5,10 +5,10 @@
 Each tree runs in a fresh interpreter of its own, in a temporary directory.
 It writes the workload inputs of ``SEED`` with the tree's own
 ``perfbench/workloads.py`` (imported, never modified) and the literal
-``BAD_INPUTS``, and runs every command of the three workload mixes, plus
-``extras``, in-process through the tree's ``scalefit.cli.run``.  For each
-command it takes the sha256 of stdout, of stderr, of the exit code and of
-every file the command wrote; each workload input file gets one too.
+``BAD_INPUTS`` and ``MIXED``, and runs every command of the three workload
+mixes, plus ``extras``, in-process through the tree's ``scalefit.cli.run``.
+For each command it takes the sha256 of stdout, of stderr, of the exit code
+and of every file the command wrote; each workload input file gets one too.
 
 With one tree it prints those digests, one per line.  With two it prints
 every value that differs or that one side lacks, and exits 1 if there is
@@ -52,7 +52,17 @@ BAD_INPUTS = {
     "long-row.csv": _CSV + "1,32,t,f,0,0,m,1.0,min,extra\n",
     "long-seed.csv": _CSV + "1,32,t,f,0," + "1" * 5000 + ",m,1.0,min\n",
     "multiline-cell.csv": _CSV + '1,32,"t\nu",f,0,0,m,1.0,min\n1,32,t,f,0,0,m,oops,min\n',
+    "not-utf8.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"caf\udce9"'),  # byte 0xe9 alone
+    "bom.csv": "\ufeff" + _CSV,
 }
+# A good run set whose scales hold 1 to 4 records, one of them a single record.
+MIXED = "".join(
+    _GOOD_ROW.replace('"layers": 1, "hidden": 32', f'"layers": {layers}, "hidden": {32 * layers}')
+    .replace('"finetune_seed": 0', f'"finetune_seed": {seed}')
+    .replace('"value": 1.0', f'"value": {layers ** -0.1 * (1 + 0.01 * seed):.6f}')
+    for layers, seeds in ((1, 3), (2, 1), (3, 4), (4, 2), (5, 3))
+    for seed in range(seeds)
+)
 
 
 def _sha(data: bytes) -> str:
@@ -84,6 +94,7 @@ def extras(name: str, mix: dict) -> dict:
         observed = float(mix["fit-outlier"][mix["fit-outlier"].index("--observed") + 1])  # 3x the true loss
         return {
             "bootstrap --replicates": (*mix["bootstrap"], "--replicates"),
+            "bootstrap --mode naive --replicates": (*_replace(mix["bootstrap"], "--mode", "naive"), "--replicates"),
             "fit --min-depth 3": ("fit", *ladder, "--family", "mlm", "--min-depth", "3"),
             "fit --r2-space linear": ("fit", *ladder, "--family", "clm", "--r2-space", "linear"),
             "holdout --format table": (
@@ -132,6 +143,9 @@ def extras(name: str, mix: dict) -> dict:
                 "synth", "--alpha", "100", "--log-c", "700", "--seed", "1", "--out", "overflow.jsonl",
             ),
         }
+    if name == "mixed sizes":
+        boot = ("bootstrap", "--input", "mixed.jsonl", "--B", "200", "--seed", str(SEED), "--replicates")
+        return {f"bootstrap --mode {m} --replicates": (*boot, "--mode", m) for m in ("hierarchical", "naive")}
     if name == "bad input":
         return {file: ("fit", "--input", file) for file in BAD_INPUTS}
     return {}
@@ -162,9 +176,9 @@ def collect(tree: Path) -> tuple[dict, dict]:
     digests, stderr = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for file, text in BAD_INPUTS.items():
-            Path(file).write_text(text, encoding="utf-8")
-        for name in (*workloads.WORKLOADS, "synth", "bad input"):
+        for file, text in {**BAD_INPUTS, "mixed.jsonl": MIXED}.items():
+            Path(file).write_text(text, encoding="utf-8", errors="surrogateescape")
+        for name in (*workloads.WORKLOADS, "synth", "mixed sizes", "bad input"):
             mix = {}
             if name in workloads.WORKLOADS:
                 workload = workloads.WORKLOADS[name](SEED)
