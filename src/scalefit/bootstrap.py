@@ -14,8 +14,8 @@ the block's resamples as one index array; a band opens its blocks'
 substreams on one Philox generator, re-keyed for each block.  The fit is
 separate from the draws: each run of ``REDUCE_ELEMENTS // (BLOCK * widest)``
 consecutive blocks (at least one), where ``widest`` is the largest resample
-the pool allows, is reduced to per-group counts and sums and one vectorized
-least squares.  Every step of that reduction works per row, so a block's
+the pool allows, is reduced to per-group counts and sums.  Every step of
+that reduction, and of the least squares, works per row, so a block's
 replicates are the same bits whether it is reduced alone or with its
 neighbours.  Results are therefore bit-identical however the blocks are
 scheduled, and because ``BLOCK`` does not depend on the replicate count, a
@@ -28,9 +28,12 @@ In both modes and whatever the group sizes, the draws of a run are
 computed at once from the raw 64-bit words of its blocks' substreams, with
 numpy's own bounded-integer method, and only a block that needs a redraw
 (or holds a word that may be rejected) is drawn again one call at a time;
-the draws are the same integers either way.  A band's slopes,
-intercepts and grid predictions are the sorted rows of one table, whose
-percentiles one ``np.percentile`` call takes.
+the draws are the same integers either way.  The runs' counts and sums
+are written into arrays that hold every replicate of the band, and one
+vectorized least squares fits them all.  A band's slopes, intercepts and
+grid predictions are the sorted rows of one table, whose edges are read
+off by numpy's ``linear`` percentile rule written out (:func:`_percentiles`),
+the bits of ``np.percentile``.
 """
 
 from __future__ import annotations
@@ -106,8 +109,8 @@ class BootstrapBand:
             raise DataError("band abscissas must be positive and finite")
         with np.errstate(over="ignore", invalid="ignore"):
             table = np.vstack((slopes, intercepts, np.exp(intercepts + slopes * np.log(xs)[:, None])))
-            table.sort(axis=1)  # the percentiles of sorted rows are those of the rows
-            edges = np.percentile(table, (self.lo_pct, self.hi_pct), axis=1)
+            table.sort(axis=1)
+            edges = _percentiles(table, (self.lo_pct, self.hi_pct))
         bad = ~np.isfinite(edges[:, 2:]).all(axis=0)
         if bad.any():
             raise DataError(f"bootstrap band at x={xs[np.argmax(bad)]:g} is not finite: the law overflows float64")
@@ -121,6 +124,32 @@ class BootstrapBand:
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+
+def _percentiles(table: np.ndarray, pcts: tuple[float, float]) -> np.ndarray:
+    """``np.percentile(table, pcts, axis=1)``, the same bits, of a table whose rows are sorted.
+
+    numpy's default ``linear`` rule (Hyndman & Fan 1996, type 7) written out
+    step for step as numpy takes it: the virtual index ``(n - 1) * q``, its
+    floor and the next index, both clipped to the last value when the index
+    reaches it, and ``_lerp``'s two-sided interpolation, which is exact at
+    both ends.  A row that holds NaN, which sorts last, gets its last value.
+    (Where zeros of both signs tie, the sign of an edge may differ.)
+    """
+    n = table.shape[1]
+    at = (n - 1) * np.true_divide(pcts, 100)
+    below = np.floor(at)
+    above = below + 1
+    last = at >= n - 1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    t = (at - below)[:, None]
+    a, b = table.T[below], table.T[above]
+    diff = b - a
+    edges = a + diff * t
+    np.subtract(b, diff * (1 - t), out=edges, where=t >= 0.5)
+    np.copyto(edges, table[:, -1], where=np.isnan(table[:, -1]))
+    return edges
 
 
 class _Pool:
@@ -166,7 +195,8 @@ def _within_draws(pool: _Pool, rng: np.random.Generator, groups: np.ndarray) -> 
 def _hierarchical_stats(pool: _Pool, groups: np.ndarray, positions: np.ndarray):
     """(u, counts, sums of v) per drawn group of a ``(rows, M)`` scale draw."""
     counts = pool.sizes[groups]
-    offsets = np.concatenate(([0], np.cumsum(counts.ravel())[:-1]))
+    offsets = np.cumsum(counts.ravel())
+    offsets -= counts.ravel()
     sums = np.add.reduceat(pool.v.take(positions), offsets).reshape(counts.shape)
     return pool.group_u[groups], counts, sums
 
@@ -187,14 +217,20 @@ def _ols_rows(u: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> tuple[np.n
 
     Row r fits ``counts[r, j]`` points at abscissa ``u[r, j]`` whose ordinates
     sum to ``sums[r, j]``; the centered form matches ``_ols_log`` on the
-    expanded points up to rounding.
+    expanded points up to rounding.  One scratch array holds the products
+    in turn, so a band's rows are fitted in a small working set.
     """
     n = counts.sum(axis=1)
     um = (counts * u).sum(axis=1) / n
     vm = sums.sum(axis=1) / n
     du = u - um[:, None]
-    sxy = (du * (sums - counts * vm[:, None])).sum(axis=1)
-    slopes = sxy / (counts * du * du).sum(axis=1)
+    scratch = counts * vm[:, None]
+    np.subtract(sums, scratch, out=scratch)
+    scratch *= du
+    sxy = scratch.sum(axis=1)
+    np.multiply(counts, du, out=scratch)
+    scratch *= du
+    slopes = sxy / scratch.sum(axis=1)
     return slopes, vm - slopes * um
 
 
@@ -274,20 +310,27 @@ def _word_draws(
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
     n = BLOCK * width
     h = pool.common_size if hierarchical else 1  # 0: the scale draw sets the within draw's length
-    raw = np.empty((len(blocks), (n + n * h * (h > 1)) // 2), dtype=np.uint64)
-    tails = []
-    for i, k in enumerate(blocks):
-        bits = streams.open(k).bit_generator
-        raw[i] = bits.random_raw(raw.shape[1])
-        if not h:
-            count = int(pool.within[_lemire(_halves(raw[i]), width)[0]].sum())
+    if h:
+        raw = np.empty((len(blocks), (n + n * h * (h > 1)) // 2), dtype=np.uint64)
+        for i, k in enumerate(blocks):
+            raw[i] = streams.open(k).bit_generator.random_raw(raw.shape[1])
+        halves = _halves(raw)
+        draws, leftover = _lemire(halves[:, :n], width)
+    else:
+        draws, leftover = np.empty((len(blocks), n), dtype=np.int64), np.empty((len(blocks), n), dtype=np.uint32)
+        tails = []
+        for i, k in enumerate(blocks):
+            bits = streams.open(k).bit_generator
+            draws[i], leftover[i] = _lemire(_halves(bits.random_raw(n // 2)), width)
+            count = int(pool.within[draws[i]].sum())
             tails.append(_halves(bits.random_raw(-(-count // 2)))[:count])
-    halves = _halves(raw)
-    draws, leftover = _lemire(halves[:, :n], width)
     redo = leftover.min(axis=1) < (2**32 - width) % width
     rows = draws.reshape(-1, width)
-    suspect = np.flatnonzero(key[rows[:, 0]] == key[rows[:, -1]])  # rows whose ends differ are not degenerate
-    redo[suspect[_degenerate(key[rows[suspect]])] // BLOCK] = True
+    if hierarchical:  # a few scales a row: check every row
+        redo |= _degenerate(key[rows]).reshape(len(blocks), BLOCK).any(axis=1)
+    else:
+        suspect = np.flatnonzero(key[rows[:, 0]] == key[rows[:, -1]])  # rows whose ends differ are not degenerate
+        redo[suspect[_degenerate(key[rows[suspect]])] // BLOCK] = True
     run = (rows,)
     if hierarchical and h:
         within, leftover = _lemire(halves[:, n:], h)
@@ -296,7 +339,8 @@ def _word_draws(
         run = (rows, (starts + within.reshape(-1, h) if h > 1 else starts).ravel())
     elif hierarchical:
         counts, wanted = pool.sizes[rows].ravel(), pool.within[rows].ravel()
-        within, leftover = _lemire(np.concatenate(tails), np.repeat(wanted.view(np.uint64), wanted))
+        tail = tails[0] if len(tails) == 1 else np.concatenate(tails)
+        within, leftover = _lemire(tail, np.repeat(wanted.view(np.uint64), wanted))
         if leftover.min(initial=2**32 - 1) < pool.screen:
             hits = np.flatnonzero(leftover < pool.screen)
             redo[np.searchsorted(np.cumsum([t.size for t in tails]), hits, side="right")] = True
@@ -314,35 +358,55 @@ def _word_draws(
     return [_block_draws(pool, cfg, k, streams) if bad else p for k, bad, p in zip(blocks, redo, zip(*parts))]
 
 
+def _stats(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]):
+    """(u, counts, sums of v) per group of each row of consecutive blocks' draws.
+
+    Each entry of ``blocks`` holds the draws of one block, or of a run of
+    blocks drawn together by :func:`_word_draws`.  Each row's counts and
+    sums depend on that row alone.
+    """
+    draws = blocks[0] if len(blocks) == 1 else [np.concatenate(parts) for parts in zip(*blocks)]
+    return _hierarchical_stats(pool, *draws) if mode == "hierarchical" else _naive_stats(pool, *draws)
+
+
 def _reduce(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Slopes and intercepts of consecutive blocks' draws, fitted in one pass.
 
-    Each entry of ``blocks`` holds the draws of one block, or of a run of
-    blocks drawn together by :func:`_word_draws`.  Each row's counts, sums
-    and fit depend on that row alone, so the result is, bit for bit, the
-    blocks' results reduced one at a time.
+    Each row's fit depends on that row alone, so the result is, bit for bit,
+    the blocks' results reduced one at a time, and the rows of the band that
+    :func:`_fits` fits at once.
     """
-    draws = blocks[0] if len(blocks) == 1 else [np.concatenate(parts) for parts in zip(*blocks)]
-    stats = _hierarchical_stats(pool, *draws) if mode == "hierarchical" else _naive_stats(pool, *draws)
     # Rows past n_replicates may stay degenerate; they are cut off unread.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _ols_rows(*stats)
+        return _ols_rows(*_stats(pool, mode, blocks))
 
 
-def _fits(pool: _Pool, cfg: BootstrapConfig):
-    """Slopes and intercepts of every block, in order, one run of consecutive blocks at a time.
+def _fits(pool: _Pool, cfg: BootstrapConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of the first ``n_replicates`` replicates, fitted at once.
 
-    A run holds as many blocks, at least one, as fit in ``REDUCE_ELEMENTS``
-    at the widest resample: ``n_groups`` times the largest group in the
-    hierarchical mode, every record in the naive one.  Each run is drawn by
-    :func:`_word_draws`.
+    The blocks are drawn by :func:`_word_draws` one run of consecutive
+    blocks at a time.  A run holds as many blocks, at least one, as fit in
+    ``REDUCE_ELEMENTS`` at the widest resample: ``n_groups`` times the
+    largest group in the hierarchical mode, every record in the naive one.
+    Each run is reduced to its rows' group counts and sums, written into
+    arrays that hold every block's rows, and one least squares fits them.
     """
-    widest = pool.n_groups * int(pool.sizes.max()) if cfg.mode == "hierarchical" else pool.v.size
+    hierarchical = cfg.mode == "hierarchical"
+    widest = pool.n_groups * int(pool.sizes.max()) if hierarchical else pool.v.size
     step = max(1, REDUCE_ELEMENTS // (BLOCK * widest))
     n_blocks = -(-cfg.n_replicates // BLOCK)
+    shape = (n_blocks * BLOCK, pool.n_groups)
+    u = np.empty(shape) if hierarchical else pool.group_u
+    counts, sums = np.empty(shape, dtype=pool.sizes.dtype), np.empty(shape)
     streams = Substreams(cfg.rng_seed)
     for first in range(0, n_blocks, step):
-        yield _reduce(pool, cfg.mode, _word_draws(pool, cfg, range(first, min(first + step, n_blocks)), streams))
+        blocks = range(first, min(first + step, n_blocks))
+        run = slice(first * BLOCK, blocks.stop * BLOCK)
+        run_u, counts[run], sums[run] = _stats(pool, cfg.mode, _word_draws(pool, cfg, blocks, streams))
+        if hierarchical:
+            u[run] = run_u
+    b = cfg.n_replicates
+    return _ols_rows(u[:b] if hierarchical else u, counts[:b], sums[:b])
 
 
 def default_grid(runset: RunSet) -> tuple[float, ...]:
@@ -361,12 +425,10 @@ def bootstrap_band(
     ``grid`` defaults to :func:`default_grid`; the slope and intercept
     intervals do not depend on it.
     """
-    pool = _Pool(runset)
-    b = cfg.n_replicates
-    fits = list(_fits(pool, cfg))
+    slopes, intercepts = _fits(_Pool(runset), cfg)
     return BootstrapBand(
-        replicate_slopes=np.concatenate([c[0] for c in fits])[:b],
-        replicate_intercepts=np.concatenate([c[1] for c in fits])[:b],
+        replicate_slopes=slopes,
+        replicate_intercepts=intercepts,
         lo_pct=cfg.lo_pct,
         hi_pct=cfg.hi_pct,
         grid=default_grid(runset) if grid is None else grid,

@@ -677,25 +677,47 @@ def _undecodable_line(path: Path, newline: str | None) -> int:
     raise RuntimeError(f"{path.name} failed to decode, but each of its lines decodes")
 
 
+class _Undecodable(DataError):
+    """A byte that is not UTF-8, first met on line ``line`` of its file."""
+
+    def __init__(self, line: int) -> None:
+        super().__init__(f"row {line}: not valid UTF-8")
+        self.line = line
+
+
 @contextlib.contextmanager
-def _utf8(path: Path, newline: str | None = None):
+def _utf8(path: Path, newline: str | None = None, before: int | None = None):
     """``path`` opened as UTF-8 text.  A byte that is not UTF-8 raises
-    DataError naming its line.  The decoder reads ahead of the rows, so that
-    line is found by reading the file again, on the error path only."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    :class:`_Undecodable` naming its line.  The decoder reads ahead of the
+    rows, so that line is found by reading the file again, on the error path
+    only.  With ``before``, the line of such a byte, the file is read with
+    each byte that is not UTF-8 as its surrogate escape."""
+    errors = "strict" if before is None else "surrogateescape"
+    with open(path, encoding="utf-8", errors=errors, newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            raise DataError(f"row {_undecodable_line(path, newline)}: not valid UTF-8") from None
+            raise _Undecodable(_undecodable_line(path, newline)) from None
+
+
+def _before(chunks, line: int):
+    """The rows of ``(row numbers, rows)`` chunks that end before ``line``."""
+    for where, rows in chunks:
+        keep = int(np.searchsorted(where, line))
+        yield where[:keep], rows[:keep]
+        if keep < len(rows):
+            return
 
 
 @contextlib.contextmanager
-def open_csv(path: Path):
+def open_csv(path: Path, before: int | None = None):
     """The header row (None for an empty file) and the :func:`_csv_chunks`
     of a CSV file, read while the ``with`` block runs.  A ``csv.Error``
     raises DataError naming the line the reader stopped on, and a header
-    that starts with a byte order mark raises DataError too."""
-    with _utf8(path, newline="") as fh:
+    that starts with a byte order mark raises DataError too.  With
+    ``before``, the file is read as :func:`_utf8` reads it then, and a
+    ``csv.Error`` on that line or past it is not raised."""
+    with _utf8(path, "", before) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -703,7 +725,8 @@ def open_csv(path: Path):
                 raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
             yield header, _csv_chunks(reader)
         except csv.Error as exc:
-            raise DataError(f"row {reader.line_num}: {exc}") from None
+            if before is None or reader.line_num < before:
+                raise DataError(f"row {reader.line_num}: {exc}") from None
 
 
 def _csv_cells(rows: Sequence[list], header: list[str]) -> dict:
@@ -736,13 +759,35 @@ def _add_chunks(columns: _Columns, chunks, cells) -> None:
             raise RuntimeError("a chunk failed its column checks but each of its rows passes")
 
 
+def _read(path: Path, fmt: str, before: int | None = None) -> _Columns:
+    """The checked columns of the rows of ``path``, in format ``fmt``.  With
+    ``before``, the line of a byte that is not UTF-8, only the rows that end
+    before that line are read and checked, as :func:`_utf8` reads them then."""
+    columns = _Columns()
+    if fmt == "jsonl":
+        with _utf8(path, before=before) as fh:
+            chunks = _json_chunks(fh)
+            _add_chunks(columns, chunks if before is None else _before(chunks, before), _json_cells)
+        return columns
+    with open_csv(path, before) as (header, chunks):
+        if header is None:
+            raise DataError("row 1: missing CSV header")
+        unknown = set(header) - _FIELD_SET
+        if unknown:
+            raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
+        cells = functools.partial(_csv_cells, header=header)
+        _add_chunks(columns, chunks if before is None else _before(chunks, before), cells)
+    return columns
+
+
 def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
     Rows are parsed a chunk at a time and checked a column at a time.  A
     chunk that fails these checks is read again a row at a time, and the
     first bad row in file order raises :class:`DataError` naming the row
-    number and its first failed check.  Rows missing seed fields get seed 0
+    number and its first failed check; a line holding a byte that is not
+    UTF-8 is a bad row too.  Rows missing seed fields get seed 0
     and a single summary warning for the file.  Returns the columns as a
     :class:`RecordTable`, whose ``len`` is the row count.
 
@@ -753,18 +798,12 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """
     path = Path(path)
     fmt = _infer_format(path, format)
-    columns = _Columns()
-    if fmt == "jsonl":
-        with _utf8(path) as fh:
-            _add_chunks(columns, _json_chunks(fh), _json_cells)
-    else:
-        with open_csv(path) as (header, chunks):
-            if header is None:
-                raise DataError("row 1: missing CSV header")
-            unknown = set(header) - _FIELD_SET
-            if unknown:
-                raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
-            _add_chunks(columns, chunks, functools.partial(_csv_cells, header=header))
+    try:
+        columns = _read(path, fmt)
+    except _Undecodable as exc:
+        if exc.line > 1:
+            _read(path, fmt, before=exc.line)  # raises the first bad row before that line, if there is one
+        raise
 
     if columns.defaulted:
         warnings.warn(

@@ -17,8 +17,10 @@ from scalefit.bootstrap import (
     _lemire,
     _naive_stats,
     _ols_rows,
+    _percentiles,
     _Pool,
     _reduce,
+    _stats,
     _word_draws,
     _within_draws,
 )
@@ -315,6 +317,38 @@ class TestDerivedBand:
             sf.BootstrapBand(*band_args, grid=(1e30,))
 
 
+class TestPercentileRule:
+    """A band takes its edges from its sorted table by numpy's ``linear``
+    percentile rule written out, which must be ``np.percentile``'s bits.
+    Zeros of both signs tie, and sorting and numpy's partition may order
+    them differently, so no tied value here is a zero."""
+
+    @pytest.mark.parametrize("pcts", [(2.5, 97.5), (0.0, 100.0), (0.1, 99.9), (50.0, 50.5)])
+    @pytest.mark.parametrize("b", [1, 2, 3, 33, 1000, 2000])
+    def test_written_out_rule_equals_np_percentile(self, b, pcts):
+        rng = np.random.default_rng(b)
+        spiked = rng.normal(0.0, 1.0, b)
+        spiked[rng.permutation(b)[: max(1, b // 10)]] = np.inf
+        spiked[rng.permutation(b)[: max(1, b // 10)]] = -np.inf
+        holed = rng.normal(3.0, 0.1, b)
+        holed[rng.integers(b)] = np.nan
+        table = np.vstack((
+            rng.normal(0.08, 0.01, b),
+            np.round(rng.normal(5.0, 1.0, b), 1),  # tied values, none of them a zero
+            np.full(b, 7.25),
+            np.full(b, np.inf),
+            np.full(b, -np.inf),
+            spiked,
+            holed,
+            np.full(b, np.nan),
+        ))
+        with np.errstate(invalid="ignore"):
+            expected = np.percentile(table, pcts, axis=1)
+            got = _percentiles(np.sort(table, axis=1), pcts)
+        assert got.shape == expected.shape == (2, len(table))
+        assert got.tobytes() == expected.tobytes()
+
+
 def ragged_runset(seed, sizes):
     # AR-32 ladder keeping sizes[k] of the six (or max(sizes), if more) runs at scale k
     runset, _ = ar32_synth(seed, seeds_per_scale=max(6, *sizes))
@@ -424,10 +458,10 @@ class TestBlocks:
 
         def spy(pool, mode, blocks):
             batches.append((sum(len(draws[0]) for draws in blocks), sum(draws[-1].size for draws in blocks)))
-            return _reduce(pool, mode, blocks)
+            return _stats(pool, mode, blocks)
 
         monkeypatch.setattr(sf.bootstrap, "REDUCE_ELEMENTS", budget)
-        monkeypatch.setattr(sf.bootstrap, "_reduce", spy)
+        monkeypatch.setattr(sf.bootstrap, "_stats", spy)
         band = sf.bootstrap_band(runset, cfg)
         assert band.replicate_slopes == tuple(np.concatenate([f[0] for f in alone])[: cfg.n_replicates].tolist())
         assert band.replicate_intercepts == tuple(np.concatenate([f[1] for f in alone])[: cfg.n_replicates].tolist())
@@ -594,14 +628,18 @@ class TestWordLevelDraws:
         runset = ar32_synth(42)[0] if sizes is None else ragged_runset(44, sizes)
         cfg = sf.BootstrapConfig(n_replicates=3 * BLOCK, rng_seed=42, mode=mode)
         expected = per_block_band(runset, cfg)
-        redrawn = []
+        redrawn, scale_draws = [], []
 
         def reject_in_the_second_block(halves, excl):
             values, leftover = _lemire(halves, excl)
-            if leftover.ndim == 2:  # a run's scale or pooled draw, one row per block
+            if leftover.ndim == 2:  # a uniform run's scale or pooled draw, one row per block
                 leftover[1, -1] = 0
             elif np.ndim(excl) == 1:  # a ragged run's within-group draw, whose last word is the last block's
                 leftover[-1] = 0
+            else:  # a ragged pool's scale draw, made once per block
+                scale_draws.append(excl)
+                if len(scale_draws) == 2:
+                    leftover[-1] = 0
             return values, leftover
 
         def spy(pool, cfg, block, streams=None):
@@ -662,6 +700,66 @@ class TestWordLevelDraws:
         runset = ragged_runset(44, sizes)
         cfg = sf.BootstrapConfig(n_replicates=b, rng_seed=seed, mode=mode)
         band = sf.bootstrap_band(runset, cfg)
+        assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
+
+
+def shared_params_runset(sizes):
+    # from_params(12288) and from_dims(1, 32) are two scales with one
+    # parameter count, as in same_params_pair in test_records.py; sizes[k]
+    # records at each of them and at two other scales
+    scales = (
+        sf.ScaleSpec.from_params(12288),
+        sf.ScaleSpec.from_dims(1, 32),
+        sf.ScaleSpec.from_dims(2, 64),
+        sf.ScaleSpec.from_dims(3, 96),
+    )
+    records = [
+        sf.RunRecord(
+            scale=scale,
+            task="t",
+            family="f",
+            pretrain_seed=0,
+            finetune_seed=s,
+            metric="m",
+            value=scale.params**-0.1 * math.exp(0.01 * (s + k)),
+            direction="minimize",
+        )
+        for k, (scale, size) in enumerate(zip(scales, sizes))
+        for s in range(size)
+    ]
+    return sf.RunSet.from_records(records)
+
+
+class TestSharedParameterCount:
+    """Two scales with one parameter count sit at one abscissa, so a
+    resample that draws only them has fewer than 2 distinct scales."""
+
+    @pytest.mark.parametrize("mode", ["hierarchical", "naive"])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 1, 4)], ids=["uniform", "ragged"])
+    def test_a_resample_of_the_shared_pair_alone_is_redrawn(self, monkeypatch, mode, sizes):
+        runset = shared_params_runset(sizes)
+        pool = _Pool(runset)
+        assert pool.n_groups == 4 and np.unique(pool.group_params).size == 3
+        cfg = sf.BootstrapConfig(n_replicates=16 * BLOCK, rng_seed=44, mode=mode)
+        if mode == "hierarchical":
+            width, key, scale = pool.n_groups, pool.group_params, np.arange(pool.n_groups)
+        else:
+            width, key, scale = pool.v.size, pool.params, pool.code
+        first = [sf.substream(44, k).integers(0, width, size=(BLOCK, width)) for k in range(16)]
+        degenerate = [k for k, draws in enumerate(first) if _degenerate(key[draws]).any()]
+        # rows that draw both scales of the pair and no other
+        only_the_pair = [k for k, draws in enumerate(first) if (_degenerate(key[draws]) & ~_degenerate(scale[draws])).any()]
+        assert only_the_pair and set(only_the_pair) <= set(degenerate) and len(degenerate) < 16
+        redrawn = []
+
+        def spy(pool, cfg, block, streams=None):
+            redrawn.append(block)
+            return _block_draws(pool, cfg, block, streams)
+
+        monkeypatch.setattr(sf.bootstrap, "_block_draws", spy)
+        band = sf.bootstrap_band(runset, cfg)
+        assert redrawn == degenerate
+        monkeypatch.undo()
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
 

@@ -438,6 +438,24 @@ class TestUndecodableInput:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: row {(head + good * good_rows).count(eol) + 1}: not valid UTF-8\n"
 
+    @pytest.mark.parametrize("good_rows, gap", [(1, 0), (200, 5)], ids=["bad-row-2-byte-on-3", "bad-row-201-byte-on-207"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_bad_row_ahead_of_a_bad_byte_is_named_first(self, tmp_path, capsys, fmt, good_rows, gap):
+        # the decoder meets the byte first, in the same buffer: rows are
+        # still checked in file order
+        if fmt == "jsonl":
+            head, good = "", self.GOOD + "\n"
+            bad_value, bad_byte = good.replace("1.0", "-1.0"), good.replace('"t"', '"caf\xe9"')
+        else:
+            head, good = self.HEADER + "\n", "1,32,t,f,m,1.0,min\n"
+            bad_value, bad_byte = good.replace("1.0", "-1.0"), good.replace(",t,", ",caf\xe9,")
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes((head + good * good_rows + bad_value + good * gap + bad_byte).encode("latin-1"))
+        row = (head + good * good_rows).count("\n") + 1
+        code, captured = run_json(capsys, ["fit", "--input", str(path)])
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: row {row}: value must be positive\n"
+
     def test_bad_byte_in_a_loss_curve(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"
         path.write_bytes(b"step,eval_loss\n0,1.0\n1,0.\xe99\n")

@@ -73,20 +73,22 @@ def reference_record(obj, where, seed_defaults):
 
 
 def reference_ingest(path):
-    # The generated files are smaller than the text reader's buffer, which
-    # decodes ahead of the rows, so a byte that is not UTF-8 fails the file
-    # before any row is checked.
+    # The first line holding a byte that is not UTF-8 is a bad row on that
+    # line, after the rows that end before it.
     data = path.read_bytes()
     newline = None if path.suffix == ".jsonl" else ""
+    undecodable = None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lines = io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=newline).readlines()
-        raise DataError(f"row {len(lines)}: not valid UTF-8") from None
+        undecodable = len(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=newline).readlines())
+    not_utf8 = DataError(f"row {undecodable}: not valid UTF-8")
     seed_defaults, records = [], []
     if path.suffix == ".jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if lineno == undecodable:
+                    raise not_utf8
                 if not line.strip():
                     continue
                 try:
@@ -101,7 +103,9 @@ def reference_ingest(path):
                     raise DataError(f"row {lineno}: expected a JSON object")
                 records.append(reference_record(obj, f"row {lineno}", seed_defaults))
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            if undecodable == 1:
+                raise not_utf8
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError("row 1: missing CSV header")
@@ -111,6 +115,8 @@ def reference_ingest(path):
             if unknown:
                 raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
             for row in reader:
+                if undecodable is not None and reader.line_num >= undecodable:
+                    raise not_utf8
                 if None in row:
                     raise DataError(f"row {reader.line_num}: more cells than header columns")
                 records.append(reference_record(row, f"row {reader.line_num}", seed_defaults))

@@ -13,8 +13,9 @@ and of every file the command wrote; each workload input file gets one too.
 With one tree it prints those digests, one per line.  With two it prints
 every value that differs or that one side lacks, and exits 1 if there is
 any: ``TREE TREE`` checks that a tree reproduces its own bytes.  Under a
-differing stderr it prints each side's text too, cut to 200 characters, so
-that a changed message can be read, not only seen to differ.  Digests
+differing stderr it prints each side's text too, and under a differing
+stdout each side's first line that differs, both cut to 200 characters, so
+that a changed output can be read, not only seen to differ.  Digests
 depend on the numpy build, so none is kept in the repository.  Needs only
 the standard library and numpy.
 """
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -54,6 +56,15 @@ BAD_INPUTS = {
     "multiline-cell.csv": _CSV + '1,32,"t\nu",f,0,0,m,1.0,min\n1,32,t,f,0,0,m,oops,min\n',
     "not-utf8.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"caf\udce9"'),  # byte 0xe9 alone
     "bom.csv": "\ufeff" + _CSV,
+    # A bad row ahead of a byte that is not UTF-8, in the decoder's first
+    # buffer: the bad row is the first in file order.
+    "bad-row-before-bad-byte.jsonl": (
+        _GOOD_ROW + _GOOD_ROW.replace('"value": 1.0', '"value": -1.0') + _GOOD_ROW.replace('"t"', '"caf\udce9"')
+    ),
+    "bad-row-201-before-bad-byte-207.jsonl": (
+        _GOOD_ROW * 200 + _GOOD_ROW.replace('"value": 1.0', '"value": -1.0') + _GOOD_ROW * 5
+        + _GOOD_ROW.replace('"t"', '"caf\udce9"')
+    ),
 }
 # A good run set whose scales hold 1 to 4 records, one of them a single record.
 MIXED = "".join(
@@ -92,9 +103,20 @@ def extras(name: str, mix: dict) -> dict:
     if name == "ladder":
         ladder = ("--input", "ladder.jsonl")
         observed = float(mix["fit-outlier"][mix["fit-outlier"].index("--observed") + 1])  # 3x the true loss
+        edges = {}  # the percentile rule at its ends and at small replicate counts
+        for mode in ("hierarchical", "naive"):
+            boot = (*_replace(mix["bootstrap"], "--mode", mode), "--replicates")
+            edges.update({
+                f"bootstrap --mode {mode} --replicates --lo 0 --hi 100": (*boot, "--lo", "0", "--hi", "100"),
+                f"bootstrap --mode {mode} --replicates --B 1": _replace(boot, "--B", "1"),
+                f"bootstrap --mode {mode} --replicates --B 33 --lo 0.1 --hi 99.9": (
+                    *_replace(boot, "--B", "33"), "--lo", "0.1", "--hi", "99.9",
+                ),
+            })
         return {
             "bootstrap --replicates": (*mix["bootstrap"], "--replicates"),
             "bootstrap --mode naive --replicates": (*_replace(mix["bootstrap"], "--mode", "naive"), "--replicates"),
+            **edges,
             "fit --min-depth 3": ("fit", *ladder, "--family", "mlm", "--min-depth", "3"),
             "fit --r2-space linear": ("fit", *ladder, "--family", "clm", "--r2-space", "linear"),
             "holdout --format table": (
@@ -166,14 +188,14 @@ def _run(cli, argv: tuple) -> tuple:
 
 def collect(tree: Path) -> tuple[dict, dict]:
     """Label -> sha256 of every output of every command, run on ``tree``,
-    and each command's stderr label -> its text."""
+    and each command's stdout and stderr label -> its text."""
     sys.dont_write_bytecode = True  # leave the tree as it was
     tree = tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     from scalefit import cli
 
-    digests, stderr = {}, {}
+    digests, texts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for file, text in {**BAD_INPUTS, "mixed.jsonl": MIXED}.items():
@@ -192,12 +214,18 @@ def collect(tree: Path) -> tuple[dict, dict]:
                 key = f"{name} {label}:"
                 digests[f"{key} argv"] = _sha(json.dumps(argv).encode())
                 digests[f"{key} exit"] = _sha(str(code).encode())
-                digests[f"{key} stdout"] = _sha(out.encode())
-                digests[f"{key} stderr"] = _sha(err.encode())
-                stderr[f"{key} stderr"] = err
+                for stream, text in (("stdout", out), ("stderr", err)):
+                    digests[f"{key} {stream}"] = _sha(text.encode())
+                    texts[f"{key} {stream}"] = text
                 digests.update({f"{key} file {file}": sha for file, sha in _written(before).items()})
         os.chdir(tree)
-    return digests, stderr
+    return digests, texts
+
+
+def _first_difference(a: str, b: str) -> tuple[str, str]:
+    """The first line of ``a`` and of ``b`` that differ, "" for a side that has ended."""
+    lines = itertools.zip_longest(a.splitlines(), b.splitlines(), fillvalue="")
+    return next(((x, y) for x, y in lines if x != y), ("", ""))
 
 
 def _digests(tree: Path) -> tuple[dict, dict]:
@@ -225,14 +253,17 @@ def main(argv=None) -> int:
         for key, sha in runs[0][0].items():
             print(f"{sha[:16]}  {key}")
         return 0
-    (a, a_err), (b, b_err) = runs
+    (a, a_texts), (b, b_texts) = runs
     keys = list(dict.fromkeys([*a, *b]))
     differ = [key for key in keys if a.get(key) != b.get(key)]
     for key in differ:
         print(f"DIFFERS {key}: {a.get(key, 'missing')[:16]} vs {b.get(key, 'missing')[:16]}")
-        for tree, texts in zip(args.trees, (a_err, b_err)):
-            if key in texts:
-                print(f"    {tree}: {texts[key][:200]!r}")
+        shown = [texts.get(key) for texts in (a_texts, b_texts)]
+        if key.endswith("stdout") and None not in shown:
+            shown = _first_difference(*shown)
+        for tree, text in zip(args.trees, shown):
+            if text is not None:
+                print(f"    {tree}: {text[:200]!r}")
     trees = " vs ".join(map(str, args.trees))
     print(f"{len(keys) - len(differ)} of {len(keys)} values identical ({trees}, seed {SEED})")
     return 1 if differ else 0
