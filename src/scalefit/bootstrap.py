@@ -50,8 +50,10 @@ from .rng import Substreams
 # Replicates per random substream.  Fixed, so that the replicate stream does
 # not depend on the replicate count.
 BLOCK = 32
-# Index elements (within-group positions or pooled draws) reduced in one
-# pass, so small blocks share a reduction's fixed cost in a bounded working set.
+# Index elements (within-group positions or pooled draws) drawn and reduced
+# in one pass, so small blocks share a pass's fixed cost while the index
+# arrays stay bounded.  The grouped stats that the passes write grow with the
+# replicate count, as the band's table does.
 REDUCE_ELEMENTS = 2**14
 # Consecutive draws a kept replicate may take before a degenerate resample
 # aborts the run.
@@ -195,8 +197,7 @@ def _within_draws(pool: _Pool, rng: np.random.Generator, groups: np.ndarray) -> 
 def _hierarchical_stats(pool: _Pool, groups: np.ndarray, positions: np.ndarray):
     """(u, counts, sums of v) per drawn group of a ``(rows, M)`` scale draw."""
     counts = pool.sizes[groups]
-    offsets = np.cumsum(counts.ravel())
-    offsets -= counts.ravel()
+    offsets = np.concatenate(([0], np.cumsum(counts.ravel())[:-1]))
     sums = np.add.reduceat(pool.v.take(positions), offsets).reshape(counts.shape)
     return pool.group_u[groups], counts, sums
 
@@ -218,7 +219,7 @@ def _ols_rows(u: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> tuple[np.n
     Row r fits ``counts[r, j]`` points at abscissa ``u[r, j]`` whose ordinates
     sum to ``sums[r, j]``; the centered form matches ``_ols_log`` on the
     expanded points up to rounding.  One scratch array holds the products
-    in turn, so a band's rows are fitted in a small working set.
+    in turn, so the fit adds few ``(rows, M)`` temporaries to its inputs.
     """
     n = counts.sum(axis=1)
     um = (counts * u).sum(axis=1) / n
@@ -310,27 +311,20 @@ def _word_draws(
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
     n = BLOCK * width
     h = pool.common_size if hierarchical else 1  # 0: the scale draw sets the within draw's length
-    if h:
-        raw = np.empty((len(blocks), (n + n * h * (h > 1)) // 2), dtype=np.uint64)
-        for i, k in enumerate(blocks):
-            raw[i] = streams.open(k).bit_generator.random_raw(raw.shape[1])
-        halves = _halves(raw)
-        draws, leftover = _lemire(halves[:, :n], width)
-    else:
-        draws, leftover = np.empty((len(blocks), n), dtype=np.int64), np.empty((len(blocks), n), dtype=np.uint32)
-        tails = []
-        for i, k in enumerate(blocks):
-            bits = streams.open(k).bit_generator
-            draws[i], leftover[i] = _lemire(_halves(bits.random_raw(n // 2)), width)
-            count = int(pool.within[draws[i]].sum())
+    raw = np.empty((len(blocks), (n + n * h * (h > 1)) // 2), dtype=np.uint64)
+    tails = []
+    for i, k in enumerate(blocks):
+        bits = streams.open(k).bit_generator
+        raw[i] = bits.random_raw(raw.shape[1])
+        if not h:
+            count = int(pool.within[_lemire(_halves(raw[i]), width)[0]].sum())
             tails.append(_halves(bits.random_raw(-(-count // 2)))[:count])
+    halves = _halves(raw)
+    draws, leftover = _lemire(halves[:, :n], width)
     redo = leftover.min(axis=1) < (2**32 - width) % width
     rows = draws.reshape(-1, width)
-    if hierarchical:  # a few scales a row: check every row
-        redo |= _degenerate(key[rows]).reshape(len(blocks), BLOCK).any(axis=1)
-    else:
-        suspect = np.flatnonzero(key[rows[:, 0]] == key[rows[:, -1]])  # rows whose ends differ are not degenerate
-        redo[suspect[_degenerate(key[rows[suspect]])] // BLOCK] = True
+    suspect = np.flatnonzero(key[rows[:, 0]] == key[rows[:, -1]])  # rows whose ends differ are not degenerate
+    redo[suspect[_degenerate(key[rows[suspect]])] // BLOCK] = True
     run = (rows,)
     if hierarchical and h:
         within, leftover = _lemire(halves[:, n:], h)
@@ -339,8 +333,7 @@ def _word_draws(
         run = (rows, (starts + within.reshape(-1, h) if h > 1 else starts).ravel())
     elif hierarchical:
         counts, wanted = pool.sizes[rows].ravel(), pool.within[rows].ravel()
-        tail = tails[0] if len(tails) == 1 else np.concatenate(tails)
-        within, leftover = _lemire(tail, np.repeat(wanted.view(np.uint64), wanted))
+        within, leftover = _lemire(np.concatenate(tails), np.repeat(wanted.view(np.uint64), wanted))
         if leftover.min(initial=2**32 - 1) < pool.screen:
             hits = np.flatnonzero(leftover < pool.screen)
             redo[np.searchsorted(np.cumsum([t.size for t in tails]), hits, side="right")] = True
@@ -406,7 +399,10 @@ def _fits(pool: _Pool, cfg: BootstrapConfig) -> tuple[np.ndarray, np.ndarray]:
         if hierarchical:
             u[run] = run_u
     b = cfg.n_replicates
-    return _ols_rows(u[:b] if hierarchical else u, counts[:b], sums[:b])
+    # Two distinct parameter counts may share one float64 log; the band then
+    # reports the NaN fit as not finite.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _ols_rows(u[:b] if hierarchical else u, counts[:b], sums[:b])
 
 
 def default_grid(runset: RunSet) -> tuple[float, ...]:

@@ -628,18 +628,14 @@ class TestWordLevelDraws:
         runset = ar32_synth(42)[0] if sizes is None else ragged_runset(44, sizes)
         cfg = sf.BootstrapConfig(n_replicates=3 * BLOCK, rng_seed=42, mode=mode)
         expected = per_block_band(runset, cfg)
-        redrawn, scale_draws = [], []
+        redrawn = []
 
         def reject_in_the_second_block(halves, excl):
             values, leftover = _lemire(halves, excl)
-            if leftover.ndim == 2:  # a uniform run's scale or pooled draw, one row per block
+            if leftover.ndim == 2:  # a run's scale or pooled draw, one row per block
                 leftover[1, -1] = 0
             elif np.ndim(excl) == 1:  # a ragged run's within-group draw, whose last word is the last block's
                 leftover[-1] = 0
-            else:  # a ragged pool's scale draw, made once per block
-                scale_draws.append(excl)
-                if len(scale_draws) == 2:
-                    leftover[-1] = 0
             return values, leftover
 
         def spy(pool, cfg, block, streams=None):
@@ -761,6 +757,30 @@ class TestSharedParameterCount:
         assert redrawn == degenerate
         monkeypatch.undo()
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
+
+    @pytest.mark.parametrize("mode", ["hierarchical", "naive"])
+    def test_scales_that_share_a_float_log_give_a_band_that_is_not_finite(self, mode):
+        # 2**50 and 2**50 + 1 are two parameter counts, so no resample is
+        # degenerate, but one float64 log: every fit is 0/0, silently
+        runset = sf.RunSet.from_records(
+            [
+                sf.RunRecord(
+                    scale=sf.ScaleSpec.from_params(params),
+                    task="t",
+                    family="f",
+                    pretrain_seed=0,
+                    finetune_seed=s,
+                    metric="m",
+                    value=1.0 + s,
+                    direction="minimize",
+                )
+                for params in (2**50, 2**50 + 1)
+                for s in range(2)
+            ]
+        )
+        assert np.unique(runset.params).size == 2 and np.unique(np.log(runset.params)).size == 1
+        with pytest.raises(DataError, match="is not finite"):
+            sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=2 * BLOCK, rng_seed=3, mode=mode))
 
 
 class TestSubstreamSeeds:
