@@ -52,7 +52,9 @@ class LossCurve:
 
 def load_loss_curve(path: str | Path) -> LossCurve:
     """Read a two-column CSV (header ``step,eval_loss`` required) with
-    :func:`~scalefit.records.open_csv`, skipping whitespace-only rows."""
+    :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  The
+    first bad row in file order raises DataError naming it; a line holding a
+    byte that is not UTF-8 is a bad row."""
     path = Path(path)
     steps = []
     losses = []

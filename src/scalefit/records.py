@@ -17,6 +17,11 @@ fail a chunk; the rows of a chunk that fails them are read again one at a
 time, by the reader that read the chunk, and checked by :func:`_record`,
 whose statement order is the order of one row's checks.  The first bad
 row raises ``row N: <its first failed check>``.
+
+Each file is read once, with each byte that is not UTF-8 decoded as its
+surrogate escape.  A :class:`_Lines` reader notes the first line N that
+holds such a byte; the rows that end before line N are read and checked,
+and then the file fails with ``row N: not valid UTF-8``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -602,13 +608,48 @@ def _numbered(items: list, numbers: np.ndarray, blank: Iterable[bool]) -> tuple:
     return numbers[keep], items if keep.size == len(items) else [items[i] for i in keep.tolist()]
 
 
-def _json_chunks(fh):
-    """(line numbers, lines) of up to ``_CHUNK`` JSONL lines at a time, blank ones dropped."""
-    for first in itertools.count(1, _CHUNK):
-        lines = list(itertools.islice(fh, _CHUNK))
-        if not lines:
-            return
-        yield _numbered(lines, first + np.arange(len(lines)), map(str.isspace, lines))
+# A byte that is not UTF-8, as errors="surrogateescape" decodes it.  Text
+# that decodes as UTF-8 holds no such character: UTF-8 encodes no surrogate.
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+class _Lines:
+    """The lines of a file opened as UTF-8 with ``errors="surrogateescape"``,
+    read ``_CHUNK`` at a time: by :meth:`chunks`, or one at a time by
+    iteration.  ``bad`` is the number of the first line that holds a byte
+    that is not UTF-8, set when the chunk that holds it is read."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.bad: int | None = None
+
+    def chunks(self):
+        """(number of the first line, lines) of each chunk of lines."""
+        for first in itertools.count(1, _CHUNK):
+            lines = list(itertools.islice(self.fh, _CHUNK))
+            if not lines:
+                return
+            if self.bad is None and not (text := "".join(lines)).isascii() and _ESCAPED.search(text):
+                self.bad = first + next(i for i, line in enumerate(lines) if _ESCAPED.search(line))
+            yield first, lines
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(lines for _, lines in self.chunks())
+
+    def error(self) -> DataError:
+        return DataError(f"row {self.bad}: not valid UTF-8")
+
+
+def _json_chunks(lines: _Lines):
+    """(line numbers, lines) of up to ``_CHUNK`` JSONL lines at a time, blank
+    ones dropped.  The lines before a line that holds a byte that is not
+    UTF-8 are yielded, and then that line raises DataError."""
+    for first, chunk in lines.chunks():
+        if lines.bad is not None:
+            chunk = chunk[: lines.bad - first]
+        yield _numbered(chunk, first + np.arange(len(chunk)), map(str.isspace, chunk))
+        if lines.bad is not None:
+            raise lines.error()
 
 
 def _json_cells(lines: Sequence[str]) -> dict:
@@ -641,23 +682,29 @@ def _json_cells(lines: Sequence[str]) -> dict:
     return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}
 
 
-def _csv_chunks(reader):
-    """(line numbers, rows) of up to ``_CHUNK`` CSV rows at a time, blank
-    ones dropped; a row's number is the line it ends on.  A ``csv.Error``
-    is raised once the rows read before it have been yielded."""
+def _csv_chunks(reader, lines: _Lines):
+    """(line numbers, rows) of up to ``_CHUNK`` CSV rows of ``reader``, which
+    reads ``lines``, at a time, blank ones dropped; a row's number is the
+    line it ends on.  A ``csv.Error`` is raised once the rows read before it
+    have been yielded.  Once the reader has read the first line that holds a
+    byte that is not UTF-8, the rows that end before that line are yielded,
+    and then that line raises DataError."""
     while True:
         before, rows, error = reader.line_num, [], None
         try:
             rows.extend(itertools.islice(reader, _CHUNK))
         except csv.Error as exc:
             error = exc
+        spans = np.ones(len(rows), dtype=np.intp)
+        if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
+            spans[:] = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows]
+        ends = before + np.cumsum(spans)
+        if rows and error is None:  # exact, also for a quote left open to the end of the file
+            ends[-1] = reader.line_num
+        if lines.bad is not None and reader.line_num >= lines.bad:
+            keep = int(np.searchsorted(ends, lines.bad))
+            rows, ends, error = rows[:keep], ends[:keep], lines.error()
         if rows:
-            spans = np.ones(len(rows), dtype=np.intp)
-            if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
-                spans[:] = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows]
-            ends = before + np.cumsum(spans)
-            if error is None:  # exact, also for a quote left open to the end of the file
-                ends[-1] = reader.line_num
             yield _numbered(rows, ends, map(operator.not_, rows))
         if error is not None:
             raise error
@@ -665,68 +712,28 @@ def _csv_chunks(reader):
             return
 
 
-def _undecodable_line(path: Path, newline: str | None) -> int:
-    """The number of the first line of ``path`` holding a byte that is not
-    UTF-8, with lines split as a reader opened with ``newline`` splits them."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")  # an escaped byte does not encode
-            except UnicodeEncodeError:
-                return number
-    raise RuntimeError(f"{path.name} failed to decode, but each of its lines decodes")
-
-
-class _Undecodable(DataError):
-    """A byte that is not UTF-8, first met on line ``line`` of its file."""
-
-    def __init__(self, line: int) -> None:
-        super().__init__(f"row {line}: not valid UTF-8")
-        self.line = line
-
-
 @contextlib.contextmanager
-def _utf8(path: Path, newline: str | None = None, before: int | None = None):
-    """``path`` opened as UTF-8 text.  A byte that is not UTF-8 raises
-    :class:`_Undecodable` naming its line.  The decoder reads ahead of the
-    rows, so that line is found by reading the file again, on the error path
-    only.  With ``before``, the line of such a byte, the file is read with
-    each byte that is not UTF-8 as its surrogate escape."""
-    errors = "strict" if before is None else "surrogateescape"
-    with open(path, encoding="utf-8", errors=errors, newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            raise _Undecodable(_undecodable_line(path, newline)) from None
-
-
-def _before(chunks, line: int):
-    """The rows of ``(row numbers, rows)`` chunks that end before ``line``."""
-    for where, rows in chunks:
-        keep = int(np.searchsorted(where, line))
-        yield where[:keep], rows[:keep]
-        if keep < len(rows):
-            return
-
-
-@contextlib.contextmanager
-def open_csv(path: Path, before: int | None = None):
+def open_csv(path: Path):
     """The header row (None for an empty file) and the :func:`_csv_chunks`
-    of a CSV file, read while the ``with`` block runs.  A ``csv.Error``
-    raises DataError naming the line the reader stopped on, and a header
-    that starts with a byte order mark raises DataError too.  With
-    ``before``, the file is read as :func:`_utf8` reads it then, and a
-    ``csv.Error`` on that line or past it is not raised."""
-    with _utf8(path, "", before) as fh:
-        reader = csv.reader(fh)
+    of a CSV file, read while the ``with`` block runs.  A byte that is not
+    UTF-8 on line 1 raises DataError naming that line before the header is
+    checked.  A header that starts with a byte order mark raises DataError,
+    and so does a ``csv.Error``: it names the line the reader stopped on, or
+    the line of a byte that is not UTF-8 at or before it."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        lines = _Lines(fh)
+        reader = csv.reader(lines)
         try:
             header = next(reader, None)
+            if lines.bad == 1:
+                raise lines.error()
             if header and header[0].startswith("\ufeff"):
                 raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
-            yield header, _csv_chunks(reader)
+            yield header, _csv_chunks(reader, lines)
         except csv.Error as exc:
-            if before is None or reader.line_num < before:
-                raise DataError(f"row {reader.line_num}: {exc}") from None
+            if lines.bad is not None and reader.line_num >= lines.bad:
+                raise lines.error() from None
+            raise DataError(f"row {reader.line_num}: {exc}") from None
 
 
 def _csv_cells(rows: Sequence[list], header: list[str]) -> dict:
@@ -759,35 +766,15 @@ def _add_chunks(columns: _Columns, chunks, cells) -> None:
             raise RuntimeError("a chunk failed its column checks but each of its rows passes")
 
 
-def _read(path: Path, fmt: str, before: int | None = None) -> _Columns:
-    """The checked columns of the rows of ``path``, in format ``fmt``.  With
-    ``before``, the line of a byte that is not UTF-8, only the rows that end
-    before that line are read and checked, as :func:`_utf8` reads them then."""
-    columns = _Columns()
-    if fmt == "jsonl":
-        with _utf8(path, before=before) as fh:
-            chunks = _json_chunks(fh)
-            _add_chunks(columns, chunks if before is None else _before(chunks, before), _json_cells)
-        return columns
-    with open_csv(path, before) as (header, chunks):
-        if header is None:
-            raise DataError("row 1: missing CSV header")
-        unknown = set(header) - _FIELD_SET
-        if unknown:
-            raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
-        cells = functools.partial(_csv_cells, header=header)
-        _add_chunks(columns, chunks if before is None else _before(chunks, before), cells)
-    return columns
-
-
 def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
-    Rows are parsed a chunk at a time and checked a column at a time.  A
-    chunk that fails these checks is read again a row at a time, and the
-    first bad row in file order raises :class:`DataError` naming the row
-    number and its first failed check; a line holding a byte that is not
-    UTF-8 is a bad row too.  Rows missing seed fields get seed 0
+    The file is read once.  Rows are parsed a chunk at a time and checked a
+    column at a time.  A chunk that fails these checks is read again a row
+    at a time, from the rows in memory, and the first bad row in file order
+    raises :class:`DataError` naming the row number and its first failed
+    check; the first line holding a byte that is not UTF-8 is a bad row too,
+    ``row N: not valid UTF-8``.  Rows missing seed fields get seed 0
     and a single summary warning for the file.  Returns the columns as a
     :class:`RecordTable`, whose ``len`` is the row count.
 
@@ -798,12 +785,18 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """
     path = Path(path)
     fmt = _infer_format(path, format)
-    try:
-        columns = _read(path, fmt)
-    except _Undecodable as exc:
-        if exc.line > 1:
-            _read(path, fmt, before=exc.line)  # raises the first bad row before that line, if there is one
-        raise
+    columns = _Columns()
+    if fmt == "jsonl":
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            _add_chunks(columns, _json_chunks(_Lines(fh)), _json_cells)
+    else:
+        with open_csv(path) as (header, chunks):
+            if header is None:
+                raise DataError("row 1: missing CSV header")
+            unknown = set(header) - _FIELD_SET
+            if unknown:
+                raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
+            _add_chunks(columns, chunks, functools.partial(_csv_cells, header=header))
 
     if columns.defaulted:
         warnings.warn(

@@ -341,12 +341,14 @@ class TestOversizedCsvCell:
     @pytest.mark.parametrize(
         "second, message",
         [("1,32,t,f,m,1.0,min", "row 3: field larger than field limit (131072)"),
-         ("0,32,t,f,m,1.0,min", "row 2: layers must be positive, got 0")],
-        ids=["good-row-first", "earlier-bad-row-wins"],
+         ("0,32,t,f,m,1.0,min", "row 2: layers must be positive, got 0"),
+         ("1,32,caf\udce9,f,m,1.0,min", "row 2: not valid UTF-8")],  # byte 0xe9 alone
+        ids=["good-row-first", "earlier-bad-row-wins", "earlier-bad-byte-wins"],
     )
     def test_fit(self, tmp_path, capsys, second, message):
         path = tmp_path / "big.csv"
-        path.write_text(self.HEADER + second + "\n1,32,t,f,m," + self.BIG + ",min\n", encoding="utf-8")
+        text = self.HEADER + second + "\n1,32,t,f,m," + self.BIG + ",min\n"
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         code, captured = run_json(capsys, ["fit", "--input", str(path)])
         assert code == 2
         assert captured.out == ""
@@ -418,20 +420,29 @@ class TestDeeplyNestedJson:
 
 
 class TestUndecodableInput:
-    """A byte that is not UTF-8 exits 2 naming its line, also when the
-    decoder meets it ahead of the rows read so far; a CSV header behind a
-    byte order mark exits 2 saying so."""
+    """A byte that is not UTF-8 exits 2 naming its line, unless a bad row
+    comes ahead of it, in a record file or a loss curve; a CSV header
+    behind a byte order mark exits 2 saying so."""
 
     GOOD = '{"layers": 1, "hidden": 32, "task": "t", "family": "f", "metric": "m", "value": 1.0, "direction": "min"}'
     HEADER = "layers,hidden,task,family,metric,value,direction"
 
     @pytest.mark.parametrize("good_rows", [1, 500], ids=["first-buffer", "past-the-first-buffer"])
-    @pytest.mark.parametrize("fmt, eol", [("jsonl", "\n"), ("csv", "\n"), ("csv", "\r\n"), ("csv", "\r")])
-    def test_bad_byte_names_its_line(self, tmp_path, capsys, fmt, eol, good_rows):
+    @pytest.mark.parametrize(
+        "fmt, eol, task",
+        [
+            ("jsonl", "\n", '"caf\xe9"'),
+            *(("csv", eol, "caf\xe9") for eol in ("\n", "\r\n", "\r")),
+            *(("csv", eol, f'"caf\xe9{eol}more"') for eol in ("\n", "\r\n")),
+        ],
+        ids=["jsonl", "csv-lf", "csv-crlf", "csv-cr", "csv-lf-two-line-cell", "csv-crlf-two-line-cell"],
+    )
+    def test_bad_byte_names_its_line(self, tmp_path, capsys, fmt, eol, task, good_rows):
+        # the bad row's task cell holds the byte; a two-line cell holds it on its first line
         if fmt == "jsonl":
-            head, good, bad = "", self.GOOD + eol, self.GOOD.replace('"t"', '"caf\xe9"') + eol
+            head, good, bad = "", self.GOOD + eol, self.GOOD.replace('"t"', task) + eol
         else:  # a good row spans two lines, its quoted cell holding a line break
-            head, good, bad = self.HEADER + eol, f'1,32,"t{eol}u",f,m,1.0,min{eol}', f"1,32,caf\xe9,f,m,1.0,min{eol}"
+            head, good, bad = self.HEADER + eol, f'1,32,"t{eol}u",f,m,1.0,min{eol}', f"1,32,{task},f,m,1.0,min{eol}"
         path = tmp_path / f"bad.{fmt}"
         path.write_bytes((head + good * good_rows + bad + good).encode("latin-1"))
         code, captured = run_json(capsys, ["fit", "--input", str(path)])
@@ -439,22 +450,29 @@ class TestUndecodableInput:
         assert captured.err == f"error: row {(head + good * good_rows).count(eol) + 1}: not valid UTF-8\n"
 
     @pytest.mark.parametrize("good_rows, gap", [(1, 0), (200, 5)], ids=["bad-row-2-byte-on-3", "bad-row-201-byte-on-207"])
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv", "curve"])
     def test_bad_row_ahead_of_a_bad_byte_is_named_first(self, tmp_path, capsys, fmt, good_rows, gap):
-        # the decoder meets the byte first, in the same buffer: rows are
-        # still checked in file order
+        # a bad row, then a byte that is not UTF-8 a few lines on, in the
+        # first 8 KiB or past them: the bad row is named
         if fmt == "jsonl":
             head, good = "", self.GOOD + "\n"
             bad_value, bad_byte = good.replace("1.0", "-1.0"), good.replace('"t"', '"caf\xe9"')
-        else:
+        elif fmt == "csv":
             head, good = self.HEADER + "\n", "1,32,t,f,m,1.0,min\n"
             bad_value, bad_byte = good.replace("1.0", "-1.0"), good.replace(",t,", ",caf\xe9,")
-        path = tmp_path / f"bad.{fmt}"
+        else:  # a loss curve; a good row takes 48 bytes, so 200 of them pass the first 8 KiB
+            head, good = "step,eval_loss\n", "0,1.0\n" if good_rows == 1 else "0,1." + "0" * 44 + "\n"
+            bad_value, bad_byte = "1,abc\n", "2,0.\xe99\n"
+        path = tmp_path / ("bad.csv" if fmt == "curve" else f"bad.{fmt}")
         path.write_bytes((head + good * good_rows + bad_value + good * gap + bad_byte).encode("latin-1"))
         row = (head + good * good_rows).count("\n") + 1
-        code, captured = run_json(capsys, ["fit", "--input", str(path)])
+        argv, message = ["fit", "--input", str(path)], "value must be positive"
+        if fmt == "curve":
+            argv = ["diagnose", "earlystop", "--curve", str(path), "--patience", "2"]
+            message = "expected 'step,eval_loss' integers/floats"
+        code, captured = run_json(capsys, argv)
         assert (code, captured.out) == (2, "")
-        assert captured.err == f"error: row {row}: value must be positive\n"
+        assert captured.err == f"error: row {row}: {message}\n"
 
     def test_bad_byte_in_a_loss_curve(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"

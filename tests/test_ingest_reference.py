@@ -144,11 +144,15 @@ def reference_group(records):
     return {k: tuple(buckets[k]) for k in sorted(buckets)}
 
 
+# Byte 0xe9 alone, which is not UTF-8, as the surrogate escape that writing
+# with errors="surrogateescape" turns back into the byte.  A JSON string
+# escapes it, as "\\udce9", and that is valid UTF-8 text.
+NOT_UTF8 = "caf\udce9"
 NUMBERS = [1, 2, 0, -1, 12288, 10**30, 2**63, 2**70, 10**400, 2.0, 2.5, True, "4", " 5 ", "+12", "1_000",
            "abc", "", "  ", None, [1], float("nan"), float("inf"), -0.0, "١٢", 1e300]
 CELLS = {
     "layers": NUMBERS, "hidden": NUMBERS, "params": NUMBERS, "pretrain_seed": NUMBERS,
-    "finetune_seed": NUMBERS, "task": ["t", "", "  ", None, 5, 5.0, True, [1], "x{y}"],
+    "finetune_seed": NUMBERS, "task": ["t", "", "  ", None, 5, 5.0, True, [1], "x{y}", "caf\xe9", NOT_UTF8],
     "family": ["mlm", "", None, 0.0], "metric": ["f1", "loss", "", None],
     "direction": ["max", "min", "minimize", " MAX ", "up", "", None, 1],
     "value": [2.5, 50, 0, -1, float("nan"), float("inf"), "3.5", " 4 ", "abc", "  ", None, True, 10**400, "1e999"],
@@ -179,11 +183,6 @@ def messy_row(rng, bad_rate):
     return row
 
 
-# Byte 0xe9 alone, which is not UTF-8, as the surrogate escape that writing
-# with errors="surrogateescape" turns back into the byte.
-NOT_UTF8 = "caf\udce9"
-
-
 def jsonl_text(rng, n, bad_rate):
     lines = []
     for _ in range(n):
@@ -193,7 +192,7 @@ def jsonl_text(rng, n, bad_rate):
             lines.append(rng.choice(bad))
             continue
         row = {k: v for k, v in messy_row(rng, bad_rate).items() if v is not None or rng.random() < 0.5}
-        text = json.dumps(row)
+        text = json.dumps(row, ensure_ascii=rng.random() < 0.5)  # non-ASCII text raw or escaped
         lines.append(("  " + text + "  " if x < 0.08 else text) + "\n")
     return "".join(lines)
 
@@ -222,6 +221,8 @@ def csv_text(rng, n, bad_rate):
             cells[0] += rng.choice(["\nmore", "\r\nmore", "\rmore", "\n\n"])
         elif x < 0.14 and cells:
             cells[-1] += NOT_UTF8
+        elif x < 0.15 and cells:
+            cells[0] += NOT_UTF8 + "\nmore"  # the byte on the first line of a two-line cell
         writer.writerow(cells)
     return buf.getvalue()
 

@@ -237,8 +237,14 @@ class TestIngest:
             make_record(layers=1, hidden=32, value=3.5, tokens=1000),
             make_record(layers=None, params=999, value=2.25),
             make_record(layers=2, hidden=64, value=7.125, direction="minimize", metric="loss"),
+            make_record(task="caf\udce9"),  # a lone surrogate, which the JSON text escapes
+            make_record(task="caf\xe9"),
         ]
         sf.emit(records, path)
+        assert list(sf.ingest(path)) == records
+        text = path.read_text(encoding="utf-8")
+        assert '"caf\\udce9"' in text  # valid UTF-8 text, not a byte that is not UTF-8
+        path.write_text(text.replace("\\u00e9", "\xe9"), encoding="utf-8")  # the escape as its UTF-8 bytes
         assert list(sf.ingest(path)) == records
 
     @pytest.mark.parametrize(
@@ -290,12 +296,16 @@ class TestIngest:
     @pytest.mark.parametrize(
         "name, text, format, message",
         [("runs.jsonl", "{}\n", "xml", "unknown format 'xml'; expected 'jsonl' or 'csv'"),
-         ("runs.csv", "", None, "row 1: missing CSV header")],
-        ids=["unknown-format", "empty-csv"],
+         ("runs.csv", "", None, "row 1: missing CSV header"),
+         # byte 0xe9 alone in the header: named before the header is checked,
+         # also when the header holds a cell over the csv module's field limit
+         ("runs.csv", "\ufefflayers,caf\udce9\n1,32\n", None, "row 1: not valid UTF-8"),
+         ("runs.csv", "layers,caf\udce9," + "9" * 200_000 + "\n", None, "row 1: not valid UTF-8")],
+        ids=["unknown-format", "empty-csv", "bad-byte-in-csv-header", "bad-byte-in-oversized-csv-header"],
     )
     def test_unreadable_file(self, tmp_path, name, text, format, message):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             sf.ingest(path, format=format)
 
@@ -330,6 +340,26 @@ class TestIngestEdgeCases:
         write_jsonl(path, [BASE_ROW, dict(no_hidden, value="oops")])
         with pytest.raises(DataError, match=r"^row 2: field 'hidden' required"):
             sf.ingest(path)
+
+    @pytest.mark.parametrize("bad_row", [False, True], ids=["byte-only", "bad-row-then-byte"])
+    @pytest.mark.parametrize("kind", ["jsonl", "csv", "curve"])
+    def test_a_byte_that_is_not_utf8_fails_in_one_read_of_the_file(self, tmp_path, monkeypatch, kind, bad_row):
+        head, good, bad = {
+            "jsonl": ("", json.dumps(BASE_ROW), json.dumps(dict(BASE_ROW, value=-1.0))),
+            "csv": (CSV_HEADER + "\n", GOOD_CELLS, GOOD_CELLS.replace("50.0", "-1.0")),
+            "curve": ("step,eval_loss\n", "0,1.0", "1,abc"),
+        }[kind]
+        path = tmp_path / ("curve.csv" if kind == "curve" else f"runs.{kind}")
+        rows = [good, bad if bad_row else good, "\udce9"]  # byte 0xe9 alone on the last line
+        path.write_text(head + "\n".join(rows) + "\n", encoding="utf-8", errors="surrogateescape")
+        line = head.count("\n") + (2 if bad_row else 3)
+        opened = []
+        real_open = open
+        monkeypatch.setattr("builtins.open", lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k))
+        read = sf.diagnose.load_loss_curve if kind == "curve" else sf.ingest
+        with pytest.raises(DataError, match=f"^row {line}: "):
+            read(path)
+        assert opened == [path]
 
     def test_quote_open_to_end_of_file_is_numbered_by_its_last_line(self, tmp_path):
         # The open quote keeps the file's final line break in the cell.

@@ -5,8 +5,9 @@
 Each tree runs in a fresh interpreter of its own, in a temporary directory.
 It writes the workload inputs of ``SEED`` with the tree's own
 ``perfbench/workloads.py`` (imported, never modified) and the literal
-``BAD_INPUTS`` and ``MIXED``, and runs every command of the three workload
-mixes, plus ``extras``, in-process through the tree's ``scalefit.cli.run``.
+``BAD_INPUTS``, ``BAD_CURVES`` and ``MIXED``, and runs every command of the
+three workload mixes, plus ``extras``, in-process through the tree's
+``scalefit.cli.run``.
 For each command it takes the sha256 of stdout, of stderr, of the exit code
 and of every file the command wrote; each workload input file gets one too.
 
@@ -66,6 +67,8 @@ BAD_INPUTS = {
         + _GOOD_ROW.replace('"t"', '"caf\udce9"')
     ),
 }
+# A loss curve with a bad row ahead of a byte that is not UTF-8.
+BAD_CURVES = {"bad-row-before-bad-byte-curve.csv": "step,eval_loss\n0,1.0\n1,abc\n2,0.\udce99\n"}
 # A good run set whose scales hold 1 to 4 records, one of them a single record.
 MIXED = "".join(
     _GOOD_ROW.replace('"layers": 1, "hidden": 32', f'"layers": {layers}, "hidden": {32 * layers}')
@@ -113,6 +116,12 @@ def extras(name: str, mix: dict) -> dict:
                     *_replace(boot, "--B", "33"), "--lo", "0.1", "--hi", "99.9",
                 ),
             })
+        # Two of its edges take the upper half of the percentile rule's
+        # interpolation, b - (b - a) * (1 - t) for t >= 0.5, whose bits differ
+        # there from the lower half's a + (b - a) * t.
+        edges["bootstrap --B 7 --lo 2.6 --hi 97.4"] = (
+            *_replace(mix["bootstrap"], "--B", "7"), "--lo", "2.6", "--hi", "97.4",
+        )
         return {
             "bootstrap --replicates": (*mix["bootstrap"], "--replicates"),
             "bootstrap --mode naive --replicates": (*_replace(mix["bootstrap"], "--mode", "naive"), "--replicates"),
@@ -169,7 +178,8 @@ def extras(name: str, mix: dict) -> dict:
         boot = ("bootstrap", "--input", "mixed.jsonl", "--B", "200", "--seed", str(SEED), "--replicates")
         return {f"bootstrap --mode {m} --replicates": (*boot, "--mode", m) for m in ("hierarchical", "naive")}
     if name == "bad input":
-        return {file: ("fit", "--input", file) for file in BAD_INPUTS}
+        curves = {file: ("diagnose", "earlystop", "--curve", file, "--patience", "2") for file in BAD_CURVES}
+        return {**{file: ("fit", "--input", file) for file in BAD_INPUTS}, **curves}
     return {}
 
 
@@ -198,7 +208,7 @@ def collect(tree: Path) -> tuple[dict, dict]:
     digests, texts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for file, text in {**BAD_INPUTS, "mixed.jsonl": MIXED}.items():
+        for file, text in {**BAD_INPUTS, **BAD_CURVES, "mixed.jsonl": MIXED}.items():
             Path(file).write_text(text, encoding="utf-8", errors="surrogateescape")
         for name in (*workloads.WORKLOADS, "synth", "mixed sizes", "bad input"):
             mix = {}
