@@ -26,14 +26,14 @@ the block's substream; a kept replicate that stays degenerate for
 
 In both modes and whatever the group sizes, the draws of a run are
 computed at once from the raw 64-bit words of its blocks' substreams, with
-numpy's own bounded-integer method, and only a block that needs a redraw
-(or holds a word that may be rejected) is drawn again one call at a time;
-the draws are the same integers either way.  The runs' counts and sums
-are written into arrays that hold every replicate of the band, and one
-vectorized least squares fits them all.  A band's slopes, intercepts and
-grid predictions are the sorted rows of one table, whose edges are read
-off by numpy's ``linear`` percentile rule written out (:func:`_percentiles`),
-the bits of ``np.percentile``.
+numpy's own bounded-integer method, and reduced into arrays that hold
+every replicate of the band.  Only a block that needs a redraw (or holds a
+word that may be rejected) is drawn again one call at a time, and its
+counts and sums overwrite the run's in its rows; the draws are the same
+integers either way.  One vectorized least squares fits every row.  A
+band's slopes, intercepts and grid predictions are the sorted rows of one
+table, whose edges are read off by numpy's ``linear`` percentile rule
+written out (:func:`_percentiles`), the bits of ``np.percentile``.
 """
 
 from __future__ import annotations
@@ -235,20 +235,18 @@ def _ols_rows(u: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> tuple[np.n
     return slopes, vm - slopes * um
 
 
-def _block_draws(
-    pool: _Pool, cfg: BootstrapConfig, block: int, streams: Substreams | None = None
-) -> tuple[np.ndarray, ...]:
+def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int, streams: Substreams) -> tuple[np.ndarray, ...]:
     """The resamples of replicates ``block*BLOCK`` to ``block*BLOCK + BLOCK - 1``.
 
-    Returns what :func:`_reduce` fits: ``(groups, positions)`` in the
-    hierarchical mode, ``(idx,)`` in the naive one; the last array is the
-    block's index array.  The whole block is drawn, and redrawn, from
-    substream ``(rng_seed, block)`` whatever ``n_replicates`` is, so a
-    shorter run is a prefix of a longer one.  Only replicates below
-    ``n_replicates`` must end up non-degenerate.  The substream is opened on
-    ``streams``, or on a generator of its own when ``streams`` is None.
+    Returns what :func:`_hierarchical_stats` or :func:`_naive_stats` reduce:
+    ``(groups, positions)`` in the hierarchical mode, ``(idx,)`` in the
+    naive one; the last array is the block's index array.  The whole block
+    is drawn, and redrawn, from substream ``(rng_seed, block)``, opened on
+    ``streams``, whatever ``n_replicates`` is, so a shorter run is a prefix
+    of a longer one.  Only replicates below ``n_replicates`` must end up
+    non-degenerate.
     """
-    rng = (Substreams(cfg.rng_seed) if streams is None else streams).open(block)
+    rng = streams.open(block)
     hierarchical = cfg.mode == "hierarchical"
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
     draws = rng.integers(0, width, size=(BLOCK, width))
@@ -292,7 +290,7 @@ def _halves(words: np.ndarray) -> np.ndarray:
 
 def _word_draws(
     pool: _Pool, cfg: BootstrapConfig, blocks: range, streams: Substreams
-) -> list[tuple[np.ndarray, ...]]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The :func:`_block_draws` results of consecutive ``blocks``, made from raw words.
 
     ``integers`` takes one 32-bit half per value, low half first, and none
@@ -303,9 +301,10 @@ def _word_draws(
     groups differ in size a second ``random_raw`` on the same stream reads the
     within-group draw, whose length the scale draw sets.  A block with a
     degenerate row, or with a word whose leftover is below the largest
-    rejection threshold of its bounds, reads its stream in another order and
-    is drawn again by :func:`_block_draws`.  Returns one entry for the run,
-    or one per block if a block was drawn again.
+    rejection threshold of its bounds, reads its stream in another order.
+    Returns the run's draws, laid out as one block's, and a mask of the
+    blocks that :func:`_block_draws` must draw again; such a block's rows
+    here still hold in-range indices, and its redrawn rows overwrite them.
     """
     hierarchical = cfg.mode == "hierarchical"
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
@@ -343,35 +342,7 @@ def _word_draws(
         else:  # a group of one record takes no word
             positions[np.repeat(wanted > 0, counts)] += within
         run = (rows, positions)
-    if not redo.any():
-        return [run]
-    parts = [np.split(rows, len(blocks))]
-    if hierarchical:
-        parts.append(np.split(run[1], np.cumsum(pool.sizes[rows].reshape(len(blocks), -1).sum(axis=1))[:-1]))
-    return [_block_draws(pool, cfg, k, streams) if bad else p for k, bad, p in zip(blocks, redo, zip(*parts))]
-
-
-def _stats(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]):
-    """(u, counts, sums of v) per group of each row of consecutive blocks' draws.
-
-    Each entry of ``blocks`` holds the draws of one block, or of a run of
-    blocks drawn together by :func:`_word_draws`.  Each row's counts and
-    sums depend on that row alone.
-    """
-    draws = blocks[0] if len(blocks) == 1 else [np.concatenate(parts) for parts in zip(*blocks)]
-    return _hierarchical_stats(pool, *draws) if mode == "hierarchical" else _naive_stats(pool, *draws)
-
-
-def _reduce(pool: _Pool, mode: str, blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes and intercepts of consecutive blocks' draws, fitted in one pass.
-
-    Each row's fit depends on that row alone, so the result is, bit for bit,
-    the blocks' results reduced one at a time, and the rows of the band that
-    :func:`_fits` fits at once.
-    """
-    # Rows past n_replicates may stay degenerate; they are cut off unread.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _ols_rows(*_stats(pool, mode, blocks))
+    return run, redo
 
 
 def _fits(pool: _Pool, cfg: BootstrapConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -381,10 +352,14 @@ def _fits(pool: _Pool, cfg: BootstrapConfig) -> tuple[np.ndarray, np.ndarray]:
     blocks at a time.  A run holds as many blocks, at least one, as fit in
     ``REDUCE_ELEMENTS`` at the widest resample: ``n_groups`` times the
     largest group in the hierarchical mode, every record in the naive one.
-    Each run is reduced to its rows' group counts and sums, written into
-    arrays that hold every block's rows, and one least squares fits them.
+    Each run is reduced straight into its rows of the band's group counts
+    and sums.  Each block of it that must be drawn again is then drawn by
+    :func:`_block_draws` and reduced over its own rows, overwriting the
+    run's; a row's counts and sums depend on it alone.  One least squares
+    fits every row.
     """
     hierarchical = cfg.mode == "hierarchical"
+    stats = _hierarchical_stats if hierarchical else _naive_stats
     widest = pool.n_groups * int(pool.sizes.max()) if hierarchical else pool.v.size
     step = max(1, REDUCE_ELEMENTS // (BLOCK * widest))
     n_blocks = -(-cfg.n_replicates // BLOCK)
@@ -394,10 +369,15 @@ def _fits(pool: _Pool, cfg: BootstrapConfig) -> tuple[np.ndarray, np.ndarray]:
     streams = Substreams(cfg.rng_seed)
     for first in range(0, n_blocks, step):
         blocks = range(first, min(first + step, n_blocks))
-        run = slice(first * BLOCK, blocks.stop * BLOCK)
-        run_u, counts[run], sums[run] = _stats(pool, cfg.mode, _word_draws(pool, cfg, blocks, streams))
-        if hierarchical:
-            u[run] = run_u
+        draws, redo = _word_draws(pool, cfg, blocks, streams)
+        for i, k in enumerate((first, *(first + np.flatnonzero(redo)).tolist())):
+            if i:  # after the run, each block drawn again overwrites its rows
+                draws = _block_draws(pool, cfg, k, streams)
+            rows = slice(k * BLOCK, k * BLOCK + len(draws[0]))
+            run_u, counts[rows], sums[rows] = stats(pool, *draws)
+            if hierarchical:
+                u[rows] = run_u
+        del draws, run_u  # released before the next run is drawn
     b = cfg.n_replicates
     # Two distinct parameter counts may share one float64 log; the band then
     # reports the NaN fit as not finite.

@@ -405,8 +405,15 @@ def _missing(cell) -> bool:
 
 
 def _present(cell, field: str):
+    """A label cell that is not missing and, if text, encodes as UTF-8: a
+    lone surrogate, which a JSON escape can hold, would reach every writer."""
     if _missing(cell):
         raise DataError(f"missing field {field!r}")
+    if isinstance(cell, str) and not cell.isascii():
+        try:
+            cell.encode()
+        except UnicodeEncodeError:
+            raise DataError(f"field {field!r} is not valid Unicode") from None
     return cell
 
 

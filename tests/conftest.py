@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import scalefit as sf
+from scalefit.bootstrap import _hierarchical_stats, _naive_stats, _ols_rows
 
 AR32 = tuple(sf.scale_ladder(32, range(1, 9)))
 TARGET = sf.ScaleSpec.from_dims(12, 768)  # 84_934_656 params, ~13.5x the 8-layer scale
@@ -41,6 +42,17 @@ def ar32_synth(
         **kwargs,
     )
     return sf.generate(spec)
+
+
+def reduce_blocks(pool, mode, blocks):
+    """Per-row slopes and intercepts of consecutive blocks' draws (each a
+    ``_block_draws`` result), fitted in one pass: the per-block reference
+    that the band's rows must equal bit for bit."""
+    draws = [np.concatenate(parts) for parts in zip(*blocks)]
+    stats = _hierarchical_stats if mode == "hierarchical" else _naive_stats
+    # Rows past n_replicates may stay degenerate; callers cut them off.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _ols_rows(*stats(pool, *draws))
 
 
 @pytest.fixture(scope="session")

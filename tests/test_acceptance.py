@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import scalefit as sf
-from scalefit.bootstrap import BLOCK, _block_draws, _Pool, _reduce
+from scalefit.bootstrap import BLOCK, _block_draws, _Pool
 from scalefit.cli import run
+from scalefit.rng import Substreams
 
-from conftest import TRUE_ALPHA, TRUE_LOG_C, ar32_synth
+from conftest import TRUE_ALPHA, TRUE_LOG_C, ar32_synth, reduce_blocks
 
 
 def check(num, name, ok, detail):
@@ -184,7 +185,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
     # block substreams are schedule-independent: a reversed thread-pool
     # evaluation of the blocks, each drawn and fitted alone, must reproduce
-    # the serial coefficients exactly
+    # the serial coefficients exactly; threads must not share a Substreams
     cfg = sf.BootstrapConfig(n_replicates=48, rng_seed=4)
     serial = sf.bootstrap_band(runset, cfg)
     pool = _Pool(runset)
@@ -192,7 +193,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     with ThreadPoolExecutor(max_workers=6) as ex:
         parallel = dict(
             ex.map(
-                lambda k: (k, _reduce(pool, cfg.mode, [_block_draws(pool, cfg, k)])),
+                lambda k: (k, reduce_blocks(pool, cfg.mode, [_block_draws(pool, cfg, k, Substreams(cfg.rng_seed))])),
                 reversed(range(n_blocks)),
             )
         )

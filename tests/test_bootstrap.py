@@ -19,8 +19,6 @@ from scalefit.bootstrap import (
     _ols_rows,
     _percentiles,
     _Pool,
-    _reduce,
-    _stats,
     _word_draws,
     _within_draws,
 )
@@ -28,7 +26,7 @@ from scalefit.errors import DataError, DegenerateDataError
 from scalefit.powerlaw import _ols_log
 from scalefit.rng import Substreams
 
-from conftest import ar32_synth
+from conftest import ar32_synth, reduce_blocks
 
 
 def exact_law_runset(n_dup=3):
@@ -117,8 +115,8 @@ class TestHierarchical:
         pool = _Pool(runset)
         blocks = list(range(-(-cfg.n_replicates // BLOCK)))[::-1]
 
-        def fit_alone(k):
-            return k, _reduce(pool, cfg.mode, [_block_draws(pool, cfg, k)])
+        def fit_alone(k):  # threads must not share a Substreams
+            return k, reduce_blocks(pool, cfg.mode, [_block_draws(pool, cfg, k, Substreams(cfg.rng_seed))])
 
         with ThreadPoolExecutor(max_workers=8) as ex:
             coeffs = dict(ex.map(fit_alone, blocks))
@@ -390,7 +388,8 @@ class TestBlocks:
         counts = pool.sizes[groups].ravel()
         reference = rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
         cfg = sf.BootstrapConfig(n_replicates=BLOCK, rng_seed=9)
-        [drawn] = _word_draws(pool, cfg, range(1), Substreams(9))
+        drawn, redo = _word_draws(pool, cfg, range(1), Substreams(9))
+        assert not redo.any()
         assert drawn[0].tolist() == groups.tolist()
         assert drawn[1].tolist() == reference.tolist()
 
@@ -430,9 +429,9 @@ class TestBlocks:
     def test_reducing_blocks_together_equals_reducing_each_alone(self, mode, make, redraws):
         pool = _Pool(make())
         cfg = sf.BootstrapConfig(n_replicates=5 * BLOCK, rng_seed=41, mode=mode)
-        blocks = [_block_draws(pool, cfg, k) for k in range(5)]
-        alone = [_reduce(pool, mode, [draws]) for draws in blocks]
-        together = _reduce(pool, mode, blocks)
+        blocks = [_block_draws(pool, cfg, k, Substreams(41)) for k in range(5)]
+        alone = [reduce_blocks(pool, mode, [draws]) for draws in blocks]
+        together = reduce_blocks(pool, mode, blocks)
         for i in (0, 1):
             assert np.concatenate([fit[i] for fit in alone]).tobytes() == together[i].tobytes()
         if redraws:  # some first scale draw of a block is degenerate
@@ -453,15 +452,16 @@ class TestBlocks:
         runset = ar32_synth(37)[0] if sizes is None else ragged_runset(37, sizes)
         cfg = sf.BootstrapConfig(n_replicates=10 * BLOCK + 3, rng_seed=37, mode=mode)
         pool = _Pool(runset)
-        alone = [_reduce(pool, mode, [_block_draws(pool, cfg, k)]) for k in range(11)]
-        batches = []  # (rows, index elements) of each reduce
+        alone = [reduce_blocks(pool, mode, [_block_draws(pool, cfg, k, Substreams(37))]) for k in range(11)]
+        batches = []  # (rows, index elements) of each run
 
-        def spy(pool, mode, blocks):
-            batches.append((sum(len(draws[0]) for draws in blocks), sum(draws[-1].size for draws in blocks)))
-            return _stats(pool, mode, blocks)
+        def spy(pool, cfg, blocks, streams):
+            draws, redo = _word_draws(pool, cfg, blocks, streams)
+            batches.append((len(draws[0]), draws[-1].size))
+            return draws, redo
 
         monkeypatch.setattr(sf.bootstrap, "REDUCE_ELEMENTS", budget)
-        monkeypatch.setattr(sf.bootstrap, "_stats", spy)
+        monkeypatch.setattr(sf.bootstrap, "_word_draws", spy)
         band = sf.bootstrap_band(runset, cfg)
         assert band.replicate_slopes == tuple(np.concatenate([f[0] for f in alone])[: cfg.n_replicates].tolist())
         assert band.replicate_intercepts == tuple(np.concatenate([f[1] for f in alone])[: cfg.n_replicates].tolist())
@@ -501,8 +501,9 @@ class TestBlocks:
 
 def per_block_band(runset, cfg):
     # reference: every block drawn by _block_draws and fitted alone
-    pool = _Pool(runset)
-    fits = [_reduce(pool, cfg.mode, [_block_draws(pool, cfg, k)]) for k in range(-(-cfg.n_replicates // BLOCK))]
+    pool, streams = _Pool(runset), Substreams(cfg.rng_seed)
+    n_blocks = -(-cfg.n_replicates // BLOCK)
+    fits = [reduce_blocks(pool, cfg.mode, [_block_draws(pool, cfg, k, streams)]) for k in range(n_blocks)]
     return tuple(tuple(np.concatenate([f[i] for f in fits])[: cfg.n_replicates].tolist()) for i in (0, 1))
 
 
@@ -539,7 +540,8 @@ class TestWordLevelDraws:
         streams = Substreams(seed)
         streams.open(stream ^ 1).integers(0, 7, size=3)  # leaves a spare 32-bit half and a part-used buffer
         assert streams.rng.bit_generator.state["has_uint32"] == 1
-        rekeyed, fresh = streams.open(stream), sf.substream(seed, stream)
+        rekeyed = streams.open(stream)
+        fresh = np.random.Generator(np.random.Philox(key=(seed << 64) | stream))
         assert generator_state(rekeyed) == generator_state(fresh)
         assert rekeyed.integers(0, 7, size=5).tolist() == fresh.integers(0, 7, size=5).tolist()
         assert rekeyed.bit_generator.random_raw(9).tolist() == fresh.bit_generator.random_raw(9).tolist()
@@ -606,10 +608,10 @@ class TestWordLevelDraws:
         assert pool.common_size == 4
         first = [sf.substream(41, k).integers(0, 2, size=(BLOCK, 2)) for k in range(5)]
         assert any(_degenerate(pool.group_params[draws]).any() for draws in first)
-        blocks = [_block_draws(pool, cfg, k) for k in range(5)]
-        drawn = _word_draws(pool, cfg, range(5), Substreams(41))
-        assert np.concatenate([g for g, _ in drawn]).tolist() == np.concatenate([g for g, _ in blocks]).tolist()
-        assert np.concatenate([p for _, p in drawn]).tolist() == np.concatenate([p for _, p in blocks]).tolist()
+        # exactly the blocks whose first scale draw holds a degenerate row (here
+        # all five) are drawn again, and their rows overwrite the run's
+        _, redo = _word_draws(pool, cfg, range(5), Substreams(41))
+        assert redo.tolist() == [_degenerate(pool.group_params[draws]).any() for draws in first]
         band = sf.bootstrap_band(runset, cfg)
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
@@ -638,7 +640,7 @@ class TestWordLevelDraws:
                 leftover[-1] = 0
             return values, leftover
 
-        def spy(pool, cfg, block, streams=None):
+        def spy(pool, cfg, block, streams):
             redrawn.append(block)
             return _block_draws(pool, cfg, block, streams)
 
@@ -662,7 +664,7 @@ class TestWordLevelDraws:
         assert 0 < len(degenerate) < 12
         redrawn = []
 
-        def spy(pool, cfg, block, streams=None):
+        def spy(pool, cfg, block, streams):
             redrawn.append(block)
             return _block_draws(pool, cfg, block, streams)
 
@@ -748,7 +750,7 @@ class TestSharedParameterCount:
         assert only_the_pair and set(only_the_pair) <= set(degenerate) and len(degenerate) < 16
         redrawn = []
 
-        def spy(pool, cfg, block, streams=None):
+        def spy(pool, cfg, block, streams):
             redrawn.append(block)
             return _block_draws(pool, cfg, block, streams)
 

@@ -51,6 +51,10 @@ def reference_record(obj, where, seed_defaults):
         for field in ("task", "family", "metric", "direction"):
             if get(field) is None:
                 raise DataError(f"missing field {field!r}")
+            try:
+                str(get(field)).encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+                raise DataError(f"field {field!r} is not valid Unicode") from None
         seeds = {}
         for field in ("pretrain_seed", "finetune_seed"):
             raw = get(field)
@@ -146,7 +150,8 @@ def reference_group(records):
 
 # Byte 0xe9 alone, which is not UTF-8, as the surrogate escape that writing
 # with errors="surrogateescape" turns back into the byte.  A JSON string
-# escapes it, as "\\udce9", and that is valid UTF-8 text.
+# escapes it, as "\\udce9", and that is valid UTF-8 text, but the label it
+# decodes to is a lone surrogate, not valid Unicode.
 NOT_UTF8 = "caf\udce9"
 NUMBERS = [1, 2, 0, -1, 12288, 10**30, 2**63, 2**70, 10**400, 2.0, 2.5, True, "4", " 5 ", "+12", "1_000",
            "abc", "", "  ", None, [1], float("nan"), float("inf"), -0.0, "١٢", 1e300]
@@ -259,6 +264,7 @@ def columnar_groups(table):
     bad_rate=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
 )
 @example(seed=452378672, fmt="jsonl", chunk=1, bad_rate=1.0)  # a layer count of 10**400 with params
+@example(seed=1172, fmt="jsonl", chunk=3, bad_rate=0.3)  # row 6: a task label escaping a lone surrogate
 def test_ingest_and_group_match_the_row_by_row_reference(tmp_path, seed, fmt, chunk, bad_rate):
     rng = random.Random(seed)
     path = tmp_path / f"runs.{fmt}"
@@ -278,6 +284,7 @@ FAULTS = [
     ("pretrain_seed", "x"), ("finetune_seed", True), ("value", "abc"), ("value", -1.0),
     ("value", float("nan")), ("tokens", "x"), ("tokens", -5), ("shoe_size", 43),
     ("params", 10**400), ("layers", True), ("value", "1e999"), ("tokens", 2.5),
+    ("family", NOT_UTF8),  # JSONL only: a JSON escape, which CSV text cannot hold
 ]
 
 
@@ -286,7 +293,7 @@ def test_two_faults_in_one_row_report_the_first_check(tmp_path, fmt):
     path = tmp_path / f"runs.{fmt}"
     base = dict(good_row(random.Random(0)), tokens=10)
     for (f1, v1), (f2, v2) in ((a, b) for i, a in enumerate(FAULTS) for b in FAULTS[i + 1:]):
-        if f1 == f2 or (fmt == "csv" and "shoe_size" in (f1, f2)):
+        if f1 == f2 or (fmt == "csv" and ("shoe_size" in (f1, f2) or NOT_UTF8 in (v1, v2))):
             continue
         row = {k: v for k, v in {**base, f1: v1, f2: v2}.items() if v is not None}
         if fmt == "jsonl":

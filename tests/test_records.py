@@ -237,15 +237,19 @@ class TestIngest:
             make_record(layers=1, hidden=32, value=3.5, tokens=1000),
             make_record(layers=None, params=999, value=2.25),
             make_record(layers=2, hidden=64, value=7.125, direction="minimize", metric="loss"),
-            make_record(task="caf\udce9"),  # a lone surrogate, which the JSON text escapes
             make_record(task="caf\xe9"),
         ]
         sf.emit(records, path)
         assert list(sf.ingest(path)) == records
         text = path.read_text(encoding="utf-8")
-        assert '"caf\\udce9"' in text  # valid UTF-8 text, not a byte that is not UTF-8
         path.write_text(text.replace("\\u00e9", "\xe9"), encoding="utf-8")  # the escape as its UTF-8 bytes
         assert list(sf.ingest(path)) == records
+        # A lone surrogate is written as a JSON escape, valid UTF-8 text, but
+        # the label it reads back as is not Unicode text: a bad row.
+        sf.emit([*records, make_record(task="caf\udce9")], path)
+        assert '"caf\\udce9"' in path.read_text(encoding="utf-8")
+        with pytest.raises(DataError, match=r"^row 5: field 'task' is not valid Unicode$"):
+            sf.ingest(path)
 
     @pytest.mark.parametrize(
         "fmt, source",

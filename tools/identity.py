@@ -5,7 +5,7 @@
 Each tree runs in a fresh interpreter of its own, in a temporary directory.
 It writes the workload inputs of ``SEED`` with the tree's own
 ``perfbench/workloads.py`` (imported, never modified) and the literal
-``BAD_INPUTS``, ``BAD_CURVES`` and ``MIXED``, and runs every command of the
+``BAD_INPUTS``, ``BAD_CURVES`` and ``RUN_SETS``, and runs every command of the
 three workload mixes, plus ``extras``, in-process through the tree's
 ``scalefit.cli.run``.
 For each command it takes the sha256 of stdout, of stderr, of the exit code
@@ -56,6 +56,7 @@ BAD_INPUTS = {
     "long-seed.csv": _CSV + "1,32,t,f,0," + "1" * 5000 + ",m,1.0,min\n",
     "multiline-cell.csv": _CSV + '1,32,"t\nu",f,0,0,m,1.0,min\n1,32,t,f,0,0,m,oops,min\n',
     "not-utf8.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"caf\udce9"'),  # byte 0xe9 alone
+    "surrogate-label.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"caf\\udce9"'),  # a JSON escape of a lone surrogate
     "bom.csv": "\ufeff" + _CSV,
     # A bad row ahead of a byte that is not UTF-8, in the decoder's first
     # buffer: the bad row is the first in file order.
@@ -69,14 +70,27 @@ BAD_INPUTS = {
 }
 # A loss curve with a bad row ahead of a byte that is not UTF-8.
 BAD_CURVES = {"bad-row-before-bad-byte-curve.csv": "step,eval_loss\n0,1.0\n1,abc\n2,0.\udce99\n"}
-# A good run set whose scales hold 1 to 4 records, one of them a single record.
-MIXED = "".join(
-    _GOOD_ROW.replace('"layers": 1, "hidden": 32', f'"layers": {layers}, "hidden": {32 * layers}')
-    .replace('"finetune_seed": 0', f'"finetune_seed": {seed}')
-    .replace('"value": 1.0', f'"value": {layers ** -0.1 * (1 + 0.01 * seed):.6f}')
-    for layers, seeds in ((1, 3), (2, 1), (3, 4), (4, 2), (5, 3))
-    for seed in range(seeds)
-)
+
+
+def _run_set(sizes: tuple) -> str:
+    """A good run set whose scale of ``layers`` layers holds ``seeds`` records, for each pair of ``sizes``."""
+    return "".join(
+        _GOOD_ROW.replace('"layers": 1, "hidden": 32', f'"layers": {layers}, "hidden": {32 * layers}')
+        .replace('"finetune_seed": 0', f'"finetune_seed": {seed}')
+        .replace('"value": 1.0', f'"value": {layers ** -0.1 * (1 + 0.01 * seed):.6f}')
+        for layers, seeds in sizes
+        for seed in range(seeds)
+    )
+
+
+# Label -> (file, text) of good run sets, each bootstrapped in both modes.
+RUN_SETS = {
+    # scales of 1 to 4 records, one of them a single record
+    "mixed sizes": ("mixed.jsonl", _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))),
+    # 4 scales of 1, 1, 1 and 2 records: so many first draws are degenerate
+    # that some blocks of a band are drawn again, and others are not
+    "redraws": ("redraws.jsonl", _run_set(((1, 1), (2, 1), (3, 1), (4, 2)))),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -174,8 +188,8 @@ def extras(name: str, mix: dict) -> dict:
                 "synth", "--alpha", "100", "--log-c", "700", "--seed", "1", "--out", "overflow.jsonl",
             ),
         }
-    if name == "mixed sizes":
-        boot = ("bootstrap", "--input", "mixed.jsonl", "--B", "200", "--seed", str(SEED), "--replicates")
+    if name in RUN_SETS:
+        boot = ("bootstrap", "--input", RUN_SETS[name][0], "--B", "200", "--seed", str(SEED), "--replicates")
         return {f"bootstrap --mode {m} --replicates": (*boot, "--mode", m) for m in ("hierarchical", "naive")}
     if name == "bad input":
         curves = {file: ("diagnose", "earlystop", "--curve", file, "--patience", "2") for file in BAD_CURVES}
@@ -208,9 +222,9 @@ def collect(tree: Path) -> tuple[dict, dict]:
     digests, texts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for file, text in {**BAD_INPUTS, **BAD_CURVES, "mixed.jsonl": MIXED}.items():
+        for file, text in {**BAD_INPUTS, **BAD_CURVES, **dict(RUN_SETS.values())}.items():
             Path(file).write_text(text, encoding="utf-8", errors="surrogateescape")
-        for name in (*workloads.WORKLOADS, "synth", "mixed sizes", "bad input"):
+        for name in (*workloads.WORKLOADS, "synth", *RUN_SETS, "bad input"):
             mix = {}
             if name in workloads.WORKLOADS:
                 workload = workloads.WORKLOADS[name](SEED)
@@ -225,7 +239,7 @@ def collect(tree: Path) -> tuple[dict, dict]:
                 digests[f"{key} argv"] = _sha(json.dumps(argv).encode())
                 digests[f"{key} exit"] = _sha(str(code).encode())
                 for stream, text in (("stdout", out), ("stderr", err)):
-                    digests[f"{key} {stream}"] = _sha(text.encode())
+                    digests[f"{key} {stream}"] = _sha(text.encode(errors="surrogatepass"))  # also text that holds a lone surrogate
                     texts[f"{key} {stream}"] = text
                 digests.update({f"{key} file {file}": sha for file, sha in _written(before).items()})
         os.chdir(tree)
