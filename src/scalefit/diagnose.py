@@ -39,25 +39,30 @@ class LossCurve:
             raise DataError("loss curve must have at least one point")
         if len(self.steps) != len(self.losses):
             raise DataError("steps and losses must have equal length")
-        steps = np.array(self.steps, dtype=object)  # compared as the Python values they are
-        stalls = np.flatnonzero(steps[1:] <= steps[:-1])
-        if stalls.size:
-            i = stalls[0]
-            raise DataError(f"steps must be strictly increasing, got {self.steps[i]} then {self.steps[i + 1]}")
-        losses = np.array(self.losses, dtype=float)
-        bad = np.flatnonzero(~((losses > 0) & np.isfinite(losses)))
-        if bad.size:
-            raise DataError(f"losses must be positive and finite, got {self.losses[bad[0]]}")
+        for _, message in _faults(self.steps, self.losses):
+            raise DataError(message)
+
+
+def _faults(steps: Sequence[int], losses: Sequence[float]):
+    """(index, message) of the first point that breaks each rule of a curve,
+    in the order the rules are checked: steps strictly increasing, then
+    losses positive and finite."""
+    order = np.array(steps, dtype=object)  # compared as the Python values they are
+    for i in np.flatnonzero(order[1:] <= order[:-1])[:1].tolist():
+        yield i + 1, f"steps must be strictly increasing, got {steps[i]} then {steps[i + 1]}"
+    values = np.array(losses, dtype=float)
+    for i in np.flatnonzero(~((values > 0) & np.isfinite(values)))[:1].tolist():
+        yield i, f"losses must be positive and finite, got {losses[i]}"
 
 
 def load_loss_curve(path: str | Path) -> LossCurve:
     """Read a two-column CSV (header ``step,eval_loss`` required) with
     :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  The
-    first bad row in file order raises DataError naming it; a line holding a
-    byte that is not UTF-8 is a bad row."""
+    line reader stops at the first line holding a byte that is not UTF-8, a
+    bad row.  The first bad row in file order raises DataError naming it, and
+    so does the first point :class:`LossCurve` rejects."""
     path = Path(path)
-    steps = []
-    losses = []
+    steps, losses, numbers = [], [], []  # numbers: each chunk's row numbers of its points
     with open_csv(path) as (header, chunks):
         if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
             raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
@@ -74,10 +79,17 @@ def load_loss_curve(path: str | Path) -> LossCurve:
                         losses.append(float(row[1]))
                     except (ValueError, IndexError):
                         raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
+                    numbers.append([number])
             else:
                 steps += chunk_steps
                 losses += chunk_losses
-    return LossCurve(steps=tuple(steps), losses=tuple(losses))
+                numbers.append(where)
+    try:
+        return LossCurve(steps=tuple(steps), losses=tuple(losses))
+    except DataError as exc:
+        for index, _ in _faults(steps, losses):  # the point found again, on the error path only
+            raise DataError(f"row {np.concatenate(numbers)[index]}: {exc}") from None
+        raise  # an empty curve
 
 
 @dataclass(frozen=True)

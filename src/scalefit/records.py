@@ -19,9 +19,9 @@ whose statement order is the order of one row's checks.  The first bad
 row raises ``row N: <its first failed check>``.
 
 Each file is read once, with each byte that is not UTF-8 decoded as its
-surrogate escape.  A :class:`_Lines` reader notes the first line N that
-holds such a byte; the rows that end before line N are read and checked,
-and then the file fails with ``row N: not valid UTF-8``.
+surrogate escape.  The line reader, :func:`_line_chunks`, ends the file at
+the first line N that holds such a byte: the rows that end before line N
+are read and checked, and then the file fails with ``row N: not valid UTF-8``.
 """
 
 from __future__ import annotations
@@ -405,15 +405,19 @@ def _missing(cell) -> bool:
 
 
 def _present(cell, field: str):
-    """A label cell that is not missing and, if text, encodes as UTF-8: a
-    lone surrogate, which a JSON escape can hold, would reach every writer."""
+    """A label cell that is not missing and, if text, encodes as UTF-8 and
+    holds only characters XML 1.0 can carry: a lone surrogate or a control
+    character, which a cell can hold, would reach every writer, SVG too."""
     if _missing(cell):
         raise DataError(f"missing field {field!r}")
-    if isinstance(cell, str) and not cell.isascii():
-        try:
-            cell.encode()
-        except UnicodeEncodeError:
-            raise DataError(f"field {field!r} is not valid Unicode") from None
+    if isinstance(cell, str):
+        if not cell.isascii():
+            try:
+                cell.encode()
+            except UnicodeEncodeError:
+                raise DataError(f"field {field!r} is not valid Unicode") from None
+        if found := _NOT_XML.search(cell):
+            raise DataError(f"field {field!r} holds U+{ord(found.group()):04X}, which XML cannot carry")
     return cell
 
 
@@ -459,6 +463,7 @@ _CHECKS = {
     "tokens": lambda cell: _check_tokens(_int_cell(cell, "tokens")),
 }
 _PLAIN_CELLS = {int, str, type(None)}  # equal cells of these types check alike
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")  # besides surrogates, not XML 1.0
 _SCALE_FIELDS = ("layers", "hidden", "params")
 _LABEL_FIELDS = ("task", "family", "metric", "direction")
 _SEED_FIELDS = ("pretrain_seed", "finetune_seed")
@@ -620,43 +625,27 @@ def _numbered(items: list, numbers: np.ndarray, blank: Iterable[bool]) -> tuple:
 _ESCAPED = re.compile("[\udc80-\udcff]")
 
 
-class _Lines:
-    """The lines of a file opened as UTF-8 with ``errors="surrogateescape"``,
-    read ``_CHUNK`` at a time: by :meth:`chunks`, or one at a time by
-    iteration.  ``bad`` is the number of the first line that holds a byte
-    that is not UTF-8, set when the chunk that holds it is read."""
-
-    def __init__(self, fh) -> None:
-        self.fh = fh
-        self.bad: int | None = None
-
-    def chunks(self):
-        """(number of the first line, lines) of each chunk of lines."""
-        for first in itertools.count(1, _CHUNK):
-            lines = list(itertools.islice(self.fh, _CHUNK))
-            if not lines:
-                return
-            if self.bad is None and not (text := "".join(lines)).isascii() and _ESCAPED.search(text):
-                self.bad = first + next(i for i, line in enumerate(lines) if _ESCAPED.search(line))
-            yield first, lines
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(lines for _, lines in self.chunks())
-
-    def error(self) -> DataError:
-        return DataError(f"row {self.bad}: not valid UTF-8")
+def _line_chunks(fh):
+    """(number of the first line, lines) of each chunk of up to ``_CHUNK``
+    lines of a file opened as UTF-8 with ``errors="surrogateescape"``.  The
+    first line that holds a byte that is not UTF-8 ends the file: the lines
+    before it are yielded, and then it raises ``row N: not valid UTF-8``."""
+    for first in itertools.count(1, _CHUNK):
+        lines = list(itertools.islice(fh, _CHUNK))
+        if not lines:
+            return
+        if not (text := "".join(lines)).isascii() and _ESCAPED.search(text):
+            bad = next(i for i, line in enumerate(lines) if _ESCAPED.search(line))
+            if bad:
+                yield first, lines[:bad]
+            raise DataError(f"row {first + bad}: not valid UTF-8")
+        yield first, lines
 
 
-def _json_chunks(lines: _Lines):
-    """(line numbers, lines) of up to ``_CHUNK`` JSONL lines at a time, blank
-    ones dropped.  The lines before a line that holds a byte that is not
-    UTF-8 are yielded, and then that line raises DataError."""
-    for first, chunk in lines.chunks():
-        if lines.bad is not None:
-            chunk = chunk[: lines.bad - first]
+def _json_chunks(fh):
+    """(line numbers, lines) of up to ``_CHUNK`` JSONL lines at a time, blank ones dropped."""
+    for first, chunk in _line_chunks(fh):
         yield _numbered(chunk, first + np.arange(len(chunk)), map(str.isspace, chunk))
-        if lines.bad is not None:
-            raise lines.error()
 
 
 def _json_cells(lines: Sequence[str]) -> dict:
@@ -689,18 +678,16 @@ def _json_cells(lines: Sequence[str]) -> dict:
     return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}
 
 
-def _csv_chunks(reader, lines: _Lines):
-    """(line numbers, rows) of up to ``_CHUNK`` CSV rows of ``reader``, which
-    reads ``lines``, at a time, blank ones dropped; a row's number is the
-    line it ends on.  A ``csv.Error`` is raised once the rows read before it
-    have been yielded.  Once the reader has read the first line that holds a
-    byte that is not UTF-8, the rows that end before that line are yielded,
-    and then that line raises DataError."""
+def _csv_chunks(reader):
+    """(line numbers, rows) of up to ``_CHUNK`` CSV rows of ``reader`` at a
+    time, blank ones dropped; a row's number is the line it ends on.  A
+    ``csv.Error``, or the DataError of a line that is not UTF-8, is raised
+    once the rows read before it have been yielded."""
     while True:
         before, rows, error = reader.line_num, [], None
         try:
             rows.extend(itertools.islice(reader, _CHUNK))
-        except csv.Error as exc:
+        except (csv.Error, DataError) as exc:
             error = exc
         spans = np.ones(len(rows), dtype=np.intp)
         if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
@@ -708,9 +695,6 @@ def _csv_chunks(reader, lines: _Lines):
         ends = before + np.cumsum(spans)
         if rows and error is None:  # exact, also for a quote left open to the end of the file
             ends[-1] = reader.line_num
-        if lines.bad is not None and reader.line_num >= lines.bad:
-            keep = int(np.searchsorted(ends, lines.bad))
-            rows, ends, error = rows[:keep], ends[:keep], lines.error()
         if rows:
             yield _numbered(rows, ends, map(operator.not_, rows))
         if error is not None:
@@ -722,24 +706,19 @@ def _csv_chunks(reader, lines: _Lines):
 @contextlib.contextmanager
 def open_csv(path: Path):
     """The header row (None for an empty file) and the :func:`_csv_chunks`
-    of a CSV file, read while the ``with`` block runs.  A byte that is not
-    UTF-8 on line 1 raises DataError naming that line before the header is
-    checked.  A header that starts with a byte order mark raises DataError,
-    and so does a ``csv.Error``: it names the line the reader stopped on, or
-    the line of a byte that is not UTF-8 at or before it."""
+    of a CSV file, read while the ``with`` block runs.  The lines come from
+    :func:`_line_chunks`, so the file ends at its first line that is not
+    UTF-8, which raises DataError naming it, also while the header is read.
+    A header that starts with a byte order mark raises DataError, and so
+    does a ``csv.Error``, naming the line the reader stopped on."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        lines = _Lines(fh)
-        reader = csv.reader(lines)
+        reader = csv.reader(itertools.chain.from_iterable(lines for _, lines in _line_chunks(fh)))
         try:
             header = next(reader, None)
-            if lines.bad == 1:
-                raise lines.error()
             if header and header[0].startswith("\ufeff"):
                 raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
-            yield header, _csv_chunks(reader, lines)
+            yield header, _csv_chunks(reader)
         except csv.Error as exc:
-            if lines.bad is not None and reader.line_num >= lines.bad:
-                raise lines.error() from None
             raise DataError(f"row {reader.line_num}: {exc}") from None
 
 
@@ -780,9 +759,10 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     column at a time.  A chunk that fails these checks is read again a row
     at a time, from the rows in memory, and the first bad row in file order
     raises :class:`DataError` naming the row number and its first failed
-    check; the first line holding a byte that is not UTF-8 is a bad row too,
-    ``row N: not valid UTF-8``.  Rows missing seed fields get seed 0
-    and a single summary warning for the file.  Returns the columns as a
+    check.  The line reader stops at the first line holding a byte that is
+    not UTF-8, a bad row too: ``row N: not valid UTF-8``.  A CSV header must
+    name known fields, each once.  Rows missing seed fields get seed 0 and
+    a single summary warning for the file.  Returns the columns as a
     :class:`RecordTable`, whose ``len`` is the row count.
 
     Parameters
@@ -795,7 +775,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     columns = _Columns()
     if fmt == "jsonl":
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            _add_chunks(columns, _json_chunks(_Lines(fh)), _json_cells)
+            _add_chunks(columns, _json_chunks(fh), _json_cells)
     else:
         with open_csv(path) as (header, chunks):
             if header is None:
@@ -803,6 +783,10 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
             unknown = set(header) - _FIELD_SET
             if unknown:
                 raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
+            # Every field is known here, so a repeat comes within the first 12.
+            twice = next((field for i, field in enumerate(header) if field in header[:i]), None)
+            if twice is not None:
+                raise DataError(f"row 1: field {twice!r} appears twice in the CSV header")
             _add_chunks(columns, chunks, functools.partial(_csv_cells, header=header))
 
     if columns.defaulted:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -492,6 +493,34 @@ class TestUndecodableInput:
         code, captured = run_json(capsys, argv)
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)\n"
+
+
+class TestLabelsXmlCannotCarry:
+    """A label holding a character XML 1.0 cannot carry exits 2 naming its
+    row, in every writer; a plot of good labels is XML."""
+
+    @pytest.mark.parametrize("command", ["plot", "fit --format table"])
+    def test_control_character_exits_2(self, tmp_path, capsys, command):
+        path, out = tmp_path / "ctl.jsonl", tmp_path / "p.svg"
+        rows = [_row(task="a\x01b", layers=n, hidden=32 * n) for n in (1, 2, 3)]
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        argv = {"plot": ["plot", "--input", str(path), "--out", str(out)],
+                "fit --format table": ["fit", "--input", str(path), "--format", "table"]}[command]
+        code, captured = run_json(capsys, argv)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: row 1: field 'task' holds U+0001, which XML cannot carry\n"
+        assert not out.exists()
+
+    def test_band_plot_is_xml(self, tmp_path, capsys):
+        runset, _ = ar32_synth(907)
+        path, out = tmp_path / "runs.jsonl", tmp_path / "p.svg"
+        sf.emit([dataclasses.replace(r, task='<a & "b">') for r in runset.records], path)
+        argv = ["plot", "--input", str(path), "--out", str(out), "--band", "--B", "40", "--seed", "3"]
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        root = ElementTree.parse(out).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert '<a & "b">/' in "".join(root.itertext())
 
 
 class TestScaleFlags:

@@ -221,6 +221,21 @@ class TestLossCurve:
         with pytest.raises(DataError, match=rf"^row {row}: expected 'step,eval_loss' integers/floats$"):
             sf.load_loss_curve(path)
 
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("step,eval_loss\n1,2.0\n2,-1.0\n", "row 3: losses must be positive and finite, got -1.0"),
+         ("step,eval_loss\n1,2.0\n3,1.0\n3,0.5\n", "row 4: steps must be strictly increasing, got 3 then 3"),
+         ("step,eval_loss\n1,2.0\n  ,  \n\n2,nan\n", "row 5: losses must be positive and finite, got nan")],
+        ids=["loss", "step", "after-skipped-rows"],
+    )
+    def test_value_fault_named_by_its_row(self, tmp_path, monkeypatch, text, message, chunk):
+        monkeypatch.setattr(sf.records, "_CHUNK", chunk)
+        path = tmp_path / "curve.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^{message}$"):
+            sf.load_loss_curve(path)
+
     def test_steps_strictly_increasing(self):
         with pytest.raises(DataError, match="strictly increasing"):
             curve([1.0, 0.9], steps=[5, 5])
@@ -250,8 +265,10 @@ class TestLossCurve:
 
 
 def row_by_row_curve(path):
-    """The loss curve loader as one loop over the rows: the reference."""
-    steps, losses = [], []
+    """The loss curve loader as one loop over the rows: the reference.  A
+    point that ``LossCurve`` rejects is named by its row: the first step that
+    does not increase, else the first loss that is not positive and finite."""
+    steps, losses, numbers = [], [], []
     with open_csv(path) as (header, chunks):
         if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
             raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
@@ -264,7 +281,15 @@ def row_by_row_curve(path):
                     losses.append(float(row[1]))
                 except (ValueError, IndexError):
                     raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
-    return sf.LossCurve(steps=tuple(steps), losses=tuple(losses))
+                numbers.append(number)
+    try:
+        return sf.LossCurve(steps=tuple(steps), losses=tuple(losses))
+    except DataError as exc:
+        if not steps:
+            raise
+        stalls = [n for n, a, b in zip(numbers[1:], steps, steps[1:]) if b <= a]
+        bad = [n for n, loss in zip(numbers, losses) if not (loss > 0 and math.isfinite(loss))]
+        raise DataError(f"row {(stalls or bad)[0]}: {exc}") from None
 
 
 def curve_outcome(load, path):
@@ -274,7 +299,8 @@ def curve_outcome(load, path):
         return str(exc)
 
 
-CURVE_ROWS = ["0,1.0", " 10 , 0.9 ", "", "  ,  ", "20,0.8,extra", '"30\n",0.7', "1_000,5e-1", "2000,"]
+CURVE_ROWS = ["0,1.0", " 10 , 0.9 ", "", "  ,  ", "20,0.8,extra", '"30\n",0.7', "1_000,5e-1", "2000,",
+              "5000,-1.0", "6000,nan", "7000,0"]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 4096])

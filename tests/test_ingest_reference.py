@@ -4,9 +4,10 @@ The reference validates one row at a time, in the order the checks of a
 single row run, builds a ``RunRecord`` per row and sorts records with a
 Python key: the behaviour ``ingest``/``group`` must keep.  Generated files
 mix valid rows with every kind of bad cell, blank lines, broken JSON,
-short, long and multi-line CSV rows, bytes that are not UTF-8 and CSV
-headers behind a byte order mark, and run with tiny chunks so that faults
-and blank runs straddle chunk boundaries.
+short, long and multi-line CSV rows, bytes that are not UTF-8, labels
+holding characters XML cannot carry, and CSV headers behind a byte order
+mark or naming a field twice, and run with tiny chunks so that faults and
+blank runs straddle chunk boundaries.
 """
 
 import csv
@@ -55,6 +56,9 @@ def reference_record(obj, where, seed_defaults):
                 str(get(field)).encode("utf-8")
             except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
                 raise DataError(f"field {field!r} is not valid Unicode") from None
+            not_xml = [c for c in str(get(field)) if c in NOT_XML]
+            if not_xml:
+                raise DataError(f"field {field!r} holds U+{ord(not_xml[0]):04X}, which XML cannot carry")
         seeds = {}
         for field in ("pretrain_seed", "finetune_seed"):
             raw = get(field)
@@ -76,9 +80,13 @@ def reference_record(obj, where, seed_defaults):
         raise DataError(f"{where}: {exc}") from None
 
 
+# The characters XML 1.0 cannot carry, surrogates aside.
+NOT_XML = {chr(c) for c in range(0x20) if chr(c) not in "\t\n\r"} | {"\ufffe", "\uffff"}
+
+
 def reference_ingest(path):
     # The first line holding a byte that is not UTF-8 is a bad row on that
-    # line, after the rows that end before it.
+    # line, after the rows that end before it; the CSV header is a row too.
     data = path.read_bytes()
     newline = None if path.suffix == ".jsonl" else ""
     undecodable = None
@@ -108,16 +116,20 @@ def reference_ingest(path):
                 records.append(reference_record(obj, f"row {lineno}", seed_defaults))
     else:
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            if undecodable == 1:
-                raise not_utf8
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError("row 1: missing CSV header")
+            if undecodable is not None and reader.line_num >= undecodable:  # the header's lines
+                raise not_utf8
             if reader.fieldnames[:1] and reader.fieldnames[0].startswith("\ufeff"):
                 raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
             unknown = set(reader.fieldnames) - set(RECORD_FIELDS)
             if unknown:
                 raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
+            # csv.DictReader would read the last column of a field named twice
+            twice = [f for i, f in enumerate(reader.fieldnames) if f in reader.fieldnames[:i]]
+            if twice:
+                raise DataError(f"row 1: field {twice[0]!r} appears twice in the CSV header")
             for row in reader:
                 if undecodable is not None and reader.line_num >= undecodable:
                     raise not_utf8
@@ -157,7 +169,7 @@ NUMBERS = [1, 2, 0, -1, 12288, 10**30, 2**63, 2**70, 10**400, 2.0, 2.5, True, "4
            "abc", "", "  ", None, [1], float("nan"), float("inf"), -0.0, "١٢", 1e300]
 CELLS = {
     "layers": NUMBERS, "hidden": NUMBERS, "params": NUMBERS, "pretrain_seed": NUMBERS,
-    "finetune_seed": NUMBERS, "task": ["t", "", "  ", None, 5, 5.0, True, [1], "x{y}", "caf\xe9", NOT_UTF8],
+    "finetune_seed": NUMBERS, "task": ["t", "", "  ", None, 5, 5.0, True, [1], "x{y}", "caf\xe9", NOT_UTF8, "a\x01b"],
     "family": ["mlm", "", None, 0.0], "metric": ["f1", "loss", "", None],
     "direction": ["max", "min", "minimize", " MAX ", "up", "", None, 1],
     "value": [2.5, 50, 0, -1, float("nan"), float("inf"), "3.5", " 4 ", "abc", "  ", None, True, 10**400, "1e999"],
@@ -285,6 +297,7 @@ FAULTS = [
     ("value", float("nan")), ("tokens", "x"), ("tokens", -5), ("shoe_size", 43),
     ("params", 10**400), ("layers", True), ("value", "1e999"), ("tokens", 2.5),
     ("family", NOT_UTF8),  # JSONL only: a JSON escape, which CSV text cannot hold
+    ("metric", "a\x1fb"),
 ]
 
 

@@ -304,8 +304,14 @@ class TestIngest:
          # byte 0xe9 alone in the header: named before the header is checked,
          # also when the header holds a cell over the csv module's field limit
          ("runs.csv", "\ufefflayers,caf\udce9\n1,32\n", None, "row 1: not valid UTF-8"),
-         ("runs.csv", "layers,caf\udce9," + "9" * 200_000 + "\n", None, "row 1: not valid UTF-8")],
-        ids=["unknown-format", "empty-csv", "bad-byte-in-csv-header", "bad-byte-in-oversized-csv-header"],
+         ("runs.csv", "layers,caf\udce9," + "9" * 200_000 + "\n", None, "row 1: not valid UTF-8"),
+         # a header is a row: a byte on the second line of its two-line cell is named first
+         ("runs.csv", '"layers\ncaf\udce9",hidden\n1,32\n', None, "row 2: not valid UTF-8"),
+         # refused, not read from its last column
+         ("runs.csv", "layers,hidden,task,family,pretrain_seed,finetune_seed,metric,value,direction,layers\n"
+          "1,32,t,f,0,0,m,1.0,min,2\n", None, "row 1: field 'layers' appears twice in the CSV header")],
+        ids=["unknown-format", "empty-csv", "bad-byte-in-csv-header", "bad-byte-in-oversized-csv-header",
+             "bad-byte-in-two-line-csv-header", "field-twice-in-csv-header"],
     )
     def test_unreadable_file(self, tmp_path, name, text, format, message):
         path = tmp_path / name
@@ -364,6 +370,22 @@ class TestIngestEdgeCases:
         with pytest.raises(DataError, match=f"^row {line}: "):
             read(path)
         assert opened == [path]
+
+    @pytest.mark.parametrize("kind", ["jsonl", "csv", "curve"])
+    def test_a_byte_that_opens_a_chunk_ends_the_file_before_it(self, tmp_path, monkeypatch, kind):
+        # Two lines a chunk and the byte on line 3: the line reader raises
+        # before it yields any line of the second chunk.
+        head, good = {"jsonl": (json.dumps(BASE_ROW), json.dumps(BASE_ROW)), "csv": (CSV_HEADER, GOOD_CELLS),
+                      "curve": ("step,eval_loss", "0,1.0")}[kind]
+        path = tmp_path / ("curve.csv" if kind == "curve" else f"runs.{kind}")
+        path.write_text(f"{head}\n{good}\ncaf\udce9\n{good}\n", encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sf.records, "_CHUNK", 2)
+        yielded, line_chunks = [], sf.records._line_chunks
+        monkeypatch.setattr(sf.records, "_line_chunks", lambda fh: (yielded.append(c) or c for c in line_chunks(fh)))
+        read = sf.diagnose.load_loss_curve if kind == "curve" else sf.ingest
+        with pytest.raises(DataError, match="^row 3: not valid UTF-8$"):
+            read(path)
+        assert yielded == [(1, [head + "\n", good + "\n"])]
 
     def test_quote_open_to_end_of_file_is_numbered_by_its_last_line(self, tmp_path):
         # The open quote keeps the file's final line break in the cell.

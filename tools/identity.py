@@ -58,6 +58,13 @@ BAD_INPUTS = {
     "not-utf8.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"caf\udce9"'),  # byte 0xe9 alone
     "surrogate-label.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"caf\\udce9"'),  # a JSON escape of a lone surrogate
     "bom.csv": "\ufeff" + _CSV,
+    "bad-byte-in-header.csv": _CSV.replace("task", "caf\udce9"),
+    # A bad row, then a quoted cell whose second line holds a byte that is not UTF-8.
+    "bad-row-before-bad-byte-in-two-line-cell.csv": (
+        _CSV + "1,32,t,f,0,0,m,-1.0,min\n" + '1,32,"t\ncaf\udce9",f,0,0,m,1.0,min\n'
+    ),
+    "field-twice.csv": _CSV.replace("direction\n", "direction,layers\n").replace("min\n", "min,2\n"),
+    "control-label.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"a\\u0001b"'),
     # A bad row ahead of a byte that is not UTF-8, in the decoder's first
     # buffer: the bad row is the first in file order.
     "bad-row-before-bad-byte.jsonl": (
@@ -68,8 +75,13 @@ BAD_INPUTS = {
         + _GOOD_ROW.replace('"t"', '"caf\udce9"')
     ),
 }
-# A loss curve with a bad row ahead of a byte that is not UTF-8.
-BAD_CURVES = {"bad-row-before-bad-byte-curve.csv": "step,eval_loss\n0,1.0\n1,abc\n2,0.\udce99\n"}
+# A loss curve with a bad row ahead of a byte that is not UTF-8, and two
+# whose cells parse but break the curve's rules.
+BAD_CURVES = {
+    "bad-row-before-bad-byte-curve.csv": "step,eval_loss\n0,1.0\n1,abc\n2,0.\udce99\n",
+    "negative-loss-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n",
+    "repeated-step-curve.csv": "step,eval_loss\n1,2.0\n3,1.0\n3,0.5\n",
+}
 
 
 def _run_set(sizes: tuple) -> str:
