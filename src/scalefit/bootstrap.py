@@ -58,6 +58,8 @@ REDUCE_ELEMENTS = 2**14
 # Consecutive draws a kept replicate may take before a degenerate resample
 # aborts the run.
 MAX_REDRAWS = 100
+# The resampling schemes a BootstrapConfig accepts.
+MODES = ("hierarchical", "naive")
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class BootstrapConfig:
             raise DataError(
                 f"percentiles must satisfy 0 <= lo < hi <= 100, got ({self.lo_pct}, {self.hi_pct})"
             )
-        if self.mode not in ("hierarchical", "naive"):
+        if self.mode not in MODES:
             raise DataError(f"unknown bootstrap mode {self.mode!r}")
 
 

@@ -14,14 +14,14 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, bootstrap_band
+from .bootstrap import MODES, BootstrapConfig, bootstrap_band
 from .compute import ComputeEstimate, flops, savings_ratio
 from .diagnose import (
     EarlyStopPolicy,
@@ -31,25 +31,15 @@ from .diagnose import (
     load_loss_curve,
 )
 from .errors import DataError
-from .powerlaw import fit_runset
+from .powerlaw import RESIDUAL_SPACES, fit_runset
 from .predict import extrapolate, holdout_eval, select_model
-from .records import RunSet, ScaleSpec, emit, group, ingest, scale_ladder
+from .records import DIRECTIONS, FORMATS, RunSet, ScaleSpec, emit, group, ingest, scale_ladder
 from .svg import plot_runset, write_plot
-from .synth import SynthSpec, generate
+from .synth import NOISE_MODELS, SynthSpec, generate
 
 SCHEMA_VERSION = "2"
 
 FLOPS_NOTE = "evaluation passes triggered by early stopping are not counted"
-
-
-@dataclass(frozen=True)
-class Report:
-    """What gets printed: the command, its inputs, and its results."""
-
-    command: str
-    inputs: dict
-    results: object
-    schema_version: str = SCHEMA_VERSION
 
 
 class UsageError(Exception):
@@ -62,15 +52,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_default(obj):
-    """``json.dumps`` hook for dataclasses and numpy scalars and arrays."""
+    """``json.dumps`` hook: a dataclass instance as the dict of its fields."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def render_report(report: Report, fmt: str = "json") -> str:
+def render_report(report: dict, fmt: str = "json") -> str:
     """Strict JSON (a non-finite float raises ValueError) or a flat table."""
     text = json.dumps(report, default=_json_default, sort_keys=True, indent=2, allow_nan=False)
     if fmt == "json":
@@ -150,19 +138,12 @@ def _scale(args, prefix: str, required: bool = True) -> ScaleSpec | None:
     return ScaleSpec.from_dims(layers, hidden)
 
 
-def _bootstrap_config(args) -> BootstrapConfig:
-    return BootstrapConfig(
-        n_replicates=args.B,
-        lo_pct=args.lo,
-        hi_pct=args.hi,
-        mode=args.mode,
-        rng_seed=args.seed,
+def _bootstrap_config(args) -> tuple[BootstrapConfig, dict]:
+    """The bootstrap config of ``args``, and the report inputs naming every setting that shapes a band."""
+    cfg = BootstrapConfig(
+        n_replicates=args.B, lo_pct=args.lo, hi_pct=args.hi, mode=args.mode, rng_seed=args.seed
     )
-
-
-def _bootstrap_inputs(cfg: BootstrapConfig) -> dict:
-    """The report inputs naming every bootstrap setting that shapes a band."""
-    return dict(B=cfg.n_replicates, lo=cfg.lo_pct, hi=cfg.hi_pct, mode=cfg.mode, seed=cfg.rng_seed)
+    return cfg, dict(B=cfg.n_replicates, lo=cfg.lo_pct, hi=cfg.hi_pct, mode=cfg.mode, seed=cfg.rng_seed)
 
 
 def _runset_inputs(args, runset: RunSet, **extra) -> dict:
@@ -172,9 +153,14 @@ def _runset_inputs(args, runset: RunSet, **extra) -> dict:
     )
 
 
+def _default(func, name: str):
+    """The default of ``func``'s parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _add_input_options(p, selectors: bool = True) -> None:
     p.add_argument("--input", required=True, help="JSONL or CSV records file")
-    p.add_argument("--input-format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--input-format", choices=FORMATS, default=None)
     if selectors:
         p.add_argument("--task", default=None)
         p.add_argument("--family", default=None)
@@ -187,10 +173,10 @@ def _add_scale_options(p, prefix: str) -> None:
 
 
 def _add_bootstrap_options(p, seed_required: bool = True) -> None:
-    p.add_argument("--B", type=int, default=1000, help="bootstrap replicates")
-    p.add_argument("--lo", type=float, default=2.5)
-    p.add_argument("--hi", type=float, default=97.5)
-    p.add_argument("--mode", choices=("hierarchical", "naive"), default="hierarchical")
+    p.add_argument("--B", type=int, default=BootstrapConfig.n_replicates, help="bootstrap replicates")
+    p.add_argument("--lo", type=float, default=BootstrapConfig.lo_pct)
+    p.add_argument("--hi", type=float, default=BootstrapConfig.hi_pct)
+    p.add_argument("--mode", choices=MODES, default=BootstrapConfig.mode)
     seed_help = "RNG seed (required)" if seed_required else "RNG seed (required with --band)"
     p.add_argument("--seed", type=int, required=seed_required, help=seed_help)
 
@@ -208,33 +194,24 @@ def _cmd_fit(args) -> tuple[dict, object]:
 
 def _cmd_bootstrap(args) -> tuple[dict, object]:
     runset = _load_runset(args)
-    cfg = _bootstrap_config(args)
+    cfg, boot_inputs = _bootstrap_config(args)
     band = bootstrap_band(runset, cfg)
     fit = fit_runset(runset)
-    inputs = _runset_inputs(args, runset, **_bootstrap_inputs(cfg))
-    # The report's view of the band: its intervals, and the 2*B replicates
-    # only when asked for.  The replicate count is inputs.B.
-    view = {
-        "lo_pct": band.lo_pct,
-        "hi_pct": band.hi_pct,
-        "slope_ci": band.slope_ci,
-        "intercept_ci": band.intercept_ci,
-        "point_band": band.point_band,
-    }
-    if args.replicates:
-        view["replicate_slopes"] = band.replicate_slopes
-        view["replicate_intercepts"] = band.replicate_intercepts
+    inputs = _runset_inputs(args, runset, **boot_inputs)
+    # The band's fields; the 2*B replicates only when asked for.  The
+    # replicate count is inputs.B.
+    view = _json_default(band)
+    if not args.replicates:
+        del view["replicate_slopes"], view["replicate_intercepts"]
     return inputs, {"fit": fit, "band": view}
 
 
 def _cmd_predict(args) -> tuple[dict, object]:
     runset = _load_runset(args)
     target = _scale(args, "target")
-    cfg = _bootstrap_config(args)
+    cfg, boot_inputs = _bootstrap_config(args)
     report = extrapolate(runset, target, cfg, actual=args.actual)
-    inputs = _runset_inputs(
-        args, runset, target_params=target.params, actual=args.actual, **_bootstrap_inputs(cfg)
-    )
+    inputs = _runset_inputs(args, runset, target_params=target.params, actual=args.actual, **boot_inputs)
     return inputs, report
 
 
@@ -252,7 +229,7 @@ def _cmd_select(args) -> tuple[dict, object]:
     runset_a = _pick(groups, args.task, args.family_a, args.metric)
     runset_b = _pick(groups, args.task, args.family_b, args.metric)
     target = _scale(args, "target")
-    cfg = _bootstrap_config(args)
+    cfg, boot_inputs = _bootstrap_config(args)
     report = select_model(
         runset_a,
         runset_b,
@@ -272,7 +249,7 @@ def _cmd_select(args) -> tuple[dict, object]:
         "target_params": target.params,
         "actual_a": args.actual_a,
         "actual_b": args.actual_b,
-        **_bootstrap_inputs(cfg),
+        **boot_inputs,
     }
     return inputs, report
 
@@ -299,9 +276,7 @@ def _cmd_flops(args) -> tuple[dict, object]:
         params = [table.scales[k].params for k in table.code.tolist()]
         total_flops = sum(map(flops, params, table.tokens.tolist()))
     results = {
-        "scales": [
-            {"layers": s.layers, "hidden": s.hidden, "params": s.params} for s in scale_list
-        ],
+        "scales": scale_list,
         "total_params": sum(s.params for s in scale_list),
         "total_flops": total_flops,
         "note": FLOPS_NOTE,
@@ -340,21 +315,21 @@ def _cmd_diagnose_fit_outlier(args) -> tuple[dict, object]:
         raise DataError(f"layers={args.holdout_layers} matches {codes.size} distinct scales")
     held_scale = runset.scales[codes[0]]
     rest = runset.filter(~held)
-    cfg = _bootstrap_config(args)
+    cfg, boot_inputs = _bootstrap_config(args)
     verdict = flag_undertrained(rest, held_scale, args.observed, cfg)
     inputs = _runset_inputs(
         args,
         runset,
         holdout_layers=args.holdout_layers,
         observed=args.observed,
-        **_bootstrap_inputs(cfg),
+        **boot_inputs,
     )
     return inputs, verdict
 
 
 def _cmd_synth(args) -> tuple[dict, object]:
-    if Path(args.out).suffix.lower() not in (".jsonl", ".ndjson"):
-        raise UsageError(f"--out must end in .jsonl or .ndjson, got {args.out!r}")
+    if Path(args.out).suffix.lower() not in FORMATS["jsonl"]:
+        raise UsageError(f"--out must end in {' or '.join(FORMATS['jsonl'])}, got {args.out!r}")
     layers = _parse_layer_range(args.layers, "--layers")
     spec = SynthSpec(
         true_alpha=args.alpha,
@@ -401,9 +376,8 @@ def _cmd_plot(args) -> tuple[dict, object]:
     if args.band:
         if args.seed is None:
             raise UsageError("--seed is required with --band")
-        cfg = _bootstrap_config(args)
+        cfg, boot_inputs = _bootstrap_config(args)
         band = bootstrap_band(fit_set, cfg)
-        boot_inputs = _bootstrap_inputs(cfg)
     spec = plot_runset(runset, fit=fit, band=band, heldout_layers=heldout)
     digest = hashlib.sha256(write_plot(spec, args.out)).hexdigest()
     inputs = _runset_inputs(
@@ -435,7 +409,7 @@ def build_parser() -> _Parser:
     p = leaf(sub, "fit", "fit a power law to one run group", _cmd_fit)
     _add_input_options(p)
     p.add_argument("--min-depth", type=int, default=None, help="keep only layers >= d")
-    p.add_argument("--r2-space", choices=("log", "linear"), default="log")
+    p.add_argument("--r2-space", choices=RESIDUAL_SPACES, default=_default(fit_runset, "space"))
 
     p = leaf(sub, "bootstrap", "bootstrap confidence band for a fit", _cmd_bootstrap)
     _add_input_options(p)
@@ -461,7 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metric", default=None)
     p.add_argument("--family-a", required=True)
     p.add_argument("--family-b", required=True)
-    p.add_argument("--r2-threshold", type=float, default=0.95)
+    p.add_argument("--r2-threshold", type=float, default=_default(select_model, "r2_threshold"))
     _add_scale_options(p, "target")
     p.add_argument("--actual-a", type=float, default=None)
     p.add_argument("--actual-b", type=float, default=None)
@@ -471,7 +445,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params", type=int, default=None)
     p.add_argument("--tokens", type=int, default=None)
     p.add_argument("--input", default=None)
-    p.add_argument("--input-format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--input-format", choices=FORMATS, default=None)
     _add_scale_options(p, "baseline")
 
     p = sub.add_parser("diagnose", help="convergence diagnostics")
@@ -482,7 +456,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--curve", required=True, help="CSV with header step,eval_loss")
     p.add_argument("--patience", type=int, nargs="+", required=True)
-    p.add_argument("--min-decrease", type=float, default=0.0)
+    p.add_argument("--min-decrease", type=float, default=EarlyStopPolicy.min_decrease)
 
     p = leaf(
         dsub, "diagnose fit-outlier", "flag a held-out scale against the band", _cmd_diagnose_fit_outlier
@@ -498,15 +472,14 @@ def build_parser() -> _Parser:
     p.add_argument("--aspect-ratio", type=int, default=32)
     p.add_argument("--layers", default="1-8", help="inclusive range, e.g. 1-8")
     p.add_argument("--seeds-per-scale", type=int, default=5)
-    p.add_argument("--sigma-pre", type=float, default=0.0)
-    p.add_argument("--sigma-fin", type=float, default=0.0)
+    p.add_argument("--sigma-pre", type=float, default=SynthSpec.sigma_pre)
+    p.add_argument("--sigma-fin", type=float, default=SynthSpec.sigma_fin)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--direction", choices=("maximize", "minimize"), default="minimize")
-    p.add_argument("--noise", choices=("normal", "uniform"), default="normal")
-    p.add_argument("--task", default="synthetic")
-    p.add_argument("--family", default="synthetic")
-    p.add_argument("--metric", default="score")
-    p.add_argument("--out", required=True, help="JSONL output path (.jsonl or .ndjson)")
+    p.add_argument("--direction", choices=DIRECTIONS, default=SynthSpec.direction)
+    p.add_argument("--noise", choices=NOISE_MODELS, default=SynthSpec.noise)
+    for label in ("task", "family", "metric"):
+        p.add_argument(f"--{label}", default=getattr(SynthSpec, label))
+    p.add_argument("--out", required=True, help=f"JSONL output path ({' or '.join(FORMATS['jsonl'])})")
     p.add_argument("--truth-out", default=None, help="defaults to <out>.truth.json")
 
     p = leaf(sub, "plot", "render a log-log SVG plot", _cmd_plot)
@@ -534,7 +507,10 @@ def run(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         inputs, results = args.handler(args)
-        out = render_report(Report(args.report_command, inputs, results), args.format)
+        out = render_report(
+            dict(command=args.report_command, inputs=inputs, results=results, schema_version=SCHEMA_VERSION),
+            args.format,
+        )
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

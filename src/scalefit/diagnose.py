@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -59,8 +59,8 @@ def load_loss_curve(path: str | Path) -> LossCurve:
     """Read a two-column CSV (header ``step,eval_loss`` required) with
     :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  The
     line reader stops at the first line holding a byte that is not UTF-8, a
-    bad row.  The first bad row in file order raises DataError naming it, and
-    so does the first point :class:`LossCurve` rejects."""
+    bad row.  The first row that does not parse raises DataError naming it;
+    once all have parsed, so does the first point :class:`LossCurve` rejects."""
     path = Path(path)
     steps, losses, numbers = [], [], []  # numbers: each chunk's row numbers of its points
     with open_csv(path) as (header, chunks):
@@ -147,26 +147,20 @@ def early_stop(curve: LossCurve, policy: EarlyStopPolicy) -> EarlyStopResult:
 
 @dataclass(frozen=True)
 class PolicyOutcome:
-    """A policy and the :class:`EarlyStopResult` of its replay, flattened."""
+    """A policy and where its replay stopped (see :class:`EarlyStopResult`)."""
 
     policy: EarlyStopPolicy
-    result: InitVar[EarlyStopResult]
-    stop_index: int = field(init=False)
-    best_index: int = field(init=False)
-    loss_at_best: float = field(init=False)
-    stopped: bool = field(init=False)
-
-    def __post_init__(self, result: EarlyStopResult) -> None:
-        object.__setattr__(self, "stop_index", result.stop_index)
-        object.__setattr__(self, "best_index", result.best_index)
-        object.__setattr__(self, "loss_at_best", result.best_loss)
-        object.__setattr__(self, "stopped", result.stopped)
+    stop_index: int
+    best_index: int
+    loss_at_best: float
+    stopped: bool
 
 
 def compare_policies(curve: LossCurve, policies: Sequence[EarlyStopPolicy]) -> list[PolicyOutcome]:
     """Evaluate several stopping policies on one curve, sorted by patience."""
     ordered = sorted(policies, key=lambda p: (p.patience, p.min_decrease))
-    return [PolicyOutcome(policy, early_stop(curve, policy)) for policy in ordered]
+    replays = [(policy, early_stop(curve, policy)) for policy in ordered]
+    return [PolicyOutcome(p, r.stop_index, r.best_index, r.best_loss, r.stopped) for p, r in replays]
 
 
 @dataclass(frozen=True)

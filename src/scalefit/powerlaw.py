@@ -19,6 +19,8 @@ from .errors import DataError, DegenerateDataError
 from .records import RunSet
 
 Points = Iterable[tuple[float, float]]
+# The spaces goodness of fit can be computed in.
+RESIDUAL_SPACES = ("log", "linear")
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,9 @@ def goodness_of_fit(points: Points, fit: FitResult, space: str = "log") -> tuple
     squares that overflow float64 raise :class:`DataError`.
     """
     x, y = _validate_points(points)
-    if space not in ("log", "linear"):
-        raise DataError(f"unknown residual space {space!r}; expected 'log' or 'linear'")
+    if space not in RESIDUAL_SPACES:
+        expected = " or ".join(map(repr, RESIDUAL_SPACES))
+        raise DataError(f"unknown residual space {space!r}; expected {expected}")
     with np.errstate(over="ignore", invalid="ignore"):
         log_pred = fit.alpha * np.log(x) + fit.beta
         obs, pred = (np.log(y), log_pred) if space == "log" else (y, np.exp(log_pred))

@@ -64,6 +64,11 @@ _FIELD_SET = frozenset(RECORD_FIELDS)
 # held by parsed but unchecked cells.
 _CHUNK = 4096
 
+# The canonical direction tokens, which :func:`normalize_direction` returns.
+DIRECTIONS = ("maximize", "minimize")
+# Each record file format and the suffixes it is inferred from.
+FORMATS = {"jsonl": (".jsonl", ".ndjson"), "csv": (".csv",)}
+
 _DIRECTION_TOKENS = {
     "max": "maximize",
     "maximize": "maximize",
@@ -166,7 +171,7 @@ class RunRecord:
             if not getattr(self, name):
                 raise DataError(f"{name} must be a nonempty string")
         _check_value(self.value)
-        if self.direction not in ("maximize", "minimize"):
+        if self.direction not in DIRECTIONS:
             raise DataError(f"unknown direction token {self.direction!r}")
         _check_tokens(self.tokens)
 
@@ -602,16 +607,15 @@ class _Columns:
 
 
 def _infer_format(path: Path, format: str | None) -> str:
+    names = " or ".join(map(repr, FORMATS))
     if format is not None:
-        if format not in ("jsonl", "csv"):
-            raise DataError(f"unknown format {format!r}; expected 'jsonl' or 'csv'")
+        if format not in FORMATS:
+            raise DataError(f"unknown format {format!r}; expected {names}")
         return format
-    suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    if suffix == ".csv":
-        return "csv"
-    raise DataError(f"cannot infer format from {path.name!r}; pass format='jsonl' or 'csv'")
+    for fmt, suffixes in FORMATS.items():
+        if path.suffix.lower() in suffixes:
+            return fmt
+    raise DataError(f"cannot infer format from {path.name!r}; pass format={names}")
 
 
 def _numbered(items: list, numbers: np.ndarray, blank: Iterable[bool]) -> tuple:

@@ -102,8 +102,17 @@ def _log_range(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _decade_ticks(lo: float, hi: float) -> list[int]:
-    return list(range(math.ceil(lo), math.floor(hi) + 1))
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """(value, label) of the ticks of the log10 range ``lo..hi``: its powers
+    of ten, or, if it holds fewer than two, the integer multiples of the
+    largest power of ten 10**k that puts two or more inside it, as ``me{k}``."""
+    decades = range(math.ceil(lo), math.floor(hi) + 1)
+    if len(decades) >= 2:
+        return [(10.0**k, f"1e{k}") for k in decades]
+    k = math.floor(hi)
+    while len(multiples := range(math.ceil(10 ** (lo - k)), math.floor(10 ** (hi - k)) + 1)) < 2:
+        k -= 1
+    return [(m * 10.0**k, f"{m}e{k}") for m in multiples]
 
 
 def render_plot(spec: PlotSpec) -> str:
@@ -133,15 +142,15 @@ def render_plot(spec: PlotSpec) -> str:
         f'<rect x="0" y="0" width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="#ffffff"/>',
     ]
 
-    # Gridlines and decade tick labels.
+    # Gridlines and tick labels.
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _MARGIN_T, _HEIGHT - _MARGIN_B
-    for k in _decade_ticks(ax.lx0, ax.lx1):
-        px = ax.px(10.0**k)
-        out += [_line(px, y0, px, y1, "#dddddd", "1"), _text(px, y1 + 18, 11, f"1e{k}")]
-    for k in _decade_ticks(ax.ly0, ax.ly1):
-        py = ax.py(10.0**k)
-        out += [_line(x0, py, x1, py, "#dddddd", "1"), _text(x0 - 6, py + 4, 11, f"1e{k}", "end")]
+    for value, label in _ticks(ax.lx0, ax.lx1):
+        px = ax.px(value)
+        out += [_line(px, y0, px, y1, "#dddddd", "1"), _text(px, y1 + 18, 11, label)]
+    for value, label in _ticks(ax.ly0, ax.ly1):
+        py = ax.py(value)
+        out += [_line(x0, py, x1, py, "#dddddd", "1"), _text(x0 - 6, py + 4, 11, label, "end")]
     out.append(
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" height="{_fmt(y1 - y0)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .records import RecordTable, RunSet, ScaleSpec, _check_value, group
+from .records import DIRECTIONS, RecordTable, RunSet, ScaleSpec, _check_value, group
 from .rng import Substreams
 
 _SQRT3 = math.sqrt(3.0)
+# The distributions the two noise levels can be drawn from.
+NOISE_MODELS = ("normal", "uniform")
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,9 @@ class SynthSpec:
             raise DataError("true_alpha, true_log_c and the noise levels must be finite")
         if self.sigma_pre < 0 or self.sigma_fin < 0:
             raise DataError("noise levels must be nonnegative")
-        if self.direction not in ("maximize", "minimize"):
+        if self.direction not in DIRECTIONS:
             raise DataError(f"unknown direction token {self.direction!r}")
-        if self.noise not in ("normal", "uniform"):
+        if self.noise not in NOISE_MODELS:
             raise DataError(f"unknown noise model {self.noise!r}")
 
 

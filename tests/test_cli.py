@@ -11,7 +11,7 @@ from xml.etree import ElementTree
 import pytest
 
 import scalefit as sf
-from scalefit.cli import Report, _parser, render_report, run
+from scalefit.cli import _parser, render_report, run
 
 from conftest import TRUE_ALPHA, TRUE_LOG_C, ar32_synth
 
@@ -156,7 +156,7 @@ class TestExitCodes:
 
     def test_non_finite_report_refused(self):
         with pytest.raises(ValueError):
-            render_report(Report(command="x", inputs={}, results={"y": math.inf}))
+            render_report({"command": "x", "inputs": {}, "results": {"y": math.inf}})
 
     @pytest.mark.parametrize("module", ["scalefit", "scalefit.cli"])
     def test_module_entry_point_without_argv(self, module):
@@ -954,14 +954,19 @@ class TestParserReuse:
 class TestReportSerialization:
     def test_roundtrip(self):
         fit = sf.fit_line([(1, 3), (2, 6), (4, 12)])
-        report = Report(command="fit", inputs={"input": "x.jsonl"}, results={"fit": fit})
+        report = {"command": "fit", "inputs": {"input": "x.jsonl"}, "results": {"fit": fit}}
         text = render_report(report)
         parsed = json.loads(text)
-        assert parsed == as_json(report)
+        assert parsed == {**report, "results": {"fit": as_json(fit)}}
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
 
+    @pytest.mark.parametrize("value, name", [(object(), "object"), (range(2), "range")])
+    def test_value_json_cannot_encode(self, value, name):
+        with pytest.raises(TypeError, match=f"^cannot serialize <class '{name}'>$"):
+            render_report({"command": "x", "inputs": {}, "results": {"y": value}})
+
     def test_key_sorted_output(self):
-        report = Report(command="z", inputs={"b": 1, "a": 2}, results={"y": 1, "x": 2})
+        report = {"command": "z", "inputs": {"b": 1, "a": 2}, "results": {"y": 1, "x": 2}}
         text = render_report(report)
         assert text.index('"a"') < text.index('"b"')
         assert text.index('"x"') < text.index('"y"')

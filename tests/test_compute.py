@@ -96,6 +96,17 @@ class TestSavingsRatio:
         with pytest.raises(DataError, match="token counts required"):
             sf.savings_ratio(small, large, "supplied_tokens")
 
+    def test_supplied_tokens_one_per_small_scale(self):
+        small = [sf.ScaleSpec.from_params(100), sf.ScaleSpec.from_params(200)]
+        large = sf.ScaleSpec.from_params(1000)
+        with pytest.raises(DataError, match="^need one token count per small scale: got 1 for 2 scales$"):
+            sf.savings_ratio(small, large, "supplied_tokens", small_tokens=[10], large_tokens=4)
+
+    def test_unknown_assumption_rejected(self):
+        scale = sf.ScaleSpec.from_params(100)
+        with pytest.raises(DataError, match="^unknown assumption 'equal_flops'$"):
+            sf.savings_ratio([scale], scale, "equal_flops")
+
     def test_empty_small_rejected(self):
         with pytest.raises(DataError, match="nonempty"):
             sf.savings_ratio([], sf.ScaleSpec.from_params(10))

@@ -154,10 +154,10 @@ class TestComparePolicies:
 
     def test_outcome_derives_from_its_result(self):
         policy = sf.EarlyStopPolicy(patience=3)
-        res = sf.EarlyStopResult(stop_index=5, best_index=2, stopped=True, best_loss=0.79)
-        row = sf.PolicyOutcome(policy, res)
+        (row,) = sf.compare_policies(curve(PLATEAU_THEN_DROP), [policy])
+        res = sf.early_stop(curve(PLATEAU_THEN_DROP), policy)
         assert (row.policy, row.stop_index, row.best_index, row.loss_at_best, row.stopped) == (
-            policy, 5, 2, 0.79, True
+            policy, res.stop_index, res.best_index, res.best_loss, res.stopped
         )
 
 
@@ -181,6 +181,10 @@ class TestConvergenceVerdict:
 
 
 class TestLossCurve:
+    def test_one_loss_per_step(self):
+        with pytest.raises(DataError, match="^steps and losses must have equal length$"):
+            sf.LossCurve(steps=(1, 2), losses=(1.0,))
+
     def test_loader(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("step,eval_loss\n0,1.0\n100,0.8\n200,0.79\n", encoding="utf-8")
@@ -349,6 +353,13 @@ class TestFlagUndertrained:
         cfg = sf.BootstrapConfig(n_replicates=50, rng_seed=34)
         with pytest.raises(DataError, match="minimized"):
             sf.flag_undertrained(runset, TARGET, 1.0, cfg)
+
+    @pytest.mark.parametrize("observed", [0.0, math.nan])
+    def test_observed_must_be_positive_and_finite(self, observed):
+        runset, _ = ar32_synth(136)
+        cfg = sf.BootstrapConfig(n_replicates=50, rng_seed=36)
+        with pytest.raises(DataError, match="^observed value must be positive and finite$"):
+            sf.flag_undertrained(runset, TARGET, observed, cfg)
 
     def test_runset_must_exclude_held_out_scale(self):
         runset, _ = ar32_synth(134)

@@ -23,6 +23,14 @@ def noisy_fixture():
 
 
 class TestFitLine:
+    def test_points_must_be_pairs(self):
+        with pytest.raises(DataError, match=r"^points must be \(x, y\) pairs$"):
+            sf.fit_line([(1, 2, 3), (4, 5, 6)])
+
+    def test_points_must_be_finite(self):
+        with pytest.raises(DataError, match="^points must be finite$"):
+            sf.fit_line([(1, 2), (math.inf, 3)])
+
     def test_exact_power_law(self):
         fit = sf.fit_line([(1, 3), (2, 6), (4, 12)])
         assert fit.alpha == pytest.approx(1.0, abs=1e-12)

@@ -200,6 +200,13 @@ class TestSelect:
         b, _ = ar32_synth(seed_b, direction="maximize", log_c=log_c_b, family="fam_b")
         return a, b
 
+    @pytest.mark.parametrize("threshold", [0, 1.5])
+    def test_r2_threshold_must_be_a_fraction(self, threshold):
+        a, b = self.two_families()
+        cfg = sf.BootstrapConfig(n_replicates=50, rng_seed=13)
+        with pytest.raises(DataError, match=rf"^r2_threshold must be in \(0, 1\], got {threshold}$"):
+            sf.select_model(a, b, TARGET, cfg, r2_threshold=threshold)
+
     def test_identical_runsets_zero_gap(self):
         runset, _ = ar32_synth(122, direction="maximize")
         cfg = sf.BootstrapConfig(n_replicates=50, rng_seed=11)

@@ -139,6 +139,14 @@ class TestScaleSpec:
         with pytest.raises(DataError):
             sf.ScaleSpec.from_params(0)
 
+    def test_rejects_one_dimension_without_the_other(self):
+        with pytest.raises(DataError, match="^layers and hidden must be given together$"):
+            sf.ScaleSpec(layers=1, hidden=None, params=12)
+
+    def test_rejects_nonpositive_hidden(self):
+        with pytest.raises(DataError, match="^hidden must be positive, got 0$"):
+            sf.ScaleSpec(layers=1, hidden=0, params=12)
+
     def test_rejects_layers_beyond_float64(self):
         # run sets hold depth as float64, so a larger count is a data error here
         with pytest.raises(DataError, match="layers does not fit in float64"):
@@ -149,6 +157,16 @@ class TestScaleSpec:
         assert [s.layers for s in ladder] == list(range(1, 9))
         assert all(s.hidden == 32 * s.layers for s in ladder)
         assert sum(s.params for s in ladder) == 15_925_248
+
+
+class TestRunRecord:
+    def test_rejects_an_empty_label(self):
+        with pytest.raises(DataError, match="^task must be a nonempty string$"):
+            make_record(task="")
+
+    def test_rejects_a_direction_that_is_not_canonical(self):
+        with pytest.raises(DataError, match="^unknown direction token 'up'$"):
+            make_record(direction="up")
 
 
 class TestIngest:
@@ -337,6 +355,13 @@ def csv_outcome(path, lines):
 
 
 class TestIngestEdgeCases:
+    @pytest.mark.parametrize("value, shown", [(None, "None"), (True, "True")])
+    def test_value_that_is_not_a_number(self, tmp_path, value, shown):
+        path = tmp_path / "runs.jsonl"
+        write_jsonl(path, [dict(BASE_ROW, value=value)])
+        with pytest.raises(DataError, match=rf"^row 1: field 'value' must be a number, got {shown}$"):
+            sf.ingest(path)
+
     def test_earlier_row_wins_across_fields(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         no_hidden = {k: v for k, v in BASE_ROW.items() if k != "hidden"}
@@ -508,6 +533,25 @@ class TestIngestEdgeCases:
 
 
 class TestGrouping:
+    def test_table_is_not_equal_to_another_type(self):
+        table = sf.RunSet.from_records([make_record()])
+        assert table.__eq__(table.values) is NotImplemented
+        assert table != table.values.tolist()
+
+    def test_run_set_of_two_labels_rejected(self, tmp_path):
+        sf.emit([make_record(task="a"), make_record(task="b")], tmp_path / "runs.jsonl")
+        t = sf.ingest(tmp_path / "runs.jsonl")
+        with pytest.raises(DataError, match=r"^a run set holds one \(task, family, metric, direction\)$"):
+            sf.RunSet(t.scales, t.code, t.values, t.seeds, t.tokens, t.labels, t.label)
+
+    def test_from_records_needs_one_group(self):
+        with pytest.raises(DataError, match="^cannot build a run set from zero records$"):
+            sf.RunSet.from_records([])
+        records = [make_record(task="b"), make_record(task="a")]
+        disagree = r"^records disagree on \(task, family, metric\): \(a, mlm, f1\) vs \(b, mlm, f1\)$"
+        with pytest.raises(DataError, match=disagree):
+            sf.RunSet.from_records(records)
+
     def test_forty_row_file_m8_t5(self, tmp_path):
         path = tmp_path / "forty.jsonl"
         sf.emit(

@@ -1,3 +1,5 @@
+import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -103,6 +105,27 @@ class TestRenderPlot:
     def test_decade_tick_labels_present(self):
         svg = sf.render_plot(three_point_spec())
         assert ">1e1<" in svg and ">1e3<" in svg
+
+    def test_axis_within_a_decade_gets_labels(self):
+        # the loss range of the ladder benchmark's runs, 1.72 to 3.94
+        group = sf.ScatterGroup(label="runs", points=((1e4, 1.72), (1e6, 3.94)))
+        svg = sf.render_plot(sf.PlotSpec(groups=(group,)))
+        y_labels = re.findall(r'text-anchor="end" font-family="sans-serif">([^<]*)<', svg)
+        assert y_labels == ["2e0", "3e0", "4e0"]
+
+    @pytest.mark.parametrize(
+        "lo, hi, labels",
+        [
+            (-1.1, 1.2, ["1e-1", "1e0", "1e1"]),  # two or more decades: the decades alone
+            (-0.3, 0.6, ["1e0", "2e0", "3e0"]),  # one decade: the multiples of it
+            (1.08, 1.5, ["2e1", "3e1"]),
+            (-3.2, -2.8, [f"{m}e-4" for m in range(7, 16)]),  # 1e-3 alone is one tick
+        ],
+    )
+    def test_ticks(self, lo, hi, labels):
+        ticks = svg._ticks(lo, hi)
+        assert [label for _, label in ticks] == labels
+        assert all(lo <= math.log10(value) <= hi for value, _ in ticks)
 
     def test_held_out_markers_are_open(self):
         runset, _ = ar32_synth(702)

@@ -105,6 +105,19 @@ class TestValidation:
                 noise="cauchy",
             )
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(seeds_per_scale=0), "^seeds_per_scale must be >= 1, got 0$"),
+            (dict(sigma_fin=-0.1), "^noise levels must be nonnegative$"),
+            (dict(direction="up"), "^unknown direction token 'up'$"),
+        ],
+    )
+    def test_bad_field_rejected(self, change, message):
+        spec = dict(true_alpha=0.1, true_log_c=0.0, scales=tuple(AR32), seeds_per_scale=1)
+        with pytest.raises(DataError, match=message):
+            sf.SynthSpec(**{**spec, **change})
+
     def test_direction_is_stored(self):
         runset, _ = ar32_synth(7, direction="maximize")
         assert runset.direction == "maximize"

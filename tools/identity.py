@@ -7,7 +7,8 @@ It writes the workload inputs of ``SEED`` with the tree's own
 ``perfbench/workloads.py`` (imported, never modified) and the literal
 ``BAD_INPUTS``, ``BAD_CURVES`` and ``RUN_SETS``, and runs every command of the
 three workload mixes, plus ``extras``, in-process through the tree's
-``scalefit.cli.run``.
+``scalefit.cli.run``.  The extras include ``--help`` of the program, of
+``diagnose`` and of each subcommand, so the parser's text is compared too.
 For each command it takes the sha256 of stdout, of stderr, of the exit code
 and of every file the command wrote; each workload input file gets one too.
 
@@ -94,6 +95,12 @@ def _run_set(sizes: tuple) -> str:
         for seed in range(seeds)
     )
 
+
+# The argv of each subcommand whose --help is compared.
+HELP_PATHS = (
+    (), ("diagnose",), ("fit",), ("bootstrap",), ("predict",), ("holdout",), ("select",), ("flops",),
+    ("diagnose", "earlystop"), ("diagnose", "fit-outlier"), ("synth",), ("plot",),
+)
 
 # Label -> (file, text) of good run sets, each bootstrapped in both modes.
 RUN_SETS = {
@@ -203,6 +210,8 @@ def extras(name: str, mix: dict) -> dict:
     if name in RUN_SETS:
         boot = ("bootstrap", "--input", RUN_SETS[name][0], "--B", "200", "--seed", str(SEED), "--replicates")
         return {f"bootstrap --mode {m} --replicates": (*boot, "--mode", m) for m in ("hierarchical", "naive")}
+    if name == "help":
+        return {" ".join(("scalefit", *path, "--help")): (*path, "--help") for path in HELP_PATHS}
     if name == "bad input":
         curves = {file: ("diagnose", "earlystop", "--curve", file, "--patience", "2") for file in BAD_CURVES}
         return {**{file: ("fit", "--input", file) for file in BAD_INPUTS}, **curves}
@@ -236,7 +245,7 @@ def collect(tree: Path) -> tuple[dict, dict]:
         os.chdir(tmp)
         for file, text in {**BAD_INPUTS, **BAD_CURVES, **dict(RUN_SETS.values())}.items():
             Path(file).write_text(text, encoding="utf-8", errors="surrogateescape")
-        for name in (*workloads.WORKLOADS, "synth", *RUN_SETS, "bad input"):
+        for name in (*workloads.WORKLOADS, "synth", *RUN_SETS, "bad input", "help"):
             mix = {}
             if name in workloads.WORKLOADS:
                 workload = workloads.WORKLOADS[name](SEED)
