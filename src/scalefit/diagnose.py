@@ -59,37 +59,45 @@ def load_loss_curve(path: str | Path) -> LossCurve:
     """Read a two-column CSV (header ``step,eval_loss`` required) with
     :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  The
     line reader stops at the first line holding a byte that is not UTF-8, a
-    bad row.  The first row that does not parse raises DataError naming it;
-    once all have parsed, so does the first point :class:`LossCurve` rejects."""
+    bad row.  The first bad row in file order raises DataError naming it: a
+    row that does not parse, whose step does not exceed the step before it,
+    or whose loss is not positive and finite, checked in that order."""
     path = Path(path)
-    steps, losses, numbers = [], [], []  # numbers: each chunk's row numbers of its points
+    steps, losses = [], []
     with open_csv(path) as (header, chunks):
         if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
             raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
         for where, rows in chunks:
+            start, error = len(steps), None
             try:  # both columns at once; a chunk with a blank, short or bad row goes row by row
-                chunk_steps = list(map(int, map(operator.itemgetter(0), rows)))
-                chunk_losses = list(map(float, map(operator.itemgetter(1), rows)))
+                steps += map(int, map(operator.itemgetter(0), rows))
+                losses += map(float, map(operator.itemgetter(1), rows))
             except (ValueError, IndexError):
+                del steps[start:], losses[start:]
+                parsed = []  # the row numbers of the chunk's points
                 for number, row in zip(where.tolist(), rows):
                     if not any(map(str.strip, row)):
                         continue
                     try:
-                        steps.append(int(row[0]))
-                        losses.append(float(row[1]))
+                        step, loss = int(row[0]), float(row[1])
                     except (ValueError, IndexError):
-                        raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
-                    numbers.append([number])
-            else:
-                steps += chunk_steps
-                losses += chunk_losses
-                numbers.append(where)
-    try:
-        return LossCurve(steps=tuple(steps), losses=tuple(losses))
-    except DataError as exc:
-        for index, _ in _faults(steps, losses):  # the point found again, on the error path only
-            raise DataError(f"row {np.concatenate(numbers)[index]}: {exc}") from None
-        raise  # an empty curve
+                        error = DataError(f"row {number}: expected 'step,eval_loss' integers/floats")
+                        break
+                    steps.append(step)
+                    losses.append(loss)
+                    parsed.append(number)
+                where = parsed
+            # The rules on the chunk's points and the last point before them, which passed.
+            before = max(start - 1, 0)
+            for index, message in sorted(_faults(steps[before:], losses[before:]), key=operator.itemgetter(0))[:1]:
+                raise DataError(f"row {where[before + index - start]}: {message}")
+            if error is not None:
+                raise error
+    if not steps:
+        return LossCurve(steps=(), losses=())  # raises: a curve has a point
+    curve = object.__new__(LossCurve)  # each point is checked above: not again in __post_init__
+    vars(curve).update(steps=tuple(steps), losses=tuple(losses))
+    return curve
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,15 @@ object per line; CSV uses the same keys as a header row, UTF-8, comma
 separated, ``.`` decimal point.
 
 Records are held as numpy columns: :func:`ingest` checks a file a chunk of
-rows and a column at a time, as integer codes, into a
-:class:`RecordTable`, :func:`group`
-splits it into run sets with one lexsort, and :class:`RunRecord` objects
-are built only when ``records`` is read.  The column checks only pass or
-fail a chunk; the rows of a chunk that fails them are read again one at a
-time, by the reader that read the chunk, and checked by :func:`_record`,
-whose statement order is the order of one row's checks.  The first bad
-row raises ``row N: <its first failed check>``.
+rows at a time into a :class:`RecordTable`, numbering each row's scale,
+label, seeds and tokens by five keys of its cells, each distinct key
+checked once; :func:`group` splits it into run sets with one lexsort, and
+:class:`RunRecord` objects are built only when ``records`` is read.  The
+key checks and the value column's check only pass or fail a chunk; the
+rows of a chunk that fails them are read again one at a time, by the
+reader that read the chunk, and checked by :func:`_record`, whose
+statement order is the order of one row's checks.  The first bad row
+raises ``row N: <its first failed check>``.
 
 Each file is read once, with each byte that is not UTF-8 decoded as its
 surrogate escape.  The line reader, :func:`_line_chunks`, ends the file at
@@ -474,60 +475,52 @@ _LABEL_FIELDS = ("task", "family", "metric", "direction")
 _SEED_FIELDS = ("pretrain_seed", "finetune_seed")
 
 
-class _Codes:
-    """The distinct cells of one field, each checked once and numbered:
-    :meth:`codes` maps a chunk's cells to their numbers, ``checked`` holds
-    each number's checked cell and ``missing`` the numbers whose checked
-    cell is None."""
+def _checked(fields: Sequence[str], key: tuple) -> tuple:
+    """The cells of a key of ``fields``, each checked by its ``_CHECKS`` entry."""
+    return tuple(_CHECKS[f](cell) for f, cell in zip(fields, key))
 
-    def __init__(self, check) -> None:
+
+class _Codes:
+    """The distinct keys of the cells of ``fields``, each checked once by
+    ``check`` and numbered in order of first appearance: :meth:`codes` maps
+    a chunk's rows to the numbers of their keys, ``checked`` holds each
+    number's checked key and ``missing`` the numbers whose checked key is
+    None.  The key of one field is its cell, and of more the tuple of them."""
+
+    def __init__(self, fields: Sequence[str], check) -> None:
+        self.fields = fields
         self.check = check
-        self.number: dict = {}  # cell -> its number
+        self.number: dict = {}  # key -> its number
         self.checked: list = []
         self.missing: list[int] = []
 
-    def codes(self, cells: Sequence) -> np.ndarray:
-        """The number of each cell; a cell not seen before is checked, which
-        may raise DataError, and numbered first."""
-        if not set(map(type, cells)) <= _PLAIN_CELLS:
-            # 1, 1.0 and True are one dict key, yet check differently.  A
-            # checked cell checks to itself, so it can stand for its cell.
-            cells = list(map(self.check, cells))
-        if self.number:  # before any cell is numbered, every cell is new
+    def codes(self, cells: dict) -> np.ndarray:
+        """The number of each row's key in a chunk's ``cells``; a key not
+        seen before is checked, which may raise DataError, and numbered first."""
+        # 1, 1.0 and True are one dict key, yet check differently.  A checked
+        # cell checks to itself, so it can stand for its cell.
+        columns = [
+            cells[f] if set(map(type, cells[f])) <= _PLAIN_CELLS else list(map(_CHECKS[f], cells[f]))
+            for f in self.fields
+        ]
+        keys = functools.partial(zip, *columns) if len(columns) > 1 else columns[0].__iter__
+        if self.number:  # before any key is numbered, every key is new
             try:
-                return np.fromiter(map(self.number.__getitem__, cells), np.intp, len(cells))
-            except KeyError:  # a cell not seen before
+                return np.fromiter(map(self.number.__getitem__, keys()), np.intp, len(columns[0]))
+            except KeyError:  # a key not seen before
                 pass
-        for cell in dict.fromkeys(cells):
-            if cell not in self.number:
-                checked = self.check(cell)
+        for key in dict.fromkeys(keys()):
+            if key not in self.number:
+                checked = self.check(key)
                 if checked is None:
                     self.missing.append(len(self.checked))
-                self.number[cell] = len(self.checked)
+                self.number[key] = len(self.checked)
                 self.checked.append(checked)
-        return np.fromiter(map(self.number.__getitem__, cells), np.intp, len(cells))
+        return np.fromiter(map(self.number.__getitem__, keys()), np.intp, len(columns[0]))
 
     def resolved(self, codes: np.ndarray, default: int) -> np.ndarray:
         """The checked integers of ``codes``, ``default`` where missing (see :func:`_ints`)."""
         return _ints([default if v is None else v for v in self.checked])[codes]
-
-
-def _distinct(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows where each distinct row of the integer ``columns`` first
-    appears, in row order, and each row's index into those rows.  Column
-    ``j`` holds values in ``range(sizes[j])``."""
-    key, bound = columns[0], sizes[0]
-    for column, size in zip(columns[1:], sizes[1:]):
-        if bound * size > 2**63:  # key * size + column could overflow: renumber both below len(key)
-            key, column = (np.unique(c, return_inverse=True)[1] for c in (key, column))
-            bound = size = len(key)
-        key = key * size + column
-        bound *= size
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
 
 
 def _values(cells: Sequence) -> np.ndarray:
@@ -546,63 +539,55 @@ def _values(cells: Sequence) -> np.ndarray:
 
 class _Columns:
     """Checked columns of one file, added a chunk of rows at a time as
-    integer codes: each field's cells are numbered by its :class:`_Codes`,
-    and the scale and label of a row are numbered, in order of first
-    appearance, by the distinct combinations of those numbers."""
+    integer codes.  Five :class:`_Codes` number each row's keys: its
+    (layers, hidden, params) cells, whose check numbers their scale in
+    ``scales``; its (task, family, metric, direction) cells, whose check
+    numbers their label in ``labels``; and its pretrain seed, finetune seed
+    and tokens.  Scales and labels are numbered in order of first appearance."""
 
     def __init__(self) -> None:
-        self.fields = {field: _Codes(check) for field, check in _CHECKS.items()}
-        self.scales: dict[ScaleSpec, int] = {}
-        self.labels: dict[tuple, int] = {}
-        # Each column's chunks, after an empty one that gives the column its dtype.
-        self.columns: dict[str, list[np.ndarray]] = {
-            name: [np.empty(0, dtype=np.intp)] for name in ("code", "label", *_SEED_FIELDS, "tokens")
+        # The checks close over the two dicts, not over self: a cycle through
+        # self would hold each file's columns until a full garbage collection.
+        scales, labels = self.scales, self.labels = {}, {}  # scale -> code, label -> code
+        scale = lambda key: scales.setdefault(_scale(*_checked(_SCALE_FIELDS, key)), len(scales))
+        label = lambda key: labels.setdefault(_checked(_LABEL_FIELDS, key), len(labels))
+        self.keys = {
+            "code": _Codes(_SCALE_FIELDS, scale),
+            "label": _Codes(_LABEL_FIELDS, label),
+            **{f: _Codes((f,), _CHECKS[f]) for f in (*_SEED_FIELDS, "tokens")},
         }
+        # Each column's chunks, after an empty one that gives the column its dtype.
+        self.columns: dict[str, list[np.ndarray]] = {name: [np.empty(0, dtype=np.intp)] for name in self.keys}
         self.columns["value"] = [np.empty(0)]
         self.defaulted = 0
         self.first_default: str | None = None
 
-    def _number(self, codes: dict, fields: Sequence[str], numbers: dict, make) -> np.ndarray:
-        """Each row's number in ``numbers`` of ``make`` applied to its checked
-        ``fields``; a new value is numbered in order of first appearance."""
-        first, inverse = _distinct([codes[f] for f in fields], [len(self.fields[f].checked) for f in fields])
-        checked = [self.fields[f].checked for f in fields]
-        index = [
-            numbers.setdefault(make(*map(list.__getitem__, checked, key)), len(numbers))
-            for key in zip(*(codes[f][first].tolist() for f in fields))
-        ]
-        return np.array(index, dtype=np.intp)[inverse]
-
     def add(self, cells: dict, where: np.ndarray) -> None:
-        """Check one chunk's cells a column at a time and append them; ``where``
+        """Check one chunk's cells a key at a time and append them; ``where``
         numbers its rows.  A failed check raises DataError without naming a row."""
-        codes = {field: self.fields[field].codes(cells[field]) for field in _CHECKS}
-        code = self._number(codes, _SCALE_FIELDS, self.scales, _scale)
-        values = _values(cells["value"])
-        label = self._number(codes, _LABEL_FIELDS, self.labels, lambda *key: key)
-
-        if any(self.fields[f].missing for f in _SEED_FIELDS):
-            pre, fin = (np.isin(codes[f], self.fields[f].missing) for f in _SEED_FIELDS)
+        codes = {name: keys.codes(cells) for name, keys in self.keys.items()}
+        codes["value"] = _values(cells["value"])
+        if any(self.keys[f].missing for f in _SEED_FIELDS):
+            pre, fin = (np.isin(codes[f], self.keys[f].missing) for f in _SEED_FIELDS)
             defaulted = pre | fin
             if defaulted.any():
                 row = int(np.argmax(defaulted))
                 self.defaulted += int(pre.sum() + fin.sum())
                 self.first_default = self.first_default or f"row {where[row]}:{_SEED_FIELDS[0 if pre[row] else 1]}"
-        chunk = dict(code=code, label=label, value=values, **{f: codes[f] for f in (*_SEED_FIELDS, "tokens")})
-        for name, column in chunk.items():
+        for name, column in codes.items():
             self.columns[name].append(column)
 
     def table(self) -> RecordTable:
         c = {name: np.concatenate(parts) for name, parts in self.columns.items()}
-        pre, fin = (self.fields[f].resolved(c[f], 0) for f in _SEED_FIELDS)  # missing: seed 0
+        code, label, pre, fin = (self.keys[n].resolved(c[n], 0) for n in ("code", "label", *_SEED_FIELDS))
         return RecordTable(
             tuple(self.scales),
-            c["code"],
+            code,
             c["value"],
-            np.column_stack((pre, fin)),
-            self.fields["tokens"].resolved(c["tokens"], -1),
+            np.column_stack((pre, fin)),  # a missing seed is seed 0
+            self.keys["tokens"].resolved(c["tokens"], -1),
             tuple(self.labels),
-            c["label"],
+            label,
         )
 
 
@@ -759,11 +744,11 @@ def _add_chunks(columns: _Columns, chunks, cells) -> None:
 def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
-    The file is read once.  Rows are parsed a chunk at a time and checked a
-    column at a time.  A chunk that fails these checks is read again a row
-    at a time, from the rows in memory, and the first bad row in file order
-    raises :class:`DataError` naming the row number and its first failed
-    check.  The line reader stops at the first line holding a byte that is
+    The file is read once.  Rows are parsed a chunk at a time, and each
+    distinct key of cells is checked once.  A chunk that fails these checks
+    is read again a row at a time, from the rows in memory, and the first
+    bad row in file order raises :class:`DataError` naming the row number
+    and its first failed check.  The line reader stops at the first line holding a byte that is
     not UTF-8, a bad row too: ``row N: not valid UTF-8``.  A CSV header must
     name known fields, each once.  Rows missing seed fields get seed 0 and
     a single summary warning for the file.  Returns the columns as a

@@ -94,9 +94,12 @@ class _Axes:
 
 
 def _log_range(values: list[float]) -> tuple[float, float]:
+    """The padded log10 range of ``values``.  A range narrower than 1e-6 is
+    widened to a decade: its :func:`_ticks` would have labels of 8 or more
+    digits and, with the exponent, over 12 characters, past the left margin."""
     lo = math.log10(min(values))
     hi = math.log10(max(values))
-    if hi - lo < 1e-12:
+    if hi - lo < 1e-6:
         return lo - 0.5, hi + 0.5
     pad = 0.04 * (hi - lo)
     return lo - pad, hi + pad

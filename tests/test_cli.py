@@ -461,12 +461,15 @@ class TestUndecodableInput:
         elif fmt == "csv":
             head, good = self.HEADER + "\n", "1,32,t,f,m,1.0,min\n"
             bad_value, bad_byte = good.replace("1.0", "-1.0"), good.replace(",t,", ",caf\xe9,")
-        else:  # a loss curve; a good row takes 48 bytes, so 200 of them pass the first 8 KiB
-            head, good = "step,eval_loss\n", "0,1.0\n" if good_rows == 1 else "0,1." + "0" * 44 + "\n"
+        else:  # a loss curve
+            head, good = "step,eval_loss\n", "0,1.0\n"
             bad_value, bad_byte = "1,abc\n", "2,0.\xe99\n"
+        lead = good * good_rows
+        if fmt == "curve" and good_rows > 1:  # rows of 49 bytes, so 200 of them pass the first 8 KiB; steps increase
+            lead = "".join(f"{step:03d},1.{'0' * 42}\n" for step in range(good_rows))
         path = tmp_path / ("bad.csv" if fmt == "curve" else f"bad.{fmt}")
-        path.write_bytes((head + good * good_rows + bad_value + good * gap + bad_byte).encode("latin-1"))
-        row = (head + good * good_rows).count("\n") + 1
+        path.write_bytes((head + lead + bad_value + good * gap + bad_byte).encode("latin-1"))
+        row = (head + lead).count("\n") + 1
         argv, message = ["fit", "--input", str(path)], "value must be positive"
         if fmt == "curve":
             argv = ["diagnose", "earlystop", "--curve", str(path), "--patience", "2"]

@@ -230,8 +230,12 @@ class TestLossCurve:
         "text, message",
         [("step,eval_loss\n1,2.0\n2,-1.0\n", "row 3: losses must be positive and finite, got -1.0"),
          ("step,eval_loss\n1,2.0\n3,1.0\n3,0.5\n", "row 4: steps must be strictly increasing, got 3 then 3"),
-         ("step,eval_loss\n1,2.0\n  ,  \n\n2,nan\n", "row 5: losses must be positive and finite, got nan")],
-        ids=["loss", "step", "after-skipped-rows"],
+         ("step,eval_loss\n1,2.0\n  ,  \n\n2,nan\n", "row 5: losses must be positive and finite, got nan"),
+         ("step,eval_loss\n1,2.0\n2,-1.0\n3,1.0\nx,1\n", "row 3: losses must be positive and finite, got -1.0"),
+         ("step,eval_loss\n1,-1.0\n2,1.0\n2,1.0\n", "row 2: losses must be positive and finite, got -1.0"),
+         ("step,eval_loss\n1,2.0\n1,nan\n", "row 3: steps must be strictly increasing, got 1 then 1")],
+        ids=["loss", "step", "after-skipped-rows", "loss-before-unparsable-row", "loss-before-step",
+             "step-and-loss-in-one-row"],
     )
     def test_value_fault_named_by_its_row(self, tmp_path, monkeypatch, text, message, chunk):
         monkeypatch.setattr(sf.records, "_CHUNK", chunk)
@@ -269,10 +273,10 @@ class TestLossCurve:
 
 
 def row_by_row_curve(path):
-    """The loss curve loader as one loop over the rows: the reference.  A
-    point that ``LossCurve`` rejects is named by its row: the first step that
-    does not increase, else the first loss that is not positive and finite."""
-    steps, losses, numbers = [], [], []
+    """The loss curve loader as one loop over the rows: the reference.  Each
+    row is checked in full before the next, in this order: it parses, its
+    step exceeds the step before it, and its loss is positive and finite."""
+    steps, losses = [], []
     with open_csv(path) as (header, chunks):
         if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
             raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
@@ -281,19 +285,16 @@ def row_by_row_curve(path):
                 if not any(map(str.strip, row)):
                     continue
                 try:
-                    steps.append(int(row[0]))
-                    losses.append(float(row[1]))
+                    step, loss = int(row[0]), float(row[1])
                 except (ValueError, IndexError):
                     raise DataError(f"row {number}: expected 'step,eval_loss' integers/floats") from None
-                numbers.append(number)
-    try:
-        return sf.LossCurve(steps=tuple(steps), losses=tuple(losses))
-    except DataError as exc:
-        if not steps:
-            raise
-        stalls = [n for n, a, b in zip(numbers[1:], steps, steps[1:]) if b <= a]
-        bad = [n for n, loss in zip(numbers, losses) if not (loss > 0 and math.isfinite(loss))]
-        raise DataError(f"row {(stalls or bad)[0]}: {exc}") from None
+                if steps and step <= steps[-1]:
+                    raise DataError(f"row {number}: steps must be strictly increasing, got {steps[-1]} then {step}")
+                if not (loss > 0 and math.isfinite(loss)):
+                    raise DataError(f"row {number}: losses must be positive and finite, got {loss}")
+                steps.append(step)
+                losses.append(loss)
+    return sf.LossCurve(steps=tuple(steps), losses=tuple(losses))
 
 
 def curve_outcome(load, path):

@@ -343,6 +343,18 @@ class TestIngest:
 
 
 CSV_HEADER = ",".join(sf.records.RECORD_FIELDS)
+# Rows whose scale and label cells differ but check alike: layers 1, "1" or
+# 1.0, params left out or given as 12 * 1 * 32**2, task 5 or "5", direction
+# "min" or "minimize".  Two rows a chunk puts each form on both sides of a
+# chunk boundary.
+MIXED_CELLS = [
+    dict(BASE_ROW, layers="1", task=5, direction="min"),
+    dict(BASE_ROW, layers=1, params=12288, task="5", direction="minimize"),
+    dict(BASE_ROW, layers=1.0, task="5", direction="minimize"),
+    dict(BASE_ROW, layers=1, task=5, direction="min"),
+    dict(BASE_ROW, layers="1", params=12288, task="5", direction="min"),
+    dict(BASE_ROW, layers=1.0, params=12288, task=5, direction="minimize"),
+]
 GOOD_CELLS = "1,32,,t,mlm,0,0,f1,50.0,max,"
 
 
@@ -379,13 +391,13 @@ class TestIngestEdgeCases:
     @pytest.mark.parametrize("bad_row", [False, True], ids=["byte-only", "bad-row-then-byte"])
     @pytest.mark.parametrize("kind", ["jsonl", "csv", "curve"])
     def test_a_byte_that_is_not_utf8_fails_in_one_read_of_the_file(self, tmp_path, monkeypatch, kind, bad_row):
-        head, good, bad = {
-            "jsonl": ("", json.dumps(BASE_ROW), json.dumps(dict(BASE_ROW, value=-1.0))),
-            "csv": (CSV_HEADER + "\n", GOOD_CELLS, GOOD_CELLS.replace("50.0", "-1.0")),
-            "curve": ("step,eval_loss\n", "0,1.0", "1,abc"),
+        head, goods, bad = {  # two good rows: a curve's steps increase
+            "jsonl": ("", [json.dumps(BASE_ROW)] * 2, json.dumps(dict(BASE_ROW, value=-1.0))),
+            "csv": (CSV_HEADER + "\n", [GOOD_CELLS] * 2, GOOD_CELLS.replace("50.0", "-1.0")),
+            "curve": ("step,eval_loss\n", ["0,1.0", "1,1.0"], "1,abc"),
         }[kind]
         path = tmp_path / ("curve.csv" if kind == "curve" else f"runs.{kind}")
-        rows = [good, bad if bad_row else good, "\udce9"]  # byte 0xe9 alone on the last line
+        rows = [goods[0], bad if bad_row else goods[1], "\udce9"]  # byte 0xe9 alone on the last line
         path.write_text(head + "\n".join(rows) + "\n", encoding="utf-8", errors="surrogateescape")
         line = head.count("\n") + (2 if bad_row else 3)
         opened = []
@@ -497,9 +509,14 @@ class TestIngestEdgeCases:
               '"direction": "max"} , ' + json.dumps(BASE_ROW)], 4096, "row 1: invalid JSON (Expecting ',' delimiter)"),
             ([dict(BASE_ROW, task="x{y"), "  " + json.dumps(BASE_ROW)], 4096,
              dict(labels=(("x{y", "mlm", "f1", "maximize"), ("t", "mlm", "f1", "maximize")), label=([0, 1], "i"))),
+            (MIXED_CELLS, 2, dict(scales=(sf.ScaleSpec.from_dims(1, 32),), code=([0] * 6, "i"),
+                                  labels=(("5", "mlm", "f1", "minimize"),), label=([0] * 6, "i"))),
+            ([dict(BASE_ROW, layers=v) for v in (1, "1", True)], 4096, "row 3: field 'layers' must be an integer"),
+            ([dict(BASE_ROW, layers=v) for v in (1, True)], 1, "row 2: field 'layers' must be an integer"),
         ],
         ids=["one-and-one-point-zero", "true-among-ones", "huge-seeds", "first-seen-in-later-chunks", "blank-chunks",
-             "object-across-lines", "record-across-lines", "brace-in-string-and-indent"],
+             "object-across-lines", "record-across-lines", "brace-in-string-and-indent", "cells-that-check-alike",
+             "true-layers-among-ones", "true-layers-after-one"],
     )
     def test_column_codes(self, tmp_path, monkeypatch, rows, chunk, expected):
         monkeypatch.setattr(sf.records, "_CHUNK", chunk)
@@ -512,13 +529,6 @@ class TestIngestEdgeCases:
         table = sf.ingest(path)
         got = {name: getattr(table, name) for name in expected}
         assert {k: (v.tolist(), v.dtype.kind) if isinstance(v, np.ndarray) else v for k, v in got.items()} == expected
-
-    def test_distinct_rows_of_columns_too_wide_for_one_int64_key(self):
-        big = 2**62
-        columns = [np.array([big, 0, big, big]), np.array([0, 1, 1, 0]), np.array([5, 5, 5, 5])]
-        first, index = sf.records._distinct(columns, [big + 1, 2, 2**40])
-        assert first.tolist() == [0, 1, 2]
-        assert index.tolist() == [0, 1, 2, 0]
 
     def test_chunk_failing_only_its_column_checks_is_an_internal_error(self, tmp_path, monkeypatch):
         path = tmp_path / "runs.jsonl"

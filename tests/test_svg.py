@@ -2,6 +2,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import scalefit as sf
@@ -126,6 +127,14 @@ class TestRenderPlot:
         ticks = svg._ticks(lo, hi)
         assert [label for _, label in ticks] == labels
         assert all(lo <= math.log10(value) <= hi for value, _ in ticks)
+
+    @pytest.mark.parametrize("base", [1.0, 2.3e-9, 9.99e5, 1e-300, 5.5e300])
+    def test_narrow_ranges_get_labels_of_at_most_12_characters(self, base):
+        # 12 characters of font size 11 fit the 80 px left margin
+        for span in np.logspace(-15, 0, 301):
+            ticks = svg._ticks(*svg._log_range([base, base * (1 + span)]))
+            assert len(ticks) >= 2
+            assert max(len(label) for _, label in ticks) <= 12, (base, span, ticks)
 
     def test_held_out_markers_are_open(self):
         runset, _ = ar32_synth(702)

@@ -65,6 +65,8 @@ BAD_INPUTS = {
         _CSV + "1,32,t,f,0,0,m,-1.0,min\n" + '1,32,"t\ncaf\udce9",f,0,0,m,1.0,min\n'
     ),
     "field-twice.csv": _CSV.replace("direction\n", "direction,layers\n").replace("min\n", "min,2\n"),
+    # true and 1 are one dict key, but true is no integer
+    "true-layers.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"layers": 1', '"layers": true'),
     "control-label.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"a\\u0001b"'),
     # A bad row ahead of a byte that is not UTF-8, in the decoder's first
     # buffer: the bad row is the first in file order.
@@ -76,12 +78,14 @@ BAD_INPUTS = {
         + _GOOD_ROW.replace('"t"', '"caf\udce9"')
     ),
 }
-# A loss curve with a bad row ahead of a byte that is not UTF-8, and two
-# whose cells parse but break the curve's rules.
+# A loss curve with a bad row ahead of a byte that is not UTF-8, two whose
+# cells parse but break the curve's rules, and one that breaks a rule ahead
+# of a row that does not parse.
 BAD_CURVES = {
     "bad-row-before-bad-byte-curve.csv": "step,eval_loss\n0,1.0\n1,abc\n2,0.\udce99\n",
     "negative-loss-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n",
     "repeated-step-curve.csv": "step,eval_loss\n1,2.0\n3,1.0\n3,0.5\n",
+    "negative-loss-before-bad-row-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n3,1.0\nx,1\n",
 }
 
 
@@ -96,19 +100,38 @@ def _run_set(sizes: tuple) -> str:
     )
 
 
+def _mixed_cells() -> str:
+    """A good run set whose scale and label cells take forms that check
+    alike: layers 1, "1" or 1.0, params left out or given as 12 * L * H**2,
+    task 5 or "5" and direction "min" or "minimize"."""
+    rows = []
+    for layers in range(1, 6):
+        for seed in range(4):
+            row = json.loads(_GOOD_ROW)
+            row.update(layers=(layers, str(layers), float(layers))[(layers + seed) % 3], hidden=32 * layers,
+                       task=(5, "5")[seed % 2], finetune_seed=seed, direction=("min", "minimize")[layers % 2],
+                       value=round(layers ** -0.1 * (1 + 0.01 * seed), 6))
+            if (layers + seed) % 2:
+                row["params"] = 12 * layers * (32 * layers) ** 2
+            rows.append(json.dumps(row) + "\n")
+    return "".join(rows)
+
+
 # The argv of each subcommand whose --help is compared.
 HELP_PATHS = (
     (), ("diagnose",), ("fit",), ("bootstrap",), ("predict",), ("holdout",), ("select",), ("flops",),
     ("diagnose", "earlystop"), ("diagnose", "fit-outlier"), ("synth",), ("plot",),
 )
 
-# Label -> (file, text) of good run sets, each bootstrapped in both modes.
+# Label -> (file, text) of good run sets, each fitted and bootstrapped in both modes.
 RUN_SETS = {
     # scales of 1 to 4 records, one of them a single record
     "mixed sizes": ("mixed.jsonl", _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))),
     # 4 scales of 1, 1, 1 and 2 records: so many first draws are degenerate
     # that some blocks of a band are drawn again, and others are not
     "redraws": ("redraws.jsonl", _run_set(((1, 1), (2, 1), (3, 1), (4, 2)))),
+    # five scales and one label, their cells given in several forms
+    "mixed cells": ("mixed-cells.jsonl", _mixed_cells()),
 }
 
 
@@ -209,7 +232,8 @@ def extras(name: str, mix: dict) -> dict:
         }
     if name in RUN_SETS:
         boot = ("bootstrap", "--input", RUN_SETS[name][0], "--B", "200", "--seed", str(SEED), "--replicates")
-        return {f"bootstrap --mode {m} --replicates": (*boot, "--mode", m) for m in ("hierarchical", "naive")}
+        modes = {f"bootstrap --mode {m} --replicates": (*boot, "--mode", m) for m in ("hierarchical", "naive")}
+        return {"fit": ("fit", "--input", RUN_SETS[name][0]), **modes}
     if name == "help":
         return {" ".join(("scalefit", *path, "--help")): (*path, "--help") for path in HELP_PATHS}
     if name == "bad input":
