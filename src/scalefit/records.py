@@ -17,7 +17,10 @@ key checks and the value column's check only pass or fail a chunk; the
 rows of a chunk that fails them are read again one at a time, by the
 reader that read the chunk, and checked by :func:`_record`, whose
 statement order is the order of one row's checks.  The first bad row
-raises ``row N: <its first failed check>``.
+raises ``row N: <its first failed check>``.  In-memory :class:`RunRecord`
+objects are a third chunk reader beside the JSONL and CSV ones: :func:`group`
+checks record N as row N of a file, and :func:`emit` writes a table or
+records from the same per-field cells, :func:`_cells`.
 
 Each file is read once, with each byte that is not UTF-8 decoded as its
 surrogate escape.  The line reader, :func:`_line_chunks`, ends the file at
@@ -323,45 +326,16 @@ def _scale_key(s: ScaleSpec) -> tuple:
     return (s.params, -1 if s.layers is None else s.layers, -1 if s.hidden is None else s.hidden)
 
 
-def _integers(values: list, field: str) -> np.ndarray:
-    """In-memory seeds or token counts as :func:`_ints`; DataError for one that is not an integer."""
-    if set(map(type, values)) - {int}:  # a bool, a numpy integer, or a float that int() would truncate
-        for value in values:
-            with contextlib.suppress(TypeError, ValueError, OverflowError):
-                if int(value) == value:
-                    continue
-            raise DataError(f"field {field!r} must be an integer, got {value!r}")
-    return _ints(list(map(int, values)))
-
-
-def _table(records: Iterable[RunRecord]) -> RecordTable:
-    """Columns of in-memory records."""
-    recs = tuple(records)
-    scales: dict[ScaleSpec, int] = {}
-    labels: dict[tuple, int] = {}
-    code = [scales.setdefault(r.scale, len(scales)) for r in recs]
-    label = [labels.setdefault((r.task, r.family, r.metric, r.direction), len(labels)) for r in recs]
-    seeds = [_integers([getattr(r, f) for r in recs], f) for f in _SEED_FIELDS]
-    return RecordTable(
-        tuple(scales),
-        np.array(code, dtype=np.intp),
-        np.array([r.value for r in recs], dtype=float),
-        np.column_stack(seeds),
-        _integers([-1 if r.tokens is None else r.tokens for r in recs], "tokens"),
-        tuple(labels),
-        np.array(label, dtype=np.intp),
-    )
-
-
 def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, str], RunSet]:
     """Partition records into RunSets keyed by (task, family, metric).
 
-    Takes what :func:`ingest` returns, or any iterable of :class:`RunRecord`.
-    One lexsort puts the rows in canonical order.  Every record lands in
-    exactly one RunSet; a direction disagreement within a key raises
-    :class:`DataError`.
+    Takes what :func:`ingest` returns, or any iterable of :class:`RunRecord`,
+    whose cells are checked as the rows of a file are, record N as row N
+    (a missing seed warns, naming the source ``records``).  One lexsort puts
+    the rows in canonical order.  Every record lands in exactly one RunSet;
+    a direction disagreement within a key raises :class:`DataError`.
     """
-    table = records if isinstance(records, RecordTable) else _table(records)
+    table = records if isinstance(records, RecordTable) else _add_chunks(_record_chunks(records), _cells, "records")
     keys = sorted({label[:3] for label in table.labels})
     key_of = np.array([keys.index(label[:3]) for label in table.labels], dtype=np.intp)[table.label]
     order = sorted(range(len(table.scales)), key=lambda k: _scale_key(table.scales[k]))
@@ -383,8 +357,8 @@ def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, st
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool):
         raise DataError(f"field {field!r} must be an integer")
-    if isinstance(value, int):
-        return value
+    if isinstance(value, (int, np.integer)):  # a numpy integer comes from memory, never from a file
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, str):
@@ -395,8 +369,12 @@ def _as_int(value, field: str) -> int:
     raise DataError(f"field {field!r} must be an integer, got {_shown(value)}")
 
 
+# The cells :func:`_as_float` reads, bools aside; numpy numbers come from memory, never from a file.
+_NUMBER_CELLS = (int, float, str, np.integer, np.floating)
+
+
 def _as_float(value, field: str) -> float:
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    if isinstance(value, _NUMBER_CELLS) and not isinstance(value, bool):
         try:
             return float(value)  # strips surrounding whitespace from a string
         except OverflowError:
@@ -503,6 +481,10 @@ class _Codes:
             cells[f] if set(map(type, cells[f])) <= _PLAIN_CELLS else list(map(_CHECKS[f], cells[f]))
             for f in self.fields
         ]
+        rows = len(columns[0])
+        if rows > 1 and all(column.count(column[0]) == rows for column in columns):
+            # Every row holds the first row's key (count compares cells as dict keys do): look it up alone.
+            return np.full(rows, self.codes({f: column[:1] for f, column in zip(self.fields, columns)})[0])
         keys = functools.partial(zip, *columns) if len(columns) > 1 else columns[0].__iter__
         if self.number:  # before any key is numbered, every key is new
             try:
@@ -526,7 +508,8 @@ class _Codes:
 def _values(cells: Sequence) -> np.ndarray:
     """The value column parsed in bulk; raises DataError unless every cell
     is a finite positive number."""
-    if not set(map(type, cells)) <= {float, int, str}:
+    kinds = set(map(type, cells))
+    if bool in kinds or not all(issubclass(kind, _NUMBER_CELLS) for kind in kinds):
         raise DataError("value must be a number")
     try:
         v = np.fromiter(map(float, cells), float, len(cells))  # what _as_float does to each cell
@@ -637,9 +620,19 @@ def _json_chunks(fh):
         yield _numbered(chunk, first + np.arange(len(chunk)), map(str.isspace, chunk))
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's members as a dict; DataError if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        twice = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise DataError(f"field {_shown(twice)} appears twice")
+    return obj
+
+
 def _json_cells(lines: Sequence[str]) -> dict:
     """Per-field cells of a chunk of JSONL lines; raises DataError naming
-    the fault of a line that is not one JSON object of known fields."""
+    the fault of a line that is not one JSON object of known fields, each once."""
     text = "[" + ",".join(lines) + "]"
     objs = []
     if text.count("{") == len(lines) and all(map(str.startswith, lines, itertools.repeat("{"))):
@@ -650,17 +643,23 @@ def _json_cells(lines: Sequence[str]) -> dict:
             objs = json.loads(text)
         except (ValueError, RecursionError):
             pass
-    if len(objs) != len(lines):
+    # An object of m members holds at least m - 1 commas, and m exceeds its
+    # count of distinct keys if a key repeats.  So text whose commas are the
+    # joins' and each object's key count less one repeats no key; other
+    # text, such as a comma in a string, is read again a line at a time.
+    if len(objs) != len(lines) or not set(map(type, objs)) <= {dict} or text.count(",") != sum(map(len, objs)) - 1:
         try:
-            objs = list(map(json.loads, lines))
+            objs = [json.loads(line, object_pairs_hook=_object) for line in lines]
+        except DataError:
+            raise
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON ({exc.msg})") from None
         except ValueError as exc:  # an integer past the int-string conversion limit
             raise DataError(f"invalid JSON ({exc})") from None
         except RecursionError:
             raise DataError("invalid JSON (nested too deeply)") from None
-    if not set(map(type, objs)) <= {dict}:
-        raise DataError("expected a JSON object")
+        if not set(map(type, objs)) <= {dict}:
+            raise DataError("expected a JSON object")
     unknown = set().union(*objs) - _FIELD_SET
     if unknown:
         raise DataError(f"unknown field {_shown(sorted(unknown)[0])}")
@@ -724,11 +723,44 @@ def _csv_cells(rows: Sequence[list], header: list[str]) -> dict:
     return {field: columns.get(field, (None,) * len(rows)) for field in RECORD_FIELDS}
 
 
-def _add_chunks(columns: _Columns, chunks, cells) -> None:
-    """Add each chunk of ``(row numbers, rows)`` to ``columns`` by its
-    ``cells``.  When a chunk fails its column checks, ``cells`` reads its
-    rows again one at a time and :func:`_record` checks each, in file order;
-    the first that fails raises DataError."""
+def _record_chunks(records: Iterable[RunRecord]):
+    """(row numbers, records) of up to ``_CHUNK`` in-memory records at a
+    time; record N is row N."""
+    records = iter(records)
+    for first in itertools.count(1, _CHUNK):
+        rows = list(itertools.islice(records, _CHUNK))
+        if not rows:
+            return
+        yield first + np.arange(len(rows)), rows
+
+
+# Each field's cell of a RunRecord, in RECORD_FIELDS order.
+_RECORD_CELLS = {f: operator.attrgetter(f"scale.{f}" if f in _SCALE_FIELDS else f) for f in RECORD_FIELDS}
+
+
+def _cells(rows: Sequence[RunRecord] | tuple[RecordTable, slice]) -> dict:
+    """Per-field cells, as a reader yields them, of a chunk of RunRecords or
+    of a table's ``(table, rows)``; a table's tokens are None where unknown."""
+    if not isinstance(rows, tuple):
+        return {field: list(map(cell, rows)) for field, cell in _RECORD_CELLS.items()}
+    table, rows = rows
+    code, label = table.code[rows].tolist(), table.label[rows].tolist()
+    dims = zip(*((s.layers, s.hidden, s.params) for s in table.scales))
+    cells = {f: list(map(column.__getitem__, code)) for f, column in zip(_SCALE_FIELDS, dims)}
+    cells.update({f: list(map(column.__getitem__, label)) for f, column in zip(_LABEL_FIELDS, zip(*table.labels))})
+    cells.update(zip(_SEED_FIELDS, table.seeds[rows].T.tolist()))
+    cells["value"] = table.values[rows].tolist()
+    cells["tokens"] = [None if tok < 0 else tok for tok in table.tokens[rows].tolist()]
+    return cells
+
+
+def _add_chunks(chunks, cells, source: str) -> RecordTable:
+    """The checked columns of the chunks of ``(row numbers, rows)`` of
+    ``source``, each added by its ``cells``.  When a chunk fails its column
+    checks, ``cells`` reads its rows again one at a time and :func:`_record`
+    checks each, in order; the first that fails raises DataError.  Rows
+    missing a seed get seed 0 and one summary warning for the source."""
+    columns = _Columns()
     for where, rows in chunks:
         try:
             columns.add(cells(rows), where)
@@ -739,6 +771,12 @@ def _add_chunks(columns: _Columns, chunks, cells) -> None:
                 except DataError as exc:
                     raise DataError(f"row {number}: {exc}") from None
             raise RuntimeError("a chunk failed its column checks but each of its rows passes")
+    if columns.defaulted:
+        warnings.warn(
+            f"{source}: {columns.defaulted} missing seed field(s) defaulted to 0 (first: {columns.first_default})",
+            stacklevel=3,
+        )
+    return columns.table()
 
 
 def ingest(path: str | Path, format: str | None = None) -> RecordTable:
@@ -760,31 +798,20 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     format : "jsonl" or "csv"; inferred from the suffix when omitted.
     """
     path = Path(path)
-    fmt = _infer_format(path, format)
-    columns = _Columns()
-    if fmt == "jsonl":
+    if _infer_format(path, format) == "jsonl":
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            _add_chunks(columns, _json_chunks(fh), _json_cells)
-    else:
-        with open_csv(path) as (header, chunks):
-            if header is None:
-                raise DataError("row 1: missing CSV header")
-            unknown = set(header) - _FIELD_SET
-            if unknown:
-                raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
-            # Every field is known here, so a repeat comes within the first 12.
-            twice = next((field for i, field in enumerate(header) if field in header[:i]), None)
-            if twice is not None:
-                raise DataError(f"row 1: field {twice!r} appears twice in the CSV header")
-            _add_chunks(columns, chunks, functools.partial(_csv_cells, header=header))
-
-    if columns.defaulted:
-        warnings.warn(
-            f"{path.name}: {columns.defaulted} missing seed field(s) defaulted to 0 "
-            f"(first: {columns.first_default})",
-            stacklevel=2,
-        )
-    return columns.table()
+            return _add_chunks(_json_chunks(fh), _json_cells, path.name)
+    with open_csv(path) as (header, chunks):
+        if header is None:
+            raise DataError("row 1: missing CSV header")
+        unknown = set(header) - _FIELD_SET
+        if unknown:
+            raise DataError(f"row 1: unknown field {_shown(sorted(unknown)[0])} in CSV header")
+        # Every field is known here, so a repeat comes within the first 12.
+        twice = next((field for i, field in enumerate(header) if field in header[:i]), None)
+        if twice is not None:
+            raise DataError(f"row 1: field {twice!r} appears twice in the CSV header")
+        return _add_chunks(chunks, functools.partial(_csv_cells, header=header), path.name)
 
 
 def _json_members(field: str, cells: Sequence) -> Iterable[str]:
@@ -805,39 +832,27 @@ def _json_members(field: str, cells: Sequence) -> Iterable[str]:
     return map(prefix.__add__, texts)
 
 
-def _row_chunks(records: RecordTable | Iterable[RunRecord]) -> Iterable[Iterable[tuple]]:
-    """``_CHUNK`` rows at a time of cells in ``RECORD_FIELDS`` order; a table's come from its columns."""
-    if not isinstance(records, RecordTable):
-        rows = ((r.scale.layers, r.scale.hidden, r.scale.params, r.task, r.family, r.pretrain_seed,
-                 r.finetune_seed, r.metric, r.value, r.direction, r.tokens) for r in records)
-        yield from iter(lambda: list(itertools.islice(rows, _CHUNK)), [])
-        return
-    dims = list(zip(*((s.layers, s.hidden, s.params) for s in records.scales)))
-    labels = list(zip(*records.labels))
-    for start in range(0, len(records), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        code, label = records.code[rows].tolist(), records.label[rows].tolist()
-        layers, hidden, params = (map(column.__getitem__, code) for column in dims)
-        task, family, metric, direction = (map(column.__getitem__, label) for column in labels)
-        (pre, fin), values = records.seeds[rows].T.tolist(), records.values[rows].tolist()
-        tokens = (None if tok < 0 else tok for tok in records.tokens[rows].tolist())
-        yield zip(layers, hidden, params, task, family, pre, fin, metric, values, direction, tokens)
-
-
 def emit(records: RecordTable | Iterable[RunRecord], path: str | Path, format: str | None = None) -> None:
     """Write a table or RunRecords in the canonical schema; list(ingest(emit(x))) == x.
 
-    Each record is one row of cells in ``RECORD_FIELDS`` order; a None cell
-    is left out of a JSONL object and written as an empty CSV cell.  A JSONL
+    Each record is one row of cells in ``RECORD_FIELDS`` order, as
+    :func:`_cells` extracts them ``_CHUNK`` rows at a time; a None cell is
+    left out of a JSONL object and written as an empty CSV cell.  A JSONL
     line holds the bytes ``json.dumps`` writes for the object of the row's
-    other cells, encoded ``_CHUNK`` rows and a field at a time.
+    other cells, encoded a field at a time.
     """
     fmt = _infer_format(Path(path), format)
-    chunks = _row_chunks(records)
+    if isinstance(records, RecordTable):
+        chunks = ((records, slice(start, start + _CHUNK)) for start in range(0, len(records), _CHUNK))
+    else:
+        chunks = (rows for _, rows in _record_chunks(records))
     with open(path, "w", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
         if fmt == "csv":
-            csv.writer(fh).writerows(itertools.chain([RECORD_FIELDS], itertools.chain.from_iterable(chunks)))
+            writer = csv.writer(fh)
+            writer.writerow(RECORD_FIELDS)
+            for cells in map(_cells, chunks):
+                writer.writerows(zip(*map(cells.__getitem__, RECORD_FIELDS)))
             return
-        for rows in chunks:
-            members = [_json_members(field, cells) for field, cells in zip(RECORD_FIELDS, zip(*rows))]
+        for cells in map(_cells, chunks):
+            members = [_json_members(field, cells[field]) for field in RECORD_FIELDS]
             fh.writelines(f"{{{text[2:]}}}\n" for text in map("".join, zip(*members)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,6 +135,8 @@ def render_plot(spec: PlotSpec) -> str:
         raise DataError("plot needs at least one series with data")
     if any(map((0.0).__ge__, xs)) or any(map((0.0).__ge__, ys)):
         raise DataError("log-log plot requires positive coordinates")
+    if min(xs) < sys.float_info.min or min(ys) < sys.float_info.min:  # a tick value at a subnormal underflows
+        raise DataError(f"log-log plot requires coordinates of at least {sys.float_info.min!r}")
     if spec.fit is not None:
         ys.extend(predict_at(spec.fit, v) for v in (min(xs), max(xs)))
 

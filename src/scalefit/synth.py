@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .records import DIRECTIONS, RecordTable, RunSet, ScaleSpec, _check_value, group
+from .records import _CHECKS, DIRECTIONS, RecordTable, RunSet, ScaleSpec, _check_value, group
 from .rng import Substreams
 
 _SQRT3 = math.sqrt(3.0)
@@ -54,6 +54,8 @@ class SynthSpec:
             raise DataError(f"unknown direction token {self.direction!r}")
         if self.noise not in NOISE_MODELS:
             raise DataError(f"unknown noise model {self.noise!r}")
+        for field in ("task", "family", "metric"):  # the checks a label read from a record file passes
+            _CHECKS[field](getattr(self, field))
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,23 @@ class TestLabelsXmlCannotCarry:
         assert captured.err == "error: row 1: field 'task' holds U+0001, which XML cannot carry\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, label, message",
+        [
+            ("--task", "", "missing field 'task'"),
+            ("--task", "  ", "missing field 'task'"),
+            ("--family", "a\x01b", "field 'family' holds U+0001, which XML cannot carry"),
+            ("--metric", "caf\udce9", "field 'metric' is not valid Unicode"),
+        ],
+        ids=["empty-task", "blank-task", "control-family", "surrogate-metric"],
+    )
+    def test_synth_label_a_record_file_cannot_hold_exits_2(self, tmp_path, capsys, flag, label, message):
+        argv = ["synth", "--alpha", "0.08", "--log-c", "3.0", "--seed", "1", flag, label,
+                "--out", str(tmp_path / "x.jsonl")]
+        code, captured = run_json(capsys, argv)
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_band_plot_is_xml(self, tmp_path, capsys):
         runset, _ = ar32_synth(907)
         path, out = tmp_path / "runs.jsonl", tmp_path / "p.svg"

@@ -3,11 +3,12 @@
 The reference validates one row at a time, in the order the checks of a
 single row run, builds a ``RunRecord`` per row and sorts records with a
 Python key: the behaviour ``ingest``/``group`` must keep.  Generated files
-mix valid rows with every kind of bad cell, blank lines, broken JSON,
-short, long and multi-line CSV rows, bytes that are not UTF-8, labels
-holding characters XML cannot carry, and CSV headers behind a byte order
-mark or naming a field twice, and run with tiny chunks so that faults and
-blank runs straddle chunk boundaries.
+mix valid rows with every kind of bad cell, blank lines, broken JSON, JSON
+objects that repeat a key, short, long and multi-line CSV rows, bytes that
+are not UTF-8, labels holding characters XML cannot carry, and CSV headers
+behind a byte order mark or naming a field twice, and run with tiny chunks
+so that faults and blank runs straddle chunk boundaries.  In-memory records
+built from the same cells group as their JSONL file does.
 """
 
 import csv
@@ -84,6 +85,15 @@ def reference_record(obj, where, seed_defaults):
 NOT_XML = {chr(c) for c in range(0x20) if chr(c) not in "\t\n\r"} | {"\ufffe", "\uffff"}
 
 
+def members_once(pairs):
+    """A JSON object whose keys are distinct; any object, nested ones too."""
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise DataError(f"field {_shown(key)} appears twice")
+    return dict(pairs)
+
+
 def reference_ingest(path):
     # The first line holding a byte that is not UTF-8 is a bad row on that
     # line, after the rows that end before it; the CSV header is a row too.
@@ -104,7 +114,9 @@ def reference_ingest(path):
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line, object_pairs_hook=members_once)
+                except DataError as exc:
+                    raise DataError(f"row {lineno}: {exc}") from None
                 except json.JSONDecodeError as exc:
                     raise DataError(f"row {lineno}: invalid JSON ({exc.msg})") from None
                 except ValueError as exc:  # an integer past the int-string conversion limit
@@ -210,6 +222,9 @@ def jsonl_text(rng, n, bad_rate):
             continue
         row = {k: v for k, v in messy_row(rng, bad_rate).items() if v is not None or rng.random() < 0.5}
         text = json.dumps(row, ensure_ascii=rng.random() < 0.5)  # non-ASCII text raw or escaped
+        if 0.08 <= x < 0.1 and row:  # a member whose key the object already holds
+            key = list(row)[int(x * 1000) % len(row)]
+            text = text[:-1] + f", {json.dumps(key)}: {json.dumps(row[key])}}}"
         lines.append(("  " + text + "  " if x < 0.08 else text) + "\n")
     return "".join(lines)
 
@@ -380,3 +395,105 @@ def test_long_cells_match_the_reference(tmp_path, fmt, bad, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sf.records, "_CHUNK", chunk)
         assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+
+
+# Second lines of a JSONL file whose commas the members of their object do
+# not account for: a comma in a string or a nested value, or a repeated key.
+def _second_lines(base):
+    text = json.dumps(base)
+    return {
+        "comma-in-label": json.dumps({**base, "task": "a,b"}),
+        "comma-in-nested-value": json.dumps({**base, "task": [1, 2]}),
+        "repeated-key": text[:-1] + ', "layers": 2}',
+        "repeated-key-same-value": text[:-1] + f', "task": {json.dumps(base["task"])}}}',
+        "repeated-key-and-comma-in-label": json.dumps({**base, "task": "a,b"})[:-1] + ', "value": 3}',
+        "repeated-key-in-nested-object": json.dumps({**base, "task": "X"}).replace('"X"', '{"a": 1, "a": 2}'),
+        "repeated-unknown-key": text[:-1] + ', "' + "k" * 5000 + '": 1, "' + "k" * 5000 + '": 2}',
+        "repeated-key-then-broken": text[:-1] + ', "layers": 2,}',
+        "empty-object": "{}",
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+@pytest.mark.parametrize("case", list(_second_lines(good_row(random.Random(2)))))
+def test_repeated_keys_and_stray_commas_match_the_reference(tmp_path, case, chunk):
+    base = dict(good_row(random.Random(2)), tokens=10)
+    path = tmp_path / "runs.jsonl"
+    path.write_text(json.dumps(base) + "\n" + _second_lines(base)[case] + "\n", encoding="utf-8")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    assert isinstance(expected[0], list) == case.startswith("comma-in-")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf.records, "_CHUNK", chunk)
+        assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+
+
+def in_memory_record(row):
+    """The RunRecord of a generated row's cells, or None if RunRecord or
+    ScaleSpec refuses them.  Its scale is built as a row's is, and "max" and
+    "min" are spelled as RunRecord takes them."""
+    try:
+        layers, hidden, params = (row.get(f) for f in ("layers", "hidden", "params"))
+        if layers is None and hidden is None:
+            scale = sf.ScaleSpec.from_params(params)
+        else:
+            scale = sf.ScaleSpec.from_dims(layers, hidden, params)
+        direction = {"max": "maximize", "min": "minimize"}.get(row.get("direction"), row.get("direction"))
+        fields = ("task", "family", "pretrain_seed", "finetune_seed", "metric", "value")
+        return sf.RunRecord(scale, *(row.get(f) for f in fields), direction, row.get("tokens"))
+    except (DataError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def grouped(read):
+    """The groups of what ``read()`` returns, or the error, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = sf.group(read())
+        except DataError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 2, 3, 5, 4096]),
+    bad_rate=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+)
+def test_in_memory_records_group_as_their_jsonl_file(tmp_path, seed, chunk, bad_rate):
+    rng = random.Random(seed)
+    rows = [messy_row(rng, bad_rate) for _ in range(rng.randint(0, 12))]
+    for row in rows:
+        if rng.random() < 0.2:  # a None seed, which defaults to 0 with a warning
+            row[rng.choice(["pretrain_seed", "finetune_seed"])] = None
+    records = [r for r in map(in_memory_record, rows) if r is not None]
+    path = tmp_path / "runs.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf.records, "_CHUNK", chunk)
+        sf.emit(records, path)
+        result, warned = grouped(lambda: records)
+        assert (result, [w.replace("records: ", "runs.jsonl: ", 1) for w in warned]) == grouped(lambda: sf.ingest(path))
+
+
+@pytest.mark.parametrize(
+    "changes, error, warned",
+    [
+        ([{}, {"task": "a\x01b"}], "row 2: field 'task' holds U+0001, which XML cannot carry", []),
+        ([{"task": NOT_UTF8}, {}], "row 1: field 'task' is not valid Unicode", []),
+        ([{}, {"pretrain_seed": None}, {"pretrain_seed": None, "finetune_seed": None}], None,
+         ["records: 3 missing seed field(s) defaulted to 0 (first: row 2:pretrain_seed)"]),
+    ],
+    ids=["control-character", "lone-surrogate", "missing-seeds"],
+)
+def test_in_memory_records_are_read_as_rows(changes, error, warned):
+    base = good_row(random.Random(3))
+    records = [in_memory_record({**base, "value": 1.0 + i, **change}) for i, change in enumerate(changes)]
+    result, got = grouped(lambda: records)
+    assert got == warned
+    if error is not None:
+        assert result == error
+    else:
+        (runset,) = result.values()
+        pre, fin = base["pretrain_seed"], base["finetune_seed"]
+        assert sorted(runset.seeds.tolist()) == sorted([[pre, fin], [0, fin], [0, 0]])

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -102,6 +103,22 @@ class TestRenderPlot:
         group = sf.ScatterGroup(label="bad", points=((1.0, -2.0),))
         with pytest.raises(DataError):
             sf.render_plot(sf.PlotSpec(groups=(group,)))
+
+    @pytest.mark.parametrize("points", [((1.0, 5e-324), (10.0, 1e-323)), ((5e-324, 1.0), (1.0, 2.0))],
+                             ids=["subnormal-y", "subnormal-x"])
+    def test_subnormal_points_rejected(self, points):
+        # a tick value m * 10.0**k at a subnormal magnitude underflows to 0
+        group = sf.ScatterGroup(label="tiny", points=points)
+        with pytest.raises(DataError, match=r"^log-log plot requires coordinates of at least 2\.2250738585072014e-308$"):
+            sf.render_plot(sf.PlotSpec(groups=(group,)))
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-15, 2.0, 1e5])
+    def test_smallest_normal_points_draw(self, factor):
+        tiny = sys.float_info.min
+        group = sf.ScatterGroup(label="tiny", points=((1.0, tiny), (10.0, tiny * factor)))
+        root = ET.fromstring(sf.render_plot(sf.PlotSpec(groups=(group,))))
+        y_ticks = [line.get("y1") for line in root.iter("{http://www.w3.org/2000/svg}line") if line.get("x1") == "80.00"]
+        assert len(y_ticks) >= 2 and len(set(y_ticks)) == len(y_ticks)
 
     def test_decade_tick_labels_present(self):
         svg = sf.render_plot(three_point_spec())

@@ -68,6 +68,7 @@ BAD_INPUTS = {
     # true and 1 are one dict key, but true is no integer
     "true-layers.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"layers": 1', '"layers": true'),
     "control-label.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"t"', '"a\\u0001b"'),
+    "repeated-key.jsonl": _GOOD_ROW + _GOOD_ROW.replace('"min"}', '"min", "layers": 2}'),
     # A bad row ahead of a byte that is not UTF-8, in the decoder's first
     # buffer: the bad row is the first in file order.
     "bad-row-before-bad-byte.jsonl": (
@@ -229,6 +230,7 @@ def extras(name: str, mix: dict) -> dict:
             "synth overflow": (
                 "synth", "--alpha", "100", "--log-c", "700", "--seed", "1", "--out", "overflow.jsonl",
             ),
+            "synth --task ''": (*law, "--task", "", "--out", "empty-task.jsonl"),
         }
     if name in RUN_SETS:
         boot = ("bootstrap", "--input", RUN_SETS[name][0], "--B", "200", "--seed", str(SEED), "--replicates")
