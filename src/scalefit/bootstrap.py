@@ -8,32 +8,26 @@ noticeably more conservative intervals when between-scale variance
 dominates.  The naive scheme ignores the group structure and draws all
 M*T pooled points with replacement.
 
-Replicates are computed in fixed blocks of ``BLOCK``.  Block k consumes its
-own counter-based random substream derived from (rng_seed, k), which draws
-the block's resamples as one index array; a band opens its blocks'
-substreams on one Philox generator, re-keyed for each block.  The fit is
-separate from the draws: each run of ``REDUCE_ELEMENTS // (BLOCK * widest)``
-consecutive blocks (at least one), where ``widest`` is the largest resample
-the pool allows, is reduced to per-group counts and sums.  Every step of
-that reduction, and of the least squares, works per row, so a block's
-replicates are the same bits whether it is reduced alone or with its
-neighbours.  Results are therefore bit-identical however the blocks are
-scheduled, and because ``BLOCK`` does not depend on the replicate count, a
-run with B replicates is a prefix of any run with more.  Resamples that
-collapse to fewer than two distinct scales are redrawn, in row order, from
-the block's substream; a kept replicate that stays degenerate for
-``MAX_REDRAWS`` consecutive draws aborts the run.
-
-In both modes and whatever the group sizes, the draws of a run are
-computed at once from the raw 64-bit words of its blocks' substreams, with
-numpy's own bounded-integer method, and reduced into arrays that hold
-every replicate of the band.  Only a block that needs a redraw (or holds a
-word that may be rejected) is drawn again one call at a time, and its
-counts and sums overwrite the run's in its rows; the draws are the same
-integers either way.  One vectorized least squares fits every row.  A
-band's slopes, intercepts and grid predictions are the sorted rows of one
-table, whose edges are read off by numpy's ``linear`` percentile rule
-written out (:func:`_percentiles`), the bits of ``np.percentile``.
+Replicates are computed in fixed blocks of ``BLOCK``.  Block k draws its
+resamples from its own counter-based substream, derived from (rng_seed, k);
+a band opens its blocks' substreams on one Philox generator, re-keyed for
+each block.  A block reads its substream as one stream of 32-bit halves
+and takes from it the integers that ``Generator.integers`` would draw,
+with numpy's own bounded-integer method, skipping the halves that numpy
+rejects (:func:`_splice`): the scale draw, then redraws, in row order, of
+resamples that collapse to fewer than two distinct scales, then the
+within-group draw.  A kept replicate still degenerate after
+``MAX_REDRAWS`` draws aborts the run.  Each run of ``REDUCE_ELEMENTS //
+(BLOCK * widest)`` consecutive blocks (at least one), where ``widest`` is
+the largest resample the pool allows, is drawn at once and reduced to
+per-group counts and sums.  That reduction, and the one vectorized least
+squares that fits every row, work per row, so a block's replicates are the
+same bits however the blocks are scheduled, and since ``BLOCK`` does not
+depend on the replicate count, a run with B replicates is a prefix of any
+run with more.  A band's slopes, intercepts and grid predictions are the
+sorted rows of one table, whose edges are read off by numpy's ``linear``
+percentile rule written out (:func:`_percentiles`), the bits of
+``np.percentile``.
 """
 
 from __future__ import annotations
@@ -162,9 +156,8 @@ class _Pool:
     Scale group k owns positions ``start[k] : start[k] + sizes[k]`` of ``v``;
     every record in a group shares the group's ``u = ln N``, so a resample
     needs only its per-group counts and sums of ``v``.  ``common_size`` is
-    the size every group has, or 0 when the sizes differ.  A drawn group's
-    within-group draw takes ``within`` 32-bit words (none for one record),
-    and ``screen`` is the largest rejection threshold of those draws.
+    the size every group has, or 0 when the sizes differ, and ``within`` the
+    mean, spread and most of the halves a drawn group's within draw takes.
     """
 
     def __init__(self, runset: RunSet):
@@ -172,8 +165,8 @@ class _Pool:
         self.sizes = runset.sizes
         self.start = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
         self.common_size = int(self.sizes[0]) if (self.sizes == self.sizes[0]).all() else 0
-        self.within = np.where(self.sizes > 1, self.sizes, 0)
-        self.screen = max((2**32 - s) % s for s in set(self.sizes.tolist()))
+        takes = np.where(self.sizes > 1, self.sizes, 0)
+        self.within = (takes.mean(), takes.std(), int(takes.max()))
         self.v = np.log(runset.values)
         self.code = runset.code
         self.params = runset.params
@@ -184,16 +177,6 @@ class _Pool:
 def _degenerate(params: np.ndarray) -> np.ndarray:
     """Rows of drawn parameter counts with fewer than 2 distinct values."""
     return (params == params[:, :1]).all(axis=1)
-
-
-def _within_draws(pool: _Pool, rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
-    """Positions in ``pool.v`` of one within-group resample per drawn group.
-
-    Drawn group ``groups[r, j]`` contributes its own size of positions, drawn
-    with replacement from its members; segments follow row-major order.
-    """
-    counts = pool.sizes[groups].ravel()
-    return rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
 
 
 def _hierarchical_stats(pool: _Pool, groups: np.ndarray, positions: np.ndarray):
@@ -237,37 +220,6 @@ def _ols_rows(u: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> tuple[np.n
     return slopes, vm - slopes * um
 
 
-def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int, streams: Substreams) -> tuple[np.ndarray, ...]:
-    """The resamples of replicates ``block*BLOCK`` to ``block*BLOCK + BLOCK - 1``.
-
-    Returns what :func:`_hierarchical_stats` or :func:`_naive_stats` reduce:
-    ``(groups, positions)`` in the hierarchical mode, ``(idx,)`` in the
-    naive one; the last array is the block's index array.  The whole block
-    is drawn, and redrawn, from substream ``(rng_seed, block)``, opened on
-    ``streams``, whatever ``n_replicates`` is, so a shorter run is a prefix
-    of a longer one.  Only replicates below ``n_replicates`` must end up
-    non-degenerate.
-    """
-    rng = streams.open(block)
-    hierarchical = cfg.mode == "hierarchical"
-    width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
-    draws = rng.integers(0, width, size=(BLOCK, width))
-    bad = _degenerate(key[draws])
-    for _ in range(MAX_REDRAWS - 1):
-        rows = np.flatnonzero(bad)
-        if rows.size == 0:
-            break
-        draws[rows] = rng.integers(0, width, size=(rows.size, width))
-        bad[rows] = _degenerate(key[draws[rows]])
-    kept = bad[: cfg.n_replicates - block * BLOCK]
-    if kept.any():
-        raise DegenerateDataError(
-            f"replicate {block * BLOCK + int(np.argmax(kept))}: no resample with 2 distinct "
-            f"scales after {MAX_REDRAWS} consecutive redraws"
-        )
-    return (draws, _within_draws(pool, rng, draws)) if hierarchical else (draws,)
-
-
 def _lemire(halves: np.ndarray, excl) -> tuple[np.ndarray, np.ndarray]:
     """numpy's bounded draws in ``[0, excl)`` from 32-bit words, and each word's leftover.
 
@@ -285,80 +237,131 @@ def _lemire(halves: np.ndarray, excl) -> tuple[np.ndarray, np.ndarray]:
     return m.view(np.int64), leftover
 
 
-def _halves(words: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw 64-bit words, low half first, as ``integers`` takes them."""
-    return words.astype("<u8", copy=False).view("<u4")
+def _margin(count: float, threshold: int) -> int:
+    """Halves read past ``count`` for those rejected at ``threshold``: as many as expected, 4 sd more and 8."""
+    return int((rejected := count * threshold / 2**32) + 4 * rejected**0.5) + 8
 
 
-def _word_draws(
-    pool: _Pool, cfg: BootstrapConfig, blocks: range, streams: Substreams
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The :func:`_block_draws` results of consecutive ``blocks``, made from raw words.
+class _Short(Exception):
+    """A draw needs more halves than its stream read."""
 
-    ``integers`` takes one 32-bit half per value, low half first, and none
-    for a bound of 1.  So the scale draw (or the pooled naive draw) is the
-    first ``BLOCK * width`` halves of a block's substream, and the
-    within-group draw is the next ones, one per drawn record of a group
-    larger than one.  ``BLOCK * width`` halves end on a 64-bit word, so when
-    groups differ in size a second ``random_raw`` on the same stream reads the
-    within-group draw, whose length the scale draw sets.  A block with a
-    degenerate row, or with a word whose leftover is below the largest
-    rejection threshold of its bounds, reads its stream in another order.
-    Returns the run's draws, laid out as one block's, and a mask of the
-    blocks that :func:`_block_draws` must draw again; such a block's rows
-    here still hold in-range indices, and its redrawn rows overwrite them.
-    """
+
+def _take(halves: np.ndarray, excl: int, count, at) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's next ``count`` draws in ``[0, excl)`` from its halves at ``at`` on (either may be per row).
+
+    A row-wise running count of accepted halves selects them for every row
+    at once.  Returns the draws, row after row, and each row's next position."""
+    if excl == 1:  # takes no half
+        return np.zeros(int(np.sum(count)), dtype=np.int64), at
+    values, accepted = _lemire(halves, excl)
+    accepted = accepted >= (2**32 - excl) % excl  # numpy keeps a half whose leftover reaches the threshold
+    if np.ndim(count) == np.ndim(at) == 0 and at + count <= len(halves.T) and accepted[:, at : at + count].all():
+        return values[:, at : at + count], at + count  # no half rejected
+    count, at = (np.broadcast_to(x, len(halves))[:, None] for x in (count, at))
+    accepted &= np.arange(halves.shape[1]) >= at
+    taken = accepted.cumsum(axis=1, dtype=np.int32)
+    if (taken[:, -1:] < count).any():
+        raise _Short
+    accepted &= taken <= count
+    return values[accepted], np.where(count > 0, (taken < count).sum(axis=1, keepdims=True) + 1, at)[:, 0]
+
+
+def _splice(halves: np.ndarray, at: int, excl, count) -> tuple[np.ndarray, int]:
+    """``Generator.integers(0, np.repeat(excl, count))`` from a stream's next 32-bit halves, ``halves[at:]``.
+
+    ``integers`` takes one half per value (none for a bound of 1) and, where
+    a half's leftover is below its bound's threshold, rejects it and takes
+    the next: the values are those of the accepted halves in order.  For
+    one bound ``excl``, one mask selects them (:func:`_take`); for 64-bit
+    arrays of bounds and their counts, each rejected half moves the rest of
+    the draw along by one half.  Returns the values and the next position."""
+    if not np.ndim(excl):
+        draws, end = _take(halves[None, at:], excl, count, np.zeros(1, dtype=np.intp))
+        return draws, at + int(end[0])
+    if excl.min(initial=2) == 1:
+        values, takes = np.zeros(count.sum(), dtype=np.int64), excl > 1
+        values[np.repeat(takes, count)], at = _splice(halves, at, excl[takes], count[takes])
+        return values, at
+    parts, done, top, excl = [], 0, int(excl.max(initial=0)), np.repeat(excl, count).view(np.uint64)
+    while True:
+        todo = excl[done:]
+        if halves.size - at < todo.size:
+            raise _Short
+        draws, leftover = _lemire(halves[at : at + todo.size], todo)
+        low = np.flatnonzero(leftover < top).tolist() if leftover.min(initial=top) < top else []  # thresholds < bounds
+        kept = next((j for j in low if leftover[j] < (2**32 - int(todo[j])) % int(todo[j])), todo.size)
+        if kept == todo.size:
+            return np.concatenate((*parts, draws)) if parts else draws, at + kept
+        parts.append(draws[:kept])
+        done, at = done + kept, at + kept + 1
+
+
+def _draws(pool: _Pool, cfg: BootstrapConfig, first_block: int, halves: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The resamples of consecutive blocks, one row of ``halves`` each, laid out as one block's:
+    ``(groups, positions)``, or ``(idx,)`` in the naive mode.
+
+    A block's scale draw (or pooled naive draw) takes its first ``BLOCK *
+    width`` accepted halves, degenerate rows are redrawn from the next ones,
+    in row order, and the within-group draw takes the halves after that."""
     hierarchical = cfg.mode == "hierarchical"
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
-    n = BLOCK * width
-    h = pool.common_size if hierarchical else 1  # 0: the scale draw sets the within draw's length
-    raw = np.empty((len(blocks), (n + n * h * (h > 1)) // 2), dtype=np.uint64)
-    tails = []
-    for i, k in enumerate(blocks):
-        bits = streams.open(k).bit_generator
-        raw[i] = bits.random_raw(raw.shape[1])
-        if not h:
-            count = int(pool.within[_lemire(_halves(raw[i]), width)[0]].sum())
-            tails.append(_halves(bits.random_raw(-(-count // 2)))[:count])
-    halves = _halves(raw)
-    draws, leftover = _lemire(halves[:, :n], width)
-    redo = leftover.min(axis=1) < (2**32 - width) % width
-    rows = draws.reshape(-1, width)
+    n, h = BLOCK * width, pool.common_size
+    draws, end = _take(halves[:, : n + _margin(n, (2**32 - width) % width)], width, n, 0)
+    rows, bad = draws.reshape(-1, width), np.zeros(len(halves) * BLOCK, dtype=bool)
     suspect = np.flatnonzero(key[rows[:, 0]] == key[rows[:, -1]])  # rows whose ends differ are not degenerate
-    redo[suspect[_degenerate(key[rows[suspect]])] // BLOCK] = True
-    run = (rows,)
-    if hierarchical and h:
-        within, leftover = _lemire(halves[:, n:], h)
-        redo |= leftover.min(axis=1, initial=2**32 - 1) < pool.screen
-        starts = pool.start[rows].reshape(-1, 1)
-        run = (rows, (starts + within.reshape(-1, h) if h > 1 else starts).ravel())
-    elif hierarchical:
-        counts, wanted = pool.sizes[rows].ravel(), pool.within[rows].ravel()
-        within, leftover = _lemire(np.concatenate(tails), np.repeat(wanted.view(np.uint64), wanted))
-        if leftover.min(initial=2**32 - 1) < pool.screen:
-            hits = np.flatnonzero(leftover < pool.screen)
-            redo[np.searchsorted(np.cumsum([t.size for t in tails]), hits, side="right")] = True
-        positions = np.repeat(pool.start[rows].ravel(), counts)
-        if within.size == positions.size:
-            positions += within
-        else:  # a group of one record takes no word
-            positions[np.repeat(wanted > 0, counts)] += within
-        run = (rows, positions)
-    return run, redo
+    bad[suspect] = _degenerate(key[rows[suspect]])
+    for _ in range(MAX_REDRAWS - 1):
+        again = np.flatnonzero(bad)
+        if again.size == 0:
+            break
+        draws, end = _take(halves, width, width * np.bincount(again // BLOCK, minlength=len(halves)), end)
+        rows[again] = draws.reshape(-1, width)
+        bad[again] = _degenerate(key[rows[again]])
+    if (kept := bad[: cfg.n_replicates - first_block * BLOCK]).any():
+        raise DegenerateDataError(
+            f"replicate {first_block * BLOCK + int(np.argmax(kept))}: no resample with 2 distinct "
+            f"scales after {MAX_REDRAWS} consecutive redraws"
+        )
+    if not hierarchical:
+        return (rows,)
+    if h > 1:  # one bound: every block's within-group draw at once
+        draws = _take(halves[:, n:], h, n * h, end - n)[0]
+        return rows, (pool.start[rows].reshape(-1, 1) + draws.reshape(-1, h)).ravel()
+    counts, ends = pool.sizes[rows].reshape(len(halves), -1), (np.zeros(len(halves), dtype=np.intp) + end).tolist()
+    positions, stops = np.repeat(pool.start[rows].ravel(), counts.ravel()), np.cumsum(counts.sum(axis=1)).tolist()
+    for row, at, c, lo, hi in zip(halves, ends, counts, [0, *stops], stops):
+        positions[lo:hi] += _splice(row, at, c, c)[0]
+    return rows, positions
+
+
+def _word_draws(pool: _Pool, cfg: BootstrapConfig, blocks: range, streams: Substreams) -> tuple[np.ndarray, ...]:
+    """The :func:`_draws` of consecutive ``blocks``, from the raw words of their substreams.
+
+    Block k reads substream ``(rng_seed, k)``, opened on ``streams``: the
+    words its draws should take, with margins for rejected halves and for
+    the spread of the within-group draw's length; twice as many if short.
+    """
+    n = BLOCK * (width := pool.n_groups if cfg.mode == "hierarchical" else pool.v.size)
+    mean, sd, top = pool.within if cfg.mode == "hierarchical" else (0, 0, 0)
+    within = n * mean + 4 * n**0.5 * sd
+    words = -(-int(n + _margin(n, (2**32 - width) % width) + within + _margin(within, top)) // 2)
+    while True:
+        raw = np.array([streams.open(k).bit_generator.random_raw(words) for k in blocks], dtype="<u8")
+        try:  # each word's low 32-bit half first, as integers takes them
+            return _draws(pool, cfg, blocks[0], raw.view("<u4"))
+        except _Short:
+            words *= 2
 
 
 def _fits(pool: _Pool, cfg: BootstrapConfig) -> tuple[np.ndarray, np.ndarray]:
     """Slopes and intercepts of the first ``n_replicates`` replicates, fitted at once.
 
-    The blocks are drawn by :func:`_word_draws` one run of consecutive
-    blocks at a time.  A run holds as many blocks, at least one, as fit in
-    ``REDUCE_ELEMENTS`` at the widest resample: ``n_groups`` times the
-    largest group in the hierarchical mode, every record in the naive one.
-    Each run is reduced straight into its rows of the band's group counts
-    and sums.  Each block of it that must be drawn again is then drawn by
-    :func:`_block_draws` and reduced over its own rows, overwriting the
-    run's; a row's counts and sums depend on it alone.  One least squares
-    fits every row.
+    :func:`_word_draws` draws one run of consecutive blocks at a time: as
+    many blocks, at least one, as fit in ``REDUCE_ELEMENTS`` at the widest
+    resample (``n_groups`` times the largest group in the hierarchical mode,
+    every record in the naive one).  Each run is reduced straight into its
+    rows of the band's group counts and sums, and one least squares fits
+    every row.
     """
     hierarchical = cfg.mode == "hierarchical"
     stats = _hierarchical_stats if hierarchical else _naive_stats
@@ -370,15 +373,11 @@ def _fits(pool: _Pool, cfg: BootstrapConfig) -> tuple[np.ndarray, np.ndarray]:
     counts, sums = np.empty(shape, dtype=pool.sizes.dtype), np.empty(shape)
     streams = Substreams(cfg.rng_seed)
     for first in range(0, n_blocks, step):
-        blocks = range(first, min(first + step, n_blocks))
-        draws, redo = _word_draws(pool, cfg, blocks, streams)
-        for i, k in enumerate((first, *(first + np.flatnonzero(redo)).tolist())):
-            if i:  # after the run, each block drawn again overwrites its rows
-                draws = _block_draws(pool, cfg, k, streams)
-            rows = slice(k * BLOCK, k * BLOCK + len(draws[0]))
-            run_u, counts[rows], sums[rows] = stats(pool, *draws)
-            if hierarchical:
-                u[rows] = run_u
+        draws = _word_draws(pool, cfg, range(first, min(first + step, n_blocks)), streams)
+        rows = slice(first * BLOCK, first * BLOCK + len(draws[0]))
+        run_u, counts[rows], sums[rows] = stats(pool, *draws)
+        if hierarchical:
+            u[rows] = run_u
         del draws, run_u  # released before the next run is drawn
     b = cfg.n_replicates
     # Two distinct parameter counts may share one float64 log; the band then

@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 
 import scalefit as sf
-from scalefit.bootstrap import _hierarchical_stats, _naive_stats, _ols_rows
+from scalefit.bootstrap import (
+    BLOCK,
+    MAX_REDRAWS,
+    BootstrapConfig,
+    _degenerate,
+    _hierarchical_stats,
+    _naive_stats,
+    _ols_rows,
+    _Pool,
+)
+from scalefit.errors import DegenerateDataError
+from scalefit.rng import Substreams
 
 AR32 = tuple(sf.scale_ladder(32, range(1, 9)))
 TARGET = sf.ScaleSpec.from_dims(12, 768)  # 84_934_656 params, ~13.5x the 8-layer scale
@@ -46,13 +57,83 @@ def ar32_synth(
 
 def reduce_blocks(pool, mode, blocks):
     """Per-row slopes and intercepts of consecutive blocks' draws (each a
-    ``_block_draws`` result), fitted in one pass: the per-block reference
+    :func:`_block_draws` result), fitted in one pass: the per-block reference
     that the band's rows must equal bit for bit."""
     draws = [np.concatenate(parts) for parts in zip(*blocks)]
     stats = _hierarchical_stats if mode == "hierarchical" else _naive_stats
     # Rows past n_replicates may stay degenerate; callers cut them off.
     with np.errstate(divide="ignore", invalid="ignore"):
         return _ols_rows(*stats(pool, *draws))
+
+
+# The per-block reference of the library's draws: each block drawn by
+# ``Generator.integers`` on its own substream, degenerate rows redrawn in row
+# order, then the within-group draw.  The library makes the same integers
+# from the substreams' raw words.
+
+
+def _within_draws(pool: _Pool, rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
+    """Positions in ``pool.v`` of one within-group resample per drawn group.
+
+    Drawn group ``groups[r, j]`` contributes its own size of positions, drawn
+    with replacement from its members; segments follow row-major order.
+    """
+    counts = pool.sizes[groups].ravel()
+    return rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
+
+
+def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int, streams: Substreams) -> tuple[np.ndarray, ...]:
+    """The resamples of replicates ``block*BLOCK`` to ``block*BLOCK + BLOCK - 1``.
+
+    Returns what :func:`_hierarchical_stats` or :func:`_naive_stats` reduce:
+    ``(groups, positions)`` in the hierarchical mode, ``(idx,)`` in the
+    naive one; the last array is the block's index array.  The whole block
+    is drawn, and redrawn, from substream ``(rng_seed, block)``, opened on
+    ``streams``, whatever ``n_replicates`` is, so a shorter run is a prefix
+    of a longer one.  Only replicates below ``n_replicates`` must end up
+    non-degenerate.
+    """
+    rng = streams.open(block)
+    hierarchical = cfg.mode == "hierarchical"
+    width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
+    draws = rng.integers(0, width, size=(BLOCK, width))
+    bad = _degenerate(key[draws])
+    for _ in range(MAX_REDRAWS - 1):
+        rows = np.flatnonzero(bad)
+        if rows.size == 0:
+            break
+        draws[rows] = rng.integers(0, width, size=(rows.size, width))
+        bad[rows] = _degenerate(key[draws[rows]])
+    kept = bad[: cfg.n_replicates - block * BLOCK]
+    if kept.any():
+        raise DegenerateDataError(
+            f"replicate {block * BLOCK + int(np.argmax(kept))}: no resample with 2 distinct "
+            f"scales after {MAX_REDRAWS} consecutive redraws"
+        )
+    return (draws, _within_draws(pool, rng, draws)) if hierarchical else (draws,)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def philox_words(seed, stream, n):
+    """The first ``n`` raw 64-bit words of substream ``(seed, stream)``, without numpy.
+
+    Philox4x64-10 (Salmon et al., SC 2011) under the key ``[stream, seed]``,
+    low word first, on a 256-bit counter whose first block is 1: each
+    counter value gives four words, in order.
+    """
+    words, counter = [], 0
+    while len(words) < n:
+        counter += 1
+        x = [counter >> shift & _MASK64 for shift in (0, 64, 128, 192)]
+        k0, k1 = stream, seed
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * x[0], 0xCA5A826395121157 * x[2]
+            x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ x[3] ^ k1, p0 & _MASK64]
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+        words += x
+    return words[:n]
 
 
 @pytest.fixture(scope="session")

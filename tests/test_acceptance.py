@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scalefit as sf
-from scalefit.bootstrap import BLOCK, _block_draws, _Pool
+from scalefit.bootstrap import BLOCK, _Pool, _word_draws
 from scalefit.cli import run
 from scalefit.rng import Substreams
 
@@ -193,7 +193,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     with ThreadPoolExecutor(max_workers=6) as ex:
         parallel = dict(
             ex.map(
-                lambda k: (k, reduce_blocks(pool, cfg.mode, [_block_draws(pool, cfg, k, Substreams(cfg.rng_seed))])),
+                lambda k: (k, reduce_blocks(pool, cfg.mode, [_word_draws(pool, cfg, range(k, k + 1), Substreams(cfg.rng_seed))])),
                 reversed(range(n_blocks)),
             )
         )

@@ -2,31 +2,33 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import scalefit as sf
 from scalefit.bootstrap import (
     BLOCK,
-    _block_draws,
     _degenerate,
     _hierarchical_stats,
     _lemire,
+    _margin,
     _naive_stats,
     _ols_rows,
     _percentiles,
     _Pool,
+    _Short,
+    _splice,
     _word_draws,
-    _within_draws,
 )
 from scalefit.errors import DataError, DegenerateDataError
 from scalefit.powerlaw import _ols_log
 from scalefit.rng import Substreams
 
-from conftest import ar32_synth, reduce_blocks
+from conftest import _block_draws, _within_draws, ar32_synth, philox_words, reduce_blocks
 
 
 def exact_law_runset(n_dup=3):
@@ -116,7 +118,7 @@ class TestHierarchical:
         blocks = list(range(-(-cfg.n_replicates // BLOCK)))[::-1]
 
         def fit_alone(k):  # threads must not share a Substreams
-            return k, reduce_blocks(pool, cfg.mode, [_block_draws(pool, cfg, k, Substreams(cfg.rng_seed))])
+            return k, reduce_blocks(pool, cfg.mode, [_word_draws(pool, cfg, range(k, k + 1), Substreams(cfg.rng_seed))])
 
         with ThreadPoolExecutor(max_workers=8) as ex:
             coeffs = dict(ex.map(fit_alone, blocks))
@@ -388,8 +390,7 @@ class TestBlocks:
         counts = pool.sizes[groups].ravel()
         reference = rng.integers(0, np.repeat(counts, counts)) + np.repeat(pool.start[groups].ravel(), counts)
         cfg = sf.BootstrapConfig(n_replicates=BLOCK, rng_seed=9)
-        drawn, redo = _word_draws(pool, cfg, range(1), Substreams(9))
-        assert not redo.any()
+        drawn = _word_draws(pool, cfg, range(1), Substreams(9))
         assert drawn[0].tolist() == groups.tolist()
         assert drawn[1].tolist() == reference.tolist()
 
@@ -456,9 +457,9 @@ class TestBlocks:
         batches = []  # (rows, index elements) of each run
 
         def spy(pool, cfg, blocks, streams):
-            draws, redo = _word_draws(pool, cfg, blocks, streams)
+            draws = _word_draws(pool, cfg, blocks, streams)
             batches.append((len(draws[0]), draws[-1].size))
-            return draws, redo
+            return draws
 
         monkeypatch.setattr(sf.bootstrap, "REDUCE_ELEMENTS", budget)
         monkeypatch.setattr(sf.bootstrap, "_word_draws", spy)
@@ -510,6 +511,11 @@ def per_block_band(runset, cfg):
 def raw_halves(rng, n):
     # the 32-bit halves of n raw 64-bit words, low half first
     return rng.bit_generator.random_raw(n).astype("<u8").view("<u4")
+
+
+def assert_stream_goes_on_at(rng, halves, at):
+    # the generator's next 32-bit halves, a spare one first, are halves[at:]
+    assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist() == halves[at : at + 5].tolist()
 
 
 KEYS = [(0, 0), (0, 2**64 - 1), (1, 0), (1, 1), (2**63, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
@@ -601,6 +607,50 @@ class TestWordLevelDraws:
         assert a.bit_generator.state["has_uint32"] == 0
         assert a.bit_generator.random_raw(3).tolist() == words[taken // 2:].tolist()
 
+    @pytest.mark.parametrize("seed, stream", KEYS, ids=[f"key-{(s << 64) | k:#x}" for s, k in KEYS])
+    def test_philox_reference_equals_random_raw(self, seed, stream):
+        # the substream layout, pinned without numpy: key [stream, seed] and a
+        # counter whose first block is 1
+        assert philox_words(seed, stream, 9) == Substreams(seed).open(stream).bit_generator.random_raw(9).tolist()
+
+    @pytest.mark.parametrize("key", range(3))
+    @pytest.mark.parametrize("bound", [3 * 2**30, 2**31 + 1])
+    def test_splice_equals_integers_where_many_halves_are_rejected(self, bound, key):
+        # about a quarter and about a half of the halves are rejected here, so
+        # the halves that the margin allows run short; 4 a value do not
+        count = 2000
+        halves = raw_halves(sf.substream(key, 3), 2 * count)
+        with pytest.raises(_Short):
+            _splice(halves[: count + _margin(count, threshold(bound))], 0, bound, count)
+        values, at = _splice(halves, 0, bound, count)
+        rng = sf.substream(key, 3)
+        assert values.tolist() == rng.integers(0, bound, size=count).tolist()
+        assert_stream_goes_on_at(rng, halves, at)
+
+    @pytest.mark.parametrize("key", range(3))
+    def test_splice_of_per_value_bounds_equals_integers(self, key):
+        # one bound per value, 1 (no half), 5, 2500 and 2**31 + 1 mixed
+        bounds = np.random.default_rng(key).choice([1, 5, 2500, 2**31 + 1], size=301).astype(np.uint64)
+        halves = raw_halves(sf.substream(key, 4), 400)
+        values, at = _splice(halves, 0, bounds, np.ones(bounds.size, dtype=int))
+        rng = sf.substream(key, 4)
+        assert values.tolist() == rng.integers(0, bounds).tolist()
+        assert_stream_goes_on_at(rng, halves, at)
+        with pytest.raises(_Short):
+            _splice(halves[: at - 1], 0, bounds, np.ones(bounds.size, dtype=int))
+
+    def test_splice_goes_on_from_a_spare_half(self):
+        # the first call takes an odd number of halves; the second starts at
+        # the next half, not the next 64-bit word
+        halves = raw_halves(sf.substream(6, 5), 100)
+        rng = sf.substream(6, 5)
+        first, at = _splice(halves, 0, 5, 7)
+        assert at % 2 == 1
+        assert first.tolist() == rng.integers(0, 5, size=7).tolist()
+        second, at = _splice(halves, at, np.array([2500, 1, 7] * 5, dtype=np.uint64), np.array([2, 3, 1] * 5))
+        assert second.tolist() == rng.integers(0, np.repeat([2500, 1, 7] * 5, [2, 3, 1] * 5)).tolist()
+        assert_stream_goes_on_at(rng, halves, at)
+
     def test_forced_redraws_reproduce_the_per_block_band(self):
         runset = two_scale_runset(4)
         pool = _Pool(runset)
@@ -608,52 +658,57 @@ class TestWordLevelDraws:
         assert pool.common_size == 4
         first = [sf.substream(41, k).integers(0, 2, size=(BLOCK, 2)) for k in range(5)]
         assert any(_degenerate(pool.group_params[draws]).any() for draws in first)
-        # exactly the blocks whose first scale draw holds a degenerate row (here
-        # all five) are drawn again, and their rows overwrite the run's
-        _, redo = _word_draws(pool, cfg, range(5), Substreams(41))
-        assert redo.tolist() == [_degenerate(pool.group_params[draws]).any() for draws in first]
         band = sf.bootstrap_band(runset, cfg)
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
     @pytest.mark.parametrize(
-        "mode, sizes, blocks",
+        "mode, sizes, blocks, at",
         [
-            ("hierarchical", None, [1]),
-            ("hierarchical", (3, 1, 0, 5, 2, 6, 4, 2), [1, 2]),
-            ("naive", (3, 1, 0, 5, 2, 6, 4, 2), [1]),
+            ("hierarchical", None, [1], BLOCK * 8 + 5),
+            ("hierarchical", (3, 1, 0, 5, 2, 6, 4, 2), [1, 2], 5),
+            ("naive", (3, 1, 0, 5, 2, 6, 4, 2), [1], 5),
         ],
         ids=["uniform", "ragged", "naive"],
     )
-    def test_rejected_word_redraws_its_block(self, monkeypatch, mode, sizes, blocks):
+    def test_rejected_word_redraws_its_block(self, monkeypatch, mode, sizes, blocks, at):
         # the ragged pool holds 7 scales of 1-6 records, 23 in all: each of
-        # its bounds but 1 and 2 has a rejection threshold above 0
+        # its bounds but 1 and 2 has a rejection threshold above 0.  A half
+        # of 0 has the leftover 0, so it is rejected wherever the threshold
+        # is above 0: at half ``at`` that is the uniform pool's within-group
+        # draw (bound 5; the scale draw's bound 8 rejects nothing), and the
+        # scale or pooled draw of the others.  Inserted into the streams of
+        # ``blocks``, it must be spliced out; a half of 2**32 - 1, which every
+        # bound accepts, moves the draws along instead.
         runset = ar32_synth(42)[0] if sizes is None else ragged_runset(44, sizes)
         cfg = sf.BootstrapConfig(n_replicates=3 * BLOCK, rng_seed=42, mode=mode)
         expected = per_block_band(runset, cfg)
-        redrawn = []
+        real_open = Substreams.open
 
-        def reject_in_the_second_block(halves, excl):
-            values, leftover = _lemire(halves, excl)
-            if leftover.ndim == 2:  # a run's scale or pooled draw, one row per block
-                leftover[1, -1] = 0
-            elif np.ndim(excl) == 1:  # a ragged run's within-group draw, whose last word is the last block's
-                leftover[-1] = 0
-            return values, leftover
+        def band_with_an_inserted_half(half):
+            class Bits:  # the words of the stream with ``half`` inserted at ``at``
+                def __init__(self, bits):
+                    self.bits = bits
 
-        def spy(pool, cfg, block, streams):
-            redrawn.append(block)
-            return _block_draws(pool, cfg, block, streams)
+                def random_raw(self, n):
+                    halves = np.insert(self.bits.random_raw(n).astype("<u8").view("<u4"), at, half)
+                    return halves[: 2 * n].view("<u8")
 
-        monkeypatch.setattr(sf.bootstrap, "_lemire", reject_in_the_second_block)
-        monkeypatch.setattr(sf.bootstrap, "_block_draws", spy)
-        band = sf.bootstrap_band(runset, cfg)
-        assert redrawn == blocks
-        assert (band.replicate_slopes, band.replicate_intercepts) == expected
+            def open_(self, stream):
+                rng = real_open(self, stream)
+                return SimpleNamespace(bit_generator=Bits(rng.bit_generator)) if stream in blocks else rng
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Substreams, "open", open_)
+                band = sf.bootstrap_band(runset, cfg)
+            return band.replicate_slopes, band.replicate_intercepts
+
+        assert band_with_an_inserted_half(0) == expected
+        assert band_with_an_inserted_half(2**32 - 1) != expected
 
     @pytest.mark.parametrize(
         "mode, sizes", [("hierarchical", (5, 1, 3, 2)), ("naive", (1, 1, 1, 2))], ids=["ragged", "naive"]
     )
-    def test_degenerate_rows_redraw_exactly_their_blocks(self, monkeypatch, mode, sizes):
+    def test_degenerate_rows_redraw_exactly_their_blocks(self, mode, sizes):
         # four scales: some blocks' first draws hold a row of one scale, others none
         runset = ragged_runset(44, (*sizes, 0, 0, 0, 0))
         pool = _Pool(runset)
@@ -662,16 +717,7 @@ class TestWordLevelDraws:
         first = [sf.substream(45, k).integers(0, width, size=(BLOCK, width)) for k in range(12)]
         degenerate = [k for k, draws in enumerate(first) if _degenerate(key[draws]).any()]
         assert 0 < len(degenerate) < 12
-        redrawn = []
-
-        def spy(pool, cfg, block, streams):
-            redrawn.append(block)
-            return _block_draws(pool, cfg, block, streams)
-
-        monkeypatch.setattr(sf.bootstrap, "_block_draws", spy)
         band = sf.bootstrap_band(runset, cfg)
-        assert redrawn == degenerate
-        monkeypatch.undo()
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -694,6 +740,10 @@ class TestWordLevelDraws:
         b=st.integers(1, 7 * BLOCK),
         seed=SEEDS,
     )
+    # 1,289 records: block 0's pooled draw at seed 1 holds a half that numpy rejects
+    @example(sizes=[161] * 7 + [162], mode="naive", b=BLOCK, seed=1)
+    # one pooled block of 100,000 records: about 50 rejected halves
+    @example(sizes=[12_500] * 8, mode="naive", b=BLOCK, seed=1)
     def test_mixed_sizes_band_equals_per_block_band(self, sizes, mode, b, seed):
         runset = ragged_runset(44, sizes)
         cfg = sf.BootstrapConfig(n_replicates=b, rng_seed=seed, mode=mode)
@@ -734,7 +784,7 @@ class TestSharedParameterCount:
 
     @pytest.mark.parametrize("mode", ["hierarchical", "naive"])
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 1, 4)], ids=["uniform", "ragged"])
-    def test_a_resample_of_the_shared_pair_alone_is_redrawn(self, monkeypatch, mode, sizes):
+    def test_a_resample_of_the_shared_pair_alone_is_redrawn(self, mode, sizes):
         runset = shared_params_runset(sizes)
         pool = _Pool(runset)
         assert pool.n_groups == 4 and np.unique(pool.group_params).size == 3
@@ -748,16 +798,7 @@ class TestSharedParameterCount:
         # rows that draw both scales of the pair and no other
         only_the_pair = [k for k, draws in enumerate(first) if (_degenerate(key[draws]) & ~_degenerate(scale[draws])).any()]
         assert only_the_pair and set(only_the_pair) <= set(degenerate) and len(degenerate) < 16
-        redrawn = []
-
-        def spy(pool, cfg, block, streams):
-            redrawn.append(block)
-            return _block_draws(pool, cfg, block, streams)
-
-        monkeypatch.setattr(sf.bootstrap, "_block_draws", spy)
         band = sf.bootstrap_band(runset, cfg)
-        assert redrawn == degenerate
-        monkeypatch.undo()
         assert (band.replicate_slopes, band.replicate_intercepts) == per_block_band(runset, cfg)
 
     @pytest.mark.parametrize("mode", ["hierarchical", "naive"])

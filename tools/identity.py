@@ -129,8 +129,11 @@ RUN_SETS = {
     # scales of 1 to 4 records, one of them a single record
     "mixed sizes": ("mixed.jsonl", _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))),
     # 4 scales of 1, 1, 1 and 2 records: so many first draws are degenerate
-    # that some blocks of a band are drawn again, and others are not
+    # that some blocks of a band redraw resamples, and others do not
     "redraws": ("redraws.jsonl", _run_set(((1, 1), (2, 1), (3, 1), (4, 2)))),
+    # 1,289 records: at seed 1 the pooled naive draw of block 0 holds a half
+    # that numpy rejects, so the band splices it out
+    "rejected halves": ("rejected-halves.jsonl", _run_set((*((layers, 161) for layers in range(1, 8)), (8, 162)))),
     # five scales and one label, their cells given in several forms
     "mixed cells": ("mixed-cells.jsonl", _mixed_cells()),
 }
