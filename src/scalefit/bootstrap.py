@@ -253,10 +253,11 @@ def _take(halves: np.ndarray, excl: int, count, at) -> tuple[np.ndarray, np.ndar
     at once.  Returns the draws, row after row, and each row's next position."""
     if excl == 1:  # takes no half
         return np.zeros(int(np.sum(count)), dtype=np.int64), at
-    values, accepted = _lemire(halves, excl)
-    accepted = accepted >= (2**32 - excl) % excl  # numpy keeps a half whose leftover reaches the threshold
-    if np.ndim(count) == np.ndim(at) == 0 and at + count <= len(halves.T) and accepted[:, at : at + count].all():
+    values, leftover = _lemire(halves, excl)
+    thr = (2**32 - excl) % excl
+    if np.ndim(count) == np.ndim(at) == 0 and at + count <= len(halves.T) and leftover[:, at : at + count].min() >= thr:
         return values[:, at : at + count], at + count  # no half rejected
+    accepted, leftover = leftover >= thr, None  # numpy keeps a half whose leftover reaches the threshold
     count, at = (np.broadcast_to(x, len(halves))[:, None] for x in (count, at))
     accepted &= np.arange(halves.shape[1]) >= at
     taken = accepted.cumsum(axis=1, dtype=np.int32)
@@ -307,9 +308,9 @@ def _draws(pool: _Pool, cfg: BootstrapConfig, first_block: int, halves: np.ndarr
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
     n, h = BLOCK * width, pool.common_size
     draws, end = _take(halves[:, : n + _margin(n, (2**32 - width) % width)], width, n, 0)
-    rows, bad = draws.reshape(-1, width), np.zeros(len(halves) * BLOCK, dtype=bool)
-    suspect = np.flatnonzero(key[rows[:, 0]] == key[rows[:, -1]])  # rows whose ends differ are not degenerate
-    bad[suspect] = _degenerate(key[rows[suspect]])
+    rows = draws.reshape(-1, width)
+    bad = key[rows[:, 0]] == key[rows[:, -1]]  # rows whose ends differ are not degenerate
+    bad[bad] = _degenerate(key[rows[bad]])
     for _ in range(MAX_REDRAWS - 1):
         again = np.flatnonzero(bad)
         if again.size == 0:
@@ -326,7 +327,7 @@ def _draws(pool: _Pool, cfg: BootstrapConfig, first_block: int, halves: np.ndarr
         return (rows,)
     if h > 1:  # one bound: every block's within-group draw at once
         draws = _take(halves[:, n:], h, n * h, end - n)[0]
-        return rows, (pool.start[rows].reshape(-1, 1) + draws.reshape(-1, h)).ravel()
+        return rows, (pool.start[rows].reshape(len(halves), -1, 1) + draws.reshape(len(halves), -1, h)).ravel()
     counts, ends = pool.sizes[rows].reshape(len(halves), -1), (np.zeros(len(halves), dtype=np.intp) + end).tolist()
     positions, stops = np.repeat(pool.start[rows].ravel(), counts.ravel()), np.cumsum(counts.sum(axis=1)).tolist()
     for row, at, c, lo, hi in zip(halves, ends, counts, [0, *stops], stops):
@@ -337,10 +338,9 @@ def _draws(pool: _Pool, cfg: BootstrapConfig, first_block: int, halves: np.ndarr
 def _word_draws(pool: _Pool, cfg: BootstrapConfig, blocks: range, streams: Substreams) -> tuple[np.ndarray, ...]:
     """The :func:`_draws` of consecutive ``blocks``, from the raw words of their substreams.
 
-    Block k reads substream ``(rng_seed, k)``, opened on ``streams``: the
-    words its draws should take, with margins for rejected halves and for
-    the spread of the within-group draw's length; twice as many if short.
-    """
+    Block k reads substream ``(rng_seed, k)``, opened on ``streams``: the words
+    its draws should take, with margins for rejected halves and for the spread
+    of a within-group draw's length; if they run short, twice as many."""
     n = BLOCK * (width := pool.n_groups if cfg.mode == "hierarchical" else pool.v.size)
     mean, sd, top = pool.within if cfg.mode == "hierarchical" else (0, 0, 0)
     within = n * mean + 4 * n**0.5 * sd
