@@ -157,7 +157,8 @@ class _Pool:
     every record in a group shares the group's ``u = ln N``, so a resample
     needs only its per-group counts and sums of ``v``.  ``common_size`` is
     the size every group has, or 0 when the sizes differ, and ``within`` the
-    mean, spread and most of the halves a drawn group's within draw takes.
+    mean and spread of the halves a drawn group's within draw takes and the
+    highest rejection threshold of its bounds.
     """
 
     def __init__(self, runset: RunSet):
@@ -166,7 +167,7 @@ class _Pool:
         self.start = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
         self.common_size = int(self.sizes[0]) if (self.sizes == self.sizes[0]).all() else 0
         takes = np.where(self.sizes > 1, self.sizes, 0)
-        self.within = (takes.mean(), takes.std(), int(takes.max()))
+        self.within = (takes.mean(), takes.std(), int(((2**32 - self.sizes) % self.sizes).max()))
         self.v = np.log(runset.values)
         self.code = runset.code
         self.params = runset.params
@@ -227,8 +228,8 @@ def _lemire(halves: np.ndarray, excl) -> tuple[np.ndarray, np.ndarray]:
     applies to one 32-bit word per value for a bound below 2**32.  numpy
     rejects a word whose leftover is below ``(2**32 - excl) % excl`` and draws
     again from the next word, so a value is numpy's only if its word is kept.
-    ``excl`` is one bound, or a uint64 array of one per word; a bound of 1
-    takes no word.
+    ``excl`` is one bound, or an unsigned array of one per word; a bound of
+    1 takes no word.
     """
     m = halves.astype(np.uint64)
     m *= excl
@@ -249,22 +250,29 @@ class _Short(Exception):
 def _take(halves: np.ndarray, excl: int, count, at) -> tuple[np.ndarray, np.ndarray]:
     """Each row's next ``count`` draws in ``[0, excl)`` from its halves at ``at`` on (either may be per row).
 
-    A row-wise running count of accepted halves selects them for every row
-    at once.  Returns the draws, row after row, and each row's next position."""
-    if excl == 1:  # takes no half
-        return np.zeros(int(np.sum(count)), dtype=np.int64), at
-    values, leftover = _lemire(halves, excl)
+    The draws are sought among the halves they should need, with a margin
+    for rejected ones, and among the whole rows only if those run short.  A
+    row-wise running count of accepted halves selects them for every row at
+    once.  Returns the draws, row after row, and each row's next position."""
     thr = (2**32 - excl) % excl
-    if np.ndim(count) == np.ndim(at) == 0 and at + count <= len(halves.T) and leftover[:, at : at + count].min() >= thr:
-        return values[:, at : at + count], at + count  # no half rejected
-    accepted, leftover = leftover >= thr, None  # numpy keeps a half whose leftover reaches the threshold
+    if np.ndim(count) == np.ndim(at) == 0 and at + count <= halves.shape[1]:
+        values, leftover = _lemire(halves[:, at : at + count], excl)
+        if leftover.min() >= thr:
+            return values, at + count  # no half rejected
+        del values, leftover
     count, at = (np.broadcast_to(x, len(halves))[:, None] for x in (count, at))
-    accepted &= np.arange(halves.shape[1]) >= at
-    taken = accepted.cumsum(axis=1, dtype=np.int32)
-    if (taken[:, -1:] < count).any():
-        raise _Short
-    accepted &= taken <= count
-    return values[accepted], np.where(count > 0, (taken < count).sum(axis=1, keepdims=True) + 1, at)[:, 0]
+    need = int((at + count).max()) + _margin(int(count.max()), thr)
+    for view in (halves[:, :need], halves):
+        values, leftover = _lemire(view, excl)
+        accepted = leftover >= thr  # numpy keeps a half whose leftover reaches the threshold
+        del leftover
+        accepted &= np.arange(view.shape[1]) >= at
+        taken = accepted.cumsum(axis=1, dtype=np.int32)
+        if (taken[:, -1:] >= count).all():
+            accepted &= taken <= count
+            ends = np.where(count > 0, (taken < count).sum(axis=1, keepdims=True) + 1, at)
+            return values[accepted], ends[:, 0]
+    raise _Short
 
 
 def _splice(halves: np.ndarray, at: int, excl, count) -> tuple[np.ndarray, int]:
@@ -272,29 +280,35 @@ def _splice(halves: np.ndarray, at: int, excl, count) -> tuple[np.ndarray, int]:
 
     ``integers`` takes one half per value (none for a bound of 1) and, where
     a half's leftover is below its bound's threshold, rejects it and takes
-    the next: the values are those of the accepted halves in order.  For
-    one bound ``excl``, one mask selects them (:func:`_take`); for 64-bit
-    arrays of bounds and their counts, each rejected half moves the rest of
-    the draw along by one half.  Returns the values and the next position."""
-    if not np.ndim(excl):
-        draws, end = _take(halves[None, at:], excl, count, np.zeros(1, dtype=np.intp))
-        return draws, at + int(end[0])
+    the next: the values are those of the accepted halves in order.  Each
+    rejected half moves the rest of the draw along by one half, so the
+    halves are paired with their bounds 2**16 at a time, from the last
+    rejected one on, and a rejection costs at most one such window again.
+    Returns the values and the next position."""
     if excl.min(initial=2) == 1:
-        values, takes = np.zeros(count.sum(), dtype=np.int64), excl > 1
+        values = np.zeros(count.sum(), dtype=np.int64)
+        takes = excl > 1
         values[np.repeat(takes, count)], at = _splice(halves, at, excl[takes], count[takes])
         return values, at
-    parts, done, top, excl = [], 0, int(excl.max(initial=0)), np.repeat(excl, count).view(np.uint64)
-    while True:
-        todo = excl[done:]
+    top = int(excl.max(initial=0))
+    excl = np.repeat(excl.astype(np.uint32), count)
+    values = np.empty(0, dtype=np.int64)
+    done = 0
+    while done < excl.size:
+        todo = excl[done : done + 2**16]
         if halves.size - at < todo.size:
             raise _Short
         draws, leftover = _lemire(halves[at : at + todo.size], todo)
-        low = np.flatnonzero(leftover < top).tolist() if leftover.min(initial=top) < top else []  # thresholds < bounds
+        low = np.flatnonzero(leftover < top).tolist() if leftover.min() < top else []  # thresholds < bounds
         kept = next((j for j in low if leftover[j] < (2**32 - int(todo[j])) % int(todo[j])), todo.size)
-        if kept == todo.size:
-            return np.concatenate((*parts, draws)) if parts else draws, at + kept
-        parts.append(draws[:kept])
-        done, at = done + kept, at + kept + 1
+        if kept == excl.size:  # one window and no half rejected, as in most draws
+            return draws, at + kept
+        if not values.size:
+            values = np.empty(excl.size, dtype=np.int64)
+        values[done : done + kept] = draws[:kept]
+        done += kept
+        at += kept + (kept < todo.size)  # past a rejected half
+    return values, at
 
 
 def _draws(pool: _Pool, cfg: BootstrapConfig, first_block: int, halves: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -306,8 +320,9 @@ def _draws(pool: _Pool, cfg: BootstrapConfig, first_block: int, halves: np.ndarr
     in row order, and the within-group draw takes the halves after that."""
     hierarchical = cfg.mode == "hierarchical"
     width, key = (pool.n_groups, pool.group_params) if hierarchical else (pool.v.size, pool.params)
-    n, h = BLOCK * width, pool.common_size
-    draws, end = _take(halves[:, : n + _margin(n, (2**32 - width) % width)], width, n, 0)
+    n = BLOCK * width
+    h = pool.common_size
+    draws, end = _take(halves, width, n, 0)
     rows = draws.reshape(-1, width)
     bad = key[rows[:, 0]] == key[rows[:, -1]]  # rows whose ends differ are not degenerate
     bad[bad] = _degenerate(key[rows[bad]])
@@ -325,12 +340,14 @@ def _draws(pool: _Pool, cfg: BootstrapConfig, first_block: int, halves: np.ndarr
         )
     if not hierarchical:
         return (rows,)
+    starts = pool.start[rows].reshape(len(halves), -1)
     if h > 1:  # one bound: every block's within-group draw at once
         draws = _take(halves[:, n:], h, n * h, end - n)[0]
-        return rows, (pool.start[rows].reshape(len(halves), -1, 1) + draws.reshape(len(halves), -1, h)).ravel()
-    counts, ends = pool.sizes[rows].reshape(len(halves), -1), (np.zeros(len(halves), dtype=np.intp) + end).tolist()
-    positions, stops = np.repeat(pool.start[rows].ravel(), counts.ravel()), np.cumsum(counts.sum(axis=1)).tolist()
-    for row, at, c, lo, hi in zip(halves, ends, counts, [0, *stops], stops):
+        return rows, (starts[:, :, None] + draws.reshape(len(halves), -1, h)).ravel()
+    counts = pool.sizes[rows].reshape(len(halves), -1)
+    positions = np.repeat(starts.ravel(), counts.ravel())
+    stops = np.cumsum(counts.sum(axis=1)).tolist()
+    for row, at, c, lo, hi in zip(halves, np.broadcast_to(end, len(halves)).tolist(), counts, [0, *stops], stops):
         positions[lo:hi] += _splice(row, at, c, c)[0]
     return rows, positions
 
@@ -341,12 +358,16 @@ def _word_draws(pool: _Pool, cfg: BootstrapConfig, blocks: range, streams: Subst
     Block k reads substream ``(rng_seed, k)``, opened on ``streams``: the words
     its draws should take, with margins for rejected halves and for the spread
     of a within-group draw's length; if they run short, twice as many."""
-    n = BLOCK * (width := pool.n_groups if cfg.mode == "hierarchical" else pool.v.size)
-    mean, sd, top = pool.within if cfg.mode == "hierarchical" else (0, 0, 0)
+    hierarchical = cfg.mode == "hierarchical"
+    width = pool.n_groups if hierarchical else pool.v.size
+    n = BLOCK * width
+    mean, sd, thr = pool.within if hierarchical else (0, 0, 0)
     within = n * mean + 4 * n**0.5 * sd
-    words = -(-int(n + _margin(n, (2**32 - width) % width) + within + _margin(within, top)) // 2)
+    words = -(-int(n + _margin(n, (2**32 - width) % width) + within + _margin(within, thr)) // 2)
     while True:
-        raw = np.array([streams.open(k).bit_generator.random_raw(words) for k in blocks], dtype="<u8")
+        raw = np.empty((len(blocks), words), dtype="<u8")
+        for row, k in zip(raw, blocks):
+            row[:] = streams.open(k).bit_generator.random_raw(words)
         try:  # each word's low 32-bit half first, as integers takes them
             return _draws(pool, cfg, blocks[0], raw.view("<u4"))
         except _Short:

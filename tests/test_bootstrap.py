@@ -22,6 +22,7 @@ from scalefit.bootstrap import (
     _Pool,
     _Short,
     _splice,
+    _take,
     _word_draws,
 )
 from scalefit.errors import DataError, DegenerateDataError
@@ -521,6 +522,12 @@ def assert_stream_goes_on_at(rng, halves, at):
 KEYS = [(0, 0), (0, 2**64 - 1), (1, 0), (1, 1), (2**63, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
 
 
+def take_one(halves, bound, count):
+    # one stream's next ``count`` draws at one bound, and its next position
+    values, at = _take(halves[None], bound, count, 0)
+    return values.ravel(), int(np.max(at))
+
+
 def threshold(bound):
     # numpy rejects a word whose Lemire leftover is below this
     return (2**32 - bound) % bound
@@ -621,8 +628,8 @@ class TestWordLevelDraws:
         count = 2000
         halves = raw_halves(sf.substream(key, 3), 2 * count)
         with pytest.raises(_Short):
-            _splice(halves[: count + _margin(count, threshold(bound))], 0, bound, count)
-        values, at = _splice(halves, 0, bound, count)
+            take_one(halves[: count + _margin(count, threshold(bound))], bound, count)
+        values, at = take_one(halves, bound, count)
         rng = sf.substream(key, 3)
         assert values.tolist() == rng.integers(0, bound, size=count).tolist()
         assert_stream_goes_on_at(rng, halves, at)
@@ -639,17 +646,52 @@ class TestWordLevelDraws:
         with pytest.raises(_Short):
             _splice(halves[: at - 1], 0, bounds, np.ones(bounds.size, dtype=int))
 
+    def test_splice_steps_over_rejected_halves_at_window_edges(self):
+        # _splice pairs halves with their bounds 2**16 at a time, from the
+        # last rejected half on.  Halves of 0, which bounds 5 and 2500 reject,
+        # end the first window, begin the next two and end the fourth; the
+        # fifth takes a whole window with no rejection.  The values follow
+        # numpy's rule half by half.
+        bounds = np.array([2500, 1, 5, 2500], dtype=np.uint64)
+        counts = np.array([70_000, 3, 60_000, 70_000])
+        halves = raw_halves(sf.substream(7, 4), 110_000).copy()
+        halves[[65_535, 65_536, 65_537, 131_073]] = 0
+        values, at = _splice(halves, 0, bounds, counts)
+        expected, i, words = [], 0, halves.tolist()
+        for bound in np.repeat(bounds, counts).tolist():
+            while bound > 1 and (words[i] * bound) & 0xFFFFFFFF < threshold(bound):
+                i += 1
+            expected.append((words[i] * bound) >> 32 if bound > 1 else 0)
+            i += bound > 1
+        assert values.tolist() == expected
+        assert at == i
+
     def test_splice_goes_on_from_a_spare_half(self):
         # the first call takes an odd number of halves; the second starts at
         # the next half, not the next 64-bit word
         halves = raw_halves(sf.substream(6, 5), 100)
         rng = sf.substream(6, 5)
-        first, at = _splice(halves, 0, 5, 7)
+        first, at = take_one(halves, 5, 7)
         assert at % 2 == 1
         assert first.tolist() == rng.integers(0, 5, size=7).tolist()
         second, at = _splice(halves, at, np.array([2500, 1, 7] * 5, dtype=np.uint64), np.array([2, 3, 1] * 5))
         assert second.tolist() == rng.integers(0, np.repeat([2500, 1, 7] * 5, [2, 3, 1] * 5)).tolist()
         assert_stream_goes_on_at(rng, halves, at)
+
+    def test_pooled_draw_short_of_its_margin_reads_on(self, monkeypatch):
+        # with no margin, block 0's pooled draw, which holds a rejected half
+        # at position 26,337, runs short of the halves first read: its
+        # stream is read again, and the draw takes the longer read's halves
+        runset = ragged_runset(44, [161] * 7 + [162])
+        cfg = sf.BootstrapConfig(n_replicates=BLOCK, rng_seed=1, mode="naive")
+        expected = per_block_band(runset, cfg)
+        opened = []
+        real_open = Substreams.open
+        monkeypatch.setattr(sf.bootstrap, "_margin", lambda count, threshold: 0)
+        monkeypatch.setattr(Substreams, "open", lambda self, stream: opened.append(stream) or real_open(self, stream))
+        band = sf.bootstrap_band(runset, cfg)
+        assert opened == [0, 0]
+        assert (band.replicate_slopes, band.replicate_intercepts) == expected
 
     def test_forced_redraws_reproduce_the_per_block_band(self):
         runset = two_scale_runset(4)
