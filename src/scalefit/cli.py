@@ -101,6 +101,8 @@ def _depth(value: int | None, flag: str) -> int | None:
 
 
 def _pick(groups: dict, task, family, metric) -> RunSet:
+    if not groups:
+        raise DataError("the input holds no records")
     matches = [
         rs
         for (t, f, m), rs in groups.items()

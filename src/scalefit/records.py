@@ -8,24 +8,19 @@ direction, tokens``.  ``params`` may be given instead of ``layers`` and
 object per line; CSV uses the same keys as a header row, UTF-8, comma
 separated, ``.`` decimal point.
 
-Records are held as numpy columns: :func:`ingest` checks a file a chunk of
-rows at a time into a :class:`RecordTable`, numbering each row's scale,
-label, seeds and tokens by five keys of its cells, each distinct key
-checked once; :func:`group` splits it into run sets with one lexsort, and
-:class:`RunRecord` objects are built only when ``records`` is read.  The
-key checks and the value column's check only pass or fail a chunk; the
-rows of a chunk that fails them are read again one at a time, by the
-reader that read the chunk, and checked by :func:`_record`, whose
-statement order is the order of one row's checks.  The first bad row
-raises ``row N: <its first failed check>``.  In-memory :class:`RunRecord`
-objects are a third chunk reader beside the JSONL and CSV ones: :func:`group`
-checks record N as row N of a file, and :func:`emit` writes a table or
-records from the same per-field cells, :func:`_cells`.
-
-Each file is read once, with each byte that is not UTF-8 decoded as its
-surrogate escape.  The line reader, :func:`_line_chunks`, ends the file at
-the first line N that holds such a byte: the rows that end before line N
-are read and checked, and then the file fails with ``row N: not valid UTF-8``.
+Records are held as numpy columns: :func:`ingest` reads a file once, a
+chunk of rows at a time, into a :class:`RecordTable`, numbering each row's
+scale, label, seeds and tokens by five keys of its cells in one dict pass
+per key, each new key checked once; :func:`group` orders a table by one
+argsort of a folded int64 key where it can; :class:`RunRecord` objects are
+built only when ``records`` is read.  A chunk that fails these checks is
+read again a row at a time, by its reader, and checked by :func:`_record`,
+whose statement order is one row's check order: the first bad row raises
+``row N: <its first failed check>``, and so does, after the rows before it,
+the first line N holding a byte that is not UTF-8 (:func:`_line_chunks`).
+In-memory :class:`RunRecord` objects are a third reader: :func:`group`
+checks record N as row N, and :func:`emit` writes a table or records from
+the same per-field cells, :func:`_cells`.
 """
 
 from __future__ import annotations
@@ -51,34 +46,18 @@ from .compute import param_count
 from .errors import DataError
 
 RECORD_FIELDS = (
-    "layers",
-    "hidden",
-    "params",
-    "task",
-    "family",
-    "pretrain_seed",
-    "finetune_seed",
-    "metric",
-    "value",
-    "direction",
+    "layers", "hidden", "params", "task", "family", "pretrain_seed", "finetune_seed", "metric", "value", "direction",
     "tokens",
 )
 _FIELD_SET = frozenset(RECORD_FIELDS)
-# Rows are parsed and checked this many at a time, which bounds the memory
-# held by parsed but unchecked cells.
-_CHUNK = 4096
+_CHUNK = 4096  # rows parsed and checked at a time: a bound on the memory of unchecked cells
 
 # The canonical direction tokens, which :func:`normalize_direction` returns.
 DIRECTIONS = ("maximize", "minimize")
 # Each record file format and the suffixes it is inferred from.
 FORMATS = {"jsonl": (".jsonl", ".ndjson"), "csv": (".csv",)}
 
-_DIRECTION_TOKENS = {
-    "max": "maximize",
-    "maximize": "maximize",
-    "min": "minimize",
-    "minimize": "minimize",
-}
+_DIRECTION_TOKENS = {"max": "maximize", "maximize": "maximize", "min": "minimize", "minimize": "minimize"}
 
 
 def _shown(cell) -> str:
@@ -280,10 +259,8 @@ class RunSet(RecordTable):
         if not groups:
             raise DataError("cannot build a run set from zero records")
         if len(groups) > 1:
-            first, other = list(groups)[:2]
-            raise DataError(
-                f"records disagree on (task, family, metric): ({', '.join(first)}) vs ({', '.join(other)})"
-            )
+            first, other = map(", ".join, list(groups)[:2])
+            raise DataError(f"records disagree on (task, family, metric): ({first}) vs ({other})")
         return next(iter(groups.values()))
 
     def points(self) -> np.ndarray:
@@ -316,14 +293,32 @@ def _take(table: RecordTable, rows: np.ndarray, scales, code: np.ndarray, label:
     """The run set ``label`` of the table ``rows``, given in canonical order;
     ``code`` indexes each table row's scale in the ascending ``scales``.  It
     keeps the scales its rows use."""
-    used, code = np.unique(code[rows], return_inverse=True)
-    kept = tuple(scales[k] for k in used.tolist())
+    code = code[rows]
+    first = np.concatenate(([True], code[1:] != code[:-1]))  # the first row of each scale, since the codes ascend
+    kept = tuple(scales[k] for k in code[first].tolist())
     cols = (table.values[rows], table.seeds[rows], table.tokens[rows])
-    return RunSet(kept, code, *cols, (label,), np.zeros(len(rows), dtype=np.intp))
+    return RunSet(kept, np.cumsum(first) - 1, *cols, (label,), np.zeros(len(rows), dtype=np.intp))
 
 
 def _scale_key(s: ScaleSpec) -> tuple:
     return (s.params, -1 if s.layers is None else s.layers, -1 if s.hidden is None else s.hidden)
+
+
+def _folded(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Sort keys ordering rows as the int64 ``columns`` do, most significant
+    first, each run of columns whose ranges multiply to under 2**63 folded
+    into one exact int64 key."""
+    keys, span = [], 0
+    for column in columns:
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        if keys and span * width < 2**63:
+            keys[-1] = keys[-1] * width + (column - low)
+            span *= width
+        else:  # a key of its own, from 0 unless its range is too wide for that
+            keys.append(column - low if width <= 2**63 else column)
+            span = width
+    return keys
 
 
 def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, str], RunSet]:
@@ -331,24 +326,34 @@ def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, st
 
     Takes what :func:`ingest` returns, or any iterable of :class:`RunRecord`,
     whose cells are checked as the rows of a file are, record N as row N
-    (a missing seed warns, naming the source ``records``).  One lexsort puts
-    the rows in canonical order.  Every record lands in exactly one RunSet;
-    a direction disagreement within a key raises :class:`DataError`.
+    (a missing seed warns, naming the source ``records``).  A row's key,
+    scale and seeds fold into as few int64 sort keys as their ranges allow:
+    one stable argsort puts the rows in canonical order when one key orders
+    them with no ties, and one lexsort with the values and tokens otherwise.
+    Every record lands in one RunSet; a direction disagreement within a key
+    raises :class:`DataError`.
     """
     table = records if isinstance(records, RecordTable) else _add_chunks(_record_chunks(records), _cells, "records")
+    if not len(table):
+        return {}
     keys = sorted({label[:3] for label in table.labels})
-    key_of = np.array([keys.index(label[:3]) for label in table.labels], dtype=np.intp)[table.label]
+    key_of = np.array([keys.index(label[:3]) for label in table.labels], dtype=np.intp)
     order = sorted(range(len(table.scales)), key=lambda k: _scale_key(table.scales[k]))
     scales = [table.scales[k] for k in order]
     code = np.argsort(order)[table.code]  # each row's scale rank
-    seeds = [_order_key(table.seeds[:, j]) for j in (1, 0)]
-    rows = np.lexsort((_order_key(table.tokens), table.values, *seeds, code, key_of))
+    row_key = key_of[table.label]
+    folded = _folded([row_key * len(scales) + code, *(_order_key(table.seeds[:, j]) for j in (0, 1))])  # key, seeds
+    rows = np.argsort(folded[0], kind="stable") if len(folded) == 1 else None
+    if rows is None or (folded[0][rows[1:]] == folded[0][rows[:-1]]).any():
+        rows = np.lexsort((_order_key(table.tokens), table.values, *folded[::-1]))
+    directions = {}  # key -> the directions of its labels that rows use
+    for k in np.flatnonzero(np.bincount(table.label, minlength=len(table.labels))).tolist():
+        directions.setdefault(keys[key_of[k]], set()).add(table.labels[k][3])
     groups = {}
-    for key, part in zip(keys, np.split(rows, np.cumsum(np.bincount(key_of))[:-1])):
+    for key, part in zip(keys, np.split(rows, np.cumsum(np.bincount(row_key))[:-1])):
         first = table.labels[table.label[part[0]]][3]
-        directions = {table.labels[k][3] for k in np.unique(table.label[part]).tolist()}
-        if len(directions) > 1:
-            other = (directions - {first}).pop()
+        if len(directions[key]) > 1:
+            other = (directions[key] - {first}).pop()
             raise DataError(f"mixed direction within group ({', '.join(key)}): {first!r} vs {other!r}")
         groups[key] = _take(table, part, scales, code, (*key, first))
     return groups
@@ -453,61 +458,64 @@ _LABEL_FIELDS = ("task", "family", "metric", "direction")
 _SEED_FIELDS = ("pretrain_seed", "finetune_seed")
 
 
+def _guarded(cells: dict) -> dict:
+    """A chunk's cells, each key column that holds a cell other than an int,
+    a str or None mapped through its check: 1, 1.0 and True are one dict key,
+    yet check differently, and a checked cell checks to itself."""
+    mixed = [f for f in _CHECKS if not set(map(type, cells[f])) <= _PLAIN_CELLS]
+    return cells | {f: list(map(_CHECKS[f], cells[f])) for f in mixed}
+
+
 def _checked(fields: Sequence[str], key: tuple) -> tuple:
     """The cells of a key of ``fields``, each checked by its ``_CHECKS`` entry."""
     return tuple(_CHECKS[f](cell) for f, cell in zip(fields, key))
 
 
 class _Codes:
-    """The distinct keys of the cells of ``fields``, each checked once by
-    ``check`` and numbered in order of first appearance: :meth:`codes` maps
-    a chunk's rows to the numbers of their keys, ``checked`` holds each
-    number's checked key and ``missing`` the numbers whose checked key is
-    None.  The key of one field is its cell, and of more the tuple of them."""
+    """The distinct keys of the cells of ``fields`` (a cell, or a tuple of
+    them), each checked once by ``check`` and numbered by the row, counted
+    over all chunks from 0, that it first appears on.  ``checked`` maps each
+    number to its checked key, and ``missing`` lists the numbers of None."""
 
     def __init__(self, fields: Sequence[str], check) -> None:
         self.fields = fields
         self.check = check
         self.number: dict = {}  # key -> its number
-        self.checked: list = []
+        self.checked: dict = {}  # number -> checked key
         self.missing: list[int] = []
+        self.rows = 0
 
-    def codes(self, cells: dict) -> np.ndarray:
-        """The number of each row's key in a chunk's ``cells``; a key not
-        seen before is checked, which may raise DataError, and numbered first."""
-        # 1, 1.0 and True are one dict key, yet check differently.  A checked
-        # cell checks to itself, so it can stand for its cell.
-        columns = [
-            cells[f] if set(map(type, cells[f])) <= _PLAIN_CELLS else list(map(_CHECKS[f], cells[f]))
-            for f in self.fields
-        ]
-        rows = len(columns[0])
+    def codes(self, columns: list) -> np.ndarray:
+        """The number of each row's key, from a chunk's column of each field
+        (see :func:`_guarded`), in one lookup pass; then each new key is
+        checked in order, which may raise DataError and spoil the memo."""
+        rows, before = len(columns[0]), len(self.number)
+        base, self.rows = self.rows, self.rows + rows
         if rows > 1 and all(column.count(column[0]) == rows for column in columns):
             # Every row holds the first row's key (count compares cells as dict keys do): look it up alone.
-            return np.full(rows, self.codes({f: column[:1] for f, column in zip(self.fields, columns)})[0])
-        keys = functools.partial(zip, *columns) if len(columns) > 1 else columns[0].__iter__
-        if self.number:  # before any key is numbered, every key is new
-            try:
-                return np.fromiter(map(self.number.__getitem__, keys()), np.intp, len(columns[0]))
-            except KeyError:  # a key not seen before
-                pass
-        for key in dict.fromkeys(keys()):
-            if key not in self.number:
-                checked = self.check(key)
-                if checked is None:
-                    self.missing.append(len(self.checked))
-                self.number[key] = len(self.checked)
-                self.checked.append(checked)
-        return np.fromiter(map(self.number.__getitem__, keys()), np.intp, len(columns[0]))
+            key = tuple(column[0] for column in columns) if len(columns) > 1 else columns[0][0]
+            codes = np.full(rows, self.number.setdefault(key, base))
+        else:
+            keys = zip(*columns) if len(columns) > 1 else columns[0]
+            codes = np.fromiter(map(self.number.setdefault, keys, itertools.count(base)), np.intp, rows)
+        # The keys not seen before are the last ones entered (dicts keep their order of entry).
+        for key in list(itertools.islice(reversed(self.number), len(self.number) - before))[::-1]:
+            number = self.number[key]
+            self.checked[number] = checked = self.check(key)
+            if checked is None:
+                self.missing.append(number)
+        return codes
 
     def resolved(self, codes: np.ndarray, default: int) -> np.ndarray:
         """The checked integers of ``codes``, ``default`` where missing (see :func:`_ints`)."""
-        return _ints([default if v is None else v for v in self.checked])[codes]
+        checked = _ints([default if v is None else v for v in self.checked.values()])
+        values = np.zeros(self.rows, dtype=checked.dtype)
+        values[list(self.checked)] = checked
+        return values[codes]
 
 
 def _values(cells: Sequence) -> np.ndarray:
-    """The value column parsed in bulk; raises DataError unless every cell
-    is a finite positive number."""
+    """The value column parsed in bulk; DataError unless each cell is a finite positive number."""
     kinds = set(map(type, cells))
     if bool in kinds or not all(issubclass(kind, _NUMBER_CELLS) for kind in kinds):
         raise DataError("value must be a number")
@@ -521,12 +529,10 @@ def _values(cells: Sequence) -> np.ndarray:
 
 
 class _Columns:
-    """Checked columns of one file, added a chunk of rows at a time as
-    integer codes.  Five :class:`_Codes` number each row's keys: its
-    (layers, hidden, params) cells, whose check numbers their scale in
-    ``scales``; its (task, family, metric, direction) cells, whose check
-    numbers their label in ``labels``; and its pretrain seed, finetune seed
-    and tokens.  Scales and labels are numbered in order of first appearance."""
+    """Checked columns of one file, added a chunk of rows at a time as codes
+    of five :class:`_Codes`: of a row's scale cells, whose check numbers the
+    scale in ``scales``, of its label cells, whose check numbers the label in
+    ``labels``, both in order of first appearance, and of its two seeds and tokens."""
 
     def __init__(self) -> None:
         # The checks close over the two dicts, not over self: a cycle through
@@ -548,7 +554,7 @@ class _Columns:
     def add(self, cells: dict, where: np.ndarray) -> None:
         """Check one chunk's cells a key at a time and append them; ``where``
         numbers its rows.  A failed check raises DataError without naming a row."""
-        codes = {name: keys.codes(cells) for name, keys in self.keys.items()}
+        codes = {name: keys.codes([cells[f] for f in keys.fields]) for name, keys in self.keys.items()}
         codes["value"] = _values(cells["value"])
         if any(self.keys[f].missing for f in _SEED_FIELDS):
             pre, fin = (np.isin(codes[f], self.keys[f].missing) for f in _SEED_FIELDS)
@@ -563,15 +569,8 @@ class _Columns:
     def table(self) -> RecordTable:
         c = {name: np.concatenate(parts) for name, parts in self.columns.items()}
         code, label, pre, fin = (self.keys[n].resolved(c[n], 0) for n in ("code", "label", *_SEED_FIELDS))
-        return RecordTable(
-            tuple(self.scales),
-            code,
-            c["value"],
-            np.column_stack((pre, fin)),  # a missing seed is seed 0
-            self.keys["tokens"].resolved(c["tokens"], -1),
-            tuple(self.labels),
-            label,
-        )
+        seeds, tokens = np.column_stack((pre, fin)), self.keys["tokens"].resolved(c["tokens"], -1)  # missing: 0, -1
+        return RecordTable(tuple(self.scales), code, c["value"], seeds, tokens, tuple(self.labels), label)
 
 
 def _infer_format(path: Path, format: str | None) -> str:
@@ -635,18 +634,16 @@ def _json_cells(lines: Sequence[str]) -> dict:
     the fault of a line that is not one JSON object of known fields, each once."""
     text = "[" + ",".join(lines) + "]"
     objs = []
-    if text.count("{") == len(lines) and all(map(str.startswith, lines, itertools.repeat("{"))):
-        # Each line holds one "{", at its start, and no JSON string spans a
-        # line break, so one object per line parsed from the joined lines
-        # means each line holds exactly one object.
+    if all(map(str.startswith, lines, itertools.repeat("{"))):
         try:
             objs = json.loads(text)
         except (ValueError, RecursionError):
             pass
-    # An object of m members holds at least m - 1 commas, and m exceeds its
-    # count of distinct keys if a key repeats.  So text whose commas are the
-    # joins' and each object's key count less one repeats no key; other
-    # text, such as a comma in a string, is read again a line at a time.
+    # Objects of m distinct keys in all hold m - 1 commas, with the top
+    # level's separators, or more if a key repeats, an object is empty or a
+    # comma is nested or in a string.  With m - 1, every join's comma, which
+    # a "{" follows, separates two objects, so each line holds one object of
+    # distinct keys; other text is read again a line at a time.
     if len(objs) != len(lines) or not set(map(type, objs)) <= {dict} or text.count(",") != sum(map(len, objs)) - 1:
         try:
             objs = [json.loads(line, object_pairs_hook=_object) for line in lines]
@@ -660,10 +657,11 @@ def _json_cells(lines: Sequence[str]) -> dict:
             raise DataError("invalid JSON (nested too deeply)") from None
         if not set(map(type, objs)) <= {dict}:
             raise DataError("expected a JSON object")
-    unknown = set().union(*objs) - _FIELD_SET
-    if unknown:
-        raise DataError(f"unknown field {_shown(sorted(unknown)[0])}")
-    return {field: list(map(dict.get, objs, itertools.repeat(field))) for field in RECORD_FIELDS}
+    keys = set().union(*objs)
+    if keys - _FIELD_SET:
+        raise DataError(f"unknown field {_shown(min(keys - _FIELD_SET))}")
+    absent = (None,) * len(objs)
+    return {f: list(map(dict.get, objs, itertools.repeat(f))) if f in keys else absent for f in RECORD_FIELDS}
 
 
 def _csv_chunks(reader):
@@ -754,16 +752,17 @@ def _cells(rows: Sequence[RunRecord] | tuple[RecordTable, slice]) -> dict:
     return cells
 
 
-def _add_chunks(chunks, cells, source: str) -> RecordTable:
+def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
     """The checked columns of the chunks of ``(row numbers, rows)`` of
     ``source``, each added by its ``cells``.  When a chunk fails its column
     checks, ``cells`` reads its rows again one at a time and :func:`_record`
     checks each, in order; the first that fails raises DataError.  Rows
-    missing a seed get seed 0 and one summary warning for the source."""
+    missing a seed get seed 0 and one summary warning for the source.
+    ``guard`` maps a chunk's cells first; CSV cells, strs or None, need none."""
     columns = _Columns()
     for where, rows in chunks:
         try:
-            columns.add(cells(rows), where)
+            columns.add(guard(cells(rows)) if guard else cells(rows), where)
         except DataError:
             for number, row in zip(where, rows):
                 try:
@@ -772,25 +771,22 @@ def _add_chunks(chunks, cells, source: str) -> RecordTable:
                     raise DataError(f"row {number}: {exc}") from None
             raise RuntimeError("a chunk failed its column checks but each of its rows passes")
     if columns.defaulted:
-        warnings.warn(
-            f"{source}: {columns.defaulted} missing seed field(s) defaulted to 0 (first: {columns.first_default})",
-            stacklevel=3,
-        )
+        message = f"{columns.defaulted} missing seed field(s) defaulted to 0 (first: {columns.first_default})"
+        warnings.warn(f"{source}: {message}", stacklevel=3)
     return columns.table()
 
 
 def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
-    The file is read once.  Rows are parsed a chunk at a time, and each
-    distinct key of cells is checked once.  A chunk that fails these checks
-    is read again a row at a time, from the rows in memory, and the first
-    bad row in file order raises :class:`DataError` naming the row number
-    and its first failed check.  The line reader stops at the first line holding a byte that is
-    not UTF-8, a bad row too: ``row N: not valid UTF-8``.  A CSV header must
-    name known fields, each once.  Rows missing seed fields get seed 0 and
-    a single summary warning for the file.  Returns the columns as a
-    :class:`RecordTable`, whose ``len`` is the row count.
+    The file is read once, a chunk of rows at a time, and each distinct key
+    of cells is checked once.  A chunk that fails these checks is read
+    again a row at a time, from the rows in memory, and the first bad row
+    in file order raises :class:`DataError` naming the row number and its
+    first failed check; a line holding a byte that is not UTF-8 is a bad
+    row too: ``row N: not valid UTF-8``.  A CSV header must name known
+    fields, each once.  Rows missing seed fields get seed 0 and one summary
+    warning for the file.  Returns a :class:`RecordTable`.
 
     Parameters
     ----------
@@ -811,7 +807,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
         twice = next((field for i, field in enumerate(header) if field in header[:i]), None)
         if twice is not None:
             raise DataError(f"row 1: field {twice!r} appears twice in the CSV header")
-        return _add_chunks(chunks, functools.partial(_csv_cells, header=header), path.name)
+        return _add_chunks(chunks, functools.partial(_csv_cells, header=header), path.name, None)
 
 
 def _json_members(field: str, cells: Sequence) -> Iterable[str]:

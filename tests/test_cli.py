@@ -222,6 +222,26 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "name, text",
+        [("empty.jsonl", ""), ("blank.jsonl", "\n  \n\n"), ("header.csv", ",".join(sf.records.RECORD_FIELDS) + "\n")],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit"], ["holdout", "--train-layers", "1-6", "--test-layers", "7-8"], ["plot", "--out", "p.svg"],
+         ["select", "--family-a", "a", "--family-b", "b", "--target-layers", "9", "--target-hidden", "288",
+          "--seed", "1"]],
+        ids=["fit", "holdout", "plot", "select"],
+    )
+    def test_an_input_without_records_says_so(self, tmp_path, monkeypatch, capsys, name, text, argv):
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(text, encoding="utf-8")
+        code, captured = run_json(capsys, [*argv, "--input", name])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: the input holds no records\n"
+        assert not Path("p.svg").exists()
+
+    @pytest.mark.parametrize(
         "layers, widths, message",
         [(9, (), "no records with layers=9 to hold out"), (8, (512,), "layers=8 matches 2 distinct scales")],
         ids=["no-records", "two-widths"],

@@ -497,3 +497,56 @@ def test_in_memory_records_are_read_as_rows(changes, error, warned):
         (runset,) = result.values()
         pre, fin = base["pretrain_seed"], base["finetune_seed"]
         assert sorted(runset.seeds.tolist()) == sorted([[pre, fin], [0, fin], [0, 0]])
+
+
+# The rows of each scale of a file laid out as the benchmark's bulk input
+# is: runs longer than a small chunk, and each new scale after the first
+# starting inside a chunk of 3, 7 and 4,096 rows (at rows 1,502 and 3,002).
+BULK_RUNS = (1501, 1500, 1499)
+
+
+def bulk_like_rows():
+    """About 4,500 valid rows sorted by scale, with one label, pretrain seed
+    and tokens count throughout, and a finetune seed and value per row."""
+    rows = []
+    for layers, run in enumerate(BULK_RUNS, start=1):
+        for seed in range(run):
+            rows.append(dict(layers=layers, hidden=32 * layers, params=12 * layers * (32 * layers) ** 2,
+                             task="synthetic", family="synthetic", pretrain_seed=1, finetune_seed=seed,
+                             metric="score", value=round(3.5 * layers ** -0.07 * (1 + 1e-4 * seed), 12),
+                             direction="minimize", tokens=1000))
+    return rows
+
+
+# Each variant's changes to bulk_like_rows(): row index -> cells.  Only
+# JSON text can hold the cells of the "seed-" variants, which sit in the
+# middle of a scale's run and of a chunk: 1.0 and true are one dict key
+# with the column's 1, yet only 1.0 is an integer.
+BULK_VARIANTS = {
+    "clean": {},
+    "bad-first-row-of-a-new-scale": {BULK_RUNS[0]: {"hidden": 0}},
+    "seed-1.0": {2000: {"pretrain_seed": 1.0}},
+    "seed-true": {2000: {"pretrain_seed": True}},
+}
+
+
+@pytest.mark.parametrize(
+    "variant, fmt",
+    [(v, fmt) for v in BULK_VARIANTS for fmt in ("jsonl", "csv") if fmt == "jsonl" or not v.startswith("seed-")],
+)
+def test_bulk_layout_matches_the_reference(tmp_path, variant, fmt):
+    rows = bulk_like_rows()
+    for i, change in BULK_VARIANTS[variant].items():
+        rows[i] = {**rows[i], **change}
+    path = tmp_path / f"bulk.{fmt}"
+    if fmt == "jsonl":
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    else:
+        lines = [",".join(RECORD_FIELDS), *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in rows)]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    assert isinstance(expected[0], str) == (variant in ("bad-first-row-of-a-new-scale", "seed-true"))
+    for chunk in (3, 7, 4096):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sf.records, "_CHUNK", chunk)
+            assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected, chunk

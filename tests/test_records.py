@@ -624,6 +624,31 @@ class TestGrouping:
         assert sf.RunSet.from_records(records) == sf.RunSet.from_records(shuffled)
 
     @pytest.mark.parametrize(
+        "pre, fin",
+        [
+            ((0, 1, 2), (0, 1, 2)),  # one folded key, with ties that the values and tokens order
+            ((-(2**63), 2**63 - 1), (0, 1)),  # a seed range of 2**64: no fold
+            ((0, 2**62), (0, 3)),  # folding either seed would overflow
+            ((0, 2**61 - 2), (-1, 0)),  # a seed range whose product with the ranks of 4 (key, scale) pairs is under 2**63
+            ((2**62, 2**62 + 1), (-3, -2)),  # narrow ranges far from 0: folded from their lows
+            ((0, 2**70), (5, 2**64)),  # Python ints, ranked first
+        ],
+        ids=["ties", "full-range", "wide", "just-fits", "offset", "python-ints"],
+    )
+    def test_group_orders_rows_as_a_key_sort_does(self, pre, fin):
+        def key(r):
+            return (r.task, r.family, r.metric, r.scale.params, r.scale.layers or -1, r.pretrain_seed,
+                    r.finetune_seed, r.value, -1 if r.tokens is None else r.tokens)
+
+        records = [
+            make_record(layers=L, hidden=32 * L, task=t, value=v, pretrain_seed=p, finetune_seed=f, tokens=tok)
+            for L in (2, 1) for t in ("b", "a") for p in pre for f in fin for v in (2.0, 1.0) for tok in (None, 7)
+        ]
+        random.Random(1).shuffle(records)
+        groups = sf.group(records)
+        assert [r for rs in groups.values() for r in rs.records] == sorted(records, key=key)
+
+    @pytest.mark.parametrize(
         "field, value, stored",
         [
             ("finetune_seed", 0.5, "row 1: field 'finetune_seed' must be an integer, got 0.5"),

@@ -39,7 +39,8 @@ from pathlib import Path
 SEED = 1  # the workload seed, as in the benchmark's CI smoke runs
 
 # Record files that fail ingest at a row after a good row, so that the
-# failing chunk is read again row by row and the error names the bad row.
+# failing chunk is read again row by row and the error names the bad row,
+# and two files that hold no record.
 _GOOD = '{"layers": 1, "hidden": 32, "task": "t", "family": "f", "pretrain_seed": 0, "finetune_seed": 0, '
 _GOOD_ROW = _GOOD + '"metric": "m", "value": 1.0, "direction": "min"}\n'
 _CSV = "layers,hidden,task,family,pretrain_seed,finetune_seed,metric,value,direction\n1,32,t,f,0,0,m,1.0,min\n"
@@ -78,6 +79,8 @@ BAD_INPUTS = {
         _GOOD_ROW * 200 + _GOOD_ROW.replace('"value": 1.0', '"value": -1.0') + _GOOD_ROW * 5
         + _GOOD_ROW.replace('"t"', '"caf\udce9"')
     ),
+    "empty.jsonl": "",
+    "header-only.csv": _CSV.splitlines(keepends=True)[0],
 }
 # A loss curve with a bad row ahead of a byte that is not UTF-8, two whose
 # cells parse but break the curve's rules, and one that breaks a rule ahead
