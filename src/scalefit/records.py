@@ -807,7 +807,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
         twice = next((field for i, field in enumerate(header) if field in header[:i]), None)
         if twice is not None:
             raise DataError(f"row 1: field {twice!r} appears twice in the CSV header")
-        return _add_chunks(chunks, functools.partial(_csv_cells, header=header), path.name, None)
+        return _add_chunks(chunks, functools.partial(_csv_cells, header=header), path.name, guard=None)
 
 
 def _json_members(field: str, cells: Sequence) -> Iterable[str]:
