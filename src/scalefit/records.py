@@ -347,7 +347,7 @@ def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, st
     if rows is None or (folded[0][rows[1:]] == folded[0][rows[:-1]]).any():
         rows = np.lexsort((_order_key(table.tokens), table.values, *folded[::-1]))
     directions = {}  # key -> the directions of its labels that rows use
-    for k in np.flatnonzero(np.bincount(table.label, minlength=len(table.labels))).tolist():
+    for k in np.unique(table.label).tolist():
         directions.setdefault(keys[key_of[k]], set()).add(table.labels[k][3])
     groups = {}
     for key, part in zip(keys, np.split(rows, np.cumsum(np.bincount(row_key))[:-1])):
