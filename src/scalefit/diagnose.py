@@ -20,7 +20,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig
 from .errors import DataError
 from .predict import extrapolate
-from .records import RunSet, ScaleSpec, open_csv
+from .records import RunSet, ScaleSpec, open_csv, paused_gc
 
 # Relative slack on the band edges, so that data lying exactly on the law is
 # never flagged for float roundoff.
@@ -64,7 +64,7 @@ def load_loss_curve(path: str | Path) -> LossCurve:
     or whose loss is not positive and finite, checked in that order."""
     path = Path(path)
     steps, losses = [], []
-    with open_csv(path) as (header, chunks):
+    with open_csv(path) as (header, chunks), paused_gc():
         if header is None or [h.strip() for h in header[:2]] != ["step", "eval_loss"]:
             raise DataError(f"{path.name}: expected CSV header 'step,eval_loss'")
         for where, rows in chunks:

@@ -92,7 +92,7 @@ def fit_line(points: Points) -> FitResult:
     """
     x, y = _validate_points(points)
     u, v = np.log(x), np.log(y)
-    if np.unique(u).size < 2:  # distinct x can share a logarithm
+    if u.min() == u.max():  # distinct x can share a logarithm
         raise DegenerateDataError("need at least 2 distinct x values to fit")
     alpha, beta = (0.0, float(v[0])) if np.all(v == v[0]) else _ols_log(u, v)
     r2, ss_res, ss_tot = _r_squared(v, alpha * u + beta, "log")
@@ -135,7 +135,7 @@ def fit_runset(runset: RunSet, min_layers: int | None = None, space: str = "log"
     pts = runset.points()
     if min_layers is not None:
         pts = pts[runset.within_layers(min_layers)]
-        if np.unique(pts[:, 0]).size < 2:
+        if not len(pts) or pts[:, 0].min() == pts[:, 0].max():
             raise DegenerateDataError(f"min_layers={min_layers} leaves fewer than 2 distinct scales")
     fit = dataclasses.replace(fit_line(pts), min_layers=min_layers)
     if space != "log":

@@ -29,6 +29,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
@@ -74,7 +75,7 @@ def normalize_direction(token: str) -> str:
         raise DataError(f"unknown direction token {_shown(token)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaleSpec:
     """One model configuration: depth, width, and trainable-parameter count.
 
@@ -135,7 +136,7 @@ def _check_tokens(tokens: int | None) -> int | None:
     return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One finetuning or pretraining outcome at a given scale."""
 
@@ -633,18 +634,20 @@ def _json_cells(lines: Sequence[str]) -> dict:
     """Per-field cells of a chunk of JSONL lines; raises DataError naming
     the fault of a line that is not one JSON object of known fields, each once."""
     text = "[" + ",".join(lines) + "]"
-    objs = []
+    objs, members = [], -1
     if all(map(str.startswith, lines, itertools.repeat("{"))):
         try:
             objs = json.loads(text)
         except (ValueError, RecursionError):
             pass
+    if len(objs) == len(lines) and set(map(type, objs)) <= {dict}:
+        members = sum(map(len, objs))
     # Objects of m distinct keys in all hold m - 1 commas, with the top
     # level's separators, or more if a key repeats, an object is empty or a
     # comma is nested or in a string.  With m - 1, every join's comma, which
     # a "{" follows, separates two objects, so each line holds one object of
     # distinct keys; other text is read again a line at a time.
-    if len(objs) != len(lines) or not set(map(type, objs)) <= {dict} or text.count(",") != sum(map(len, objs)) - 1:
+    if text.count(",") != members - 1:
         try:
             objs = [json.loads(line, object_pairs_hook=_object) for line in lines]
         except DataError:
@@ -657,11 +660,21 @@ def _json_cells(lines: Sequence[str]) -> dict:
             raise DataError("invalid JSON (nested too deeply)") from None
         if not set(map(type, objs)) <= {dict}:
             raise DataError("expected a JSON object")
-    keys = set().union(*objs)
-    if keys - _FIELD_SET:
-        raise DataError(f"unknown field {_shown(min(keys - _FIELD_SET))}")
-    absent = (None,) * len(objs)
-    return {f: list(map(dict.get, objs, itertools.repeat(f))) if f in keys else absent for f in RECORD_FIELDS}
+        members = sum(map(len, objs))
+    # Each field in one itemgetter pass, or by dict.get where a row lacks it.
+    # The cells counted, a null among those read by dict.get aside, are known
+    # members: if they are all the members, no field is unknown.
+    cells, counted = {}, 0
+    for f in RECORD_FIELDS:
+        try:
+            cells[f] = list(map(operator.itemgetter(f), objs))
+            counted += len(objs)
+        except KeyError:
+            cells[f] = column = list(map(dict.get, objs, itertools.repeat(f)))
+            counted += len(objs) - column.count(None)
+    if counted != members and (unknown := set().union(*objs) - _FIELD_SET):
+        raise DataError(f"unknown field {_shown(min(unknown))}")
+    return cells
 
 
 def _csv_chunks(reader):
@@ -752,6 +765,20 @@ def _cells(rows: Sequence[RunRecord] | tuple[RecordTable, slice]) -> dict:
     return cells
 
 
+@contextlib.contextmanager
+def paused_gc():
+    """Keep the cyclic garbage collector off while the block runs, then
+    restore its state: a parse's many short-lived rows, freed by reference
+    counting, would otherwise set off collections that find no cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
     """The checked columns of the chunks of ``(row numbers, rows)`` of
     ``source``, each added by its ``cells``.  When a chunk fails its column
@@ -760,16 +787,17 @@ def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
     missing a seed get seed 0 and one summary warning for the source.
     ``guard`` maps a chunk's cells first; CSV cells, strs or None, need none."""
     columns = _Columns()
-    for where, rows in chunks:
-        try:
-            columns.add(guard(cells(rows)) if guard else cells(rows), where)
-        except DataError:
-            for number, row in zip(where, rows):
-                try:
-                    _record(cells([row]))
-                except DataError as exc:
-                    raise DataError(f"row {number}: {exc}") from None
-            raise RuntimeError("a chunk failed its column checks but each of its rows passes")
+    with paused_gc():
+        for where, rows in chunks:
+            try:
+                columns.add(guard(cells(rows)) if guard else cells(rows), where)
+            except DataError:
+                for number, row in zip(where, rows):
+                    try:
+                        _record(cells([row]))
+                    except DataError as exc:
+                        raise DataError(f"row {number}: {exc}") from None
+                raise RuntimeError("a chunk failed its column checks but each of its rows passes")
     if columns.defaulted:
         message = f"{columns.defaulted} missing seed field(s) defaulted to 0 (first: {columns.first_default})"
         warnings.warn(f"{source}: {message}", stacklevel=3)

@@ -13,10 +13,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .bootstrap import BootstrapBand
 from .errors import DataError
 from .powerlaw import FitResult, predict_at
-from .records import RunSet
+from .records import RecordTable, RunSet, _order_key
 
 _PALETTE = (
     "#1f77b4",
@@ -39,13 +41,25 @@ _MARGIN_T = 48.0
 _MARGIN_B = 64.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterGroup:
-    """One marker series; held-out groups render as open markers."""
+    """One marker series; held-out groups render as open markers.  ``points``,
+    given as any sequence of (x, y) pairs, is held as a read-only ``(n, 2)``
+    float64 array; groups compare as record tables do."""
 
     label: str
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
     held_out: bool = False
+
+    def __post_init__(self) -> None:
+        points = np.array(self.points, dtype=float)
+        points = points.reshape(0, 2) if points.size == 0 else points
+        if points.shape[1:] != (2,):
+            raise DataError("points must be (x, y) pairs")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    __eq__ = RecordTable.__eq__
 
 
 @dataclass(frozen=True)
@@ -126,21 +140,20 @@ def render_plot(spec: PlotSpec) -> str:
     the confidence sleeve (when a band is supplied) is a single polygon
     whose vertex count is twice the band's grid size.
     """
-    xs = [float(x) for g in spec.groups for x, _ in g.points]
-    ys = [float(y) for g in spec.groups for _, y in g.points]
-    if spec.band is not None:
-        xs += [float(x) for x, _, _ in spec.band.point_band]
-        ys += [float(v) for _, lo, hi in spec.band.point_band for v in (lo, hi)]
-    if not xs:
+    marks = np.concatenate([np.empty((0, 2)), *(g.points for g in spec.groups)])
+    band = np.array(spec.band.point_band if spec.band is not None else (), dtype=float).reshape(-1, 3)
+    xs, ys = np.concatenate((marks[:, 0], band[:, 0])), np.concatenate((marks[:, 1], band[:, 1:].ravel()))
+    if not xs.size:
         raise DataError("plot needs at least one series with data")
-    if any(map((0.0).__ge__, xs)) or any(map((0.0).__ge__, ys)):
-        raise DataError("log-log plot requires positive coordinates")
-    if min(xs) < sys.float_info.min or min(ys) < sys.float_info.min:  # a tick value at a subnormal underflows
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all() and xs.min() > 0 and ys.min() > 0):
+        raise DataError("log-log plot requires finite positive coordinates")
+    if xs.min() < sys.float_info.min or ys.min() < sys.float_info.min:  # a tick value at a subnormal underflows
         raise DataError(f"log-log plot requires coordinates of at least {sys.float_info.min!r}")
+    x_range, y_range = [float(xs.min()), float(xs.max())], [float(ys.min()), float(ys.max())]
     if spec.fit is not None:
-        ys.extend(predict_at(spec.fit, v) for v in (min(xs), max(xs)))
+        y_range += [predict_at(spec.fit, v) for v in x_range]
 
-    ax = _Axes(_log_range(xs), _log_range(ys))
+    ax = _Axes(_log_range(x_range), _log_range(y_range))
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" '
@@ -172,12 +185,13 @@ def render_plot(spec: PlotSpec) -> str:
 
     # Fitted line, straight in log space, drawn across the data x-range.
     if spec.fit is not None:
-        ends = [(ax.px(x), ax.py(predict_at(spec.fit, x))) for x in (min(xs), max(xs))]
+        ends = [(ax.px(x), ax.py(predict_at(spec.fit, x))) for x in x_range]
         out.append(_line(*ends[0], *ends[1], "#d62728", "1.5"))
 
     # Markers: cx is formatted once per distinct x; cy is _Axes.py written
     # out, in the same order of operations, so it gives the same floats.
-    # The groups' points lead xs and ys, in group order.
+    # ``marks`` holds the groups' points in group order.
+    xs, ys = marks.T.tolist()
     cx = {x: _fmt(ax.px(x)) for x in set(xs)}
     ly1, ly_span, plot_h = ax.ly1, ax.ly1 - ax.ly0, ax.plot_h
     marks = zip(xs, ys)
@@ -235,21 +249,17 @@ def plot_runset(
     :meth:`RunSet.within_layers`) are pulled out into a separate
     open-marker group.
     """
-    held = runset.within_layers(*heldout_layers) if heldout_layers else [False] * len(runset)
-    by_seed: dict[int, list[tuple[float, float]]] = {}
-    held_pts: list[tuple[float, float]] = []
-    points = zip(runset.params.tolist(), runset.values.tolist())
-    for pt, seed, h in zip(points, runset.seeds[:, 0].tolist(), held):
-        if h:
-            held_pts.append(pt)
-        else:
-            by_seed.setdefault(seed, []).append(pt)
-    groups = [
-        ScatterGroup(label=f"pretrain seed {s}", points=tuple(pts))
-        for s, pts in sorted(by_seed.items())
-    ]
-    if held_pts:
-        groups.append(ScatterGroup(label="held out", points=tuple(held_pts), held_out=True))
+    held = runset.within_layers(*heldout_layers) if heldout_layers else np.zeros(len(runset), dtype=bool)
+    kept = np.flatnonzero(~held)
+    key = _order_key(runset.seeds[kept, 0])
+    order = np.argsort(key, kind="stable")  # by seed, in run set order within one
+    rows, key = kept[order], key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1]))[: len(key)])
+    points = runset.points()
+    seeds = runset.seeds[rows[starts], 0].tolist()
+    groups = [ScatterGroup(f"pretrain seed {s}", points[part]) for s, part in zip(seeds, np.split(rows, starts[1:]))]
+    if held.any():
+        groups.append(ScatterGroup(label="held out", points=points[held], held_out=True))
     return PlotSpec(
         title=title if title is not None else f"{runset.task}/{runset.family}",
         x_label="parameters",

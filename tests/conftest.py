@@ -5,6 +5,7 @@ module tests and the acceptance suite assert against the same results.
 Seed constants are fixed so reruns are bit-identical.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +112,88 @@ def _block_draws(pool: _Pool, cfg: BootstrapConfig, block: int, streams: Substre
             f"scales after {MAX_REDRAWS} consecutive redraws"
         )
     return (draws, _within_draws(pool, rng, draws)) if hierarchical else (draws,)
+
+
+def plot_runset_per_point(runset, fit=None, band=None, heldout_layers=None, title=None):
+    """The per-point reference of :func:`scalefit.svg.plot_runset`: each
+    record's (params, value) tuple appended to its pretrain seed's list, or
+    to the held-out list, in run set order."""
+    held = runset.within_layers(*heldout_layers) if heldout_layers else [False] * len(runset)
+    by_seed, held_pts = {}, []
+    points = zip(runset.params.tolist(), runset.values.tolist())
+    for pt, seed, h in zip(points, runset.seeds[:, 0].tolist(), held):
+        if h:
+            held_pts.append(pt)
+        else:
+            by_seed.setdefault(seed, []).append(pt)
+    groups = [sf.ScatterGroup(label=f"pretrain seed {s}", points=tuple(pts)) for s, pts in sorted(by_seed.items())]
+    if held_pts:
+        groups.append(sf.ScatterGroup(label="held out", points=tuple(held_pts), held_out=True))
+    title = title if title is not None else f"{runset.task}/{runset.family}"
+    return sf.PlotSpec(title, "parameters", runset.metric, tuple(groups), fit, band)
+
+
+def render_plot_per_point(spec):
+    """The per-point reference of :func:`scalefit.svg.render_plot`: every
+    coordinate read, checked and ranged as a Python float, and each marker
+    placed by ``_Axes``; the bytes the library must write."""
+    from scalefit import svg
+
+    xs = [float(x) for g in spec.groups for x, _ in g.points.tolist()]
+    ys = [float(y) for g in spec.groups for _, y in g.points.tolist()]
+    if spec.band is not None:
+        xs += [float(x) for x, _, _ in spec.band.point_band]
+        ys += [float(v) for _, lo, hi in spec.band.point_band for v in (lo, hi)]
+    if not xs:
+        raise sf.DataError("plot needs at least one series with data")
+    if not all(0.0 < v < math.inf for v in xs + ys):
+        raise sf.DataError("log-log plot requires finite positive coordinates")
+    if min(xs) < svg.sys.float_info.min or min(ys) < svg.sys.float_info.min:
+        raise sf.DataError(f"log-log plot requires coordinates of at least {svg.sys.float_info.min!r}")
+    if spec.fit is not None:
+        ys.extend(sf.predict_at(spec.fit, v) for v in (min(xs), max(xs)))
+    ax = svg._Axes(svg._log_range(xs), svg._log_range(ys))
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="540" viewBox="0 0 720 540">',
+        '<rect x="0" y="0" width="720" height="540" fill="#ffffff"/>',
+    ]
+    x0, x1 = svg._MARGIN_L, svg._WIDTH - svg._MARGIN_R
+    y0, y1 = svg._MARGIN_T, svg._HEIGHT - svg._MARGIN_B
+    for value, label in svg._ticks(ax.lx0, ax.lx1):
+        px = ax.px(value)
+        out += [svg._line(px, y0, px, y1, "#dddddd", "1"), svg._text(px, y1 + 18, 11, label)]
+    for value, label in svg._ticks(ax.ly0, ax.ly1):
+        py = ax.py(value)
+        out += [svg._line(x0, py, x1, py, "#dddddd", "1"), svg._text(x0 - 6, py + 4, 11, label, "end")]
+    out.append('<rect x="80.00" y="48.00" width="490.00" height="428.00" fill="none" stroke="#333333" stroke-width="1"/>')
+    if spec.band is not None and spec.band.point_band:
+        rows = spec.band.point_band
+        verts = [(ax.px(x), ax.py(hi)) for x, _, hi in rows] + [(ax.px(x), ax.py(lo)) for x, lo, _ in reversed(rows)]
+        pts = " ".join(f"{svg._fmt(vx)},{svg._fmt(vy)}" for vx, vy in verts)
+        out.append(f'<polygon points="{pts}" fill="#1f77b4" fill-opacity="0.25"/>')
+    if spec.fit is not None:
+        ends = [(ax.px(x), ax.py(sf.predict_at(spec.fit, x))) for x in (min(xs), max(xs))]
+        out.append(svg._line(*ends[0], *ends[1], "#d62728", "1.5"))
+    for color, g in zip(itertools.cycle(svg._PALETTE), spec.groups):
+        for x, y in g.points.tolist():
+            cx, cy = svg._fmt(ax.px(x)), svg._fmt(ax.py(y))
+            if g.held_out:
+                out.append(f'<circle cx="{cx}" cy="{cy}" r="4.00" fill="none" stroke="{color}" stroke-width="1.5"/>')
+            else:
+                out.append(f'<circle cx="{cx}" cy="{cy}" r="3.00" fill="{color}"/>')
+    for gi, (color, g) in enumerate(zip(itertools.cycle(svg._PALETTE), spec.groups)):
+        fill = "none" if g.held_out else color
+        out.append(f'<rect x="582.00" y="{svg._fmt(56 + 16 * gi)}" width="10" height="10" fill="{fill}" stroke="{color}"/>')
+        out.append(svg._text(598, 56 + 16 * gi + 9, 11, g.label, anchor=None))
+    if spec.title:
+        out.append(svg._text(360, 32, 15, spec.title))
+    out.append(svg._text(325, 524, 13, spec.x_label))
+    out.append(
+        '<text x="18" y="262.00" font-size="13" text-anchor="middle" font-family="sans-serif" '
+        f'transform="rotate(-90 18 262.00)">{svg._esc(spec.y_label)}</text>'
+    )
+    return "\n".join(out + ["</svg>"]) + "\n"
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 
@@ -243,6 +244,15 @@ class TestLossCurve:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=rf"^{message}$"):
             sf.load_loss_curve(path)
+
+    def test_a_bad_row_mid_file_leaves_the_collector_on(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sf.records, "_CHUNK", 2)
+        path = tmp_path / "curve.csv"
+        path.write_text("step,eval_loss\n1,2.0\n2,1.5\n3,1.0\n3,0.5\n", encoding="utf-8")
+        gc.enable()
+        with pytest.raises(DataError, match="^row 5: steps must be strictly increasing"):
+            sf.load_loss_curve(path)
+        assert gc.isenabled()
 
     def test_steps_strictly_increasing(self):
         with pytest.raises(DataError, match="strictly increasing"):

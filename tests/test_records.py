@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import gc
 import io
 import json
 import math
+import pickle
 import random
 import re
 import tempfile
@@ -169,6 +172,45 @@ class TestRunRecord:
             make_record(direction="up")
 
 
+    def test_survives_pickle_and_replace(self):
+        record = make_record(layers=None, params=10**30, pretrain_seed=2**70, tokens=7)
+        assert not hasattr(record, "__dict__")  # slotted, as its scale is
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert dataclasses.replace(record) == record
+        assert dataclasses.replace(record, value=2.0).scale is record.scale
+
+
+class TestPausedGc:
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    def test_restores_an_enabled_collector(self):
+        with sf.records.paused_gc():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_off(self):
+        gc.disable()
+        with sf.records.paused_gc():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_ingest_runs_paused_and_a_bad_row_mid_file_restores_it(self, tmp_path, monkeypatch):
+        seen = []
+        add = sf.records._Columns.add
+        monkeypatch.setattr(sf.records._Columns, "add", lambda *a: seen.append(gc.isenabled()) or add(*a))
+        monkeypatch.setattr(sf.records, "_CHUNK", 3)
+        path = tmp_path / "runs.csv"
+        path.write_text("layers,hidden,task,family,metric,value,direction\n" + "1,32,t,f,m,1.0,max\n" * 4
+                        + "1,32,t,f,m,-1.0,max\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^row 6: value must be positive$"):
+            sf.ingest(path)
+        assert seen == [False, False] and gc.isenabled()
+
+
 class TestIngest:
     def test_single_row_params_computed(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -201,6 +243,18 @@ class TestIngest:
         write_jsonl(path, [dict(BASE_ROW, shoe_size=43)])
         with pytest.raises(DataError, match="unknown field 'shoe_size'"):
             sf.ingest(path)
+
+    @pytest.mark.parametrize("extra", [{}, {"shoe_size": None}], ids=["known", "unknown-null"])
+    def test_absent_and_null_cells_count_as_members(self, tmp_path, extra):
+        # Null tokens in one row and absent tokens in the other: the member
+        # count alone cannot tell an unknown field apart from the nulls.
+        path = tmp_path / "runs.jsonl"
+        write_jsonl(path, [dict(BASE_ROW, tokens=None, **extra), BASE_ROW])
+        if extra:
+            with pytest.raises(DataError, match="^row 1: unknown field 'shoe_size'$"):
+                sf.ingest(path)
+        else:
+            assert [r.tokens for r in sf.ingest(path)] == [None, None]
 
     def test_params_only_row_accepted(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -5,12 +5,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalefit as sf
 from scalefit import svg
 from scalefit.errors import DataError
 
-from conftest import ar32_synth
+from conftest import ar32_synth, plot_runset_per_point, render_plot_per_point
 
 
 def three_point_spec():
@@ -104,6 +106,14 @@ class TestRenderPlot:
         with pytest.raises(DataError):
             sf.render_plot(sf.PlotSpec(groups=(group,)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    def test_non_finite_points_rejected(self, bad, axis):
+        point = [(bad, 2.0), (1.0, bad)][axis]
+        group = sf.ScatterGroup(label="bad", points=((10.0, 3.0), point))
+        with pytest.raises(DataError, match="^log-log plot requires finite positive coordinates$"):
+            sf.render_plot(sf.PlotSpec(groups=(group,)))
+
     @pytest.mark.parametrize("points", [((1.0, 5e-324), (10.0, 1e-323)), ((5e-324, 1.0), (1.0, 2.0))],
                              ids=["subnormal-y", "subnormal-x"])
     def test_subnormal_points_rejected(self, points):
@@ -167,27 +177,67 @@ class TestRenderPlot:
         band = sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=3))
         spec = sf.plot_runset(runset, band=band, heldout_layers=(7, 8))
         assert len(spec.groups) == 2 and spec.groups[1].held_out
-        xs = [x for g in spec.groups for x, _ in g.points] + [x for x, _, _ in band.point_band]
-        ys = [y for g in spec.groups for _, y in g.points] + [v for _, lo, hi in band.point_band for v in (lo, hi)]
-        ax = svg._Axes(svg._log_range(xs), svg._log_range(ys))
-        expected = []
-        for color, g in zip(svg._PALETTE, spec.groups):
-            for x, y in g.points:
-                cx, cy = svg._fmt(ax.px(x)), svg._fmt(ax.py(y))
-                if g.held_out:
-                    expected.append(f'<circle cx="{cx}" cy="{cy}" r="4.00" fill="none" stroke="{color}" stroke-width="1.5"/>')
-                else:
-                    expected.append(f'<circle cx="{cx}" cy="{cy}" r="3.00" fill="{color}"/>')
-        assert [line for line in sf.render_plot(spec).splitlines() if line.startswith("<circle")] == expected
+        assert spec == plot_runset_per_point(runset, band=band, heldout_layers=(7, 8))
+        assert sf.render_plot(spec) == render_plot_per_point(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(1, 8),
+                st.sampled_from([0, 1, 5, -3, 2**63, 2**70]),  # past int64 the seeds are held as Python ints
+                st.floats(0.05, 50.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        held=st.none() | st.tuples(st.integers(1, 8), st.integers(0, 8)).map(lambda t: (t[0], t[0] + t[1])),
+        with_fit=st.booleans(),
+        with_band=st.booleans(),
+    )
+    def test_array_path_renders_the_per_point_bytes(self, band_703, rows, held, with_fit, with_band):
+        records = [
+            sf.RunRecord(sf.ScaleSpec.from_dims(layers, 32 * layers), "t", "f", seed, i, "loss", value, "minimize")
+            for i, (layers, seed, value) in enumerate(rows)
+        ]
+        runset = sf.RunSet.from_records(records)
+        fit = sf.FitResult(alpha=-0.05, beta=1.0, r_squared=1.0, ss_res=0.0, ss_tot=0.0, n_points=2) if with_fit else None
+        band = band_703 if with_band else None
+        spec = sf.plot_runset(runset, fit=fit, band=band, heldout_layers=held)
+        reference = plot_runset_per_point(runset, fit=fit, band=band, heldout_layers=held)
+        assert spec == reference
+        assert sf.render_plot(spec) == render_plot_per_point(reference)
 
     def test_whole_document_is_pinned(self):
         assert sf.render_plot(pinned_spec()) == PINNED_SVG
+
+    def test_points_are_a_read_only_array_however_given(self):
+        pairs = ((10.0, 2.0), (100, 4.0))
+        from_tuples = sf.ScatterGroup(label="a", points=pairs)
+        from_array = sf.ScatterGroup(label="a", points=np.array(pairs))
+        assert from_tuples == from_array and from_tuples != sf.ScatterGroup(label="a", points=pairs[:1])
+        assert from_tuples != sf.ScatterGroup(label="a", points=pairs, held_out=True)
+        assert from_tuples.points.dtype == np.float64 and from_tuples.points.shape == (2, 2)
+        assert not from_array.points.flags.writeable
+        assert sf.ScatterGroup(label="empty", points=()).points.shape == (0, 2)
+        assert from_tuples.__eq__("a") is NotImplemented
+
+    @pytest.mark.parametrize("points", [(1.0, 2.0), ((1.0, 2.0, 3.0),), (((1.0, 2.0),),)])
+    def test_points_must_be_pairs(self, points):
+        with pytest.raises(DataError, match=r"^points must be \(x, y\) pairs$"):
+            sf.ScatterGroup(label="bad", points=points)
 
     def test_escaping(self):
         group = sf.ScatterGroup(label="a<b&c", points=((10.0, 2.0),))
         svg = sf.render_plot(sf.PlotSpec(title="x>y", groups=(group,)))
         assert "a&lt;b&amp;c" in svg
         ET.fromstring(svg)
+
+
+@pytest.fixture(scope="module")
+def band_703():
+    runset, _ = ar32_synth(703, sigma_pre=0.02, seeds_per_scale=3)
+    return sf.bootstrap_band(runset, sf.BootstrapConfig(n_replicates=40, rng_seed=3))
 
 
 class TestWritePlot:

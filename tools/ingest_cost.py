@@ -1,4 +1,4 @@
-"""Ingest and group cost of one source tree, or of two, timed in process.
+"""Ingest, group, curve and plot cost of one source tree, or of two, timed in process.
 
     python3 tools/ingest_cost.py TREE [OTHER_TREE] [--seed S] [--rounds R]
 
@@ -14,7 +14,11 @@ with the tree's ``scalefit``:
   ``json.loads`` of each 4,096 lines joined as one JSON array, or
   ``csv.reader`` read 4,096 rows at a time.  ``xbare`` is the ratio of the
   two;
+- ``load_loss_curve("curve.csv")``, the 200k-point curve, best of 5, and
+  the bare ``csv.reader`` loop of the same file, taking turns as above;
 - ``group`` of the ``bulk.csv`` table, best of 5;
+- ``render_plot(plot_runset(runset, fit=fit))`` of the ``bulk.csv`` run set
+  and its fit, as the ``plot`` command draws it, best of 5;
 - ``group(ingest("ladder.jsonl"))``: the median of 20 rounds of best of 200.
 
 It prints one line per run, then each tree's median over the rounds and,
@@ -39,7 +43,10 @@ from pathlib import Path
 
 CHUNK = 4096  # the rows ingest parses at a time
 # The timings of one run, in the order printed.
-TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "group_ms", "ladder_ms")
+TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "curve_ms", "curve_bare_ms", "group_ms", "plot_ms",
+           "ladder_ms")
+# The timings that have a bare parse loop to compare with.
+PARSED = ("jsonl", "csv", "curve")
 
 
 def _best(*calls, repeat: int) -> list[float]:
@@ -92,8 +99,13 @@ def measure(tree: Path) -> dict:
     for fmt, bare in (("jsonl", _bare_jsonl), ("csv", _bare_csv)):
         path = f"bulk.{fmt}"
         got[f"{fmt}_ms"], got[f"{fmt}_bare_ms"] = _best(lambda: sf.ingest(path), lambda: bare(path), repeat=5)
+    got["curve_ms"], got["curve_bare_ms"] = _best(lambda: sf.load_loss_curve("curve.csv"),
+                                                  lambda: _bare_csv("curve.csv"), repeat=5)
     table = sf.ingest("bulk.csv")
     (got["group_ms"],) = _best(lambda: sf.group(table), repeat=5)
+    (runset,) = sf.group(table).values()
+    fit = sf.fit_runset(runset)
+    (got["plot_ms"],) = _best(lambda: sf.render_plot(sf.plot_runset(runset, fit=fit)), repeat=5)
     ladder = [_best(lambda: sf.group(sf.ingest("ladder.jsonl")), repeat=200)[0] for _ in range(20)]
     got["ladder_ms"] = statistics.median(ladder)
     return got
@@ -111,7 +123,7 @@ def _child(*argv: str, cwd: str) -> str:
 
 def _line(label: str, got: dict) -> str:
     cells = [f"{name} {got[name]:8.3f}" for name in TIMINGS]
-    ratios = [f"{fmt} xbare {got[f'{fmt}_ms'] / got[f'{fmt}_bare_ms']:.2f}" for fmt in ("jsonl", "csv")]
+    ratios = [f"{fmt} xbare {got[f'{fmt}_ms'] / got[f'{fmt}_bare_ms']:.2f}" for fmt in PARSED]
     return f"{label}  " + "  ".join(cells + ratios)
 
 
