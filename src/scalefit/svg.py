@@ -145,11 +145,11 @@ def render_plot(spec: PlotSpec) -> str:
     xs, ys = np.concatenate((marks[:, 0], band[:, 0])), np.concatenate((marks[:, 1], band[:, 1:].ravel()))
     if not xs.size:
         raise DataError("plot needs at least one series with data")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all() and xs.min() > 0 and ys.min() > 0):
-        raise DataError("log-log plot requires finite positive coordinates")
-    if xs.min() < sys.float_info.min or ys.min() < sys.float_info.min:  # a tick value at a subnormal underflows
-        raise DataError(f"log-log plot requires coordinates of at least {sys.float_info.min!r}")
     x_range, y_range = [float(xs.min()), float(xs.max())], [float(ys.min()), float(ys.max())]
+    if not all(0 < lo <= hi < math.inf for lo, hi in (x_range, y_range)):  # false for a NaN too
+        raise DataError("log-log plot requires finite positive coordinates")
+    if min(x_range[0], y_range[0]) < sys.float_info.min:  # a tick value at a subnormal underflows
+        raise DataError(f"log-log plot requires coordinates of at least {sys.float_info.min!r}")
     if spec.fit is not None:
         y_range += [predict_at(spec.fit, v) for v in x_range]
 
