@@ -661,17 +661,18 @@ def _json_cells(lines: Sequence[str]) -> dict:
         if not set(map(type, objs)) <= {dict}:
             raise DataError("expected a JSON object")
         members = sum(map(len, objs))
-    # Each field in one itemgetter pass, or by dict.get where a row lacks it.
-    # The cells counted, a null among those read by dict.get aside, are known
-    # members: if they are all the members, no field is unknown.
-    cells, counted = {}, 0
+    # Each field in one itemgetter pass, then each field that some row lacks
+    # by dict.get, unless the members read so far are all the members: then
+    # no row holds it.  The cells counted, a null among those read by
+    # dict.get aside, are known members; if they are all, none is unknown.
+    cells = {}
     for f in RECORD_FIELDS:
-        try:
+        with contextlib.suppress(KeyError):
             cells[f] = list(map(operator.itemgetter(f), objs))
-            counted += len(objs)
-        except KeyError:
-            cells[f] = column = list(map(dict.get, objs, itertools.repeat(f)))
-            counted += len(objs) - column.count(None)
+    counted = len(cells) * len(objs)
+    for f in [f for f in RECORD_FIELDS if f not in cells]:
+        cells[f] = column = (None,) * len(objs) if counted == members else list(map(dict.get, objs, itertools.repeat(f)))
+        counted += len(objs) - column.count(None)
     if counted != members and (unknown := set().union(*objs) - _FIELD_SET):
         raise DataError(f"unknown field {_shown(min(unknown))}")
     return cells
