@@ -55,11 +55,14 @@ def _validate_points(points: Points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ols_log(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    # Closed-form ordinary least squares of v on u.
+    # Closed-form ordinary least squares of v on u.  Every sum of products in
+    # this module is numpy's own pairwise ``.sum()``, never BLAS: a threaded
+    # dot product splits its sum by the thread count, so its bits would
+    # depend on the host.
     um = u.mean()
     vm = v.mean()
     du = u - um
-    alpha = float(du @ (v - vm) / (du @ du))
+    alpha = float((du * (v - vm)).sum() / (du * du).sum())
     return alpha, float(vm - alpha * um)
 
 
@@ -67,9 +70,9 @@ def _r_squared(obs: np.ndarray, pred: np.ndarray, space: str) -> tuple[float, fl
     """(r_squared, ss_res, ss_tot) of the predictions ``pred`` of ``obs``."""
     with np.errstate(over="ignore", invalid="ignore"):
         res = obs - pred
-        ss_res = float(res @ res)
+        ss_res = float((res * res).sum())
         dv = obs - obs.mean()
-        ss_tot = 0.0 if np.all(obs == obs[0]) else float(dv @ dv)
+        ss_tot = 0.0 if np.all(obs == obs[0]) else float((dv * dv).sum())
     if not (np.isfinite(ss_res) and np.isfinite(ss_tot)):
         raise DataError(f"the {space}-space goodness of fit overflows float64")
     if ss_tot == 0.0:

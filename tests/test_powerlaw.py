@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +304,38 @@ class TestFitRunset:
         assert fit_lin.r_squared == pytest.approx(
             sf.goodness_of_fit(runset.points(), fit_log, "linear")[0], abs=1e-15
         )
+
+
+# Fits 100k seeded points (far above the size at which OpenBLAS threads a dot
+# product) and prints the float.hex() of every fit and linear-space
+# goodness-of-fit field.
+_FIT_BITS = """
+import dataclasses
+import numpy as np
+import scalefit as sf
+
+rng = sf.substream(29, 0)
+x = np.repeat(np.geomspace(1e4, 1e8, 40), 2500)
+y = np.exp(3.0 - 0.08 * np.log(x) + rng.normal(0.0, 0.05, x.size))
+points = np.column_stack([x, y])
+fit = sf.fit_line(points)
+fields = [v for v in dataclasses.astuple(fit) if isinstance(v, float)]
+fields += sf.goodness_of_fit(points, fit, "linear")
+print(" ".join(float(v).hex() for v in fields))
+"""
+
+
+def test_fit_bits_do_not_depend_on_blas_threads():
+    src = str(Path(sf.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIT_BITS], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert len(out[0]) == 8
+    assert out[0] == out[1]

@@ -17,6 +17,9 @@ with the tree's ``scalefit``:
 - ``load_loss_curve("curve.csv")``, the 200k-point curve, best of 5, and
   the bare ``csv.reader`` loop of the same file, taking turns as above;
 - ``group`` of the ``bulk.csv`` table, best of 5;
+- ``fit_runset`` of the ``bulk.csv`` run set, best of 5, as ``fit`` runs
+  it (``fit_ms``) and with ``min_layers=4, space="linear"`` as
+  ``fit-depth-linear`` runs it (``fit_depth_ms``);
 - ``render_plot(plot_runset(runset, fit=fit))`` of the ``bulk.csv`` run set
   and its fit, as the ``plot`` command draws it, best of 5;
 - ``group(ingest("ladder.jsonl"))``: the median of 20 rounds of best of 200.
@@ -43,8 +46,8 @@ from pathlib import Path
 
 CHUNK = 4096  # the rows ingest parses at a time
 # The timings of one run, in the order printed.
-TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "curve_ms", "curve_bare_ms", "group_ms", "plot_ms",
-           "ladder_ms")
+TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "curve_ms", "curve_bare_ms", "group_ms", "fit_ms",
+           "fit_depth_ms", "plot_ms", "ladder_ms")
 # The timings that have a bare parse loop to compare with.
 PARSED = ("jsonl", "csv", "curve")
 
@@ -104,6 +107,8 @@ def measure(tree: Path) -> dict:
     table = sf.ingest("bulk.csv")
     (got["group_ms"],) = _best(lambda: sf.group(table), repeat=5)
     (runset,) = sf.group(table).values()
+    got["fit_ms"], got["fit_depth_ms"] = _best(lambda: sf.fit_runset(runset),
+                                               lambda: sf.fit_runset(runset, min_layers=4, space="linear"), repeat=5)
     fit = sf.fit_runset(runset)
     (got["plot_ms"],) = _best(lambda: sf.render_plot(sf.plot_runset(runset, fit=fit)), repeat=5)
     ladder = [_best(lambda: sf.group(sf.ingest("ladder.jsonl")), repeat=200)[0] for _ in range(20)]
