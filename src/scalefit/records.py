@@ -10,17 +10,20 @@ separated, ``.`` decimal point.
 
 Records are held as numpy columns: :func:`ingest` reads a file once, a
 chunk of rows at a time, into a :class:`RecordTable`, numbering each row's
-scale, label, seeds and tokens by five keys of its cells in one dict pass
-per key, each new key checked once; :func:`group` orders a table by one
-argsort of a folded int64 key where it can; :class:`RunRecord` objects are
-built only when ``records`` is read.  A chunk that fails these checks is
-read again a row at a time, by its reader, and checked by :func:`_record`,
-whose statement order is one row's check order: the first bad row raises
-``row N: <its first failed check>``, and so does, after the rows before it,
-the first line N holding a byte that is not UTF-8 (:func:`_line_chunks`).
-In-memory :class:`RunRecord` objects are a third reader: :func:`group`
-checks record N as row N, and :func:`emit` writes a table or records from
-the same per-field cells, :func:`_cells`.
+scale, label, seeds and tokens by five keys of its cells, each new key
+checked once; :func:`group` orders a table by one argsort of a folded int64
+key where it can; :class:`RunRecord` objects are built only when
+``records`` is read.  A chunk of CSV lines is parsed by ``np.loadtxt``,
+numpy's C reader, and its keys found with ``np.unique``; ``csv.reader``
+reads the chunks only it can (see :func:`open_csv`), and JSONL chunks are
+keyed in one dict pass per key.  A chunk that fails these checks is read
+again a row at a time, by ``csv.reader`` or ``json``, and checked by
+:func:`_record`, whose statement order is one row's check order: the first
+bad row raises ``row N: <its first failed check>``, and so does, after the
+rows before it, the first line N holding a byte that is not UTF-8
+(:func:`_line_chunks`).  In-memory :class:`RunRecord` objects are a third
+reader: :func:`group` checks record N as row N, and :func:`emit` writes a
+table or records from the same per-field cells, :func:`_cells`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -499,13 +502,30 @@ class _Codes:
         else:
             keys = zip(*columns) if len(columns) > 1 else columns[0]
             codes = np.fromiter(map(self.number.setdefault, keys, itertools.count(base)), np.intp, rows)
-        # The keys not seen before are the last ones entered (dicts keep their order of entry).
+        self._check_new(before)
+        return codes
+
+    def coded(self, columns: list, rows: int) -> np.ndarray:
+        """As :meth:`codes`, from a parsed chunk's array of each field (None
+        for a field the file lacks): only the distinct keys are looked up,
+        in order of first appearance, each under the number of its first row."""
+        base, before = self.rows, len(self.number)
+        self.rows += rows
+        first, inverse = _distinct([column for column in columns if column is not None], rows)
+        cells = [itertools.repeat(None) if column is None else column[first].tolist() for column in columns]
+        keys = zip(*cells) if len(columns) > 1 else cells[0]
+        numbers = list(map(self.number.setdefault, keys, (base + first).tolist()))
+        self._check_new(before)
+        return np.array(numbers, dtype=np.intp)[inverse]
+
+    def _check_new(self, before: int) -> None:
+        """Check the keys entered since the memo held ``before`` of them, in
+        order: they are the last ones entered (dicts keep their order of entry)."""
         for key in list(itertools.islice(reversed(self.number), len(self.number) - before))[::-1]:
             number = self.number[key]
             self.checked[number] = checked = self.check(key)
             if checked is None:
                 self.missing.append(number)
-        return codes
 
     def resolved(self, codes: np.ndarray, default: int) -> np.ndarray:
         """The checked integers of ``codes``, ``default`` where missing (see :func:`_ints`)."""
@@ -513,6 +533,27 @@ class _Codes:
         values = np.zeros(self.rows, dtype=checked.dtype)
         values[list(self.checked)] = checked
         return values[codes]
+
+
+def _distinct(columns: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct key of the ``rows`` rows of
+    ``columns``, in order of first appearance, and the index in that order
+    of each row's key.  A column that holds one value adds nothing; the
+    ``np.unique`` codes of the others fold into one int64 key."""
+    varying = [column for column in columns if (column != column[0]).any()]
+    if not varying:
+        return np.zeros(1, dtype=np.intp), np.zeros(rows, dtype=np.intp)
+    key = varying[0]
+    if len(varying) > 1:
+        key = np.zeros(rows, dtype=np.int64)
+        for column in varying:  # each at most rows distinct values: 4,096**4 < 2**63
+            _, code = np.unique(column, return_inverse=True)
+            key = key * (int(code.max()) + 1) + code
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)]
 
 
 def _values(cells: Sequence) -> np.ndarray:
@@ -557,6 +598,25 @@ class _Columns:
         numbers its rows.  A failed check raises DataError without naming a row."""
         codes = {name: keys.codes([cells[f] for f in keys.fields]) for name, keys in self.keys.items()}
         codes["value"] = _values(cells["value"])
+        self._append(codes, where)
+
+    def add_parsed(self, array: np.ndarray, where: np.ndarray) -> None:
+        """As :meth:`add`, from the rows of a chunk that ``np.loadtxt``
+        parsed (see :func:`open_csv`): each key from the array of each of its
+        fields, None for a field the header lacks."""
+        names = array.dtype.names
+        codes = {
+            name: keys.coded([array[f] if f in names else None for f in keys.fields], len(array))
+            for name, keys in self.keys.items()
+        }
+        values = np.ascontiguousarray(array["value"])  # not a view that keeps the chunk's array
+        if not (np.isfinite(values).all() and (values > 0).all()):
+            raise DataError("value must be finite and positive")
+        codes["value"] = values
+        self._append(codes, where)
+
+    def _append(self, codes: dict, where: np.ndarray) -> None:
+        """Append one chunk's codes and values, counting its defaulted seeds."""
         if any(self.keys[f].missing for f in _SEED_FIELDS):
             pre, fin = (np.isin(codes[f], self.keys[f].missing) for f in _SEED_FIELDS)
             defaulted = pre | fin
@@ -678,23 +738,27 @@ def _json_cells(lines: Sequence[str]) -> dict:
     return cells
 
 
-def _csv_chunks(reader):
+def _csv_chunks(reader, base: int = 0):
     """(line numbers, rows) of up to ``_CHUNK`` CSV rows of ``reader`` at a
-    time, blank ones dropped; a row's number is the line it ends on.  A
-    ``csv.Error``, or the DataError of a line that is not UTF-8, is raised
-    once the rows read before it have been yielded."""
+    time, blank ones dropped; a row's number is the line it ends on, the
+    reader's first line being line ``base + 1``.  A ``csv.Error``, as
+    DataError naming the line the reader stopped on, or the DataError of a
+    line that is not UTF-8, is raised once the rows read before it have
+    been yielded."""
     while True:
         before, rows, error = reader.line_num, [], None
         try:
             rows.extend(itertools.islice(reader, _CHUNK))
-        except (csv.Error, DataError) as exc:
+        except csv.Error as exc:
+            error = DataError(f"row {base + reader.line_num}: {exc}")
+        except DataError as exc:
             error = exc
         spans = np.ones(len(rows), dtype=np.intp)
         if reader.line_num - before != len(rows):  # a quoted cell holds line breaks
             spans[:] = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows]
-        ends = before + np.cumsum(spans)
+        ends = base + before + np.cumsum(spans)
         if rows and error is None:  # exact, also for a quote left open to the end of the file
-            ends[-1] = reader.line_num
+            ends[-1] = base + reader.line_num
         if rows:
             yield _numbered(rows, ends, map(operator.not_, rows))
         if error is not None:
@@ -703,23 +767,120 @@ def _csv_chunks(reader):
             return
 
 
+class ParsedChunk(NamedTuple):
+    """A chunk of CSV lines, one row each, and the rows ``np.loadtxt``
+    parsed from them: a structured array, one field per header column."""
+
+    array: np.ndarray
+    lines: list[str]
+
+    def rows(self) -> list[list[str]]:
+        """The chunk's rows as ``csv.reader`` reads them."""
+        return list(csv.reader(self.lines))
+
+
+# Text of a CSV chunk that only csv.reader reads as the file means: NUL,
+# which csv refuses on Python 3.10 and numpy's str cells drop, and
+# U+001C-U+001F, which numpy's number parser skips as white space but int()
+# and float() refuse.  Text that is not ASCII goes to csv.reader too: numpy
+# reads some letters past U+00FF as integer digits.  A quote is apart: a
+# quoted cell may span lines, so csv.reader reads the rest of the file.
+_CSV_ONLY = "\x00\x1c\x1d\x1e\x1f"
+_WIDTH, _MAX_WIDTH = 16, 128  # the first and the largest str width, in characters, of a parsed cell
+
+
+def _loadtxt(lines: list[str], columns: dict, width: int) -> tuple[np.ndarray | None, int]:
+    """The rows of a chunk of CSV lines as ``np.loadtxt`` parses them, each
+    column as its type in ``columns`` (``str`` as ``width`` characters), and
+    the width it took: doubled, up to ``_MAX_WIDTH``, while a str cell fills
+    it and so may have been cut.  None for the rows if numpy raises, warns
+    (numpy 1.x reads ``2.0`` as an integer, warning that it will not), skips
+    a line (a blank one) or would cut a cell."""
+    while width <= _MAX_WIDTH:
+        dtype = np.dtype([(name, f"U{width}" if kind is str else kind) for name, kind in columns.items()])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                array = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except Exception:  # whatever numpy cannot read, csv.reader reads, or names the fault of
+            return None, width
+        if len(array) != len(lines):
+            return None, width
+        # A cell fills the width where its last character is not NUL (no cell holds one).
+        cut = (np.ascontiguousarray(array[name]).view(np.uint32)[width - 1 :: width].any()
+               for name, kind in columns.items() if kind is str)
+        if not any(cut):
+            return array, width
+        width *= 2
+    return None, width
+
+
+def _stream(lines: list[str], line_chunks) -> Iterable[str]:
+    """``lines``, then the lines of the rest of ``line_chunks``."""
+    return itertools.chain(lines, itertools.chain.from_iterable(more for _, more in line_chunks))
+
+
+def _body_chunks(header: list[str] | None, line_chunks, columns):
+    """(line numbers, rows) of each chunk of the lines after a CSV header,
+    ``line_chunks`` yielding (number of the first line, lines).  The rows
+    are a :class:`ParsedChunk` where ``np.loadtxt`` reads the chunk as
+    ``columns(header)`` types the columns (see :func:`open_csv`), else the
+    rows ``csv.reader`` reads, in chunks of :func:`_csv_chunks`."""
+    types = columns(header) if columns else None
+    width, limit = _WIDTH, csv.field_size_limit()
+    for first, lines in line_chunks:
+        if not lines:
+            continue
+        text = "".join(lines)
+        if '"' in text:  # a quoted cell may span chunks: the rest of the file is one stream
+            yield from _csv_chunks(csv.reader(_stream(lines, line_chunks)), first - 1)
+            return
+        array = None
+        short = len(text) <= limit or max(map(len, lines)) <= limit  # no cell past csv's field limit
+        if types and short and text.isascii() and not any(c in text for c in _CSV_ONLY):
+            array, taken = _loadtxt(lines, types, width)
+        if array is None:
+            yield from _csv_chunks(csv.reader(lines), first - 1)
+        else:
+            width = taken
+            yield first + np.arange(len(lines)), ParsedChunk(array, lines)
+
+
 @contextlib.contextmanager
-def open_csv(path: Path):
-    """The header row (None for an empty file) and the :func:`_csv_chunks`
-    of a CSV file, read while the ``with`` block runs.  The lines come from
-    :func:`_line_chunks`, so the file ends at its first line that is not
-    UTF-8, which raises DataError naming it, also while the header is read.
-    A header that starts with a byte order mark raises DataError, and so
-    does a ``csv.Error``, naming the line the reader stopped on."""
+def open_csv(path: Path, columns: Callable[[list[str]], dict | None] | None = None):
+    """The header row (None for an empty file) and the chunks of (line
+    numbers, rows) of a CSV file's body, read while the ``with`` block runs.
+    The lines come from :func:`_line_chunks`, so the file ends at its first
+    line that is not UTF-8, which raises DataError naming it, also while the
+    header is read.  A header that starts with a byte order mark raises
+    DataError, and so does a ``csv.Error``, naming the line the reader
+    stopped on.
+
+    ``columns``, given the header, maps each of its columns to the type its
+    cells are parsed as, ``np.int64``, ``np.float64`` or ``str``, or returns
+    None.  With it, each chunk of lines is parsed by ``np.loadtxt`` into a
+    :class:`ParsedChunk`; without it, or where numpy raises or warns, skips
+    a blank line or would cut a str cell, and where the chunk holds NUL,
+    U+001C-U+001F, text that is not ASCII, or a line longer than
+    ``csv.field_size_limit()``, ``csv.reader`` reads the chunk into rows,
+    as :func:`_csv_chunks` yields them.  From the first line holding a
+    quote on, the header's too, the rest of the file is one
+    ``csv.reader`` stream: a quoted cell may span lines and chunks."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(itertools.chain.from_iterable(lines for _, lines in _line_chunks(fh)))
+        line_chunks = _line_chunks(fh)
+        _, lines = next(line_chunks, (1, []))
+        quoted = any('"' in line for line in lines[:1])
+        reader = csv.reader(_stream(lines, line_chunks) if quoted else lines[:1])
         try:
             header = next(reader, None)
-            if header and header[0].startswith("\ufeff"):
-                raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
-            yield header, _csv_chunks(reader)
         except csv.Error as exc:
             raise DataError(f"row {reader.line_num}: {exc}") from None
+        if header and header[0].startswith("\ufeff"):
+            raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
+        if quoted:
+            yield header, _csv_chunks(reader)
+        else:
+            yield header, _body_chunks(header, itertools.chain([(2, lines[1:])], line_chunks), columns)
 
 
 def _csv_cells(rows: Sequence[list], header: list[str]) -> dict:
@@ -783,7 +944,8 @@ def paused_gc():
 def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
     """The checked columns of the chunks of ``(row numbers, rows)`` of
     ``source``, each added by its ``cells``.  When a chunk fails its column
-    checks, ``cells`` reads its rows again one at a time and :func:`_record`
+    checks, ``cells`` reads its rows again one at a time (a
+    :class:`ParsedChunk`'s as ``csv.reader`` reads them) and :func:`_record`
     checks each, in order; the first that fails raises DataError.  Rows
     missing a seed get seed 0 and one summary warning for the source.
     ``guard`` maps a chunk's cells first; CSV cells, strs or None, need none."""
@@ -791,9 +953,12 @@ def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
     with paused_gc():
         for where, rows in chunks:
             try:
-                columns.add(guard(cells(rows)) if guard else cells(rows), where)
+                if isinstance(rows, ParsedChunk):
+                    columns.add_parsed(rows.array, where)
+                else:
+                    columns.add(guard(cells(rows)) if guard else cells(rows), where)
             except DataError:
-                for number, row in zip(where, rows):
+                for number, row in zip(where, rows.rows() if isinstance(rows, ParsedChunk) else rows):
                     try:
                         _record(cells([row]))
                     except DataError as exc:
@@ -805,17 +970,34 @@ def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
     return columns.table()
 
 
+# The type ``np.loadtxt`` parses each field's cells as.  A str cell is
+# checked by ``_CHECKS`` as a cell of ``csv.reader`` is: tokens may be empty.
+_PARSED_TYPES = {
+    **dict.fromkeys((*_SCALE_FIELDS, *_SEED_FIELDS), np.int64), "value": np.float64,
+    **dict.fromkeys((*_LABEL_FIELDS, "tokens"), str),
+}
+
+
+def _parsed_types(header: list[str]) -> dict | None:
+    """The type of each column of a checked CSV header, None if it lacks a value."""
+    return {field: _PARSED_TYPES[field] for field in header} if "value" in header else None
+
+
 def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
     The file is read once, a chunk of rows at a time, and each distinct key
-    of cells is checked once.  A chunk that fails these checks is read
-    again a row at a time, from the rows in memory, and the first bad row
-    in file order raises :class:`DataError` naming the row number and its
-    first failed check; a line holding a byte that is not UTF-8 is a bad
-    row too: ``row N: not valid UTF-8``.  A CSV header must name known
-    fields, each once.  Rows missing seed fields get seed 0 and one summary
-    warning for the file.  Returns a :class:`RecordTable`.
+    of cells is checked once.  A CSV chunk is parsed by ``np.loadtxt``,
+    layers, hidden, params and seeds as int64, value as float64, labels and
+    tokens as str, unless only ``csv.reader`` can read it (see
+    :func:`open_csv`).  A chunk that fails these checks is read again a row
+    at a time, from the rows in memory (a parsed chunk's lines by
+    ``csv.reader``), and the first bad row in file order raises
+    :class:`DataError` naming the row number and its first failed check; a
+    line holding a byte that is not UTF-8 is a bad row too: ``row N: not
+    valid UTF-8``.  A CSV header must name known fields, each once.  Rows
+    missing seed fields get seed 0 and one summary warning for the file.
+    Returns a :class:`RecordTable`.
 
     Parameters
     ----------
@@ -826,7 +1008,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     if _infer_format(path, format) == "jsonl":
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return _add_chunks(_json_chunks(fh), _json_cells, path.name)
-    with open_csv(path) as (header, chunks):
+    with open_csv(path, _parsed_types) as (header, chunks):
         if header is None:
             raise DataError("row 1: missing CSV header")
         unknown = set(header) - _FIELD_SET

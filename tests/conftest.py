@@ -196,6 +196,28 @@ def render_plot_per_point(spec):
     return "\n".join(out + ["</svg>"]) + "\n"
 
 
+def early_stop_loop(curve, policy):
+    """The per-point reference of :func:`scalefit.early_stop`: one Python
+    loop over the losses, keeping the best loss so far and the counter of
+    consecutive evaluations that do not improve on it by ``min_decrease``."""
+    losses = curve.losses
+    best = losses[0]
+    best_index = 0
+    counter = 0
+    for i in range(1, len(losses)):
+        qualifies = losses[i] < best - policy.min_decrease
+        if losses[i] < best:
+            best = losses[i]
+            best_index = i
+        if qualifies:
+            counter = 0
+        else:
+            counter += 1
+            if counter >= policy.patience:
+                return sf.EarlyStopResult(stop_index=i, best_index=best_index, stopped=True, best_loss=best)
+    return sf.EarlyStopResult(stop_index=len(losses) - 1, best_index=best_index, stopped=False, best_loss=best)
+
+
 _MASK64 = (1 << 64) - 1
 
 

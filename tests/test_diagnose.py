@@ -2,9 +2,11 @@ import dataclasses
 import gc
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scalefit as sf
@@ -12,7 +14,7 @@ from scalefit.diagnose import REL_TOL
 from scalefit.errors import DataError
 from scalefit.records import open_csv
 
-from conftest import TARGET, ar32_synth
+from conftest import TARGET, ar32_synth, early_stop_loop
 
 
 def curve(losses, steps=None):
@@ -113,6 +115,31 @@ def test_early_stop_invariants(losses, patience, extra, min_decrease):
     for res in (short, longer):
         assert res.best_index <= res.stop_index
     assert longer.stop_index >= short.stop_index
+
+
+# Losses from a few values a little apart, so that ties, plateaus and
+# improvements by less than min_decrease are common, and from anywhere.
+STEP_LOSSES = st.sampled_from([3.0, 2.0, 1.995, 1.99, 1.5, 1.0, 0.995, 0.5, 0.49]) | st.floats(0.01, 10.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    losses=st.lists(STEP_LOSSES, min_size=1, max_size=60),
+    patiences=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    min_decrease=st.sampled_from([0.0, 0.01, 0.5]),
+)
+def test_early_stop_matches_the_per_point_loop(losses, patiences, min_decrease):
+    c = curve(losses)
+    policies = [sf.EarlyStopPolicy(p, min_decrease) for p in patiences]
+    for policy in policies:
+        got = sf.early_stop(c, policy)
+        assert got == early_stop_loop(c, policy)
+        assert type(got.best_loss) is float
+    rows = sf.compare_policies(c, policies)
+    expected = [early_stop_loop(c, p) for p in sorted(policies, key=lambda p: p.patience)]
+    assert [(r.stop_index, r.best_index, r.stopped, r.loss_at_best) for r in rows] == [
+        (e.stop_index, e.best_index, e.stopped, e.best_loss) for e in expected
+    ]
 
 
 PLATEAU_THEN_DROP = (3.0, 2.5, 2.5, 2.5, 2.5, 2.5, 2.0, 1.5, 1.4)
@@ -314,25 +341,106 @@ def curve_outcome(load, path):
         return str(exc)
 
 
+# Rows besides the generated ones: blank, short, long, quoted, and cells
+# that np.loadtxt reads otherwise than int() and float(), or not at all.
 CURVE_ROWS = ["0,1.0", " 10 , 0.9 ", "", "  ,  ", "20,0.8,extra", '"30\n",0.7', "1_000,5e-1", "2000,",
-              "5000,-1.0", "6000,nan", "7000,0"]
+              "5000,-1.0", "6000,nan", "7000,0", "\u0661\u0662,0.5", "2.0,0.5", "1e3,0.5", "+12,0.5", " 5 ,0.5",
+              f"{2**63},0.5", "40,0.5\x00", "50,0.5\r", "\x1c60,0.5"]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 4096])
-def test_loss_curve_columns_match_the_row_loop(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(sf.records, "_CHUNK", chunk)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 2, 3, 4096]))
+def test_loss_curve_columns_match_the_row_loop(tmp_path, seed, chunk):
+    rng = random.Random(seed)
     path = tmp_path / "curve.csv"
-    rng = random.Random(chunk)
     kinds = set()
-    for _ in range(40):
-        rows = [f"{10 * i},{rng.uniform(0.5, 2)!r}" for i in range(rng.randint(0, 9))]
-        for _ in range(rng.randint(0, 2)):
-            rows.insert(rng.randint(0, len(rows)), rng.choice(CURVE_ROWS))
-        path.write_text("step,eval_loss\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
-        got = curve_outcome(sf.load_loss_curve, path)
-        assert got == curve_outcome(row_by_row_curve, path), rows
-        kinds.add(type(got))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf.records, "_CHUNK", chunk)
+        for _ in range(40):
+            rows = [f"{10 * i},{rng.uniform(0.5, 2)!r}" for i in range(rng.randint(0, 9))]
+            for _ in range(rng.randint(0, 2)):
+                rows.insert(rng.randint(0, len(rows)), rng.choice(CURVE_ROWS))
+            path.write_text("step,eval_loss\n" + "".join(r + "\n" for r in rows), encoding="utf-8", newline="")
+            got = curve_outcome(sf.load_loss_curve, path)
+            assert got == curve_outcome(row_by_row_curve, path), rows
+            kinds.add(type(got))
     assert kinds == {sf.LossCurve, str}
+
+
+def chunk_readers(monkeypatch):
+    """A list that gets (first line, "parsed" or "csv") of each chunk that
+    open_csv yields: read by np.loadtxt, or by csv.reader."""
+    seen = []
+    body_chunks = sf.records._body_chunks
+
+    def recorded(*args):
+        for where, rows in body_chunks(*args):
+            seen.append((int(where[0]), "parsed" if isinstance(rows, sf.records.ParsedChunk) else "csv"))
+            yield where, rows
+
+    monkeypatch.setattr(sf.records, "_body_chunks", recorded)
+    return seen
+
+
+# A good curve of six points in chunks of two lines, the header alone in
+# the first, and each case's change to one line: (line, text).
+CURVE_LINES = ["step,eval_loss"] + [f"{10 * i},{1.0 - 0.1 * i!r}" for i in range(6)]
+CURVE_FALLBACKS = {
+    "nul": (3, "10,0.9\x00"),
+    "over-the-field-limit": (3, "10," + "9" * 200_000),
+    "crlf": (None, None),
+    "arabic-indic-digits": (3, "\u0661\u0662,0.9"),
+    "underscore": (3, "1_0,0.9"),
+    "integer-written-as-float": (3, "10.0,0.9"),
+    "exponent": (3, "1e1,0.9"),
+    "plus-sign": (3, "+10,0.9"),
+    "spaces": (3, " 10 ,0.9"),
+    "past-int64": (7, f"{2**63},0.5"),
+    "file-separator": (3, "\x1c10,0.9"),
+    "letter-past-u00ff": (3, "\u01fe,0.9"),  # numpy would read 462
+    "blank-line-before-a-bad-row": (3, "\n20,-1.0"),  # a blank line 3, a bad loss on line 4
+    "quoted-cell-spanning-chunks": (6, '40,"0.6\n"'),  # lines 6-7: the last of one chunk and the next
+}
+
+
+@pytest.mark.parametrize("case", CURVE_FALLBACKS)
+def test_loss_curve_fallbacks_match_the_row_loop(tmp_path, monkeypatch, case):
+    line, text = CURVE_FALLBACKS[case]
+    lines = list(CURVE_LINES)
+    if line is not None:
+        lines[line - 1] = text
+    ending = "\r\n" if case == "crlf" else "\n"
+    path = tmp_path / "curve.csv"
+    path.write_text("".join(line + ending for line in lines), encoding="utf-8", newline="")
+    expected = curve_outcome(row_by_row_curve, path)
+    monkeypatch.setattr(sf.records, "_CHUNK", 2)
+    seen = chunk_readers(monkeypatch)
+    assert curve_outcome(sf.load_loss_curve, path) == expected
+    # Of the chunks (lines 2, 3-4, 5-6 and 7), csv.reader reads the changed
+    # line's, and from a quote on the rest of the file, unless np.loadtxt
+    # reads that line as int() and float() do; np.loadtxt reads the others.
+    start = 7 if line is None else line - 1 + line % 2 + case.startswith("blank")  # numbered by its rows
+    same = case in ("crlf", "plus-sign", "spaces")
+    quoted = case.startswith("quoted")
+    csv_read = lambda first: not same and (first == start or (quoted and first > start))
+    assert seen == [(first, "csv" if csv_read(first) else "parsed") for first, _ in seen]
+    assert seen[-1][0] >= start - 1  # a csv.Error in a chunk's first row yields none of it
+
+
+def test_a_loadtxt_warning_sends_the_chunk_to_csv_reader(tmp_path, monkeypatch):
+    path = tmp_path / "curve.csv"
+    path.write_text("".join(line + "\n" for line in CURVE_LINES), encoding="utf-8")
+    expected = sf.load_loss_curve(path)
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("conversion through a float is deprecated", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    seen = chunk_readers(monkeypatch)
+    assert sf.load_loss_curve(path) == expected
+    assert seen == [(2, "csv")]
 
 
 class TestFlagUndertrained:

@@ -17,6 +17,7 @@ import json
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -142,12 +143,15 @@ def reference_ingest(path):
             twice = [f for i, f in enumerate(reader.fieldnames) if f in reader.fieldnames[:i]]
             if twice:
                 raise DataError(f"row 1: field {twice[0]!r} appears twice in the CSV header")
-            for row in reader:
-                if undecodable is not None and reader.line_num >= undecodable:
-                    raise not_utf8
-                if None in row:
-                    raise DataError(f"row {reader.line_num}: more cells than header columns")
-                records.append(reference_record(row, f"row {reader.line_num}", seed_defaults))
+            try:
+                for row in reader:
+                    if undecodable is not None and reader.line_num >= undecodable:
+                        raise not_utf8
+                    if None in row:
+                        raise DataError(f"row {reader.line_num}: more cells than header columns")
+                    records.append(reference_record(row, f"row {reader.line_num}", seed_defaults))
+            except csv.Error as exc:  # a cell past the field limit; NUL, before Python 3.11
+                raise DataError(f"row {reader.reader.line_num}: {exc}") from None  # DictReader's lags on an error
     if seed_defaults:
         warnings.warn(
             f"{path.name}: {len(seed_defaults)} missing seed field(s) defaulted to 0 "
@@ -550,3 +554,110 @@ def test_bulk_layout_matches_the_reference(tmp_path, variant, fmt):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sf.records, "_CHUNK", chunk)
             assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected, chunk
+
+
+def chunk_readers(monkeypatch):
+    """A list that gets (first line, "parsed" or "csv") of each chunk that
+    open_csv yields: read by np.loadtxt, or by csv.reader."""
+    seen = []
+    body_chunks = sf.records._body_chunks
+
+    def recorded(*args):
+        for where, rows in body_chunks(*args):
+            seen.append((int(where[0]), "parsed" if isinstance(rows, sf.records.ParsedChunk) else "csv"))
+            yield where, rows
+
+    monkeypatch.setattr(sf.records, "_body_chunks", recorded)
+    return seen
+
+
+# Six good rows of two scales, two seeds and tokens, in chunks of two lines,
+# the header alone in the first, and each case's change to one line's cells
+# (or to the line endings): (line, field, cell), and whether np.loadtxt
+# reads the changed cell as int() and float() do, so that the chunk is
+# yielded parsed (and read again by csv.reader only if a check fails).
+CSV_GOOD = [dict(layers=1 + i % 2, hidden=32 * (1 + i % 2), params=12288 * (1 + i % 2) ** 3, task="t", family="f", pretrain_seed=i % 2,
+                 finetune_seed=i, metric="m", value=1.5 + i, direction="min", tokens=100 * i) for i in range(6)]
+CSV_FALLBACKS = {
+    "label-at-the-first-width": (3, "task", "x" * 16, True),  # read again 32 wide: a cell may not be cut
+    "label-past-the-first-width": (3, "task", "x" * 17, True),
+    "label-past-the-largest-width": (3, "task", "x" * 200, False),
+    "nul": (3, "family", "f\x00", False),
+    "over-the-field-limit": (3, "tokens", "1" * 200_000, False),
+    "crlf": (None, None, None, True),
+    "arabic-indic-digits": (3, "pretrain_seed", "١٢", False),
+    "underscore": (3, "finetune_seed", "1_000", False),
+    "integer-written-as-float": (3, "layers", "2.0", False),
+    "exponent": (3, "params", "1e3", False),
+    "plus-sign": (3, "finetune_seed", "+12", True),
+    "spaces": (3, "finetune_seed", " 5 ", True),
+    "past-int64": (3, "finetune_seed", str(2**63), False),
+    "empty-seed": (3, "pretrain_seed", "", False),
+    "record-separator": (3, "finetune_seed", "\x1e7", False),
+    "letter-past-u00ff": (3, "pretrain_seed", "\u01fe", False),  # numpy would read 462
+    "blank-line-before-a-bad-row": (3, None, "", False),  # and line 4's value is -1.0
+    "quoted-cell-spanning-chunks": (6, "task", '"t\nu"', False),  # lines 6-7: the last of one chunk and the next
+    "bad-value": (3, "value", "-1.0", True),
+}
+
+
+@pytest.mark.parametrize("case", CSV_FALLBACKS)
+def test_csv_fallbacks_match_the_row_by_row_reference(tmp_path, monkeypatch, case):
+    line, field, cell, same = CSV_FALLBACKS[case]
+    rows = [dict(row) for row in CSV_GOOD]
+    if field is not None:
+        rows[line - 2][field] = cell
+    elif line is not None:
+        rows[line - 1]["value"] = -1.0
+    ending = "\r\n" if case == "crlf" else "\n"
+    lines = [",".join(RECORD_FIELDS), *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in rows)]
+    if field is None and line is not None:
+        lines[line - 1] = cell
+    path = tmp_path / "runs.csv"
+    path.write_text("".join(line + ending for line in lines), encoding="utf-8", newline="")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    monkeypatch.setattr(sf.records, "_CHUNK", 2)
+    seen = chunk_readers(monkeypatch)
+    assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+    # Of the chunks (lines 2, 3-4, 5-6 and 7), csv.reader reads the changed
+    # line's, and from a quote on the rest of the file, unless np.loadtxt
+    # reads that line as int() does; np.loadtxt reads the others.
+    start = 7 if line is None else line - 1 + line % 2 + case.startswith("blank")  # numbered by its rows
+    quoted = case.startswith("quoted")
+    csv_read = lambda first: not same and (first == start or (quoted and first > start))
+    assert seen == [(first, "csv" if csv_read(first) else "parsed") for first, _ in seen]
+    assert seen[-1][0] >= start - 1  # a csv.Error in a chunk's first row yields none of it
+
+
+def test_a_loadtxt_warning_sends_the_chunk_to_csv_reader(tmp_path, monkeypatch):
+    lines = [",".join(RECORD_FIELDS), *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in CSV_GOOD)]
+    path = tmp_path / "runs.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = sf.ingest(path)
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("conversion through a float is deprecated", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    seen = chunk_readers(monkeypatch)
+    assert sf.ingest(path) == expected
+    assert seen == [(2, "csv")]
+
+
+@pytest.mark.parametrize("kind", ["records", "curve"])
+def test_a_quote_free_body_never_reaches_csv_reader(tmp_path, monkeypatch, kind):
+    if kind == "records":
+        lines = [",".join(RECORD_FIELDS), *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in bulk_like_rows())]
+    else:
+        lines = ["step,eval_loss", *(f"{10 * i},{1 + 1 / (i + 1)!r}" for i in range(10_000))]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    read = sf.ingest if kind == "records" else sf.load_loss_curve
+    expected = read(path)
+    given = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda lines, *a, **k: reader(given.append(list(lines)) or given[-1], *a, **k))
+    assert read(path) == expected
+    assert given == [[lines[0] + "\n"]]  # the header alone

@@ -200,8 +200,9 @@ class TestPausedGc:
 
     def test_ingest_runs_paused_and_a_bad_row_mid_file_restores_it(self, tmp_path, monkeypatch):
         seen = []
-        add = sf.records._Columns.add
-        monkeypatch.setattr(sf.records._Columns, "add", lambda *a: seen.append(gc.isenabled()) or add(*a))
+        for name in ("add", "add_parsed"):  # csv.reader's chunks and np.loadtxt's
+            add = getattr(sf.records._Columns, name)
+            monkeypatch.setattr(sf.records._Columns, name, lambda *a, add=add: seen.append(gc.isenabled()) or add(*a))
         monkeypatch.setattr(sf.records, "_CHUNK", 3)
         path = tmp_path / "runs.csv"
         path.write_text("layers,hidden,task,family,metric,value,direction\n" + "1,32,t,f,m,1.0,max\n" * 4

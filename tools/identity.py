@@ -17,7 +17,9 @@ every value that differs or that one side lacks, and exits 1 if there is
 any: ``TREE TREE`` checks that a tree reproduces its own bytes.  Under a
 differing stderr it prints each side's text too, and under a differing
 stdout each side's first line that differs, both cut to 200 characters, so
-that a changed output can be read, not only seen to differ.  Digests
+that a changed output can be read, not only seen to differ, and, where both
+sides are JSON, how many leaf values differ and the largest relative
+difference of the numbers among them, so that the size of a change shows.  Digests
 depend on the numpy build, so none is kept in the repository.  Needs only
 the standard library and numpy.
 """
@@ -81,15 +83,21 @@ BAD_INPUTS = {
     ),
     "empty.jsonl": "",
     "header-only.csv": _CSV.splitlines(keepends=True)[0],
+    # Chunks that np.loadtxt hands to csv.reader: an integer cell that numpy
+    # 1.x reads through a float, a label holding NUL, and a quoted cell.
+    "layers-2.0.csv": _CSV + "2.0,64,t,f,0,0,m,1.0,min\n",
+    "nul-label.csv": _CSV + "1,32,t\x00u,f,0,0,m,1.0,min\n",
+    "quoted-cell.csv": _CSV + '1,32,"t",f,0,0,m,oops,min\n',
 }
 # A loss curve with a bad row ahead of a byte that is not UTF-8, two whose
-# cells parse but break the curve's rules, and one that breaks a rule ahead
-# of a row that does not parse.
+# cells parse but break the curve's rules, one that breaks a rule ahead of a
+# row that does not parse, and one whose step is written as a float.
 BAD_CURVES = {
     "bad-row-before-bad-byte-curve.csv": "step,eval_loss\n0,1.0\n1,abc\n2,0.\udce99\n",
     "negative-loss-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n",
     "repeated-step-curve.csv": "step,eval_loss\n1,2.0\n3,1.0\n3,0.5\n",
     "negative-loss-before-bad-row-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n3,1.0\nx,1\n",
+    "step-1e3-curve.csv": "step,eval_loss\n0,1.0\n1e3,0.5\n",  # an integer through a float, as numpy 1.x reads it
 }
 
 
@@ -299,6 +307,31 @@ def collect(tree: Path) -> tuple[dict, dict]:
     return digests, texts
 
 
+def _leaves(value, path: tuple = ()):
+    """(path, value) of each leaf of a parsed JSON value."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, (*path, key))
+    else:
+        yield path, value
+
+
+def _json_difference(a: str, b: str) -> str | None:
+    """How many leaf values of two JSON texts differ, a leaf that one side
+    lacks included, and the largest relative difference of the numbers
+    among them; None unless both texts are JSON."""
+    try:
+        x, y = (dict(_leaves(json.loads(text))) for text in (a, b))
+    except ValueError:
+        return None
+    typed = lambda leaves, key: (type(leaves[key]), leaves[key]) if key in leaves else None
+    differ = [key for key in {**x, **y} if typed(x, key) != typed(y, key)]
+    numbers = [(x[k], y[k]) for k in differ if {type(x.get(k)), type(y.get(k))} <= {int, float}]
+    largest = max((abs(p - q) / max(abs(p), abs(q)) for p, q in numbers), default=None)
+    shown = "no two numbers among them" if largest is None else f"largest relative difference {largest:.3g}"
+    return f"{len(differ)} JSON leaf values differ, {shown}"
+
+
 def _first_difference(a: str, b: str) -> tuple[str, str]:
     """The first line of ``a`` and of ``b`` that differ, "" for a side that has ended."""
     lines = itertools.zip_longest(a.splitlines(), b.splitlines(), fillvalue="")
@@ -336,11 +369,15 @@ def main(argv=None) -> int:
     for key in differ:
         print(f"DIFFERS {key}: {a.get(key, 'missing')[:16]} vs {b.get(key, 'missing')[:16]}")
         shown = [texts.get(key) for texts in (a_texts, b_texts)]
+        counted = None
         if key.endswith("stdout") and None not in shown:
+            counted = _json_difference(*shown)
             shown = _first_difference(*shown)
         for tree, text in zip(args.trees, shown):
             if text is not None:
                 print(f"    {tree}: {text[:200]!r}")
+        if counted is not None:
+            print(f"    {counted}")
     trees = " vs ".join(map(str, args.trees))
     print(f"{len(keys) - len(differ)} of {len(keys)} values identical ({trees}, seed {SEED})")
     return 1 if differ else 0

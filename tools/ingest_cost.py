@@ -10,12 +10,20 @@ fresh interpreter, the trees taking turns to go first, and each run times,
 with the tree's ``scalefit``:
 
 - ``ingest`` of ``bulk.jsonl`` and of ``bulk.csv``, best of 5, and the bare
-  chunked parse loop of the same file, best of 5, the two taking turns:
-  ``json.loads`` of each 4,096 lines joined as one JSON array, or
-  ``csv.reader`` read 4,096 rows at a time.  ``xbare`` is the ratio of the
-  two;
+  chunked parse loops of the same file, best of 5, all taking turns:
+  ``json.loads`` of each 4,096 lines joined as one JSON array; or
+  ``csv.reader`` read 4,096 rows at a time, and ``np.loadtxt`` of each
+  4,096 lines with the types ``ingest`` parses them as (int64 integers,
+  float64 values, labels and tokens as ``U16``: its first str width);
 - ``load_loss_curve("curve.csv")``, the 200k-point curve, best of 5, and
-  the bare ``csv.reader`` loop of the same file, taking turns as above;
+  its bare ``csv.reader`` and ``np.loadtxt`` (int64, float64) loops,
+  taking turns as above.
+
+``xbare`` is the ratio of each file's reading to the bare loop of the
+parser that reads it in full: ``json.loads`` for JSONL, ``np.loadtxt``
+for CSV records and curves; the ``csv.reader`` loops, the floor of the
+parse before ``np.loadtxt`` read CSV, stay beside them.  It also times:
+
 - ``group`` of the ``bulk.csv`` table, best of 5;
 - ``fit_runset`` of the ``bulk.csv`` run set, best of 5, as ``fit`` runs
   it (``fit_ms``) and with ``min_layers=4, space="linear"`` as
@@ -44,12 +52,20 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 CHUNK = 4096  # the rows ingest parses at a time
 # The timings of one run, in the order printed.
-TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "curve_ms", "curve_bare_ms", "group_ms", "fit_ms",
-           "fit_depth_ms", "plot_ms", "ladder_ms")
-# The timings that have a bare parse loop to compare with.
-PARSED = ("jsonl", "csv", "curve")
+TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "csv_loadtxt_ms", "curve_ms", "curve_bare_ms",
+           "curve_loadtxt_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms", "ladder_ms")
+# Each timing that has a bare parse loop to compare with, and that loop's timing.
+PARSED = {"jsonl": "jsonl_bare_ms", "csv": "csv_loadtxt_ms", "curve": "curve_loadtxt_ms"}
+# The type np.loadtxt parses each column of a bulk.csv or curve.csv header as.
+TYPES = {
+    **dict.fromkeys(("layers", "hidden", "params", "pretrain_seed", "finetune_seed", "step"), np.int64),
+    **dict.fromkeys(("value", "eval_loss"), np.float64),
+    **dict.fromkeys(("task", "family", "metric", "direction", "tokens"), "U16"),
+}
 
 
 def _best(*calls, repeat: int) -> list[float]:
@@ -78,6 +94,13 @@ def _bare_csv(path: str) -> None:
             pass
 
 
+def _bare_loadtxt(path: str) -> None:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        dtype = np.dtype([(name, TYPES[name]) for name in next(csv.reader(fh))])
+        while lines := list(itertools.islice(fh, CHUNK)):
+            np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
 def _use(tree: Path) -> None:
     """Import ``scalefit`` and ``workloads`` from ``tree`` alone."""
     sys.dont_write_bytecode = True  # leave the tree as it was
@@ -99,11 +122,15 @@ def measure(tree: Path) -> dict:
     import scalefit as sf
 
     got = {}
-    for fmt, bare in (("jsonl", _bare_jsonl), ("csv", _bare_csv)):
-        path = f"bulk.{fmt}"
-        got[f"{fmt}_ms"], got[f"{fmt}_bare_ms"] = _best(lambda: sf.ingest(path), lambda: bare(path), repeat=5)
-    got["curve_ms"], got["curve_bare_ms"] = _best(lambda: sf.load_loss_curve("curve.csv"),
-                                                  lambda: _bare_csv("curve.csv"), repeat=5)
+    got["jsonl_ms"], got["jsonl_bare_ms"] = _best(lambda: sf.ingest("bulk.jsonl"),
+                                                  lambda: _bare_jsonl("bulk.jsonl"), repeat=5)
+    got["csv_ms"], got["csv_bare_ms"], got["csv_loadtxt_ms"] = _best(
+        lambda: sf.ingest("bulk.csv"), lambda: _bare_csv("bulk.csv"), lambda: _bare_loadtxt("bulk.csv"), repeat=5,
+    )
+    got["curve_ms"], got["curve_bare_ms"], got["curve_loadtxt_ms"] = _best(
+        lambda: sf.load_loss_curve("curve.csv"), lambda: _bare_csv("curve.csv"), lambda: _bare_loadtxt("curve.csv"),
+        repeat=5,
+    )
     table = sf.ingest("bulk.csv")
     (got["group_ms"],) = _best(lambda: sf.group(table), repeat=5)
     (runset,) = sf.group(table).values()
@@ -128,7 +155,7 @@ def _child(*argv: str, cwd: str) -> str:
 
 def _line(label: str, got: dict) -> str:
     cells = [f"{name} {got[name]:8.3f}" for name in TIMINGS]
-    ratios = [f"{fmt} xbare {got[f'{fmt}_ms'] / got[f'{fmt}_bare_ms']:.2f}" for fmt in PARSED]
+    ratios = [f"{fmt} xbare {got[f'{fmt}_ms'] / got[bare]:.2f}" for fmt, bare in PARSED.items()]
     return f"{label}  " + "  ".join(cells + ratios)
 
 
