@@ -802,7 +802,7 @@ def _loadtxt(lines: list[str], columns: dict, width: int) -> tuple[np.ndarray | 
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 array = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except Exception:  # whatever numpy cannot read, csv.reader reads, or names the fault of
+        except (ValueError, Warning):  # what numpy cannot read, csv.reader reads or names the fault of
             return None, width
         if len(array) != len(lines):
             return None, width
