@@ -111,7 +111,7 @@ def load_loss_curve(path: str | Path) -> LossCurve:
                     losses.append(loss)
                     parsed.append(number)
                 where = parsed
-    # The rules on the chunk's points and the last point before them, which passed.
+            # The rules on the chunk's points and the last point before them, which passed.
             before = max(start - 1, 0)
             for index, message in sorted(_faults(steps[before:], losses[before:]), key=operator.itemgetter(0))[:1]:
                 raise DataError(f"row {where[before + index - start]}: {message}")

@@ -538,22 +538,26 @@ class _Codes:
 def _distinct(columns: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct key of the ``rows`` rows of
     ``columns``, in order of first appearance, and the index in that order
-    of each row's key.  A column that holds one value adds nothing; the
-    ``np.unique`` codes of the others fold into one int64 key."""
+    of each row's key.  A column that holds one value adds nothing.  Where
+    a row's value of the first other column tells its values of the rest,
+    that column's ``np.unique`` is the keys'; else the ``np.unique`` codes
+    of the columns fold into one int64 key."""
     varying = [column for column in columns if (column != column[0]).any()]
     if not varying:
         return np.zeros(1, dtype=np.intp), np.zeros(rows, dtype=np.intp)
-    key = varying[0]
-    if len(varying) > 1:
-        key = np.zeros(rows, dtype=np.int64)
+    _, first, inverse = np.unique(varying[0], return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if not all((column == column[first][inverse]).all() for column in varying[1:]):
+        key = np.zeros(rows, dtype=np.int64)  # the first column's values do not tell the key
         for column in varying:  # each at most rows distinct values: 4,096**4 < 2**63
             _, code = np.unique(column, return_inverse=True)
-            key = key * (int(code.max()) + 1) + code
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            key = key * (int(code.max()) + 1) + code.reshape(-1)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.reshape(-1)]
+    return first[order], rank[inverse]
 
 
 def _values(cells: Sequence) -> np.ndarray:
@@ -806,10 +810,10 @@ def _loadtxt(lines: list[str], columns: dict, width: int) -> tuple[np.ndarray | 
             return None, width
         if len(array) != len(lines):
             return None, width
-        # A cell fills the width where its last character is not NUL (no cell holds one).
-        cut = (np.ascontiguousarray(array[name]).view(np.uint32)[width - 1 :: width].any()
-               for name, kind in columns.items() if kind is str)
-        if not any(cut):
+        # A str cell fills the width where its last character, a 4-byte word
+        # of the row, is not NUL (no cell holds one).
+        last = [dtype.fields[name][1] // 4 + width - 1 for name, kind in columns.items() if kind is str]
+        if not (last and array.view(np.uint32).reshape(len(array), -1)[:, last].any()):
             return array, width
         width *= 2
     return None, width

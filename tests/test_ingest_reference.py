@@ -663,3 +663,21 @@ def test_a_quote_free_body_never_reaches_csv_reader(tmp_path, monkeypatch, kind)
     monkeypatch.setattr(csv, "reader", lambda lines, *a, **k: reader(given.append(list(lines)) or given[-1], *a, **k))
     assert read(path) == expected
     assert given == [[lines[0] + "\n"]]  # the header alone
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_parsed_keys_whose_first_column_does_not_tell_the_rest(tmp_path, monkeypatch, chunk):
+    # Within a chunk, depth 1 comes with two widths and task t with two
+    # metrics, so neither key is told by the first of its columns that varies.
+    rows = [dict(CSV_GOOD[0], layers=layers, hidden=hidden, params=12 * layers * hidden**2, task=task, metric=metric,
+                 finetune_seed=i) for i, (layers, hidden, task, metric) in
+            enumerate([(1, 32, "t", "m"), (1, 64, "t", "n"), (2, 32, "u", "m"), (1, 64, "t", "m"), (2, 64, "u", "n")])]
+    lines = [",".join(RECORD_FIELDS), *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in rows)]
+    path = tmp_path / "runs.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    assert isinstance(expected[0], list)
+    monkeypatch.setattr(sf.records, "_CHUNK", chunk)
+    seen = chunk_readers(monkeypatch)
+    assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+    assert {kind for _, kind in seen} == {"parsed"}
