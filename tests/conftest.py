@@ -218,6 +218,21 @@ def early_stop_loop(curve, policy):
     return sf.EarlyStopResult(stop_index=len(losses) - 1, best_index=best_index, stopped=False, best_loss=best)
 
 
+def chunk_readers(monkeypatch):
+    """A list that gets (first line, "parsed" or "csv") of each chunk that
+    open_csv yields: read by np.loadtxt, or by csv.reader."""
+    seen = []
+    body_chunks = sf.records._body_chunks
+
+    def recorded(*args):
+        for where, rows in body_chunks(*args):
+            seen.append((int(where[0]), "parsed" if isinstance(rows, sf.records.ParsedChunk) else "csv"))
+            yield where, rows
+
+    monkeypatch.setattr(sf.records, "_body_chunks", recorded)
+    return seen
+
+
 _MASK64 = (1 << 64) - 1
 
 

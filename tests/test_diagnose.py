@@ -14,7 +14,7 @@ from scalefit.diagnose import REL_TOL
 from scalefit.errors import DataError
 from scalefit.records import open_csv
 
-from conftest import TARGET, ar32_synth, early_stop_loop
+from conftest import TARGET, ar32_synth, chunk_readers, early_stop_loop
 
 
 def curve(losses, steps=None):
@@ -365,21 +365,6 @@ def test_loss_curve_columns_match_the_row_loop(tmp_path, seed, chunk):
             assert got == curve_outcome(row_by_row_curve, path), rows
             kinds.add(type(got))
     assert kinds == {sf.LossCurve, str}
-
-
-def chunk_readers(monkeypatch):
-    """A list that gets (first line, "parsed" or "csv") of each chunk that
-    open_csv yields: read by np.loadtxt, or by csv.reader."""
-    seen = []
-    body_chunks = sf.records._body_chunks
-
-    def recorded(*args):
-        for where, rows in body_chunks(*args):
-            seen.append((int(where[0]), "parsed" if isinstance(rows, sf.records.ParsedChunk) else "csv"))
-            yield where, rows
-
-    monkeypatch.setattr(sf.records, "_body_chunks", recorded)
-    return seen
 
 
 # A good curve of six points in chunks of two lines, the header alone in

@@ -26,6 +26,8 @@ import scalefit as sf
 from scalefit.errors import DataError
 from scalefit.records import RECORD_FIELDS, _as_float, _as_int, _shown
 
+from conftest import chunk_readers
+
 
 def reference_record(obj, where, seed_defaults):
     try:
@@ -556,21 +558,6 @@ def test_bulk_layout_matches_the_reference(tmp_path, variant, fmt):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sf.records, "_CHUNK", chunk)
             assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected, chunk
-
-
-def chunk_readers(monkeypatch):
-    """A list that gets (first line, "parsed" or "csv") of each chunk that
-    open_csv yields: read by np.loadtxt, or by csv.reader."""
-    seen = []
-    body_chunks = sf.records._body_chunks
-
-    def recorded(*args):
-        for where, rows in body_chunks(*args):
-            seen.append((int(where[0]), "parsed" if isinstance(rows, sf.records.ParsedChunk) else "csv"))
-            yield where, rows
-
-    monkeypatch.setattr(sf.records, "_body_chunks", recorded)
-    return seen
 
 
 # Six good rows of two scales, two seeds and tokens, in chunks of two lines,
