@@ -9,7 +9,6 @@ held-out run whose converged loss sits outside the bootstrap band.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -43,12 +42,6 @@ class LossCurve:
         for _, message in _faults(self.steps, self.losses):
             raise DataError(message)
 
-    @functools.cached_property
-    def _running_min(self) -> tuple[np.ndarray, np.ndarray]:
-        """The losses as float64 and their running minimum, made on first use."""
-        losses = np.array(self.losses, dtype=float)
-        return losses, np.minimum.accumulate(losses)
-
 
 def _faults(steps: Sequence[int], losses: Sequence[float]):
     """(index, message) of the first point that breaks each rule of a curve,
@@ -70,10 +63,12 @@ def _curve_types(header: list[str]) -> dict | None:
 def load_loss_curve(path: str | Path) -> LossCurve:
     """Read a two-column CSV (header ``step,eval_loss`` required) with
     :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  A
-    chunk of a two-column file is parsed by ``np.loadtxt``, steps as int64
-    and losses as float64, and its points checked with numpy; a chunk that
-    numpy does not read (see ``open_csv``), or whose points break a rule, is
-    read by ``csv.reader`` and converted by ``int`` and ``float``.  The line
+    chunk of 256 lines or more of a two-column file is parsed by
+    ``np.loadtxt``, steps as int64 and losses as float64, and its points
+    checked with numpy; a shorter chunk, one that numpy does not read as
+    ``int`` and ``float`` would (see ``open_csv``), and one whose points
+    break a rule are read by ``csv.reader`` and converted by ``int`` and
+    ``float``.  The line
     reader stops at the first line holding a byte that is not UTF-8, a bad
     row.  The first bad row in file order raises DataError naming it: a row
     that does not parse, whose step does not exceed the step before it, or
@@ -156,21 +151,25 @@ def early_stop(curve: LossCurve, policy: EarlyStopPolicy) -> EarlyStopResult:
     evaluations resets on improvement and stopping occurs the first time it
     reaches the patience.  ``best_index`` is the argmin seen up to the stop,
     first occurrence on ties.
-
-    The replay is one numpy pass: ``best`` before each evaluation is the
-    running minimum of the losses before it, so the counter is reset by the
-    evaluations below it by more than min_decrease, and the stop is
-    ``patience`` evaluations after the first reset (or the start) that the
-    next one does not follow within ``patience``.
     """
-    losses, lowest = curve._running_min
-    resets = np.flatnonzero(losses[1:] < lowest[:-1] - policy.min_decrease) + 1
-    starts = np.concatenate(([0], resets))
-    long = np.flatnonzero(np.diff(starts, append=losses.size) > policy.patience)
-    stopped = bool(long.size)
-    stop = int(starts[long[0]]) + policy.patience if stopped else losses.size - 1
-    best = int(np.argmin(losses[: stop + 1]))
-    return EarlyStopResult(stop_index=stop, best_index=best, stopped=stopped, best_loss=curve.losses[best])
+    losses = curve.losses
+    best = losses[0]
+    best_index = 0
+    counter = 0
+    for i in range(1, len(losses)):
+        qualifies = losses[i] < best - policy.min_decrease
+        if losses[i] < best:
+            best = losses[i]
+            best_index = i
+        if qualifies:
+            counter = 0
+        else:
+            counter += 1
+            if counter >= policy.patience:
+                return EarlyStopResult(stop_index=i, best_index=best_index, stopped=True, best_loss=best)
+    return EarlyStopResult(
+        stop_index=len(losses) - 1, best_index=best_index, stopped=False, best_loss=best
+    )
 
 
 @dataclass(frozen=True)

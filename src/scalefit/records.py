@@ -13,15 +13,16 @@ chunk of rows at a time, into a :class:`RecordTable`, numbering each row's
 scale, label, seeds and tokens by five keys of its cells, each new key
 checked once; :func:`group` orders a table by one argsort of a folded int64
 key where it can; :class:`RunRecord` objects are built only when
-``records`` is read.  A chunk of CSV lines is parsed by ``np.loadtxt``,
-numpy's C reader, and its keys found with ``np.unique``; ``csv.reader``
-reads the chunks only it can (see :func:`open_csv`), and JSONL chunks are
-keyed in one dict pass per key.  A chunk that fails these checks is read
-again a row at a time, by ``csv.reader`` or ``json``, and checked by
-:func:`_record`, whose statement order is one row's check order: the first
-bad row raises ``row N: <its first failed check>``, and so does, after the
-rows before it, the first line N holding a byte that is not UTF-8
-(:func:`_line_chunks`).  In-memory :class:`RunRecord` objects are a third
+``records`` is read.  A chunk of 256 CSV lines or more is parsed by
+``np.loadtxt``, numpy's C reader, and its keys found with ``np.unique``;
+``csv.reader`` reads shorter chunks, those with an empty integer cell and
+those only it can read (see :func:`open_csv`), which are keyed, as JSONL
+chunks are, in one dict pass per key.  A chunk that fails these checks is
+read again a row at a time, by ``csv.reader`` or ``json``, and checked by
+:func:`_record`, whose statement order is one row's check order: the
+first bad row raises ``row N: <its first failed check>``, and so does,
+after the rows before it, the first line N holding a byte that is not
+UTF-8 (:func:`_line_chunks`).  In-memory :class:`RunRecord` objects are a third
 reader: :func:`group` checks record N as row N, and :func:`emit` writes a
 table or records from the same per-field cells, :func:`_cells`.
 """
@@ -538,26 +539,22 @@ class _Codes:
 def _distinct(columns: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct key of the ``rows`` rows of
     ``columns``, in order of first appearance, and the index in that order
-    of each row's key.  A column that holds one value adds nothing.  Where
-    a row's value of the first other column tells its values of the rest,
-    that column's ``np.unique`` is the keys'; else the ``np.unique`` codes
-    of the columns fold into one int64 key."""
+    of each row's key.  A column that holds one value adds nothing; the
+    ``np.unique`` codes of the others fold into one int64 key."""
     varying = [column for column in columns if (column != column[0]).any()]
     if not varying:
         return np.zeros(1, dtype=np.intp), np.zeros(rows, dtype=np.intp)
-    _, first, inverse = np.unique(varying[0], return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    if not all((column == column[first][inverse]).all() for column in varying[1:]):
-        key = np.zeros(rows, dtype=np.int64)  # the first column's values do not tell the key
+    key = varying[0]
+    if len(varying) > 1:
+        key = np.zeros(rows, dtype=np.int64)
         for column in varying:  # each at most rows distinct values: 4,096**4 < 2**63
             _, code = np.unique(column, return_inverse=True)
             key = key * (int(code.max()) + 1) + code.reshape(-1)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
+    return first[order], rank[inverse.reshape(-1)]
 
 
 def _values(cells: Sequence) -> np.ndarray:
@@ -569,9 +566,14 @@ def _values(cells: Sequence) -> np.ndarray:
         v = np.fromiter(map(float, cells), float, len(cells))  # what _as_float does to each cell
     except (ValueError, OverflowError):
         raise DataError("value must be a number") from None
-    if not (np.isfinite(v).all() and (v > 0).all()):
+    return _in_range(v)
+
+
+def _in_range(values: np.ndarray) -> np.ndarray:
+    """``values``; DataError unless each is finite and positive."""
+    if not (np.isfinite(values).all() and (values > 0).all()):
         raise DataError("value must be finite and positive")
-    return v
+    return values
 
 
 class _Columns:
@@ -613,10 +615,7 @@ class _Columns:
             name: keys.coded([array[f] if f in names else None for f in keys.fields], len(array))
             for name, keys in self.keys.items()
         }
-        values = np.ascontiguousarray(array["value"])  # not a view that keeps the chunk's array
-        if not (np.isfinite(values).all() and (values > 0).all()):
-            raise DataError("value must be finite and positive")
-        codes["value"] = values
+        codes["value"] = _in_range(np.ascontiguousarray(array["value"]))  # not a view that keeps the chunk's array
         self._append(codes, where)
 
     def _append(self, codes: dict, where: np.ndarray) -> None:
@@ -787,10 +786,16 @@ class ParsedChunk(NamedTuple):
 # which csv refuses on Python 3.10 and numpy's str cells drop, and
 # U+001C-U+001F, which numpy's number parser skips as white space but int()
 # and float() refuse.  Text that is not ASCII goes to csv.reader too: numpy
-# reads some letters past U+00FF as integer digits.  A quote is apart: a
-# quoted cell may span lines, so csv.reader reads the rest of the file.
+# reads some letters past U+00FF as integer digits.  So does an empty
+# integer cell, which np.loadtxt cannot read (see _empty_int_cell).  A
+# quote is apart: a quoted cell may span lines, so csv.reader reads the
+# rest of the file.
 _CSV_ONLY = "\x00\x1c\x1d\x1e\x1f"
 _WIDTH, _MAX_WIDTH = 16, 128  # the first and the largest str width, in characters, of a parsed cell
+# The fewest lines of a chunk that np.loadtxt parses.  csv.reader reads a
+# shorter chunk faster: np.loadtxt and the np.unique coding of a chunk's
+# keys cost ~0.1-0.2 ms a chunk whatever its length.
+_PARSED_LINES = 256
 
 
 def _loadtxt(lines: list[str], columns: dict, width: int) -> tuple[np.ndarray | None, int]:
@@ -824,6 +829,35 @@ def _stream(lines: list[str], line_chunks) -> Iterable[str]:
     return itertools.chain(lines, itertools.chain.from_iterable(more for _, more in line_chunks))
 
 
+def _empty_int_cell(text: str, ints: list[bool]) -> bool:
+    """Whether an ASCII chunk of CSV lines leaves a cell empty where its
+    column holds integers, ``ints`` telling which of the columns do: a comma
+    after a line break where the first column does, two commas where a
+    middle one does, a comma before a line break where the last one does.
+    ``np.loadtxt`` cannot read such a cell, and would find it only after
+    parsing the rows before it.  One pass of numpy over the bytes: str's
+    search for two commas takes ~7x as long."""
+    byte = np.frombuffer(f"\n{text}\n".encode(), np.uint8)
+    comma, end = byte == ord(","), (byte == ord("\n")) | (byte == ord("\r"))
+    return bool(
+        (ints[0] and (end[:-1] & comma[1:]).any())
+        or (any(ints[1:-1]) and (comma[:-1] & comma[1:]).any())
+        or (ints[-1] and (comma[:-1] & end[1:]).any())
+    )
+
+
+def _csv_only(text: str, lines: list[str], ints: list[bool]) -> bool:
+    """Whether a chunk of lines, ``text`` joined, holds what only
+    ``csv.reader`` reads as the file means (see ``_CSV_ONLY``), an empty
+    integer cell (see :func:`_empty_int_cell`), or a line past
+    ``csv.field_size_limit()``."""
+    limit = csv.field_size_limit()
+    return (
+        not text.isascii() or any(c in text for c in _CSV_ONLY) or _empty_int_cell(text, ints)
+        or (len(text) > limit and max(map(len, lines)) > limit)
+    )
+
+
 def _body_chunks(header: list[str] | None, line_chunks, columns):
     """(line numbers, rows) of each chunk of the lines after a CSV header,
     ``line_chunks`` yielding (number of the first line, lines).  The rows
@@ -831,7 +865,8 @@ def _body_chunks(header: list[str] | None, line_chunks, columns):
     ``columns(header)`` types the columns (see :func:`open_csv`), else the
     rows ``csv.reader`` reads, in chunks of :func:`_csv_chunks`."""
     types = columns(header) if columns else None
-    width, limit = _WIDTH, csv.field_size_limit()
+    ints = [kind is np.int64 for kind in types.values()] if types else []
+    width = _WIDTH
     for first, lines in line_chunks:
         if not lines:
             continue
@@ -840,8 +875,7 @@ def _body_chunks(header: list[str] | None, line_chunks, columns):
             yield from _csv_chunks(csv.reader(_stream(lines, line_chunks)), first - 1)
             return
         array = None
-        short = len(text) <= limit or max(map(len, lines)) <= limit  # no cell past csv's field limit
-        if types and short and text.isascii() and not any(c in text for c in _CSV_ONLY):
+        if types and len(lines) >= _PARSED_LINES and not _csv_only(text, lines, ints):
             array, taken = _loadtxt(lines, types, width)
         if array is None:
             yield from _csv_chunks(csv.reader(lines), first - 1)
@@ -862,14 +896,17 @@ def open_csv(path: Path, columns: Callable[[list[str]], dict | None] | None = No
 
     ``columns``, given the header, maps each of its columns to the type its
     cells are parsed as, ``np.int64``, ``np.float64`` or ``str``, or returns
-    None.  With it, each chunk of lines is parsed by ``np.loadtxt`` into a
-    :class:`ParsedChunk`; without it, or where numpy raises or warns, skips
-    a blank line or would cut a str cell, and where the chunk holds NUL,
+    None.  With it, each chunk of ``_PARSED_LINES`` (256) lines or more is
+    parsed by ``np.loadtxt`` into a :class:`ParsedChunk`.  ``csv.reader``
+    reads the chunk into rows, as :func:`_csv_chunks` yields them, without
+    ``columns``, for a shorter chunk, and for one that numpy cannot read as
+    ``int`` and ``float`` would.  Such a chunk is seen before numpy parses
+    it where it holds an empty cell of an int64 column, NUL,
     U+001C-U+001F, text that is not ASCII, or a line longer than
-    ``csv.field_size_limit()``, ``csv.reader`` reads the chunk into rows,
-    as :func:`_csv_chunks` yields them.  From the first line holding a
-    quote on, the header's too, the rest of the file is one
-    ``csv.reader`` stream: a quoted cell may span lines and chunks."""
+    ``csv.field_size_limit()``; after, where numpy raises or warns, skips a
+    blank line or would cut a str cell.  From the first line holding a
+    quote on, the header's too, the rest of the file is one ``csv.reader``
+    stream: a quoted cell may span lines and chunks."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         line_chunks = _line_chunks(fh)
         _, lines = next(line_chunks, (1, []))
@@ -991,17 +1028,18 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
     The file is read once, a chunk of rows at a time, and each distinct key
-    of cells is checked once.  A CSV chunk is parsed by ``np.loadtxt``,
-    layers, hidden, params and seeds as int64, value as float64, labels and
-    tokens as str, unless only ``csv.reader`` can read it (see
-    :func:`open_csv`).  A chunk that fails these checks is read again a row
-    at a time, from the rows in memory (a parsed chunk's lines by
-    ``csv.reader``), and the first bad row in file order raises
-    :class:`DataError` naming the row number and its first failed check; a
-    line holding a byte that is not UTF-8 is a bad row too: ``row N: not
-    valid UTF-8``.  A CSV header must name known fields, each once.  Rows
-    missing seed fields get seed 0 and one summary warning for the file.
-    Returns a :class:`RecordTable`.
+    of cells is checked once.  A CSV chunk of 256 lines or more is parsed
+    by ``np.loadtxt``, layers, hidden, params and seeds as int64, value as
+    float64, labels and tokens as str, unless it leaves an integer cell
+    empty (params or a seed defaulted) or only ``csv.reader`` can read it
+    (see :func:`open_csv`); ``csv.reader`` reads the other chunks.  A
+    chunk that fails these checks is read again a row at a time, from the
+    rows in memory (a parsed chunk's lines by ``csv.reader``), and the
+    first bad row in file order raises :class:`DataError` naming the row
+    number and its first failed check; a line holding a byte that is not
+    UTF-8 is a bad row too: ``row N: not valid UTF-8``.  A CSV header must
+    name known fields, each once.  Rows missing seed fields get seed 0 and
+    one summary warning for the file.  Returns a :class:`RecordTable`.
 
     Parameters
     ----------

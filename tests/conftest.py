@@ -218,9 +218,12 @@ def early_stop_loop(curve, policy):
     return sf.EarlyStopResult(stop_index=len(losses) - 1, best_index=best_index, stopped=False, best_loss=best)
 
 
-def chunk_readers(monkeypatch):
+def chunk_readers(monkeypatch, parsed_lines=1):
     """A list that gets (first line, "parsed" or "csv") of each chunk that
-    open_csv yields: read by np.loadtxt, or by csv.reader."""
+    open_csv yields: read by np.loadtxt, or by csv.reader.  np.loadtxt
+    parses chunks of ``parsed_lines`` lines or more, by default of any
+    length, so that short ones show its reading too."""
+    monkeypatch.setattr(sf.records, "_PARSED_LINES", parsed_lines)
     seen = []
     body_chunks = sf.records._body_chunks
 

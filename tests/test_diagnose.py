@@ -356,6 +356,7 @@ def test_loss_curve_columns_match_the_row_loop(tmp_path, seed, chunk):
     kinds = set()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sf.records, "_CHUNK", chunk)
+        mp.setattr(sf.records, "_PARSED_LINES", 1)  # np.loadtxt parses chunks of any length
         for _ in range(40):
             rows = [f"{10 * i},{rng.uniform(0.5, 2)!r}" for i in range(rng.randint(0, 9))]
             for _ in range(rng.randint(0, 2)):
@@ -378,6 +379,7 @@ CURVE_FALLBACKS = {
     "underscore": (3, "1_0,0.9"),
     "integer-written-as-float": (3, "10.0,0.9"),
     "exponent": (3, "1e1,0.9"),
+    "empty-step": (3, ",0.9"),
     "plus-sign": (3, "+10,0.9"),
     "spaces": (3, " 10 ,0.9"),
     "past-int64": (7, f"{2**63},0.5"),

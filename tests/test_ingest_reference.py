@@ -235,7 +235,10 @@ def jsonl_text(rng, n, bad_rate):
     return "".join(lines)
 
 
-def csv_text(rng, n, bad_rate):
+def csv_text(rng, n, bad_rate, fill_params=False):
+    """CSV of ``n`` messy rows; with ``fill_params``, 70% of the rows that
+    lack params get one, so that more chunks have every integer cell filled
+    and are parsed by np.loadtxt."""
     header = list(RECORD_FIELDS)
     if rng.random() < 0.2:
         header = rng.choice([[h for h in header if rng.random() < 0.8], header + ["value"], header + ["shoe_size"]])
@@ -246,7 +249,7 @@ def csv_text(rng, n, bad_rate):
     writer.writerow(header)
     for _ in range(n):
         row = messy_row(rng, bad_rate)
-        if "params" not in row and rng.random() < 0.7:  # every integer cell filled: a chunk np.loadtxt parses
+        if fill_params and "params" not in row and rng.random() < 0.7:
             row["params"] = rng.choice([12288, 98304, 999])
         cells = ["" if row.get(h) is None else str(row.get(h)) for h in header]
         x = rng.random()
@@ -308,6 +311,25 @@ def test_ingest_and_group_match_the_row_by_row_reference(tmp_path, seed, fmt, ch
     expected = outcome(reference_ingest, reference_group, reference_scales, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sf.records, "_CHUNK", chunk)
+        got = outcome(sf.ingest, columnar_groups, lambda table: table.scales, path)
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 2, 3, 5, 4096]),
+    bad_rate=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+)
+def test_parsed_csv_chunks_match_the_row_by_row_reference(tmp_path, seed, chunk, bad_rate):
+    rng = random.Random(seed)
+    path = tmp_path / "runs.csv"
+    path.write_text(csv_text(rng, rng.randint(0, 12), bad_rate, fill_params=True), encoding="utf-8",
+                    errors="surrogateescape", newline="")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf.records, "_CHUNK", chunk)
+        mp.setattr(sf.records, "_PARSED_LINES", 1)  # np.loadtxt parses chunks of any length
         got = outcome(sf.ingest, columnar_groups, lambda table: table.scales, path)
     assert got == expected
 
@@ -582,6 +604,7 @@ CSV_FALLBACKS = {
     "spaces": (3, "finetune_seed", " 5 ", True),
     "past-int64": (3, "finetune_seed", str(2**63), False),
     "empty-seed": (3, "pretrain_seed", "", False),
+    "empty-params": (3, "params", "", False),
     "record-separator": (3, "finetune_seed", "\x1e7", False),
     "letter-past-u00ff": (3, "pretrain_seed", "\u01fe", False),  # numpy would read 462
     "blank-line-before-a-bad-row": (3, None, "", False),  # and line 4's value is -1.0
@@ -633,6 +656,52 @@ def test_a_loadtxt_warning_sends_the_chunk_to_csv_reader(tmp_path, monkeypatch):
     seen = chunk_readers(monkeypatch)
     assert sf.ingest(path) == expected
     assert seen == [(2, "csv")]
+
+
+# A header that puts params first, in the middle or last.
+PARAMS_AT = {
+    "first": ["params", *(f for f in RECORD_FIELDS if f != "params")],
+    "middle": list(RECORD_FIELDS),
+    "last": [*(f for f in RECORD_FIELDS if f != "params"), "params"],
+}
+
+
+@pytest.mark.parametrize("at", PARAMS_AT)
+def test_an_empty_integer_cell_sends_its_chunk_to_csv_reader_unparsed(tmp_path, monkeypatch, at):
+    header = PARAMS_AT[at]
+    rows = [dict(row) for row in CSV_GOOD]
+    rows[1]["params"] = ""  # line 3: params defaults to 12LH², the same value
+    lines = [",".join(header), *(",".join(str(row[f]) for f in header) for row in rows)]
+    path = tmp_path / "runs.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    monkeypatch.setattr(sf.records, "_CHUNK", 2)
+    parsed = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda lines, *a, **k: parsed.append(lines[0]) or loadtxt(lines, *a, **k))
+    seen = chunk_readers(monkeypatch)
+    assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+    assert seen == [(2, "parsed"), (3, "csv"), (5, "parsed"), (7, "parsed")]
+    assert parsed == [lines[1] + "\n", lines[4] + "\n", lines[6] + "\n"]  # numpy never saw line 3's chunk
+
+
+@pytest.mark.parametrize("kind", ["records", "curve"])
+@pytest.mark.parametrize("short", [True, False])
+def test_a_chunk_of_fewer_than_parsed_lines_goes_to_csv_reader(tmp_path, monkeypatch, kind, short):
+    parsed_lines = sf.records._PARSED_LINES
+    if kind == "records":
+        rows = bulk_like_rows()[: parsed_lines - short]
+        lines = [",".join(RECORD_FIELDS), *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in rows)]
+    else:
+        lines = ["step,eval_loss", *(f"{10 * i},{1 + 1 / (i + 1)!r}" for i in range(parsed_lines - short))]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    read = sf.ingest if kind == "records" else sf.load_loss_curve
+    monkeypatch.setattr(sf.records, "_PARSED_LINES", len(lines))
+    expected = read(path)  # csv.reader's
+    seen = chunk_readers(monkeypatch, parsed_lines)
+    assert read(path) == expected
+    assert seen == [(2, "csv" if short else "parsed")]
 
 
 @pytest.mark.parametrize("kind", ["records", "curve"])

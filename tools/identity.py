@@ -45,7 +45,8 @@ SEED = 1  # the workload seed, as in the benchmark's CI smoke runs
 # and two files that hold no record.
 _GOOD = '{"layers": 1, "hidden": 32, "task": "t", "family": "f", "pretrain_seed": 0, "finetune_seed": 0, '
 _GOOD_ROW = _GOOD + '"metric": "m", "value": 1.0, "direction": "min"}\n'
-_CSV = "layers,hidden,task,family,pretrain_seed,finetune_seed,metric,value,direction\n1,32,t,f,0,0,m,1.0,min\n"
+_CSV_ROW = "1,32,t,f,0,0,m,1.0,min\n"
+_CSV = "layers,hidden,task,family,pretrain_seed,finetune_seed,metric,value,direction\n" + _CSV_ROW
 BAD_INPUTS = {
     "value.jsonl": _GOOD_ROW + _GOOD_ROW.replace("1.0", '"oops"'),
     "unknown-field.jsonl": _GOOD_ROW + _GOOD_ROW.replace("{", '{"shoe_size": 43, '),
@@ -83,11 +84,12 @@ BAD_INPUTS = {
     ),
     "empty.jsonl": "",
     "header-only.csv": _CSV.splitlines(keepends=True)[0],
-    # Chunks that np.loadtxt hands to csv.reader: an integer cell that numpy
-    # 1.x reads through a float, a label holding NUL, and a quoted cell.
-    "layers-2.0.csv": _CSV + "2.0,64,t,f,0,0,m,1.0,min\n",
-    "nul-label.csv": _CSV + "1,32,t\x00u,f,0,0,m,1.0,min\n",
-    "quoted-cell.csv": _CSV + '1,32,"t",f,0,0,m,oops,min\n',
+    # Chunks long enough for np.loadtxt that go to csv.reader: an integer
+    # cell that numpy 1.x reads through a float, a label holding NUL, and a
+    # quoted cell, each after 300 good rows.
+    "layers-2.0.csv": _CSV + _CSV_ROW * 300 + "2.0,64,t,f,0,0,m,1.0,min\n",
+    "nul-label.csv": _CSV + _CSV_ROW * 300 + "1,32,t\x00u,f,0,0,m,1.0,min\n",
+    "quoted-cell.csv": _CSV + _CSV_ROW * 300 + '1,32,"t",f,0,0,m,oops,min\n',
 }
 # A loss curve with a bad row ahead of a byte that is not UTF-8, two whose
 # cells parse but break the curve's rules, one that breaks a rule ahead of a
@@ -97,7 +99,8 @@ BAD_CURVES = {
     "negative-loss-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n",
     "repeated-step-curve.csv": "step,eval_loss\n1,2.0\n3,1.0\n3,0.5\n",
     "negative-loss-before-bad-row-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n3,1.0\nx,1\n",
-    "step-1e3-curve.csv": "step,eval_loss\n0,1.0\n1e3,0.5\n",  # an integer through a float, as numpy 1.x reads it
+    # An integer through a float, as numpy 1.x reads it, after 300 good points.
+    "step-1e3-curve.csv": "step,eval_loss\n" + "".join(f"{i},1.0\n" for i in range(300)) + "1e3,0.5\n",
 }
 
 

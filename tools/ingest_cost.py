@@ -17,7 +17,11 @@ with the tree's ``scalefit``:
   float64 values, labels and tokens as ``U16``: its first str width);
 - ``load_loss_curve("curve.csv")``, the 200k-point curve, best of 5, and
   its bare ``csv.reader`` and ``np.loadtxt`` (int64, float64) loops,
-  taking turns as above.
+  taking turns as above;
+- ``ingest`` of ``holes.csv`` (``holes_ms``), best of 5: ``bulk.csv`` with
+  the params cell of line 4,086 of each 4,096 lines left empty (params
+  defaults to 12LH², the value the cell held), so that every chunk holds
+  an integer cell ``np.loadtxt`` cannot read, 11 lines before its end.
 
 ``xbare`` is the ratio of each file's reading to the bare loop of the
 parser that reads it in full: ``json.loads`` for JSONL, ``np.loadtxt``
@@ -30,7 +34,9 @@ parse before ``np.loadtxt`` read CSV, stay beside them.  It also times:
   ``fit-depth-linear`` runs it (``fit_depth_ms``);
 - ``render_plot(plot_runset(runset, fit=fit))`` of the ``bulk.csv`` run set
   and its fit, as the ``plot`` command draws it, best of 5;
-- ``group(ingest("ladder.jsonl"))``: the median of 20 rounds of best of 200.
+- ``group(ingest("ladder.jsonl"))`` and ``group(ingest("ladder.csv"))``,
+  the same 80 records written as CSV by this script: the median of 20
+  rounds of best of 200.
 
 It prints one line per run, then each tree's median over the rounds and,
 with two trees, each median of ``OTHER_TREE`` over that of ``TREE``.  The
@@ -57,7 +63,8 @@ import numpy as np
 CHUNK = 4096  # the rows ingest parses at a time
 # The timings of one run, in the order printed.
 TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "csv_loadtxt_ms", "curve_ms", "curve_bare_ms",
-           "curve_loadtxt_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms", "ladder_ms")
+           "curve_loadtxt_ms", "holes_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms", "ladder_ms",
+           "ladder_csv_ms")
 # Each timing that has a bare parse loop to compare with, and that loop's timing.
 PARSED = {"jsonl": "jsonl_bare_ms", "csv": "csv_loadtxt_ms", "curve": "curve_loadtxt_ms"}
 # The type np.loadtxt parses each column of a bulk.csv or curve.csv header as.
@@ -108,12 +115,29 @@ def _use(tree: Path) -> None:
 
 
 def write_inputs(tree: Path, seed: int) -> None:
-    """Write the ``bulk`` and ``ladder`` inputs of ``seed`` into the working directory."""
+    """Write the ``bulk`` and ``ladder`` inputs of ``seed`` into the working
+    directory, and ``holes.csv`` and ``ladder.csv`` made from them."""
     _use(tree)
     import workloads
 
     for name in ("bulk", "ladder"):
         workloads.WORKLOADS[name](seed).write_inputs()
+    with open("bulk.csv", newline="") as fh, open("holes.csv", "w", newline="") as out:
+        params = next(csv.reader([fh.readline()])).index("params")
+        fh.seek(0)
+        for number, line in enumerate(fh, 1):
+            if number % CHUNK == CHUNK - 10:
+                cells = line.split(",")
+                cells[params] = ""
+                line = ",".join(cells)
+            out.write(line)
+    with open("ladder.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    fields = list(dict.fromkeys(field for record in records for field in record))
+    with open("ladder.csv", "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(["" if record.get(f) is None else record[f] for f in fields] for record in records)
 
 
 def measure(tree: Path) -> dict:
@@ -131,6 +155,7 @@ def measure(tree: Path) -> dict:
         lambda: sf.load_loss_curve("curve.csv"), lambda: _bare_csv("curve.csv"), lambda: _bare_loadtxt("curve.csv"),
         repeat=5,
     )
+    (got["holes_ms"],) = _best(lambda: sf.ingest("holes.csv"), repeat=5)
     table = sf.ingest("bulk.csv")
     (got["group_ms"],) = _best(lambda: sf.group(table), repeat=5)
     (runset,) = sf.group(table).values()
@@ -140,6 +165,8 @@ def measure(tree: Path) -> dict:
     (got["plot_ms"],) = _best(lambda: sf.render_plot(sf.plot_runset(runset, fit=fit)), repeat=5)
     ladder = [_best(lambda: sf.group(sf.ingest("ladder.jsonl")), repeat=200)[0] for _ in range(20)]
     got["ladder_ms"] = statistics.median(ladder)
+    ladder = [_best(lambda: sf.group(sf.ingest("ladder.csv")), repeat=200)[0] for _ in range(20)]
+    got["ladder_csv_ms"] = statistics.median(ladder)
     return got
 
 
