@@ -15,9 +15,9 @@ checked once; :func:`group` orders a table by one argsort of a folded int64
 key where it can; :class:`RunRecord` objects are built only when
 ``records`` is read.  A chunk of 256 CSV lines or more is parsed by
 ``np.loadtxt``, numpy's C reader, and its keys found with ``np.unique``;
-``csv.reader`` reads shorter chunks, those with an empty integer cell and
-those only it can read (see :func:`open_csv`), which are keyed, as JSONL
-chunks are, in one dict pass per key.  A chunk that fails these checks is
+``csv.reader`` reads shorter chunks and those numpy does not read as
+``int`` and ``float`` would (see :func:`open_csv`), which are keyed, as
+JSONL chunks are, in one dict pass per key.  A chunk that fails these checks is
 read again a row at a time, by ``csv.reader`` or ``json``, and checked by
 :func:`_record`, whose statement order is one row's check order: the
 first bad row raises ``row N: <its first failed check>``, and so does,
@@ -786,10 +786,8 @@ class ParsedChunk(NamedTuple):
 # which csv refuses on Python 3.10 and numpy's str cells drop, and
 # U+001C-U+001F, which numpy's number parser skips as white space but int()
 # and float() refuse.  Text that is not ASCII goes to csv.reader too: numpy
-# reads some letters past U+00FF as integer digits.  So does an empty
-# integer cell, which np.loadtxt cannot read (see _empty_int_cell).  A
-# quote is apart: a quoted cell may span lines, so csv.reader reads the
-# rest of the file.
+# reads some letters past U+00FF as integer digits.  A quote is apart: a
+# quoted cell may span lines, so csv.reader reads the rest of the file.
 _CSV_ONLY = "\x00\x1c\x1d\x1e\x1f"
 _WIDTH, _MAX_WIDTH = 16, 128  # the first and the largest str width, in characters, of a parsed cell
 # The fewest lines of a chunk that np.loadtxt parses.  csv.reader reads a
@@ -834,9 +832,10 @@ def _empty_int_cell(text: str, ints: list[bool]) -> bool:
     column holds integers, ``ints`` telling which of the columns do: a comma
     after a line break where the first column does, two commas where a
     middle one does, a comma before a line break where the last one does.
-    ``np.loadtxt`` cannot read such a cell, and would find it only after
-    parsing the rows before it.  One pass of numpy over the bytes: str's
-    search for two commas takes ~7x as long."""
+    ``np.loadtxt`` cannot read such a cell, and finds it only after
+    parsing the rows before it.  One pass of numpy over the bytes, ~0.1-0.4
+    ms for 4,096 lines of ``bulk.csv``: str's search for two commas takes
+    ~0.4 ms for each pattern."""
     byte = np.frombuffer(f"\n{text}\n".encode(), np.uint8)
     comma, end = byte == ord(","), (byte == ord("\n")) | (byte == ord("\r"))
     return bool(
@@ -846,14 +845,13 @@ def _empty_int_cell(text: str, ints: list[bool]) -> bool:
     )
 
 
-def _csv_only(text: str, lines: list[str], ints: list[bool]) -> bool:
+def _csv_only(text: str, lines: list[str]) -> bool:
     """Whether a chunk of lines, ``text`` joined, holds what only
-    ``csv.reader`` reads as the file means (see ``_CSV_ONLY``), an empty
-    integer cell (see :func:`_empty_int_cell`), or a line past
-    ``csv.field_size_limit()``."""
+    ``csv.reader`` reads as the file means (see ``_CSV_ONLY``) or a line
+    past ``csv.field_size_limit()``."""
     limit = csv.field_size_limit()
     return (
-        not text.isascii() or any(c in text for c in _CSV_ONLY) or _empty_int_cell(text, ints)
+        not text.isascii() or any(c in text for c in _CSV_ONLY)
         or (len(text) > limit and max(map(len, lines)) > limit)
     )
 
@@ -866,7 +864,7 @@ def _body_chunks(header: list[str] | None, line_chunks, columns):
     rows ``csv.reader`` reads, in chunks of :func:`_csv_chunks`."""
     types = columns(header) if columns else None
     ints = [kind is np.int64 for kind in types.values()] if types else []
-    width = _WIDTH
+    width, missed = _WIDTH, False
     for first, lines in line_chunks:
         if not lines:
             continue
@@ -875,8 +873,14 @@ def _body_chunks(header: list[str] | None, line_chunks, columns):
             yield from _csv_chunks(csv.reader(_stream(lines, line_chunks)), first - 1)
             return
         array = None
-        if types and len(lines) >= _PARSED_LINES and not _csv_only(text, lines, ints):
+        parse = types and len(lines) >= _PARSED_LINES and not _csv_only(text, lines)
+        # After a chunk that numpy could not read, most often for an empty
+        # integer cell, the next is searched for one first; so a clean file
+        # pays no search, and one that leaves params or a seed empty in
+        # every chunk pays one parse that fails.
+        if parse and not (missed and _empty_int_cell(text, ints)):
             array, taken = _loadtxt(lines, types, width)
+            missed = array is None
         if array is None:
             yield from _csv_chunks(csv.reader(lines), first - 1)
         else:
@@ -901,10 +905,11 @@ def open_csv(path: Path, columns: Callable[[list[str]], dict | None] | None = No
     reads the chunk into rows, as :func:`_csv_chunks` yields them, without
     ``columns``, for a shorter chunk, and for one that numpy cannot read as
     ``int`` and ``float`` would.  Such a chunk is seen before numpy parses
-    it where it holds an empty cell of an int64 column, NUL,
-    U+001C-U+001F, text that is not ASCII, or a line longer than
-    ``csv.field_size_limit()``; after, where numpy raises or warns, skips a
-    blank line or would cut a str cell.  From the first line holding a
+    it where it holds NUL, U+001C-U+001F, text that is not ASCII, or a line
+    longer than ``csv.field_size_limit()``, and, after a chunk numpy did
+    not read, an empty cell of an int64 column; after, where numpy raises
+    (as on an empty int64 cell) or warns, skips a blank line or would cut a
+    str cell.  From the first line holding a
     quote on, the header's too, the rest of the file is one ``csv.reader``
     stream: a quoted cell may span lines and chunks."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -1030,9 +1035,10 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     The file is read once, a chunk of rows at a time, and each distinct key
     of cells is checked once.  A CSV chunk of 256 lines or more is parsed
     by ``np.loadtxt``, layers, hidden, params and seeds as int64, value as
-    float64, labels and tokens as str, unless it leaves an integer cell
-    empty (params or a seed defaulted) or only ``csv.reader`` can read it
-    (see :func:`open_csv`); ``csv.reader`` reads the other chunks.  A
+    float64, labels and tokens as str, unless numpy cannot read it as
+    ``int`` and ``float`` would, as where it leaves an integer cell empty
+    (params or a seed defaulted; see :func:`open_csv`); ``csv.reader``
+    reads the other chunks.  A
     chunk that fails these checks is read again a row at a time, from the
     rows in memory (a parsed chunk's lines by ``csv.reader``), and the
     first bad row in file order raises :class:`DataError` naming the row
