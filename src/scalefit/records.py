@@ -15,9 +15,10 @@ checked once; :func:`group` orders a table by one argsort of a folded int64
 key where it can; :class:`RunRecord` objects are built only when
 ``records`` is read.  A chunk of 256 CSV lines or more is parsed by
 ``np.loadtxt``, numpy's C reader, and its keys found with ``np.unique``;
-``csv.reader`` reads shorter chunks and those numpy does not read as
-``int`` and ``float`` would (see :func:`open_csv`), which are keyed, as
-JSONL chunks are, in one dict pass per key.  A chunk that fails these checks is
+``csv.reader`` reads shorter chunks, those numpy does not read as ``int``
+and ``float`` would, and every chunk after one numpy failed on (see
+:func:`open_csv`), which are keyed, as JSONL chunks are, in one dict pass
+per key.  A chunk that fails these checks is
 read again a row at a time, by ``csv.reader`` or ``json``, and checked by
 :func:`_record`, whose statement order is one row's check order: the
 first bad row raises ``row N: <its first failed check>``, and so does,
@@ -827,24 +828,6 @@ def _stream(lines: list[str], line_chunks) -> Iterable[str]:
     return itertools.chain(lines, itertools.chain.from_iterable(more for _, more in line_chunks))
 
 
-def _empty_int_cell(text: str, ints: list[bool]) -> bool:
-    """Whether an ASCII chunk of CSV lines leaves a cell empty where its
-    column holds integers, ``ints`` telling which of the columns do: a comma
-    after a line break where the first column does, two commas where a
-    middle one does, a comma before a line break where the last one does.
-    ``np.loadtxt`` cannot read such a cell, and finds it only after
-    parsing the rows before it.  One pass of numpy over the bytes, ~0.1-0.4
-    ms for 4,096 lines of ``bulk.csv``: str's search for two commas takes
-    ~0.4 ms for each pattern."""
-    byte = np.frombuffer(f"\n{text}\n".encode(), np.uint8)
-    comma, end = byte == ord(","), (byte == ord("\n")) | (byte == ord("\r"))
-    return bool(
-        (ints[0] and (end[:-1] & comma[1:]).any())
-        or (any(ints[1:-1]) and (comma[:-1] & comma[1:]).any())
-        or (ints[-1] and (comma[:-1] & end[1:]).any())
-    )
-
-
 def _csv_only(text: str, lines: list[str]) -> bool:
     """Whether a chunk of lines, ``text`` joined, holds what only
     ``csv.reader`` reads as the file means (see ``_CSV_ONLY``) or a line
@@ -863,7 +846,6 @@ def _body_chunks(header: list[str] | None, line_chunks, columns):
     ``columns(header)`` types the columns (see :func:`open_csv`), else the
     rows ``csv.reader`` reads, in chunks of :func:`_csv_chunks`."""
     types = columns(header) if columns else None
-    ints = [kind is np.int64 for kind in types.values()] if types else []
     width, missed = _WIDTH, False
     for first, lines in line_chunks:
         if not lines:
@@ -873,12 +855,12 @@ def _body_chunks(header: list[str] | None, line_chunks, columns):
             yield from _csv_chunks(csv.reader(_stream(lines, line_chunks)), first - 1)
             return
         array = None
-        parse = types and len(lines) >= _PARSED_LINES and not _csv_only(text, lines)
         # After a chunk that numpy could not read, most often for an empty
-        # integer cell, the next is searched for one first; so a clean file
-        # pays no search, and one that leaves params or a seed empty in
-        # every chunk pays one parse that fails.
-        if parse and not (missed and _empty_int_cell(text, ints)):
+        # integer cell (params or a seed left to default), which it finds
+        # only after parsing the rows before it, csv.reader reads the rest
+        # of the file: a file that leaves one empty in every chunk pays one
+        # parse that fails, not one a chunk.
+        if types and not missed and len(lines) >= _PARSED_LINES and not _csv_only(text, lines):
             array, taken = _loadtxt(lines, types, width)
             missed = array is None
         if array is None:
@@ -906,10 +888,9 @@ def open_csv(path: Path, columns: Callable[[list[str]], dict | None] | None = No
     ``columns``, for a shorter chunk, and for one that numpy cannot read as
     ``int`` and ``float`` would.  Such a chunk is seen before numpy parses
     it where it holds NUL, U+001C-U+001F, text that is not ASCII, or a line
-    longer than ``csv.field_size_limit()``, and, after a chunk numpy did
-    not read, an empty cell of an int64 column; after, where numpy raises
-    (as on an empty int64 cell) or warns, skips a blank line or would cut a
-    str cell.  From the first line holding a
+    longer than ``csv.field_size_limit()``; after, where numpy raises (as
+    on an empty int64 cell) or warns, skips a blank line or would cut a str
+    cell, and then ``csv.reader`` reads the rest of the file too.  From the first line holding a
     quote on, the header's too, the rest of the file is one ``csv.reader``
     stream: a quoted cell may span lines and chunks."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -1037,8 +1018,8 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     by ``np.loadtxt``, layers, hidden, params and seeds as int64, value as
     float64, labels and tokens as str, unless numpy cannot read it as
     ``int`` and ``float`` would, as where it leaves an integer cell empty
-    (params or a seed defaulted; see :func:`open_csv`); ``csv.reader``
-    reads the other chunks.  A
+    (params or a seed defaulted), or it follows such a chunk (see
+    :func:`open_csv`); ``csv.reader`` reads the other chunks.  A
     chunk that fails these checks is read again a row at a time, from the
     rows in memory (a parsed chunk's lines by ``csv.reader``), and the
     first bad row in file order raises :class:`DataError` naming the row
