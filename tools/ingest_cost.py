@@ -21,7 +21,8 @@ with the tree's ``scalefit``:
 - ``ingest`` of ``holes.csv`` (``holes_ms``), best of 5: ``bulk.csv`` with
   the params cell of line 4,086 of each 4,096 lines left empty (params
   defaults to 12LH², the value the cell held), so that every chunk holds
-  an integer cell ``np.loadtxt`` cannot read, 11 lines before its end.
+  an integer cell ``np.loadtxt`` cannot read, with 10 lines after it,
+  and ``csv.reader`` reads the file;
 
 ``xbare`` is the ratio of each file's reading to the bare loop of the
 parser that reads it in full: ``json.loads`` for JSONL, ``np.loadtxt``
