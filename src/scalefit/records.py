@@ -890,9 +890,10 @@ def open_csv(path: Path, columns: Callable[[list[str]], dict | None] | None = No
     it where it holds NUL, U+001C-U+001F, text that is not ASCII, or a line
     longer than ``csv.field_size_limit()``; after, where numpy raises (as
     on an empty int64 cell) or warns, skips a blank line or would cut a str
-    cell, and then ``csv.reader`` reads the rest of the file too.  From the first line holding a
-    quote on, the header's too, the rest of the file is one ``csv.reader``
-    stream: a quoted cell may span lines and chunks."""
+    cell, and then ``csv.reader`` reads the rest of the file too.  From the
+    first line holding a quote on, the header's too, the rest of the file
+    is one ``csv.reader`` stream: a quoted cell may span lines and
+    chunks."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         line_chunks = _line_chunks(fh)
         _, lines = next(line_chunks, (1, []))

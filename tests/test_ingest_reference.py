@@ -587,8 +587,9 @@ def test_bulk_layout_matches_the_reference(tmp_path, variant, fmt):
 # (or to the line endings): (line, field, cell), and whether np.loadtxt
 # reads the changed cell as int() and float() do, so that the chunk is
 # yielded parsed (and read again by csv.reader only if a check fails).
-CSV_GOOD = [dict(layers=1 + i % 2, hidden=32 * (1 + i % 2), params=12288 * (1 + i % 2) ** 3, task="t", family="f", pretrain_seed=i % 2,
-                 finetune_seed=i, metric="m", value=1.5 + i, direction="min", tokens=100 * i) for i in range(6)]
+CSV_GOOD = [dict(layers=1 + i % 2, hidden=32 * (1 + i % 2), params=12288 * (1 + i % 2) ** 3, task="t", family="f",
+                 pretrain_seed=i % 2, finetune_seed=i, metric="m", value=1.5 + i, direction="min", tokens=100 * i)
+            for i in range(6)]
 CSV_FALLBACKS = {
     "label-at-the-first-width": (3, "task", "x" * 16, True),  # read again 32 wide: a cell may not be cut
     "label-past-the-first-width": (3, "task", "x" * 17, True),
@@ -715,9 +716,9 @@ def test_a_quote_free_body_never_reaches_csv_reader(tmp_path, monkeypatch, kind)
 
 
 @pytest.mark.parametrize("chunk", [3, 4096])
-def test_parsed_keys_whose_first_column_does_not_tell_the_rest(tmp_path, monkeypatch, chunk):
+def test_parsed_keys_of_several_varying_columns(tmp_path, monkeypatch, chunk):
     # Within a chunk, depth 1 comes with two widths and task t with two
-    # metrics, so neither key is told by the first of its columns that varies.
+    # metrics, so each key folds the codes of several columns.
     rows = [dict(CSV_GOOD[0], layers=layers, hidden=hidden, params=12 * layers * hidden**2, task=task, metric=metric,
                  finetune_seed=i) for i, (layers, hidden, task, metric) in
             enumerate([(1, 32, "t", "m"), (1, 64, "t", "n"), (2, 32, "u", "m"), (1, 64, "t", "m"), (2, 64, "u", "n")])]
