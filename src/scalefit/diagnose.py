@@ -62,13 +62,14 @@ def _curve_types(header: list[str]) -> dict | None:
 
 def load_loss_curve(path: str | Path) -> LossCurve:
     """Read a two-column CSV (header ``step,eval_loss`` required) with
-    :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  A
-    chunk of 256 lines or more of a two-column file is parsed by
-    ``np.loadtxt``, steps as int64 and losses as float64, and its points
-    checked with numpy; a shorter chunk, one that numpy does not read as
-    ``int`` and ``float`` would (see ``open_csv``), and one whose points
-    break a rule are read by ``csv.reader`` and converted by ``int`` and
-    ``float``.  The line
+    :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  Its
+    two rules hold: ``np.loadtxt`` takes a chunk of 256 lines or more of a
+    two-column file whose text it reads as ``int`` and ``float`` would,
+    when it parses it whole, steps as int64 and losses as float64, and its
+    points are checked with numpy; from the first chunk it does not take,
+    ``csv.reader`` reads the rest of the file as one stream.  The rows of
+    that stream, and of a parsed chunk whose points break a rule, are
+    converted a row at a time by ``int`` and ``float``.  The line
     reader stops at the first line holding a byte that is not UTF-8, a bad
     row.  The first bad row in file order raises DataError naming it: a row
     that does not parse, whose step does not exceed the step before it, or
@@ -87,29 +88,22 @@ def load_loss_curve(path: str | Path) -> LossCurve:
                     losses += loss.tolist()
                     continue
                 rows = rows.rows()
-            start, error = len(steps), None
-            try:  # both columns at once; a chunk with a blank, short or bad row goes row by row
-                steps += map(int, map(operator.itemgetter(0), rows))
-                losses += map(float, map(operator.itemgetter(1), rows))
-            except (ValueError, IndexError):
-                del steps[start:], losses[start:]
-                parsed = []  # the row numbers of the chunk's points
-                for number, row in zip(where.tolist(), rows):
-                    if not any(map(str.strip, row)):
-                        continue
-                    try:
-                        step, loss = int(row[0]), float(row[1])
-                    except (ValueError, IndexError):
-                        error = DataError(f"row {number}: expected 'step,eval_loss' integers/floats")
-                        break
-                    steps.append(step)
-                    losses.append(loss)
-                    parsed.append(number)
-                where = parsed
+            start, error, parsed = len(steps), None, []  # parsed: the row numbers of the chunk's points
+            for number, row in zip(where.tolist(), rows):
+                if not any(map(str.strip, row)):
+                    continue
+                try:
+                    step, loss = int(row[0]), float(row[1])
+                except (ValueError, IndexError):
+                    error = DataError(f"row {number}: expected 'step,eval_loss' integers/floats")
+                    break
+                steps.append(step)
+                losses.append(loss)
+                parsed.append(number)
             # The rules on the chunk's points and the last point before them, which passed.
             before = max(start - 1, 0)
             for index, message in sorted(_faults(steps[before:], losses[before:]), key=operator.itemgetter(0))[:1]:
-                raise DataError(f"row {where[before + index - start]}: {message}")
+                raise DataError(f"row {parsed[before + index - start]}: {message}")
             if error is not None:
                 raise error
     if not steps:

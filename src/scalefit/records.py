@@ -13,12 +13,13 @@ chunk of rows at a time, into a :class:`RecordTable`, numbering each row's
 scale, label, seeds and tokens by five keys of its cells, each new key
 checked once; :func:`group` orders a table by one argsort of a folded int64
 key where it can; :class:`RunRecord` objects are built only when
-``records`` is read.  A chunk of 256 CSV lines or more is parsed by
-``np.loadtxt``, numpy's C reader, and its keys found with ``np.unique``;
-``csv.reader`` reads shorter chunks, those numpy does not read as ``int``
-and ``float`` would, and every chunk after one numpy failed on (see
-:func:`open_csv`), which are keyed, as JSONL chunks are, in one dict pass
-per key.  A chunk that fails these checks is
+``records`` is read.  CSV chunks follow two rules (see :func:`open_csv`):
+``np.loadtxt``, numpy's C reader, takes a chunk of 256 lines or more whose
+text it reads as ``int`` and ``float`` would, when it parses it whole, and
+its keys are found with ``np.unique``; from the first chunk it does not
+take, ``csv.reader`` reads the rest of the file as one stream, whose
+chunks are keyed, as JSONL chunks are, in one dict pass per key.  A chunk
+that fails these checks is
 read again a row at a time, by ``csv.reader`` or ``json``, and checked by
 :func:`_record`, whose statement order is one row's check order: the
 first bad row raises ``row N: <its first failed check>``, and so does,
@@ -783,13 +784,13 @@ class ParsedChunk(NamedTuple):
         return list(csv.reader(self.lines))
 
 
-# Text of a CSV chunk that only csv.reader reads as the file means: NUL,
-# which csv refuses on Python 3.10 and numpy's str cells drop, and
-# U+001C-U+001F, which numpy's number parser skips as white space but int()
-# and float() refuse.  Text that is not ASCII goes to csv.reader too: numpy
-# reads some letters past U+00FF as integer digits.  A quote is apart: a
-# quoted cell may span lines, so csv.reader reads the rest of the file.
-_CSV_ONLY = "\x00\x1c\x1d\x1e\x1f"
+# Text of a CSV chunk that only csv.reader reads as the file means: a quote,
+# since a quoted cell may span lines and chunks; NUL, which csv refuses on
+# Python 3.10 and numpy's str cells drop; and U+001C-U+001F, which numpy's
+# number parser skips as white space but int() and float() refuse.  Text that
+# is not ASCII goes to csv.reader too: numpy reads some letters past U+00FF
+# as integer digits.
+_CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 _WIDTH, _MAX_WIDTH = 16, 128  # the first and the largest str width, in characters, of a parsed cell
 # The fewest lines of a chunk that np.loadtxt parses.  csv.reader reads a
 # shorter chunk faster: np.loadtxt and the np.unique coding of a chunk's
@@ -801,9 +802,18 @@ def _loadtxt(lines: list[str], columns: dict, width: int) -> tuple[np.ndarray | 
     """The rows of a chunk of CSV lines as ``np.loadtxt`` parses them, each
     column as its type in ``columns`` (``str`` as ``width`` characters), and
     the width it took: doubled, up to ``_MAX_WIDTH``, while a str cell fills
-    it and so may have been cut.  None for the rows if numpy raises, warns
-    (numpy 1.x reads ``2.0`` as an integer, warning that it will not), skips
-    a line (a blank one) or would cut a cell."""
+    it and so may have been cut.  None for the rows where numpy does not
+    take the chunk: one of fewer than ``_PARSED_LINES`` lines, one holding
+    text that only ``csv.reader`` reads as the file means (see
+    ``_CSV_ONLY``) or a line past ``csv.field_size_limit()``, and one that
+    numpy does not parse whole: it raises, warns (numpy 1.x reads ``2.0`` as
+    an integer, warning that it will not), skips a line (a blank one) or
+    would cut a cell."""
+    text, limit = "".join(lines), csv.field_size_limit()
+    if len(lines) < _PARSED_LINES or not text.isascii() or any(c in text for c in _CSV_ONLY):
+        return None, width
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None, width
     while width <= _MAX_WIDTH:
         dtype = np.dtype([(name, f"U{width}" if kind is str else kind) for name, kind in columns.items()])
         try:
@@ -828,46 +838,26 @@ def _stream(lines: list[str], line_chunks) -> Iterable[str]:
     return itertools.chain(lines, itertools.chain.from_iterable(more for _, more in line_chunks))
 
 
-def _csv_only(text: str, lines: list[str]) -> bool:
-    """Whether a chunk of lines, ``text`` joined, holds what only
-    ``csv.reader`` reads as the file means (see ``_CSV_ONLY``) or a line
-    past ``csv.field_size_limit()``."""
-    limit = csv.field_size_limit()
-    return (
-        not text.isascii() or any(c in text for c in _CSV_ONLY)
-        or (len(text) > limit and max(map(len, lines)) > limit)
-    )
-
-
 def _body_chunks(header: list[str] | None, line_chunks, columns):
     """(line numbers, rows) of each chunk of the lines after a CSV header,
     ``line_chunks`` yielding (number of the first line, lines).  The rows
-    are a :class:`ParsedChunk` where ``np.loadtxt`` reads the chunk as
-    ``columns(header)`` types the columns (see :func:`open_csv`), else the
-    rows ``csv.reader`` reads, in chunks of :func:`_csv_chunks`."""
-    types = columns(header) if columns else None
-    width, missed = _WIDTH, False
+    are a :class:`ParsedChunk` while :func:`_loadtxt` takes each chunk as
+    ``columns(header)`` types the columns (see :func:`open_csv`).  From the
+    first chunk it does not take, for any reason, the rest of the file is
+    one ``csv.reader`` stream, whose rows come in chunks of
+    :func:`_csv_chunks`: a quoted cell may span chunks, and a file that
+    leaves an integer cell empty in every chunk (params or a seed left to
+    default), which numpy finds only after parsing the rows before it, pays
+    one parse that fails, not one a chunk."""
+    types, width = columns(header) if columns else None, _WIDTH
     for first, lines in line_chunks:
         if not lines:
             continue
-        text = "".join(lines)
-        if '"' in text:  # a quoted cell may span chunks: the rest of the file is one stream
+        array, width = _loadtxt(lines, types, width) if types else (None, width)
+        if array is None:
             yield from _csv_chunks(csv.reader(_stream(lines, line_chunks)), first - 1)
             return
-        array = None
-        # After a chunk that numpy could not read, most often for an empty
-        # integer cell (params or a seed left to default), which it finds
-        # only after parsing the rows before it, csv.reader reads the rest
-        # of the file: a file that leaves one empty in every chunk pays one
-        # parse that fails, not one a chunk.
-        if types and not missed and len(lines) >= _PARSED_LINES and not _csv_only(text, lines):
-            array, taken = _loadtxt(lines, types, width)
-            missed = array is None
-        if array is None:
-            yield from _csv_chunks(csv.reader(lines), first - 1)
-        else:
-            width = taken
-            yield first + np.arange(len(lines)), ParsedChunk(array, lines)
+        yield first + np.arange(len(lines)), ParsedChunk(array, lines)
 
 
 @contextlib.contextmanager
@@ -882,18 +872,16 @@ def open_csv(path: Path, columns: Callable[[list[str]], dict | None] | None = No
 
     ``columns``, given the header, maps each of its columns to the type its
     cells are parsed as, ``np.int64``, ``np.float64`` or ``str``, or returns
-    None.  With it, each chunk of ``_PARSED_LINES`` (256) lines or more is
-    parsed by ``np.loadtxt`` into a :class:`ParsedChunk`.  ``csv.reader``
-    reads the chunk into rows, as :func:`_csv_chunks` yields them, without
-    ``columns``, for a shorter chunk, and for one that numpy cannot read as
-    ``int`` and ``float`` would.  Such a chunk is seen before numpy parses
-    it where it holds NUL, U+001C-U+001F, text that is not ASCII, or a line
-    longer than ``csv.field_size_limit()``; after, where numpy raises (as
-    on an empty int64 cell) or warns, skips a blank line or would cut a str
-    cell, and then ``csv.reader`` reads the rest of the file too.  From the
-    first line holding a quote on, the header's too, the rest of the file
-    is one ``csv.reader`` stream: a quoted cell may span lines and
-    chunks."""
+    None.  The chunks follow two rules.  ``np.loadtxt`` takes a chunk of
+    ``_PARSED_LINES`` (256) lines or more that holds no quote, only ASCII
+    text without NUL or U+001C-U+001F, and no line past
+    ``csv.field_size_limit()``, when it parses it whole (no exception, as
+    on an empty int64 cell, no warning, no skipped blank line and no cut
+    str cell), and yields it as a :class:`ParsedChunk`.  From the first
+    chunk it does not take, for any reason, and from the start where
+    ``columns`` is missing or returns None or the header holds a quote,
+    ``csv.reader`` reads the rest of the file as one stream, whose rows
+    :func:`_csv_chunks` yields."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         line_chunks = _line_chunks(fh)
         _, lines = next(line_chunks, (1, []))
@@ -1015,12 +1003,13 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
     The file is read once, a chunk of rows at a time, and each distinct key
-    of cells is checked once.  A CSV chunk of 256 lines or more is parsed
-    by ``np.loadtxt``, layers, hidden, params and seeds as int64, value as
-    float64, labels and tokens as str, unless numpy cannot read it as
-    ``int`` and ``float`` would, as where it leaves an integer cell empty
-    (params or a seed defaulted), or it follows such a chunk (see
-    :func:`open_csv`); ``csv.reader`` reads the other chunks.  A
+    of cells is checked once.  ``np.loadtxt`` takes a CSV chunk of 256
+    lines or more whose text it reads as ``int`` and ``float`` would, when
+    it parses it whole, layers, hidden, params and seeds as int64, value as
+    float64, labels and tokens as str; from the first chunk it does not
+    take, as one that leaves an integer cell empty (params or a seed
+    defaulted), ``csv.reader`` reads the rest of the file (see
+    :func:`open_csv`).  A
     chunk that fails these checks is read again a row at a time, from the
     rows in memory (a parsed chunk's lines by ``csv.reader``), and the
     first bad row in file order raises :class:`DataError` naming the row

@@ -196,26 +196,22 @@ def render_plot_per_point(spec):
     return "\n".join(out + ["</svg>"]) + "\n"
 
 
-def early_stop_loop(curve, policy):
-    """The per-point reference of :func:`scalefit.early_stop`: one Python
-    loop over the losses, keeping the best loss so far and the counter of
-    consecutive evaluations that do not improve on it by ``min_decrease``."""
-    losses = curve.losses
-    best = losses[0]
-    best_index = 0
-    counter = 0
-    for i in range(1, len(losses)):
-        qualifies = losses[i] < best - policy.min_decrease
-        if losses[i] < best:
-            best = losses[i]
-            best_index = i
-        if qualifies:
-            counter = 0
-        else:
-            counter += 1
-            if counter >= policy.patience:
-                return sf.EarlyStopResult(stop_index=i, best_index=best_index, stopped=True, best_loss=best)
-    return sf.EarlyStopResult(stop_index=len(losses) - 1, best_index=best_index, stopped=False, best_loss=best)
+def early_stop_replay(curve, policy):
+    """An oracle for :func:`scalefit.early_stop` that shares none of its
+    loop: one numpy pass.  ``best`` before each evaluation is the running
+    minimum of the losses before it, so the counter is reset by the
+    evaluations below it by more than min_decrease, and the stop is
+    ``patience`` evaluations after the first reset (or the start) that the
+    next one does not follow within ``patience``."""
+    losses = np.array(curve.losses, dtype=float)
+    lowest = np.minimum.accumulate(losses)
+    resets = np.flatnonzero(losses[1:] < lowest[:-1] - policy.min_decrease) + 1
+    starts = np.concatenate(([0], resets))
+    long = np.flatnonzero(np.diff(starts, append=losses.size) > policy.patience)
+    stopped = bool(long.size)
+    stop = int(starts[long[0]]) + policy.patience if stopped else losses.size - 1
+    best = int(np.argmin(losses[: stop + 1]))
+    return sf.EarlyStopResult(stop_index=stop, best_index=best, stopped=stopped, best_loss=curve.losses[best])
 
 
 def chunk_readers(monkeypatch, parsed_lines=1):

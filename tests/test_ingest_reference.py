@@ -612,8 +612,6 @@ CSV_FALLBACKS = {
     "quoted-cell-spanning-chunks": (6, "task", '"t\nu"', False),  # lines 6-7: the last of one chunk and the next
     "bad-value": (3, "value", "-1.0", True),
 }
-# The cases whose line csv.reader alone is given, before numpy parses it.
-CSV_ONLY_TEXT = {"nul", "over-the-field-limit", "arabic-indic-digits", "record-separator", "letter-past-u00ff"}
 
 
 @pytest.mark.parametrize("case", CSV_FALLBACKS)
@@ -635,12 +633,10 @@ def test_csv_fallbacks_match_the_row_by_row_reference(tmp_path, monkeypatch, cas
     seen = chunk_readers(monkeypatch)
     assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
     # Of the chunks (lines 2, 3-4, 5-6 and 7), csv.reader reads the changed
-    # line's, unless np.loadtxt reads that line as int() does, and, unless
-    # the line is text that csv.reader alone is given before numpy parses
-    # it, the rest of the file; np.loadtxt reads the others.
+    # line's and the rest of the file, unless np.loadtxt reads that line as
+    # int() does; np.loadtxt reads the others.
     start = 7 if line is None else line - 1 + line % 2 + case.startswith("blank")  # numbered by its rows
-    rest = case not in CSV_ONLY_TEXT
-    csv_read = lambda first: not same and (first == start or (rest and first > start))
+    csv_read = lambda first: not same and first >= start
     assert seen == [(first, "csv" if csv_read(first) else "parsed") for first, _ in seen]
     assert seen[-1][0] >= start - 1  # a csv.Error in a chunk's first row yields none of it
 

@@ -18,11 +18,14 @@ with the tree's ``scalefit``:
 - ``load_loss_curve("curve.csv")``, the 200k-point curve, best of 5, and
   its bare ``csv.reader`` and ``np.loadtxt`` (int64, float64) loops,
   taking turns as above;
-- ``ingest`` of ``holes.csv`` (``holes_ms``), best of 5: ``bulk.csv`` with
-  the params cell of line 4,086 of each 4,096 lines left empty (params
-  defaults to 12LH², the value the cell held), so that every chunk holds
-  an integer cell ``np.loadtxt`` cannot read, with 10 lines after it,
-  and ``csv.reader`` reads the file;
+- ``ingest`` of ``holes.csv`` (``holes_ms``) and of ``nonascii.csv``
+  (``nonascii_ms``), best of 5, taking turns: ``bulk.csv`` with the params
+  cell of line 4,086 of each 4,096 lines left empty (params defaults to
+  12LH², the value the cell held), so that every chunk holds an integer
+  cell ``np.loadtxt`` cannot read, with 10 lines after it; and
+  ``bulk.csv`` with the task of line 6 not ASCII (``tâche``), so that
+  ``np.loadtxt`` does not take the first chunk.  From the first chunk it
+  does not take, ``csv.reader`` reads the file;
 
 ``xbare`` is the ratio of each file's reading to the bare loop of the
 parser that reads it in full: ``json.loads`` for JSONL, ``np.loadtxt``
@@ -42,7 +45,12 @@ parse before ``np.loadtxt`` read CSV, stay beside them.  It also times:
 It prints one line per run, then each tree's median over the rounds and,
 with two trees, each median of ``OTHER_TREE`` over that of ``TREE``.  The
 host's speed moves between runs, so only the alternating runs compare.
-Needs only the standard library and numpy.
+Beside each ratio it prints the A/A band: the least and the greatest
+ratio between the trees, round by round, of the bare ``json.loads`` and
+``np.loadtxt`` loops, which run the same code in both trees.  A ratio
+outside the band is marked ``outside``; one inside it cannot be told from
+the noise of the run.  ``tools/ingest_cost.py . .`` (one tree twice) is
+the self-check.  Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -64,10 +72,13 @@ import numpy as np
 CHUNK = 4096  # the rows ingest parses at a time
 # The timings of one run, in the order printed.
 TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "csv_loadtxt_ms", "curve_ms", "curve_bare_ms",
-           "curve_loadtxt_ms", "holes_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms", "ladder_ms",
-           "ladder_csv_ms")
+           "curve_loadtxt_ms", "holes_ms", "nonascii_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms",
+           "ladder_ms", "ladder_csv_ms")
 # Each timing that has a bare parse loop to compare with, and that loop's timing.
 PARSED = {"jsonl": "jsonl_bare_ms", "csv": "csv_loadtxt_ms", "curve": "curve_loadtxt_ms"}
+# The bare loops run the same code in both trees: their ratios between the
+# trees, round by round, span the A/A band of a run.
+CONTROLS = tuple(PARSED.values())
 # The type np.loadtxt parses each column of a bulk.csv or curve.csv header as.
 TYPES = {
     **dict.fromkeys(("layers", "hidden", "params", "pretrain_seed", "finetune_seed", "step"), np.int64),
@@ -115,23 +126,31 @@ def _use(tree: Path) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
 
 
+def _bulk_variant(name: str, field: str, cell: str, changed) -> None:
+    """Write ``bulk.csv`` as ``name``, with ``field`` of each line number
+    that ``changed`` is true of set to ``cell``."""
+    with open("bulk.csv", encoding="utf-8", newline="") as fh, open(name, "w", encoding="utf-8", newline="") as out:
+        column = next(csv.reader([fh.readline()])).index(field)
+        fh.seek(0)
+        for number, line in enumerate(fh, 1):
+            if changed(number):
+                cells = line.split(",")
+                cells[column] = cell
+                line = ",".join(cells)
+            out.write(line)
+
+
 def write_inputs(tree: Path, seed: int) -> None:
     """Write the ``bulk`` and ``ladder`` inputs of ``seed`` into the working
-    directory, and ``holes.csv`` and ``ladder.csv`` made from them."""
+    directory, and ``holes.csv``, ``nonascii.csv`` and ``ladder.csv`` made
+    from them."""
     _use(tree)
     import workloads
 
     for name in ("bulk", "ladder"):
         workloads.WORKLOADS[name](seed).write_inputs()
-    with open("bulk.csv", newline="") as fh, open("holes.csv", "w", newline="") as out:
-        params = next(csv.reader([fh.readline()])).index("params")
-        fh.seek(0)
-        for number, line in enumerate(fh, 1):
-            if number % CHUNK == CHUNK - 10:
-                cells = line.split(",")
-                cells[params] = ""
-                line = ",".join(cells)
-            out.write(line)
+    _bulk_variant("holes.csv", "params", "", lambda number: number % CHUNK == CHUNK - 10)
+    _bulk_variant("nonascii.csv", "task", "t\u00e2che", lambda number: number == 6)
     with open("ladder.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     fields = list(dict.fromkeys(field for record in records for field in record))
@@ -156,7 +175,8 @@ def measure(tree: Path) -> dict:
         lambda: sf.load_loss_curve("curve.csv"), lambda: _bare_csv("curve.csv"), lambda: _bare_loadtxt("curve.csv"),
         repeat=5,
     )
-    (got["holes_ms"],) = _best(lambda: sf.ingest("holes.csv"), repeat=5)
+    got["holes_ms"], got["nonascii_ms"] = _best(lambda: sf.ingest("holes.csv"), lambda: sf.ingest("nonascii.csv"),
+                                                repeat=5)
     table = sf.ingest("bulk.csv")
     (got["group_ms"],) = _best(lambda: sf.group(table), repeat=5)
     (runset,) = sf.group(table).values()
@@ -222,8 +242,14 @@ def main(argv=None) -> int:
         print(_line(f"median {tree}:", median))
     if len(trees) == 2:
         a, b = medians
-        print(f"{trees[1]} / {trees[0]} (seed {args.seed}, {args.rounds} rounds): "
-              + "  ".join(f"{name} {b[name] / a[name]:.3f}" for name in TIMINGS))
+        controls = [y[name] / x[name] for x, y in zip(*runs) for name in CONTROLS]
+        low, high = min(controls), max(controls)
+        print(f"{trees[1]} / {trees[0]} (seed {args.seed}, {args.rounds} rounds), each median's ratio beside the "
+              f"A/A band of the bare-loop ratios, {', '.join(CONTROLS)}, round by round:")
+        for name in TIMINGS:
+            ratio = b[name] / a[name]
+            outside = "  outside" if not low <= ratio <= high else ""
+            print(f"  {name:16} {ratio:6.3f}  band {low:.3f}-{high:.3f}{outside}")
     return 0
 
 
