@@ -798,21 +798,20 @@ _WIDTH, _MAX_WIDTH = 16, 128  # the first and the largest str width, in characte
 _PARSED_LINES = 256
 
 
-def _loadtxt(lines: list[str], columns: dict, width: int) -> tuple[np.ndarray | None, int]:
+def _loadtxt(lines: list[str], columns: dict | None, width: int) -> tuple[np.ndarray | None, int]:
     """The rows of a chunk of CSV lines as ``np.loadtxt`` parses them, each
     column as its type in ``columns`` (``str`` as ``width`` characters), and
     the width it took: doubled, up to ``_MAX_WIDTH``, while a str cell fills
     it and so may have been cut.  None for the rows where numpy does not
-    take the chunk: one of fewer than ``_PARSED_LINES`` lines, one holding
-    text that only ``csv.reader`` reads as the file means (see
-    ``_CSV_ONLY``) or a line past ``csv.field_size_limit()``, and one that
-    numpy does not parse whole: it raises, warns (numpy 1.x reads ``2.0`` as
-    an integer, warning that it will not), skips a line (a blank one) or
-    would cut a cell."""
+    take the chunk: any chunk without ``columns``, one of fewer than
+    ``_PARSED_LINES`` lines, one holding text that only ``csv.reader`` reads
+    as the file means (see ``_CSV_ONLY``) or a line past
+    ``csv.field_size_limit()``, and one that numpy does not parse whole: it
+    raises, warns (numpy 1.x reads ``2.0`` as an integer, warning that it
+    will not), skips a line (a blank one) or would cut a cell."""
     text, limit = "".join(lines), csv.field_size_limit()
-    if len(lines) < _PARSED_LINES or not text.isascii() or any(c in text for c in _CSV_ONLY):
-        return None, width
-    if len(text) > limit and max(map(len, lines)) > limit:
+    if (not columns or len(lines) < _PARSED_LINES or not text.isascii() or any(c in text for c in _CSV_ONLY)
+            or len(text) > limit and max(map(len, lines)) > limit):
         return None, width
     while width <= _MAX_WIDTH:
         dtype = np.dtype([(name, f"U{width}" if kind is str else kind) for name, kind in columns.items()])
@@ -851,9 +850,7 @@ def _body_chunks(header: list[str] | None, line_chunks, columns):
     one parse that fails, not one a chunk."""
     types, width = columns(header) if columns else None, _WIDTH
     for first, lines in line_chunks:
-        if not lines:
-            continue
-        array, width = _loadtxt(lines, types, width) if types else (None, width)
+        array, width = _loadtxt(lines, types, width)
         if array is None:
             yield from _csv_chunks(csv.reader(_stream(lines, line_chunks)), first - 1)
             return
