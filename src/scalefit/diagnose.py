@@ -63,17 +63,15 @@ def _curve_types(header: list[str]) -> dict | None:
 def load_loss_curve(path: str | Path) -> LossCurve:
     """Read a two-column CSV (header ``step,eval_loss`` required) with
     :func:`~scalefit.records.open_csv`, skipping whitespace-only rows.  Its
-    two rules hold: ``np.loadtxt`` takes a chunk of 256 lines or more of a
-    two-column file whose text it reads as ``int`` and ``float`` would,
-    when it parses it whole, steps as int64 and losses as float64, and its
-    points are checked with numpy; from the first chunk it does not take,
-    ``csv.reader`` reads the rest of the file as one stream.  The rows of
-    that stream, and of a parsed chunk whose points break a rule, are
-    converted a row at a time by ``int`` and ``float``.  The line
-    reader stops at the first line holding a byte that is not UTF-8, a bad
-    row.  The first bad row in file order raises DataError naming it: a row
-    that does not parse, whose step does not exceed the step before it, or
-    whose loss is not positive and finite, checked in that order."""
+    two rules read the chunks of a two-column file: a chunk ``np.loadtxt``
+    parses, steps as int64 and losses as float64, has its points checked
+    with numpy.  The rows ``csv.reader`` reads, and those of a parsed chunk
+    whose points break a rule, are converted a row at a time by ``int`` and
+    ``float``.  The line reader stops at the first line holding a byte that
+    is not UTF-8, a bad row.  The first bad row in file order raises
+    DataError naming it: a row that does not parse, whose step does not
+    exceed the step before it, or whose loss is not positive and finite,
+    checked in that order."""
     path = Path(path)
     steps, losses = [], []
     with open_csv(path, _curve_types) as (header, chunks), paused_gc():

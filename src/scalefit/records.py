@@ -785,32 +785,29 @@ class ParsedChunk(NamedTuple):
 
 
 # Text of a CSV chunk that only csv.reader reads as the file means: a quote,
-# since a quoted cell may span lines and chunks; NUL, which csv refuses on
-# Python 3.10 and numpy's str cells drop; and U+001C-U+001F, which numpy's
-# number parser skips as white space but int() and float() refuse.  Text that
-# is not ASCII goes to csv.reader too: numpy reads some letters past U+00FF
-# as integer digits.
+# since a quoted cell may span lines and chunks (np.loadtxt's quotechar
+# would not do: numpy closes a quote left open at the end of its chunk and
+# accepts the chunk, misreading a cell that spans two); NUL, which csv
+# refuses on Python 3.10 and numpy's str cells drop; and U+001C-U+001F,
+# which numpy's number parser skips as white space but int() and float()
+# refuse.  Text that is not ASCII goes to csv.reader too: numpy reads some
+# letters past U+00FF as integer digits.
 _CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 _WIDTH, _MAX_WIDTH = 16, 128  # the first and the largest str width, in characters, of a parsed cell
-# The fewest lines of a chunk that np.loadtxt parses.  csv.reader reads a
-# shorter chunk faster: np.loadtxt and the np.unique coding of a chunk's
-# keys cost ~0.1-0.2 ms a chunk whatever its length.
-_PARSED_LINES = 256
 
 
 def _loadtxt(lines: list[str], columns: dict | None, width: int) -> tuple[np.ndarray | None, int]:
     """The rows of a chunk of CSV lines as ``np.loadtxt`` parses them, each
     column as its type in ``columns`` (``str`` as ``width`` characters), and
     the width it took: doubled, up to ``_MAX_WIDTH``, while a str cell fills
-    it and so may have been cut.  None for the rows where numpy does not
-    take the chunk: any chunk without ``columns``, one of fewer than
-    ``_PARSED_LINES`` lines, one holding text that only ``csv.reader`` reads
-    as the file means (see ``_CSV_ONLY``) or a line past
-    ``csv.field_size_limit()``, and one that numpy does not parse whole: it
-    raises, warns (numpy 1.x reads ``2.0`` as an integer, warning that it
-    will not), skips a line (a blank one) or would cut a cell."""
+    it and so may have been cut.  None for the rows where the first rule of
+    :func:`open_csv` refuses the chunk, and for any chunk without
+    ``columns``.  numpy parses a chunk whole when it neither raises nor
+    warns (numpy 1.x reads ``2.0`` as an integer, warning that it will not;
+    an empty chunk warns that it holds no data), skips no line (a blank one)
+    and cuts no cell."""
     text, limit = "".join(lines), csv.field_size_limit()
-    if (not columns or len(lines) < _PARSED_LINES or not text.isascii() or any(c in text for c in _CSV_ONLY)
+    if (not columns or not text.isascii() or any(c in text for c in _CSV_ONLY)
             or len(text) > limit and max(map(len, lines)) > limit):
         return None, width
     while width <= _MAX_WIDTH:
@@ -839,15 +836,14 @@ def _stream(lines: list[str], line_chunks) -> Iterable[str]:
 
 def _body_chunks(header: list[str] | None, line_chunks, columns):
     """(line numbers, rows) of each chunk of the lines after a CSV header,
-    ``line_chunks`` yielding (number of the first line, lines).  The rows
-    are a :class:`ParsedChunk` while :func:`_loadtxt` takes each chunk as
-    ``columns(header)`` types the columns (see :func:`open_csv`).  From the
-    first chunk it does not take, for any reason, the rest of the file is
-    one ``csv.reader`` stream, whose rows come in chunks of
-    :func:`_csv_chunks`: a quoted cell may span chunks, and a file that
-    leaves an integer cell empty in every chunk (params or a seed left to
-    default), which numpy finds only after parsing the rows before it, pays
-    one parse that fails, not one a chunk."""
+    ``line_chunks`` yielding (number of the first line, lines), read by the
+    two rules of :func:`open_csv` with ``columns(header)`` as the column
+    types: a :class:`ParsedChunk` of each chunk :func:`_loadtxt` takes, then
+    the rows of one ``csv.reader`` stream in chunks of :func:`_csv_chunks`.
+    One stream, not one a chunk: a quoted cell may span chunks, and a file
+    that leaves an integer cell empty in every chunk (params or a seed left
+    to default), which numpy finds only after parsing the rows before it,
+    pays one parse that fails, not one a chunk."""
     types, width = columns(header) if columns else None, _WIDTH
     for first, lines in line_chunks:
         array, width = _loadtxt(lines, types, width)
@@ -863,34 +859,34 @@ def open_csv(path: Path, columns: Callable[[list[str]], dict | None] | None = No
     numbers, rows) of a CSV file's body, read while the ``with`` block runs.
     The lines come from :func:`_line_chunks`, so the file ends at its first
     line that is not UTF-8, which raises DataError naming it, also while the
-    header is read.  A header that starts with a byte order mark raises
-    DataError, and so does a ``csv.Error``, naming the line the reader
-    stopped on.
+    header is read.  ``csv.reader`` reads the header.  A header that starts
+    with a byte order mark raises DataError, and so does a ``csv.Error``,
+    naming the line the reader stopped on.
 
     ``columns``, given the header, maps each of its columns to the type its
     cells are parsed as, ``np.int64``, ``np.float64`` or ``str``, or returns
-    None.  The chunks follow two rules.  ``np.loadtxt`` takes a chunk of
-    ``_PARSED_LINES`` (256) lines or more that holds no quote, only ASCII
-    text without NUL or U+001C-U+001F, and no line past
-    ``csv.field_size_limit()``, when it parses it whole (no exception, as
-    on an empty int64 cell, no warning, no skipped blank line and no cut
-    str cell), and yields it as a :class:`ParsedChunk`.  From the first
-    chunk it does not take, for any reason, and from the start where
-    ``columns`` is missing or returns None or the header holds a quote,
-    ``csv.reader`` reads the rest of the file as one stream, whose rows
-    :func:`_csv_chunks` yields."""
+    None.  The chunks follow two rules:
+
+    1. ``np.loadtxt`` takes any chunk of ASCII text without a quote, NUL,
+       U+001C-U+001F or a line past ``csv.field_size_limit()``, when it
+       parses the chunk whole (no exception, as on an empty int64 cell, no
+       warning, no skipped blank line and no cut str cell) with the types of
+       ``columns``, and yields it as a :class:`ParsedChunk`.
+    2. ``csv.reader`` reads everything from the first chunk numpy refuses,
+       for any reason (every chunk where ``columns`` is missing or returns
+       None), or from line 2 when the header spans lines, as one stream
+       whose rows :func:`_csv_chunks` yields."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         line_chunks = _line_chunks(fh)
         _, lines = next(line_chunks, (1, []))
-        quoted = any('"' in line for line in lines[:1])
-        reader = csv.reader(_stream(lines, line_chunks) if quoted else lines[:1])
+        reader = csv.reader(_stream(lines, line_chunks))
         try:
             header = next(reader, None)
         except csv.Error as exc:
             raise DataError(f"row {reader.line_num}: {exc}") from None
         if header and header[0].startswith("\ufeff"):
             raise DataError("row 1: CSV header starts with a UTF-8 byte order mark (U+FEFF)")
-        if quoted:
+        if reader.line_num > 1:  # a quoted header cell holds a line break
             yield header, _csv_chunks(reader)
         else:
             yield header, _body_chunks(header, itertools.chain([(2, lines[1:])], line_chunks), columns)
@@ -1000,14 +996,10 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     """Read and validate experiment records from a JSONL or CSV file.
 
     The file is read once, a chunk of rows at a time, and each distinct key
-    of cells is checked once.  ``np.loadtxt`` takes a CSV chunk of 256
-    lines or more whose text it reads as ``int`` and ``float`` would, when
-    it parses it whole, layers, hidden, params and seeds as int64, value as
-    float64, labels and tokens as str; from the first chunk it does not
-    take, as one that leaves an integer cell empty (params or a seed
-    defaulted), ``csv.reader`` reads the rest of the file (see
-    :func:`open_csv`).  A
-    chunk that fails these checks is read again a row at a time, from the
+    of cells is checked once.  A CSV file's chunks are read by the two rules
+    of :func:`open_csv`, ``np.loadtxt`` parsing layers, hidden, params and
+    seeds as int64, value as float64, labels and tokens as str.  A chunk
+    that fails its checks is read again a row at a time, from the
     rows in memory (a parsed chunk's lines by ``csv.reader``), and the
     first bad row in file order raises :class:`DataError` naming the row
     number and its first failed check; a line holding a byte that is not

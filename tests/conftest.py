@@ -214,12 +214,11 @@ def early_stop_replay(curve, policy):
     return sf.EarlyStopResult(stop_index=stop, best_index=best, stopped=stopped, best_loss=curve.losses[best])
 
 
-def chunk_readers(monkeypatch, parsed_lines=1):
-    """A list that gets (first line, "parsed" or "csv") of each chunk that
-    open_csv yields: read by np.loadtxt, or by csv.reader.  np.loadtxt
-    parses chunks of ``parsed_lines`` lines or more, by default of any
-    length, so that short ones show its reading too."""
-    monkeypatch.setattr(sf.records, "_PARSED_LINES", parsed_lines)
+def chunk_readers(monkeypatch):
+    """A list that gets (first line, "parsed" or "csv") of each body chunk
+    that open_csv hands to _body_chunks and yields: read by np.loadtxt, or
+    by csv.reader.  A body read from a header that spans lines goes
+    straight to csv.reader and is not recorded."""
     seen = []
     body_chunks = sf.records._body_chunks
 

@@ -244,8 +244,9 @@ class TestLossCurve:
 
     @pytest.mark.parametrize(
         "text, row",
-        [(SPANNING + "xyz,0.7\n", 7), ('step,eval_loss\n0,1.0\n1,"x\ny\n', 4)],
-        ids=["after-spanning-cell", "quote-open-to-end-of-file"],
+        [(SPANNING + "xyz,0.7\n", 7), ('step,eval_loss\n0,1.0\n1,"x\ny\n', 4),
+         ('step,"eval_loss\n"\n0,1.0\nxyz,0.7\n', 4)],
+        ids=["after-spanning-cell", "quote-open-to-end-of-file", "after-a-header-spanning-lines"],
     )
     def test_bad_row_named_by_its_last_line(self, tmp_path, text, row):
         path = tmp_path / "curve.csv"
@@ -356,7 +357,6 @@ def test_loss_curve_columns_match_the_row_loop(tmp_path, seed, chunk):
     kinds = set()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sf.records, "_CHUNK", chunk)
-        mp.setattr(sf.records, "_PARSED_LINES", 1)  # np.loadtxt parses chunks of any length
         for _ in range(40):
             rows = [f"{10 * i},{rng.uniform(0.5, 2)!r}" for i in range(rng.randint(0, 9))]
             for _ in range(rng.randint(0, 2)):

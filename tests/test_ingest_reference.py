@@ -132,6 +132,10 @@ def reference_ingest(path):
     else:
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.DictReader(fh)
+            try:
+                reader.fieldnames  # read here: a header cell past the field limit raises
+            except csv.Error as exc:
+                raise DataError(f"row {reader.reader.line_num}: {exc}") from None
             if reader.fieldnames is None:
                 raise DataError("row 1: missing CSV header")
             if undecodable is not None and reader.line_num >= undecodable:  # the header's lines
@@ -329,7 +333,6 @@ def test_parsed_csv_chunks_match_the_row_by_row_reference(tmp_path, seed, chunk,
     expected = outcome(reference_ingest, reference_group, reference_scales, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sf.records, "_CHUNK", chunk)
-        mp.setattr(sf.records, "_PARSED_LINES", 1)  # np.loadtxt parses chunks of any length
         got = outcome(sf.ingest, columnar_groups, lambda table: table.scales, path)
     assert got == expected
 
@@ -676,22 +679,25 @@ def test_after_a_chunk_numpy_cannot_read_csv_reader_reads_the_rest(tmp_path, mon
 
 
 @pytest.mark.parametrize("kind", ["records", "curve"])
-@pytest.mark.parametrize("short", [True, False])
-def test_a_chunk_of_fewer_than_parsed_lines_goes_to_csv_reader(tmp_path, monkeypatch, kind, short):
-    parsed_lines = sf.records._PARSED_LINES
+@pytest.mark.parametrize("body", [1, 255])
+def test_a_short_body_is_parsed_as_csv_reader_reads_it(tmp_path, monkeypatch, kind, body):
     if kind == "records":
-        rows = bulk_like_rows()[: parsed_lines - short]
+        rows = bulk_like_rows()[:body]
         lines = [",".join(RECORD_FIELDS), *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in rows)]
     else:
-        lines = ["step,eval_loss", *(f"{10 * i},{1 + 1 / (i + 1)!r}" for i in range(parsed_lines - short))]
+        lines = ["step,eval_loss", *(f"{10 * i},{1 + 1 / (i + 1)!r}" for i in range(body))]
     path = tmp_path / f"{kind}.csv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    read = sf.ingest if kind == "records" else sf.load_loss_curve
-    monkeypatch.setattr(sf.records, "_PARSED_LINES", len(lines))
-    expected = read(path)  # csv.reader's
-    seen = chunk_readers(monkeypatch, parsed_lines)
+    if kind == "records":
+        expected = outcome(reference_ingest, reference_group, reference_scales, path)
+        read = lambda path: outcome(sf.ingest, columnar_groups, lambda table: table.scales, path)
+    else:
+        points = list(csv.reader(lines[1:]))
+        expected = sf.LossCurve(steps=tuple(int(s) for s, _ in points), losses=tuple(float(x) for _, x in points))
+        read = sf.load_loss_curve
+    seen = chunk_readers(monkeypatch)
     assert read(path) == expected
-    assert seen == [(2, "csv" if short else "parsed")]
+    assert seen == [(2, "parsed")]
 
 
 @pytest.mark.parametrize("kind", ["records", "curve"])
@@ -704,11 +710,34 @@ def test_a_quote_free_body_never_reaches_csv_reader(tmp_path, monkeypatch, kind)
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     read = sf.ingest if kind == "records" else sf.load_loss_curve
     expected = read(path)
-    given = []
+    pulled = []  # the lines each csv.reader takes from its input, as it takes them
     reader = csv.reader
-    monkeypatch.setattr(csv, "reader", lambda lines, *a, **k: reader(given.append(list(lines)) or given[-1], *a, **k))
+    monkeypatch.setattr(csv, "reader", lambda lines, *a, **k: reader((pulled.append(x) or x for x in lines), *a, **k))
     assert read(path) == expected
-    assert given == [[lines[0] + "\n"]]  # the header alone
+    assert pulled == [lines[0] + "\n"]  # the header alone
+
+
+# Headers that csv.reader reads otherwise than a split at commas, each over
+# CSV_GOOD's rows, and the chunk_readers record of the body.
+CSV_HEADERS = {
+    "quoted": ('"' + '","'.join(RECORD_FIELDS) + '"', [(2, "parsed")]),
+    "line-break-in-a-quoted-cell": (",".join(RECORD_FIELDS[:-1]) + ',"tok\nens"', []),  # an unknown field
+    "cell-past-the-field-limit": (",".join(RECORD_FIELDS[:-1]) + ",t" + "o" * csv.field_size_limit(), []),
+}
+
+
+@pytest.mark.parametrize("case", CSV_HEADERS)
+def test_csv_headers_match_the_row_by_row_reference(tmp_path, monkeypatch, case):
+    header, record = CSV_HEADERS[case]
+    lines = [header, *(",".join(str(row[f]) for f in RECORD_FIELDS) for row in CSV_GOOD)]
+    path = tmp_path / "runs.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    if case == "cell-past-the-field-limit":
+        assert expected[0] == f"row 1: field larger than field limit ({csv.field_size_limit()})"
+    seen = chunk_readers(monkeypatch)
+    assert outcome(sf.ingest, columnar_groups, lambda table: table.scales, path) == expected
+    assert seen == record
 
 
 @pytest.mark.parametrize("chunk", [3, 4096])

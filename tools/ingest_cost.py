@@ -5,19 +5,12 @@
 A fresh interpreter per tree writes the ``bulk`` and ``ladder`` workload
 inputs of seed ``S`` into a temporary directory of that tree's own, with the
 tree's ``perfbench/workloads.py`` (imported, never modified), as
-``tools/identity.py`` does.  Then each of ``R`` rounds runs every tree in a
-fresh interpreter, the trees taking turns to go first, and each run times,
-with the tree's ``scalefit``:
+``tools/identity.py`` does.  Then each of ``R`` rounds runs every tree, the
+trees taking turns to go first, in two fresh interpreters one after the
+other.  The first times, with the tree's ``scalefit``:
 
-- ``ingest`` of ``bulk.jsonl`` and of ``bulk.csv``, best of 5, and the bare
-  chunked parse loops of the same file, best of 5, all taking turns:
-  ``json.loads`` of each 4,096 lines joined as one JSON array; or
-  ``csv.reader`` read 4,096 rows at a time, and ``np.loadtxt`` of each
-  4,096 lines with the types ``ingest`` parses them as (int64 integers,
-  float64 values, labels and tokens as ``U16``: its first str width);
-- ``load_loss_curve("curve.csv")``, the 200k-point curve, best of 5, and
-  its bare ``csv.reader`` and ``np.loadtxt`` (int64, float64) loops,
-  taking turns as above;
+- ``ingest`` of ``bulk.jsonl`` and of ``bulk.csv``, best of 5;
+- ``load_loss_curve("curve.csv")``, the 200k-point curve, best of 5;
 - ``ingest`` of ``holes.csv`` (``holes_ms``) and of ``nonascii.csv``
   (``nonascii_ms``), best of 5, taking turns: ``bulk.csv`` with the params
   cell of line 4,086 of each 4,096 lines left empty (params defaults to
@@ -26,12 +19,6 @@ with the tree's ``scalefit``:
   ``bulk.csv`` with the task of line 6 not ASCII (``tâche``), so that
   ``np.loadtxt`` does not take the first chunk.  From the first chunk it
   does not take, ``csv.reader`` reads the file;
-
-``xbare`` is the ratio of each file's reading to the bare loop of the
-parser that reads it in full: ``json.loads`` for JSONL, ``np.loadtxt``
-for CSV records and curves; the ``csv.reader`` loops, the floor of the
-parse before ``np.loadtxt`` read CSV, stay beside them.  It also times:
-
 - ``group`` of the ``bulk.csv`` table, best of 5;
 - ``fit_runset`` of the ``bulk.csv`` run set, best of 5, as ``fit`` runs
   it (``fit_ms``) and with ``min_layers=4, space="linear"`` as
@@ -39,18 +26,33 @@ parse before ``np.loadtxt`` read CSV, stay beside them.  It also times:
 - ``render_plot(plot_runset(runset, fit=fit))`` of the ``bulk.csv`` run set
   and its fit, as the ``plot`` command draws it, best of 5;
 - ``group(ingest("ladder.jsonl"))`` and ``group(ingest("ladder.csv"))``,
-  the same 80 records written as CSV by this script: the median of 20
-  rounds of best of 200.
+  the same 80 records written as CSV by this script: the fastest of 20
+  blocks of 200 calls, per call.
 
-It prints one line per run, then each tree's median over the rounds and,
-with two trees, each median of ``OTHER_TREE`` over that of ``TREE``.  The
-host's speed moves between runs, so only the alternating runs compare.
-Beside each ratio it prints the A/A band: the least and the greatest
-ratio between the trees, round by round, of the bare ``json.loads`` and
-``np.loadtxt`` loops, which run the same code in both trees.  A ratio
-outside the band is marked ``outside``; one inside it cannot be told from
-the noise of the run.  ``tools/ingest_cost.py . .`` (one tree twice) is
-the self-check.  Needs only the standard library and numpy.
+The second, which imports no ``scalefit``, times the bare chunked parse
+loops of the same files, best of 5 each, taking turns: ``json.loads`` of
+each 4,096 lines of ``bulk.jsonl`` joined as one JSON array; and
+``csv.reader`` read 4,096 rows at a time, and ``np.loadtxt`` of each 4,096
+lines with the types ``ingest`` parses them as (int64 integers, float64
+values, labels and tokens as ``U16``: its first str width), of
+``bulk.csv`` and of ``curve.csv``.  ``xbare`` is the ratio of each file's
+reading to the bare loop of the parser that reads it in full:
+``json.loads`` for JSONL, ``np.loadtxt`` for CSV records and curves; the
+``csv.reader`` loops, the floor of the parse before ``np.loadtxt`` read
+CSV, stay beside them.
+
+Every timing is adjusted to the host speed that ``perfbench/speed.py``'s
+gauge (of the checkout holding this script, imported, never modified)
+measures around and during it, as the benchmark adjusts its own.  It prints
+one line per run, then each tree's median over the rounds and, with two
+trees, each median of ``OTHER_TREE`` over that of ``TREE``.  Only the
+alternating runs compare.  Beside each ratio it prints the A/A band: the
+least and the greatest ratio between the trees, round by round, of the
+bare ``json.loads`` and ``np.loadtxt`` loops, which run the same code in
+both trees, in processes that run nothing else.  A ratio outside the band
+is marked ``outside``; one inside it cannot be told from the noise of the
+run.  ``tools/ingest_cost.py . .`` (one tree twice) is the self-check.
+Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -64,13 +66,17 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from speed import Gauge  # noqa: E402  one gauge, this checkout's, for every tree
+
+del sys.path[0]
+
 CHUNK = 4096  # the rows ingest parses at a time
-# The timings of one run, in the order printed.
+# The timings of one round of a tree, in the order printed.
 TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "csv_loadtxt_ms", "curve_ms", "curve_bare_ms",
            "curve_loadtxt_ms", "holes_ms", "nonascii_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms",
            "ladder_ms", "ladder_csv_ms")
@@ -88,15 +94,13 @@ TYPES = {
 
 
 def _best(*calls, repeat: int) -> list[float]:
-    """The least of ``repeat`` wall times of each of ``calls``, in
-    milliseconds; the calls take turns, so that a slow spell of the host
-    slows each of them alike."""
-    times = [[] for _ in calls]
+    """The least of ``repeat`` speed-adjusted wall times of each of
+    ``calls``, in milliseconds; the calls take turns, so that a slow spell
+    of the host slows each of them alike."""
+    gauge, times = Gauge(), [[] for _ in calls]
     for _ in range(repeat):
         for call, spent in zip(calls, times):
-            start = time.perf_counter()
-            call()
-            spent.append(time.perf_counter() - start)
+            spent.append(gauge.time(call)[1])
     return [min(spent) * 1e3 for spent in times]
 
 
@@ -161,20 +165,14 @@ def write_inputs(tree: Path, seed: int) -> None:
 
 
 def measure(tree: Path) -> dict:
-    """The ``TIMINGS`` of ``tree`` on the inputs in the working directory."""
+    """The ``TIMINGS`` of ``tree``'s ``scalefit`` on the inputs in the working directory."""
     _use(tree)
     import scalefit as sf
 
     got = {}
-    got["jsonl_ms"], got["jsonl_bare_ms"] = _best(lambda: sf.ingest("bulk.jsonl"),
-                                                  lambda: _bare_jsonl("bulk.jsonl"), repeat=5)
-    got["csv_ms"], got["csv_bare_ms"], got["csv_loadtxt_ms"] = _best(
-        lambda: sf.ingest("bulk.csv"), lambda: _bare_csv("bulk.csv"), lambda: _bare_loadtxt("bulk.csv"), repeat=5,
-    )
-    got["curve_ms"], got["curve_bare_ms"], got["curve_loadtxt_ms"] = _best(
-        lambda: sf.load_loss_curve("curve.csv"), lambda: _bare_csv("curve.csv"), lambda: _bare_loadtxt("curve.csv"),
-        repeat=5,
-    )
+    (got["jsonl_ms"],) = _best(lambda: sf.ingest("bulk.jsonl"), repeat=5)
+    (got["csv_ms"],) = _best(lambda: sf.ingest("bulk.csv"), repeat=5)
+    (got["curve_ms"],) = _best(lambda: sf.load_loss_curve("curve.csv"), repeat=5)
     got["holes_ms"], got["nonascii_ms"] = _best(lambda: sf.ingest("holes.csv"), lambda: sf.ingest("nonascii.csv"),
                                                 repeat=5)
     table = sf.ingest("bulk.csv")
@@ -184,10 +182,20 @@ def measure(tree: Path) -> dict:
                                                lambda: sf.fit_runset(runset, min_layers=4, space="linear"), repeat=5)
     fit = sf.fit_runset(runset)
     (got["plot_ms"],) = _best(lambda: sf.render_plot(sf.plot_runset(runset, fit=fit)), repeat=5)
-    ladder = [_best(lambda: sf.group(sf.ingest("ladder.jsonl")), repeat=200)[0] for _ in range(20)]
-    got["ladder_ms"] = statistics.median(ladder)
-    ladder = [_best(lambda: sf.group(sf.ingest("ladder.csv")), repeat=200)[0] for _ in range(20)]
-    got["ladder_csv_ms"] = statistics.median(ladder)
+    for name, path in (("ladder_ms", "ladder.jsonl"), ("ladder_csv_ms", "ladder.csv")):
+        (block,) = _best(lambda: [sf.group(sf.ingest(path)) for _ in range(200)], repeat=20)
+        got[name] = block / 200
+    return got
+
+
+def bare() -> dict:
+    """The bare parse loops' ``TIMINGS`` on the inputs in the working directory."""
+    got = {}
+    (got["jsonl_bare_ms"],) = _best(lambda: _bare_jsonl("bulk.jsonl"), repeat=5)
+    got["csv_bare_ms"], got["csv_loadtxt_ms"] = _best(lambda: _bare_csv("bulk.csv"),
+                                                      lambda: _bare_loadtxt("bulk.csv"), repeat=5)
+    got["curve_bare_ms"], got["curve_loadtxt_ms"] = _best(lambda: _bare_csv("curve.csv"),
+                                                          lambda: _bare_loadtxt("curve.csv"), repeat=5)
     return got
 
 
@@ -214,6 +222,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5, help="runs of each tree (default 5)")
     parser.add_argument("--write", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--bare", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if len(args.trees) > 2:
         parser.error("give one or two trees")
@@ -226,6 +235,9 @@ def main(argv=None) -> int:
     if args.measure:
         print(json.dumps(measure(trees[0])))
         return 0
+    if args.bare:
+        print(json.dumps(bare()))
+        return 0
     runs = [[] for _ in trees]
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [os.path.join(tmp, str(i)) for i in range(len(trees))]
@@ -235,7 +247,9 @@ def main(argv=None) -> int:
         for round_ in range(args.rounds):
             turn = round_ % len(trees)
             for i in [*range(turn, len(trees)), *range(turn)]:
-                runs[i].append(json.loads(_child(str(trees[i]), "--measure", cwd=dirs[i])))
+                got = json.loads(_child(str(trees[i]), "--measure", cwd=dirs[i]))
+                got.update(json.loads(_child(str(trees[i]), "--bare", cwd=dirs[i])))
+                runs[i].append(got)
                 print(_line(f"round {round_ + 1} {trees[i]}:", runs[i][-1]), flush=True)
     medians = [{name: statistics.median(run[name] for run in tree_runs) for name in TIMINGS} for tree_runs in runs]
     for tree, median in zip(trees, medians):
