@@ -13,13 +13,11 @@ chunk of rows at a time, into a :class:`RecordTable`, numbering each row's
 scale, label, seeds and tokens by five keys of its cells, each new key
 checked once; :func:`group` orders a table by one argsort of a folded int64
 key where it can; :class:`RunRecord` objects are built only when
-``records`` is read.  CSV chunks follow two rules (see :func:`open_csv`):
-``np.loadtxt``, numpy's C reader, takes a chunk of 256 lines or more whose
-text it reads as ``int`` and ``float`` would, when it parses it whole, and
-its keys are found with ``np.unique``; from the first chunk it does not
-take, ``csv.reader`` reads the rest of the file as one stream, whose
-chunks are keyed, as JSONL chunks are, in one dict pass per key.  A chunk
-that fails these checks is
+``records`` is read.  CSV chunks follow the two rules of
+:func:`open_csv`: the keys of a chunk that ``np.loadtxt``, numpy's C
+reader, parses are found with ``np.unique``, and the chunks of rows that
+``csv.reader`` reads are keyed, as JSONL chunks are, in one dict pass per
+key.  A chunk that fails these checks is
 read again a row at a time, by ``csv.reader`` or ``json``, and checked by
 :func:`_record`, whose statement order is one row's check order: the
 first bad row raises ``row N: <its first failed check>``, and so does,

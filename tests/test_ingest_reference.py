@@ -733,6 +733,7 @@ def test_csv_headers_match_the_row_by_row_reference(tmp_path, monkeypatch, case)
     path = tmp_path / "runs.csv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     expected = outcome(reference_ingest, reference_group, reference_scales, path)
+    assert isinstance(expected[0], list) == (case == "quoted")  # the other two headers raise
     if case == "cell-past-the-field-limit":
         assert expected[0] == f"row 1: field larger than field limit ({csv.field_size_limit()})"
     seen = chunk_readers(monkeypatch)

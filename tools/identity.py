@@ -84,9 +84,9 @@ BAD_INPUTS = {
     ),
     "empty.jsonl": "",
     "header-only.csv": _CSV.splitlines(keepends=True)[0],
-    # Chunks long enough for np.loadtxt that go to csv.reader: an integer
-    # cell that numpy 1.x reads through a float, a label holding NUL, and a
-    # quoted cell, each after 300 good rows.
+    # Chunks that go to csv.reader: an integer cell that numpy 1.x reads
+    # through a float, a label holding NUL, and a quoted cell, each after
+    # 300 good rows.
     "layers-2.0.csv": _CSV + _CSV_ROW * 300 + "2.0,64,t,f,0,0,m,1.0,min\n",
     "nul-label.csv": _CSV + _CSV_ROW * 300 + "1,32,t\x00u,f,0,0,m,1.0,min\n",
     "quoted-cell.csv": _CSV + _CSV_ROW * 300 + '1,32,"t",f,0,0,m,oops,min\n',
