@@ -33,13 +33,14 @@ from .diagnose import (
 from .errors import DataError
 from .powerlaw import RESIDUAL_SPACES, fit_runset
 from .predict import extrapolate, holdout_eval, select_model
-from .records import DIRECTIONS, FORMATS, RunSet, ScaleSpec, emit, group, ingest, scale_ladder
+from .records import DIRECTIONS, FORMATS, RecordTable, RunSet, ScaleSpec, emit, group, ingest, scale_ladder
 from .svg import plot_runset, write_plot
 from .synth import NOISE_MODELS, SynthSpec, generate
 
 SCHEMA_VERSION = "2"
 
 FLOPS_NOTE = "evaluation passes triggered by early stopping are not counted"
+NO_RECORDS = "the input holds no records"
 
 
 class UsageError(Exception):
@@ -102,7 +103,7 @@ def _depth(value: int | None, flag: str) -> int | None:
 
 def _pick(groups: dict, task, family, metric) -> RunSet:
     if not groups:
-        raise DataError("the input holds no records")
+        raise DataError(NO_RECORDS)
     matches = [
         rs
         for (t, f, m), rs in groups.items()
@@ -122,8 +123,16 @@ def _pick(groups: dict, task, family, metric) -> RunSet:
     )
 
 
+def _table(args) -> RecordTable:
+    """The records of ``--input``: parsed by ``ingest``, or loaded from the
+    on-disk cache of :mod:`scalefit.cache` if the same bytes were parsed before."""
+    from . import cache  # here, so that importing the CLI loads no more than it did
+
+    return cache.read_table(args.input, args.input_format, ingest)
+
+
 def _load_runset(args) -> RunSet:
-    return _pick(group(ingest(args.input, args.input_format)), args.task, args.family, args.metric)
+    return _pick(group(_table(args)), args.task, args.family, args.metric)
 
 
 def _scale(args, prefix: str, required: bool = True) -> ScaleSpec | None:
@@ -227,7 +236,7 @@ def _cmd_holdout(args) -> tuple[dict, object]:
 
 
 def _cmd_select(args) -> tuple[dict, object]:
-    groups = group(ingest(args.input, args.input_format))
+    groups = group(_table(args))
     runset_a = _pick(groups, args.task, args.family_a, args.metric)
     runset_b = _pick(groups, args.task, args.family_b, args.metric)
     target = _scale(args, "target")
@@ -271,7 +280,9 @@ def _cmd_flops(args) -> tuple[dict, object]:
     if args.input is None:
         raise UsageError("flops needs --params/--tokens or --input")
 
-    table = ingest(args.input, args.input_format)
+    table = _table(args)
+    if baseline is not None and not len(table):
+        raise DataError(NO_RECORDS)
     scale_list = sorted(table.scales, key=lambda s: s.params)
     total_flops = None
     if (table.tokens >= 0).all():  # exact: 6ND overflows int64

@@ -972,9 +972,14 @@ def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
                         raise DataError(f"row {number}: {exc}") from None
                 raise RuntimeError("a chunk failed its column checks but each of its rows passes")
     if columns.defaulted:
-        message = f"{columns.defaulted} missing seed field(s) defaulted to 0 (first: {columns.first_default})"
-        warnings.warn(f"{source}: {message}", stacklevel=3)
+        warnings.warn(_seed_default_message(source, columns.defaulted, columns.first_default), stacklevel=3)
     return columns.table()
+
+
+def _seed_default_message(source: str, count: int, first: str) -> str:
+    """The warning that ``count`` seed cells of ``source`` were missing,
+    ``first`` (``row N:field``) naming the first of them."""
+    return f"{source}: {count} missing seed field(s) defaulted to 0 (first: {first})"
 
 
 # The type ``np.loadtxt`` parses each field's cells as.  A str cell is

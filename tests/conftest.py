@@ -7,6 +7,7 @@ Seed constants are fixed so reruns are bit-identical.
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ from scalefit.bootstrap import (
 )
 from scalefit.errors import DegenerateDataError
 from scalefit.rng import Substreams
+
+# The CLI's on-disk table cache (scalefit.cache) is off for the whole
+# session, subprocesses and hypothesis examples included, so every test reads
+# its input through the parser and none writes under the home directory;
+# tests/test_cache.py turns it on, in a temporary directory of each test.
+os.environ["SCALEFIT_CACHE_DIR"] = ""
 
 AR32 = tuple(sf.scale_ladder(32, range(1, 9)))
 TARGET = sf.ScaleSpec.from_dims(12, 768)  # 84_934_656 params, ~13.5x the 8-layer scale

@@ -11,6 +11,11 @@ three workload mixes, plus ``extras``, in-process through the tree's
 ``diagnose`` and of each subcommand, so the parser's text is compared too.
 For each command it takes the sha256 of stdout, of stderr, of the exit code
 and of every file the command wrote; each workload input file gets one too.
+The CLI's table cache (``scalefit.cache``) lives in a directory of its own
+under the temporary directory, unless ``SCALEFIT_CACHE_DIR`` is set (empty,
+it turns the cache off), so a run writes no user's cache, and every read of
+an input after its first is a hit: with the cache on, a tree's later reads
+are compared with the other tree's parses.
 
 With one tree it prints those digests, one per line.  With two it prints
 every value that differs or that one side lacks, and exits 1 if there is
@@ -150,6 +155,8 @@ RUN_SETS = {
     "rejected halves": ("rejected-halves.jsonl", _run_set((*((layers, 161) for layers in range(1, 8)), (8, 162)))),
     # five scales and one label, their cells given in several forms
     "mixed cells": ("mixed-cells.jsonl", _mixed_cells()),
+    # the bytes of "mixed sizes" under another name: read from the cache, where it is on
+    "mixed sizes again": ("mixed-again.jsonl", _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))),
 }
 
 
@@ -286,6 +293,7 @@ def collect(tree: Path) -> tuple[dict, dict]:
     digests, texts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        os.environ.setdefault("SCALEFIT_CACHE_DIR", os.path.join(tmp, "cache"))  # a directory: _stats lists files
         for file, text in {**BAD_INPUTS, **BAD_CURVES, **dict(RUN_SETS.values())}.items():
             Path(file).write_text(text, encoding="utf-8", errors="surrogateescape")
         for name in (*workloads.WORKLOADS, "synth", *RUN_SETS, "bad input", "help"):
