@@ -34,23 +34,19 @@ import re
 import stat
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .records import DIRECTIONS, RecordTable, ScaleSpec, _infer_format, _seed_default_message, ingest
+from .records import DIRECTIONS, RecordTable, ScaleSpec, _infer_format, _parse, _warn_seed_defaults
 
 MAX_BYTES = 256 * 2**20  # the entries' total size, beyond which the least recently used are deleted
 _BLOCK = 2**20  # the bytes of the input hashed at a time
 _ENTRY = re.compile(r"[0-9a-f]{64}\.table")
 # Each stored column in file order, and its dtype: the only dtypes a load takes.
 _COLUMNS = {"code": "<i8", "values": "<f8", "seeds": "<i8", "tokens": "<i8", "label": "<i8"}
-# The text of the seed-default warning after ``<file name>: ``.
-_DEFAULTED = re.compile(
-    r"([1-9]\d*) missing seed field\(s\) defaulted to 0 \(first: (row \d+:(?:pretrain|finetune)_seed)\)"
-)
+_FIRST_DEFAULT = re.compile(r"row [1-9]\d*:(pretrain|finetune)_seed")  # the seed defaults' first cell
 
 
 def cache_dir() -> Path | None:
@@ -85,13 +81,12 @@ def _key(fh, format: str) -> str:
     return digest.hexdigest() + ".table"
 
 
-def read_table(path, format: str | None = None, parse=ingest) -> RecordTable:
-    """The table ``parse(path, format)`` returns (``parse`` takes and
-    returns what :func:`scalefit.records.ingest` does), loaded from the
-    cache where a regular file's bytes were parsed before, and stored there
-    after a parse otherwise.  Any other input (a pipe, a FIFO, a file that
-    is gone) goes to ``parse`` alone, so every error is the parse's own.
-    The seed-default warning is issued here, naming the file given, alike on
+def read_table(path, format: str | None = None) -> RecordTable:
+    """What :func:`scalefit.records.ingest` returns for ``path``, loaded
+    from the cache where a regular file's bytes were parsed before, and
+    stored there after a parse otherwise.  Any other input (a pipe, a FIFO,
+    a file that is gone) is parsed alone, so every error is the parse's own.
+    The seed-default warning names the file given and the caller, alike on
     a hit, on a miss and with the cache off."""
     path = Path(path)
     entry = before = None
@@ -109,39 +104,11 @@ def read_table(path, format: str | None = None, parse=ingest) -> RecordTable:
         with contextlib.suppress(OSError):
             os.utime(entry)  # its use, for eviction
     else:
-        table, defaults, clean = _parsed(parse, path, format)
-        if entry is not None and clean and _unchanged(path, before):
+        table, defaults = _parse(path, format)
+        if entry is not None and _unchanged(path, before):
             _store(entry, table, defaults)
-    if defaults is not None:
-        warnings.warn(_seed_default_message(path.name, *defaults), stacklevel=2)
+    _warn_seed_defaults(path.name, defaults, stacklevel=2)
     return table
-
-
-def _parsed(parse, path: Path, format: str | None) -> tuple[RecordTable, tuple[int, str] | None, bool]:
-    """``parse(path, format)``, the seed-default warning it issued held back
-    as (count, first row), or None, and whether it issued no other warning.
-    Any other warning is issued again as it was."""
-    caught: list = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            table = parse(path, format)
-    finally:
-        counts = [_seed_defaults(w, path.name) for w in caught]
-        for w, count in zip(caught, counts):
-            if count is None:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    found = [count for count in counts if count is not None]
-    return table, (found[0] if found else None), len(found) == len(caught) <= 1
-
-
-def _seed_defaults(caught: warnings.WarningMessage, name: str) -> tuple[int, str] | None:
-    """(count, first row) of the seed-default warning of the file ``name``, or None for any other warning."""
-    text, prefix = str(caught.message), f"{name}: "
-    match = _DEFAULTED.fullmatch(text, len(prefix)) if text.startswith(prefix) else None
-    if caught.category is not UserWarning or match is None:
-        return None
-    return int(match[1]), match[2]
 
 
 def _unchanged(path: Path, before: os.stat_result) -> bool:
@@ -228,29 +195,26 @@ def _label(*cells) -> tuple[str, str, str, str]:
 
 
 def _decoded(data: bytes) -> tuple[RecordTable, tuple[int, str] | None]:
-    """The table and seed defaults of an entry's bytes; ValueError (or
-    DataError, from a scale) where any check fails: the header's fields and
-    types, each column's dtype and shape, the exact byte length, ``code``
-    and ``label`` indexing ``scales`` and ``labels``, and each value finite
-    and positive."""
+    """The table and seed defaults of an entry's bytes; ValueError, or
+    another exception :func:`_load` catches, where any check fails: the
+    header's fields and types, each column's dtype and shape, the exact byte
+    length, ``code`` and ``label`` indexing ``scales`` and ``labels``, and
+    each value finite and positive."""
     start = data.index(b"\n") + 1
     header = json.loads(data[:start])
-    _check(start % 8 == 0 and type(header) is dict and set(header) == {"scales", "labels", "seed_defaults", "columns"})
+    _check(type(header) is dict and set(header) == {"scales", "labels", "seed_defaults", "columns"})
     scales = tuple(_scale(*scale) for scale in header["scales"])
     labels = tuple(_label(*label) for label in header["labels"])
     _check(len(set(scales)) == len(scales) and len(set(labels)) == len(labels))
     defaults = header["seed_defaults"]
     if defaults is not None:
         count, first = defaults
-        _check(type(count) is int and type(first) is str)
-        _check(_DEFAULTED.fullmatch(_seed_default_message("", count, first), 2) is not None)
+        _check(type(count) is int and count > 0 and type(first) is str and _FIRST_DEFAULT.fullmatch(first))
         defaults = (count, first)
-    columns = header["columns"]
-    _check(type(columns) is list and [c[0] for c in columns] == list(_COLUMNS))
-    rows = columns[0][2][0]
+    rows = header["columns"][0][2][0]
     _check(type(rows) is int and rows >= 0)
     shapes = {name: [rows, 2] if name == "seeds" else [rows] for name in _COLUMNS}
-    _check(all(c == [name, dtype, shapes[name]] for c, (name, dtype) in zip(columns, _COLUMNS.items())))
+    _check(header["columns"] == [[name, dtype, shapes[name]] for name, dtype in _COLUMNS.items()])
     _check(len(data) == start + 8 * rows * 6)  # seeds holds two of the six numbers of a row
     arrays, offset = {}, start
     for name, dtype in _COLUMNS.items():

@@ -33,6 +33,8 @@ from .diagnose import (
 from .errors import DataError
 from .powerlaw import RESIDUAL_SPACES, fit_runset
 from .predict import extrapolate, holdout_eval, select_model
+# Commands read their input through _table; ingest stays a name of this
+# module because perfbench/spans.py patches scalefit.cli.ingest.
 from .records import DIRECTIONS, FORMATS, RecordTable, RunSet, ScaleSpec, emit, group, ingest, scale_ladder
 from .svg import plot_runset, write_plot
 from .synth import NOISE_MODELS, SynthSpec, generate
@@ -124,11 +126,12 @@ def _pick(groups: dict, task, family, metric) -> RunSet:
 
 
 def _table(args) -> RecordTable:
-    """The records of ``--input``: parsed by ``ingest``, or loaded from the
-    on-disk cache of :mod:`scalefit.cache` if the same bytes were parsed before."""
+    """The records of ``--input``, as ``ingest`` reads them: parsed, or
+    loaded from the on-disk cache of :mod:`scalefit.cache` if the same
+    bytes were parsed before."""
     from . import cache  # here, so that importing the CLI loads no more than it did
 
-    return cache.read_table(args.input, args.input_format, ingest)
+    return cache.read_table(args.input, args.input_format)
 
 
 def _load_runset(args) -> RunSet:

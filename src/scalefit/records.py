@@ -338,7 +338,11 @@ def group(records: RecordTable | Iterable[RunRecord]) -> dict[tuple[str, str, st
     Every record lands in one RunSet; a direction disagreement within a key
     raises :class:`DataError`.
     """
-    table = records if isinstance(records, RecordTable) else _add_chunks(_record_chunks(records), _cells, "records")
+    if isinstance(records, RecordTable):
+        table = records
+    else:
+        table, defaults = _add_chunks(_record_chunks(records), _cells)
+        _warn_seed_defaults("records", defaults, stacklevel=2)
     if not len(table):
         return {}
     keys = sorted({label[:3] for label in table.labels})
@@ -948,14 +952,16 @@ def paused_gc():
             gc.enable()
 
 
-def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
-    """The checked columns of the chunks of ``(row numbers, rows)`` of
-    ``source``, each added by its ``cells``.  When a chunk fails its column
-    checks, ``cells`` reads its rows again one at a time (a
-    :class:`ParsedChunk`'s as ``csv.reader`` reads them) and :func:`_record`
-    checks each, in order; the first that fails raises DataError.  Rows
-    missing a seed get seed 0 and one summary warning for the source.
-    ``guard`` maps a chunk's cells first; CSV cells, strs or None, need none."""
+def _add_chunks(chunks, cells, guard=_guarded) -> tuple[RecordTable, tuple[int, str] | None]:
+    """The table of the checked columns of the chunks of ``(row numbers,
+    rows)``, each added by its ``cells``, and its seed defaults.  When a
+    chunk fails its column checks, ``cells`` reads its rows again one at a
+    time (a :class:`ParsedChunk`'s as ``csv.reader`` reads them) and
+    :func:`_record` checks each, in order; the first that fails raises
+    DataError.  Rows missing a seed get seed 0: the seed defaults are the
+    count of such cells and the first (``row N:field``), or None where there
+    is none.  ``guard`` maps a chunk's cells first; CSV cells, strs or None,
+    need none."""
     columns = _Columns()
     with paused_gc():
         for where, rows in chunks:
@@ -971,15 +977,17 @@ def _add_chunks(chunks, cells, source: str, guard=_guarded) -> RecordTable:
                     except DataError as exc:
                         raise DataError(f"row {number}: {exc}") from None
                 raise RuntimeError("a chunk failed its column checks but each of its rows passes")
-    if columns.defaulted:
-        warnings.warn(_seed_default_message(source, columns.defaulted, columns.first_default), stacklevel=3)
-    return columns.table()
+    return columns.table(), (columns.defaulted, columns.first_default) if columns.defaulted else None
 
 
-def _seed_default_message(source: str, count: int, first: str) -> str:
-    """The warning that ``count`` seed cells of ``source`` were missing,
-    ``first`` (``row N:field``) naming the first of them."""
-    return f"{source}: {count} missing seed field(s) defaulted to 0 (first: {first})"
+def _warn_seed_defaults(source: str, defaults: tuple[int, str] | None, stacklevel: int) -> None:
+    """The one summary warning of the seed defaults of ``source`` (see
+    :func:`_add_chunks`), if any, for the caller ``stacklevel`` frames up
+    from the one calling this, as ``warnings.warn`` counts them."""
+    if defaults is not None:
+        count, first = defaults
+        message = f"{source}: {count} missing seed field(s) defaulted to 0 (first: {first})"
+        warnings.warn(message, stacklevel=stacklevel + 1)
 
 
 # The type ``np.loadtxt`` parses each field's cells as.  A str cell is
@@ -1016,9 +1024,17 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
     format : "jsonl" or "csv"; inferred from the suffix when omitted.
     """
     path = Path(path)
+    table, defaults = _parse(path, format)
+    _warn_seed_defaults(path.name, defaults, stacklevel=2)
+    return table
+
+
+def _parse(path: Path, format: str | None) -> tuple[RecordTable, tuple[int, str] | None]:
+    """What :func:`ingest` reads from ``path``: its table, and its seed
+    defaults (see :func:`_add_chunks`), for which it does not warn."""
     if _infer_format(path, format) == "jsonl":
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            return _add_chunks(_json_chunks(fh), _json_cells, path.name)
+            return _add_chunks(_json_chunks(fh), _json_cells)
     with open_csv(path, _parsed_types) as (header, chunks):
         if header is None:
             raise DataError("row 1: missing CSV header")
@@ -1029,7 +1045,7 @@ def ingest(path: str | Path, format: str | None = None) -> RecordTable:
         twice = next((field for i, field in enumerate(header) if field in header[:i]), None)
         if twice is not None:
             raise DataError(f"row 1: field {twice!r} appears twice in the CSV header")
-        return _add_chunks(chunks, functools.partial(_csv_cells, header=header), path.name, guard=None)
+        return _add_chunks(chunks, functools.partial(_csv_cells, header=header), guard=None)
 
 
 def _json_members(field: str, cells: Sequence) -> Iterable[str]:

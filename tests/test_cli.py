@@ -229,8 +229,9 @@ class TestExitCodes:
         "argv",
         [["fit"], ["holdout", "--train-layers", "1-6", "--test-layers", "7-8"], ["plot", "--out", "p.svg"],
          ["select", "--family-a", "a", "--family-b", "b", "--target-layers", "9", "--target-hidden", "288",
-          "--seed", "1"]],
-        ids=["fit", "holdout", "plot", "select"],
+          "--seed", "1"],
+         ["flops", "--baseline-layers", "2", "--baseline-hidden", "64"]],
+        ids=["fit", "holdout", "plot", "select", "flops-baseline"],
     )
     def test_an_input_without_records_says_so(self, tmp_path, monkeypatch, capsys, name, text, argv):
         monkeypatch.chdir(tmp_path)
@@ -240,6 +241,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: the input holds no records\n"
         assert not Path("p.svg").exists()
+
+    def test_flops_of_an_input_without_records_counts_zero(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+        code, captured = run_json(capsys, ["flops", "--input", str(path)])
+        assert code == 0
+        results = json.loads(captured.out)["results"]
+        assert (results["scales"], results["total_params"], results["total_flops"]) == ([], 0, 0)
 
     @pytest.mark.parametrize(
         "layers, widths, message",

@@ -27,7 +27,14 @@ other.  The first times, with the tree's ``scalefit``:
   and its fit, as the ``plot`` command draws it, best of 5;
 - ``group(ingest("ladder.jsonl"))`` and ``group(ingest("ladder.csv"))``,
   the same 80 records written as CSV by this script: the fastest of 20
-  blocks of 200 calls, per call.
+  blocks of 200 calls, per call;
+- with the CLI's table cache (``scalefit.cache``) in a temporary
+  directory, ``read_table`` of ``bulk.jsonl`` and of ``bulk.csv`` on a hit,
+  its key and load (``jsonl_hit_ms``, ``csv_hit_ms``), best of 5, taking
+  turns; and ``jsonl_miss_extra_ms``, what a miss of ``bulk.jsonl`` (into an
+  empty directory: the hash, the parse, the directory and the write) takes
+  beyond ``ingest``, the best of 5 of each, taking turns.  A tree without
+  the cache prints ``nan`` for these three.
 
 The second, which imports no ``scalefit``, times the bare chunked parse
 loops of the same files, best of 5 each, taking turns: ``json.loads`` of
@@ -61,6 +68,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -79,7 +87,7 @@ CHUNK = 4096  # the rows ingest parses at a time
 # The timings of one round of a tree, in the order printed.
 TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "csv_loadtxt_ms", "curve_ms", "curve_bare_ms",
            "curve_loadtxt_ms", "holes_ms", "nonascii_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms",
-           "ladder_ms", "ladder_csv_ms")
+           "ladder_ms", "ladder_csv_ms", "jsonl_hit_ms", "csv_hit_ms", "jsonl_miss_extra_ms")
 # Each timing that has a bare parse loop to compare with, and that loop's timing.
 PARSED = {"jsonl": "jsonl_bare_ms", "csv": "csv_loadtxt_ms", "curve": "curve_loadtxt_ms"}
 # The bare loops run the same code in both trees: their ratios between the
@@ -185,7 +193,31 @@ def measure(tree: Path) -> dict:
     for name, path in (("ladder_ms", "ladder.jsonl"), ("ladder_csv_ms", "ladder.csv")):
         (block,) = _best(lambda: [sf.group(sf.ingest(path)) for _ in range(200)], repeat=20)
         got[name] = block / 200
+    got.update(_cached(sf))
     return got
+
+
+def _cached(sf) -> dict:
+    """The cache's hit timings of ``bulk.jsonl`` and ``bulk.csv``, and what a
+    miss of ``bulk.jsonl`` takes beyond ``ingest``; NaN without the cache."""
+    names = ("jsonl_hit_ms", "csv_hit_ms", "jsonl_miss_extra_ms")
+    try:
+        from scalefit import cache
+    except ImportError:  # a tree from before the cache
+        return dict.fromkeys(names, math.nan)
+    fresh = itertools.count()
+
+    def miss() -> None:
+        os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, str(next(fresh)))
+        cache.read_table("bulk.jsonl")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, "hits")
+        for path in ("bulk.jsonl", "bulk.csv"):
+            cache.read_table(path)  # a miss, which stores the entry
+        hits = _best(lambda: cache.read_table("bulk.jsonl"), lambda: cache.read_table("bulk.csv"), repeat=5)
+        plain, missed = _best(lambda: sf.ingest("bulk.jsonl"), miss, repeat=5)
+    return dict(zip(names, (*hits, missed - plain)))
 
 
 def bare() -> dict:
@@ -262,7 +294,7 @@ def main(argv=None) -> int:
               f"A/A band of the bare-loop ratios, {', '.join(CONTROLS)}, round by round:")
         for name in TIMINGS:
             ratio = b[name] / a[name]
-            outside = "  outside" if not low <= ratio <= high else ""
+            outside = "" if math.isnan(ratio) or low <= ratio <= high else "  outside"
             print(f"  {name:16} {ratio:6.3f}  band {low:.3f}-{high:.3f}{outside}")
     return 0
 
