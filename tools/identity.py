@@ -143,10 +143,11 @@ HELP_PATHS = (
     ("diagnose", "earlystop"), ("diagnose", "fit-outlier"), ("synth",), ("plot",),
 )
 
+_MIXED_SIZES = _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))  # scales of 1 to 4 records, one a single record
+
 # Label -> (file, text) of good run sets, each fitted and bootstrapped in both modes.
 RUN_SETS = {
-    # scales of 1 to 4 records, one of them a single record
-    "mixed sizes": ("mixed.jsonl", _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))),
+    "mixed sizes": ("mixed.jsonl", _MIXED_SIZES),
     # 4 scales of 1, 1, 1 and 2 records: so many first draws are degenerate
     # that some blocks of a band redraw resamples, and others do not
     "redraws": ("redraws.jsonl", _run_set(((1, 1), (2, 1), (3, 1), (4, 2)))),
@@ -156,7 +157,7 @@ RUN_SETS = {
     # five scales and one label, their cells given in several forms
     "mixed cells": ("mixed-cells.jsonl", _mixed_cells()),
     # the bytes of "mixed sizes" under another name: read from the cache, where it is on
-    "mixed sizes again": ("mixed-again.jsonl", _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))),
+    "mixed sizes again": ("mixed-again.jsonl", _MIXED_SIZES),
 }
 
 

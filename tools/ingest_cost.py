@@ -205,17 +205,17 @@ def _cached(sf) -> dict:
         from scalefit import cache
     except ImportError:  # a tree from before the cache
         return dict.fromkeys(names, math.nan)
-    fresh = itertools.count()
-
-    def miss() -> None:
-        os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, str(next(fresh)))
-        cache.read_table("bulk.jsonl")
-
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, "hits")
         for path in ("bulk.jsonl", "bulk.csv"):
             cache.read_table(path)  # a miss, which stores the entry
         hits = _best(lambda: cache.read_table("bulk.jsonl"), lambda: cache.read_table("bulk.csv"), repeat=5)
+        fresh = itertools.count()
+
+        def miss() -> None:  # into a new, empty cache directory
+            os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, str(next(fresh)))
+            cache.read_table("bulk.jsonl")
+
         plain, missed = _best(lambda: sf.ingest("bulk.jsonl"), miss, repeat=5)
     return dict(zip(names, (*hits, missed - plain)))
 
