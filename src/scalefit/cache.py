@@ -14,7 +14,10 @@ each column's dtype and shape), then the raw little-endian bytes of the
 columns ``code``, ``values``, ``seeds``, ``tokens`` and ``label``.  A load
 is one read and ``np.frombuffer`` views of it; nothing is unpickled.  An
 entry that fails any check of :func:`_decoded` is a miss, which parses the
-file again and overwrites it.
+file again and overwrites it.  The parse reads the file a second time, so a
+miss hashes the file again after it and stores the table only where the
+two digests agree: an entry holds the table of the bytes it is named by,
+however the file changed while it was read.
 
 The directory is ``$SCALEFIT_CACHE_DIR`` (an empty value turns the cache
 off), else ``$XDG_CACHE_HOME/scalefit``, else ``~/.cache/scalefit``.
@@ -81,44 +84,41 @@ def _key(fh, format: str) -> str:
     return digest.hexdigest() + ".table"
 
 
-def read_table(path, format: str | None = None) -> RecordTable:
+def read_table(path, format: str | None = None, stacklevel: int = 1) -> RecordTable:
     """What :func:`scalefit.records.ingest` returns for ``path``, loaded
     from the cache where a regular file's bytes were parsed before, and
     stored there after a parse otherwise.  Any other input (a pipe, a FIFO,
     a file that is gone) is parsed alone, so every error is the parse's own.
-    The seed-default warning names the file given and the caller, alike on
-    a hit, on a miss and with the cache off."""
+    The seed-default warning names the file given, alike on a hit, on a miss
+    and with the cache off; ``stacklevel`` picks the line it is reported
+    for, as ``warnings.warn`` counts it from the caller of this function."""
     path = Path(path)
-    entry = before = None
     directory = cache_dir()
-    if directory is not None:
-        with contextlib.suppress(DataError, OSError):  # the parse reports it
-            fmt = _infer_format(path, format)
-            if stat.S_ISREG(os.stat(path).st_mode):
-                with open(path, "rb", buffering=0) as fh:
-                    before = os.fstat(fh.fileno())
-                    entry = directory / _key(fh, fmt)
-    loaded = None if entry is None else _load(entry)
+    key = None if directory is None else _file_key(path, format)
+    loaded = None if key is None else _load(directory / key)
     if loaded is not None:
         table, defaults = loaded
         with contextlib.suppress(OSError):
-            os.utime(entry)  # its use, for eviction
+            os.utime(directory / key)  # its use, for eviction
     else:
         table, defaults = _parse(path, format)
-        if entry is not None and _unchanged(path, before):
-            _store(entry, table, defaults)
-    _warn_seed_defaults(path.name, defaults, stacklevel=2)
+        # The parse read the file again: store its table only under the
+        # digest of the bytes it read, which a second hash confirms.
+        if key is not None and _file_key(path, format) == key:
+            _store(directory / key, table, defaults)
+    _warn_seed_defaults(path.name, defaults, stacklevel=stacklevel + 1)
     return table
 
 
-def _unchanged(path: Path, before: os.stat_result) -> bool:
-    """Whether ``path`` is still the file ``before`` was taken of, by size, mtime and inode."""
-    try:
-        after = os.stat(path)
-    except OSError:
-        return False
-    fields = lambda st: (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-    return fields(after) == fields(before)
+def _file_key(path: Path, format: str | None) -> str | None:
+    """The entry name of ``path`` if it is a regular file whose format is
+    known and whose bytes can be read, else None: the parse reports the rest."""
+    with contextlib.suppress(DataError, OSError):
+        fmt = _infer_format(path, format)
+        if stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "rb", buffering=0) as fh:
+                return _key(fh, fmt)
+    return None
 
 
 def _store(entry: Path, table: RecordTable, defaults: tuple[int, str] | None) -> None:

@@ -131,7 +131,8 @@ def _table(args) -> RecordTable:
     bytes were parsed before."""
     from . import cache  # here, so that importing the CLI loads no more than it did
 
-    return cache.read_table(args.input, args.input_format)
+    # stacklevel 2: a seed-default warning names the command's line calling this
+    return cache.read_table(args.input, args.input_format, stacklevel=2)
 
 
 def _load_runset(args) -> RunSet:

@@ -8,6 +8,7 @@ Seed constants are fixed so reruns are bit-identical.
 import itertools
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ from scalefit.bootstrap import (
 from scalefit.errors import DegenerateDataError
 from scalefit.rng import Substreams
 
-# The CLI's on-disk table cache (scalefit.cache) is off for the whole
-# session, subprocesses and hypothesis examples included, so every test reads
-# its input through the parser and none writes under the home directory;
-# tests/test_cache.py turns it on, in a temporary directory of each test.
-os.environ["SCALEFIT_CACHE_DIR"] = ""
+# The CLI's on-disk table cache (scalefit.cache) is on, as users run it, in a
+# temporary directory of the session's own (removed at exit), so no test,
+# subprocess or hypothesis example writes under the home directory: CLI tests
+# read their inputs as a miss or a hit, and tests that call ingest parse.
+# tests/test_cache.py gives each of its tests a directory of its own.
+_CACHE = tempfile.TemporaryDirectory(prefix="scalefit-cache-")
+os.environ["SCALEFIT_CACHE_DIR"] = _CACHE.name
 
 AR32 = tuple(sf.scale_ladder(32, range(1, 9)))
 TARGET = sf.ScaleSpec.from_dims(12, 768)  # 84_934_656 params, ~13.5x the 8-layer scale

@@ -2,9 +2,10 @@
 
 A miss and a hit print what a parse prints, byte for byte, warnings
 included; an entry is stored only for a regular file that parsed cleanly
-into int64 columns and did not change while it was read, and an entry that
-fails a check is parsed again and overwritten.  ``conftest.py`` turns the
-cache off; each test here turns it on in a directory of its own.
+into int64 columns and hashed the same before and after its parse, and an
+entry that fails a check is parsed again and overwritten.  ``conftest.py``
+points the cache at a directory of the session; each test here uses one of
+its own.
 """
 
 import csv
@@ -210,6 +211,47 @@ def test_new_bytes_of_the_same_size_and_mtime_miss(cache_dir, parses, capsys, mo
     assert expected != before
     assert outcome(capsys, argv) == expected
     assert len(parses) == 3 and len(entries(cache_dir)) == 2
+
+
+def test_bytes_rewritten_during_the_parse_are_not_stored_under_the_old_key(cache_dir, capsys, monkeypatch):
+    write_inputs()
+    argv = ["fit", "--family", "mlm", "--input", "runs.jsonl"]
+    expected = uncached(capsys, monkeypatch, argv)
+    original = Path("runs.jsonl").read_text(encoding="utf-8")
+    st = os.stat("runs.jsonl")
+    value = repr(json.loads(original.splitlines()[0])["value"])
+    other = original.replace(value, value[:3] + str((int(value[3]) + 1) % 10) + value[4:], 1)
+    parse = cache._parse
+
+    def rewritten_first(*args):
+        # the same inode, size and mtime, other bytes, after the hash and before the parse
+        Path("runs.jsonl").write_text(other, encoding="utf-8")
+        os.utime("runs.jsonl", ns=(st.st_atime_ns, st.st_mtime_ns))
+        return parse(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cache, "_parse", rewritten_first)
+        changed = outcome(capsys, argv)
+    assert changed != expected and changed == uncached(capsys, monkeypatch, argv)
+    assert entries(cache_dir) == []
+    Path("runs.jsonl").write_text(original, encoding="utf-8")
+    os.utime("runs.jsonl", ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert outcome(capsys, argv) == expected  # a miss, then a hit
+    assert outcome(capsys, argv) == expected
+    assert len(entries(cache_dir)) == 1
+
+
+def test_the_warning_names_each_commands_own_line(cache_dir, capsys, monkeypatch):
+    write_inputs()
+    lines = Path(cli.__file__).read_text(encoding="utf-8").splitlines()
+    located = set()
+    for command in ("fit", "select", "flops"):
+        argv = COMMANDS[command] + INPUTS["jsonl"]
+        for code, _, _, caught in (uncached(capsys, monkeypatch, argv), outcome(capsys, argv), outcome(capsys, argv)):
+            ((_, _, filename, lineno),) = caught
+            assert code == 0 and Path(filename) == Path(cli.__file__) and "_table(args)" in lines[lineno - 1]
+            located.add((command, lineno))
+    assert len(located) == 3 and len({lineno for _, lineno in located}) == 3
 
 
 def _split(entry: Path) -> tuple[dict, dict]:
