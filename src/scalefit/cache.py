@@ -1,9 +1,9 @@
 """A content-keyed on-disk cache of ingested record tables.
 
 The CLI reads every records file through :func:`read_table`.  A regular
-file's table is stored once, under a sha256 of the file's bytes, and a
-later read of the same bytes, under any name, loads the table instead of
-parsing the file again.  The key also covers this package's own sources,
+file of at least ``MIN_BYTES`` has its table stored once, under a sha256 of
+the file's bytes, and a later read of the same bytes, under any name, loads
+the table instead of parsing the file again.  The key also covers this package's own sources,
 the numpy and Python versions, the interpreter's limit on integer string
 digits and the resolved format, so an entry is only read by code that
 would parse the file to the same table.
@@ -45,6 +45,10 @@ from .errors import DataError
 from .records import DIRECTIONS, RecordTable, ScaleSpec, _infer_format, _parse, _warn_seed_defaults
 
 MAX_BYTES = 256 * 2**20  # the entries' total size, beyond which the least recently used are deleted
+# The smallest file cached.  A smaller one parses in about a millisecond or
+# less (~17 us per KiB of JSONL), no more than an entry's write and rename
+# add to a miss, so it is parsed on every read.
+MIN_BYTES = 64 * 2**10
 _BLOCK = 2**20  # the bytes of the input hashed at a time
 _ENTRY = re.compile(r"[0-9a-f]{64}\.table")
 # Each stored column in file order, and its dtype: the only dtypes a load takes.
@@ -111,11 +115,13 @@ def read_table(path, format: str | None = None, stacklevel: int = 1) -> RecordTa
 
 
 def _file_key(path: Path, format: str | None) -> str | None:
-    """The entry name of ``path`` if it is a regular file whose format is
-    known and whose bytes can be read, else None: the parse reports the rest."""
+    """The entry name of ``path`` if it is a regular file of at least
+    ``MIN_BYTES`` whose format is known and whose bytes can be read, else
+    None: the parse reports the rest."""
     with contextlib.suppress(DataError, OSError):
         fmt = _infer_format(path, format)
-        if stat.S_ISREG(os.stat(path).st_mode):
+        st = os.stat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_size >= MIN_BYTES:
             with open(path, "rb", buffering=0) as fh:
                 return _key(fh, fmt)
     return None

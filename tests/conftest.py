@@ -30,8 +30,9 @@ from scalefit.rng import Substreams
 # The CLI's on-disk table cache (scalefit.cache) is on, as users run it, in a
 # temporary directory of the session's own (removed at exit), so no test,
 # subprocess or hypothesis example writes under the home directory: CLI tests
-# read their inputs as a miss or a hit, and tests that call ingest parse.
-# tests/test_cache.py gives each of its tests a directory of its own.
+# read their inputs through the cache (most are under its size floor, and
+# parse), and tests that call ingest parse.  tests/test_cache.py gives each
+# of its tests a directory of its own.
 _CACHE = tempfile.TemporaryDirectory(prefix="scalefit-cache-")
 os.environ["SCALEFIT_CACHE_DIR"] = _CACHE.name
 

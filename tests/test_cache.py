@@ -71,9 +71,10 @@ def uncached(capsys, monkeypatch, argv) -> tuple:
 def write_inputs() -> None:
     """Two families' records whose every ninth row lacks its pretrain seed,
     as ``runs.jsonl``, its copy ``copy.jsonl``, ``runs.csv`` and, holding
-    the CSV bytes, ``csv-bytes.jsonl``."""
-    a, _ = ar32_synth(901, family="mlm")
-    b, _ = ar32_synth(902, family="pmi", log_c=TRUE_LOG_C + 0.02)
+    the CSV bytes, ``csv-bytes.jsonl``; 80 seeds a scale make each file at
+    least ``cache.MIN_BYTES``."""
+    a, _ = ar32_synth(901, family="mlm", seeds_per_scale=80)
+    b, _ = ar32_synth(902, family="pmi", log_c=TRUE_LOG_C + 0.02, seeds_per_scale=80)
     sf.emit([*a.records, *b.records], "full.jsonl")
     sf.emit([*a.records, *b.records], "full.csv")
     lines = Path("full.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -91,6 +92,7 @@ def write_inputs() -> None:
     csv.writer(out).writerows(table)
     Path("runs.csv").write_text(out.getvalue(), encoding="utf-8", newline="")
     Path("csv-bytes.jsonl").write_text(out.getvalue(), encoding="utf-8", newline="")
+    assert min(os.path.getsize(name) for name in ("runs.jsonl", "runs.csv")) >= cache.MIN_BYTES
 
 
 COMMANDS = {
@@ -124,7 +126,8 @@ def test_a_miss_and_a_hit_print_what_a_parse_prints(cache_dir, parses, capsys, m
 
 
 @pytest.mark.parametrize("name", ["runs.jsonl", "runs.csv", "params.jsonl", "empty.jsonl"])
-def test_a_hit_returns_the_parsed_table(cache_dir, name):
+def test_a_hit_returns_the_parsed_table(cache_dir, monkeypatch, name):
+    monkeypatch.setattr(cache, "MIN_BYTES", 0)  # an entry of the empty file too
     write_inputs()
     rows = [json.loads(line) for line in Path("full.jsonl").read_text(encoding="utf-8").splitlines()]
     Path("params.jsonl").write_text("".join(json.dumps({k: v for k, v in row.items() if k not in ("layers", "hidden")})
@@ -151,6 +154,19 @@ def test_a_hit_under_another_name_warns_with_that_name(cache_dir, parses, capsys
     assert len(parses) == 2  # a hit: the same bytes
     assert got == expected
     assert got[3][0][0].startswith("copy.jsonl: ")
+
+
+def test_a_file_under_the_floor_is_parsed_on_every_read(cache_dir, parses, capsys, monkeypatch):
+    write_inputs()
+    size = os.path.getsize("runs.jsonl")
+    argv = ["fit", "--family", "mlm", "--input", "runs.jsonl"]
+    monkeypatch.setattr(cache, "MIN_BYTES", size + 1)
+    expected = uncached(capsys, monkeypatch, argv)
+    assert outcome(capsys, argv) == expected and outcome(capsys, argv) == expected
+    assert len(parses) == 3 and entries(cache_dir) == []
+    monkeypatch.setattr(cache, "MIN_BYTES", size)
+    assert outcome(capsys, argv) == expected and outcome(capsys, argv) == expected
+    assert len(parses) == 4 and len(entries(cache_dir)) == 1
 
 
 def test_the_format_is_part_of_the_key(cache_dir, capsys, monkeypatch):

@@ -14,8 +14,9 @@ and of every file the command wrote; each workload input file gets one too.
 The CLI's table cache (``scalefit.cache``) lives in a directory of its own
 under the temporary directory, unless ``SCALEFIT_CACHE_DIR`` is set (empty,
 it turns the cache off), so a run writes no user's cache, and every read of
-an input after its first is a hit: with the cache on, a tree's later reads
-are compared with the other tree's parses.
+an input of at least ``MIN_BYTES`` (``bulk.jsonl``, ``bulk.csv`` and
+``ragged.jsonl``) after its first is a hit: with the cache on, a tree's
+later reads are compared with the other tree's parses.
 
 With one tree it prints those digests, one per line.  With two it prints
 every value that differs or that one side lacks, and exits 1 if there is
@@ -143,11 +144,10 @@ HELP_PATHS = (
     ("diagnose", "earlystop"), ("diagnose", "fit-outlier"), ("synth",), ("plot",),
 )
 
-_MIXED_SIZES = _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))  # scales of 1 to 4 records, one a single record
-
 # Label -> (file, text) of good run sets, each fitted and bootstrapped in both modes.
 RUN_SETS = {
-    "mixed sizes": ("mixed.jsonl", _MIXED_SIZES),
+    # scales of 1 to 4 records, one of them a single record
+    "mixed sizes": ("mixed.jsonl", _run_set(((1, 3), (2, 1), (3, 4), (4, 2), (5, 3)))),
     # 4 scales of 1, 1, 1 and 2 records: so many first draws are degenerate
     # that some blocks of a band redraw resamples, and others do not
     "redraws": ("redraws.jsonl", _run_set(((1, 1), (2, 1), (3, 1), (4, 2)))),
@@ -156,8 +156,6 @@ RUN_SETS = {
     "rejected halves": ("rejected-halves.jsonl", _run_set((*((layers, 161) for layers in range(1, 8)), (8, 162)))),
     # five scales and one label, their cells given in several forms
     "mixed cells": ("mixed-cells.jsonl", _mixed_cells()),
-    # the bytes of "mixed sizes" under another name: read from the cache, where it is on
-    "mixed sizes again": ("mixed-again.jsonl", _MIXED_SIZES),
 }
 
 
