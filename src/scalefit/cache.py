@@ -3,10 +3,10 @@
 The CLI reads every records file through :func:`read_table`.  A regular
 file of at least ``MIN_BYTES`` has its table stored once, under a sha256 of
 the file's bytes, and a later read of the same bytes, under any name, loads
-the table instead of parsing the file again.  The key also covers this package's own sources,
-the numpy and Python versions, the interpreter's limit on integer string
-digits and the resolved format, so an entry is only read by code that
-would parse the file to the same table.
+the table instead of parsing the file again.  The key also covers this
+package's own sources, the numpy and Python versions, the interpreter's
+limit on integer string digits and the resolved format, so an entry is only
+read by code that would parse the file to the same table.
 
 An entry is one file: a JSON header line (the scales as ``[layers, hidden,
 params]``, the labels, the seed-default warning's count and first row, and
@@ -92,7 +92,8 @@ def read_table(path, format: str | None = None, stacklevel: int = 1) -> RecordTa
     """What :func:`scalefit.records.ingest` returns for ``path``, loaded
     from the cache where a regular file's bytes were parsed before, and
     stored there after a parse otherwise.  Any other input (a pipe, a FIFO,
-    a file that is gone) is parsed alone, so every error is the parse's own.
+    a file that is gone or under ``MIN_BYTES``) is parsed alone, so every
+    error is the parse's own.
     The seed-default warning names the file given, alike on a hit, on a miss
     and with the cache off; ``stacklevel`` picks the line it is reported
     for, as ``warnings.warn`` counts it from the caller of this function."""
