@@ -23,6 +23,9 @@ import numpy as np
 
 from .bootstrap import MODES, BootstrapConfig, bootstrap_band
 from .compute import ComputeEstimate, flops, savings_ratio
+# Commands read a loss curve through scalefit.cache.read_curve;
+# load_loss_curve stays a name of this module because perfbench/spans.py
+# patches scalefit.cli.load_loss_curve.
 from .diagnose import (
     EarlyStopPolicy,
     compare_policies,
@@ -308,7 +311,9 @@ def _cmd_flops(args) -> tuple[dict, object]:
 
 def _cmd_diagnose_earlystop(args) -> tuple[dict, object]:
     policies = [EarlyStopPolicy(patience=p, min_decrease=args.min_decrease) for p in args.patience]
-    curve = load_loss_curve(args.curve)
+    from . import cache  # here, so that importing the CLI loads no more than it did
+
+    curve = cache.read_curve(args.curve)  # as load_loss_curve reads it: parsed, or loaded from the cache
     inputs = {
         "curve": args.curve,
         "patience": list(args.patience),

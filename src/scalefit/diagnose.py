@@ -106,8 +106,13 @@ def load_loss_curve(path: str | Path) -> LossCurve:
                 raise error
     if not steps:
         return LossCurve(steps=(), losses=())  # raises: a curve has a point
-    curve = object.__new__(LossCurve)  # each point is checked above: not again in __post_init__
-    vars(curve).update(steps=tuple(steps), losses=tuple(losses))
+    return _checked_curve(tuple(steps), tuple(losses))  # each point is checked above
+
+
+def _checked_curve(steps: tuple[int, ...], losses: tuple[float, ...]) -> LossCurve:
+    """The curve of points whose rules were checked already: not again in ``__post_init__``."""
+    curve = object.__new__(LossCurve)
+    vars(curve).update(steps=steps, losses=losses)
     return curve
 
 

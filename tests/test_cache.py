@@ -1,9 +1,10 @@
-"""The CLI's on-disk cache of ingested tables (``scalefit.cache``).
+"""The CLI's on-disk cache of ingested tables and loss curves (``scalefit.cache``).
 
 A miss and a hit print what a parse prints, byte for byte, warnings
 included; an entry is stored only for a regular file that parsed cleanly
 into int64 columns and hashed the same before and after its parse, and an
-entry that fails a check is parsed again and overwritten.  ``conftest.py``
+entry that fails a check is parsed again and overwritten.  Record tables
+and loss curves take the same paths; most tests run each kind.  ``conftest.py``
 points the cache at a directory of the session; each test here uses one of
 its own.
 """
@@ -35,22 +36,25 @@ def cache_dir(tmp_path, monkeypatch):
     return directory
 
 
+# The function each kind of entry is parsed by, as ``scalefit.cache`` calls it.
+PARSERS = {"table": "_parse", "curve": "load_loss_curve"}
+
+
 @pytest.fixture()
 def parses(monkeypatch):
-    """The arguments of each parse of a records file: one per miss, none per hit."""
+    """The arguments of each parse of a records file or a loss curve: one per miss, none per hit."""
     calls = []
-    parse = cache._parse
+    for name in PARSERS.values():
+        def counted(*args, parse=getattr(cache, name)):
+            calls.append(args)
+            return parse(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return parse(*args)
-
-    monkeypatch.setattr(cache, "_parse", counted)
+        monkeypatch.setattr(cache, name, counted)
     return calls
 
 
 def entries(directory: Path) -> list[Path]:
-    return sorted(directory.glob("*.table")) if directory.is_dir() else []
+    return sorted(p for p in directory.iterdir() if cache._ENTRY.fullmatch(p.name)) if directory.is_dir() else []
 
 
 def outcome(capsys, argv) -> tuple:
@@ -72,7 +76,8 @@ def write_inputs() -> None:
     """Two families' records whose every ninth row lacks its pretrain seed,
     as ``runs.jsonl``, its copy ``copy.jsonl``, ``runs.csv`` and, holding
     the CSV bytes, ``csv-bytes.jsonl``; 80 seeds a scale make each file at
-    least ``cache.MIN_BYTES``."""
+    least ``cache.MIN_BYTES``.  And ``curve.csv``, a loss curve of 6,000
+    points that falls with a wiggle, also at least ``cache.MIN_BYTES``."""
     a, _ = ar32_synth(901, family="mlm", seeds_per_scale=80)
     b, _ = ar32_synth(902, family="pmi", log_c=TRUE_LOG_C + 0.02, seeds_per_scale=80)
     sf.emit([*a.records, *b.records], "full.jsonl")
@@ -92,7 +97,9 @@ def write_inputs() -> None:
     csv.writer(out).writerows(table)
     Path("runs.csv").write_text(out.getvalue(), encoding="utf-8", newline="")
     Path("csv-bytes.jsonl").write_text(out.getvalue(), encoding="utf-8", newline="")
-    assert min(os.path.getsize(name) for name in ("runs.jsonl", "runs.csv")) >= cache.MIN_BYTES
+    points = (f"{10 * i},{2.0 + 30 / (10 + i) + 0.01 * (i * 7919 % 13) / 13}\n" for i in range(1, 6001))
+    Path("curve.csv").write_text("step,eval_loss\n" + "".join(points), encoding="utf-8")
+    assert min(os.path.getsize(name) for name in ("runs.jsonl", "runs.csv", "curve.csv")) >= cache.MIN_BYTES
 
 
 COMMANDS = {
@@ -107,6 +114,12 @@ INPUTS = {
     "jsonl": ["--input", "runs.jsonl"],
     "csv": ["--input", "runs.csv"],
     "format-over-suffix": ["--input", "csv-bytes.jsonl", "--input-format", "csv"],
+}
+EARLYSTOP = ["diagnose", "earlystop", "--patience", "5", "50", "--curve"]
+# A file of each kind of entry, and a command that reads it.
+READS = {
+    "table": ("runs.jsonl", ["fit", "--family", "mlm", "--input", "runs.jsonl"]),
+    "curve": ("curve.csv", [*EARLYSTOP, "curve.csv"]),
 }
 
 
@@ -125,14 +138,21 @@ def test_a_miss_and_a_hit_print_what_a_parse_prints(cache_dir, parses, capsys, m
     assert len(parses) == 2
 
 
-@pytest.mark.parametrize("name", ["runs.jsonl", "runs.csv", "params.jsonl", "empty.jsonl"])
-def test_a_hit_returns_the_parsed_table(cache_dir, monkeypatch, name):
+@pytest.mark.parametrize("name", ["runs.jsonl", "runs.csv", "params.jsonl", "empty.jsonl", "curve.csv"])
+def test_a_hit_returns_what_the_parse_returns(cache_dir, monkeypatch, name):
     monkeypatch.setattr(cache, "MIN_BYTES", 0)  # an entry of the empty file too
     write_inputs()
     rows = [json.loads(line) for line in Path("full.jsonl").read_text(encoding="utf-8").splitlines()]
     Path("params.jsonl").write_text("".join(json.dumps({k: v for k, v in row.items() if k not in ("layers", "hidden")})
                                             + "\n" for row in rows), encoding="utf-8")
     Path("empty.jsonl").write_text("", encoding="utf-8")
+    if name == "curve.csv":
+        parsed, missed, hit = sf.load_loss_curve(name), cache.read_curve(name), cache.read_curve(name)
+        assert [path.suffix for path in entries(cache_dir)] == [".curve"]
+        for curve in (missed, hit):
+            assert type(curve) is sf.LossCurve and curve == parsed
+            assert {type(step) for step in curve.steps} == {int} and {type(loss) for loss in curve.losses} == {float}
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         parsed, missed, hit = sf.ingest(name), cache.read_table(name), cache.read_table(name)
@@ -156,10 +176,11 @@ def test_a_hit_under_another_name_warns_with_that_name(cache_dir, parses, capsys
     assert got[3][0][0].startswith("copy.jsonl: ")
 
 
-def test_a_file_under_the_floor_is_parsed_on_every_read(cache_dir, parses, capsys, monkeypatch):
+@pytest.mark.parametrize("kind", READS)
+def test_a_file_under_the_floor_is_parsed_on_every_read(cache_dir, parses, capsys, monkeypatch, kind):
     write_inputs()
-    size = os.path.getsize("runs.jsonl")
-    argv = ["fit", "--family", "mlm", "--input", "runs.jsonl"]
+    name, argv = READS[kind]
+    size = os.path.getsize(name)
     monkeypatch.setattr(cache, "MIN_BYTES", size + 1)
     expected = uncached(capsys, monkeypatch, argv)
     assert outcome(capsys, argv) == expected and outcome(capsys, argv) == expected
@@ -167,6 +188,19 @@ def test_a_file_under_the_floor_is_parsed_on_every_read(cache_dir, parses, capsy
     monkeypatch.setattr(cache, "MIN_BYTES", size)
     assert outcome(capsys, argv) == expected and outcome(capsys, argv) == expected
     assert len(parses) == 4 and len(entries(cache_dir)) == 1
+
+
+def test_a_table_and_a_curve_of_the_same_bytes_are_two_entries(cache_dir, parses, monkeypatch):
+    write_inputs()
+    curve = cache.read_curve("curve.csv")
+    table = sf.ingest("full.csv")
+    with monkeypatch.context() as m:
+        m.setattr(cache, "_parse", lambda path, format: (table, None))  # curve.csv's bytes parse to a table
+        assert cache.read_table("curve.csv", "csv") == table
+    kinds = entries(cache_dir)
+    assert sorted(path.suffix for path in kinds) == [".curve", ".table"] and kinds[0].stem != kinds[1].stem
+    assert cache.read_curve("curve.csv") == curve and cache.read_table("curve.csv", "csv") == table
+    assert len(parses) == 1  # the curve's first read; the last two are hits
 
 
 def test_the_format_is_part_of_the_key(cache_dir, capsys, monkeypatch):
@@ -229,29 +263,35 @@ def test_new_bytes_of_the_same_size_and_mtime_miss(cache_dir, parses, capsys, mo
     assert len(parses) == 3 and len(entries(cache_dir)) == 2
 
 
-def test_bytes_rewritten_during_the_parse_are_not_stored_under_the_old_key(cache_dir, capsys, monkeypatch):
+@pytest.mark.parametrize("kind", READS)
+def test_bytes_rewritten_during_the_parse_are_not_stored_under_the_old_key(cache_dir, capsys, monkeypatch, kind):
     write_inputs()
-    argv = ["fit", "--family", "mlm", "--input", "runs.jsonl"]
+    name, argv = READS[kind]
     expected = uncached(capsys, monkeypatch, argv)
-    original = Path("runs.jsonl").read_text(encoding="utf-8")
-    st = os.stat("runs.jsonl")
-    value = repr(json.loads(original.splitlines()[0])["value"])
-    other = original.replace(value, value[:3] + str((int(value[3]) + 1) % 10) + value[4:], 1)
-    parse = cache._parse
+    original = Path(name).read_text(encoding="utf-8")
+    st = os.stat(name)
+    if kind == "table":  # a digit of the first record's value
+        value = repr(json.loads(original.splitlines()[0])["value"])
+        other = original.replace(value, value[:3] + str((int(value[3]) + 1) % 10) + value[4:], 1)
+    else:  # the first point's loss, 4.7... as 1.7...: the least of the curve
+        point = original.splitlines()[1]
+        other = original.replace(point, point.replace(",4.", ",1."), 1)
+    assert len(other) == len(original) and other != original
+    parse = getattr(cache, PARSERS[kind])
 
     def rewritten_first(*args):
         # the same inode, size and mtime, other bytes, after the hash and before the parse
-        Path("runs.jsonl").write_text(other, encoding="utf-8")
-        os.utime("runs.jsonl", ns=(st.st_atime_ns, st.st_mtime_ns))
+        Path(name).write_text(other, encoding="utf-8")
+        os.utime(name, ns=(st.st_atime_ns, st.st_mtime_ns))
         return parse(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(cache, "_parse", rewritten_first)
+        m.setattr(cache, PARSERS[kind], rewritten_first)
         changed = outcome(capsys, argv)
     assert changed != expected and changed == uncached(capsys, monkeypatch, argv)
     assert entries(cache_dir) == []
-    Path("runs.jsonl").write_text(original, encoding="utf-8")
-    os.utime("runs.jsonl", ns=(st.st_atime_ns, st.st_mtime_ns))
+    Path(name).write_text(original, encoding="utf-8")
+    os.utime(name, ns=(st.st_atime_ns, st.st_mtime_ns))
     assert outcome(capsys, argv) == expected  # a miss, then a hit
     assert outcome(capsys, argv) == expected
     assert len(entries(cache_dir)) == 1
@@ -309,20 +349,39 @@ def _code_out_of_range(entry):
 
 def _value_not_positive(entry):
     header, columns = _split(entry)
-    columns["values"][5] = 0.0
+    columns["values" if "values" in columns else "losses"][5] = 0.0
     return _joined(header, columns)
+
+
+def _steps_not_increasing(entry):
+    header, columns = _split(entry)
+    columns["steps"][7] = columns["steps"][6]
+    return _joined(header, columns)
+
+
+def _no_points(entry):
+    header, columns = _split(entry)
+    for column in header["columns"]:
+        column[2] = [0]
+    return _joined(header, {name: column[:0] for name, column in columns.items()})
 
 
 def _not_json(entry):
     return b"{scales\n" + entry.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "spoil", [_truncated, _trailing_bytes, _foreign_dtype, _code_out_of_range, _value_not_positive, _not_json]
-)
-def test_a_spoiled_entry_is_parsed_again_and_overwritten(cache_dir, parses, capsys, monkeypatch, spoil):
+SPOILED_TABLES = [_truncated, _trailing_bytes, _foreign_dtype, _code_out_of_range, _value_not_positive, _not_json]
+SPOILED_CURVES = [_truncated, _trailing_bytes, _foreign_dtype, _value_not_positive, _not_json, _steps_not_increasing,
+                  _no_points]
+
+
+@pytest.mark.parametrize("spoil, argv", [
+    *(pytest.param(spoil, ["bootstrap", "--family", "pmi", "--B", "50", "--seed", "3", "--input", "runs.jsonl"],
+                   id=spoil.__name__) for spoil in SPOILED_TABLES),
+    *(pytest.param(spoil, READS["curve"][1], id="curve" + spoil.__name__) for spoil in SPOILED_CURVES),
+])
+def test_a_spoiled_entry_is_parsed_again_and_overwritten(cache_dir, parses, capsys, monkeypatch, spoil, argv):
     write_inputs()
-    argv = ["bootstrap", "--family", "pmi", "--B", "50", "--seed", "3", "--input", "runs.jsonl"]
     expected = uncached(capsys, monkeypatch, argv)
     assert outcome(capsys, argv) == expected
     (entry,) = entries(cache_dir)
@@ -347,30 +406,48 @@ def test_a_cache_path_that_is_a_file_leaves_the_output_as_it_is(tmp_path, parses
     assert len(parses) == 3 and Path("not-a-dir").read_text(encoding="utf-8") == "x"
 
 
-def test_a_seed_past_int64_is_not_stored(cache_dir, capsys, monkeypatch):
+@pytest.mark.parametrize("kind", READS)
+def test_an_integer_past_int64_is_not_stored(cache_dir, capsys, monkeypatch, kind):
     write_inputs()
-    lines = Path("full.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-    row = json.loads(lines[0])
-    row["finetune_seed"] = 2**70
-    Path("big.jsonl").write_text("".join([json.dumps(row) + "\n", *lines[1:]]), encoding="utf-8")
-    argv = ["bootstrap", "--family", "mlm", "--B", "50", "--seed", "3", "--input", "big.jsonl"]
+    if kind == "table":  # a seed
+        lines = Path("full.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[0])
+        row["finetune_seed"] = 2**70
+        Path("big.jsonl").write_text("".join([json.dumps(row) + "\n", *lines[1:]]), encoding="utf-8")
+        argv = ["bootstrap", "--family", "mlm", "--B", "50", "--seed", "3", "--input", "big.jsonl"]
+        assert sf.ingest("big.jsonl").seeds.dtype == object
+    else:  # the last step
+        Path("big.csv").write_text(Path("curve.csv").read_text(encoding="utf-8") + f"{2**70},1.5\n", encoding="utf-8")
+        argv = [*EARLYSTOP, "big.csv"]
+        assert sf.load_loss_curve("big.csv").steps[-1] == 2**70
     expected = uncached(capsys, monkeypatch, argv)
     assert expected[0] == 0
-    assert sf.ingest("big.jsonl").seeds.dtype == object
     assert outcome(capsys, argv) == expected
     assert entries(cache_dir) == []
+    outcome(capsys, READS[kind][1])  # the file it was made from is stored
+    assert len(entries(cache_dir)) == 1
 
 
-def test_an_input_that_fails_ingest_is_not_stored(cache_dir, capsys, monkeypatch):
+@pytest.mark.parametrize("kind", READS)
+def test_an_input_that_fails_its_parse_is_not_stored(cache_dir, capsys, monkeypatch, kind):
     write_inputs()
-    lines = Path("full.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-    Path("bad.jsonl").write_text("".join([*lines[:5], lines[5].replace('"value": ', '"value": -')]),
-                                 encoding="utf-8")
-    argv = ["fit", "--input", "bad.jsonl"]
+    if kind == "table":
+        lines = Path("full.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        Path("bad.jsonl").write_text("".join([*lines[:5], lines[5].replace('"value": ', '"value": -')]),
+                                     encoding="utf-8")
+        argv, error = ["fit", "--input", "bad.jsonl"], "error: row 6: value must be positive\n"
+    else:  # row 5,002 repeats the step of row 5,001, and 1,000 good points follow
+        lines = Path("curve.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        Path("bad.csv").write_text("".join([*lines[:5001], "50000,1.5\n", *lines[5001:]]), encoding="utf-8")
+        assert lines[5000].startswith("50000,") and os.path.getsize("bad.csv") >= cache.MIN_BYTES
+        argv = [*EARLYSTOP, "bad.csv"]
+        error = "error: row 5002: steps must be strictly increasing, got 50000 then 50000\n"
     expected = uncached(capsys, monkeypatch, argv)
-    assert expected[:3] == (2, "", "error: row 6: value must be positive\n")
+    assert expected[:3] == (2, "", error)
     assert outcome(capsys, argv) == expected
     assert entries(cache_dir) == []
+    outcome(capsys, READS[kind][1])  # a good file of the kind is stored
+    assert len(entries(cache_dir)) == 1
 
 
 def test_eviction_deletes_the_least_recently_used_entries_first(cache_dir, parses, capsys, monkeypatch):

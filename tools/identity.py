@@ -11,10 +11,11 @@ three workload mixes, plus ``extras``, in-process through the tree's
 ``diagnose`` and of each subcommand, so the parser's text is compared too.
 For each command it takes the sha256 of stdout, of stderr, of the exit code
 and of every file the command wrote; each workload input file gets one too.
-The CLI's table cache (``scalefit.cache``) lives in a directory of its own
-under the temporary directory, unless ``SCALEFIT_CACHE_DIR`` is set (empty,
-it turns the cache off), so a run writes no user's cache, and every read of
-an input of at least ``MIN_BYTES`` (``bulk.jsonl``, ``bulk.csv`` and
+The CLI's cache of tables and loss curves (``scalefit.cache``) lives in a
+directory of its own under the temporary directory, unless
+``SCALEFIT_CACHE_DIR`` is set (empty, it turns the cache off), so a run
+writes no user's cache, and every read of an input of at least
+``MIN_BYTES`` (``bulk.jsonl``, ``bulk.csv``, ``curve.csv`` and
 ``ragged.jsonl``) after its first is a hit: with the cache on, a tree's
 later reads are compared with the other tree's parses.
 
@@ -99,7 +100,8 @@ BAD_INPUTS = {
 }
 # A loss curve with a bad row ahead of a byte that is not UTF-8, two whose
 # cells parse but break the curve's rules, one that breaks a rule ahead of a
-# row that does not parse, and one whose step is written as a float.
+# row that does not parse, one whose step is written as a float, and one of
+# at least the cache's MIN_BYTES whose bad row follows 5,000 good points.
 BAD_CURVES = {
     "bad-row-before-bad-byte-curve.csv": "step,eval_loss\n0,1.0\n1,abc\n2,0.\udce99\n",
     "negative-loss-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n",
@@ -107,6 +109,9 @@ BAD_CURVES = {
     "negative-loss-before-bad-row-curve.csv": "step,eval_loss\n1,2.0\n2,-1.0\n3,1.0\nx,1\n",
     # An integer through a float, as numpy 1.x reads it, after 300 good points.
     "step-1e3-curve.csv": "step,eval_loss\n" + "".join(f"{i},1.0\n" for i in range(300)) + "1e3,0.5\n",
+    "bad-row-after-5000-points-curve.csv": (
+        "step,eval_loss\n" + "".join(f"{10 * i},{1 + 1 / i!r}\n" for i in range(1, 5001)) + "50010,-0.5\n"
+    ),
 }
 
 

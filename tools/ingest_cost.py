@@ -28,13 +28,15 @@ other.  The first times, with the tree's ``scalefit``:
 - ``group(ingest("ladder.jsonl"))`` and ``group(ingest("ladder.csv"))``,
   the same 80 records written as CSV by this script: the fastest of 20
   blocks of 200 calls, per call;
-- with the CLI's table cache (``scalefit.cache``) in a temporary
-  directory, ``read_table`` of ``bulk.jsonl`` and of ``bulk.csv`` on a hit,
-  its key and load (``jsonl_hit_ms``, ``csv_hit_ms``), best of 5, taking
-  turns; and ``jsonl_miss_extra_ms``, what a miss of ``bulk.jsonl`` (into an
-  empty directory: the hash, the parse, the directory and the write) takes
-  beyond ``ingest``, the best of 5 of each, taking turns.  A tree without
-  the cache prints ``nan`` for these three.
+- with the CLI's cache (``scalefit.cache``) in a temporary directory,
+  ``read_table`` of ``bulk.jsonl`` and of ``bulk.csv`` and ``read_curve``
+  of ``curve.csv`` on a hit, the key and the load (``jsonl_hit_ms``,
+  ``csv_hit_ms``, ``curve_hit_ms``), best of 5, taking turns; and what a
+  miss of ``bulk.jsonl`` and of ``curve.csv`` does beyond its parse
+  (``jsonl_miss_extra_ms``, ``curve_miss_extra_ms``): its steps timed
+  alone, ``_file_key`` twice, then the entry's columns and ``_store`` into
+  an empty directory, best of 5, taking turns.  A tree from before loss
+  curves joined the cache prints ``nan`` for these five.
 
 The second, which imports no ``scalefit``, times the bare chunked parse
 loops of the same files, best of 5 each, taking turns: ``json.loads`` of
@@ -87,7 +89,8 @@ CHUNK = 4096  # the rows ingest parses at a time
 # The timings of one round of a tree, in the order printed.
 TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "csv_loadtxt_ms", "curve_ms", "curve_bare_ms",
            "curve_loadtxt_ms", "holes_ms", "nonascii_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms",
-           "ladder_ms", "ladder_csv_ms", "jsonl_hit_ms", "csv_hit_ms", "jsonl_miss_extra_ms")
+           "ladder_ms", "ladder_csv_ms", "jsonl_hit_ms", "csv_hit_ms", "curve_hit_ms", "jsonl_miss_extra_ms",
+           "curve_miss_extra_ms")
 # Each timing that has a bare parse loop to compare with, and that loop's timing.
 PARSED = {"jsonl": "jsonl_bare_ms", "csv": "csv_loadtxt_ms", "curve": "curve_loadtxt_ms"}
 # The bare loops run the same code in both trees: their ratios between the
@@ -198,26 +201,37 @@ def measure(tree: Path) -> dict:
 
 
 def _cached(sf) -> dict:
-    """The cache's hit timings of ``bulk.jsonl`` and ``bulk.csv``, and what a
-    miss of ``bulk.jsonl`` takes beyond ``ingest``; NaN without the cache."""
-    names = ("jsonl_hit_ms", "csv_hit_ms", "jsonl_miss_extra_ms")
+    """The cache's hit timings of ``bulk.jsonl``, ``bulk.csv`` and
+    ``curve.csv``, and the steps of a miss of ``bulk.jsonl`` and of
+    ``curve.csv`` beyond the parse; NaN for a tree without curve entries."""
+    names = ("jsonl_hit_ms", "csv_hit_ms", "curve_hit_ms", "jsonl_miss_extra_ms", "curve_miss_extra_ms")
     try:
-        from scalefit import cache
-    except ImportError:  # a tree from before the cache
+        from scalefit.cache import read_curve  # noqa: F401
+    except ImportError:  # a tree from before loss curves joined the cache
         return dict.fromkeys(names, math.nan)
+    from scalefit import cache
+
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, "hits")
-        for path in ("bulk.jsonl", "bulk.csv"):
-            cache.read_table(path)  # a miss, which stores the entry
-        hits = _best(lambda: cache.read_table("bulk.jsonl"), lambda: cache.read_table("bulk.csv"), repeat=5)
+        read = (lambda: cache.read_table("bulk.jsonl"), lambda: cache.read_table("bulk.csv"),
+                lambda: cache.read_curve("curve.csv"))
+        for call in read:
+            call()  # a miss, which stores the entry
+        hits = _best(*read, repeat=5)
         fresh = itertools.count()
 
-        def miss() -> None:  # into a new, empty cache directory
-            os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, str(next(fresh)))
-            cache.read_table("bulk.jsonl")
+        def miss(kind: str, path: str, format: str | None, value, columns) -> None:
+            # What a miss of path does beside parsing it to value: hash it
+            # before and after the parse, then write its entry into a new,
+            # empty directory.
+            key = cache._file_key(Path(path), kind, format)
+            assert cache._file_key(Path(path), kind, format) == key
+            cache._store(Path(tmp, str(next(fresh)), key), *columns(value))
 
-        plain, missed = _best(lambda: sf.ingest("bulk.jsonl"), miss, repeat=5)
-    return dict(zip(names, (*hits, missed - plain)))
+        table, curve = cache._parse(Path("bulk.jsonl"), None), sf.load_loss_curve("curve.csv")
+        misses = _best(lambda: miss("table", "bulk.jsonl", None, table, cache._table_columns),
+                       lambda: miss("curve", "curve.csv", "csv", curve, cache._curve_columns), repeat=5)
+    return dict(zip(names, (*hits, *misses)))
 
 
 def bare() -> dict:
