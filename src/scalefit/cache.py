@@ -8,7 +8,11 @@ instead of parsing the file again.  The key also covers the kind (a table
 or a curve), this package's own sources, the numpy and Python versions,
 the interpreter's limit on integer string digits and the resolved format,
 so an entry is only read by code that would parse the file to the same
-value.  The library's :func:`~scalefit.records.ingest` and
+value.  A table is stored on its bytes' first read.  A loss curve is often
+the log of a run still training, whose bytes change between reads, so a
+curve is stored on its bytes' second read: the first only adds its key to
+the ``seen`` file (see :func:`_admitted`).  The library's
+:func:`~scalefit.records.ingest` and
 :func:`~scalefit.diagnose.load_loss_curve` never use the cache.
 
 An entry is one file: a JSON header line, then the raw little-endian bytes
@@ -26,9 +30,9 @@ the bytes it is named by, however the file changed while it was read.
 
 The directory is ``$SCALEFIT_CACHE_DIR`` (an empty value turns the cache
 off), else ``$XDG_CACHE_HOME/scalefit``, else ``~/.cache/scalefit``.
-Entries of both kinds are written whole (a temporary file, then
-``os.replace``), and the least recently used are deleted beyond
-``MAX_BYTES``, so the directory may be deleted at any time.
+Entries of both kinds and the ``seen`` file are written whole (a temporary
+file, then ``os.replace``), and the least recently used entries are deleted
+beyond ``MAX_BYTES``, so the directory may be deleted at any time.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ MAX_BYTES = 256 * 2**20  # the entries' total size, beyond which the least recen
 # add to a miss, so it is parsed on every read.
 MIN_BYTES = 64 * 2**10
 _BLOCK = 2**20  # the bytes of the input hashed at a time
+SEEN_KEYS = 64  # the keys of curves read once that the ``seen`` file keeps, the most recent last
 _ENTRY = re.compile(r"[0-9a-f]{64}\.(?:table|curve)")  # an entry's name: its key, then its kind
 # Each kind's stored columns in file order, and their dtypes: the only dtypes a load takes.
 _COLUMNS = {
@@ -116,7 +121,8 @@ def read_table(path, format: str | None = None, stacklevel: int = 1) -> RecordTa
 
 def read_curve(path) -> LossCurve:
     """What :func:`scalefit.diagnose.load_loss_curve` returns for ``path``,
-    read through the cache as :func:`read_table` reads a CSV records file."""
+    read through the cache as :func:`read_table` reads a CSV records file,
+    but stored on the second read of its bytes (see :func:`_admitted`)."""
     path = Path(path)
     return _read(path, "curve", "csv", lambda: load_loss_curve(path), _curve_columns)
 
@@ -135,9 +141,30 @@ def _read(path: Path, kind: str, format: str | None, parse, columns):
     value = parse()
     # The parse read the file again: store its value only under the digest
     # of the bytes it read, which a second hash confirms.
-    if key is not None and _file_key(path, kind, format) == key:
+    if key is not None and _admitted(directory, key) and _file_key(path, kind, format) == key:
         _store(directory / key, *columns(value))
     return value
+
+
+def _admitted(directory: Path, key: str) -> bool:
+    """Whether the parse of the bytes named ``key`` is to be stored: a
+    table's always, a curve's where the same bytes were read as a curve
+    before.  Otherwise the key is added to ``directory``'s ``seen`` file,
+    which keeps the last ``SEEN_KEYS`` of them, so the bytes of a curve that
+    grows between reads never write an entry that no read would load, nor
+    push tables out of ``MAX_BYTES``."""
+    if not key.endswith(".curve"):
+        return True
+    seen = directory / "seen"
+    try:
+        keys = seen.read_bytes().split()
+    except OSError:
+        keys = []
+    if key.encode() in keys:
+        return True
+    with contextlib.suppress(OSError):
+        _write(seen, [b"\n".join([*keys[len(keys) + 1 - SEEN_KEYS:], key.encode()]) + b"\n"])
+    return False
 
 
 def _file_key(path: Path, kind: str, format: str | None) -> str | None:
@@ -182,18 +209,23 @@ def _store(entry: Path, fields: dict, columns: dict) -> None:
                                                columns.items()]}, separators=(",", ":"))
     head = (header + " " * (-(len(header) + 1) % 8) + "\n").encode()  # ASCII; the columns start 8-aligned
     with contextlib.suppress(OSError):
-        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, temp = tempfile.mkstemp(dir=entry.parent, prefix=".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(head)
-                for column in columns.values():
-                    fh.write(np.ascontiguousarray(column).data)
-            os.replace(temp, entry)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(temp)
+        _write(entry, [head, *(np.ascontiguousarray(column).data for column in columns.values())])
         _evict(entry.parent)
+
+
+def _write(path: Path, chunks) -> None:
+    """Write ``chunks`` to ``path`` whole: a temporary file of its
+    directory, made if need be, then ``os.replace``."""
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
 
 
 def _evict(directory: Path) -> None:

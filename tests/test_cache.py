@@ -4,7 +4,8 @@ A miss and a hit print what a parse prints, byte for byte, warnings
 included; an entry is stored only for a regular file that parsed cleanly
 into int64 columns and hashed the same before and after its parse, and an
 entry that fails a check is parsed again and overwritten.  Record tables
-and loss curves take the same paths; most tests run each kind.  ``conftest.py``
+and loss curves take the same paths, but for a curve's first read of new
+bytes, which only notes their key; most tests run each kind.  ``conftest.py``
 points the cache at a directory of the session; each test here uses one of
 its own.
 """
@@ -121,6 +122,8 @@ READS = {
     "table": ("runs.jsonl", ["fit", "--family", "mlm", "--input", "runs.jsonl"]),
     "curve": ("curve.csv", [*EARLYSTOP, "curve.csv"]),
 }
+# The reads of new bytes of each kind that parse; the last of them stores the entry.
+PARSED_READS = {"table": 1, "curve": 2}
 
 
 @pytest.mark.parametrize("source", INPUTS)
@@ -147,9 +150,11 @@ def test_a_hit_returns_what_the_parse_returns(cache_dir, monkeypatch, name):
                                             + "\n" for row in rows), encoding="utf-8")
     Path("empty.jsonl").write_text("", encoding="utf-8")
     if name == "curve.csv":
-        parsed, missed, hit = sf.load_loss_curve(name), cache.read_curve(name), cache.read_curve(name)
+        parsed, noted = sf.load_loss_curve(name), cache.read_curve(name)
+        assert entries(cache_dir) == []  # the first read of a curve's bytes only notes their key
+        missed, hit = cache.read_curve(name), cache.read_curve(name)
         assert [path.suffix for path in entries(cache_dir)] == [".curve"]
-        for curve in (missed, hit):
+        for curve in (noted, missed, hit):
             assert type(curve) is sf.LossCurve and curve == parsed
             assert {type(step) for step in curve.steps} == {int} and {type(loss) for loss in curve.losses} == {float}
         return
@@ -184,15 +189,17 @@ def test_a_file_under_the_floor_is_parsed_on_every_read(cache_dir, parses, capsy
     monkeypatch.setattr(cache, "MIN_BYTES", size + 1)
     expected = uncached(capsys, monkeypatch, argv)
     assert outcome(capsys, argv) == expected and outcome(capsys, argv) == expected
-    assert len(parses) == 3 and entries(cache_dir) == []
+    assert len(parses) == 3 and not cache_dir.exists()
     monkeypatch.setattr(cache, "MIN_BYTES", size)
-    assert outcome(capsys, argv) == expected and outcome(capsys, argv) == expected
-    assert len(parses) == 4 and len(entries(cache_dir)) == 1
+    for _ in range(PARSED_READS[kind] + 1):
+        assert outcome(capsys, argv) == expected
+    assert len(parses) == 3 + PARSED_READS[kind] and len(entries(cache_dir)) == 1
 
 
 def test_a_table_and_a_curve_of_the_same_bytes_are_two_entries(cache_dir, parses, monkeypatch):
     write_inputs()
     curve = cache.read_curve("curve.csv")
+    assert cache.read_curve("curve.csv") == curve  # the second read of its bytes stores it
     table = sf.ingest("full.csv")
     with monkeypatch.context() as m:
         m.setattr(cache, "_parse", lambda path, format: (table, None))  # curve.csv's bytes parse to a table
@@ -200,7 +207,7 @@ def test_a_table_and_a_curve_of_the_same_bytes_are_two_entries(cache_dir, parses
     kinds = entries(cache_dir)
     assert sorted(path.suffix for path in kinds) == [".curve", ".table"] and kinds[0].stem != kinds[1].stem
     assert cache.read_curve("curve.csv") == curve and cache.read_table("curve.csv", "csv") == table
-    assert len(parses) == 1  # the curve's first read; the last two are hits
+    assert len(parses) == 2  # the curve's first two reads; the last two are hits
 
 
 def test_the_format_is_part_of_the_key(cache_dir, capsys, monkeypatch):
@@ -277,6 +284,9 @@ def test_bytes_rewritten_during_the_parse_are_not_stored_under_the_old_key(cache
         point = original.splitlines()[1]
         other = original.replace(point, point.replace(",4.", ",1."), 1)
     assert len(other) == len(original) and other != original
+    for _ in range(PARSED_READS[kind] - 1):  # a curve's key is noted, so that its next parse may store
+        assert outcome(capsys, argv) == expected
+    assert entries(cache_dir) == []
     parse = getattr(cache, PARSERS[kind])
 
     def rewritten_first(*args):
@@ -375,21 +385,22 @@ SPOILED_CURVES = [_truncated, _trailing_bytes, _foreign_dtype, _value_not_positi
                   _no_points]
 
 
-@pytest.mark.parametrize("spoil, argv", [
-    *(pytest.param(spoil, ["bootstrap", "--family", "pmi", "--B", "50", "--seed", "3", "--input", "runs.jsonl"],
+@pytest.mark.parametrize("spoil, kind, argv", [
+    *(pytest.param(spoil, "table", ["bootstrap", "--family", "pmi", "--B", "50", "--seed", "3", "--input", "runs.jsonl"],
                    id=spoil.__name__) for spoil in SPOILED_TABLES),
-    *(pytest.param(spoil, READS["curve"][1], id="curve" + spoil.__name__) for spoil in SPOILED_CURVES),
+    *(pytest.param(spoil, "curve", READS["curve"][1], id="curve" + spoil.__name__) for spoil in SPOILED_CURVES),
 ])
-def test_a_spoiled_entry_is_parsed_again_and_overwritten(cache_dir, parses, capsys, monkeypatch, spoil, argv):
+def test_a_spoiled_entry_is_parsed_again_and_overwritten(cache_dir, parses, capsys, monkeypatch, spoil, kind, argv):
     write_inputs()
     expected = uncached(capsys, monkeypatch, argv)
-    assert outcome(capsys, argv) == expected
+    for _ in range(PARSED_READS[kind]):
+        assert outcome(capsys, argv) == expected
     (entry,) = entries(cache_dir)
     good = entry.read_bytes()
     entry.write_bytes(spoil(entry))
     assert entry.read_bytes() != good
     assert outcome(capsys, argv) == expected
-    assert len(parses) == 3  # the cache-off run, the first miss, and the spoiled entry's
+    assert len(parses) == 2 + PARSED_READS[kind]  # the cache-off run, the first misses, and the spoiled entry's
     assert entries(cache_dir) == [entry] and entry.read_bytes() == good
 
 
@@ -422,9 +433,11 @@ def test_an_integer_past_int64_is_not_stored(cache_dir, capsys, monkeypatch, kin
         assert sf.load_loss_curve("big.csv").steps[-1] == 2**70
     expected = uncached(capsys, monkeypatch, argv)
     assert expected[0] == 0
-    assert outcome(capsys, argv) == expected
+    for _ in range(PARSED_READS[kind]):
+        assert outcome(capsys, argv) == expected
     assert entries(cache_dir) == []
-    outcome(capsys, READS[kind][1])  # the file it was made from is stored
+    for _ in range(PARSED_READS[kind]):
+        outcome(capsys, READS[kind][1])  # the file it was made from is stored
     assert len(entries(cache_dir)) == 1
 
 
@@ -444,10 +457,36 @@ def test_an_input_that_fails_its_parse_is_not_stored(cache_dir, capsys, monkeypa
         error = "error: row 5002: steps must be strictly increasing, got 50000 then 50000\n"
     expected = uncached(capsys, monkeypatch, argv)
     assert expected[:3] == (2, "", error)
-    assert outcome(capsys, argv) == expected
+    for _ in range(PARSED_READS[kind]):
+        assert outcome(capsys, argv) == expected
     assert entries(cache_dir) == []
-    outcome(capsys, READS[kind][1])  # a good file of the kind is stored
+    for _ in range(PARSED_READS[kind]):
+        outcome(capsys, READS[kind][1])  # a good file of the kind is stored
     assert len(entries(cache_dir)) == 1
+
+
+def test_a_curve_is_stored_on_the_second_read_of_its_bytes(cache_dir, parses, capsys, monkeypatch):
+    write_inputs()
+    name, argv = READS["curve"]
+    first = Path(name).read_text(encoding="utf-8")
+    text = first
+    for step in (60010, 60020, 60030):  # a point more at each read, as the log of a run still training grows
+        text += f"{step},1.5\n"
+        Path(name).write_text(text, encoding="utf-8")
+        assert outcome(capsys, argv) == uncached(capsys, monkeypatch, argv)
+    assert len(parses) == 6 and entries(cache_dir) == []
+    assert len((cache_dir / "seen").read_bytes().split()) == 3
+    monkeypatch.setattr(cache, "SEEN_KEYS", 2)
+    Path(name).write_text(first, encoding="utf-8")
+    expected = uncached(capsys, monkeypatch, argv)
+    assert outcome(capsys, argv) == expected  # noted; the oldest two keys are dropped
+    Path(name).write_text(first + "60010,1.5\n", encoding="utf-8")
+    outcome(capsys, argv)  # its key was dropped: noted again, not stored
+    assert len(parses) == 9 and entries(cache_dir) == []
+    assert len((cache_dir / "seen").read_bytes().split()) == 2
+    Path(name).write_text(first, encoding="utf-8")
+    assert outcome(capsys, argv) == expected and outcome(capsys, argv) == expected  # a miss that stores, then a hit
+    assert len(parses) == 10 and [path.suffix for path in entries(cache_dir)] == [".curve"]
 
 
 def test_eviction_deletes_the_least_recently_used_entries_first(cache_dir, parses, capsys, monkeypatch):

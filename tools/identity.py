@@ -15,9 +15,10 @@ The CLI's cache of tables and loss curves (``scalefit.cache``) lives in a
 directory of its own under the temporary directory, unless
 ``SCALEFIT_CACHE_DIR`` is set (empty, it turns the cache off), so a run
 writes no user's cache, and every read of an input of at least
-``MIN_BYTES`` (``bulk.jsonl``, ``bulk.csv``, ``curve.csv`` and
-``ragged.jsonl``) after its first is a hit: with the cache on, a tree's
-later reads are compared with the other tree's parses.
+``MIN_BYTES`` after its first (``bulk.jsonl``, ``bulk.csv`` and
+``ragged.jsonl``) or, for a loss curve, after its second (``curve.csv``)
+is a hit: with the cache on, a tree's later reads are compared with the
+other tree's parses.
 
 With one tree it prints those digests, one per line.  With two it prints
 every value that differs or that one side lacks, and exits 1 if there is

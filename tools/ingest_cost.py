@@ -31,12 +31,17 @@ other.  The first times, with the tree's ``scalefit``:
 - with the CLI's cache (``scalefit.cache``) in a temporary directory,
   ``read_table`` of ``bulk.jsonl`` and of ``bulk.csv`` and ``read_curve``
   of ``curve.csv`` on a hit, the key and the load (``jsonl_hit_ms``,
-  ``csv_hit_ms``, ``curve_hit_ms``), best of 5, taking turns; and what a
-  miss of ``bulk.jsonl`` and of ``curve.csv`` does beyond its parse
+  ``csv_hit_ms``, ``curve_hit_ms``), best of 5, taking turns; what a miss
+  that stores ``bulk.jsonl`` and ``curve.csv`` does beyond its parse
   (``jsonl_miss_extra_ms``, ``curve_miss_extra_ms``): its steps timed
   alone, ``_file_key`` twice, then the entry's columns and ``_store`` into
-  an empty directory, best of 5, taking turns.  A tree from before loss
-  curves joined the cache prints ``nan`` for these five.
+  an empty directory; and what the first read of a curve's bytes does
+  beyond its parse (``curve_first_extra_ms``): ``_file_key`` once, then
+  ``_admitted`` noting the key in an empty directory; best of 5, taking
+  turns.  Each prints ``nan`` where the tree lacks it: all six before the
+  cache, all but the table hits before loss curves joined it, and
+  ``curve_first_extra_ms`` before a curve was stored on its bytes' second
+  read.
 
 The second, which imports no ``scalefit``, times the bare chunked parse
 loops of the same files, best of 5 each, taking turns: ``json.loads`` of
@@ -90,7 +95,7 @@ CHUNK = 4096  # the rows ingest parses at a time
 TIMINGS = ("jsonl_ms", "jsonl_bare_ms", "csv_ms", "csv_bare_ms", "csv_loadtxt_ms", "curve_ms", "curve_bare_ms",
            "curve_loadtxt_ms", "holes_ms", "nonascii_ms", "group_ms", "fit_ms", "fit_depth_ms", "plot_ms",
            "ladder_ms", "ladder_csv_ms", "jsonl_hit_ms", "csv_hit_ms", "curve_hit_ms", "jsonl_miss_extra_ms",
-           "curve_miss_extra_ms")
+           "curve_miss_extra_ms", "curve_first_extra_ms")
 # Each timing that has a bare parse loop to compare with, and that loop's timing.
 PARSED = {"jsonl": "jsonl_bare_ms", "csv": "csv_loadtxt_ms", "curve": "curve_loadtxt_ms"}
 # The bare loops run the same code in both trees: their ratios between the
@@ -202,36 +207,48 @@ def measure(tree: Path) -> dict:
 
 def _cached(sf) -> dict:
     """The cache's hit timings of ``bulk.jsonl``, ``bulk.csv`` and
-    ``curve.csv``, and the steps of a miss of ``bulk.jsonl`` and of
-    ``curve.csv`` beyond the parse; NaN for a tree without curve entries."""
-    names = ("jsonl_hit_ms", "csv_hit_ms", "curve_hit_ms", "jsonl_miss_extra_ms", "curve_miss_extra_ms")
+    ``curve.csv``, and the steps of their misses beyond the parse; NaN for
+    each that the tree's cache lacks."""
+    names = ("jsonl_hit_ms", "csv_hit_ms", "curve_hit_ms", "jsonl_miss_extra_ms", "curve_miss_extra_ms",
+             "curve_first_extra_ms")
+    got = dict.fromkeys(names, math.nan)
     try:
-        from scalefit.cache import read_curve  # noqa: F401
-    except ImportError:  # a tree from before loss curves joined the cache
-        return dict.fromkeys(names, math.nan)
-    from scalefit import cache
-
+        from scalefit import cache
+    except ImportError:  # a tree from before the cache
+        return got
+    curves = hasattr(cache, "read_curve")  # and the miss steps' functions, which came with it
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["SCALEFIT_CACHE_DIR"] = os.path.join(tmp, "hits")
-        read = (lambda: cache.read_table("bulk.jsonl"), lambda: cache.read_table("bulk.csv"),
-                lambda: cache.read_curve("curve.csv"))
+        read = [lambda: cache.read_table("bulk.jsonl"), lambda: cache.read_table("bulk.csv")]
+        if curves:
+            read.append(lambda: cache.read_curve("curve.csv"))
         for call in read:
-            call()  # a miss, which stores the entry
-        hits = _best(*read, repeat=5)
+            call(), call()  # misses, the last of which stores the entry, or a hit
+        got.update(zip(names, _best(*read, repeat=5)))
+        if not curves:
+            return got
         fresh = itertools.count()
 
         def miss(kind: str, path: str, format: str | None, value, columns) -> None:
-            # What a miss of path does beside parsing it to value: hash it
-            # before and after the parse, then write its entry into a new,
-            # empty directory.
+            # What a miss of path that stores it does beside parsing it to
+            # value: hash it before and after the parse, then write its
+            # entry into a new, empty directory.
             key = cache._file_key(Path(path), kind, format)
             assert cache._file_key(Path(path), kind, format) == key
             cache._store(Path(tmp, str(next(fresh)), key), *columns(value))
 
+        def first_read() -> None:
+            # What the first read of a curve's bytes does beside its parse:
+            # hash it, then note its key in a new, empty directory.
+            assert not cache._admitted(Path(tmp, str(next(fresh))), cache._file_key(Path("curve.csv"), "curve", "csv"))
+
         table, curve = cache._parse(Path("bulk.jsonl"), None), sf.load_loss_curve("curve.csv")
-        misses = _best(lambda: miss("table", "bulk.jsonl", None, table, cache._table_columns),
-                       lambda: miss("curve", "curve.csv", "csv", curve, cache._curve_columns), repeat=5)
-    return dict(zip(names, (*hits, *misses)))
+        steps = [lambda: miss("table", "bulk.jsonl", None, table, cache._table_columns),
+                 lambda: miss("curve", "curve.csv", "csv", curve, cache._curve_columns)]
+        if hasattr(cache, "_admitted"):
+            steps.append(first_read)
+        got.update(zip(names[3:], _best(*steps, repeat=5)))
+    return got
 
 
 def bare() -> dict:
